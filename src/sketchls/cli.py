@@ -235,7 +235,7 @@ def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed:
     op = LinearOperatorView.from_matrix(SA)
 
     bound_reports = diagnostics.run_bound_suite(A, problem.b, S, oracle,
-                                                include_acute=True)
+                                                include_acute=True, eps=report.epsilon)
     bounds_path = out_dir / f"{label}_bounds.csv"
     diagnostics.write_bound_reports(bounds_path, bound_reports, seed=seed,
                                     kind=kind.value, matrix=name, d=d)
@@ -245,7 +245,7 @@ def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed:
     summaries = []
     for solver_name, solver_fn in _solvers_for(config):
         controller = _make_controller(config, norm_SA, report.epsilon)
-        observer = MetricsObserver(A, problem.b, stride=config.stride)
+        observer = MetricsObserver(A, problem.b, stride=config.stride, oracle=oracle)
         result = solver_fn(op, Sb, observer=observer, stop=controller)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
@@ -253,7 +253,7 @@ def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed:
             "matrix": name, "kind": kind.value, "d": d, "seed": seed,
             "solver": solver_name, "iterations": result.iterations,
             "termination": result.termination.value,
-            "epsilon": report.epsilon, "kappa": A.spectral().cond,
+            "epsilon": report.epsilon, "kappa": A.condition_number(),
             "final_rnorm": last.unsketched_residual_norm if last else math.nan,
             "final_ne_ratio": last.unsketched_normal_ratio if last else math.nan,
             "r_ls_norm": oracle.r_ls_norm,
@@ -322,12 +322,17 @@ def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
 
 
 def sweep_d(config: ExperimentConfig, d_values: List[int]) -> int:
-    """Aggregate distortion and plateau statistics across sketch sizes."""
+    """Aggregate distortion and plateau statistics across sketch sizes.
+
+    A (kind, d) cell that raises is recorded and reported as an ``error:``
+    line, like a run of :func:`run_experiment`, and the sweep goes on.
+    """
     if len(d_values) < 2:
         raise ConfigError("sweep-d needs at least two d values")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    errors: List[RunOutcome] = []
     for source in config.sources:
         A = source.load()
         problem_cache = {}
@@ -336,19 +341,24 @@ def sweep_d(config: ExperimentConfig, d_values: List[int]) -> int:
                 if not (A.cols <= d < A.rows):
                     raise ConfigError(f"d={d} violates n <= d < m for {source.name}")
                 eps_values, plateaus = [], []
-                for seed in config.seeds:
-                    if seed not in problem_cache:
-                        problem_cache[seed] = synthesize_problem(A, seed, config.rho)
-                    problem = problem_cache[seed]
-                    S = embed.build_sketch(kind, d, A.rows, seed)
-                    eps_values.append(embed.exact_distortion(S, A, problem.b).epsilon)
-                    SA = embed.apply(S, A.dense())
-                    Sb = embed.apply(S, problem.b)
-                    observer = MetricsObserver(A, problem.b, stride=config.stride)
-                    result = lsmr(LinearOperatorView.from_matrix(SA), Sb,
-                                  observer=observer)
-                    plateaus.append(plateau_value(
-                        [r.unsketched_normal_ratio for r in result.trace if not r.stale]))
+                try:
+                    for seed in config.seeds:
+                        if seed not in problem_cache:
+                            problem_cache[seed] = synthesize_problem(A, seed, config.rho)
+                        problem = problem_cache[seed]
+                        S = embed.build_sketch(kind, d, A.rows, seed)
+                        eps_values.append(embed.exact_distortion(S, A, problem.b).epsilon)
+                        SA = embed.apply(S, A.dense())
+                        Sb = embed.apply(S, problem.b)
+                        observer = MetricsObserver(A, problem.b, stride=config.stride)
+                        result = lsmr(LinearOperatorView.from_matrix(SA), Sb,
+                                      observer=observer)
+                        plateaus.append(plateau_value(
+                            [r.unsketched_normal_ratio for r in result.trace if not r.stale]))
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(RunOutcome(label=f"{source.name}_{kind.value}_d{d}",
+                                             error=f"seed {seed}: {exc}"))
+                    continue
                 q1e, q2e, q3e = np.percentile(eps_values, [25, 50, 75])
                 q1p, q2p, q3p = np.percentile(plateaus, [25, 50, 75])
                 rows.append([source.name, kind.value, d,
@@ -361,7 +371,9 @@ def sweep_d(config: ExperimentConfig, d_values: List[int]) -> int:
                          "plateau_median", "plateau_q1", "plateau_q3"])
         writer.writerows(rows)
     print(f"wrote {path}")
-    return EXIT_OK
+    for o in errors:
+        print(f"error: {o.label}: {o.error}", file=sys.stderr)
+    return EXIT_RUN_ERROR if errors else EXIT_OK
 
 
 def emit_figure_data(output_dir) -> List[Path]:
@@ -425,9 +437,10 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
     oracle = solve_ls_oracle(A, problem.b)
     S = embed.build_sketch(kind, d, A.rows, seed)
     eps = embed.exact_distortion(S, A, problem.b).epsilon
-    reports = diagnostics.run_bound_suite(A, problem.b, S, oracle, include_acute=True)
+    reports = diagnostics.run_bound_suite(A, problem.b, S, oracle, include_acute=True,
+                                          eps=eps)
     print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
-          f"kappa={A.spectral().cond:.6g}")
+          f"kappa={A.condition_number():.6g}")
     failed = 0
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

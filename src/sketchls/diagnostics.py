@@ -146,7 +146,7 @@ def check_residual_bounds(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperato
     rs_norm = float(np.linalg.norm(r_s))
     rls_norm = oracle.r_ls_norm
     norm_A = A.spectral_norm()
-    kappa = A.spectral().cond
+    kappa = A.condition_number()
     reports: List[BoundReport] = []
 
     consistent = rls_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(b))
@@ -293,7 +293,7 @@ def check_solution_error(A: MatrixHandle, b: np.ndarray, oracle: LsOracle,
     xs_norm = float(np.linalg.norm(x_s))
     xls_norm = float(np.linalg.norm(oracle.x_ls))
     norm_A = A.spectral_norm()
-    kappa = A.spectral().cond
+    kappa = A.condition_number()
     reports: List[BoundReport] = []
     if xs_norm == 0.0:
         reports.append(_vacuous(BoundId.SOLUTION_ERR_REL, "zero sketched solution"))
@@ -319,7 +319,7 @@ def check_acute_criterion(A: MatrixHandle, S: embed.SketchOperator, eps: float) 
     """
     if A.cols > ACUTE_COLS_GUARD:
         raise ValueError(f"acute-criterion guard: n = {A.cols} exceeds {ACUTE_COLS_GUARD}")
-    kappa = A.spectral().cond
+    kappa = A.condition_number()
     lhs = kappa * eps
     SA = embed.apply(S, A.dense())
     sv = scipy.linalg.svd(SA, compute_uv=False)
@@ -377,13 +377,19 @@ SUITE_BOUND_IDS = (
 
 def run_bound_suite(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
                     oracle: Optional[LsOracle] = None,
-                    include_acute: bool = False) -> List[BoundReport]:
-    """All theorem bounds for one (problem, sketch) pair with oracle quantities."""
+                    include_acute: bool = False,
+                    eps: Optional[float] = None) -> List[BoundReport]:
+    """All theorem bounds for one (problem, sketch) pair with oracle quantities.
+
+    ``oracle`` and ``eps`` (the :func:`sketchls.embed.exact_distortion`
+    parameter of S over span([A b])) are computed here when not given.
+    """
     from .matio import solve_ls_oracle
 
     if oracle is None:
         oracle = solve_ls_oracle(A, b)
-    eps = embed.exact_distortion(S, A, b).epsilon
+    if eps is None:
+        eps = embed.exact_distortion(S, A, b).epsilon
     x_s = solve_sketched(A, b, S)
     reports = [check_geometric_preservation(A, b, S, x_s, eps)]
     reports.extend(check_residual_bounds(A, b, S, oracle, x_s, eps))

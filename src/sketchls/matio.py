@@ -1,7 +1,8 @@
 """Matrix storage, Matrix Market I/O, and synthesis of least-squares test problems.
 
 A :class:`MatrixHandle` wraps either a dense array or a CSR sparse matrix and
-lazily caches its extreme singular values.  Problems are synthesized by the
+lazily caches its extreme singular values and the triangular factor R of its
+Gram matrix (R^T R = A^T A).  Problems are synthesized by the
 recipe b = A*x - r with r a scaled random direction, and an exact least-squares
 oracle (dense pivoted QR plus one refinement step) supplies reference solutions
 for all bound checks.
@@ -44,14 +45,17 @@ class SpectralInfo:
 class MatrixHandle:
     """Immutable dense or CSR matrix with cached spectral data.
 
-    The handle is safe to share across threads: the payload is never mutated
-    after construction, and the spectral cache is written once under a lock so
+    NaN and Inf entries are rejected at construction.  The handle is safe to
+    share across threads: the payload is never mutated after construction, and
+    the spectral and Gram-factor caches are each written once under a lock so
     concurrent readers observe either no value or the final one.
     """
 
     def __init__(self, data):
         if scipy.sparse.issparse(data):
             mat = data.tocsr().astype(np.float64)
+            if not np.isfinite(mat.data).all():
+                raise ValueError("matrix has NaN or Inf entries")
             mat.sum_duplicates()
             mat.eliminate_zeros()
             mat.sort_indices()
@@ -62,6 +66,9 @@ class MatrixHandle:
             arr = np.asarray(data, dtype=np.float64)
             if arr.ndim != 2:
                 raise ValueError("matrix data must be two-dimensional")
+            if not np.isfinite(arr).all():
+                i, j = np.argwhere(~np.isfinite(arr))[0]
+                raise ValueError(f"matrix has NaN or Inf entries, first at ({i}, {j})")
             self._sparse = None
             self._dense = np.asfortranarray(arr)
             rows, cols = arr.shape
@@ -72,6 +79,7 @@ class MatrixHandle:
         self.rows = rows
         self.cols = cols
         self._spectral: Optional[SpectralInfo] = None
+        self._gram_factor: Optional[np.ndarray] = None
         self._lock = threading.Lock()
 
     @property
@@ -112,6 +120,31 @@ class MatrixHandle:
 
     def spectral_norm(self) -> float:
         return self.spectral().norm
+
+    def condition_number(self) -> float:
+        """kappa(A); raises when it is unknown because n is too large for the
+        dense factorization (see :func:`spectral_norms`)."""
+        cond = self.spectral().cond
+        if math.isnan(cond):
+            raise ValueError(
+                f"cond(A) is unknown: n = {self.cols} exceeds {SVD_CROSS_CHECK_COLS}, "
+                "the largest n with a dense factorization")
+        return cond
+
+    def gram_factor(self) -> np.ndarray:
+        """Read-only n-by-n upper-triangular R with R^T R = A^T A, cached.
+
+        One dense QR of A, so desk scale only; only the n-by-n factor is kept.
+        """
+        R = self._gram_factor
+        if R is None:
+            R = scipy.linalg.qr(self.dense(), mode="r")[0][: self.cols, :].copy()
+            R.setflags(write=False)
+            with self._lock:
+                if self._gram_factor is None:
+                    self._gram_factor = R
+                R = self._gram_factor
+        return R
 
 
 @dataclass
@@ -207,6 +240,7 @@ def load_matrix_market(path) -> MatrixHandle:
             if not (1 <= i <= m and 1 <= j <= n):
                 raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
             rows[k], cols[k], vals[k] = i - 1, j - 1, v
+        _check_finite_values(vals, entries)
         if symmetry == "symmetric":
             if m != n:
                 raise MatrixMarketError(f"line {size_lineno}: symmetric matrix must be square")
@@ -241,6 +275,7 @@ def load_matrix_market(path) -> MatrixHandle:
             vals[k] = float(toks[0])
         except ValueError:
             raise MatrixMarketError(f"line {ln}: malformed value") from None
+    _check_finite_values(vals, entries)
     dense = np.zeros((m, n))
     if symmetry == "general":
         dense = vals.reshape((m, n), order="F")
@@ -252,6 +287,14 @@ def load_matrix_market(path) -> MatrixHandle:
                 dense[j, i] = vals[k]
                 k += 1
     return MatrixHandle(dense)
+
+
+def _check_finite_values(vals: np.ndarray, entries) -> None:
+    """Reject NaN/Inf values, naming the line of the first one."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        ln = entries[int(np.argmax(bad))][0]
+        raise MatrixMarketError(f"line {ln}: non-finite value")
 
 
 def save_matrix_market(handle: MatrixHandle, path) -> None:
@@ -355,6 +398,16 @@ def qr_ls_solve(M: np.ndarray, rhs: np.ndarray, refine: int = 1) -> np.ndarray:
     return x
 
 
+def as_rhs(A: MatrixHandle, b) -> np.ndarray:
+    """b as a float64 vector of length A.rows; rejects other lengths and NaN/Inf."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (A.rows,):
+        raise ValueError("right-hand side length mismatch")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has NaN or Inf entries")
+    return b
+
+
 def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     """Exact least-squares reference solution at desk scale.
 
@@ -363,9 +416,7 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     """
     if A.cols > DESK_SCALE_COLS:
         raise ValueError(f"oracle guard: n = {A.cols} exceeds {DESK_SCALE_COLS}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.rows,):
-        raise ValueError("right-hand side length mismatch")
+    b = as_rhs(A, b)
     x = qr_ls_solve(A.dense(), b)
     r = A.matvec(x) - b
     return LsOracle(
@@ -385,8 +436,10 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     """Largest/smallest singular values and condition number, cached on A.
 
     The spectral norm comes from power iteration on A^T A (deterministic start
-    vector) cross-checked against the SVD of the triangular QR factor whenever
-    n is small enough; sigma_min always comes from that SVD.
+    vector).  Whenever n <= ``SVD_CROSS_CHECK_COLS`` it is replaced by the SVD
+    of the cached Gram factor (:meth:`MatrixHandle.gram_factor`), which also
+    gives sigma_min.  Above that limit A is never densified: the norm stays the
+    power estimate, and sigma_min and cond are NaN (unknown).
     """
     if A._spectral is not None:
         return A._spectral
@@ -410,22 +463,21 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     norm_power = math.sqrt(lam) if lam > 0 else 0.0
 
     norm = norm_power
-    sigma_min = 0.0
+    sigma_min = math.nan
     if A.cols <= SVD_CROSS_CHECK_COLS:
-        R = scipy.linalg.qr(A.dense(), mode="r")[0][: A.cols, :]
-        sv = scipy.linalg.svd(R, compute_uv=False)
+        sv = scipy.linalg.svd(A.gram_factor(), compute_uv=False)
         sigma_min = float(sv[-1])
         # the dense factorization is the authoritative value; the power
         # estimate only validates it
         norm = float(sv[0])
-    if sigma_min < 1e-14 * norm:
-        raise RankDeficiencyError(
-            f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
+        if sigma_min < 1e-14 * norm:
+            raise RankDeficiencyError(
+                f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
 
     info = SpectralInfo(
         norm=norm,
         sigma_min=sigma_min,
-        cond=norm / sigma_min if sigma_min > 0 else float("inf"),
+        cond=norm / sigma_min if sigma_min != 0.0 else float("inf"),
         power_iterations=iterations,
         power_converged=converged,
     )

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional
 import numpy as np
 import scipy.sparse
 
-from .matio import MatrixHandle
+from .matio import LsOracle, MatrixHandle, as_rhs
 
 
 @dataclass
@@ -83,23 +83,43 @@ class SolveResult:
 
 
 class MetricsObserver:
-    """Populates iterate records with explicitly computed unsketched metrics.
+    """Populates iterate records with unsketched metrics of the original problem.
 
-    Every ``stride``-th iteration pays two matrix-vector products with A to
-    evaluate r = A x - b and A^T r; off-stride iterations carry the last fresh
-    values forward with the stale flag set.
+    Every ``stride``-th iteration computes ||r|| and ||A^T r|| / (||A|| ||r||)
+    for r = A x - b; off-stride iterations carry the last fresh values forward
+    with the stale flag set.
+
+    Without ``oracle`` each fresh record pays two matrix-vector products with
+    A (the explicit reference path).  With the least-squares ``oracle`` of
+    (A, b), a fresh record costs two n-by-n triangular products instead: with
+    R^T R = A^T A (:meth:`MatrixHandle.gram_factor`), e = x - x_ls and
+    g = A^T r_ls (computed once, nearly zero),
+
+        ||A x - b||^2 = ||R e||^2 + 2 e^T g + ||r_ls||^2,
+        A^T (A x - b) = R^T (R e) + g,
+
+    both exact in exact arithmetic and free of cancellation against b.  The
+    factor costs one dense QR of A and is n-by-n, so the fast path is desk
+    scale only.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, stride: int = 1,
-                 keep_snapshots: bool = False, track_x_metrics: bool = False):
+                 keep_snapshots: bool = False, track_x_metrics: bool = False,
+                 oracle: Optional[LsOracle] = None):
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.A = A
-        self.b = np.asarray(b, dtype=np.float64)
+        self.b = as_rhs(A, b)
         self.stride = stride
         self.keep_snapshots = keep_snapshots
         self.track_x_metrics = track_x_metrics
         self.norm_A = A.spectral_norm()
+        self._R = None
+        if oracle is not None:
+            self._R = A.gram_factor()
+            self._x_ls = oracle.x_ls
+            self._g = A.rmatvec(oracle.r_ls)
+            self._rls_sq = oracle.r_ls_norm ** 2
         self._last_rnorm = math.nan
         self._last_ratio = math.nan
         self._last_xnorm = math.nan
@@ -108,16 +128,27 @@ class MetricsObserver:
     def __call__(self, k: int, x: np.ndarray, srnorm: float, snenorm: float) -> IterateRecord:
         fresh = (k - 1) % self.stride == 0
         if fresh:
-            r = self.A.matvec(x) - self.b
-            rnorm = float(np.linalg.norm(r))
-            ne = float(np.linalg.norm(self.A.rmatvec(r)))
+            R = self._R
+            if R is None:
+                r = self.A.matvec(x) - self.b
+                rnorm = float(np.linalg.norm(r))
+                ne = float(np.linalg.norm(self.A.rmatvec(r)))
+            else:
+                e = x - self._x_ls
+                Re = R @ e
+                rnorm = math.sqrt(max(float(Re @ Re + 2.0 * (e @ self._g)) + self._rls_sq, 0.0))
+                ne = float(np.linalg.norm(R.T @ Re + self._g))
             self._last_rnorm = rnorm
             self._last_ratio = ne / (self.norm_A * rnorm) if rnorm > 0 else 0.0
             if self.track_x_metrics:
                 # nearest well-typed completion of the iterate-norm stopping
                 # variant: A^T applied to the image of x
                 self._last_xnorm = float(np.linalg.norm(x))
-                self._last_atxnorm = float(np.linalg.norm(self.A.rmatvec(self.A.matvec(x))))
+                if R is None:
+                    atx = self.A.rmatvec(self.A.matvec(x))
+                else:
+                    atx = R.T @ (R @ x)
+                self._last_atxnorm = float(np.linalg.norm(atx))
         return IterateRecord(
             k=k,
             sketched_residual_norm=srnorm,

@@ -109,6 +109,18 @@ class TestRunExperiment:
             header = fh.readline().strip().split(",")
         assert header == ["k", "srnorm", "snenorm", "rnorm", "ne_ratio", "stale_flag"]
 
+    def test_distortion_once_per_pair(self, tmp_path, monkeypatch):
+        calls = []
+        real = embed.exact_distortion
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.embed, "exact_distortion", counting)
+        assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_OK
+        assert len(calls) == 2  # one (problem, sketch) pair per seed
+
     def test_skip_large(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
         out = tmp_path / "r"
@@ -137,6 +149,24 @@ class TestSweep:
             assert eps[0] > eps[1] > eps[2], kind
         # subsampling nearly all rows makes the SRHT sketch nearly lossless
         assert by_kind["srht"][2] < 0.5 * by_kind["srht"][1]
+
+
+    def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
+        real = embed.build_sketch
+
+        def flaky(kind, d, m, seed):
+            if d == 8 and seed == 1:
+                raise ValueError("boom")
+            return real(kind, d, m, seed)
+
+        monkeypatch.setattr(cli.embed, "build_sketch", flaky)
+        config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"
+                              f"seeds = 0,1\noutput_dir = {tmp_path}\n")
+        assert sweep_d(config, [8, 40]) == EXIT_RUN_ERROR
+        assert "error: synth120x4c10_gaussian_d8: seed 1: boom" in capsys.readouterr().err
+        with open(Path(tmp_path) / "sweep_d.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["d"] for row in rows] == ["40"]
 
 
 class TestFigures:

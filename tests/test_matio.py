@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from sketchls import matio
-from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
+from sketchls.diagnostics import check_solution_error
+from sketchls.matio import (LsOracle, MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, load_vector, qr_ls_solve,
                             save_matrix_market, save_vector, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem)
+from sketchls.solvers import MetricsObserver
 
 from conftest import random_tall
 
@@ -93,6 +97,14 @@ class TestMatrixMarket:
                 "2 2 oops\n")
         with pytest.raises(MatrixMarketError, match="line 4"):
             load_matrix_market(write(tmp_path, "bad.mtx", text))
+
+    @pytest.mark.parametrize("text,line", [
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", "line 4"),
+        ("%%MatrixMarket matrix array real general\n2 1\n% note\n-inf\n1\n", "line 4"),
+    ])
+    def test_non_finite_value_reports_line(self, tmp_path, text, line):
+        with pytest.raises(MatrixMarketError, match=f"{line}: non-finite"):
+            load_matrix_market(write(tmp_path, "nan.mtx", text))
 
     def test_roundtrip_sparse(self, tmp_path):
         gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
@@ -194,6 +206,13 @@ class TestOracle:
         with pytest.raises(RankDeficiencyError, match="rank deficiency"):
             qr_ls_solve(A.dense(), np.ones(8))
 
+    def test_non_finite_rhs_rejected(self):
+        A = random_tall(30, 4, 2)
+        b = np.ones(30)
+        b[7] = np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            solve_ls_oracle(A, b)
+
     def test_desk_scale_guard(self, monkeypatch):
         monkeypatch.setattr(matio, "DESK_SCALE_COLS", 4)
         A = random_tall(30, 6, 2)
@@ -220,6 +239,55 @@ class TestSpectral:
         B = MatrixHandle(A.dense().copy())
         assert spectral_norms(B).norm == first.norm
 
+    def test_gram_factor_cached(self):
+        A = random_tall(70, 10, 11)
+        R = A.gram_factor()
+        assert A.gram_factor() is R
+        assert R.shape == (10, 10) and R.base is None  # the m-by-n QR output is not kept
+        assert not R.flags.writeable
+        M = A.dense()
+        assert np.allclose(R.T @ R, M.T @ M, rtol=0, atol=1e-12 * np.linalg.norm(M, 2) ** 2)
+        # spectral data read from the cached factor equals a fresh QR + SVD
+        sv = scipy.linalg.svd(scipy.linalg.qr(M, mode="r")[0][:10, :], compute_uv=False)
+        for handle in (A, MatrixHandle(M.copy())):
+            info = handle.spectral()
+            assert (info.norm, info.sigma_min) == (float(sv[0]), float(sv[-1]))
+            assert info.cond == float(sv[0]) / float(sv[-1])
+
+    def test_large_sparse_norm_without_densifying(self, monkeypatch):
+        # n just above the dense cross-check limit: the norm is the power
+        # estimate, sigma_min and cond are unknown, and A is never densified
+        n = matio.SVD_CROSS_CHECK_COLS + 1
+        m = n + 50
+        diag = np.linspace(1.0, 2.0, n)
+        diag[0] = 10.0
+        A = MatrixHandle(scipy.sparse.diags(diag, shape=(m, n), format="csr"))
+
+        def no_dense(self):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(MatrixHandle, "dense", no_dense)
+        info = A.spectral()
+        assert info.power_converged
+        assert info.norm == pytest.approx(10.0, rel=1e-9)
+        assert math.isnan(info.sigma_min) and math.isnan(info.cond)
+        with pytest.raises(ValueError, match="cond.*unknown"):
+            A.condition_number()
+
+        b = np.ones(m)
+        x = np.ones(n)
+        rec = MetricsObserver(A, b)(1, x, 1.0, 1.0)
+        r = A.matvec(x) - b
+        assert rec.unsketched_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-14)
+        assert rec.unsketched_normal_ratio == pytest.approx(
+            np.linalg.norm(A.rmatvec(r)) / (info.norm * np.linalg.norm(r)), rel=1e-14)
+
+        # the bound checks need cond and say so
+        oracle = LsOracle(x_ls=x, r_ls=r, r_ls_norm=float(np.linalg.norm(r)),
+                          normal_eq_residual=0.0)
+        with pytest.raises(ValueError, match="cond.*unknown"):
+            check_solution_error(A, b, oracle, x, 0.5)
+
     def test_power_iteration_agrees(self):
         A = synthesize_matrix(200, 15, 1e4, 3)
         info = A.spectral()
@@ -235,6 +303,15 @@ class TestHandleInvariants:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MatrixHandle(np.ones((0, 0)))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_non_finite_rejected(self, sparse):
+        data = np.eye(4, 3)
+        data[2, 1] = np.nan
+        if sparse:
+            data = scipy.sparse.csr_matrix(data)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            MatrixHandle(data)
 
     def test_csr_canonical(self):
         import scipy.sparse

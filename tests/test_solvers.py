@@ -8,6 +8,7 @@ from sketchls.solvers import (IterateRecord, LinearOperatorView, MetricsObserver
                               Termination, adjoint_mismatch, lsmr, lsqr,
                               read_trace, write_trace)
 from sketchls.rng import stream
+from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
 
 from conftest import random_rhs, random_tall
 
@@ -181,6 +182,77 @@ class TestObserver:
         A = random_tall(30, 4, 3)
         with pytest.raises(ValueError):
             MetricsObserver(A, random_rhs(30, 4), stride=0)
+
+
+@pytest.fixture(scope="module")
+def acceptance_instances():
+    """The criterion-5 instances of the acceptance suite, one per seed."""
+    A = synthesize_matrix(400, 40, 50.0, 7)
+    out = []
+    for seed in range(20):
+        prob = synthesize_problem(A, seed)
+        S, SA, Sb = sketched_pair(A, prob.b, d=80, seed=seed)
+        out.append((A, prob.b, solve_ls_oracle(A, prob.b), LinearOperatorView.from_matrix(SA),
+                    Sb, embed.exact_distortion(S, A, prob.b).epsilon))
+    return out
+
+
+class TestOracleObserver:
+    """The oracle-backed observer against the explicit one, its reference."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "srht", "sparse"])
+    @pytest.mark.parametrize("name,solver", SOLVERS)
+    def test_matches_explicit(self, name, solver, kind, stride):
+        A = synthesize_matrix(300, 12, 1e4, 4)
+        prob = synthesize_problem(A, 5)
+        oracle = solve_ls_oracle(A, prob.b)
+        _, SA, Sb = sketched_pair(A, prob.b, kind=kind, d=36, seed=6)
+        op = LinearOperatorView.from_matrix(SA)
+        ref = solver(op, Sb, max_iter=40, observer=MetricsObserver(
+            A, prob.b, stride=stride, keep_snapshots=True, track_x_metrics=True)).trace
+        fast = solver(op, Sb, max_iter=40, observer=MetricsObserver(
+            A, prob.b, stride=stride, track_x_metrics=True, oracle=oracle)).trace
+        assert len(fast) == len(ref) == 40
+        assert [r.stale for r in fast] == [r.stale for r in ref]
+        norm_A = A.spectral_norm()
+        for a, b in zip(ref, fast):
+            rnorm = a.unsketched_residual_norm
+            assert b.unsketched_residual_norm == pytest.approx(rnorm, rel=1e-11)
+            assert b.x_norm == a.x_norm
+            assert b.atx_norm == pytest.approx(a.atx_norm, rel=1e-11)
+            # skip once the explicit evaluation is itself rounding noise
+            ne = a.unsketched_normal_ratio * norm_A * rnorm
+            floor = 1e3 * np.finfo(float).eps * norm_A * (
+                norm_A * np.linalg.norm(a.x_snapshot) + rnorm)
+            if ne > floor:
+                assert b.unsketched_normal_ratio == pytest.approx(
+                    a.unsketched_normal_ratio, rel=1e-11)
+
+    @pytest.mark.parametrize("mode", [StopMode.STABILIZE_NORMAL_RATIO,
+                                      StopMode.STABILIZE_RESIDUAL,
+                                      StopMode.EPSILON_THRESHOLD])
+    @pytest.mark.parametrize("name,solver", SOLVERS)
+    def test_same_stopping_on_acceptance_instances(self, name, solver, mode,
+                                                   acceptance_instances):
+        fired = 0
+        for A, b, oracle, op, Sb, eps in acceptance_instances:
+            outcomes = []
+            for orc in (None, oracle):
+                stop = StoppingController(StoppingPolicy(mode=mode), epsilon=eps)
+                res = solver(op, Sb, observer=MetricsObserver(A, b, oracle=orc),
+                             stop=stop, max_iter=80)
+                outcomes.append((res.iterations, res.termination))
+            assert outcomes[0] == outcomes[1]
+            fired += outcomes[0][1] is not Termination.MAX_ITERATIONS
+        assert fired > 0
+
+    def test_non_finite_rhs_rejected(self):
+        A = random_tall(30, 4, 3)
+        b = random_rhs(30, 4)
+        b[0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            MetricsObserver(A, b)
 
 
 class TestSandwich:
