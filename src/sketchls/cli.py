@@ -29,6 +29,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from . import diagnostics, embed
-from .matio import (MatrixHandle, load_matrix_market, solve_ls_oracle,
+from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
                     synthesize_matrix, synthesize_problem)
 from .solvers import (LinearOperatorView, MetricsObserver, Termination,
                       lsmr, lsqr, write_trace)
@@ -193,6 +194,34 @@ def _compute_d(mult: float, n: int, m: int) -> int:
     return d
 
 
+class SeedProblem:
+    """Problem-level quantities of one (matrix, seed), shared by every
+    (kind, d) cell of that seed.
+
+    Each is computed on first use, so a cell that does not need one does not
+    pay for it.  One that raises is not stored: every cell that needs it
+    raises the same error and records it as its own.
+    """
+
+    def __init__(self, A: MatrixHandle, seed: int, rho: float):
+        self.A = A
+        self.seed = seed
+        self.rho = rho
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return synthesize_problem(self.A, self.seed, self.rho).b
+
+    @cached_property
+    def oracle(self) -> LsOracle:
+        return solve_ls_oracle(self.A, self.b)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis of span([A b]) for :func:`embed.exact_distortion`."""
+        return embed.subspace_basis(self.A, self.b)
+
+
 @dataclass
 class RunOutcome:
     label: str
@@ -218,23 +247,27 @@ def _make_controller(config: ExperimentConfig, norm_SA: float, eps: float) -> St
     return StoppingController(policy, op_norm=norm_SA, epsilon=eps)
 
 
-def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed: int,
+def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
+    A, seed = problem.A, problem.seed
     label = f"{name}_{kind.value}_d{d}_s{seed}"
     if config.skip_large and kind is embed.SketchKind.GAUSSIAN \
             and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
         return RunOutcome(label=label, error=None,
                           summary={"skipped": "gaussian payload exceeds guard"})
-    problem = synthesize_problem(A, seed, config.rho)
-    oracle = solve_ls_oracle(A, problem.b)
+    b, oracle = problem.b, problem.oracle
+    # A's spectral data (one cached QR of A) before the sketch is built, so
+    # that the QR's working copy of A is not held together with the sketch
+    # and the basis: on a tall A that would set the peak memory
+    A.spectral()
     S = embed.build_sketch(kind, d, A.rows, seed)
-    report = embed.exact_distortion(S, A, problem.b)
-    SA = embed.apply(S, A.dense())
-    Sb = embed.apply(S, problem.b)
+    report = embed.exact_distortion(S, A, b, problem.basis)
+    SA = embed.apply(S, A)
+    Sb = embed.apply(S, b)
     norm_SA = float(scipy.linalg.svd(SA, compute_uv=False)[0])
     op = LinearOperatorView.from_matrix(SA)
 
-    bound_reports = diagnostics.run_bound_suite(A, problem.b, S, oracle,
+    bound_reports = diagnostics.run_bound_suite(A, b, S, oracle,
                                                 include_acute=True, eps=report.epsilon)
     bounds_path = out_dir / f"{label}_bounds.csv"
     diagnostics.write_bound_reports(bounds_path, bound_reports, seed=seed,
@@ -245,7 +278,7 @@ def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed:
     summaries = []
     for solver_name, solver_fn in _solvers_for(config):
         controller = _make_controller(config, norm_SA, report.epsilon)
-        observer = MetricsObserver(A, problem.b, stride=config.stride, oracle=oracle)
+        observer = MetricsObserver(A, b, stride=config.stride, oracle=oracle)
         result = solver_fn(op, Sb, observer=observer, stop=controller)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
@@ -263,36 +296,48 @@ def run_single(A: MatrixHandle, name: str, kind: embed.SketchKind, d: int, seed:
     return RunOutcome(label=label, bounds_failed=failed, summary={"rows": summaries})
 
 
+def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
+                out_dir: Path) -> List[RunOutcome]:
+    """Every (kind, d, seed) run on one matrix, in kind -> d -> seed order.
+
+    The runs go seed by seed, so that the runs of one seed share its
+    :class:`SeedProblem` and only one seed's problem is held at a time.
+    """
+    cells: List[Tuple[embed.SketchKind, Optional[int], List[RunOutcome]]] = []
+    for kind in config.kinds:
+        for mult in config.d_mults:
+            try:
+                cells.append((kind, _compute_d(mult, A.cols, A.rows), []))
+            except ConfigError as exc:
+                cells.append((kind, None, [RunOutcome(label=f"{name}_{kind.value}",
+                                                      error=str(exc))]))
+    for seed in config.seeds:
+        problem = SeedProblem(A, seed, config.rho)
+        for kind, d, outcomes in cells:
+            if d is None:
+                continue
+            try:
+                outcome = run_single(name, kind, d, problem, config, out_dir)
+            except Exception as exc:  # noqa: BLE001 - batch harness records and continues
+                outcome = RunOutcome(label=f"{name}_{kind.value}_d{d}_s{seed}",
+                                     error=str(exc))
+            outcomes.append(outcome)
+    return [outcome for _, _, outcomes in cells for outcome in outcomes]
+
+
 def run_experiment(config: ExperimentConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes: List[RunOutcome] = []
-    summary_rows: List[dict] = []
     for source in config.sources:
         try:
             A = source.load()
         except Exception as exc:  # noqa: BLE001 - batch harness records and continues
             outcomes.append(RunOutcome(label=source.name, error=f"load failed: {exc}"))
             continue
-        for kind in config.kinds:
-            for mult in config.d_mults:
-                try:
-                    d = _compute_d(mult, A.cols, A.rows)
-                except ConfigError as exc:
-                    outcomes.append(RunOutcome(label=f"{source.name}_{kind.value}",
-                                               error=str(exc)))
-                    continue
-                for seed in config.seeds:
-                    try:
-                        outcome = run_single(A, source.name, kind, d, seed,
-                                             config, out_dir)
-                    except Exception as exc:  # noqa: BLE001
-                        outcome = RunOutcome(
-                            label=f"{source.name}_{kind.value}_d{d}_s{seed}",
-                            error=str(exc))
-                    outcomes.append(outcome)
-                    if outcome.summary and "rows" in outcome.summary:
-                        summary_rows.extend(outcome.summary["rows"])
+        outcomes.extend(_run_source(A, source.name, config, out_dir))
+    summary_rows = [row for o in outcomes if o.summary and "rows" in o.summary
+                    for row in o.summary["rows"]]
 
     with open(out_dir / "summary.csv", "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
@@ -321,49 +366,83 @@ def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
     return float(np.median(values))
 
 
-def sweep_d(config: ExperimentConfig, d_values: List[int]) -> int:
+def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
+                stride: int) -> Tuple[float, float]:
+    """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
+    A = problem.A
+    S = embed.build_sketch(kind, d, A.rows, problem.seed)
+    eps = embed.exact_distortion(S, A, problem.b, problem.basis).epsilon
+    SA = embed.apply(S, A)
+    Sb = embed.apply(S, problem.b)
+    observer = MetricsObserver(A, problem.b, stride=stride)
+    result = lsmr(LinearOperatorView.from_matrix(SA), Sb, observer=observer)
+    return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
+                               if not r.stale])
+
+
+def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
+                  d_values: List[int]) -> Tuple[List[list], List[RunOutcome]]:
+    """``sweep_d.csv`` rows and failed cells of one matrix, in kind -> d order.
+
+    Seed by seed, like :func:`_run_source`; a cell that raises skips its
+    remaining seeds.
+    """
+    cells = [(kind, d) for kind in config.kinds for d in d_values]
+    eps_values: List[List[float]] = [[] for _ in cells]
+    plateaus: List[List[float]] = [[] for _ in cells]
+    failures: List[Optional[RunOutcome]] = [None] * len(cells)
+    for seed in config.seeds:
+        problem = SeedProblem(A, seed, config.rho)
+        for i, (kind, d) in enumerate(cells):
+            if failures[i] is not None:
+                continue
+            try:
+                eps, plateau = _sweep_cell(problem, kind, d, config.stride)
+            except Exception as exc:  # noqa: BLE001
+                failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
+                                         error=f"seed {seed}: {exc}")
+                continue
+            eps_values[i].append(eps)
+            plateaus[i].append(plateau)
+    rows = []
+    for (kind, d), cell_eps, cell_plateaus, failure in zip(cells, eps_values, plateaus,
+                                                            failures):
+        if failure is not None:
+            continue
+        q1e, q2e, q3e = np.percentile(cell_eps, [25, 50, 75])
+        q1p, q2p, q3p = np.percentile(cell_plateaus, [25, 50, 75])
+        rows.append([name, kind.value, d,
+                     f"{q2e:.17g}", f"{q1e:.17g}", f"{q3e:.17g}",
+                     f"{q2p:.17g}", f"{q1p:.17g}", f"{q3p:.17g}"])
+    return rows, [f for f in failures if f is not None]
+
+
+def sweep_d(config: ExperimentConfig, d_values: List[int],
+            matrices: Optional[List[MatrixHandle]] = None) -> int:
     """Aggregate distortion and plateau statistics across sketch sizes.
 
-    A (kind, d) cell that raises is recorded and reported as an ``error:``
-    line, like a run of :func:`run_experiment`, and the sweep goes on.
+    ``matrices`` are the loaded sources in config order; they are loaded here
+    when not given.  Every d is checked against every source before any
+    work starts.  A (kind, d) cell that raises is recorded and reported as an
+    ``error:`` line, like a run of :func:`run_experiment`, and the sweep goes
+    on.
     """
     if len(d_values) < 2:
         raise ConfigError("sweep-d needs at least two d values")
+    if matrices is None:
+        matrices = [source.load() for source in config.sources]
+    for source, A in zip(config.sources, matrices):
+        for d in d_values:
+            if not (A.cols <= d < A.rows):
+                raise ConfigError(f"d={d} violates n <= d < m for {source.name}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     errors: List[RunOutcome] = []
-    for source in config.sources:
-        A = source.load()
-        problem_cache = {}
-        for kind in config.kinds:
-            for d in d_values:
-                if not (A.cols <= d < A.rows):
-                    raise ConfigError(f"d={d} violates n <= d < m for {source.name}")
-                eps_values, plateaus = [], []
-                try:
-                    for seed in config.seeds:
-                        if seed not in problem_cache:
-                            problem_cache[seed] = synthesize_problem(A, seed, config.rho)
-                        problem = problem_cache[seed]
-                        S = embed.build_sketch(kind, d, A.rows, seed)
-                        eps_values.append(embed.exact_distortion(S, A, problem.b).epsilon)
-                        SA = embed.apply(S, A.dense())
-                        Sb = embed.apply(S, problem.b)
-                        observer = MetricsObserver(A, problem.b, stride=config.stride)
-                        result = lsmr(LinearOperatorView.from_matrix(SA), Sb,
-                                      observer=observer)
-                        plateaus.append(plateau_value(
-                            [r.unsketched_normal_ratio for r in result.trace if not r.stale]))
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(RunOutcome(label=f"{source.name}_{kind.value}_d{d}",
-                                             error=f"seed {seed}: {exc}"))
-                    continue
-                q1e, q2e, q3e = np.percentile(eps_values, [25, 50, 75])
-                q1p, q2p, q3p = np.percentile(plateaus, [25, 50, 75])
-                rows.append([source.name, kind.value, d,
-                             f"{q2e:.17g}", f"{q1e:.17g}", f"{q3e:.17g}",
-                             f"{q2p:.17g}", f"{q1p:.17g}", f"{q3p:.17g}"])
+    for source, A in zip(config.sources, matrices):
+        source_rows, source_errors = _sweep_source(A, source.name, config, d_values)
+        rows.extend(source_rows)
+        errors.extend(source_errors)
     path = out_dir / "sweep_d.csv"
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -545,9 +624,9 @@ def main(argv=None) -> int:
             return run_experiment(_load_config(args.config, args))
         if args.command == "sweep-d":
             config = _load_config(args.config, args)
-            cols = [s.load().cols for s in config.sources]
-            d_values = _parse_d_list(args.d_list, cols)
-            return sweep_d(config, d_values)
+            matrices = [s.load() for s in config.sources]
+            d_values = _parse_d_list(args.d_list, [A.cols for A in matrices])
+            return sweep_d(config, d_values, matrices)
         if args.command == "check":
             return check_single(args.matrix, args.synthetic, args.kind, args.seed,
                                 args.d_mult, args.rho, args.output)

@@ -114,7 +114,7 @@ def combined_bound_prefers_conditioning(eps: float, kappa: float) -> bool:
 
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
     """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of the sketched pair."""
-    SA = embed.apply(S, A.dense())
+    SA = embed.apply(S, A)
     Sb = embed.apply(S, np.asarray(b, dtype=np.float64))
     return qr_ls_solve(SA, Sb)
 
@@ -174,7 +174,7 @@ def check_residual_bounds(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperato
         reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
                                noise_floor=NOISE_FLOOR_REL))
 
-    SA = embed.apply(S, A.dense())
+    SA = embed.apply(S, A)
     Srls = embed.apply(S, r_ls)
     srls_norm = float(np.linalg.norm(Srls))
     if srls_norm == 0.0:
@@ -321,7 +321,7 @@ def check_acute_criterion(A: MatrixHandle, S: embed.SketchOperator, eps: float) 
         raise ValueError(f"acute-criterion guard: n = {A.cols} exceeds {ACUTE_COLS_GUARD}")
     kappa = A.condition_number()
     lhs = kappa * eps
-    SA = embed.apply(S, A.dense())
+    SA = embed.apply(S, A)
     sv = scipy.linalg.svd(SA, compute_uv=False)
     full_rank = bool(sv[-1] > max(SA.shape) * np.finfo(np.float64).eps * sv[0])
     report = _report(BoundId.ACUTE_CRITERION, lhs, 1.0)

@@ -8,8 +8,11 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
   fall faster than 1/sqrt(d) once d/m' is not small, by the factor
   sqrt(1 - d/m'); d = m' gives an exact isometry.
-* The sparse operator scatters each coordinate into one uniformly chosen row
-  with a random sign and needs no scaling.
+* The sparse operator is a CountSketch (Clarkson & Woodruff 2013): each
+  coordinate goes to one uniformly chosen row with a random sign, and no
+  scaling is needed.  It is applied as a d x m CSR matrix with one entry per
+  column, so a CSR operand is sketched sparse times sparse and only the
+  d-row result is dense.
 
 :func:`exact_distortion` measures the tight embedding parameter over
 span([A b]) by an SVD of the sketched orthonormal basis; it is the oracle
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -129,36 +132,53 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _as_dense(X) -> np.ndarray:
-    if scipy.sparse.issparse(X):
-        return X.toarray()
+def _operand(X, keep_sparse: bool = False):
+    """X as a float64 array, or as a sparse matrix if X is sparse and keep_sparse."""
     if isinstance(X, MatrixHandle):
-        return X.dense()
+        return X.csr() if keep_sparse and X.is_sparse else X.dense()
+    if scipy.sparse.issparse(X):
+        return X if keep_sparse else X.toarray()
     return np.asarray(X, dtype=np.float64)
 
 
+def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
+    """The sparse kind as a d x m CSR matrix: entry signs[j] at (rows[j], j).
+
+    Within each row the column indices ascend, so a product with it adds the
+    terms of each output entry in the order of the coordinates.
+    """
+    p = S.payload
+    order = np.argsort(p.rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(p.rows, minlength=S.d))])
+    return scipy.sparse.csr_matrix((p.signs[order], order, indptr), shape=(S.d, S.m))
+
+
 def apply(S: SketchOperator, X) -> np.ndarray:
-    """Compute S @ X for a vector or matrix X with S.m rows."""
-    X = _as_dense(X)
+    """Compute S @ X for a vector or matrix X with S.m rows.
+
+    X may be an array, a :class:`MatrixHandle` or a scipy sparse matrix.  The
+    sparse kind multiplies a sparse operand without densifying it; the
+    Gaussian and SRHT kinds densify X first.
+    """
+    p = S.payload
+    X = _operand(X, keep_sparse=isinstance(p, SparsePayload))
     if X.shape[0] != S.m:
         raise ValueError(f"operand has {X.shape[0]} rows, operator expects {S.m}")
-    p = S.payload
+    if isinstance(p, SparsePayload):
+        SX = _countsketch_matrix(S) @ X
+        return SX.toarray() if scipy.sparse.issparse(SX) else SX
     if isinstance(p, GaussianPayload):
         return p.matrix @ X
-    if isinstance(p, SrhtPayload):
-        Y = np.zeros((p.padded_len,) + X.shape[1:])
-        signs_in = p.signs[: S.m]
-        Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
-        fwht(Y)
-        return Y[p.indices] / np.sqrt(S.d)
-    out = np.zeros((S.d,) + X.shape[1:])
-    np.add.at(out, p.rows, X * (p.signs[:, None] if X.ndim == 2 else p.signs))
-    return out
+    Y = np.zeros((p.padded_len,) + X.shape[1:])
+    signs_in = p.signs[: S.m]
+    Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
+    fwht(Y)
+    return Y[p.indices] / np.sqrt(S.d)
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
     """Compute S^T @ U for a vector or matrix U with S.d rows."""
-    U = _as_dense(U)
+    U = _operand(U)
     if U.shape[0] != S.d:
         raise ValueError(f"operand has {U.shape[0]} rows, operator expects {S.d}")
     p = S.payload
@@ -194,8 +214,7 @@ def materialize(S: SketchOperator) -> np.ndarray:
         full = (H[p.indices] * p.signs[None, :]) / np.sqrt(S.d)
         return full[:, : S.m]
     out = np.zeros((S.d, S.m))
-    for j in range(S.m):
-        out[p.rows[j], j] = p.signs[j]
+    out[p.rows, np.arange(S.m)] = p.signs
     return out
 
 
@@ -209,15 +228,18 @@ def subspace_basis(A: MatrixHandle, b: np.ndarray) -> np.ndarray:
     return U[:, :rank]
 
 
-def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> DistortionReport:
+def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
+                     basis: Optional[np.ndarray] = None) -> DistortionReport:
     """Tight embedding parameter of S over span([A b]).
 
     Returns eps = max(sigma_max^2 - 1, 1 - sigma_min^2) over the singular
     values of S applied to an orthonormal basis of the subspace; this is the
     smallest value for which the two-sided embedding inequality holds there.
     A rank_loss flag marks sketches that annihilate part of the subspace.
+    ``basis`` is ``subspace_basis(A, b)``, computed here when not given;
+    passing it lets many sketches of one problem share a single SVD.
     """
-    Q = subspace_basis(A, b)
+    Q = subspace_basis(A, b) if basis is None else basis
     dim = Q.shape[1]
     if dim > S.d:
         raise ValueError(f"subspace dimension {dim} exceeds sketch rows {S.d}")

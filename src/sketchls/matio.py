@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +38,7 @@ class SpectralInfo:
     norm: float
     sigma_min: float
     cond: float
-    power_iterations: int
+    power_iterations: int   # 0 when the dense factorization gives the norm
     power_converged: bool
 
 
@@ -432,18 +432,13 @@ POWER_MAX_ITER = 500
 SVD_CROSS_CHECK_COLS = 5000
 
 
-def spectral_norms(A: MatrixHandle) -> SpectralInfo:
-    """Largest/smallest singular values and condition number, cached on A.
+def power_norm(A: MatrixHandle) -> Tuple[float, int, bool]:
+    """Spectral norm by power iteration on A^T A; never densifies A.
 
-    The spectral norm comes from power iteration on A^T A (deterministic start
-    vector).  Whenever n <= ``SVD_CROSS_CHECK_COLS`` it is replaced by the SVD
-    of the cached Gram factor (:meth:`MatrixHandle.gram_factor`), which also
-    gives sigma_min.  Above that limit A is never densified: the norm stays the
-    power estimate, and sigma_min and cond are NaN (unknown).
+    Starts from a deterministic vector and stops once the eigenvalue estimate
+    changes by at most ``POWER_TOL`` relative.  Returns the norm, the number
+    of iterations and whether it converged.
     """
-    if A._spectral is not None:
-        return A._spectral
-
     gen = stream(0, "power", A.rows, A.cols)
     v = gen.standard_normal(A.cols)
     v /= np.linalg.norm(v)
@@ -460,19 +455,31 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
             converged = True
             break
         lam_prev = lam
-    norm_power = math.sqrt(lam) if lam > 0 else 0.0
+    return (math.sqrt(lam) if lam > 0 else 0.0), iterations, converged
 
-    norm = norm_power
-    sigma_min = math.nan
+
+def spectral_norms(A: MatrixHandle) -> SpectralInfo:
+    """Largest/smallest singular values and condition number, cached on A.
+
+    Whenever n <= ``SVD_CROSS_CHECK_COLS`` all three come from the SVD of the
+    cached Gram factor (:meth:`MatrixHandle.gram_factor`).  Above that limit A
+    is never densified: the norm is the :func:`power_norm` estimate, and
+    sigma_min and cond are NaN (unknown).
+    """
+    if A._spectral is not None:
+        return A._spectral
+
+    iterations, converged = 0, False
     if A.cols <= SVD_CROSS_CHECK_COLS:
         sv = scipy.linalg.svd(A.gram_factor(), compute_uv=False)
-        sigma_min = float(sv[-1])
-        # the dense factorization is the authoritative value; the power
-        # estimate only validates it
         norm = float(sv[0])
+        sigma_min = float(sv[-1])
         if sigma_min < 1e-14 * norm:
             raise RankDeficiencyError(
                 f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
+    else:
+        norm, iterations, converged = power_norm(A)
+        sigma_min = math.nan
 
     info = SpectralInfo(
         norm=norm,

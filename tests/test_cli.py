@@ -12,6 +12,15 @@ from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
 from sketchls.matio import synthesize_matrix, synthesize_problem
 from sketchls.stopping import StopMode
 
+TWO_KINDS_CONFIG = """
+synthetic = 120,6,20
+kind = gaussian,sparse
+d_mult = 4,8
+solver = both
+seeds = 0,1
+output_dir = {out}
+"""
+
 BASE_CONFIG = """
 synthetic = 120,6,20
 kind = gaussian
@@ -121,6 +130,55 @@ class TestRunExperiment:
         assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_OK
         assert len(calls) == 2  # one (problem, sketch) pair per seed
 
+    def test_basis_and_oracle_once_per_seed(self, tmp_path, monkeypatch):
+        basis_calls, oracle_calls = [], []
+        real_basis, real_oracle = embed.subspace_basis, cli.solve_ls_oracle
+
+        def counting_basis(A, b):
+            basis_calls.append(A.rows)
+            return real_basis(A, b)
+
+        def counting_oracle(A, b):
+            oracle_calls.append(A.rows)
+            return real_oracle(A, b)
+
+        monkeypatch.setattr(cli.embed, "subspace_basis", counting_basis)
+        monkeypatch.setattr(cli, "solve_ls_oracle", counting_oracle)
+        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path)
+                              + "synthetic = 100,6,20\n")
+        assert run_experiment(config) == EXIT_OK
+        # 2 sources x 2 seeds, each shared by 2 kinds x 2 d
+        assert basis_calls == oracle_calls == [120, 120, 100, 100]
+
+    def test_row_order_kind_d_seed(self, tmp_path):
+        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
+        assert run_experiment(config) == EXIT_OK
+        with open(tmp_path / "summary.csv") as fh:
+            got = [(r["kind"], r["d"], r["seed"], r["solver"]) for r in csv.DictReader(fh)]
+        assert got == [(kind, d, seed, solver) for kind in ("gaussian", "sparse")
+                       for d in ("24", "48") for seed in ("0", "1")
+                       for solver in ("lsqr", "lsmr")]
+
+    def test_error_order_kind_d_seed(self, tmp_path, monkeypatch, capsys):
+        real = embed.build_sketch
+
+        def flaky(kind, d, m, seed):
+            if embed.SketchKind(kind) is embed.SketchKind.SPARSE and seed == 0:
+                raise ValueError("boom")
+            return real(kind, d, m, seed)
+
+        monkeypatch.setattr(cli.embed, "build_sketch", flaky)
+        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path).replace(
+            "d_mult = 4,8", "d_mult = 4,30"))
+        assert run_experiment(config) == EXIT_RUN_ERROR
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [
+            "error: synth120x6c20_gaussian: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120",
+            "error: synth120x6c20_sparse_d24_s0: boom",
+            "error: synth120x6c20_sparse: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120",
+        ]
+
     def test_skip_large(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
         out = tmp_path / "r"
@@ -150,6 +208,42 @@ class TestSweep:
         # subsampling nearly all rows makes the SRHT sketch nearly lossless
         assert by_kind["srht"][2] < 0.5 * by_kind["srht"][1]
 
+
+    def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        built = []
+        real = embed.build_sketch
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.embed, "build_sketch", counting)
+        # d = 70 fits the first source but not the second (m = 60)
+        config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
+                              f"kind = gaussian\noutput_dir = {tmp_path}\n")
+        with pytest.raises(ConfigError, match="d=70 violates n <= d < m for synth60x4c10"):
+            sweep_d(config, [8, 40, 70])
+        assert built == []
+        assert not (tmp_path / "sweep_d.csv").exists()
+
+    def test_basis_once_per_source_and_seed(self, tmp_path, monkeypatch):
+        calls = []
+        real = embed.subspace_basis
+
+        def counting(A, b):
+            calls.append(A.rows)
+            return real(A, b)
+
+        monkeypatch.setattr(cli.embed, "subspace_basis", counting)
+        config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
+                              "kind = gaussian,sparse\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path}\n")
+        assert sweep_d(config, [8, 40]) == EXIT_OK
+        assert calls == [120, 120, 100, 100]
+        with open(tmp_path / "sweep_d.csv") as fh:
+            got = [(r["matrix"], r["kind"], r["d"]) for r in csv.DictReader(fh)]
+        assert got == [(matrix, kind, d) for matrix in ("synth120x4c10", "synth100x4c10")
+                       for kind in ("gaussian", "sparse") for d in ("8", "40")]
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
         real = embed.build_sketch
@@ -204,6 +298,21 @@ class TestMain:
         cfg.write_text(f"synthetic = 120,4,10\nkind = gaussian\nseeds = 0,1\n"
                        f"output_dir = {tmp_path / 'out'}\n")
         assert main(["sweep-d", "--config", str(cfg), "--d-list", "2n,4n"]) == EXIT_OK
+
+    def test_sweep_main_loads_each_source_once(self, tmp_path, monkeypatch):
+        loads = []
+        real = MatrixSource.load
+
+        def counting(self):
+            loads.append(self.name)
+            return real(self)
+
+        monkeypatch.setattr(MatrixSource, "load", counting)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"synthetic = 120,4,10\nkind = sparse\nseeds = 0,1\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "2n,4n"]) == EXIT_OK
+        assert loads == ["synth120x4c10"]
 
 
 class TestExitCodeMapping:

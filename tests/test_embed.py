@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from sketchls import embed
 from sketchls.embed import (SketchKind, SparsePayload, SketchOperator, apply,
@@ -146,10 +148,93 @@ class TestApply:
             materialize(S)
 
     def test_sparse_input_accepted(self):
-        import scipy.sparse
         S = build_sketch("sparse", 4, 10, seed=2)
         X = scipy.sparse.random(10, 2, density=0.5, random_state=1, format="csr")
         assert np.allclose(apply(S, X), materialize(S) @ X.toarray())
+
+    def test_sparse_kind_never_densifies_csr(self, monkeypatch):
+        csr = scipy.sparse.random(50, 4, density=0.2, random_state=3, format="csr")
+        A = MatrixHandle(csr)
+        S = build_sketch("sparse", 12, 50, seed=1)
+
+        def no_dense(self):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(MatrixHandle, "dense", no_dense)
+        out = apply(S, A)
+        assert isinstance(out, np.ndarray) and out.shape == (12, 4)
+        assert np.allclose(out, materialize(S) @ csr.toarray(), rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match="rows"):
+            apply(build_sketch("sparse", 12, 51, seed=1), A)
+
+
+def scatter_reference(S: SketchOperator, X: np.ndarray) -> np.ndarray:
+    """The sparse kind as the scatter out[rows[j]] += signs[j] * X[j]."""
+    p = S.payload
+    out = np.zeros((S.d,) + X.shape[1:])
+    np.add.at(out, p.rows, X * (p.signs[:, None] if X.ndim == 2 else p.signs))
+    return out
+
+
+@pytest.mark.parametrize("form", ["vector", "c_matrix", "f_matrix", "csr",
+                                  "sparse_handle", "dense_handle"])
+def test_countsketch_bit_equal_to_scatter(form):
+    m, n = 500, 7
+    S = build_sketch("sparse", 40, m, seed=3)
+    csr = scipy.sparse.random(m, n, density=0.3, random_state=4, format="csr")
+    gen = stream(9, "countsketch", m)
+    dense = {"vector": gen.standard_normal(m), "c_matrix": gen.standard_normal((m, n)),
+             "f_matrix": np.asfortranarray(gen.standard_normal((m, n)))}
+    operand = {**dense, "csr": csr, "sparse_handle": MatrixHandle(csr),
+               "dense_handle": MatrixHandle(csr.toarray())}[form]
+    reference = scatter_reference(S, dense.get(form, csr.toarray()))
+    assert np.array_equal(apply(S, operand), reference)
+
+
+@st.composite
+def sketch_and_operands(draw):
+    """A random (kind, d, m) sketch, an operand with m rows and one with d rows.
+
+    Operands are dense vectors or matrices, scipy CSR matrices or, for
+    S @ X, CSR-backed MatrixHandles.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    m = draw(st.integers(2, 40))
+    d = draw(st.integers(1, m - 1))
+    S = build_sketch(kind, d, m, draw(st.integers(0, 2 ** 16)))
+    seed = draw(st.integers(0, 2 ** 16))
+    cols = draw(st.integers(0, 3))
+
+    def operand(rows, tag, forms):
+        if cols == 0:
+            return stream(seed, tag, rows).standard_normal(rows)
+        form = draw(st.sampled_from(forms))
+        if form == "dense":
+            return stream(seed, tag, rows, cols).standard_normal((rows, cols))
+        csr = scipy.sparse.random(rows, cols, density=0.4, random_state=seed, format="csr")
+        return MatrixHandle(csr) if form == "handle" else csr
+
+    forms = ["dense", "csr"] + (["handle"] if cols <= m else [])
+    return S, operand(m, "X", forms), operand(d, "U", ["dense", "csr"])
+
+
+def _as_array(X) -> np.ndarray:
+    if isinstance(X, MatrixHandle):
+        return X.dense()
+    return X.toarray() if scipy.sparse.issparse(X) else X
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sketch_and_operands())
+def test_apply_and_adjoint_match_materialize(case):
+    S, X, U = case
+    M = materialize(S)
+    for got, factor, operand in ((apply(S, X), M, _as_array(X)),
+                                 (apply_adjoint(S, U), M.T, _as_array(U))):
+        expect = factor @ operand
+        assert got.shape == expect.shape
+        # rounding of a length-m' sum, relative to the sum of magnitudes
+        assert np.all(np.abs(got - expect) <= 1e-13 * (np.abs(factor) @ np.abs(operand)))
 
 
 class TestUnbiasedness:
@@ -207,6 +292,13 @@ class TestDistortion:
         rep = exact_distortion(S, A, random_rhs(m, 5))
         assert rep.rank_loss
         assert rep.epsilon >= 1.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_passed_basis_is_bit_identical(self, kind):
+        A = random_tall(60, 5, 7)
+        b = random_rhs(60, 7)
+        S = build_sketch(kind, 20, 60, seed=4)
+        assert exact_distortion(S, A, b, subspace_basis(A, b)) == exact_distortion(S, A, b)
 
     def test_subspace_too_large(self):
         A = random_tall(20, 6, 6)
