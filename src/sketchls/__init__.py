@@ -47,6 +47,7 @@ from .diagnostics import (
     BackwardErrorResult,
     BoundId,
     BoundReport,
+    SketchedProblem,
     compute_eta_f,
     run_bound_suite,
     solve_sketched,

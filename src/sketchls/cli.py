@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import diagnostics, embed
 from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
@@ -98,6 +97,20 @@ class ExperimentConfig:
         for mult in self.d_mults:
             if mult <= 0:
                 raise ConfigError("d multipliers must be positive")
+        try:
+            StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
+                           band=self.band)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+def _parse_synthetic(spec: str) -> Tuple[int, int, float]:
+    """``(m, n, cond)`` from a synthetic source spec ``m,n,cond``."""
+    try:
+        m, n, cond = spec.split(",")
+        return int(m), int(n), float(cond)
+    except ValueError:
+        raise ConfigError(f"synthetic spec '{spec}' must be m,n,cond") from None
 
 
 def _parse_kv(text: str) -> Dict[str, List[str]]:
@@ -128,10 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for path in kv.get("matrix", []):
         sources.append(MatrixSource(name=Path(path).stem, path=path))
     for spec in kv.get("synthetic", []):
-        parts = [p.strip() for p in spec.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"synthetic spec '{spec}' must be m,n,cond")
-        m, n, cond = int(parts[0]), int(parts[1]), float(parts[2])
+        m, n, cond = _parse_synthetic(spec)
         sources.append(MatrixSource(name=f"synth{m}x{n}c{cond:g}",
                                     synthetic=(m, n, cond)))
 
@@ -262,13 +272,11 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     A.spectral()
     S = embed.build_sketch(kind, d, A.rows, seed)
     report = embed.exact_distortion(S, A, b, problem.basis)
-    SA = embed.apply(S, A)
-    Sb = embed.apply(S, b)
-    norm_SA = float(scipy.linalg.svd(SA, compute_uv=False)[0])
-    op = LinearOperatorView.from_matrix(SA)
+    P = diagnostics.SketchedProblem(A, b, S)
+    op = LinearOperatorView.from_matrix(P.SA)
 
-    bound_reports = diagnostics.run_bound_suite(A, b, S, oracle,
-                                                include_acute=True, eps=report.epsilon)
+    bound_reports = diagnostics.run_bound_suite(P, oracle, include_acute=True,
+                                                eps=report.epsilon)
     bounds_path = out_dir / f"{label}_bounds.csv"
     diagnostics.write_bound_reports(bounds_path, bound_reports, seed=seed,
                                     kind=kind.value, matrix=name, d=d)
@@ -277,9 +285,9 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
 
     summaries = []
     for solver_name, solver_fn in _solvers_for(config):
-        controller = _make_controller(config, norm_SA, report.epsilon)
+        controller = _make_controller(config, P.norm_SA, report.epsilon)
         observer = MetricsObserver(A, b, stride=config.stride, oracle=oracle)
-        result = solver_fn(op, Sb, observer=observer, stop=controller)
+        result = solver_fn(op, P.Sb, observer=observer, stop=controller)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
         summaries.append({
@@ -372,10 +380,9 @@ def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
     A = problem.A
     S = embed.build_sketch(kind, d, A.rows, problem.seed)
     eps = embed.exact_distortion(S, A, problem.b, problem.basis).epsilon
-    SA = embed.apply(S, A)
-    Sb = embed.apply(S, problem.b)
+    P = diagnostics.SketchedProblem(A, problem.b, S)
     observer = MetricsObserver(A, problem.b, stride=stride)
-    result = lsmr(LinearOperatorView.from_matrix(SA), Sb, observer=observer)
+    result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
     return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
                                if not r.stale])
 
@@ -505,9 +512,7 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
     if matrix_path:
         source = MatrixSource(name=Path(matrix_path).stem, path=matrix_path)
     elif synthetic:
-        parts = [p.strip() for p in synthetic.split(",")]
-        source = MatrixSource(name="synthetic",
-                              synthetic=(int(parts[0]), int(parts[1]), float(parts[2])))
+        source = MatrixSource(name="synthetic", synthetic=_parse_synthetic(synthetic))
     else:
         raise ConfigError("check needs --matrix or --synthetic")
     A = source.load()
@@ -516,8 +521,8 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
     oracle = solve_ls_oracle(A, problem.b)
     S = embed.build_sketch(kind, d, A.rows, seed)
     eps = embed.exact_distortion(S, A, problem.b).epsilon
-    reports = diagnostics.run_bound_suite(A, problem.b, S, oracle, include_acute=True,
-                                          eps=eps)
+    reports = diagnostics.run_bound_suite(diagnostics.SketchedProblem(A, problem.b, S),
+                                          oracle, include_acute=True, eps=eps)
     print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
           f"kappa={A.condition_number():.6g}")
     failed = 0
@@ -579,7 +584,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
     config = parse_config(text)
     if getattr(args, "seeds", None):
         config.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if getattr(args, "stride", None):
+    if getattr(args, "stride", None) is not None:
         config.stride = args.stride
     if getattr(args, "skip_large", False):
         config.skip_large = True
@@ -587,7 +592,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
         config.stop = StopMode(args.stop)
     if getattr(args, "tol", None) is not None:
         config.tol = args.tol
-    if getattr(args, "window", None):
+    if getattr(args, "window", None) is not None:
         config.window = args.window
     band_lo = getattr(args, "band_lo", None)
     band_hi = getattr(args, "band_hi", None)

@@ -4,10 +4,12 @@ Every analytic bound relating the original and sketched problems is evaluated
 against quantities computed by independent dense factorizations: the reference
 solution comes from :func:`sketchls.matio.solve_ls_oracle`, the sketched
 minimizer from a dense pivoted QR of (SA, Sb), and the embedding parameter
-from :func:`sketchls.embed.exact_distortion`.  Each check yields a
-:class:`BoundReport` with the measured left-hand side, the bound, and a
-pass/fail margin; bounds whose hypotheses are void (zero residual, embedding
-parameter >= 1) are reported as vacuous passes with a note.
+from :func:`sketchls.embed.exact_distortion`.  The checks of one
+(problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
+the singular values of SA and the sketched minimizer once each.  Each check
+yields a :class:`BoundReport` with the measured left-hand side, the bound,
+and a pass/fail margin; bounds whose hypotheses are void (zero residual,
+embedding parameter >= 1) are reported as vacuous passes with a note.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -112,11 +115,45 @@ def combined_bound_prefers_conditioning(eps: float, kappa: float) -> bool:
     return kappa < (2.0 / (eps * (1.0 + eps))) ** 0.25
 
 
+class SketchedProblem:
+    """The sketched problem min ||S(Ax - b)|| of one (problem, sketch) pair.
+
+    Each quantity is computed on first use and kept, so the solver set-up and
+    every bound check of the pair share one SA, one Sb, one SVD of SA and one
+    sketched minimizer.
+    """
+
+    def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator):
+        self.A = A
+        self.b = np.asarray(b, dtype=np.float64)
+        self.S = S
+
+    @cached_property
+    def SA(self) -> np.ndarray:
+        return embed.apply(self.S, self.A)
+
+    @cached_property
+    def Sb(self) -> np.ndarray:
+        return embed.apply(self.S, self.b)
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of SA, largest first."""
+        return scipy.linalg.svd(self.SA, compute_uv=False)
+
+    @property
+    def norm_SA(self) -> float:
+        return float(self.sv[0])
+
+    @cached_property
+    def x_s(self) -> np.ndarray:
+        """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of (SA, Sb)."""
+        return qr_ls_solve(self.SA, self.Sb)
+
+
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
     """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of the sketched pair."""
-    SA = embed.apply(S, A)
-    Sb = embed.apply(S, np.asarray(b, dtype=np.float64))
-    return qr_ls_solve(SA, Sb)
+    return SketchedProblem(A, b, S).x_s
 
 
 def check_geometric_preservation(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
@@ -133,16 +170,16 @@ def check_geometric_preservation(A: MatrixHandle, b: np.ndarray, S: embed.Sketch
                    noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
 
 
-def check_residual_bounds(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
-                          oracle: LsOracle, x_s: np.ndarray, eps: float) -> List[BoundReport]:
+def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
+                          eps: float) -> List[BoundReport]:
     """Residual-size, residual-direction, and normal-equation ratio bounds.
 
-    ``x_s`` must be the exact sketched minimizer (not an iterate) so the
-    checks probe the analysis rather than solver error.
+    The checks use the exact sketched minimizer ``P.x_s`` (not an iterate) so
+    they probe the analysis rather than solver error.
     """
-    b = np.asarray(b, dtype=np.float64)
+    A, b, S = P.A, P.b, P.S
     r_ls = oracle.r_ls
-    r_s = A.matvec(x_s) - b
+    r_s = A.matvec(P.x_s) - b
     rs_norm = float(np.linalg.norm(r_s))
     rls_norm = oracle.r_ls_norm
     norm_A = A.spectral_norm()
@@ -174,14 +211,12 @@ def check_residual_bounds(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperato
         reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
                                noise_floor=NOISE_FLOOR_REL))
 
-    SA = embed.apply(S, A)
     Srls = embed.apply(S, r_ls)
     srls_norm = float(np.linalg.norm(Srls))
     if srls_norm == 0.0:
         reports.append(_vacuous(BoundId.NORMAL_RATIO_CROSS, "zero sketched residual"))
     else:
-        norm_SA = float(scipy.linalg.svd(SA, compute_uv=False)[0])
-        lhs = float(np.linalg.norm(SA.T @ Srls)) / (norm_SA * srls_norm)
+        lhs = float(np.linalg.norm(P.SA.T @ Srls)) / (P.norm_SA * srls_norm)
         rhs = eps / (1.0 - eps) if eps < 1.0 else math.inf
         reports.append(_report(BoundId.NORMAL_RATIO_CROSS, lhs, rhs,
                                noise_floor=NOISE_FLOOR_REL))
@@ -310,20 +345,20 @@ def check_solution_error(A: MatrixHandle, b: np.ndarray, oracle: LsOracle,
     return reports
 
 
-def check_acute_criterion(A: MatrixHandle, S: embed.SketchOperator, eps: float) -> BoundReport:
+def check_acute_criterion(P: SketchedProblem, eps: float) -> BoundReport:
     """kappa(A) * eps < 1 guarantees an acute (rank-preserving) embedding.
 
     The criterion is sufficient, not necessary: when it fails but SA still has
-    full column rank (verified by SVD), the report carries a note instead of
-    counting as a bound violation.
+    full column rank (verified by the singular values ``P.sv``), the report
+    carries a note instead of counting as a bound violation.
     """
+    A = P.A
     if A.cols > ACUTE_COLS_GUARD:
         raise ValueError(f"acute-criterion guard: n = {A.cols} exceeds {ACUTE_COLS_GUARD}")
     kappa = A.condition_number()
     lhs = kappa * eps
-    SA = embed.apply(S, A)
-    sv = scipy.linalg.svd(SA, compute_uv=False)
-    full_rank = bool(sv[-1] > max(SA.shape) * np.finfo(np.float64).eps * sv[0])
+    sv = P.sv
+    full_rank = bool(sv[-1] > max(P.SA.shape) * np.finfo(np.float64).eps * sv[0])
     report = _report(BoundId.ACUTE_CRITERION, lhs, 1.0)
     if report.passed and not full_rank:
         return BoundReport(BoundId.ACUTE_CRITERION, lhs, 1.0, passed=False,
@@ -375,8 +410,7 @@ SUITE_BOUND_IDS = (
 )
 
 
-def run_bound_suite(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
-                    oracle: Optional[LsOracle] = None,
+def run_bound_suite(P: SketchedProblem, oracle: Optional[LsOracle] = None,
                     include_acute: bool = False,
                     eps: Optional[float] = None) -> List[BoundReport]:
     """All theorem bounds for one (problem, sketch) pair with oracle quantities.
@@ -386,17 +420,18 @@ def run_bound_suite(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
     """
     from .matio import solve_ls_oracle
 
+    A, b, S = P.A, P.b, P.S
     if oracle is None:
         oracle = solve_ls_oracle(A, b)
     if eps is None:
         eps = embed.exact_distortion(S, A, b).epsilon
-    x_s = solve_sketched(A, b, S)
+    x_s = P.x_s
     reports = [check_geometric_preservation(A, b, S, x_s, eps)]
-    reports.extend(check_residual_bounds(A, b, S, oracle, x_s, eps))
+    reports.extend(check_residual_bounds(P, oracle, eps))
     reports.extend(check_explicit_perturbations(A, b, x_s, oracle, eps))
     reports.extend(check_solution_error(A, b, oracle, x_s, eps))
     if include_acute:
-        reports.append(check_acute_criterion(A, S, eps))
+        reports.append(check_acute_criterion(P, eps))
     return reports
 
 

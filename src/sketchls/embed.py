@@ -125,9 +125,10 @@ def fwht(v: np.ndarray) -> np.ndarray:
     h = 1
     while h < n:
         blocks = v.reshape((n // (2 * h), 2, h) + v.shape[1:])
-        a = blocks[:, 0].copy()
-        blocks[:, 0] = a + blocks[:, 1]
-        blocks[:, 1] = a - blocks[:, 1]
+        lo, hi = blocks[:, 0], blocks[:, 1]
+        a = lo.copy()
+        np.add(a, hi, out=lo)
+        np.subtract(a, hi, out=hi)
         h *= 2
     return v
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -225,21 +226,7 @@ def load_matrix_market(path) -> MatrixHandle:
         if len(entries) != nnz:
             raise MatrixMarketError(
                 f"line {size_lineno}: declared {nnz} entries, found {len(entries)}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        for k, (ln, text) in enumerate(entries):
-            toks = text.split()
-            if len(toks) != 3:
-                raise MatrixMarketError(f"line {ln}: expected 'row col value'")
-            try:
-                i, j = int(toks[0]), int(toks[1])
-                v = float(toks[2])
-            except ValueError:
-                raise MatrixMarketError(f"line {ln}: malformed entry") from None
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
+        rows, cols, vals = _coordinate_entries(entries, m, n)
         _check_finite_values(vals, entries)
         if symmetry == "symmetric":
             if m != n:
@@ -287,6 +274,53 @@ def load_matrix_market(path) -> MatrixHandle:
                 dense[j, i] = vals[k]
                 k += 1
     return MatrixHandle(dense)
+
+
+_MM_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _coordinate_entries(entries, m: int, n: int):
+    """0-based rows and columns and the values of coordinate entry lines.
+
+    ``entries`` are ``(line number, text)`` pairs.  One vectorized parse
+    takes the common case.  With warnings raised as errors it accepts a
+    strict subset of what ``int``/``float`` accept, so any entry it cannot
+    take sends the whole body through :func:`_coordinate_entries_loop`, the
+    reference parser, which accepts the rest or names the bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt([text for _, text in entries], dtype=_MM_ENTRY_DTYPE,
+                                comments=None, ndmin=1)
+    except Exception:  # noqa: BLE001 - the loop reports what the fast parse cannot take
+        return _coordinate_entries_loop(entries, m, n)
+    i, j = parsed["i"], parsed["j"]
+    bad = (i < 1) | (i > m) | (j < 1) | (j > n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MatrixMarketError(f"line {entries[k][0]}: index ({i[k]},{j[k]}) out of bounds")
+    return i - 1, j - 1, np.ascontiguousarray(parsed["v"])
+
+
+def _coordinate_entries_loop(entries, m: int, n: int):
+    """Line-by-line :func:`_coordinate_entries`; raises on the first bad line."""
+    rows = np.empty(len(entries), dtype=np.int64)
+    cols = np.empty(len(entries), dtype=np.int64)
+    vals = np.empty(len(entries), dtype=np.float64)
+    for k, (ln, text) in enumerate(entries):
+        toks = text.split()
+        if len(toks) != 3:
+            raise MatrixMarketError(f"line {ln}: expected 'row col value'")
+        try:
+            i, j = int(toks[0]), int(toks[1])
+            v = float(toks[2])
+        except ValueError:
+            raise MatrixMarketError(f"line {ln}: malformed entry") from None
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
+        rows[k], cols[k], vals[k] = i - 1, j - 1, v
+    return rows, cols, vals
 
 
 def _check_finite_values(vals: np.ndarray, entries) -> None:

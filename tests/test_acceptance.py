@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from sketchls import embed
-from sketchls.diagnostics import (SUITE_BOUND_IDS, compute_eta_f,
+from sketchls.diagnostics import (SUITE_BOUND_IDS, SketchedProblem, compute_eta_f,
                                   pythagorean_gap, run_bound_suite,
                                   sandwich_multiplier, solve_sketched)
 from sketchls.matio import (MatrixHandle, load_matrix_market, qr_ls_solve,
@@ -67,7 +67,7 @@ def suite_runs():
                 oracle = solve_ls_oracle(A, prob.b)
                 S = embed.build_sketch(kind, SUITE_D, m, seed)
                 eps = embed.exact_distortion(S, A, prob.b).epsilon
-                reports = run_bound_suite(A, prob.b, S, oracle)
+                reports = run_bound_suite(SketchedProblem(A, prob.b, S), oracle)
                 SA = embed.apply(S, A.dense())
                 Sb = embed.apply(S, prob.b)
                 op = LinearOperatorView.from_matrix(SA)

@@ -1,15 +1,17 @@
 import csv
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sketchls import cli, embed
+from sketchls import cli, diagnostics, embed, matio
 from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
                           EXIT_RUN_ERROR, ExperimentConfig, MatrixSource,
                           emit_figure_data, main, parse_config, plateau_value,
                           run_experiment, sweep_d)
-from sketchls.matio import synthesize_matrix, synthesize_problem
+from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.stopping import StopMode
 
 TWO_KINDS_CONFIG = """
@@ -63,6 +65,7 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = fourier\n", "unknown embedding"),
         ("synthetic = 50,4,3\nkind = gaussian\nsolver = cg\n", "unknown solver"),
         ("synthetic = 50,4\nkind = gaussian\n", "m,n,cond"),
+        ("synthetic = 50,x,3\nkind = gaussian\n", "m,n,cond"),
         ("synthetic = 50,4,3\nkind = gaussian\nstop = never\n", "unknown stop"),
         ("synthetic = 50,4,3\nkind = gaussian\nbad line\n", "key=value"),
         ("synthetic = 50,4,3\nkind = gaussian\nrho = -1\n", "rho"),
@@ -70,6 +73,27 @@ class TestConfigParsing:
     def test_rejects(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    @pytest.mark.parametrize("line,match", [
+        ("window = 0", "window"),
+        ("band_lo = 1.5", "band"),
+        ("band_hi = 0.5", "band"),
+        ("tol = -1e-8", "tol"),
+    ])
+    def test_bad_stopping_rejected_before_any_run(self, tmp_path, capsys, line, match):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out") + line + "\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert match in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*_bounds.csv"))
+
+    @pytest.mark.parametrize("override", [["--stride", "0"], ["--window", "0"],
+                                          ["--band-lo", "1.5"], ["--tol", "-1"]])
+    def test_bad_override_rejected(self, tmp_path, override):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", "--config", str(cfg)] + override) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_d_rule_violation_is_run_error(self, tmp_path):
         # d = ceil(30 * 6) = 180 >= m = 120
@@ -129,6 +153,39 @@ class TestRunExperiment:
         monkeypatch.setattr(cli.embed, "exact_distortion", counting)
         assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_OK
         assert len(calls) == 2  # one (problem, sketch) pair per seed
+
+    def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
+        # 3 kinds x 2 seeds, d = 24, n = 6: each pair sketches A once, takes
+        # one SVD of the 24 x 6 SA and solves the sketched problem once
+        applied, shapes = Counter(), Counter()
+        real_apply, real_svd = embed.apply, scipy.linalg.svd
+
+        def counting_apply(S, X):
+            if isinstance(X, MatrixHandle):
+                applied[S.kind.value, S.seed] += 1
+            return real_apply(S, X)
+
+        def counting_svd(a, *args, **kwargs):
+            shapes["svd", a.shape] += 1
+            return real_svd(a, *args, **kwargs)
+
+        def counting_solve(real):
+            def solve(M, rhs, *args, **kwargs):
+                shapes["qr_ls_solve", M.shape] += 1
+                return real(M, rhs, *args, **kwargs)
+            return solve
+
+        monkeypatch.setattr(embed, "apply", counting_apply)
+        monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+        for module in (diagnostics, matio):
+            monkeypatch.setattr(module, "qr_ls_solve", counting_solve(module.qr_ls_solve))
+        config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
+            "kind = gaussian", "kind = gaussian,srht,sparse"))
+        assert run_experiment(config) == EXIT_OK
+        assert applied == {(kind, seed): 1 for kind in ("gaussian", "srht", "sparse")
+                           for seed in (0, 1)}
+        assert shapes["svd", (24, 6)] == 6
+        assert shapes["qr_ls_solve", (24, 6)] == 6
 
     def test_basis_and_oracle_once_per_seed(self, tmp_path, monkeypatch):
         basis_calls, oracle_calls = [], []
@@ -292,6 +349,12 @@ class TestMain:
         assert (tmp_path / "out" / "synth120x6c20_gaussian_d24_s3_bounds.csv").exists()
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+
+    @pytest.mark.parametrize("spec", ["200,10", "200,x,10"])
+    def test_check_bad_synthetic_spec(self, capsys, spec):
+        assert main(["check", "--synthetic", spec, "--kind", "sparse"]) == EXIT_CONFIG
+        assert f"config error: synthetic spec '{spec}' must be m,n,cond" in \
+            capsys.readouterr().err
 
     def test_sweep_main(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchls import embed
-from sketchls.diagnostics import (BoundId, check_acute_criterion,
+from sketchls.diagnostics import (BoundId, SketchedProblem, check_acute_criterion,
                                   check_explicit_perturbations,
                                   check_eta_f_upper, check_geometric_preservation,
                                   check_pseudoinverse_perturbation,
@@ -15,7 +16,7 @@ from sketchls.diagnostics import (BoundId, check_acute_criterion,
                                   run_bound_suite, sandwich_multiplier,
                                   solve_sketched, write_bound_reports)
 from sketchls.embed import build_sketch, exact_distortion, identity_sketch
-from sketchls.matio import MatrixHandle, solve_ls_oracle, synthesize_matrix, \
+from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesize_matrix, \
     synthesize_problem
 from sketchls.rng import stream
 
@@ -27,6 +28,33 @@ def build_instance(m=300, n=4, cond=10.0, mseed=1, pseed=2, rho=1e-3):
     prob = synthesize_problem(A, pseed, rho)
     oracle = solve_ls_oracle(A, prob.b)
     return A, prob.b, oracle
+
+
+class TestSketchedProblem:
+    @pytest.mark.parametrize("kind", ["gaussian", "srht", "sparse"])
+    def test_solve_sketched_is_qr_of_sketched_pair(self, kind):
+        A, b, _ = build_instance()
+        S = build_sketch(kind, 64, 300, 7)
+        expect = qr_ls_solve(embed.apply(S, A), embed.apply(S, b))
+        assert np.array_equal(solve_sketched(A, b, S), expect)
+
+    def test_acute_reads_cached_singular_values(self, monkeypatch):
+        A, b, _ = build_instance()
+        S = build_sketch("gaussian", 64, 300, 7)
+        P = SketchedProblem(A, b, S)
+        eps = exact_distortion(S, A, b).epsilon
+        A.spectral()
+        P.sv
+        calls = []
+        real = scipy.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svd", counting)
+        assert check_acute_criterion(P, eps).passed
+        assert calls == []
 
 
 class TestGeometricPreservation:
@@ -76,8 +104,7 @@ class TestResidualBounds:
         S = build_sketch(kind, 128, 300, seed)
         eps = exact_distortion(S, A, b).epsilon
         assert eps < 1
-        x_s = solve_sketched(A, b, S)
-        for rep in check_residual_bounds(A, b, S, oracle, x_s, eps):
+        for rep in check_residual_bounds(SketchedProblem(A, b, S), oracle, eps):
             assert rep.passed, rep
 
     def test_lower_sandwich_side(self):
@@ -99,10 +126,10 @@ class TestResidualBounds:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        x_s = solve_sketched(A, b, S)
+        P = SketchedProblem(A, b, S)
+        x_s = P.x_s
         assert np.linalg.norm(x_s - oracle.x_ls) <= 1e-10 * np.linalg.norm(x)
-        reports = check_residual_bounds(A, b, S, oracle, x_s,
-                                        exact_distortion(S, A, b).epsilon)
+        reports = check_residual_bounds(P, oracle, exact_distortion(S, A, b).epsilon)
         by_id = {r.bound_id: r for r in reports}
         assert "consistent" in by_id[BoundId.RESIDUAL_SANDWICH].note
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
@@ -110,8 +137,7 @@ class TestResidualBounds:
     def test_identity_double_all_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        x_s = solve_sketched(A, b, S)
-        reports = check_residual_bounds(A, b, S, oracle, x_s, eps=0.0)
+        reports = check_residual_bounds(SketchedProblem(A, b, S), oracle, eps=0.0)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.RESIDUAL_DIRECTION].lhs <= 1e-6
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
@@ -284,7 +310,7 @@ class TestCombinedBound:
 class TestAcute:
     def test_identity_double(self):
         A, b, _ = build_instance()
-        rep = check_acute_criterion(A, identity_sketch(300), eps=0.0)
+        rep = check_acute_criterion(SketchedProblem(A, b, identity_sketch(300)), eps=0.0)
         assert rep.passed and rep.lhs == 0.0
 
     def test_small_instance_with_small_epsilon(self):
@@ -298,7 +324,7 @@ class TestAcute:
                 break
         else:
             pytest.fail("no seed with eps < 0.5")
-        rep = check_acute_criterion(A, S, eps)
+        rep = check_acute_criterion(SketchedProblem(A, b, S), eps)
         assert rep.passed and "rank" not in rep.note
 
     def test_sufficient_not_necessary(self):
@@ -306,7 +332,7 @@ class TestAcute:
         S = build_sketch("gaussian", 128, 300, 2)
         eps = exact_distortion(S, A, b).epsilon
         assert A.spectral().cond * eps >= 1
-        rep = check_acute_criterion(A, S, eps)
+        rep = check_acute_criterion(SketchedProblem(A, b, S), eps)
         assert rep.passed
         assert "sufficient-not-necessary" in rep.note
 
@@ -339,13 +365,13 @@ class TestPinvPerturbation:
 class TestSuite:
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()
-        reports = run_bound_suite(A, b, identity_sketch(300), oracle)
+        reports = run_bound_suite(SketchedProblem(A, b, identity_sketch(300)), oracle)
         assert all(r.passed for r in reports)
 
     def test_csv_export(self, tmp_path):
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
-        reports = run_bound_suite(A, b, S, oracle, include_acute=True)
+        reports = run_bound_suite(SketchedProblem(A, b, S), oracle, include_acute=True)
         path = tmp_path / "bounds.csv"
         write_bound_reports(path, reports, seed=1, kind="gaussian", matrix="t", d=128)
         import csv

@@ -89,6 +89,25 @@ class TestFwht:
         out = fwht(v)
         assert out is v
 
+    @pytest.mark.parametrize("shape", [(4096,), (1, 3), (2, 3), (2048, 100), (16384, 5)])
+    def test_bit_equal_to_two_temporary_butterfly(self, shape):
+        v = stream(6, "fwht", *shape).standard_normal(shape)
+        assert np.array_equal(fwht(v.copy()), fwht_two_temporaries(v.copy()))
+
+
+def fwht_two_temporaries(v: np.ndarray) -> np.ndarray:
+    """The butterfly that forms a + b and a - b as temporaries at each level;
+    the reference for the copy-free :func:`fwht`."""
+    n = v.shape[0]
+    h = 1
+    while h < n:
+        blocks = v.reshape((n // (2 * h), 2, h) + v.shape[1:])
+        a = blocks[:, 0].copy()
+        blocks[:, 0] = a + blocks[:, 1]
+        blocks[:, 1] = a - blocks[:, 1]
+        h *= 2
+    return v
+
 
 class TestApply:
     @pytest.mark.parametrize("kind", KINDS)

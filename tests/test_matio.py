@@ -11,6 +11,7 @@ from sketchls.matio import (LsOracle, MatrixHandle, MatrixMarketError, RankDefic
                             load_matrix_market, load_vector, qr_ls_solve,
                             save_matrix_market, save_vector, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem)
+from sketchls.rng import stream
 from sketchls.solvers import MetricsObserver
 
 from conftest import random_tall
@@ -98,6 +99,17 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match="line 4"):
             load_matrix_market(write(tmp_path, "bad.mtx", text))
 
+    @pytest.mark.parametrize("entry,message", [
+        ("2 3 1.0", r"line 4: index \(2,3\) out of bounds"),
+        ("0 1 1.0", r"line 4: index \(0,1\) out of bounds"),
+        ("2 2 1.0 # note", "line 4: expected 'row col value'"),
+        ("2 2.0 1.0", "line 4: malformed entry"),
+    ])
+    def test_bad_entry_message(self, tmp_path, entry, message):
+        text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{entry}\n"
+        with pytest.raises(MatrixMarketError, match=message):
+            load_matrix_market(write(tmp_path, "bad.mtx", text))
+
     @pytest.mark.parametrize("text,line", [
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", "line 4"),
         ("%%MatrixMarket matrix array real general\n2 1\n% note\n-inf\n1\n", "line 4"),
@@ -105,6 +117,51 @@ class TestMatrixMarket:
     def test_non_finite_value_reports_line(self, tmp_path, text, line):
         with pytest.raises(MatrixMarketError, match=f"{line}: non-finite"):
             load_matrix_market(write(tmp_path, "nan.mtx", text))
+
+    @pytest.fixture
+    def loop_calls(self, monkeypatch):
+        """Counts the entry bodies that go through the line-by-line parser."""
+        calls = []
+        real = matio._coordinate_entries_loop
+
+        def counting(entries, m, n):
+            calls.append(len(entries))
+            return real(entries, m, n)
+
+        monkeypatch.setattr(matio, "_coordinate_entries_loop", counting)
+        return calls
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_vectorized_entries_equal_loop(self, tmp_path, monkeypatch, loop_calls,
+                                           symmetry):
+        gen = stream(11, "mtx", symmetry)
+        n = 40
+        i = gen.integers(1, n + 1, size=300)
+        j = gen.integers(1, n + 1, size=300)
+        if symmetry == "symmetric":
+            i, j = np.maximum(i, j), np.minimum(i, j)
+        v = gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, size=300)
+        # repeated (i, j) entries are kept: both paths must sum them alike
+        fmts = ["{:.17g}", "{:.3e}", "{:+.6f}", "{!r}"]
+        lines = [f"{a} {b}\t{fmts[k % 4].format(x)}"
+                 for k, (a, b, x) in enumerate(zip(i, j, v.tolist()))]
+        text = (f"%%MatrixMarket matrix coordinate real {symmetry}\n% note\n"
+                f"{n} {n} {len(lines)}\n" + "\n".join(lines) + "\n")
+        path = write(tmp_path, "v.mtx", text)
+        fast = load_matrix_market(path).csr()
+        assert loop_calls == []
+        monkeypatch.setattr(matio, "_coordinate_entries", matio._coordinate_entries_loop)
+        slow = load_matrix_market(path).csr()
+        assert loop_calls == [300]
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(fast, attr), getattr(slow, attr))
+
+    def test_entry_only_python_parses_loads(self, tmp_path, loop_calls):
+        text = ("%%MatrixMarket matrix coordinate real general\n"
+                "2 2 2\n1 1 1_0.5\n2 2 1.0\n")
+        A = load_matrix_market(write(tmp_path, "u.mtx", text))
+        assert loop_calls == [2]
+        assert np.array_equal(A.dense(), np.array([[10.5, 0.0], [0.0, 1.0]]))
 
     def test_roundtrip_sparse(self, tmp_path):
         gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
