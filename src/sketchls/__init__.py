@@ -20,7 +20,6 @@ from .embed import (
 from .matio import (
     LsOracle,
     MatrixHandle,
-    ProblemInstance,
     load_matrix_market,
     save_matrix_market,
     solve_ls_oracle,

@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import diagnostics, embed
-from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
-                    synthesize_matrix, synthesize_problem)
+from .matio import (DESK_SCALE_COLS, LsOracle, MatrixHandle, load_matrix_market,
+                    solve_ls_oracle, synthesize_matrix, synthesize_problem)
 from .solvers import (LinearOperatorView, MetricsObserver, Termination,
                       lsmr, lsqr, write_trace)
 from .stopping import StopMode, StoppingController, StoppingPolicy
@@ -90,18 +90,40 @@ class ExperimentConfig:
             raise ConfigError("no embedding kinds configured")
         if self.solver not in ("lsqr", "lsmr", "both"):
             raise ConfigError(f"unknown solver '{self.solver}'")
+        if not all(map(math.isfinite, (self.tol, self.rho, *self.band))):
+            raise ConfigError("tol, rho and band must be finite")
         if self.rho <= 0:
             raise ConfigError("rho must be positive")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
-        for mult in self.d_mults:
-            if mult <= 0:
-                raise ConfigError("d multipliers must be positive")
+        if any(mult <= 0 for mult in self.d_mults):
+            raise ConfigError("d multipliers must be positive")
         try:
-            StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
-                           band=self.band)
+            self.policy()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def policy(self) -> StoppingPolicy:
+        return StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
+                              band=self.band)
+
+
+def _number(text: str, kind: type, what: str):
+    """``text`` as a finite ``kind`` (``int`` or ``float``); :class:`ConfigError`
+    when it does not parse or is not finite."""
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got '{text.strip()}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got '{text.strip()}'")
+    return value
+
+
+def _words(items: List[str]) -> List[str]:
+    """The nonblank comma-separated words of list values."""
+    return [word.strip() for item in items for word in item.split(",") if word.strip()]
 
 
 def _parse_synthetic(spec: str) -> Tuple[int, int, float]:
@@ -146,33 +168,18 @@ def parse_config(text: str) -> ExperimentConfig:
                                     synthetic=(m, n, cond)))
 
     kinds = []
-    for item in kv.get("kind", []):
-        for word in item.split(","):
-            word = word.strip()
-            if word:
-                try:
-                    kinds.append(embed.SketchKind(word))
-                except ValueError:
-                    raise ConfigError(f"unknown embedding kind '{word}'") from None
+    for word in _words(kv.get("kind", [])):
+        try:
+            kinds.append(embed.SketchKind(word))
+        except ValueError:
+            raise ConfigError(f"unknown embedding kind '{word}'") from None
 
-    d_mults = []
-    for item in kv.get("d_mult", []):
-        for word in item.split(","):
-            if word.strip():
-                d_mults.append(float(word))
-    if not d_mults:
-        d_mults = [2.0]
+    d_mults = [_number(w, float, "d_mult") for w in _words(kv.get("d_mult", []))] or [2.0]
+    seeds = [_number(w, int, "seeds") for w in _words(kv.get("seeds", []))] or [0]
 
-    seeds = []
-    for item in kv.get("seeds", []):
-        for word in item.split(","):
-            if word.strip():
-                seeds.append(int(word))
-    if not seeds:
-        seeds = [0]
+    def number(key: str, kind: type, default: str):
+        return _number(single(key, default), kind, key)
 
-    band_lo = float(single("band_lo", "0.99"))
-    band_hi = float(single("band_hi", "1.01"))
     try:
         stop = StopMode(single("stop", "stab-ne"))
     except ValueError:
@@ -184,21 +191,27 @@ def parse_config(text: str) -> ExperimentConfig:
         d_mults=d_mults,
         solver=single("solver", "lsmr"),
         stop=stop,
-        tol=float(single("tol", "0")),
-        window=int(single("window", "5")),
-        band=(band_lo, band_hi),
+        tol=number("tol", float, "0"),
+        window=number("window", int, "5"),
+        band=(number("band_lo", float, "0.99"), number("band_hi", float, "1.01")),
         seeds=seeds,
-        rho=float(single("rho", "1e-3")),
+        rho=number("rho", float, "1e-3"),
         output_dir=single("output_dir", "out"),
-        stride=int(single("stride", "1")),
+        stride=number("stride", int, "1"),
         skip_large=single("skip_large", "0") in ("1", "true", "yes"),
     )
     config.validate()
     return config
 
 
+def _scaled_d(mult: float, n: int) -> int:
+    """ceil(mult * n); infinite when the product overflows."""
+    product = mult * n
+    return math.ceil(product) if math.isfinite(product) else math.inf
+
+
 def _compute_d(mult: float, n: int, m: int) -> int:
-    d = math.ceil(mult * n)
+    d = _scaled_d(mult, n)
     if not (n <= d < m):
         raise ConfigError(f"d = ceil({mult} * {n}) = {d} violates n <= d < m = {m}")
     return d
@@ -220,7 +233,7 @@ class SeedProblem:
 
     @cached_property
     def b(self) -> np.ndarray:
-        return synthesize_problem(self.A, self.seed, self.rho).b
+        return synthesize_problem(self.A, self.seed, self.rho)
 
     @cached_property
     def oracle(self) -> LsOracle:
@@ -237,7 +250,27 @@ class RunOutcome:
     label: str
     error: Optional[str] = None
     bounds_failed: int = 0
-    summary: Optional[dict] = None
+    rows: List[dict] = field(default_factory=list)
+
+
+def _load(source: MatrixSource, desk_scale: bool
+          ) -> Tuple[Optional[MatrixHandle], Optional[RunOutcome]]:
+    """``(A, None)`` for a usable source, ``(None, its error)`` otherwise; with
+    ``desk_scale``, n above ``DESK_SCALE_COLS`` is an error too."""
+    try:
+        A = source.load()
+    except Exception as exc:  # noqa: BLE001 - batch harness records and continues
+        return None, RunOutcome(label=source.name, error=f"load failed: {exc}")
+    if desk_scale and A.cols > DESK_SCALE_COLS:
+        return None, RunOutcome(label=source.name, error=(
+            f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}: "
+            "cond(A) is unknown, so no bound can run"))
+    return A, None
+
+
+def _print_errors(outcomes: List[RunOutcome]) -> None:
+    for o in outcomes:
+        print(f"error: {o.label}: {o.error}", file=sys.stderr)
 
 
 SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
@@ -251,10 +284,19 @@ def _solvers_for(config: ExperimentConfig):
     return [(config.solver, lsqr if config.solver == "lsqr" else lsmr)]
 
 
-def _make_controller(config: ExperimentConfig, norm_SA: float, eps: float) -> StoppingController:
-    policy = StoppingPolicy(mode=config.stop, tol=config.tol,
-                            window=config.window, band=config.band)
-    return StoppingController(policy, op_norm=norm_SA, epsilon=eps)
+def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
+                 ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
+    """The sketched problem of one (seed, kind, d) cell, the distortion eps
+    of its sketch and its bound reports."""
+    A, b, oracle = problem.A, problem.b, problem.oracle
+    # A's spectral data (one cached QR of A) before the sketch is built, so
+    # that the QR's working copy of A is not held together with the sketch
+    # and the basis: on a tall A that would set the peak memory
+    A.spectral()
+    S = embed.build_sketch(kind, d, A.rows, problem.seed)
+    eps = embed.exact_distortion(S, A, b, problem.basis).epsilon
+    P = diagnostics.SketchedProblem(A, b, S)
+    return P, eps, diagnostics.run_bound_suite(P, oracle, include_acute=True, eps=eps)
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
@@ -263,29 +305,18 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     label = f"{name}_{kind.value}_d{d}_s{seed}"
     if config.skip_large and kind is embed.SketchKind.GAUSSIAN \
             and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
-        return RunOutcome(label=label, error=None,
-                          summary={"skipped": "gaussian payload exceeds guard"})
+        return RunOutcome(label=label)
+    P, eps, bound_reports = _bound_suite(problem, kind, d)
     b, oracle = problem.b, problem.oracle
-    # A's spectral data (one cached QR of A) before the sketch is built, so
-    # that the QR's working copy of A is not held together with the sketch
-    # and the basis: on a tall A that would set the peak memory
-    A.spectral()
-    S = embed.build_sketch(kind, d, A.rows, seed)
-    report = embed.exact_distortion(S, A, b, problem.basis)
-    P = diagnostics.SketchedProblem(A, b, S)
     op = LinearOperatorView.from_matrix(P.SA)
-
-    bound_reports = diagnostics.run_bound_suite(P, oracle, include_acute=True,
-                                                eps=report.epsilon)
     bounds_path = out_dir / f"{label}_bounds.csv"
     diagnostics.write_bound_reports(bounds_path, bound_reports, seed=seed,
                                     kind=kind.value, matrix=name, d=d)
-    failed = sum(1 for r in bound_reports if not r.passed
-                 and "sufficient-not-necessary" not in r.note)
+    failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
     for solver_name, solver_fn in _solvers_for(config):
-        controller = _make_controller(config, P.norm_SA, report.epsilon)
+        controller = StoppingController(config.policy(), op_norm=P.norm_SA, epsilon=eps)
         observer = MetricsObserver(A, b, stride=config.stride, oracle=oracle)
         result = solver_fn(op, P.Sb, observer=observer, stop=controller)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
@@ -294,14 +325,14 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
             "matrix": name, "kind": kind.value, "d": d, "seed": seed,
             "solver": solver_name, "iterations": result.iterations,
             "termination": result.termination.value,
-            "epsilon": report.epsilon, "kappa": A.condition_number(),
+            "epsilon": eps, "kappa": A.condition_number(),
             "final_rnorm": last.unsketched_residual_norm if last else math.nan,
             "final_ne_ratio": last.unsketched_normal_ratio if last else math.nan,
             "r_ls_norm": oracle.r_ls_norm,
             "bounds_passed": len(bound_reports) - failed,
             "bounds_failed": failed,
         })
-    return RunOutcome(label=label, bounds_failed=failed, summary={"rows": summaries})
+    return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
 def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
@@ -338,14 +369,12 @@ def run_experiment(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes: List[RunOutcome] = []
     for source in config.sources:
-        try:
-            A = source.load()
-        except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-            outcomes.append(RunOutcome(label=source.name, error=f"load failed: {exc}"))
+        A, failed = _load(source, desk_scale=True)
+        if failed is not None:
+            outcomes.append(failed)
             continue
         outcomes.extend(_run_source(A, source.name, config, out_dir))
-    summary_rows = [row for o in outcomes if o.summary and "rows" in o.summary
-                    for row in o.summary["rows"]]
+    summary_rows = [row for o in outcomes for row in o.rows]
 
     with open(out_dir / "summary.csv", "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
@@ -357,8 +386,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             writer.writerow(formatted)
 
     errors = [o for o in outcomes if o.error]
-    for o in errors:
-        print(f"error: {o.label}: {o.error}", file=sys.stderr)
+    _print_errors(errors)
     failed_bounds = sum(o.bounds_failed for o in outcomes)
     print(f"runs: {len(outcomes)}  errors: {len(errors)}  bound failures: {failed_bounds}")
     if errors:
@@ -424,30 +452,40 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     return rows, [f for f in failures if f is not None]
 
 
+def _load_all(sources: List[MatrixSource]
+              ) -> Tuple[List[Tuple[str, MatrixHandle]], List[RunOutcome]]:
+    """``(name, A)`` of each source that loads, in config order, and the
+    errors of those that do not."""
+    results = [(source.name, *_load(source, desk_scale=False)) for source in sources]
+    return ([(name, A) for name, A, _ in results if A is not None],
+            [failure for _, _, failure in results if failure is not None])
+
+
 def sweep_d(config: ExperimentConfig, d_values: List[int],
-            matrices: Optional[List[MatrixHandle]] = None) -> int:
+            loaded: Optional[Tuple[List[Tuple[str, MatrixHandle]], List[RunOutcome]]] = None
+            ) -> int:
     """Aggregate distortion and plateau statistics across sketch sizes.
 
-    ``matrices`` are the loaded sources in config order; they are loaded here
-    when not given.  Every d is checked against every source before any
-    work starts.  A (kind, d) cell that raises is recorded and reported as an
-    ``error:`` line, like a run of :func:`run_experiment`, and the sweep goes
-    on.
+    ``loaded`` is :func:`_load_all` of the configured sources, computed here
+    when not given; a source that failed to load is reported and the sweep
+    goes on with the others.  Every d is checked against every loaded source
+    before any work starts.  A (kind, d) cell that raises is recorded and
+    reported as an ``error:`` line, like a run of :func:`run_experiment`, and
+    the sweep goes on.
     """
     if len(d_values) < 2:
         raise ConfigError("sweep-d needs at least two d values")
-    if matrices is None:
-        matrices = [source.load() for source in config.sources]
-    for source, A in zip(config.sources, matrices):
+    matrices, errors = loaded if loaded is not None else _load_all(config.sources)
+    for name, A in matrices:
         for d in d_values:
             if not (A.cols <= d < A.rows):
-                raise ConfigError(f"d={d} violates n <= d < m for {source.name}")
+                raise ConfigError(f"d={d} violates n <= d < m for {name}")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    errors: List[RunOutcome] = []
-    for source, A in zip(config.sources, matrices):
-        source_rows, source_errors = _sweep_source(A, source.name, config, d_values)
+    errors = list(errors)
+    for name, A in matrices:
+        source_rows, source_errors = _sweep_source(A, name, config, d_values)
         rows.extend(source_rows)
         errors.extend(source_errors)
     path = out_dir / "sweep_d.csv"
@@ -457,8 +495,7 @@ def sweep_d(config: ExperimentConfig, d_values: List[int],
                          "plateau_median", "plateau_q1", "plateau_q3"])
         writer.writerows(rows)
     print(f"wrote {path}")
-    for o in errors:
-        print(f"error: {o.label}: {o.error}", file=sys.stderr)
+    _print_errors(errors)
     return EXIT_RUN_ERROR if errors else EXIT_OK
 
 
@@ -474,22 +511,17 @@ def emit_figure_data(output_dir) -> List[Path]:
         print(f"warning: no trace files in {out_dir}", file=sys.stderr)
         return []
     groups: Dict[Tuple[str, str, str], Dict[str, List[str]]] = {}
-    lengths: Dict[Tuple[str, str, str], int] = {}
     for path in traces:
         stem = path.name[: -len("_trace.csv")]
         parts = stem.split("_")
         if len(parts) < 4:
             print(f"warning: skipping unrecognized trace {path.name}", file=sys.stderr)
             continue
-        solver = parts[-1]
-        kind = parts[-4]
-        series_name = stem
         with open(path, newline="", encoding="ascii") as fh:
             rows = list(csv.DictReader(fh))
         for style, column in (("ratio", "ne_ratio"), ("residual", "rnorm")):
-            key = (style, kind, solver)
-            groups.setdefault(key, {})[series_name] = [row[column] for row in rows]
-            lengths[key] = max(lengths.get(key, 0), len(rows))
+            groups.setdefault((style, parts[-4], parts[-1]), {})[stem] = \
+                [row[column] for row in rows]
     written = []
     for (style, kind, solver), series in sorted(groups.items()):
         path = out_dir / f"figure_{style}_{kind}_{solver}.csv"
@@ -497,7 +529,7 @@ def emit_figure_data(output_dir) -> List[Path]:
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k"] + names)
-            for i in range(lengths[(style, kind, solver)]):
+            for i in range(max(len(values) for values in series.values())):
                 writer.writerow([i + 1] + [series[n][i] if i < len(series[n]) else ""
                                            for n in names])
         written.append(path)
@@ -515,23 +547,21 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
         source = MatrixSource(name="synthetic", synthetic=_parse_synthetic(synthetic))
     else:
         raise ConfigError("check needs --matrix or --synthetic")
-    A = source.load()
+    if not (math.isfinite(rho) and rho > 0):
+        raise ConfigError(f"rho must be positive and finite, got {rho}")
+    A, failure = _load(source, desk_scale=True)
+    if failure is not None:
+        _print_errors([failure])
+        return EXIT_RUN_ERROR
     d = _compute_d(d_mult, A.cols, A.rows)
-    problem = synthesize_problem(A, seed, rho)
-    oracle = solve_ls_oracle(A, problem.b)
-    S = embed.build_sketch(kind, d, A.rows, seed)
-    eps = embed.exact_distortion(S, A, problem.b).epsilon
-    reports = diagnostics.run_bound_suite(diagnostics.SketchedProblem(A, problem.b, S),
-                                          oracle, include_acute=True, eps=eps)
+    _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), embed.SketchKind(kind), d)
     print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
           f"kappa={A.condition_number():.6g}")
-    failed = 0
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
         note = f"  [{rep.note}]" if rep.note else ""
         print(f"  {rep.bound_id.value:22s} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} {status}{note}")
-        if not rep.passed and "sufficient-not-necessary" not in rep.note:
-            failed += 1
+    failed = sum(1 for rep in reports if not rep.passed)
     if output:
         diagnostics.write_bound_reports(output, reports, seed=seed, kind=kind,
                                         matrix=source.name, d=d)
@@ -583,7 +613,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     config = parse_config(text)
     if getattr(args, "seeds", None):
-        config.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        config.seeds = [_number(w, int, "--seeds") for w in _words([args.seeds])]
     if getattr(args, "stride", None) is not None:
         config.stride = args.stride
     if getattr(args, "skip_large", False):
@@ -605,20 +635,11 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 
 def _parse_d_list(spec: str, cols_by_source: List[int]) -> List[int]:
-    values = []
-    for word in spec.split(","):
-        word = word.strip()
-        if not word:
-            continue
-        if word.endswith("n"):
-            mult = float(word[:-1])
-            values.append(("mult", mult))
-        else:
-            values.append(("abs", int(word)))
-    if len(cols_by_source) != 1 and any(tag == "mult" for tag, _ in values):
+    words = _words([spec])
+    if len(cols_by_source) != 1 and any(w.endswith("n") for w in words):
         raise ConfigError("multiplier d values need a single matrix source")
-    n = cols_by_source[0]
-    return [math.ceil(val * n) if tag == "mult" else int(val) for tag, val in values]
+    return [_scaled_d(_number(w[:-1], float, "--d-list multiplier"), cols_by_source[0])
+            if w.endswith("n") else _number(w, int, "--d-list") for w in words]
 
 
 def main(argv=None) -> int:
@@ -629,9 +650,12 @@ def main(argv=None) -> int:
             return run_experiment(_load_config(args.config, args))
         if args.command == "sweep-d":
             config = _load_config(args.config, args)
-            matrices = [s.load() for s in config.sources]
-            d_values = _parse_d_list(args.d_list, [A.cols for A in matrices])
-            return sweep_d(config, d_values, matrices)
+            matrices, failed = _load_all(config.sources)
+            if not matrices:
+                _print_errors(failed)
+                return EXIT_RUN_ERROR
+            d_values = _parse_d_list(args.d_list, [A.cols for _, A in matrices])
+            return sweep_d(config, d_values, (matrices, failed))
         if args.command == "check":
             return check_single(args.matrix, args.synthetic, args.kind, args.seed,
                                 args.d_mult, args.rho, args.output)

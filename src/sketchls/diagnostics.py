@@ -33,7 +33,6 @@ CONSISTENT_THRESHOLD = 1e-12
 # noise; the inequality holds to working precision (identity-double cases)
 NOISE_FLOOR_REL = 1e-12
 ETA_F_ROWS_GUARD = 2000
-ACUTE_COLS_GUARD = 2000
 PINV_SIZE_GUARD = 10_000
 
 
@@ -107,12 +106,6 @@ def direction_bound(eps: float) -> float:
 
 def combined_direction_bound(eps: float, kappa: float) -> float:
     return min(direction_bound(eps), kappa ** 2 * eps * sandwich_multiplier(eps))
-
-
-def combined_bound_prefers_conditioning(eps: float, kappa: float) -> bool:
-    """True when the kappa-dependent branch of the combined bound is smaller,
-    i.e. kappa < (2 / (eps (1+eps)))^(1/4)."""
-    return kappa < (2.0 / (eps * (1.0 + eps))) ** 0.25
 
 
 class SketchedProblem:
@@ -352,10 +345,7 @@ def check_acute_criterion(P: SketchedProblem, eps: float) -> BoundReport:
     full column rank (verified by the singular values ``P.sv``), the report
     carries a note instead of counting as a bound violation.
     """
-    A = P.A
-    if A.cols > ACUTE_COLS_GUARD:
-        raise ValueError(f"acute-criterion guard: n = {A.cols} exceeds {ACUTE_COLS_GUARD}")
-    kappa = A.condition_number()
+    kappa = P.A.condition_number()
     lhs = kappa * eps
     sv = P.sv
     full_rank = bool(sv[-1] > max(P.SA.shape) * np.finfo(np.float64).eps * sv[0])
@@ -410,19 +400,14 @@ SUITE_BOUND_IDS = (
 )
 
 
-def run_bound_suite(P: SketchedProblem, oracle: Optional[LsOracle] = None,
-                    include_acute: bool = False,
+def run_bound_suite(P: SketchedProblem, oracle: LsOracle, include_acute: bool = False,
                     eps: Optional[float] = None) -> List[BoundReport]:
     """All theorem bounds for one (problem, sketch) pair with oracle quantities.
 
-    ``oracle`` and ``eps`` (the :func:`sketchls.embed.exact_distortion`
-    parameter of S over span([A b])) are computed here when not given.
+    ``eps`` (the :func:`sketchls.embed.exact_distortion` parameter of S over
+    span([A b])) is computed here when not given.
     """
-    from .matio import solve_ls_oracle
-
     A, b, S = P.A, P.b, P.S
-    if oracle is None:
-        oracle = solve_ls_oracle(A, b)
     if eps is None:
         eps = embed.exact_distortion(S, A, b).epsilon
     x_s = P.x_s

@@ -256,23 +256,3 @@ def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
         subspace_dim=dim,
         rank_loss=rank_loss,
     )
-
-
-def sketch_to_text(S: SketchOperator) -> str:
-    """Serialize construction parameters; the payload regenerates from them."""
-    return f"kind={S.kind.value}\nd={S.d}\nm={S.m}\nseed={S.seed}\n"
-
-
-def sketch_from_text(text: str) -> SketchOperator:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        return build_sketch(fields["kind"], int(fields["d"]), int(fields["m"]),
-                            int(fields["seed"]))
-    except KeyError as exc:
-        raise ValueError(f"missing sketch field {exc}") from None

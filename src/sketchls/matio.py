@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,7 +31,10 @@ class RankDeficiencyError(ValueError):
     """The matrix is numerically rank deficient for the requested operation."""
 
 
-DESK_SCALE_COLS = 10_000
+# The largest n with a dense factorization of A.  Above it cond(A) is unknown
+# (see :func:`spectral_norms`), so no bound can be checked, and the dense
+# least-squares oracle is refused.
+DESK_SCALE_COLS = 5000
 
 
 @dataclass
@@ -128,7 +131,7 @@ class MatrixHandle:
         cond = self.spectral().cond
         if math.isnan(cond):
             raise ValueError(
-                f"cond(A) is unknown: n = {self.cols} exceeds {SVD_CROSS_CHECK_COLS}, "
+                f"cond(A) is unknown: n = {self.cols} exceeds {DESK_SCALE_COLS}, "
                 "the largest n with a dense factorization")
         return cond
 
@@ -146,21 +149,6 @@ class MatrixHandle:
                     self._gram_factor = R
                 R = self._gram_factor
         return R
-
-
-@dataclass
-class ProblemTruth:
-    x_ls: np.ndarray
-    r_ls: np.ndarray
-    r_ls_norm: float
-
-
-@dataclass
-class ProblemInstance:
-    A: MatrixHandle
-    b: np.ndarray
-    truth: Optional[ProblemTruth]
-    seed: int
 
 
 @dataclass
@@ -263,16 +251,13 @@ def load_matrix_market(path) -> MatrixHandle:
         except ValueError:
             raise MatrixMarketError(f"line {ln}: malformed value") from None
     _check_finite_values(vals, entries)
-    dense = np.zeros((m, n))
     if symmetry == "general":
-        dense = vals.reshape((m, n), order="F")
-    else:
-        k = 0
-        for j in range(n):
-            for i in range(j, m):
-                dense[i, j] = vals[k]
-                dense[j, i] = vals[k]
-                k += 1
+        return MatrixHandle(vals.reshape((m, n), order="F"))
+    # the lower triangle column by column: (j, i) for i >= j in row-major order
+    j, i = np.triu_indices(n)
+    dense = np.zeros((m, n))
+    dense[i, j] = vals
+    dense[j, i] = vals
     return MatrixHandle(dense)
 
 
@@ -347,24 +332,11 @@ def save_matrix_market(handle: MatrixHandle, path) -> None:
                 fh.write(f"{v:.17g}\n")
 
 
-def save_vector(path, v: np.ndarray) -> None:
-    """Plain-text vector export, one value per line, scientific notation with
-    17 significant digits (round-trip exact for doubles)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for x in np.asarray(v, dtype=np.float64):
-            fh.write(f"{x:.16e}\n")
-
-
-def load_vector(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return np.array([float(line) for line in fh if line.strip()])
-
-
 # ---------------------------------------------------------------------------
 # Problem synthesis
 
-def synthesize_problem(A: MatrixHandle, seed: int, residual_scale: float = 1e-3) -> ProblemInstance:
-    """Construct b = A*x - r with x, t standard normal and r = scale * t/||t||.
+def synthesize_problem(A: MatrixHandle, seed: int, residual_scale: float = 1e-3) -> np.ndarray:
+    """Right-hand side b = A*x - r with x, t standard normal and r = scale * t/||t||.
 
     The constructed residual has norm exactly ``residual_scale`` up to rounding
     but is not orthogonal to range(A); reference solutions must come from
@@ -372,17 +344,14 @@ def synthesize_problem(A: MatrixHandle, seed: int, residual_scale: float = 1e-3)
     """
     if residual_scale <= 0:
         raise ValueError("residual_scale must be positive")
-    x_ls = stream(seed, "problem", "x").standard_normal(A.cols)
+    x = stream(seed, "problem", "x").standard_normal(A.cols)
     gen_t = stream(seed, "problem", "t")
     t = gen_t.standard_normal(A.rows)
     if np.linalg.norm(t) == 0.0:
         t = gen_t.standard_normal(A.rows)
         if np.linalg.norm(t) == 0.0:
             raise ValueError("degenerate residual direction")
-    r_ls = residual_scale * t / np.linalg.norm(t)
-    b = A.matvec(x_ls) - r_ls
-    truth = ProblemTruth(x_ls=x_ls, r_ls=r_ls, r_ls_norm=float(np.linalg.norm(r_ls)))
-    return ProblemInstance(A=A, b=b, truth=truth, seed=seed)
+    return A.matvec(x) - residual_scale * t / np.linalg.norm(t)
 
 
 def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
@@ -463,7 +432,6 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
 
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 500
-SVD_CROSS_CHECK_COLS = 5000
 
 
 def power_norm(A: MatrixHandle) -> Tuple[float, int, bool]:
@@ -495,7 +463,7 @@ def power_norm(A: MatrixHandle) -> Tuple[float, int, bool]:
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     """Largest/smallest singular values and condition number, cached on A.
 
-    Whenever n <= ``SVD_CROSS_CHECK_COLS`` all three come from the SVD of the
+    Whenever n <= ``DESK_SCALE_COLS`` all three come from the SVD of the
     cached Gram factor (:meth:`MatrixHandle.gram_factor`).  Above that limit A
     is never densified: the norm is the :func:`power_norm` estimate, and
     sigma_min and cond are NaN (unknown).
@@ -504,7 +472,7 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
         return A._spectral
 
     iterations, converged = 0, False
-    if A.cols <= SVD_CROSS_CHECK_COLS:
+    if A.cols <= DESK_SCALE_COLS:
         sv = scipy.linalg.svd(A.gram_factor(), compute_uv=False)
         norm = float(sv[0])
         sigma_min = float(sv[-1])

@@ -1,11 +1,15 @@
 """LSQR and LSMR over an abstract linear operator, with per-iterate observers.
 
-Both solvers follow the Golub-Kahan bidiagonalization recurrences of Paige &
-Saunders (LSQR) and Fong & Saunders (LSMR).  The recurrences supply cheap
-estimates of the operator-space residual norm ||Op x - rhs|| and of the
-normal-equation residual norm ||Op^T (Op x - rhs)||; an observer callback can
-augment every iterate with explicitly computed metrics on the unsketched
-problem, which is what the stabilization stopping policies monitor.
+Both solvers run one Golub-Kahan bidiagonalization driver, :func:`_solve`,
+which owns the iterate, the bidiagonalization, the observer, the trace, the
+stopping test and the breakdown test.  They differ only in the iterate
+update, which each supplies as a generator: the Paige & Saunders rotations
+for LSQR, the Fong & Saunders rotations plus their residual-norm recurrence
+for LSMR.  The recurrences supply cheap estimates of the operator-space
+residual norm ||Op x - rhs|| and of the normal-equation residual norm
+||Op^T (Op x - rhs)||; an observer callback can augment every iterate with
+explicitly computed metrics on the unsketched problem, which is what the
+stabilization stopping policies monitor.
 """
 
 from __future__ import annotations
@@ -40,19 +44,6 @@ class LinearOperatorView:
         return cls(rows, cols, lambda v: M @ v, lambda u: M.T @ u)
 
 
-def adjoint_mismatch(op: LinearOperatorView, op_norm: float, probes: int = 5,
-                     seed: int = 0) -> float:
-    """Worst relative <u, Op v> vs <Op^T u, v> discrepancy over random probes."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 77], dtype=np.uint64)))
-    worst = 0.0
-    for _ in range(probes):
-        u = gen.standard_normal(op.rows)
-        v = gen.standard_normal(op.cols)
-        gap = abs(u @ op.forward(v) - op.adjoint(u) @ v)
-        worst = max(worst, gap / (np.linalg.norm(u) * np.linalg.norm(v) * op_norm))
-    return worst
-
-
 class Termination(enum.Enum):
     STABILIZED_NORMAL_RATIO = "stabilized_normal_ratio"
     STABILIZED_RESIDUAL = "stabilized_residual"
@@ -69,9 +60,6 @@ class IterateRecord:
     unsketched_residual_norm: float = math.nan
     unsketched_normal_ratio: float = math.nan
     stale: bool = True
-    x_norm: float = math.nan
-    atx_norm: float = math.nan
-    x_snapshot: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -104,15 +92,12 @@ class MetricsObserver:
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, stride: int = 1,
-                 keep_snapshots: bool = False, track_x_metrics: bool = False,
                  oracle: Optional[LsOracle] = None):
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.A = A
         self.b = as_rhs(A, b)
         self.stride = stride
-        self.keep_snapshots = keep_snapshots
-        self.track_x_metrics = track_x_metrics
         self.norm_A = A.spectral_norm()
         self._R = None
         if oracle is not None:
@@ -122,8 +107,6 @@ class MetricsObserver:
             self._rls_sq = oracle.r_ls_norm ** 2
         self._last_rnorm = math.nan
         self._last_ratio = math.nan
-        self._last_xnorm = math.nan
-        self._last_atxnorm = math.nan
 
     def __call__(self, k: int, x: np.ndarray, srnorm: float, snenorm: float) -> IterateRecord:
         fresh = (k - 1) % self.stride == 0
@@ -140,15 +123,6 @@ class MetricsObserver:
                 ne = float(np.linalg.norm(R.T @ Re + self._g))
             self._last_rnorm = rnorm
             self._last_ratio = ne / (self.norm_A * rnorm) if rnorm > 0 else 0.0
-            if self.track_x_metrics:
-                # nearest well-typed completion of the iterate-norm stopping
-                # variant: A^T applied to the image of x
-                self._last_xnorm = float(np.linalg.norm(x))
-                if R is None:
-                    atx = self.A.rmatvec(self.A.matvec(x))
-                else:
-                    atx = R.T @ (R @ x)
-                self._last_atxnorm = float(np.linalg.norm(atx))
         return IterateRecord(
             k=k,
             sketched_residual_norm=srnorm,
@@ -156,9 +130,6 @@ class MetricsObserver:
             unsketched_residual_norm=self._last_rnorm,
             unsketched_normal_ratio=self._last_ratio,
             stale=not fresh,
-            x_norm=self._last_xnorm,
-            atx_norm=self._last_atxnorm,
-            x_snapshot=x.copy() if self.keep_snapshots else None,
         )
 
 
@@ -182,51 +153,25 @@ def _sym_ortho(a: float, b: float):
     return c, c * tau, a / c
 
 
-class _Reorth:
-    """Full reorthogonalization buffers for the debug switch."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.us: List[np.ndarray] = []
-        self.vs: List[np.ndarray] = []
-
-    def against(self, basis: List[np.ndarray], w: np.ndarray) -> np.ndarray:
-        if not self.enabled or not basis:
-            return w
-        B = np.array(basis)
-        for _ in range(2):
-            w = w - B.T @ (B @ w)
-        return w
-
-
-def _resolve_max_iter(op: LinearOperatorView, max_iter: Optional[int], stop) -> int:
-    if max_iter is not None:
-        return max_iter
-    if stop is not None and getattr(stop, "max_iter", 0):
-        return stop.max_iter
-    return min(2 * op.cols, op.rows)
-
-
 # A bidiagonalization coefficient this far below the accumulated operator-norm
 # estimate means the Krylov space is exhausted (exact convergence); continuing
 # would normalize rounding noise and corrupt the iterate.
 BREAKDOWN_RTOL = 1e-12
 
 
-def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
-         max_iter: Optional[int] = None, reorthogonalize: bool = False) -> SolveResult:
-    """LSQR on min ||op x - rhs||; the k-th iterate minimizes the residual
-    over the k-th Krylov subspace of (op^T op, op^T rhs).
+def _solve(op: LinearOperatorView, rhs: np.ndarray, observer, stop,
+           max_iter: Optional[int], updates) -> SolveResult:
+    """Golub-Kahan bidiagonalization of ``op`` started from ``rhs``, driving
+    the iterate update of one solver.
 
-    The recurrence value ``phibar`` estimates ||op x_k - rhs|| and is
-    nonincreasing by construction; ``phibar * alpha * |c|`` estimates
-    ||op^T (op x_k - rhs)||.  ``stop`` is fed one record per iteration and may
-    end the run; breakdown of the bidiagonalization (alpha or beta reaching
-    zero) returns the last iterate.
+    ``updates(x, alpha, beta, v)`` is a generator over the starting
+    coefficients: it runs its set-up, then receives the ``(alpha, beta, v)``
+    of each bidiagonalization step, updates ``x`` in place and yields the
+    estimates ``(||op x - rhs||, ||op^T (op x - rhs)||)``.
     """
     observer = observer or _default_observer
-    max_iter = _resolve_max_iter(op, max_iter, stop)
-    reo = _Reorth(reorthogonalize)
+    if max_iter is None:
+        max_iter = min(2 * op.cols, op.rows)
 
     x = np.zeros(op.cols)
     u = np.asarray(rhs, dtype=np.float64).copy()
@@ -239,45 +184,26 @@ def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
     if alpha == 0.0:
         return SolveResult(x=x, iterations=0, termination=Termination.BREAKDOWN)
     v /= alpha
-    if reo.enabled:
-        reo.us.append(u.copy())
-        reo.vs.append(v.copy())
-    w = v.copy()
-    phibar = beta
-    rhobar = alpha
     norm_est_sq = alpha * alpha
+    step = updates(x, alpha, beta, v)
+    next(step)  # the set-up reads the starting coefficients, not step 1's
 
     trace: List[IterateRecord] = []
     termination = Termination.MAX_ITERATIONS
     iterations = 0
     for k in range(1, max_iter + 1):
         u = op.forward(v) - alpha * u
-        u = reo.against(reo.us, u)
         beta = float(np.linalg.norm(u))
         if beta > 0.0:
             u /= beta
-            if reo.enabled:
-                reo.us.append(u.copy())
         v = op.adjoint(u) - beta * v
-        v = reo.against(reo.vs, v)
         alpha = float(np.linalg.norm(v))
         if alpha > 0.0:
             v /= alpha
-            if reo.enabled:
-                reo.vs.append(v.copy())
         norm_est_sq += alpha * alpha + beta * beta
         floor = BREAKDOWN_RTOL * math.sqrt(norm_est_sq)
 
-        c, s, rho = _sym_ortho(rhobar, beta)
-        theta = s * alpha
-        rhobar = -c * alpha
-        phi = c * phibar
-        phibar = s * phibar
-        x += (phi / rho) * w
-        w = v - (theta / rho) * w
-
-        srnorm = phibar
-        snenorm = phibar * alpha * abs(c)
+        srnorm, snenorm = step.send((alpha, beta, v))
         record = observer(k, x, srnorm, snenorm)
         trace.append(record)
         iterations = k
@@ -292,34 +218,26 @@ def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
     return SolveResult(x=x, iterations=iterations, termination=termination, trace=trace)
 
 
-def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
-         max_iter: Optional[int] = None, reorthogonalize: bool = False) -> SolveResult:
-    """LSMR on min ||op x - rhs||; the k-th iterate minimizes the
-    normal-equation residual ||op^T (op x - rhs)|| over the same Krylov
-    subspace as LSQR, so that estimate (``|zetabar|``) is nonincreasing.
+def _lsqr_updates(x: np.ndarray, alpha: float, beta: float, v: np.ndarray):
+    """Paige-Saunders update of the LSQR iterate (see :func:`_solve`)."""
+    w = v.copy()
+    phibar = beta
+    rhobar = alpha
+    alpha, beta, v = yield
+    while True:
+        c, s, rho = _sym_ortho(rhobar, beta)
+        theta = s * alpha
+        rhobar = -c * alpha
+        phi = c * phibar
+        phibar = s * phibar
+        x += (phi / rho) * w
+        w = v - (theta / rho) * w
+        alpha, beta, v = yield phibar, phibar * alpha * abs(c)
 
-    The operator-space residual norm is tracked by the Fong-Saunders
-    recurrence.  Contracts (observer, stop, breakdown) match :func:`lsqr`.
-    """
-    observer = observer or _default_observer
-    max_iter = _resolve_max_iter(op, max_iter, stop)
-    reo = _Reorth(reorthogonalize)
 
-    x = np.zeros(op.cols)
-    u = np.asarray(rhs, dtype=np.float64).copy()
-    beta = float(np.linalg.norm(u))
-    if beta == 0.0:
-        return SolveResult(x=x, iterations=0, termination=Termination.BREAKDOWN)
-    u /= beta
-    v = op.adjoint(u)
-    alpha = float(np.linalg.norm(v))
-    if alpha == 0.0:
-        return SolveResult(x=x, iterations=0, termination=Termination.BREAKDOWN)
-    v /= alpha
-    if reo.enabled:
-        reo.us.append(u.copy())
-        reo.vs.append(v.copy())
-
+def _lsmr_updates(x: np.ndarray, alpha: float, beta: float, v: np.ndarray):
+    """Fong-Saunders update of the LSMR iterate and its residual-norm
+    recurrence (see :func:`_solve`)."""
     zetabar = alpha * beta
     alphabar = alpha
     rho = 1.0
@@ -327,7 +245,7 @@ def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
     cbar = 1.0
     sbar = 0.0
     h = v.copy()
-    hbar = np.zeros(op.cols)
+    hbar = np.zeros_like(x)
 
     # residual-norm recurrence state
     betadd = beta
@@ -336,29 +254,8 @@ def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
     tautildeold = 0.0
     thetatilde = 0.0
     zeta = 0.0
-    norm_est_sq = alpha * alpha
-
-    trace: List[IterateRecord] = []
-    termination = Termination.MAX_ITERATIONS
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        u = op.forward(v) - alpha * u
-        u = reo.against(reo.us, u)
-        beta = float(np.linalg.norm(u))
-        if beta > 0.0:
-            u /= beta
-            if reo.enabled:
-                reo.us.append(u.copy())
-        v = op.adjoint(u) - beta * v
-        v = reo.against(reo.vs, v)
-        alpha = float(np.linalg.norm(v))
-        if alpha > 0.0:
-            v /= alpha
-            if reo.enabled:
-                reo.vs.append(v.copy())
-        norm_est_sq += alpha * alpha + beta * beta
-        floor = BREAKDOWN_RTOL * math.sqrt(norm_est_sq)
-
+    alpha, beta, v = yield
+    while True:
         # rotate the bidiagonal factor
         rhoold = rho
         c, s, rho = _sym_ortho(alphabar, beta)
@@ -388,20 +285,33 @@ def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
         tautildeold = (zetaold - thetatildeold * tautildeold) / rhotildeold
         taud = (zeta - thetatilde * tautildeold) / rhodold
         srnorm = math.sqrt((betad - taud) ** 2 + betadd ** 2)
-        snenorm = abs(zetabar)
+        alpha, beta, v = yield srnorm, abs(zetabar)
 
-        record = observer(k, x, srnorm, snenorm)
-        trace.append(record)
-        iterations = k
-        if stop is not None:
-            fired = stop.feed(record)
-            if fired is not None:
-                termination = fired
-                break
-        if beta <= floor or alpha <= floor:
-            termination = Termination.BREAKDOWN
-            break
-    return SolveResult(x=x, iterations=iterations, termination=termination, trace=trace)
+
+def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
+         max_iter: Optional[int] = None) -> SolveResult:
+    """LSQR on min ||op x - rhs||; the k-th iterate minimizes the residual
+    over the k-th Krylov subspace of (op^T op, op^T rhs).
+
+    The recurrence value ``phibar`` estimates ||op x_k - rhs|| and is
+    nonincreasing by construction; ``phibar * alpha * |c|`` estimates
+    ||op^T (op x_k - rhs)||.  ``stop`` is fed one record per iteration and may
+    end the run; breakdown of the bidiagonalization (alpha or beta reaching
+    zero) returns the last iterate.
+    """
+    return _solve(op, rhs, observer, stop, max_iter, _lsqr_updates)
+
+
+def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
+         max_iter: Optional[int] = None) -> SolveResult:
+    """LSMR on min ||op x - rhs||; the k-th iterate minimizes the
+    normal-equation residual ||op^T (op x - rhs)|| over the same Krylov
+    subspace as LSQR, so that estimate (``|zetabar|``) is nonincreasing.
+
+    The operator-space residual norm is tracked by the Fong-Saunders
+    recurrence.  Contracts (observer, stop, breakdown) match :func:`lsqr`.
+    """
+    return _solve(op, rhs, observer, stop, max_iter, _lsmr_updates)
 
 
 TRACE_COLUMNS = ["k", "srnorm", "snenorm", "rnorm", "ne_ratio", "stale_flag"]
@@ -422,7 +332,3 @@ def write_trace(path, trace: List[IterateRecord]) -> None:
                 int(rec.stale),
             ])
 
-
-def read_trace(path) -> List[dict]:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        return list(csv.DictReader(fh))

@@ -50,7 +50,6 @@ class StoppingPolicy:
     tol: float = 0.0
     window: int = 5
     band: Tuple[float, float] = (0.99, 1.01)
-    max_iter: int = 0
 
     def __post_init__(self):
         self.mode = StopMode(self.mode)
@@ -117,35 +116,19 @@ class StoppingController:
     and records the window start in ``fired_at``.  Stabilization windows use
     fresh metric values only, so under an observer stride > 1 the effective
     window spans stride * window iterations.
-
-    ``use_x_norm_metric`` switches the normal-ratio stabilization metric to
-    the iterate-norm variant ||A^T A x|| / ||x|| for comparison purposes.
-    ``persistence`` requires that many consecutive satisfying windows before
-    firing (default 1: fire on first entry into the band).
     """
 
     def __init__(self, policy: StoppingPolicy, op_norm: float = math.nan,
-                 epsilon: float = math.nan, use_x_norm_metric: bool = False,
-                 persistence: int = 1):
+                 epsilon: float = math.nan):
         self.policy = policy
         self.op_norm = op_norm
         self.epsilon = epsilon
-        self.use_x_norm_metric = use_x_norm_metric
-        self.persistence = persistence
         self.fired_at: Optional[int] = None
         self._buffer: deque = deque(maxlen=policy.window + 1)
-        self._satisfied = 0
         if policy.mode is StopMode.TRADITIONAL and math.isnan(op_norm):
             raise ValueError("traditional policy needs the sketched operator norm")
         if policy.mode is StopMode.EPSILON_THRESHOLD and math.isnan(epsilon):
             raise ValueError("epsilon-threshold policy needs the embedding parameter")
-
-    def _metric(self, record: IterateRecord) -> float:
-        if self.policy.mode is StopMode.STABILIZE_RESIDUAL:
-            return record.unsketched_residual_norm
-        if self.use_x_norm_metric:
-            return record.atx_norm / record.x_norm if record.x_norm > 0 else math.nan
-        return record.unsketched_normal_ratio
 
     def feed(self, record: IterateRecord) -> Optional[Termination]:
         mode = self.policy.mode
@@ -161,19 +144,16 @@ class StoppingController:
             return None
         if record.stale:
             return None
-        value = self._metric(record)
+        value = (record.unsketched_residual_norm if mode is StopMode.STABILIZE_RESIDUAL
+                 else record.unsketched_normal_ratio)
         if math.isnan(value):
             return None
         self._buffer.append((record.k, value))
         if len(self._buffer) < self.policy.window + 1:
             return None
         if stabilization_decision([v for _, v in self._buffer], self.policy.band):
-            self._satisfied += 1
-            if self._satisfied >= self.persistence:
-                self.fired_at = self._buffer[0][0]
-                return _TERMINATION_OF[mode]
-        else:
-            self._satisfied = 0
+            self.fired_at = self._buffer[0][0]
+            return _TERMINATION_OF[mode]
         return None
 
 

@@ -63,13 +63,13 @@ def suite_runs():
         A = synthesize_matrix(m, n, cond, mseed)
         for kind in KINDS:
             for seed in SUITE_SEEDS:
-                prob = synthesize_problem(A, seed)
-                oracle = solve_ls_oracle(A, prob.b)
+                b = synthesize_problem(A, seed)
+                oracle = solve_ls_oracle(A, b)
                 S = embed.build_sketch(kind, SUITE_D, m, seed)
-                eps = embed.exact_distortion(S, A, prob.b).epsilon
-                reports = run_bound_suite(SketchedProblem(A, prob.b, S), oracle)
+                eps = embed.exact_distortion(S, A, b).epsilon
+                reports = run_bound_suite(SketchedProblem(A, b, S), oracle)
                 SA = embed.apply(S, A.dense())
-                Sb = embed.apply(S, prob.b)
+                Sb = embed.apply(S, b)
                 op = LinearOperatorView.from_matrix(SA)
                 res_q = lsqr(op, Sb)
                 res_m = lsmr(op, Sb)
@@ -97,11 +97,11 @@ def test_criterion_1_pythagorean_identity(suitesparse_dir):
         instances.append((load_matrix_market(illc), 0))
     worst = 0.0
     for A, seed in instances:
-        prob = synthesize_problem(A, seed)
-        oracle = solve_ls_oracle(A, prob.b)
+        b = synthesize_problem(A, seed)
+        oracle = solve_ls_oracle(A, b)
         S = embed.build_sketch("gaussian", 2 * A.cols, A.rows, seed)
-        x_s = solve_sketched(A, prob.b, S)
-        worst = max(worst, pythagorean_gap(oracle, A.matvec(x_s) - prob.b))
+        x_s = solve_sketched(A, b, S)
+        worst = max(worst, pythagorean_gap(oracle, A.matvec(x_s) - b))
     ok = worst <= 1e-8
     assert report("criterion 1 (Pythagorean residual identity)", ok,
                   f"worst relative gap {worst:.3e} over {len(instances)} instances")
@@ -125,21 +125,21 @@ def test_criterion_2_theorem_bound_suite(suite_runs):
 def test_criterion_3_backward_error_branches():
     # inconsistent: negative smallest eigenvalue and a valid upper bound
     A = synthesize_matrix(200, 20, 30.0, 42)
-    prob = synthesize_problem(A, 11)
-    oracle = solve_ls_oracle(A, prob.b)
-    res = compute_eta_f(A, prob.b, oracle.x_ls + 1e-3)
+    b = synthesize_problem(A, 11)
+    oracle = solve_ls_oracle(A, b)
+    res = compute_eta_f(A, b, oracle.x_ls + 1e-3)
     inconsistent_ok = res.negative_branch and res.lambda_star < 0 \
         and res.eta_f <= res.upper_bound * (1 + 1e-8)
 
     # sharpness: strongly inconsistent instance, ratio decreases toward one
     A2 = synthesize_matrix(200, 20, 2.0, 42)
-    prob2 = synthesize_problem(A2, 11, residual_scale=4.0)
-    oracle2 = solve_ls_oracle(A2, prob2.b)
+    b2 = synthesize_problem(A2, 11, residual_scale=4.0)
+    oracle2 = solve_ls_oracle(A2, b2)
     delta = stream(1, "delta").standard_normal(20)
     delta /= np.linalg.norm(delta)
     ratios = []
     for t in (4e-2, 2e-2, 1e-2, 5e-3):
-        r = compute_eta_f(A2, prob2.b, oracle2.x_ls + t * delta)
+        r = compute_eta_f(A2, b2, oracle2.x_ls + t * delta)
         ratios.append(r.upper_bound / r.eta_f)
     sharp_ok = all(r >= 1 - 1e-10 for r in ratios) \
         and all(ratios[i + 1] <= ratios[i] * 1.05 for i in range(3)) \
@@ -174,22 +174,22 @@ def test_criterion_5_stopping_efficiency():
     lsqr_ok = []
     details = []
     for seed in range(20):
-        prob = synthesize_problem(A, seed)
-        oracle = solve_ls_oracle(A, prob.b)
+        b = synthesize_problem(A, seed)
+        oracle = solve_ls_oracle(A, b)
         S = embed.build_sketch("gaussian", 80, 400, seed)
-        eps = embed.exact_distortion(S, A, prob.b).epsilon
+        eps = embed.exact_distortion(S, A, b).epsilon
         SA = embed.apply(S, A.dense())
-        Sb = embed.apply(S, prob.b)
+        Sb = embed.apply(S, b)
         op = LinearOperatorView.from_matrix(SA)
         norm_SA = float(np.linalg.norm(SA, 2))
 
         stab = StoppingController(StoppingPolicy(mode=StopMode.STABILIZE_NORMAL_RATIO))
-        res_stab = lsmr(op, Sb, observer=MetricsObserver(A, prob.b), stop=stab,
+        res_stab = lsmr(op, Sb, observer=MetricsObserver(A, b), stop=stab,
                         max_iter=max_iter)
         trad = StoppingController(StoppingPolicy(mode=StopMode.TRADITIONAL,
                                                  tol=tol_traditional),
                                   op_norm=norm_SA)
-        res_trad = lsmr(op, Sb, observer=MetricsObserver(A, prob.b), stop=trad,
+        res_trad = lsmr(op, Sb, observer=MetricsObserver(A, b), stop=trad,
                         max_iter=max_iter)
         k_trad = res_trad.iterations if res_trad.termination is Termination.TOLERANCE_MET \
             else max_iter
@@ -199,15 +199,15 @@ def test_criterion_5_stopping_efficiency():
                        and ratio <= 2 * eps)
 
         stab_r = StoppingController(StoppingPolicy(mode=StopMode.STABILIZE_RESIDUAL))
-        res_q = lsqr(op, Sb, observer=MetricsObserver(A, prob.b), stop=stab_r,
+        res_q = lsqr(op, Sb, observer=MetricsObserver(A, b), stop=stab_r,
                      max_iter=max_iter)
         final_r = res_q.trace[-1].unsketched_residual_norm
         bound = 1.05 * sandwich_multiplier(eps) * oracle.r_ls_norm
         lsqr_ok.append(res_q.termination is Termination.STABILIZED_RESIDUAL
                        and final_r <= bound)
         if seed < 3:
-            x_s = solve_sketched(A, prob.b, S)
-            rs = float(np.linalg.norm(A.matvec(x_s) - prob.b))
+            x_s = solve_sketched(A, b, S)
+            rs = float(np.linalg.norm(A.matvec(x_s) - b))
             details.append(f"s{seed}: k*={res_stab.iterations} vs trad {k_trad}, "
                            f"r_k/r_s_exact={final_r / rs:.3f}")
     ok = all(lsmr_ok) and all(lsqr_ok)
@@ -236,15 +236,15 @@ def _srht_with_replacement(S):
                                         ("sparse", False)])
 def test_criterion_6_sqrt2_law(kind, gated):
     A = synthesize_matrix(400, 40, 50.0, 7)
-    prob = synthesize_problem(A, 0)
+    b = synthesize_problem(A, 0)
     d_low, d_high = 48, 96  # the paper's sweep pair (1.2n, 2.4n)
     pairs = [(embed.build_sketch(kind, d_low, 400, seed),
               embed.build_sketch(kind, d_high, 400, 1000 + seed))
              for seed in range(50)]
 
     def median_ratio(sketch_pairs) -> float:
-        return float(np.median([embed.exact_distortion(S2, A, prob.b).epsilon
-                                / embed.exact_distortion(S1, A, prob.b).epsilon
+        return float(np.median([embed.exact_distortion(S2, A, b).epsilon
+                                / embed.exact_distortion(S1, A, b).epsilon
                                 for S1, S2 in sketch_pairs]))
 
     median = median_ratio(pairs)
@@ -275,12 +275,12 @@ def test_criterion_7_figure_level_reproduction(suitesparse_dir):
     A = load_matrix_market(illc)
     assert (A.rows, A.cols, A.nnz) == (1033, 320, 4719)
     assert A.spectral().cond == pytest.approx(1.8888e4, rel=1e-2)
-    prob = synthesize_problem(A, 1)
+    b = synthesize_problem(A, 1)
     S = embed.build_sketch("gaussian", 640, 1033, 1)
     SA = embed.apply(S, A.dense())
-    Sb = embed.apply(S, prob.b)
+    Sb = embed.apply(S, b)
     res = lsqr(LinearOperatorView.from_matrix(SA), Sb,
-               observer=MetricsObserver(A, prob.b), max_iter=200)
+               observer=MetricsObserver(A, b), max_iter=200)
     ratios = [r.unsketched_normal_ratio for r in res.trace]
     plateau = float(np.median(ratios[-10:]))
     within = next((k for k, v in enumerate(ratios, start=1)

@@ -69,6 +69,17 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = gaussian\nstop = never\n", "unknown stop"),
         ("synthetic = 50,4,3\nkind = gaussian\nbad line\n", "key=value"),
         ("synthetic = 50,4,3\nkind = gaussian\nrho = -1\n", "rho"),
+        ("synthetic = 50,4,3\nkind = gaussian\nseeds = 0,x\n", "seeds must be an integer"),
+        ("synthetic = 50,4,3\nkind = gaussian\nwindow = 2.5\n", "window must be an integer"),
+        ("synthetic = 50,4,3\nkind = gaussian\nstride = two\n", "stride must be an integer"),
+        ("synthetic = 50,4,3\nkind = gaussian\nrho = abc\n", "rho must be a number"),
+        ("synthetic = 50,4,3\nkind = gaussian\nrho = nan\n", "rho must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\nrho = inf\n", "rho must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\ntol = nan\n", "tol must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\nband_hi = inf\n", "band_hi must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\nd_mult = 2,y\n", "d_mult must be a number"),
+        ("synthetic = 50,4,3\nkind = gaussian\nd_mult = nan\n", "d_mult must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\nd_mult = inf\n", "d_mult must be finite"),
     ])
     def test_rejects(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -88,12 +99,33 @@ class TestConfigParsing:
         assert not list(tmp_path.glob("out/*_bounds.csv"))
 
     @pytest.mark.parametrize("override", [["--stride", "0"], ["--window", "0"],
-                                          ["--band-lo", "1.5"], ["--tol", "-1"]])
-    def test_bad_override_rejected(self, tmp_path, override):
+                                          ["--band-lo", "1.5"], ["--tol", "-1"],
+                                          ["--seeds", "1,y"], ["--tol", "nan"],
+                                          ["--band-hi", "inf"]])
+    def test_bad_override_rejected(self, tmp_path, capsys, override):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(cfg)] + override) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("d_list,match", [
+        ("2n,3x", "--d-list must be an integer, got '3x'"),
+        ("2.5,40", "--d-list must be an integer, got '2.5'"),
+        ("2n,nann", "--d-list multiplier must be finite"),
+    ])
+    def test_bad_d_list_rejected(self, tmp_path, capsys, d_list, match):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", d_list]) == EXIT_CONFIG
+        assert f"config error: {match}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [["--rho", "nan"], ["--rho", "-1"], ["--d-mult", "nan"]])
+    def test_check_bad_number(self, capsys, extra):
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse"] + extra) \
+            == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
     def test_d_rule_violation_is_run_error(self, tmp_path):
         # d = ceil(30 * 6) = 180 >= m = 120
@@ -320,6 +352,66 @@ class TestSweep:
         assert [row["d"] for row in rows] == ["40"]
 
 
+    def test_load_failure_reported_and_sweep_goes_on(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n3 2 1\n1 x 1.0\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"matrix = {bad}\nmatrix = {tmp_path / 'absent.mtx'}\n"
+                       f"synthetic = 120,4,10\nkind = gaussian\nseeds = 0,1\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "8,40"]) == EXIT_RUN_ERROR
+        err = capsys.readouterr().err
+        assert "error: bad: load failed: line 3: malformed entry" in err
+        assert "error: absent: load failed:" in err
+        with open(tmp_path / "out" / "sweep_d.csv") as fh:
+            got = [(r["matrix"], r["d"]) for r in csv.DictReader(fh)]
+        assert got == [("synth120x4c10", "8"), ("synth120x4c10", "40")]
+
+    def test_only_source_fails_to_load(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"matrix = {tmp_path / 'absent.mtx'}\nkind = gaussian\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "2n,4n"]) == EXIT_RUN_ERROR
+        assert "error: absent: load failed:" in capsys.readouterr().err
+
+
+def write_wide_sparse(path):
+    """A 5002 x 5001 CSR matrix, one column above the desk-scale limit; it
+    loads without densifying."""
+    m, n = matio.DESK_SCALE_COLS + 2, matio.DESK_SCALE_COLS + 1
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real general\n{m} {n} {n + 1}\n")
+        fh.writelines(f"{j + 1} {j + 1} 1.0\n" for j in range(n))
+        fh.write(f"{m} 1 1.0\n")
+    return path
+
+
+class TestDeskScaleLimit:
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solve_ls_oracle called")
+
+        monkeypatch.setattr(cli, "solve_ls_oracle", refuse)
+
+    def test_run_rejects_wide_source_after_load(self, tmp_path, capsys, no_oracle):
+        wide = write_wide_sparse(tmp_path / "wide.mtx")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"matrix = {wide}\nkind = sparse\nd_mult = 1.0001\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_RUN_ERROR
+        err = capsys.readouterr().err
+        assert "error: wide: n = 5001 exceeds the desk-scale limit 5000" in err
+        assert not list((tmp_path / "out").glob("*_bounds.csv"))
+
+    def test_check_rejects_wide_source_after_load(self, tmp_path, capsys, no_oracle):
+        wide = write_wide_sparse(tmp_path / "wide.mtx")
+        assert main(["check", "--matrix", str(wide), "--kind", "sparse",
+                     "--d-mult", "1.0001"]) == EXIT_RUN_ERROR
+        assert "error: wide: n = 5001 exceeds the desk-scale limit 5000" in \
+            capsys.readouterr().err
+
+
 class TestFigures:
     def test_bundles(self, tmp_path):
         out = tmp_path / "r"
@@ -355,6 +447,14 @@ class TestMain:
         assert main(["check", "--synthetic", spec, "--kind", "sparse"]) == EXIT_CONFIG
         assert f"config error: synthetic spec '{spec}' must be m,n,cond" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("contents", [None, "%%MatrixMarket matrix array real general\n"])
+    def test_check_load_failure(self, tmp_path, capsys, contents):
+        path = tmp_path / "m.mtx"
+        if contents is not None:
+            path.write_text(contents)
+        assert main(["check", "--matrix", str(path), "--kind", "sparse"]) == EXIT_RUN_ERROR
+        assert "error: m: load failed:" in capsys.readouterr().err
 
     def test_sweep_main(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -10,7 +10,6 @@ from sketchls.diagnostics import (BoundId, SketchedProblem, check_acute_criterio
                                   check_eta_f_upper, check_geometric_preservation,
                                   check_pseudoinverse_perturbation,
                                   check_residual_bounds, check_solution_error,
-                                  combined_bound_prefers_conditioning,
                                   compute_eta_f, direction_bound,
                                   e1_minimizer_gap, pythagorean_gap,
                                   run_bound_suite, sandwich_multiplier,
@@ -25,9 +24,9 @@ from conftest import random_rhs, random_tall
 
 def build_instance(m=300, n=4, cond=10.0, mseed=1, pseed=2, rho=1e-3):
     A = synthesize_matrix(m, n, cond, mseed)
-    prob = synthesize_problem(A, pseed, rho)
-    oracle = solve_ls_oracle(A, prob.b)
-    return A, prob.b, oracle
+    b = synthesize_problem(A, pseed, rho)
+    oracle = solve_ls_oracle(A, b)
+    return A, b, oracle
 
 
 class TestSketchedProblem:
@@ -238,16 +237,16 @@ class TestExplicitPerturbations:
 
     def test_small_sparse_instance(self):
         A = random_tall(30, 3, 9)
-        prob = synthesize_problem(A, 9)
-        oracle = solve_ls_oracle(A, prob.b)
+        b = synthesize_problem(A, 9)
+        oracle = solve_ls_oracle(A, b)
         S = build_sketch("sparse", 12, 30, 9)
-        eps = exact_distortion(S, A, prob.b).epsilon
-        x_s = solve_sketched(A, prob.b, S)
-        reports = check_explicit_perturbations(A, prob.b, x_s, oracle, eps)
+        eps = exact_distortion(S, A, b).epsilon
+        x_s = solve_sketched(A, b, S)
+        reports = check_explicit_perturbations(A, b, x_s, oracle, eps)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].passed
         # x_s exactly minimizes the E1-perturbed problem
-        assert e1_minimizer_gap(A, prob.b, x_s) <= 1e-8
+        assert e1_minimizer_gap(A, b, x_s) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2_bound_with_informative_epsilon(self, seed):
@@ -291,20 +290,6 @@ class TestSolutionError:
         reports = check_solution_error(A, b, oracle, x_s, eps)
         assert all(r.passed for r in reports)
         assert reports[0].rhs > 1  # vacuously wide in the ill-conditioned regime
-
-
-class TestCombinedBound:
-    def test_branch_predicate_matches_min(self):
-        for cond, expect_conditioning_branch in ((1.05, True), (5.0, False)):
-            A, b, oracle = build_instance(m=240, n=5, cond=cond, mseed=21, pseed=3)
-            S = build_sketch("gaussian", 96, 240, 3)
-            eps = exact_distortion(S, A, b).epsilon
-            kappa = A.spectral().cond
-            first = direction_bound(eps)
-            second = kappa ** 2 * eps * sandwich_multiplier(eps)
-            assert combined_bound_prefers_conditioning(eps, kappa) == (second < first)
-            assert combined_bound_prefers_conditioning(eps, kappa) == \
-                expect_conditioning_branch
 
 
 class TestAcute:

@@ -8,8 +8,8 @@ import scipy.sparse
 from sketchls import matio
 from sketchls.diagnostics import check_solution_error
 from sketchls.matio import (LsOracle, MatrixHandle, MatrixMarketError, RankDeficiencyError,
-                            load_matrix_market, load_vector, qr_ls_solve,
-                            save_matrix_market, save_vector, solve_ls_oracle,
+                            load_matrix_market, qr_ls_solve,
+                            save_matrix_market, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem)
 from sketchls.rng import stream
 from sketchls.solvers import MetricsObserver
@@ -68,6 +68,20 @@ class TestMatrixMarket:
                 "2 2\n1\n2\n3\n")
         A = load_matrix_market(write(tmp_path, "as.mtx", text))
         assert np.array_equal(A.dense(), np.array([[1.0, 2.0], [2.0, 3.0]]))
+
+    def test_array_symmetric_lower_triangle_by_columns(self, tmp_path):
+        n = 4
+        vals = np.arange(1.0, n * (n + 1) // 2 + 1)
+        text = (f"%%MatrixMarket matrix array real symmetric\n{n} {n}\n"
+                + "".join(f"{v:g}\n" for v in vals))
+        expect = np.zeros((n, n))
+        k = 0
+        for j in range(n):
+            for i in range(j, n):
+                expect[i, j] = expect[j, i] = vals[k]
+                k += 1
+        A = load_matrix_market(write(tmp_path, "as4.mtx", text))
+        assert np.array_equal(A.dense(), expect)
 
     @pytest.mark.parametrize("header,expected_line", [
         ("%%MatrixMarket matrix coordinate complex general", "line 1"),
@@ -185,34 +199,36 @@ class TestMatrixMarket:
         B = load_matrix_market(path)
         assert np.array_equal(A.dense(), B.dense())
 
-    def test_vector_roundtrip(self, tmp_path):
-        v = np.array([1.0, -2.5e-17, math.pi])
-        path = tmp_path / "v.txt"
-        save_vector(path, v)
-        assert np.array_equal(load_vector(path), v)
+
+
+def redraw(A, seed, residual_scale=1e-3):
+    """x and r = residual_scale * t / ||t||, drawn from the streams that
+    :func:`synthesize_problem` draws them from."""
+    x = stream(seed, "problem", "x").standard_normal(A.cols)
+    t = stream(seed, "problem", "t").standard_normal(A.rows)
+    return x, residual_scale * t / np.linalg.norm(t)
 
 
 class TestSynthesis:
     def test_residual_norm_equals_scale(self):
         A = random_tall(60, 5, 1)
-        prob = synthesize_problem(A, seed=1, residual_scale=1e-3)
-        assert abs(prob.truth.r_ls_norm - 1e-3) <= 1e-15
+        b = synthesize_problem(A, seed=1, residual_scale=1e-3)
+        x, r = redraw(A, 1)
+        assert np.array_equal(b, A.matvec(x) - r)
+        assert abs(np.linalg.norm(r) - 1e-3) <= 1e-15
 
     def test_construction_identity(self):
         A = random_tall(80, 7, 2)
-        prob = synthesize_problem(A, seed=9)
-        t = prob.truth
-        gap = np.linalg.norm(A.matvec(t.x_ls) - prob.b - t.r_ls)
-        bound = 1e-12 * (A.spectral_norm() * np.linalg.norm(t.x_ls)
-                         + np.linalg.norm(prob.b))
+        b = synthesize_problem(A, seed=9)
+        x, r = redraw(A, 9)
+        gap = np.linalg.norm(A.matvec(x) - b - r)
+        bound = 1e-12 * (A.spectral_norm() * np.linalg.norm(x)
+                         + np.linalg.norm(b))
         assert gap <= bound
 
     def test_deterministic(self):
         A = random_tall(50, 4, 3)
-        p1 = synthesize_problem(A, seed=5)
-        p2 = synthesize_problem(A, seed=5)
-        assert np.array_equal(p1.b, p2.b)
-        assert np.array_equal(p1.truth.x_ls, p2.truth.x_ls)
+        assert np.array_equal(synthesize_problem(A, seed=5), synthesize_problem(A, seed=5))
 
     def test_zero_scale_rejected(self):
         A = random_tall(50, 4, 3)
@@ -244,17 +260,17 @@ class TestOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_residual_orthogonality(self, seed):
         A = synthesize_matrix(150, 12, 10.0 ** (seed + 1), seed)
-        prob = synthesize_problem(A, seed)
-        oracle = solve_ls_oracle(A, prob.b)
+        b = synthesize_problem(A, seed)
+        oracle = solve_ls_oracle(A, b)
         ratio = oracle.normal_eq_residual / (A.spectral_norm() * oracle.r_ls_norm)
         assert ratio <= 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
     def test_normal_equation_invariant(self, seed):
         A = random_tall(90, 9, seed + 20)
-        prob = synthesize_problem(A, seed)
-        oracle = solve_ls_oracle(A, prob.b)
-        lhs = np.linalg.norm(A.rmatvec(A.matvec(oracle.x_ls)) - A.rmatvec(prob.b))
+        b = synthesize_problem(A, seed)
+        oracle = solve_ls_oracle(A, b)
+        lhs = np.linalg.norm(A.rmatvec(A.matvec(oracle.x_ls)) - A.rmatvec(b))
         assert lhs <= 1e-10 * A.spectral_norm() ** 2 * np.linalg.norm(oracle.x_ls)
 
     def test_rank_deficiency_detected(self):
@@ -314,7 +330,7 @@ class TestSpectral:
     def test_large_sparse_norm_without_densifying(self, monkeypatch):
         # n just above the dense cross-check limit: the norm is the power
         # estimate, sigma_min and cond are unknown, and A is never densified
-        n = matio.SVD_CROSS_CHECK_COLS + 1
+        n = matio.DESK_SCALE_COLS + 1
         m = n + 50
         diag = np.linspace(1.0, 2.0, n)
         diag[0] = 10.0
