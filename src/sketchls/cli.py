@@ -18,8 +18,14 @@ Config files are flat ``key=value`` text; repeated keys accumulate into lists::
     rho = 1e-3
     output_dir = out
 
+Each ``run`` override (``--seeds`` ... ``--band-hi``) is the config key of
+its name (``seeds`` ... ``band_hi``): it replaces the file's value before any
+parse, under the same rules.  ``check`` and ``sweep-d`` values are parsed by
+the same code, so a malformed value from a file or a flag is a config error.
+
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
-errored, 3 at least one bound failed.
+errored, 3 at least one bound failed.  An argparse usage error (an unknown
+flag, a missing ``--config``) also exits 2, before any run starts.
 """
 
 from __future__ import annotations
@@ -90,8 +96,6 @@ class ExperimentConfig:
             raise ConfigError("no embedding kinds configured")
         if self.solver not in ("lsqr", "lsmr", "both"):
             raise ConfigError(f"unknown solver '{self.solver}'")
-        if not all(map(math.isfinite, (self.tol, self.rho, *self.band))):
-            raise ConfigError("tol, rho and band must be finite")
         if self.rho <= 0:
             raise ConfigError("rho must be positive")
         if self.stride < 1:
@@ -126,6 +130,13 @@ def _words(items: List[str]) -> List[str]:
     return [word.strip() for item in items for word in item.split(",") if word.strip()]
 
 
+def _kind(word: str) -> embed.SketchKind:
+    try:
+        return embed.SketchKind(word)
+    except ValueError:
+        raise ConfigError(f"unknown embedding kind '{word}'") from None
+
+
 def _parse_synthetic(spec: str) -> Tuple[int, int, float]:
     """``(m, n, cond)`` from a synthetic source spec ``m,n,cond``."""
     try:
@@ -149,7 +160,12 @@ def _parse_kv(text: str) -> Dict[str, List[str]]:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    kv = _parse_kv(text)
+    return _config_from_kv(_parse_kv(text))
+
+
+def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
+    """The validated config of a key -> values map; every value a user gives,
+    from a config file or a ``run`` override, is parsed and checked here."""
 
     def single(key: str, default=None) -> Optional[str]:
         values = kv.get(key)
@@ -167,13 +183,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sources.append(MatrixSource(name=f"synth{m}x{n}c{cond:g}",
                                     synthetic=(m, n, cond)))
 
-    kinds = []
-    for word in _words(kv.get("kind", [])):
-        try:
-            kinds.append(embed.SketchKind(word))
-        except ValueError:
-            raise ConfigError(f"unknown embedding kind '{word}'") from None
-
+    kinds = [_kind(word) for word in _words(kv.get("kind", []))]
     d_mults = [_number(w, float, "d_mult") for w in _words(kv.get("d_mult", []))] or [2.0]
     seeds = [_number(w, int, "seeds") for w in _words(kv.get("seeds", []))] or [0]
 
@@ -184,6 +194,9 @@ def parse_config(text: str) -> ExperimentConfig:
         stop = StopMode(single("stop", "stab-ne"))
     except ValueError:
         raise ConfigError(f"unknown stop mode '{single('stop')}'") from None
+    skip_large = single("skip_large", "0")
+    if skip_large not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigError(f"skip_large must be 1/true/yes or 0/false/no, got '{skip_large}'")
 
     config = ExperimentConfig(
         sources=sources,
@@ -198,7 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
         rho=number("rho", float, "1e-3"),
         output_dir=single("output_dir", "out"),
         stride=number("stride", int, "1"),
-        skip_large=single("skip_large", "0") in ("1", "true", "yes"),
+        skip_large=skip_large in ("1", "true", "yes"),
     )
     config.validate()
     return config
@@ -296,7 +309,7 @@ def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
     S = embed.build_sketch(kind, d, A.rows, problem.seed)
     eps = embed.exact_distortion(S, A, b, problem.basis).epsilon
     P = diagnostics.SketchedProblem(A, b, S)
-    return P, eps, diagnostics.run_bound_suite(P, oracle, include_acute=True, eps=eps)
+    return P, eps, diagnostics.run_bound_suite(P, oracle, eps)
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
@@ -452,30 +465,25 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     return rows, [f for f in failures if f is not None]
 
 
-def _load_all(sources: List[MatrixSource]
-              ) -> Tuple[List[Tuple[str, MatrixHandle]], List[RunOutcome]]:
-    """``(name, A)`` of each source that loads, in config order, and the
-    errors of those that do not."""
-    results = [(source.name, *_load(source, desk_scale=False)) for source in sources]
-    return ([(name, A) for name, A, _ in results if A is not None],
-            [failure for _, _, failure in results if failure is not None])
-
-
-def sweep_d(config: ExperimentConfig, d_values: List[int],
-            loaded: Optional[Tuple[List[Tuple[str, MatrixHandle]], List[RunOutcome]]] = None
-            ) -> int:
+def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     """Aggregate distortion and plateau statistics across sketch sizes.
 
-    ``loaded`` is :func:`_load_all` of the configured sources, computed here
-    when not given; a source that failed to load is reported and the sweep
-    goes on with the others.  Every d is checked against every loaded source
-    before any work starts.  A (kind, d) cell that raises is recorded and
-    reported as an ``error:`` line, like a run of :func:`run_experiment`, and
-    the sweep goes on.
+    ``d_list`` is the ``--d-list`` text: comma-separated d values, where a
+    suffix ``n`` multiplies the column count of the single source.  A source
+    that fails to load is reported and the sweep goes on with the others.
+    Every d is checked against every loaded source before any work starts.
+    A (kind, d) cell that raises is recorded and reported as an ``error:``
+    line, like a run of :func:`run_experiment`, and the sweep goes on.
     """
+    loaded = [(source.name, *_load(source, desk_scale=False)) for source in config.sources]
+    matrices = [(name, A) for name, A, _ in loaded if A is not None]
+    errors = [failure for _, _, failure in loaded if failure is not None]
+    if not matrices:
+        _print_errors(errors)
+        return EXIT_RUN_ERROR
+    d_values = _parse_d_list(d_list, [A.cols for _, A in matrices])
     if len(d_values) < 2:
         raise ConfigError("sweep-d needs at least two d values")
-    matrices, errors = loaded if loaded is not None else _load_all(config.sources)
     for name, A in matrices:
         for d in d_values:
             if not (A.cols <= d < A.rows):
@@ -483,7 +491,6 @@ def sweep_d(config: ExperimentConfig, d_values: List[int],
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    errors = list(errors)
     for name, A in matrices:
         source_rows, source_errors = _sweep_source(A, name, config, d_values)
         rows.extend(source_rows)
@@ -538,23 +545,26 @@ def emit_figure_data(output_dir) -> List[Path]:
 
 
 def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str,
-                 seed: int, d_mult: float, rho: float,
-                 output: Optional[str]) -> int:
+                 seed: str, d_mult: str, rho: str, output: Optional[str]) -> int:
     """One bound-report batch, printed and optionally written to CSV."""
+    sketch_kind = _kind(kind)
+    seed = _number(seed, int, "--seed")
+    d_mult = _number(d_mult, float, "--d-mult")
+    rho = _number(rho, float, "--rho")
+    if rho <= 0:
+        raise ConfigError("--rho must be positive")
     if matrix_path:
         source = MatrixSource(name=Path(matrix_path).stem, path=matrix_path)
     elif synthetic:
         source = MatrixSource(name="synthetic", synthetic=_parse_synthetic(synthetic))
     else:
         raise ConfigError("check needs --matrix or --synthetic")
-    if not (math.isfinite(rho) and rho > 0):
-        raise ConfigError(f"rho must be positive and finite, got {rho}")
     A, failure = _load(source, desk_scale=True)
     if failure is not None:
         _print_errors([failure])
         return EXIT_RUN_ERROR
     d = _compute_d(d_mult, A.cols, A.rows)
-    _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), embed.SketchKind(kind), d)
+    _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), sketch_kind, d)
     print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
           f"kappa={A.condition_number():.6g}")
     for rep in reports:
@@ -568,23 +578,28 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
     return EXIT_BOUND_FAILED if failed else EXIT_OK
 
 
+RUN_OVERRIDES = ("seeds", "stride", "skip_large", "stop", "tol", "window",
+                 "band_lo", "band_hi")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sketchls",
                                      description="sketch-and-solve least squares harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    stop_modes = ", ".join(m.value for m in StopMode)
+    kinds = ", ".join(k.value for k in embed.SketchKind)
 
     p_run = sub.add_parser("run", help="run the configured experiment batch")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seeds", help="override: comma-separated seed list")
-    p_run.add_argument("--stride", type=int, help="override observer stride")
-    p_run.add_argument("--skip-large", action="store_true",
+    p_run.add_argument("--stride", help="override observer stride")
+    p_run.add_argument("--skip-large", action="store_const", const="1",
                        help="skip Gaussian runs whose payload exceeds the memory guard")
-    p_run.add_argument("--stop", choices=[m.value for m in StopMode],
-                       help="override stopping policy")
-    p_run.add_argument("--tol", type=float, help="override stopping tolerance")
-    p_run.add_argument("--window", type=int, help="override stabilization window")
-    p_run.add_argument("--band-lo", type=float, help="override stabilization band floor")
-    p_run.add_argument("--band-hi", type=float, help="override stabilization band ceiling")
+    p_run.add_argument("--stop", help=f"override stopping policy: {stop_modes}")
+    p_run.add_argument("--tol", help="override stopping tolerance")
+    p_run.add_argument("--window", help="override stabilization window")
+    p_run.add_argument("--band-lo", help="override stabilization band floor")
+    p_run.add_argument("--band-hi", help="override stabilization band ceiling")
 
     p_sweep = sub.add_parser("sweep-d", help="distortion/plateau statistics vs d")
     p_sweep.add_argument("--config", required=True)
@@ -594,11 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="single bound-report batch")
     p_check.add_argument("--matrix")
     p_check.add_argument("--synthetic", help="m,n,cond")
-    p_check.add_argument("--kind", required=True,
-                         choices=[k.value for k in embed.SketchKind])
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--d-mult", type=float, default=2.0)
-    p_check.add_argument("--rho", type=float, default=1e-3)
+    p_check.add_argument("--kind", required=True, help=f"embedding kind: {kinds}")
+    p_check.add_argument("--seed", default="0")
+    p_check.add_argument("--d-mult", default="2.0")
+    p_check.add_argument("--rho", default="1e-3")
     p_check.add_argument("--output")
 
     p_fig = sub.add_parser("figures", help="bundle trace CSVs into figure data")
@@ -606,32 +620,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, args) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
+    """The config file ``args.config`` with the ``run`` overrides in ``args``."""
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = Path(args.config).read_text(encoding="ascii")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    config = parse_config(text)
-    if getattr(args, "seeds", None):
-        config.seeds = [_number(w, int, "--seeds") for w in _words([args.seeds])]
-    if getattr(args, "stride", None) is not None:
-        config.stride = args.stride
-    if getattr(args, "skip_large", False):
-        config.skip_large = True
-    if getattr(args, "stop", None):
-        config.stop = StopMode(args.stop)
-    if getattr(args, "tol", None) is not None:
-        config.tol = args.tol
-    if getattr(args, "window", None) is not None:
-        config.window = args.window
-    band_lo = getattr(args, "band_lo", None)
-    band_hi = getattr(args, "band_hi", None)
-    if band_lo is not None or band_hi is not None:
-        lo, hi = config.band
-        config.band = (band_lo if band_lo is not None else lo,
-                       band_hi if band_hi is not None else hi)
-    config.validate()
-    return config
+    kv = _parse_kv(text)
+    for key in RUN_OVERRIDES:
+        value = getattr(args, key, None)
+        if value is not None:
+            kv[key] = [value]
+    return _config_from_kv(kv)
 
 
 def _parse_d_list(spec: str, cols_by_source: List[int]) -> List[int]:
@@ -647,15 +647,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run_experiment(_load_config(args.config, args))
+            return run_experiment(_load_config(args))
         if args.command == "sweep-d":
-            config = _load_config(args.config, args)
-            matrices, failed = _load_all(config.sources)
-            if not matrices:
-                _print_errors(failed)
-                return EXIT_RUN_ERROR
-            d_values = _parse_d_list(args.d_list, [A.cols for _, A in matrices])
-            return sweep_d(config, d_values, (matrices, failed))
+            return sweep_d(_load_config(args), args.d_list)
         if args.command == "check":
             return check_single(args.matrix, args.synthetic, args.kind, args.seed,
                                 args.d_mult, args.rho, args.output)

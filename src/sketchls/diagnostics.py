@@ -6,10 +6,11 @@ solution comes from :func:`sketchls.matio.solve_ls_oracle`, the sketched
 minimizer from a dense pivoted QR of (SA, Sb), and the embedding parameter
 from :func:`sketchls.embed.exact_distortion`.  The checks of one
 (problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
-the singular values of SA and the sketched minimizer once each.  Each check
-yields a :class:`BoundReport` with the measured left-hand side, the bound,
-and a pass/fail margin; bounds whose hypotheses are void (zero residual,
-embedding parameter >= 1) are reported as vacuous passes with a note.
+the singular values of SA, the sketched minimizer and its residual once each.
+Each check yields a :class:`BoundReport` with the measured left-hand side,
+the bound, and a pass/fail margin; bounds whose hypotheses are void (zero
+residual, embedding parameter >= 1) are reported as vacuous passes with a
+note.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.linalg
@@ -112,8 +113,8 @@ class SketchedProblem:
     """The sketched problem min ||S(Ax - b)|| of one (problem, sketch) pair.
 
     Each quantity is computed on first use and kept, so the solver set-up and
-    every bound check of the pair share one SA, one Sb, one SVD of SA and one
-    sketched minimizer.
+    every bound check of the pair share one SA, one Sb, one SVD of SA, one
+    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator):
@@ -142,6 +143,16 @@ class SketchedProblem:
     def x_s(self) -> np.ndarray:
         """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of (SA, Sb)."""
         return qr_ls_solve(self.SA, self.Sb)
+
+    @cached_property
+    def r_s(self) -> np.ndarray:
+        """Unsketched residual A x_s - b of the sketched minimizer."""
+        return self.A.matvec(self.x_s) - self.b
+
+    @cached_property
+    def atr_s_norm(self) -> float:
+        """||A^T r_s||."""
+        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
 
 
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
@@ -172,7 +183,7 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
     """
     A, b, S = P.A, P.b, P.S
     r_ls = oracle.r_ls
-    r_s = A.matvec(P.x_s) - b
+    r_s = P.r_s
     rs_norm = float(np.linalg.norm(r_s))
     rls_norm = oracle.r_ls_norm
     norm_A = A.spectral_norm()
@@ -200,7 +211,7 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
     if rs_norm == 0.0:
         reports.append(_vacuous(BoundId.NORMAL_RATIO_SKETCHED, "zero sketched residual"))
     else:
-        lhs = float(np.linalg.norm(A.rmatvec(r_s))) / (norm_A * rs_norm)
+        lhs = P.atr_s_norm / (norm_A * rs_norm)
         reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
                                noise_floor=NOISE_FLOOR_REL))
 
@@ -269,15 +280,14 @@ def check_eta_f_upper(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
     return _report(BoundId.ETA_F_UPPER, result.eta_f, result.upper_bound)
 
 
-def check_explicit_perturbations(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray,
-                                 oracle: LsOracle, eps: float) -> List[BoundReport]:
+def check_explicit_perturbations(P: SketchedProblem, oracle: LsOracle,
+                                 eps: float) -> List[BoundReport]:
     """Norm bounds on the two explicit backward perturbations carrying x_s.
 
     ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity) and
     ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)).
     """
-    b = np.asarray(b, dtype=np.float64)
-    r_s = A.matvec(x_s) - b
+    A, b, x_s, r_s = P.A, P.b, P.x_s, P.r_s
     rs_norm = float(np.linalg.norm(r_s))
     xs_norm = float(np.linalg.norm(x_s))
     norm_A = A.spectral_norm()
@@ -285,7 +295,7 @@ def check_explicit_perturbations(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray
     if rs_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(b)):
         reports.append(_vacuous(BoundId.BACKWARD_E1, "zero sketched residual"))
     else:
-        lhs = float(np.linalg.norm(A.rmatvec(r_s))) / rs_norm
+        lhs = P.atr_s_norm / rs_norm
         reports.append(_report(BoundId.BACKWARD_E1, lhs, eps * norm_A,
                                noise_floor=NOISE_FLOOR_REL * norm_A))
     if xs_norm == 0.0:
@@ -312,21 +322,22 @@ def e1_minimizer_gap(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray) -> float:
     return float(np.linalg.norm(x_check - x_s) / np.linalg.norm(x_s))
 
 
-def check_solution_error(A: MatrixHandle, b: np.ndarray, oracle: LsOracle,
-                         x_s: np.ndarray, eps: float) -> List[BoundReport]:
+def check_solution_error(P: SketchedProblem, oracle: LsOracle,
+                         eps: float) -> List[BoundReport]:
     """Relative solution-error bounds in terms of eps, kappa(A), and residual size."""
-    b = np.asarray(b, dtype=np.float64)
-    r_s = A.matvec(x_s) - b
+    A = P.A
+    # kappa first: where it is unknown, x_s (a dense QR of SA) is never formed
+    kappa = A.condition_number()
+    norm_A = A.spectral_norm()
+    x_s = P.x_s
     err = float(np.linalg.norm(oracle.x_ls - x_s))
     xs_norm = float(np.linalg.norm(x_s))
     xls_norm = float(np.linalg.norm(oracle.x_ls))
-    norm_A = A.spectral_norm()
-    kappa = A.condition_number()
     reports: List[BoundReport] = []
     if xs_norm == 0.0:
         reports.append(_vacuous(BoundId.SOLUTION_ERR_REL, "zero sketched solution"))
     else:
-        rhs = kappa ** 2 * eps * float(np.linalg.norm(r_s)) / (norm_A * xs_norm)
+        rhs = kappa ** 2 * eps * float(np.linalg.norm(P.r_s)) / (norm_A * xs_norm)
         reports.append(_report(BoundId.SOLUTION_ERR_REL, err / xs_norm, rhs,
                                noise_floor=NOISE_FLOOR_REL))
     if xls_norm == 0.0:
@@ -397,26 +408,21 @@ SUITE_BOUND_IDS = (
     BoundId.SOLUTION_ERR_REL,
     BoundId.SOLUTION_ERR_LS,
     BoundId.COMBINED_RESIDUAL,
+    BoundId.ACUTE_CRITERION,
 )
 
 
-def run_bound_suite(P: SketchedProblem, oracle: LsOracle, include_acute: bool = False,
-                    eps: Optional[float] = None) -> List[BoundReport]:
+def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[BoundReport]:
     """All theorem bounds for one (problem, sketch) pair with oracle quantities.
 
-    ``eps`` (the :func:`sketchls.embed.exact_distortion` parameter of S over
-    span([A b])) is computed here when not given.
+    ``eps`` is the :func:`sketchls.embed.exact_distortion` parameter of S over
+    span([A b]).
     """
-    A, b, S = P.A, P.b, P.S
-    if eps is None:
-        eps = embed.exact_distortion(S, A, b).epsilon
-    x_s = P.x_s
-    reports = [check_geometric_preservation(A, b, S, x_s, eps)]
+    reports = [check_geometric_preservation(P.A, P.b, P.S, P.x_s, eps)]
     reports.extend(check_residual_bounds(P, oracle, eps))
-    reports.extend(check_explicit_perturbations(A, b, x_s, oracle, eps))
-    reports.extend(check_solution_error(A, b, oracle, x_s, eps))
-    if include_acute:
-        reports.append(check_acute_criterion(P, eps))
+    reports.extend(check_explicit_perturbations(P, oracle, eps))
+    reports.extend(check_solution_error(P, oracle, eps))
+    reports.append(check_acute_criterion(P, eps))
     return reports
 
 

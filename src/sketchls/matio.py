@@ -374,11 +374,11 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
 # ---------------------------------------------------------------------------
 # Exact oracle and spectral data
 
-def qr_ls_solve(M: np.ndarray, rhs: np.ndarray, refine: int = 1) -> np.ndarray:
+def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve of a dense tall matrix by column-pivoted QR.
 
-    One step of residual refinement (default) pushes the normal-equation
-    residual of the computed solution to near machine precision.  Raises
+    One step of residual refinement pushes the normal-equation residual of
+    the computed solution to near machine precision.  Raises
     :class:`RankDeficiencyError` when the R diagonal collapses.
     """
     M = np.asarray(M, dtype=np.float64)
@@ -396,9 +396,7 @@ def qr_ls_solve(M: np.ndarray, rhs: np.ndarray, refine: int = 1) -> np.ndarray:
         return x
 
     x = solve_once(rhs)
-    for _ in range(refine):
-        x = x + solve_once(rhs - M @ x)
-    return x
+    return x + solve_once(rhs - M @ x)
 
 
 def as_rhs(A: MatrixHandle, b) -> np.ndarray:

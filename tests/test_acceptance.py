@@ -67,7 +67,7 @@ def suite_runs():
                 oracle = solve_ls_oracle(A, b)
                 S = embed.build_sketch(kind, SUITE_D, m, seed)
                 eps = embed.exact_distortion(S, A, b).epsilon
-                reports = run_bound_suite(SketchedProblem(A, b, S), oracle)
+                reports = run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
                 SA = embed.apply(S, A.dense())
                 Sb = embed.apply(S, b)
                 op = LinearOperatorView.from_matrix(SA)

@@ -80,6 +80,7 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = 2,y\n", "d_mult must be a number"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = nan\n", "d_mult must be finite"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = inf\n", "d_mult must be finite"),
+        ("synthetic = 50,4,3\nkind = gaussian\nskip_large = ture\n", "skip_large must be"),
     ])
     def test_rejects(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -101,13 +102,31 @@ class TestConfigParsing:
     @pytest.mark.parametrize("override", [["--stride", "0"], ["--window", "0"],
                                           ["--band-lo", "1.5"], ["--tol", "-1"],
                                           ["--seeds", "1,y"], ["--tol", "nan"],
-                                          ["--band-hi", "inf"]])
+                                          ["--band-hi", "inf"], ["--window", "2.5"],
+                                          ["--stride", "x"], ["--tol", "abc"],
+                                          ["--band-lo", "q"], ["--stop", "never"]])
     def test_bad_override_rejected(self, tmp_path, capsys, override):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(cfg)] + override) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_override_replaces_file_value_before_checks(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out") + "window = 0\n")
+        assert main(["run", "--config", str(cfg), "--window", "5"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command,words", [
+        ("run", [m.value for m in StopMode]),
+        ("check", [k.value for k in embed.SketchKind]),
+    ])
+    def test_help_lists_choices(self, monkeypatch, capsys, command, words):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside a word
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert all(word in out for word in words)
 
     @pytest.mark.parametrize("d_list,match", [
         ("2n,3x", "--d-list must be an integer, got '3x'"),
@@ -121,7 +140,9 @@ class TestConfigParsing:
         assert f"config error: {match}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra", [["--rho", "nan"], ["--rho", "-1"], ["--d-mult", "nan"]])
+    @pytest.mark.parametrize("extra", [["--rho", "nan"], ["--rho", "-1"], ["--d-mult", "nan"],
+                                       ["--seed", "x"], ["--d-mult", "y"], ["--rho", "z"],
+                                       ["--kind", "fourier"]])
     def test_check_bad_number(self, capsys, extra):
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse"] + extra) \
             == EXIT_CONFIG
@@ -281,12 +302,12 @@ class TestSweep:
         config = parse_config(f"synthetic = 120,6,20\nkind = gaussian\n"
                               f"output_dir = {tmp_path}\n")
         with pytest.raises(ConfigError):
-            sweep_d(config, [24])
+            sweep_d(config, "24")
 
     def test_epsilon_decreases_with_d(self, tmp_path):
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\nkind = srht\n"
                               f"seeds = 0,1,2,3,4\noutput_dir = {tmp_path}\n")
-        assert sweep_d(config, [8, 40, 119]) == EXIT_OK
+        assert sweep_d(config, "8,40,119") == EXIT_OK
         with open(Path(tmp_path) / "sweep_d.csv") as fh:
             rows = list(csv.DictReader(fh))
         by_kind = {}
@@ -311,7 +332,7 @@ class TestSweep:
         config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
                               f"kind = gaussian\noutput_dir = {tmp_path}\n")
         with pytest.raises(ConfigError, match="d=70 violates n <= d < m for synth60x4c10"):
-            sweep_d(config, [8, 40, 70])
+            sweep_d(config, "8,40,70")
         assert built == []
         assert not (tmp_path / "sweep_d.csv").exists()
 
@@ -327,7 +348,7 @@ class TestSweep:
         config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
                               f"output_dir = {tmp_path}\n")
-        assert sweep_d(config, [8, 40]) == EXIT_OK
+        assert sweep_d(config, "8,40") == EXIT_OK
         assert calls == [120, 120, 100, 100]
         with open(tmp_path / "sweep_d.csv") as fh:
             got = [(r["matrix"], r["kind"], r["d"]) for r in csv.DictReader(fh)]
@@ -345,7 +366,7 @@ class TestSweep:
         monkeypatch.setattr(cli.embed, "build_sketch", flaky)
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"
                               f"seeds = 0,1\noutput_dir = {tmp_path}\n")
-        assert sweep_d(config, [8, 40]) == EXIT_RUN_ERROR
+        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
         assert "error: synth120x4c10_gaussian_d8: seed 1: boom" in capsys.readouterr().err
         with open(Path(tmp_path) / "sweep_d.csv") as fh:
             rows = list(csv.DictReader(fh))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -229,8 +230,7 @@ class TestExplicitPerturbations:
     def test_identity_double_e1_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        x_s = solve_sketched(A, b, S)
-        reports = check_explicit_perturbations(A, b, x_s, oracle, eps=0.0)
+        reports = check_explicit_perturbations(SketchedProblem(A, b, S), oracle, eps=0.0)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].lhs <= 1e-10
         assert all(r.passed for r in reports)
@@ -241,12 +241,12 @@ class TestExplicitPerturbations:
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("sparse", 12, 30, 9)
         eps = exact_distortion(S, A, b).epsilon
-        x_s = solve_sketched(A, b, S)
-        reports = check_explicit_perturbations(A, b, x_s, oracle, eps)
+        P = SketchedProblem(A, b, S)
+        reports = check_explicit_perturbations(P, oracle, eps)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].passed
         # x_s exactly minimizes the E1-perturbed problem
-        assert e1_minimizer_gap(A, b, x_s) <= 1e-8
+        assert e1_minimizer_gap(A, b, P.x_s) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2_bound_with_informative_epsilon(self, seed):
@@ -254,8 +254,7 @@ class TestExplicitPerturbations:
         S = build_sketch("gaussian", 128, 300, seed)
         eps = exact_distortion(S, A, b).epsilon
         assert eps < 1
-        x_s = solve_sketched(A, b, S)
-        reports = check_explicit_perturbations(A, b, x_s, oracle, eps)
+        reports = check_explicit_perturbations(SketchedProblem(A, b, S), oracle, eps)
         assert all(r.passed for r in reports)
 
 
@@ -266,8 +265,7 @@ class TestSolutionError:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        x_s = solve_sketched(A, b, S)
-        reports = check_solution_error(A, b, oracle, x_s,
+        reports = check_solution_error(SketchedProblem(A, b, S), oracle,
                                        exact_distortion(S, A, b).epsilon)
         assert all(r.passed for r in reports)
         assert reports[0].lhs <= 1e-10
@@ -276,8 +274,7 @@ class TestSolutionError:
         A, b, oracle = build_instance(cond=3.0)
         S = build_sketch("gaussian", 128, 300, 2)
         eps = exact_distortion(S, A, b).epsilon
-        x_s = solve_sketched(A, b, S)
-        for rep in check_solution_error(A, b, oracle, x_s, eps):
+        for rep in check_solution_error(SketchedProblem(A, b, S), oracle, eps):
             assert rep.passed
             assert rep.margin > 0
 
@@ -286,8 +283,7 @@ class TestSolutionError:
         A, b, oracle = build_instance(m=300, n=6, cond=1e6, mseed=13, pseed=13)
         S = build_sketch("gaussian", 128, 300, 13)
         eps = exact_distortion(S, A, b).epsilon
-        x_s = solve_sketched(A, b, S)
-        reports = check_solution_error(A, b, oracle, x_s, eps)
+        reports = check_solution_error(SketchedProblem(A, b, S), oracle, eps)
         assert all(r.passed for r in reports)
         assert reports[0].rhs > 1  # vacuously wide in the ill-conditioned regime
 
@@ -348,15 +344,33 @@ class TestPinvPerturbation:
 
 
 class TestSuite:
+    def test_residual_formed_once(self, monkeypatch):
+        # every check of the pair shares r_s = A x_s - b and ||A^T r_s||; the
+        # geometric check forms its own residual and A^T w at its y
+        A, b, oracle = build_instance()
+        S = build_sketch("gaussian", 128, 300, 1)
+        eps = exact_distortion(S, A, b).epsilon
+        calls = Counter()
+        for name in ("matvec", "rmatvec"):
+            def counting(self, v, real=getattr(MatrixHandle, name), name=name):
+                calls[name] += 1
+                return real(self, v)
+            monkeypatch.setattr(MatrixHandle, name, counting)
+        run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
+        assert calls == {"matvec": 2, "rmatvec": 2}
+
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()
-        reports = run_bound_suite(SketchedProblem(A, b, identity_sketch(300)), oracle)
+        S = identity_sketch(300)
+        reports = run_bound_suite(SketchedProblem(A, b, S), oracle,
+                                  exact_distortion(S, A, b).epsilon)
         assert all(r.passed for r in reports)
 
     def test_csv_export(self, tmp_path):
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
-        reports = run_bound_suite(SketchedProblem(A, b, S), oracle, include_acute=True)
+        reports = run_bound_suite(SketchedProblem(A, b, S), oracle,
+                                  exact_distortion(S, A, b).epsilon)
         path = tmp_path / "bounds.csv"
         write_bound_reports(path, reports, seed=1, kind="gaussian", matrix="t", d=128)
         import csv

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import assume, given, settings, strategies as st
 
 from sketchls import matio
-from sketchls.diagnostics import check_solution_error
+from sketchls.diagnostics import SketchedProblem, check_solution_error
+from sketchls.embed import build_sketch
 from sketchls.matio import (LsOracle, MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, qr_ls_solve,
                             save_matrix_market, solve_ls_oracle,
@@ -200,6 +202,57 @@ class TestMatrixMarket:
         assert np.array_equal(A.dense(), B.dense())
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def small_matrices(draw):
+    """A tall dense array of finite doubles, zeros kept where the mask says."""
+    n = draw(st.integers(1, 5))
+    m = n + draw(st.integers(0, 5))
+    vals = np.array(draw(st.lists(FINITE, min_size=m * n, max_size=m * n))).reshape(m, n)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    return np.where(keep.reshape(m, n), vals, 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dense=small_matrices(), sparse=st.booleans())
+def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, dense, sparse):
+    A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
+    assume(not sparse or A.nnz > 0)  # a coordinate file needs an entry
+    path = tmp_path_factory.getbasetemp() / "roundtrip.mtx"
+    save_matrix_market(A, path)
+    B = load_matrix_market(path)
+    assert B.is_sparse == sparse
+    if sparse:
+        a, b = A.csr(), B.csr()
+        assert all(same_bits(getattr(a, attr), getattr(b, attr))
+                   for attr in ("indptr", "indices", "data"))
+    else:
+        assert same_bits(A.dense(), B.dense())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_symmetric_coordinate_loads_full_matrix(tmp_path_factory, n, data):
+    # the lower triangle, nonzeros only, in a drawn order
+    cells = [(i, j) for i in range(n) for j in range(i + 1)]
+    chosen = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    vals = data.draw(st.lists(FINITE.filter(bool), min_size=len(chosen),
+                              max_size=len(chosen)))
+    expect = np.zeros((n, n))
+    for (i, j), v in zip(chosen, vals):
+        expect[i, j] = expect[j, i] = v
+    path = tmp_path_factory.getbasetemp() / "symmetric.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(chosen)}\n"
+                    + "".join(f"{i + 1} {j + 1} {v!r}\n" for (i, j), v in zip(chosen, vals)))
+    assert same_bits(load_matrix_market(path).dense(), expect)
+
+
 
 def redraw(A, seed, residual_scale=1e-3):
     """x and r = residual_scale * t / ||t||, drawn from the streams that
@@ -359,7 +412,8 @@ class TestSpectral:
         oracle = LsOracle(x_ls=x, r_ls=r, r_ls_norm=float(np.linalg.norm(r)),
                           normal_eq_residual=0.0)
         with pytest.raises(ValueError, match="cond.*unknown"):
-            check_solution_error(A, b, oracle, x, 0.5)
+            check_solution_error(SketchedProblem(A, b, build_sketch("sparse", n, m, 0)),
+                                 oracle, 0.5)
 
     def test_power_iteration_agrees(self):
         # below the dense limit the norm comes from the Gram factor alone; the
