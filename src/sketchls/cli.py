@@ -138,12 +138,19 @@ def _kind(word: str) -> embed.SketchKind:
 
 
 def _parse_synthetic(spec: str) -> Tuple[int, int, float]:
-    """``(m, n, cond)`` from a synthetic source spec ``m,n,cond``."""
-    try:
-        m, n, cond = spec.split(",")
-        return int(m), int(n), float(cond)
-    except ValueError:
-        raise ConfigError(f"synthetic spec '{spec}' must be m,n,cond") from None
+    """``(m, n, cond)`` from a synthetic source spec ``m,n,cond``, checked
+    here so that a bad spec is a config error, not a failed load or run."""
+    what = f"synthetic spec '{spec}' must be m,n,cond"
+    fields = spec.split(",")
+    if len(fields) != 3:
+        raise ConfigError(what)
+    m, n = (_number(text, int, f"{what}: {name}") for text, name in zip(fields, "mn"))
+    cond = _number(fields[2], float, f"{what}: cond")
+    if n < 1 or m < n:
+        raise ConfigError(f"{what} with m >= n >= 1")
+    if cond < 1:
+        raise ConfigError(f"{what} with cond >= 1")
+    return m, n, cond
 
 
 def _parse_kv(text: str) -> Dict[str, List[str]]:
@@ -183,9 +190,18 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
         sources.append(MatrixSource(name=f"synth{m}x{n}c{cond:g}",
                                     synthetic=(m, n, cond)))
 
+    def numbers(key: str, kind: type, default: list) -> list:
+        """The list value of ``key``; ``default`` only when the key is absent."""
+        if key not in kv:
+            return default
+        words = _words(kv[key])
+        if not words:
+            raise ConfigError(f"{key} is empty")
+        return [_number(word, kind, key) for word in words]
+
     kinds = [_kind(word) for word in _words(kv.get("kind", []))]
-    d_mults = [_number(w, float, "d_mult") for w in _words(kv.get("d_mult", []))] or [2.0]
-    seeds = [_number(w, int, "seeds") for w in _words(kv.get("seeds", []))] or [0]
+    d_mults = numbers("d_mult", float, [2.0])
+    seeds = numbers("seeds", int, [0])
 
     def number(key: str, kind: type, default: str):
         return _number(single(key, default), kind, key)
@@ -253,8 +269,12 @@ class SeedProblem:
         return solve_ls_oracle(self.A, self.b)
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """Orthonormal basis of span([A b]) for :func:`embed.exact_distortion`."""
+    def basis(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Orthonormal basis ``(Q, q)`` of span([A b]) for
+        :func:`embed.exact_distortion`: the Q of A's cached pivoted QR, which
+        every seed of the matrix shares, and the unit component of b
+        orthogonal to it (see :func:`embed.subspace_basis`).  Only q, one
+        m-vector, belongs to the seed."""
         return embed.subspace_basis(self.A, self.b)
 
 
@@ -301,11 +321,13 @@ def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
     """The sketched problem of one (seed, kind, d) cell, the distortion eps
     of its sketch and its bound reports."""
-    A, b, oracle = problem.A, problem.b, problem.oracle
-    # A's spectral data (one cached QR of A) before the sketch is built, so
-    # that the QR's working copy of A is not held together with the sketch
-    # and the basis: on a tall A that would set the peak memory
+    A = problem.A
+    # A's spectral data (the Gram-factor QR of A) before the first pivoted QR
+    # (the oracle's, which A caches with its m-by-n Q) and before the sketch
+    # is built, so that the Gram QR's working copy of A is never held
+    # together with Q or the sketch: on a tall A that sets the peak memory
     A.spectral()
+    b, oracle = problem.b, problem.oracle
     S = embed.build_sketch(kind, d, A.rows, problem.seed)
     eps = embed.exact_distortion(S, A, b, problem.basis).epsilon
     P = diagnostics.SketchedProblem(A, b, S)

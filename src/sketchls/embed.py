@@ -17,13 +17,16 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
 :func:`exact_distortion` measures the tight embedding parameter over
 span([A b]) by an SVD of the sketched orthonormal basis; it is the oracle
 against which every analytic bound in :mod:`sketchls.diagnostics` is checked.
+The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
+unit component of b orthogonal to it, so one factorization of A serves every
+right-hand side and sketch of that matrix.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -219,18 +222,37 @@ def materialize(S: SketchOperator) -> np.ndarray:
     return out
 
 
-def subspace_basis(A: MatrixHandle, b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span([A b]) with numerical rank trimming."""
-    M = np.column_stack([A.dense(), np.asarray(b, dtype=np.float64)])
-    U, s, _ = scipy.linalg.svd(M, full_matrices=False)
-    if s[0] == 0.0:
+def subspace_basis(A: MatrixHandle, b: np.ndarray
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Orthonormal basis of span([A b]) as a pair ``(Q, q)``, rank trimmed.
+
+    ``Q`` is the Q of A's cached pivoted QR (:meth:`MatrixHandle.qr_factor`),
+    so every b of one matrix shares it; ``q`` is the unit component of b
+    orthogonal to range(Q), or None when b lies in it.  The floor of both
+    trims is the SVD rank floor max(m, n + 1) * u * scale, with
+    scale = max(|R_11|, ||b||) standing in for ||[A b]||: a column of Q goes
+    when its R diagonal entry is below it, and q when the norm of b's
+    orthogonal component is.  That component comes from two projection
+    passes, so ``[Q q]`` is orthonormal to working precision (twice is
+    enough); on an ill-conditioned span([A b]) it is no less accurate than an
+    SVD of [A b], and no m-by-(n + 1) array is formed.
+    """
+    Q, R, _ = A.qr_factor()
+    b = np.asarray(b, dtype=np.float64)
+    scale = max(float(abs(R[0, 0])), float(np.linalg.norm(b)))
+    if scale == 0.0:
         raise ValueError("zero subspace")
-    rank = int(np.sum(s > max(M.shape) * np.finfo(np.float64).eps * s[0]))
-    return U[:, :rank]
+    floor = max(A.rows, A.cols + 1) * np.finfo(np.float64).eps * scale
+    Q = Q[:, : int(np.sum(np.abs(np.diag(R)) > floor))]
+    w = b - Q @ (Q.T @ b)
+    w -= Q @ (Q.T @ w)
+    w_norm = float(np.linalg.norm(w))
+    return Q, (w / w_norm if w_norm > floor else None)
 
 
 def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
-                     basis: Optional[np.ndarray] = None) -> DistortionReport:
+                     basis: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+                     ) -> DistortionReport:
     """Tight embedding parameter of S over span([A b]).
 
     Returns eps = max(sigma_max^2 - 1, 1 - sigma_min^2) over the singular
@@ -238,13 +260,22 @@ def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
     smallest value for which the two-sided embedding inequality holds there.
     A rank_loss flag marks sketches that annihilate part of the subspace.
     ``basis`` is ``subspace_basis(A, b)``, computed here when not given;
-    passing it lets many sketches of one problem share a single SVD.
+    passing it lets many sketches of one problem share it.  Its two parts
+    are sketched one by one and the d-row results stacked, so the SVD is of
+    a d-by-dim matrix only.  The basis is orthonormal to working precision,
+    so eps is good to about 1e-13 relative on a well-conditioned span([A b]);
+    when b is nearly in range(A) the subspace itself is ill conditioned, and
+    any double-precision basis, so eps, is good to about u * cond([A b]) at
+    worst.
     """
-    Q = subspace_basis(A, b) if basis is None else basis
-    dim = Q.shape[1]
+    Q, q = subspace_basis(A, b) if basis is None else basis
+    dim = Q.shape[1] + (q is not None)
     if dim > S.d:
         raise ValueError(f"subspace dimension {dim} exceeds sketch rows {S.d}")
-    sv = scipy.linalg.svd(apply(S, Q), compute_uv=False)
+    SQ = apply(S, Q)
+    if q is not None:
+        SQ = np.column_stack([SQ, apply(S, q)])
+    sv = scipy.linalg.svd(SQ, compute_uv=False)
     smax_sq = float(sv[0] ** 2)
     smin_sq = float(sv[-1] ** 2)
     eps = max(smax_sq - 1.0, 1.0 - smin_sq)

@@ -1,11 +1,14 @@
 """Matrix storage, Matrix Market I/O, and synthesis of least-squares test problems.
 
 A :class:`MatrixHandle` wraps either a dense array or a CSR sparse matrix and
-lazily caches its extreme singular values and the triangular factor R of its
-Gram matrix (R^T R = A^T A).  Problems are synthesized by the
-recipe b = A*x - r with r a scaled random direction, and an exact least-squares
-oracle (dense pivoted QR plus one refinement step) supplies reference solutions
-for all bound checks.
+lazily caches three things: its extreme singular values, the triangular
+factor R of its Gram matrix (R^T R = A^T A), and its column-pivoted economic
+QR factorization A[:, piv] = Q R.  The last one holds an m-by-n Q, so it costs
+as much memory as a dense A; it is formed once per matrix and serves every
+right-hand side.  Problems are synthesized by the recipe b = A*x - r with r a
+scaled random direction, and an exact least-squares oracle (the cached
+pivoted QR plus one refinement step) supplies reference solutions for all
+bound checks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ class RankDeficiencyError(ValueError):
 DESK_SCALE_COLS = 5000
 
 
+# (Q, R, piv) of an economic column-pivoted QR M[:, piv] = Q R
+QrFactor = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass
 class SpectralInfo:
     norm: float
@@ -47,12 +54,14 @@ class SpectralInfo:
 
 
 class MatrixHandle:
-    """Immutable dense or CSR matrix with cached spectral data.
+    """Immutable dense or CSR matrix with cached spectral data and factors.
 
     NaN and Inf entries are rejected at construction.  The handle is safe to
     share across threads: the payload is never mutated after construction, and
-    the spectral and Gram-factor caches are each written once under a lock so
-    concurrent readers observe either no value or the final one.
+    the spectral, Gram-factor and pivoted-QR caches are each written once under
+    a lock so concurrent readers observe either no value or the final one.
+    The cached arrays are read-only.  The pivoted QR (:meth:`qr_factor`) keeps
+    an m-by-n Q for the handle's lifetime, as much memory as a dense A.
     """
 
     def __init__(self, data):
@@ -84,6 +93,7 @@ class MatrixHandle:
         self.cols = cols
         self._spectral: Optional[SpectralInfo] = None
         self._gram_factor: Optional[np.ndarray] = None
+        self._qr_factor: Optional[QrFactor] = None
         self._lock = threading.Lock()
 
     @property
@@ -149,6 +159,25 @@ class MatrixHandle:
                     self._gram_factor = R
                 R = self._gram_factor
         return R
+
+    def qr_factor(self) -> QrFactor:
+        """Read-only column-pivoted economic QR A[:, piv] = Q R, cached.
+
+        The factorization :func:`qr_ls_solve` computes for a dense A; it never
+        raises, so a rank check is the caller's (see :func:`solve_ls_oracle`).
+        One dense m-by-n Q is kept for the handle's lifetime.  Its QR is
+        separate from :meth:`gram_factor`'s, which keeps only R.
+        """
+        factor = self._qr_factor
+        if factor is None:
+            factor = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+            for arr in factor:
+                arr.setflags(write=False)
+            with self._lock:
+                if self._qr_factor is None:
+                    self._qr_factor = factor
+                factor = self._qr_factor
+        return factor
 
 
 @dataclass
@@ -374,15 +403,11 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
 # ---------------------------------------------------------------------------
 # Exact oracle and spectral data
 
-def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solve of a dense tall matrix by column-pivoted QR.
-
-    One step of residual refinement pushes the normal-equation residual of
-    the computed solution to near machine precision.  Raises
-    :class:`RankDeficiencyError` when the R diagonal collapses.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    Q, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+def _qr_solve(M: np.ndarray, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solve of M x = rhs from the pivoted QR ``(Q, R, piv)``
+    of M, refined once.  Raises :class:`RankDeficiencyError` when the R
+    diagonal collapses."""
+    Q, R, piv = factor
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
     if scale == 0.0 or diag.min() < 1e-12 * scale:
@@ -399,6 +424,17 @@ def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x + solve_once(rhs - M @ x)
 
 
+def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solve of a dense tall matrix by column-pivoted QR.
+
+    One step of residual refinement pushes the normal-equation residual of
+    the computed solution to near machine precision.  Raises
+    :class:`RankDeficiencyError` when the R diagonal collapses.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    return _qr_solve(M, scipy.linalg.qr(M, mode="economic", pivoting=True), rhs)
+
+
 def as_rhs(A: MatrixHandle, b) -> np.ndarray:
     """b as a float64 vector of length A.rows; rejects other lengths and NaN/Inf."""
     b = np.asarray(b, dtype=np.float64)
@@ -412,13 +448,15 @@ def as_rhs(A: MatrixHandle, b) -> np.ndarray:
 def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     """Exact least-squares reference solution at desk scale.
 
-    Dense column-pivoted QR of A with one refinement step; the returned
-    residual satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
+    The cached column-pivoted QR of A (:meth:`MatrixHandle.qr_factor`) with
+    one refinement step, bit for bit ``qr_ls_solve(A.dense(), b)``: each b
+    costs two triangular solves, not a factorization.  The returned residual
+    satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
     if A.cols > DESK_SCALE_COLS:
         raise ValueError(f"oracle guard: n = {A.cols} exceeds {DESK_SCALE_COLS}")
     b = as_rhs(A, b)
-    x = qr_ls_solve(A.dense(), b)
+    x = _qr_solve(A.dense(), A.qr_factor(), b)
     r = A.matvec(x) - b
     return LsOracle(
         x_ls=x,

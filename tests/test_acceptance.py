@@ -306,7 +306,8 @@ def test_criterion_8_oracle_equivalence():
             worst_err = max(worst_err,
                             float(np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)))
         # the exact distortion dominates every sampled Rayleigh quotient
-        Q = embed.subspace_basis(A, b)
+        Q, q = embed.subspace_basis(A, b)
+        Q = np.column_stack([Q, q])
         eps = embed.exact_distortion(S, A, b).epsilon
         Z = Q @ gen.standard_normal((Q.shape[1], 1000))
         norms_sq = (Z ** 2).sum(axis=0)

@@ -81,6 +81,10 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = nan\n", "d_mult must be finite"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = inf\n", "d_mult must be finite"),
         ("synthetic = 50,4,3\nkind = gaussian\nskip_large = ture\n", "skip_large must be"),
+        ("synthetic = 50,4,3\nkind = gaussian\nseeds =\n", "seeds is empty"),
+        ("synthetic = 50,4,3\nkind = gaussian\nseeds = ,\n", "seeds is empty"),
+        ("synthetic = 50,4,3\nkind = gaussian\nd_mult =\n", "d_mult is empty"),
+        ("synthetic = 100,5.5,10\nkind = gaussian\n", "n must be an integer"),
     ])
     def test_rejects(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -104,12 +108,34 @@ class TestConfigParsing:
                                           ["--seeds", "1,y"], ["--tol", "nan"],
                                           ["--band-hi", "inf"], ["--window", "2.5"],
                                           ["--stride", "x"], ["--tol", "abc"],
-                                          ["--band-lo", "q"], ["--stop", "never"]])
+                                          ["--band-lo", "q"], ["--stop", "never"],
+                                          ["--seeds", ""]])
     def test_bad_override_rejected(self, tmp_path, capsys, override):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
         assert main(["run", "--config", str(cfg)] + override) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec,match", [
+        ("100,5,nan", "cond must be finite"), ("100,5,inf", "cond must be finite"),
+        ("100,5,0.5", "with cond >= 1"), ("5,100,10", "with m >= n >= 1"),
+        ("100,0,10", "with m >= n >= 1"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "sweep-d", "check"])
+    def test_bad_synthetic_spec_is_config_error(self, tmp_path, capsys, command, spec, match):
+        if command == "check":
+            argv = ["check", "--synthetic", spec, "--kind", "gaussian"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"synthetic = {spec}\nkind = gaussian\n"
+                           f"output_dir = {tmp_path / 'out'}\n")
+            argv = [command, "--config", str(cfg)] + (
+                ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: synthetic spec '{spec}' must be m,n,cond" in err
+        assert match in err
         assert not (tmp_path / "out").exists()
 
     def test_override_replaces_file_value_before_checks(self, tmp_path):
@@ -153,6 +179,26 @@ class TestConfigParsing:
         config = parse_config("synthetic = 120,6,20\nkind = gaussian\n"
                               f"d_mult = 30\noutput_dir = {tmp_path}\n")
         assert run_experiment(config) == EXIT_RUN_ERROR
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """Count ``scipy.linalg.qr`` calls by (pivoting, operand shape) and
+    ``scipy.linalg.svd`` calls by operand shape, under keys ``("qr",
+    pivoting, shape)`` and ``("svd", None, shape)``."""
+    shapes = Counter()
+    real_qr, real_svd = scipy.linalg.qr, scipy.linalg.svd
+
+    def counting_qr(a, *args, pivoting=False, **kwargs):
+        shapes["qr", pivoting, a.shape] += 1
+        return real_qr(a, *args, pivoting=pivoting, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        shapes["svd", None, a.shape] += 1
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    return shapes
 
 
 class TestRunExperiment:
@@ -260,6 +306,17 @@ class TestRunExperiment:
         # 2 sources x 2 seeds, each shared by 2 kinds x 2 d
         assert basis_calls == oracle_calls == [120, 120, 100, 100]
 
+    def test_one_pivoted_qr_of_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
+        # 3 kinds x 2 seeds share one pivoted QR of the 120 x 6 A (every
+        # oracle and basis comes from it); no SVD sees an operand with m rows
+        shapes = count_factorizations(monkeypatch)
+        config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
+            "kind = gaussian", "kind = gaussian,srht,sparse"))
+        assert run_experiment(config) == EXIT_OK
+        assert shapes["qr", True, (120, 6)] == 1
+        assert shapes["qr", False, (120, 6)] == 1  # the Gram factor's own QR
+        assert not [key for key in shapes if key[0] == "svd" and key[2][0] == 120]
+
     def test_row_order_kind_d_seed(self, tmp_path):
         config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
         assert run_experiment(config) == EXIT_OK
@@ -354,6 +411,16 @@ class TestSweep:
             got = [(r["matrix"], r["kind"], r["d"]) for r in csv.DictReader(fh)]
         assert got == [(matrix, kind, d) for matrix in ("synth120x4c10", "synth100x4c10")
                        for kind in ("gaussian", "sparse") for d in ("8", "40")]
+
+    def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
+        shapes = count_factorizations(monkeypatch)
+        config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
+                              "kind = gaussian,sparse\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path}\n")
+        assert sweep_d(config, "8,40") == EXIT_OK
+        assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
+            ("qr", True, (120, 4)): 1, ("qr", True, (100, 4)): 1}
+        assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
         real = embed.build_sketch

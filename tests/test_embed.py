@@ -9,7 +9,7 @@ from sketchls.embed import (SketchKind, SparsePayload, SketchOperator, apply,
                             apply_adjoint, build_sketch, exact_distortion, fwht,
                             identity_sketch, materialize, next_pow2,
                             subspace_basis)
-from sketchls.matio import MatrixHandle, synthesize_problem
+from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
 from conftest import random_rhs, random_tall
@@ -280,7 +280,8 @@ class TestDistortion:
         # every subspace vector obeys the two-sided inequality with oracle eps
         A = random_tall(50, 5, 2)
         b = random_rhs(50, 2)
-        Q = subspace_basis(A, b)
+        Q, q = subspace_basis(A, b)
+        Q = np.column_stack([Q, q])
         gen = stream(3, "probe")
         for seed in range(200):
             S = build_sketch("sparse", 25, 50, seed)
@@ -324,6 +325,67 @@ class TestDistortion:
         S = build_sketch("gaussian", 5, 20, seed=1)
         with pytest.raises(ValueError, match="subspace"):
             exact_distortion(S, A, random_rhs(20, 6))
+
+
+def svd_subspace_basis(A: MatrixHandle, b: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span([A b]) from an SVD of [A b], rank trimmed at
+    max(m, n + 1) * u * sigma_1: the slow oracle for :func:`subspace_basis`."""
+    M = np.column_stack([A.dense(), np.asarray(b, dtype=np.float64)])
+    U, s, _ = scipy.linalg.svd(M, full_matrices=False)
+    rank = int(np.sum(s > max(M.shape) * np.finfo(np.float64).eps * s[0]))
+    return U[:, :rank]
+
+
+def svd_distortion(S: SketchOperator, basis: np.ndarray) -> float:
+    sv = scipy.linalg.svd(apply(S, basis), compute_uv=False)
+    return max(sv[0] ** 2 - 1.0, 1.0 - sv[-1] ** 2)
+
+
+class TestBasisOracle:
+    """The (Q, q) basis from A's cached pivoted QR against the SVD basis."""
+
+    @staticmethod
+    def worst_rel_gap(kind, seed, kappas, rhos):
+        worst = 0.0
+        for kappa in kappas:
+            A = synthesize_matrix(300, 12, kappa, seed)
+            for rho in rhos:
+                b = synthesize_problem(A, seed, rho)
+                U = svd_subspace_basis(A, b)
+                S = build_sketch(kind, 60, 300, seed)
+                rep = exact_distortion(S, A, b)
+                assert rep.subspace_dim == U.shape[1] == 13
+                eps = svd_distortion(S, U)
+                worst = max(worst, abs(rep.epsilon - eps) / eps)
+        return worst
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_svd_basis(self, kind, seed):
+        assert self.worst_rel_gap(kind, seed, (1.0, 1e2, 1e4), (1e-3,)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ill_conditioned_span(self, kind):
+        # span([A b]) is ill conditioned here, so both bases are accurate to
+        # about u * cond only; at rho = 1e-12 both are about 1e-4 off
+        gap = max(self.worst_rel_gap(kind, seed, (1e4, 1e6, 1e8), (1e-3, 1e-6, 1e-8))
+                  for seed in range(2))
+        assert gap <= 1e-6
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dimension_of_consistent_rhs(self, kind):
+        A = synthesize_matrix(300, 12, 1e2, seed=1)
+        S = build_sketch(kind, 60, 300, seed=1)
+        for b in (A.matvec(stream(1, "x").standard_normal(12)), np.zeros(300)):
+            Q, q = subspace_basis(A, b)
+            assert q is None and Q.shape == (300, 12)
+            assert exact_distortion(S, A, b).subspace_dim == svd_subspace_basis(A, b).shape[1] == 12
+
+    def test_basis_is_orthonormal(self):
+        A = synthesize_matrix(300, 12, 1e4, seed=2)
+        Q, q = subspace_basis(A, synthesize_problem(A, 2))
+        B = np.column_stack([Q, q])
+        assert np.linalg.norm(B.T @ B - np.eye(13), 2) <= 1e-14
 
 
 def test_next_pow2():

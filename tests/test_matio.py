@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -331,6 +333,58 @@ class TestOracle:
         A = MatrixHandle(np.column_stack([col, 2 * col]))
         with pytest.raises(RankDeficiencyError, match="rank deficiency"):
             qr_ls_solve(A.dense(), np.ones(8))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_cached_factor_matches_fresh_solve(self, sparse):
+        # one factorization of A serves every b, bit for bit the solve that
+        # factors A afresh for each one
+        dense = random_tall(80, 7, 3).dense()
+        if sparse:
+            dense = dense * (np.abs(dense) > 0.5)
+        A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
+        for seed in range(4):
+            b = synthesize_problem(A, seed, 10.0 ** -seed)
+            oracle = solve_ls_oracle(A, b)
+            x = qr_ls_solve(A.dense(), b)
+            r = A.matvec(x) - b
+            assert same_bits(oracle.x_ls, x)
+            assert same_bits(oracle.r_ls, r)
+            assert oracle.r_ls_norm == float(np.linalg.norm(r))
+
+    def test_qr_factor_cached_and_read_only(self):
+        A = random_tall(40, 5, 3)
+        factor = A.qr_factor()
+        assert A.qr_factor() is factor
+        Q, R, piv = factor
+        assert np.allclose(A.dense()[:, piv], Q @ R, rtol=0, atol=1e-13)
+        for arr in factor:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_qr_factor_shared_across_threads(self):
+        # every thread that races to fill the cache gets the one stored factor
+        A = random_tall(400, 20, 4)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(A.qr_factor()))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(r is A.qr_factor() for r in results)
+
+    def test_rank_check_on_cached_factor(self):
+        col = np.arange(1.0, 9.0)
+        A = MatrixHandle(np.column_stack([col, 2 * col]))
+        A.qr_factor()  # the factor itself does not raise
+        with pytest.raises(RankDeficiencyError, match="rank deficiency"):
+            solve_ls_oracle(A, np.ones(8))
 
     def test_non_finite_rhs_rejected(self):
         A = random_tall(30, 4, 2)
