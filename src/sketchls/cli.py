@@ -214,6 +214,10 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
     if skip_large not in ("1", "true", "yes", "0", "false", "no"):
         raise ConfigError(f"skip_large must be 1/true/yes or 0/false/no, got '{skip_large}'")
 
+    output_dir = single("output_dir", "out")
+    if not output_dir:
+        raise ConfigError("output_dir is empty")
+
     config = ExperimentConfig(
         sources=sources,
         kinds=kinds,
@@ -225,7 +229,7 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
         band=(number("band_lo", float, "0.99"), number("band_hi", float, "1.01")),
         seeds=seeds,
         rho=number("rho", float, "1e-3"),
-        output_dir=single("output_dir", "out"),
+        output_dir=output_dir,
         stride=number("stride", int, "1"),
         skip_large=skip_large in ("1", "true", "yes"),
     )
@@ -270,11 +274,11 @@ class SeedProblem:
 
     @cached_property
     def basis(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Orthonormal basis ``(Q, q)`` of span([A b]) for
-        :func:`embed.exact_distortion`: the Q of A's cached pivoted QR, which
-        every seed of the matrix shares, and the unit component of b
-        orthogonal to it (see :func:`embed.subspace_basis`).  Only q, one
-        m-vector, belongs to the seed."""
+        """Orthonormal basis ``(Q, q)`` of span([A b]) for the distortion of
+        each cell's sketch (:func:`_sketch_cell`): the Q of A's cached
+        pivoted QR, which every seed of the matrix shares, and the unit
+        component of b orthogonal to it (see :func:`embed.subspace_basis`).
+        Only q, one m-vector, belongs to the seed."""
         return embed.subspace_basis(self.A, self.b)
 
 
@@ -317,20 +321,34 @@ def _solvers_for(config: ExperimentConfig):
     return [(config.solver, lsqr if config.solver == "lsqr" else lsmr)]
 
 
+def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
+                 ) -> Tuple[diagnostics.SketchedProblem, float]:
+    """The sketched problem of one (seed, kind, d) cell and the distortion
+    eps of its sketch over span([A b]).
+
+    One pass of :func:`embed.sketch_operands` sketches the basis ``(Q, q)``,
+    A and b together, so a Gaussian G is drawn while its finished row blocks
+    are applied.
+    """
+    A, b = problem.A, problem.b
+    Q, q = problem.basis
+    S, (SQ, Sq, SA, Sb) = embed.sketch_operands(kind, d, A.rows, problem.seed,
+                                                [Q, q, A, b])
+    eps = embed.basis_distortion(SQ, Sq).epsilon
+    return diagnostics.SketchedProblem(A, b, S, SA=SA, Sb=Sb), eps
+
+
 def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
     """The sketched problem of one (seed, kind, d) cell, the distortion eps
     of its sketch and its bound reports."""
-    A = problem.A
     # A's spectral data (the Gram-factor QR of A) before the first pivoted QR
     # (the oracle's, which A caches with its m-by-n Q) and before the sketch
     # is built, so that the Gram QR's working copy of A is never held
     # together with Q or the sketch: on a tall A that sets the peak memory
-    A.spectral()
-    b, oracle = problem.b, problem.oracle
-    S = embed.build_sketch(kind, d, A.rows, problem.seed)
-    eps = embed.exact_distortion(S, A, b, problem.basis).epsilon
-    P = diagnostics.SketchedProblem(A, b, S)
+    problem.A.spectral()
+    oracle = problem.oracle
+    P, eps = _sketch_cell(problem, kind, d)
     return P, eps, diagnostics.run_bound_suite(P, oracle, eps)
 
 
@@ -440,11 +458,8 @@ def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
 def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
                 stride: int) -> Tuple[float, float]:
     """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
-    A = problem.A
-    S = embed.build_sketch(kind, d, A.rows, problem.seed)
-    eps = embed.exact_distortion(S, A, problem.b, problem.basis).epsilon
-    P = diagnostics.SketchedProblem(A, problem.b, S)
-    observer = MetricsObserver(A, problem.b, stride=stride)
+    P, eps = _sketch_cell(problem, kind, d)
+    observer = MetricsObserver(problem.A, problem.b, stride=stride)
     result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
     return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
                                if not r.stale])

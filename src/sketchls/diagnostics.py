@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -114,13 +114,20 @@ class SketchedProblem:
 
     Each quantity is computed on first use and kept, so the solver set-up and
     every bound check of the pair share one SA, one Sb, one SVD of SA, one
-    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.
+    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  SA
+    and Sb may be given, as :func:`sketchls.embed.sketch_operands` forms
+    them with the sketch.
     """
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator):
+    def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
+                 SA: Optional[np.ndarray] = None, Sb: Optional[np.ndarray] = None):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.S = S
+        if SA is not None:
+            self.SA = SA
+        if Sb is not None:
+            self.Sb = Sb
 
     @cached_property
     def SA(self) -> np.ndarray:

@@ -2,7 +2,19 @@
 
 All three operators are unbiased, E||Sx||^2 = ||x||^2:
 
-* Gaussian entries are N(0, 1/d).
+* Gaussian entries are N(0, 1/d).  G is drawn ``GAUSSIAN_BLOCK_ROWS`` rows
+  at a time from the one Philox stream of (seed, d, m).  ``standard_normal``
+  fills a C-order array in row-major order and the scale is an elementwise
+  divide, so the blocks hold the bits of the single (d, m) draw.
+  :func:`sketch_operands` draws them on a worker thread while the calling
+  thread multiplies each finished block into every matrix operand, and
+  :func:`apply` multiplies a matrix by the same row blocks, one GEMM each,
+  so the two agree bit for bit on any BLAS.  (A block's GEMM equals the same
+  rows of one whole GEMM only where the BLAS kernel does not depend on the
+  row count, as with OpenBLAS on one thread at the bench sizes; a one-row
+  block or a small-matrix kernel breaks it.)  A vector is multiplied by the
+  whole of G once the draw is done: a row-blocked GEMV is not bit-identical
+  to the whole one, and one GEMV is cheap.
 * SRHT composes random signs, an unnormalized Walsh-Hadamard transform on the
   zero-padded input (H^T H = m' I), uniform row sampling without replacement,
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
@@ -15,8 +27,9 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
   d-row result is dense.
 
 :func:`exact_distortion` measures the tight embedding parameter over
-span([A b]) by an SVD of the sketched orthonormal basis; it is the oracle
-against which every analytic bound in :mod:`sketchls.diagnostics` is checked.
+span([A b]) by an SVD of the sketched orthonormal basis
+(:func:`basis_distortion`); it is the oracle against which every analytic
+bound in :mod:`sketchls.diagnostics` is checked.
 The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
 unit component of b orthogonal to it, so one factorization of A serves every
 right-hand side and sketch of that matrix.
@@ -25,8 +38,9 @@ right-hand side and sketch of that matrix.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -85,15 +99,54 @@ def next_pow2(m: int) -> int:
     return p
 
 
-def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> SketchOperator:
-    """Deterministically construct an embedding operator from (kind, d, m, seed)."""
-    kind = SketchKind(kind)
+# rows of G per draw and per GEMM; any value gives the same G
+GAUSSIAN_BLOCK_ROWS = 64
+
+
+def _row_blocks(d: int) -> List[slice]:
+    return [slice(start, min(start + GAUSSIAN_BLOCK_ROWS, d))
+            for start in range(0, d, GAUSSIAN_BLOCK_ROWS)]
+
+
+def _check_shape(d: int, m: int) -> None:
     if d < 1:
         raise ValueError("d must be positive")
     if d >= m:
         raise ValueError(f"need d < m, got d={d}, m={m}")
+
+
+def _draw_gaussian(gen: np.random.Generator, G: np.ndarray,
+                   drawn: Sequence[threading.Event] = (),
+                   stop: Optional[threading.Event] = None) -> None:
+    """Fill the C-order d x m array G with N(0, 1/d) entries from ``gen``,
+    block by block, setting ``drawn[i]`` after block i.
+
+    Only the numpy fill and scale run here, so a worker thread may call it.
+    ``stop`` ends the draw before its next block.
+    """
+    scale = np.sqrt(G.shape[0])
+    for i, rows in enumerate(_row_blocks(G.shape[0])):
+        if stop is not None and stop.is_set():
+            return
+        block = G[rows]
+        gen.standard_normal(out=block)
+        block /= scale
+        if drawn:
+            drawn[i].set()
+
+
+def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> SketchOperator:
+    """Deterministically construct an embedding operator from (kind, d, m, seed).
+
+    The Gaussian G is drawn in row blocks (:func:`_draw_gaussian`), the same
+    draw as :func:`sketch_operands` makes; the blocks come from one Philox
+    stream in order, so G is bit for bit the single (d, m) draw.
+    """
+    kind = SketchKind(kind)
+    _check_shape(d, m)
     if kind is SketchKind.GAUSSIAN:
-        mat = stream(seed, "gaussian", d, m).standard_normal((d, m)) / np.sqrt(d)
+        mat = np.empty((d, m))
+        _draw_gaussian(stream(seed, "gaussian", d, m), mat)
         payload = GaussianPayload(matrix=mat)
     elif kind is SketchKind.SRHT:
         mp = next_pow2(m)
@@ -162,7 +215,9 @@ def apply(S: SketchOperator, X) -> np.ndarray:
 
     X may be an array, a :class:`MatrixHandle` or a scipy sparse matrix.  The
     sparse kind multiplies a sparse operand without densifying it; the
-    Gaussian and SRHT kinds densify X first.
+    Gaussian and SRHT kinds densify X first.  A Gaussian product with a
+    matrix is formed one row block of G at a time, as in
+    :func:`sketch_operands`.
     """
     p = S.payload
     X = _operand(X, keep_sparse=isinstance(p, SparsePayload))
@@ -172,12 +227,75 @@ def apply(S: SketchOperator, X) -> np.ndarray:
         SX = _countsketch_matrix(S) @ X
         return SX.toarray() if scipy.sparse.issparse(SX) else SX
     if isinstance(p, GaussianPayload):
-        return p.matrix @ X
+        if X.ndim == 1:
+            return p.matrix @ X
+        out = np.empty((S.d, X.shape[1]))
+        for rows in _row_blocks(S.d):
+            np.matmul(p.matrix[rows], X, out=out[rows])
+        return out
     Y = np.zeros((p.padded_len,) + X.shape[1:])
     signs_in = p.signs[: S.m]
     Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
     fwht(Y)
     return Y[p.indices] / np.sqrt(S.d)
+
+
+def sketch_operands(kind: Union[SketchKind, str], d: int, m: int, seed: int,
+                    operands: Sequence) -> Tuple[SketchOperator, List[Optional[np.ndarray]]]:
+    """``build_sketch(kind, d, m, seed)`` and its product with each operand.
+
+    An operand is anything :func:`apply` takes, or None, whose product is
+    None.  The products are bit for bit those of :func:`apply`.  For the
+    Gaussian kind a worker thread draws G one row block at a time while this
+    thread multiplies each finished block into every matrix operand; vectors
+    are multiplied once the draw is done.  The worker is joined before this
+    returns or raises, and an error of the draw is raised here.
+    """
+    if SketchKind(kind) is not SketchKind.GAUSSIAN:
+        S = build_sketch(kind, d, m, seed)
+        return S, [None if X is None else apply(S, X) for X in operands]
+    _check_shape(d, m)
+    G = np.empty((d, m))
+    gen = stream(seed, "gaussian", d, m)
+    blocks = _row_blocks(d)
+    drawn = [threading.Event() for _ in blocks]
+    stop = threading.Event()
+    failure: List[BaseException] = []
+
+    def draw():
+        try:
+            _draw_gaussian(gen, G, drawn, stop)
+        except BaseException as exc:  # noqa: BLE001 - raised again by the caller
+            failure.append(exc)
+        finally:
+            for event in drawn:
+                event.set()
+
+    worker = threading.Thread(target=draw, name="gaussian-draw", daemon=True)
+    worker.start()
+    try:
+        arrays = [None if X is None else _operand(X) for X in operands]
+        for X in arrays:
+            if X is not None and X.shape[0] != m:
+                raise ValueError(f"operand has {X.shape[0]} rows, operator expects {m}")
+        outs = [np.empty((d, X.shape[1])) if X is not None and X.ndim == 2 else None
+                for X in arrays]
+        for rows, event in zip(blocks, drawn):
+            event.wait()
+            if failure:
+                break
+            for X, out in zip(arrays, outs):
+                if out is not None:
+                    np.matmul(G[rows], X, out=out[rows])
+    finally:
+        stop.set()
+        worker.join()
+    if failure:
+        raise failure[0]
+    S = SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=m, seed=seed,
+                       payload=GaussianPayload(matrix=G))
+    return S, [apply(S, X) if X is not None and out is None else out
+               for X, out in zip(arrays, outs)]
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
@@ -250,36 +368,26 @@ def subspace_basis(A: MatrixHandle, b: np.ndarray
     return Q, (w / w_norm if w_norm > floor else None)
 
 
-def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
-                     basis: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
-                     ) -> DistortionReport:
-    """Tight embedding parameter of S over span([A b]).
+def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionReport:
+    """Tight embedding parameter of a sketch S over span([A b]), from the
+    sketched basis: ``SQ`` and ``Sq`` are S applied to the two parts of
+    ``subspace_basis(A, b)`` (``Sq`` None when q is).
 
     Returns eps = max(sigma_max^2 - 1, 1 - sigma_min^2) over the singular
-    values of S applied to an orthonormal basis of the subspace; this is the
-    smallest value for which the two-sided embedding inequality holds there.
-    A rank_loss flag marks sketches that annihilate part of the subspace.
-    ``basis`` is ``subspace_basis(A, b)``, computed here when not given;
-    passing it lets many sketches of one problem share it.  Its two parts
-    are sketched one by one and the d-row results stacked, so the SVD is of
-    a d-by-dim matrix only.  The basis is orthonormal to working precision,
-    so eps is good to about 1e-13 relative on a well-conditioned span([A b]);
-    when b is nearly in range(A) the subspace itself is ill conditioned, and
-    any double-precision basis, so eps, is good to about u * cond([A b]) at
-    worst.
+    values of [SQ Sq]; this is the smallest value for which the two-sided
+    embedding inequality holds there.  A rank_loss flag marks sketches that
+    annihilate part of the subspace.  The SVD is of a d-by-dim matrix only.
     """
-    Q, q = subspace_basis(A, b) if basis is None else basis
-    dim = Q.shape[1] + (q is not None)
-    if dim > S.d:
-        raise ValueError(f"subspace dimension {dim} exceeds sketch rows {S.d}")
-    SQ = apply(S, Q)
-    if q is not None:
-        SQ = np.column_stack([SQ, apply(S, q)])
+    if Sq is not None:
+        SQ = np.column_stack([SQ, Sq])
+    d, dim = SQ.shape
+    if dim > d:
+        raise ValueError(f"subspace dimension {dim} exceeds sketch rows {d}")
     sv = scipy.linalg.svd(SQ, compute_uv=False)
     smax_sq = float(sv[0] ** 2)
     smin_sq = float(sv[-1] ** 2)
     eps = max(smax_sq - 1.0, 1.0 - smin_sq)
-    rank_loss = sv[-1] <= np.finfo(np.float64).eps * max(S.d, dim) * sv[0]
+    rank_loss = sv[-1] <= np.finfo(np.float64).eps * max(d, dim) * sv[0]
     return DistortionReport(
         epsilon=eps,
         sigma_max_sq=smax_sq,
@@ -287,3 +395,20 @@ def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
         subspace_dim=dim,
         rank_loss=rank_loss,
     )
+
+
+def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
+                     basis: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
+                     ) -> DistortionReport:
+    """Tight embedding parameter of S over span([A b]) (:func:`basis_distortion`).
+
+    ``basis`` is ``subspace_basis(A, b)``, computed here when not given;
+    passing it lets many sketches of one problem share it.  Its two parts
+    are sketched one by one.  The basis is orthonormal to working precision,
+    so eps is good to about 1e-13 relative on a well-conditioned span([A b]);
+    when b is nearly in range(A) the subspace itself is ill conditioned, and
+    any double-precision basis, so eps, is good to about u * cond([A b]) at
+    worst.
+    """
+    Q, q = subspace_basis(A, b) if basis is None else basis
+    return basis_distortion(apply(S, Q), None if q is None else apply(S, q))

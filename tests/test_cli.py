@@ -1,4 +1,5 @@
 import csv
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -84,6 +85,7 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = gaussian\nseeds =\n", "seeds is empty"),
         ("synthetic = 50,4,3\nkind = gaussian\nseeds = ,\n", "seeds is empty"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult =\n", "d_mult is empty"),
+        ("synthetic = 50,4,3\nkind = gaussian\noutput_dir =\n", "output_dir is empty"),
         ("synthetic = 100,5.5,10\nkind = gaussian\n", "n must be an integer"),
     ])
     def test_rejects(self, text, match):
@@ -242,25 +244,42 @@ class TestRunExperiment:
         assert header == ["k", "srnorm", "snenorm", "rnorm", "ne_ratio", "stale_flag"]
 
     def test_distortion_once_per_pair(self, tmp_path, monkeypatch):
-        calls = []
-        real = embed.exact_distortion
+        sketched, distortions = [], []
+        real_sketch, real_distortion = embed.sketch_operands, embed.basis_distortion
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting_sketch(*args):
+            sketched.append(args)
+            return real_sketch(*args)
 
-        monkeypatch.setattr(cli.embed, "exact_distortion", counting)
+        def counting_distortion(*args):
+            distortions.append(args)
+            return real_distortion(*args)
+
+        monkeypatch.setattr(cli.embed, "sketch_operands", counting_sketch)
+        monkeypatch.setattr(cli.embed, "basis_distortion", counting_distortion)
         assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_OK
-        assert len(calls) == 2  # one (problem, sketch) pair per seed
+        # one (problem, sketch) pair per seed
+        assert len(sketched) == len(distortions) == 2
 
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
         # 3 kinds x 2 seeds, d = 24, n = 6: each pair sketches A once, takes
         # one SVD of the 24 x 6 SA and solves the sketched problem once
         applied, shapes = Counter(), Counter()
-        real_apply, real_svd = embed.apply, scipy.linalg.svd
+        real_sketch, real_apply, real_svd = embed.sketch_operands, embed.apply, scipy.linalg.svd
+        in_pass = []
+
+        def counting_sketch(kind, d, m, seed, operands):
+            applied[embed.SketchKind(kind).value, seed] += sum(
+                isinstance(X, MatrixHandle) for X in operands)
+            in_pass.append(True)
+            try:
+                return real_sketch(kind, d, m, seed, operands)
+            finally:
+                in_pass.pop()
 
         def counting_apply(S, X):
-            if isinstance(X, MatrixHandle):
+            # a sketch of A outside the pass would be a second one
+            if isinstance(X, MatrixHandle) and not in_pass:
                 applied[S.kind.value, S.seed] += 1
             return real_apply(S, X)
 
@@ -274,6 +293,7 @@ class TestRunExperiment:
                 return real(M, rhs, *args, **kwargs)
             return solve
 
+        monkeypatch.setattr(embed, "sketch_operands", counting_sketch)
         monkeypatch.setattr(embed, "apply", counting_apply)
         monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
         for module in (diagnostics, matio):
@@ -346,6 +366,26 @@ class TestRunExperiment:
             "error: synth120x6c20_sparse: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120",
         ]
 
+    def test_failing_gaussian_draw_is_the_cells_error(self, tmp_path, monkeypatch, capsys):
+        real_stream = embed.stream
+
+        class FailingGenerator:
+            def standard_normal(self, out):
+                raise RuntimeError("draw failed")
+
+        def stream(seed, *tags):
+            return FailingGenerator() if tags[0] == "gaussian" and seed == 1 \
+                else real_stream(seed, *tags)
+
+        monkeypatch.setattr(embed, "stream", stream)
+        threads = threading.active_count()
+        assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_RUN_ERROR
+        assert threading.active_count() == threads
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: synth120x6c20_gaussian_d24_s1: draw failed"]
+        assert (tmp_path / "synth120x6c20_gaussian_d24_s0_bounds.csv").is_file()
+
     def test_skip_large(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
         out = tmp_path / "r"
@@ -378,13 +418,13 @@ class TestSweep:
 
     def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch):
         built = []
-        real = embed.build_sketch
+        real = embed.sketch_operands
 
         def counting(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli.embed, "build_sketch", counting)
+        monkeypatch.setattr(cli.embed, "sketch_operands", counting)
         # d = 70 fits the first source but not the second (m = 60)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
                               f"kind = gaussian\noutput_dir = {tmp_path}\n")
@@ -423,14 +463,14 @@ class TestSweep:
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
-        real = embed.build_sketch
+        real = embed.sketch_operands
 
-        def flaky(kind, d, m, seed):
+        def flaky(kind, d, m, seed, operands):
             if d == 8 and seed == 1:
                 raise ValueError("boom")
-            return real(kind, d, m, seed)
+            return real(kind, d, m, seed, operands)
 
-        monkeypatch.setattr(cli.embed, "build_sketch", flaky)
+        monkeypatch.setattr(cli.embed, "sketch_operands", flaky)
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"
                               f"seeds = 0,1\noutput_dir = {tmp_path}\n")
         assert sweep_d(config, "8,40") == EXIT_RUN_ERROR

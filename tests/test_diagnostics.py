@@ -38,6 +38,15 @@ class TestSketchedProblem:
         expect = qr_ls_solve(embed.apply(S, A), embed.apply(S, b))
         assert np.array_equal(solve_sketched(A, b, S), expect)
 
+    def test_given_products_are_used(self, monkeypatch):
+        A, b, _ = build_instance()
+        S = build_sketch("gaussian", 64, 300, 7)
+        SA, Sb = embed.apply(S, A), embed.apply(S, b)
+        monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
+        P = SketchedProblem(A, b, S, SA=SA, Sb=Sb)
+        assert P.SA is SA and P.Sb is Sb
+        assert np.array_equal(P.x_s, qr_ls_solve(SA, Sb))
+
     def test_acute_reads_cached_singular_values(self, monkeypatch):
         A, b, _ = build_instance()
         S = build_sketch("gaussian", 64, 300, 7)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +8,10 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from sketchls import embed
-from sketchls.embed import (SketchKind, SparsePayload, SketchOperator, apply,
-                            apply_adjoint, build_sketch, exact_distortion, fwht,
-                            identity_sketch, materialize, next_pow2,
-                            subspace_basis)
+from sketchls.embed import (GAUSSIAN_BLOCK_ROWS, SketchKind, SparsePayload,
+                            SketchOperator, apply, apply_adjoint, basis_distortion,
+                            build_sketch, exact_distortion, fwht, identity_sketch,
+                            materialize, next_pow2, sketch_operands, subspace_basis)
 from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
@@ -254,6 +257,136 @@ def test_apply_and_adjoint_match_materialize(case):
         assert got.shape == expect.shape
         # rounding of a length-m' sum, relative to the sum of magnitudes
         assert np.all(np.abs(got - expect) <= 1e-13 * (np.abs(factor) @ np.abs(operand)))
+
+
+# d below, equal to and not a multiple of the block size; 2 * 64 + 1 leaves a
+# one-row last block
+BLOCK_DS = [GAUSSIAN_BLOCK_ROWS // 2, GAUSSIAN_BLOCK_ROWS, 150, 2 * GAUSSIAN_BLOCK_ROWS + 1]
+
+
+def fused_operands(m: int = 300, n: int = 7):
+    """Every operand form of one cell: a dense (F-order) handle, a CSR
+    handle, the F-order cached Q, a C-order array, vectors and None."""
+    A = random_tall(m, n, 3)
+    b = random_rhs(m, 3)
+    Q, q = subspace_basis(A, b)
+    csr = MatrixHandle(scipy.sparse.random(m, n, density=0.2, format="csr",
+                                           random_state=np.random.default_rng(4)))
+    C = np.ascontiguousarray(stream(5, "c-order", m).standard_normal((m, 4)))
+    return [Q, q, A, b, csr, C, None]
+
+
+def run_with_deadline(fn, seconds: float = 60.0):
+    """``fn()``'s result or exception, failing the test if it runs past the deadline."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            box["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "call did not return"
+    return box
+
+
+class TestSketchOperands:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", BLOCK_DS)
+    def test_bit_equal_to_build_then_apply(self, kind, d):
+        operands = fused_operands()
+        S, products = sketch_operands(kind, d, 300, 11, operands)
+        ref = build_sketch(kind, d, 300, 11)
+        assert (S.kind, S.d, S.m, S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
+        assert np.array_equal(materialize(S), materialize(ref))
+        assert len(products) == len(operands)
+        for X, SX in zip(operands, products):
+            if X is None:
+                assert SX is None
+            else:
+                assert SX.flags.c_contiguous
+                assert np.array_equal(SX, apply(ref, X))
+
+    @pytest.mark.parametrize("d", BLOCK_DS)
+    def test_block_draw_is_the_single_draw(self, d):
+        G = build_sketch("gaussian", d, 300, 2).payload.matrix
+        single = stream(2, "gaussian", d, 300).standard_normal((d, 300)) / np.sqrt(d)
+        assert np.array_equal(G, single)
+
+    def test_distortion_from_products_is_exact_distortion(self):
+        Q, q, A, b = fused_operands()[:4]
+        S, (SQ, Sq) = sketch_operands("gaussian", 150, 300, 6, [Q, q])
+        assert basis_distortion(SQ, Sq) == exact_distortion(S, A, b)
+
+    @pytest.mark.parametrize("failing_block", [0, 1, 2])
+    def test_failing_draw_raises_and_joins(self, monkeypatch, failing_block):
+        real_stream = embed.stream
+
+        class FailingGenerator:
+            def __init__(self, gen):
+                self.gen, self.blocks = gen, 0
+
+            def standard_normal(self, out):
+                if self.blocks == failing_block:
+                    raise RuntimeError("draw failed")
+                self.blocks += 1
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(embed, "stream",
+                            lambda *tags: FailingGenerator(real_stream(*tags)))
+        threads = threading.active_count()
+        # 150 rows are three blocks
+        box = run_with_deadline(
+            lambda: sketch_operands("gaussian", 150, 300, 0, fused_operands()))
+        assert str(box.get("error")) == "draw failed"
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # four callers, each with its own draw worker, on two cores: every
+        # product must still be that of build_sketch then apply
+        operands = fused_operands()[:4]
+        expect = {seed: [apply(build_sketch("gaussian", 150, 300, seed), X) for X in operands]
+                  for seed in range(4)}
+        same = {}
+
+        def caller(seed):
+            same[seed] = all(
+                np.array_equal(SX, ref) for _ in range(5)
+                for SX, ref in zip(sketch_operands("gaussian", 150, 300, seed, operands)[1],
+                                   expect[seed]))
+
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=caller, args=(seed,), daemon=True)
+                       for seed in expect]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(120)
+            assert not any(runner.is_alive() for runner in runners)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same == dict.fromkeys(expect, True)
+        assert threading.active_count() == threads
+
+    def test_bad_operand_raises_and_joins(self):
+        threads = threading.active_count()
+        box = run_with_deadline(
+            lambda: sketch_operands("gaussian", 150, 300, 0, [np.ones((299, 3))]))
+        assert "operand has 299 rows" in str(box.get("error"))
+        assert threading.active_count() == threads
+
+    def test_guards(self):
+        threads = threading.active_count()
+        for d, m in ((10, 10), (0, 10)):
+            with pytest.raises(ValueError):
+                sketch_operands("gaussian", d, m, 0, [])
+        assert threading.active_count() == threads
 
 
 class TestUnbiasedness:
