@@ -342,11 +342,6 @@ def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
     """The sketched problem of one (seed, kind, d) cell, the distortion eps
     of its sketch and its bound reports."""
-    # A's spectral data (the Gram-factor QR of A) before the first pivoted QR
-    # (the oracle's, which A caches with its m-by-n Q) and before the sketch
-    # is built, so that the Gram QR's working copy of A is never held
-    # together with Q or the sketch: on a tall A that sets the peak memory
-    problem.A.spectral()
     oracle = problem.oracle
     P, eps = _sketch_cell(problem, kind, d)
     return P, eps, diagnostics.run_bound_suite(P, oracle, eps)

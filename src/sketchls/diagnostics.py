@@ -1,16 +1,26 @@
 """Bound checks and backward-error computations for sketched least squares.
 
-Every analytic bound relating the original and sketched problems is evaluated
-against quantities computed by independent dense factorizations: the reference
-solution comes from :func:`sketchls.matio.solve_ls_oracle`, the sketched
-minimizer from a dense pivoted QR of (SA, Sb), and the embedding parameter
-from :func:`sketchls.embed.exact_distortion`.  The checks of one
-(problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
-the singular values of SA, the sketched minimizer and its residual once each.
-Each check yields a :class:`BoundReport` with the measured left-hand side,
-the bound, and a pass/fail margin; bounds whose hypotheses are void (zero
-residual, embedding parameter >= 1) are reported as vacuous passes with a
-note.
+:func:`run_bound_suite` evaluates the bounds of ``SUITE_BOUND_IDS`` that
+relate the original and sketched problems; these are the bounds a bound CSV
+holds.  Three checks stay out of the suite and run only in the tests:
+
+- :func:`check_eta_f_upper` (EtaFUpper) needs an m-by-m symmetric
+  eigensolve and refuses m above ``ETA_F_ROWS_GUARD``;
+- :func:`check_pseudoinverse_perturbation` (PinvPerturb, PinvNonAcute) takes
+  dense pseudoinverses and refuses m*n above ``PINV_SIZE_GUARD``;
+- :func:`e1_minimizer_gap` is a measured gap, not a bound, and costs a fresh
+  QR of an m-by-n matrix per sketch.
+
+The suite's bounds are evaluated against quantities computed by independent
+dense factorizations: the reference solution comes from
+:func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from a dense
+pivoted QR of (SA, Sb), and the embedding parameter from
+:func:`sketchls.embed.exact_distortion`.  The checks of one (problem, sketch)
+pair read one :class:`SketchedProblem`, which forms SA, Sb, the singular
+values of SA, the sketched minimizer and its residual once each.  Each check
+yields a :class:`BoundReport` with the measured left-hand side, the bound,
+and a pass/fail margin; bounds whose hypotheses are void (zero residual,
+embedding parameter >= 1) are reported as vacuous passes with a note.
 """
 
 from __future__ import annotations
@@ -420,7 +430,8 @@ SUITE_BOUND_IDS = (
 
 
 def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[BoundReport]:
-    """All theorem bounds for one (problem, sketch) pair with oracle quantities.
+    """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair with
+    oracle quantities.
 
     ``eps`` is the :func:`sketchls.embed.exact_distortion` parameter of S over
     span([A b]).

@@ -397,18 +397,16 @@ def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionRepo
     )
 
 
-def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray,
-                     basis: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
-                     ) -> DistortionReport:
+def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> DistortionReport:
     """Tight embedding parameter of S over span([A b]) (:func:`basis_distortion`).
 
-    ``basis`` is ``subspace_basis(A, b)``, computed here when not given;
-    passing it lets many sketches of one problem share it.  Its two parts
-    are sketched one by one.  The basis is orthonormal to working precision,
+    The two parts of ``subspace_basis(A, b)`` are sketched one by one; many
+    sketches of one problem share the basis through :func:`basis_distortion`
+    instead.  The basis is orthonormal to working precision,
     so eps is good to about 1e-13 relative on a well-conditioned span([A b]);
     when b is nearly in range(A) the subspace itself is ill conditioned, and
     any double-precision basis, so eps, is good to about u * cond([A b]) at
     worst.
     """
-    Q, q = subspace_basis(A, b) if basis is None else basis
+    Q, q = subspace_basis(A, b)
     return basis_distortion(apply(S, Q), None if q is None else apply(S, q))

@@ -1,14 +1,13 @@
 """Matrix storage, Matrix Market I/O, and synthesis of least-squares test problems.
 
 A :class:`MatrixHandle` wraps either a dense array or a CSR sparse matrix and
-lazily caches three things: its extreme singular values, the triangular
-factor R of its Gram matrix (R^T R = A^T A), and its column-pivoted economic
-QR factorization A[:, piv] = Q R.  The last one holds an m-by-n Q, so it costs
-as much memory as a dense A; it is formed once per matrix and serves every
-right-hand side.  Problems are synthesized by the recipe b = A*x - r with r a
-scaled random direction, and an exact least-squares oracle (the cached
-pivoted QR plus one refinement step) supplies reference solutions for all
-bound checks.
+lazily caches two things: its column-pivoted economic QR factorization
+A[:, piv] = Q R, the one factorization of A, and the extreme singular values,
+read from R.  The QR holds an m-by-n Q, so it costs as much memory as a
+dense A; it is formed once per matrix and serves every right-hand side.
+Problems are synthesized by the recipe b = A*x - r with r a scaled random
+direction, and an exact least-squares oracle (the cached pivoted QR plus one
+refinement step) supplies reference solutions for all bound checks.
 """
 
 from __future__ import annotations
@@ -58,10 +57,12 @@ class MatrixHandle:
 
     NaN and Inf entries are rejected at construction.  The handle is safe to
     share across threads: the payload is never mutated after construction, and
-    the spectral, Gram-factor and pivoted-QR caches are each written once under
-    a lock so concurrent readers observe either no value or the final one.
-    The cached arrays are read-only.  The pivoted QR (:meth:`qr_factor`) keeps
-    an m-by-n Q for the handle's lifetime, as much memory as a dense A.
+    the spectral and pivoted-QR caches are each written once under a lock so
+    concurrent readers observe either no value or the final one.  The cached
+    arrays are read-only.  The pivoted QR (:meth:`qr_factor`) is the only
+    factorization of A: the spectral data and the observer's fast path read
+    its R, and it keeps an m-by-n Q for the handle's lifetime, as much memory
+    as a dense A.
     """
 
     def __init__(self, data):
@@ -92,7 +93,6 @@ class MatrixHandle:
         self.rows = rows
         self.cols = cols
         self._spectral: Optional[SpectralInfo] = None
-        self._gram_factor: Optional[np.ndarray] = None
         self._qr_factor: Optional[QrFactor] = None
         self._lock = threading.Lock()
 
@@ -145,28 +145,13 @@ class MatrixHandle:
                 "the largest n with a dense factorization")
         return cond
 
-    def gram_factor(self) -> np.ndarray:
-        """Read-only n-by-n upper-triangular R with R^T R = A^T A, cached.
-
-        One dense QR of A, so desk scale only; only the n-by-n factor is kept.
-        """
-        R = self._gram_factor
-        if R is None:
-            R = scipy.linalg.qr(self.dense(), mode="r")[0][: self.cols, :].copy()
-            R.setflags(write=False)
-            with self._lock:
-                if self._gram_factor is None:
-                    self._gram_factor = R
-                R = self._gram_factor
-        return R
-
     def qr_factor(self) -> QrFactor:
         """Read-only column-pivoted economic QR A[:, piv] = Q R, cached.
 
         The factorization :func:`qr_ls_solve` computes for a dense A; it never
         raises, so a rank check is the caller's (see :func:`solve_ls_oracle`).
-        One dense m-by-n Q is kept for the handle's lifetime.  Its QR is
-        separate from :meth:`gram_factor`'s, which keeps only R.
+        One dense m-by-n Q is kept for the handle's lifetime.  R has the
+        singular values of A, and F = R[:, argsort(piv)] has F^T F = A^T A.
         """
         factor = self._qr_factor
         if factor is None:
@@ -499,8 +484,9 @@ def power_norm(A: MatrixHandle) -> Tuple[float, int, bool]:
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     """Largest/smallest singular values and condition number, cached on A.
 
-    Whenever n <= ``DESK_SCALE_COLS`` all three come from the SVD of the
-    cached Gram factor (:meth:`MatrixHandle.gram_factor`).  Above that limit A
+    Whenever n <= ``DESK_SCALE_COLS`` all three come from the SVD of the n-by-n
+    R of the cached pivoted QR (:meth:`MatrixHandle.qr_factor`): a column
+    permutation does not change singular values.  Above that limit A
     is never densified: the norm is the :func:`power_norm` estimate, and
     sigma_min and cond are NaN (unknown).
     """
@@ -509,7 +495,7 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
 
     iterations, converged = 0, False
     if A.cols <= DESK_SCALE_COLS:
-        sv = scipy.linalg.svd(A.gram_factor(), compute_uv=False)
+        sv = scipy.linalg.svd(A.qr_factor()[1], compute_uv=False)
         norm = float(sv[0])
         sigma_min = float(sv[-1])
         if sigma_min < 1e-14 * norm:

@@ -79,16 +79,17 @@ class MetricsObserver:
 
     Without ``oracle`` each fresh record pays two matrix-vector products with
     A (the explicit reference path).  With the least-squares ``oracle`` of
-    (A, b), a fresh record costs two n-by-n triangular products instead: with
-    R^T R = A^T A (:meth:`MatrixHandle.gram_factor`), e = x - x_ls and
-    g = A^T r_ls (computed once, nearly zero),
+    (A, b), a fresh record costs two n-by-n triangular products instead.  A's
+    cached pivoted QR A[:, piv] = Q R (:meth:`MatrixHandle.qr_factor`) gives
+    ||A e|| = ||R e[piv]|| and (A^T A e)[piv] = R^T R e[piv], so with
+    e = x - x_ls and g = A^T r_ls (computed once, nearly zero), both taken in
+    pivot order,
 
         ||A x - b||^2 = ||R e||^2 + 2 e^T g + ||r_ls||^2,
-        A^T (A x - b) = R^T (R e) + g,
+        ||A^T (A x - b)|| = ||R^T (R e) + g||,
 
     both exact in exact arithmetic and free of cancellation against b.  The
-    factor costs one dense QR of A and is n-by-n, so the fast path is desk
-    scale only.
+    factor needs a dense QR of A, so the fast path is desk scale only.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, stride: int = 1,
@@ -101,9 +102,9 @@ class MetricsObserver:
         self.norm_A = A.spectral_norm()
         self._R = None
         if oracle is not None:
-            self._R = A.gram_factor()
-            self._x_ls = oracle.x_ls
-            self._g = A.rmatvec(oracle.r_ls)
+            _, self._R, self._piv = A.qr_factor()
+            self._x_ls = oracle.x_ls[self._piv]
+            self._g = A.rmatvec(oracle.r_ls)[self._piv]
             self._rls_sq = oracle.r_ls_norm ** 2
         self._last_rnorm = math.nan
         self._last_ratio = math.nan
@@ -117,7 +118,7 @@ class MetricsObserver:
                 rnorm = float(np.linalg.norm(r))
                 ne = float(np.linalg.norm(self.A.rmatvec(r)))
             else:
-                e = x - self._x_ls
+                e = x[self._piv] - self._x_ls
                 Re = R @ e
                 rnorm = math.sqrt(max(float(Re @ Re + 2.0 * (e @ self._g)) + self._rls_sq, 0.0))
                 ne = float(np.linalg.norm(R.T @ Re + self._g))

@@ -328,13 +328,14 @@ class TestRunExperiment:
 
     def test_one_pivoted_qr_of_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
         # 3 kinds x 2 seeds share one pivoted QR of the 120 x 6 A (every
-        # oracle and basis comes from it); no SVD sees an operand with m rows
+        # oracle, basis, spectral datum and observer factor comes from it);
+        # no SVD sees an operand with m rows
         shapes = count_factorizations(monkeypatch)
         config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
             "kind = gaussian", "kind = gaussian,srht,sparse"))
         assert run_experiment(config) == EXIT_OK
         assert shapes["qr", True, (120, 6)] == 1
-        assert shapes["qr", False, (120, 6)] == 1  # the Gram factor's own QR
+        assert shapes["qr", False, (120, 6)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] == 120]
 
     def test_row_order_kind_d_seed(self, tmp_path):
@@ -460,6 +461,7 @@ class TestSweep:
         assert sweep_d(config, "8,40") == EXIT_OK
         assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
             ("qr", True, (120, 4)): 1, ("qr", True, (100, 4)): 1}
+        assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
@@ -569,6 +571,13 @@ class TestMain:
         assert (tmp_path / "out" / "synth120x6c20_gaussian_d24_s3_bounds.csv").exists()
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+
+    def test_check_one_pivoted_qr_of_A(self, monkeypatch):
+        shapes = count_factorizations(monkeypatch)
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
+                     "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+        assert shapes["qr", True, (200, 4)] == 1
+        assert shapes["qr", False, (200, 4)] == 0
 
     @pytest.mark.parametrize("spec", ["200,10", "200,x,10"])
     def test_check_bad_synthetic_spec(self, capsys, spec):

@@ -419,20 +419,18 @@ class TestSpectral:
         B = MatrixHandle(A.dense().copy())
         assert spectral_norms(B).norm == first.norm
 
-    def test_gram_factor_cached(self):
+    def test_read_from_pivoted_qr(self, monkeypatch):
         A = random_tall(70, 10, 11)
-        R = A.gram_factor()
-        assert A.gram_factor() is R
-        assert R.shape == (10, 10) and R.base is None  # the m-by-n QR output is not kept
-        assert not R.flags.writeable
-        M = A.dense()
-        assert np.allclose(R.T @ R, M.T @ M, rtol=0, atol=1e-12 * np.linalg.norm(M, 2) ** 2)
-        # spectral data read from the cached factor equals a fresh QR + SVD
-        sv = scipy.linalg.svd(scipy.linalg.qr(M, mode="r")[0][:10, :], compute_uv=False)
-        for handle in (A, MatrixHandle(M.copy())):
-            info = handle.spectral()
-            assert (info.norm, info.sigma_min) == (float(sv[0]), float(sv[-1]))
-            assert info.cond == float(sv[0]) / float(sv[-1])
+        R = A.qr_factor()[1]
+        sv = scipy.linalg.svd(R, compute_uv=False)
+
+        def second_qr(*args, **kwargs):
+            raise AssertionError("spectral data factored A again")
+
+        monkeypatch.setattr(scipy.linalg, "qr", second_qr)
+        info = A.spectral()
+        assert (info.norm, info.sigma_min) == (float(sv[0]), float(sv[-1]))
+        assert info.cond == float(sv[0]) / float(sv[-1])
 
     def test_large_sparse_norm_without_densifying(self, monkeypatch):
         # n just above the dense cross-check limit: the norm is the power
@@ -470,8 +468,8 @@ class TestSpectral:
                                  oracle, 0.5)
 
     def test_power_iteration_agrees(self):
-        # below the dense limit the norm comes from the Gram factor alone; the
-        # power path, called directly, converges to the same norm
+        # below the dense limit the norm comes from the pivoted QR's R alone;
+        # the power path, called directly, converges to the same norm
         A = synthesize_matrix(200, 15, 1e4, 3)
         info = A.spectral()
         assert info.power_iterations == 0

@@ -235,6 +235,8 @@ class TestOracleObserver:
     @pytest.mark.parametrize("name,solver", SOLVERS)
     def test_matches_explicit(self, name, solver, kind, stride):
         A = synthesize_matrix(300, 12, 1e4, 4)
+        # the fast path works in A's pivot order, so it must not be the identity
+        assert (A.qr_factor()[2] != np.arange(12)).any()
         b = synthesize_problem(A, 5)
         oracle = solve_ls_oracle(A, b)
         _, SA, Sb = sketched_pair(A, b, kind=kind, d=36, seed=6)
