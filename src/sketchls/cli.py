@@ -2,8 +2,11 @@
 
 Loads or synthesizes problems, builds sketches, runs LSQR/LSMR under a chosen
 stopping policy, and writes per-run trace CSVs, bound-report CSVs, and an
-aggregate summary.  Re-running the same configuration reproduces every output
-byte for byte.
+aggregate summary.  Re-running the same configuration at the same BLAS thread
+count reproduces every output byte for byte; across thread counts the last
+digits can move, because a Gaussian sketch is applied in 64-row blocks whose
+products depend on it.  ``sweep-d`` also runs slower under two BLAS threads
+than under one (``OPENBLAS_NUM_THREADS=1``).
 
 Config files are flat ``key=value`` text; repeated keys accumulate into lists::
 
@@ -18,10 +21,11 @@ Config files are flat ``key=value`` text; repeated keys accumulate into lists::
     rho = 1e-3
     output_dir = out
 
-Each ``run`` override (``--seeds`` ... ``--band-hi``) is the config key of
-its name (``seeds`` ... ``band_hi``): it replaces the file's value before any
-parse, under the same rules.  ``check`` and ``sweep-d`` values are parsed by
-the same code, so a malformed value from a file or a flag is a config error.
+An unknown key is a config error.  Each ``run`` override (``--seeds`` ...
+``--band-hi``) is the config key of its name (``seeds`` ... ``band_hi``): it
+replaces the file's value before any parse, under the same rules.  ``check``
+and ``sweep-d`` values are parsed by the same code, so a malformed value from
+a file or a flag is a config error.
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
@@ -42,8 +46,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import diagnostics, embed
-from .matio import (DESK_SCALE_COLS, LsOracle, MatrixHandle, load_matrix_market,
-                    solve_ls_oracle, synthesize_matrix, synthesize_problem)
+from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
+                    synthesize_matrix, synthesize_problem)
 from .solvers import (LinearOperatorView, MetricsObserver, Termination,
                       lsmr, lsqr, write_trace)
 from .stopping import StopMode, StoppingController, StoppingPolicy
@@ -53,6 +57,11 @@ EXIT_CONFIG = 1
 EXIT_RUN_ERROR = 2
 EXIT_BOUND_FAILED = 3
 
+# The largest n of a source, checked by _load for every command: each
+# densely factors A, and the QR keeps an m-by-n Q
+DESK_SCALE_COLS = 5000
+
+# The largest d * m of a Gaussian sketch: its dense d-by-m G is drawn whole.
 GAUSSIAN_PAYLOAD_GUARD = 200_000_000
 
 
@@ -87,7 +96,6 @@ class ExperimentConfig:
     rho: float = 1e-3
     output_dir: str = "out"
     stride: int = 1
-    skip_large: bool = False
 
     def validate(self):
         if not self.sources:
@@ -170,9 +178,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return _config_from_kv(_parse_kv(text))
 
 
+CONFIG_KEYS = ("matrix", "synthetic", "kind", "d_mult", "solver", "stop", "tol", "window",
+               "band_lo", "band_hi", "seeds", "rho", "output_dir", "stride")
+
+
 def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
     """The validated config of a key -> values map; every value a user gives,
     from a config file or a ``run`` override, is parsed and checked here."""
+    for key in kv:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
 
     def single(key: str, default=None) -> Optional[str]:
         values = kv.get(key)
@@ -210,9 +225,6 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
         stop = StopMode(single("stop", "stab-ne"))
     except ValueError:
         raise ConfigError(f"unknown stop mode '{single('stop')}'") from None
-    skip_large = single("skip_large", "0")
-    if skip_large not in ("1", "true", "yes", "0", "false", "no"):
-        raise ConfigError(f"skip_large must be 1/true/yes or 0/false/no, got '{skip_large}'")
 
     output_dir = single("output_dir", "out")
     if not output_dir:
@@ -231,7 +243,6 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
         rho=number("rho", float, "1e-3"),
         output_dir=output_dir,
         stride=number("stride", int, "1"),
-        skip_large=skip_large in ("1", "true", "yes"),
     )
     config.validate()
     return config
@@ -290,18 +301,17 @@ class RunOutcome:
     rows: List[dict] = field(default_factory=list)
 
 
-def _load(source: MatrixSource, desk_scale: bool
-          ) -> Tuple[Optional[MatrixHandle], Optional[RunOutcome]]:
-    """``(A, None)`` for a usable source, ``(None, its error)`` otherwise; with
-    ``desk_scale``, n above ``DESK_SCALE_COLS`` is an error too."""
+def _load(source: MatrixSource) -> Tuple[Optional[MatrixHandle], Optional[RunOutcome]]:
+    """``(A, None)`` for a usable source, ``(None, its error)`` otherwise; n
+    above ``DESK_SCALE_COLS`` is an error too."""
     try:
         A = source.load()
     except Exception as exc:  # noqa: BLE001 - batch harness records and continues
         return None, RunOutcome(label=source.name, error=f"load failed: {exc}")
-    if desk_scale and A.cols > DESK_SCALE_COLS:
+    if A.cols > DESK_SCALE_COLS:
         return None, RunOutcome(label=source.name, error=(
-            f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}: "
-            "cond(A) is unknown, so no bound can run"))
+            f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}, "
+            "the largest n with a dense factorization"))
     return A, None
 
 
@@ -328,9 +338,13 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
 
     One pass of :func:`embed.sketch_operands` sketches the basis ``(Q, q)``,
     A and b together, so a Gaussian G is drawn while its finished row blocks
-    are applied.
+    are applied.  A Gaussian sketch with d * m above
+    ``GAUSSIAN_PAYLOAD_GUARD`` raises before any draw.
     """
     A, b = problem.A, problem.b
+    if kind is embed.SketchKind.GAUSSIAN and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
+        raise ValueError(f"Gaussian sketch d * m = {d * A.rows} exceeds the "
+                         f"payload guard {GAUSSIAN_PAYLOAD_GUARD}")
     Q, q = problem.basis
     S, (SQ, Sq, SA, Sb) = embed.sketch_operands(kind, d, A.rows, problem.seed,
                                                 [Q, q, A, b])
@@ -351,9 +365,6 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
     A, seed = problem.A, problem.seed
     label = f"{name}_{kind.value}_d{d}_s{seed}"
-    if config.skip_large and kind is embed.SketchKind.GAUSSIAN \
-            and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
-        return RunOutcome(label=label)
     P, eps, bound_reports = _bound_suite(problem, kind, d)
     b, oracle = problem.b, problem.oracle
     op = LinearOperatorView.from_matrix(P.SA)
@@ -417,7 +428,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     outcomes: List[RunOutcome] = []
     for source in config.sources:
-        A, failed = _load(source, desk_scale=True)
+        A, failed = _load(source)
         if failed is not None:
             outcomes.append(failed)
             continue
@@ -454,7 +465,7 @@ def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
                 stride: int) -> Tuple[float, float]:
     """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
     P, eps = _sketch_cell(problem, kind, d)
-    observer = MetricsObserver(problem.A, problem.b, stride=stride)
+    observer = MetricsObserver(problem.A, problem.b, stride=stride, oracle=problem.oracle)
     result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
     return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
                                if not r.stale])
@@ -507,7 +518,7 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     A (kind, d) cell that raises is recorded and reported as an ``error:``
     line, like a run of :func:`run_experiment`, and the sweep goes on.
     """
-    loaded = [(source.name, *_load(source, desk_scale=False)) for source in config.sources]
+    loaded = [(source.name, *_load(source)) for source in config.sources]
     matrices = [(name, A) for name, A, _ in loaded if A is not None]
     errors = [failure for _, _, failure in loaded if failure is not None]
     if not matrices:
@@ -591,12 +602,17 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
         source = MatrixSource(name="synthetic", synthetic=_parse_synthetic(synthetic))
     else:
         raise ConfigError("check needs --matrix or --synthetic")
-    A, failure = _load(source, desk_scale=True)
+    A, failure = _load(source)
     if failure is not None:
         _print_errors([failure])
         return EXIT_RUN_ERROR
     d = _compute_d(d_mult, A.cols, A.rows)
-    _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), sketch_kind, d)
+    try:
+        _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), sketch_kind, d)
+    except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
+        _print_errors([RunOutcome(label=f"{source.name}_{sketch_kind.value}_d{d}_s{seed}",
+                                  error=str(exc))])
+        return EXIT_RUN_ERROR
     print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
           f"kappa={A.condition_number():.6g}")
     for rep in reports:
@@ -610,8 +626,7 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
     return EXIT_BOUND_FAILED if failed else EXIT_OK
 
 
-RUN_OVERRIDES = ("seeds", "stride", "skip_large", "stop", "tol", "window",
-                 "band_lo", "band_hi")
+RUN_OVERRIDES = ("seeds", "stride", "stop", "tol", "window", "band_lo", "band_hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seeds", help="override: comma-separated seed list")
     p_run.add_argument("--stride", help="override observer stride")
-    p_run.add_argument("--skip-large", action="store_const", const="1",
-                       help="skip Gaussian runs whose payload exceeds the memory guard")
     p_run.add_argument("--stop", help=f"override stopping policy: {stop_modes}")
     p_run.add_argument("--tol", help="override stopping tolerance")
     p_run.add_argument("--window", help="override stabilization window")

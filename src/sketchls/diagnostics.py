@@ -343,7 +343,6 @@ def check_solution_error(P: SketchedProblem, oracle: LsOracle,
                          eps: float) -> List[BoundReport]:
     """Relative solution-error bounds in terms of eps, kappa(A), and residual size."""
     A = P.A
-    # kappa first: where it is unknown, x_s (a dense QR of SA) is never formed
     kappa = A.condition_number()
     norm_A = A.spectral_norm()
     x_s = P.x_s

@@ -3,8 +3,10 @@
 A :class:`MatrixHandle` wraps either a dense array or a CSR sparse matrix and
 lazily caches two things: its column-pivoted economic QR factorization
 A[:, piv] = Q R, the one factorization of A, and the extreme singular values,
-read from R.  The QR holds an m-by-n Q, so it costs as much memory as a
-dense A; it is formed once per matrix and serves every right-hand side.
+read from R.  Every matrix is densely factored: the QR holds an m-by-n Q, so
+it costs as much memory as a dense A, and the largest n allowed is the
+caller's to enforce.  The factor is formed once per matrix and serves every
+right-hand side.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.
@@ -33,12 +35,6 @@ class RankDeficiencyError(ValueError):
     """The matrix is numerically rank deficient for the requested operation."""
 
 
-# The largest n with a dense factorization of A.  Above it cond(A) is unknown
-# (see :func:`spectral_norms`), so no bound can be checked, and the dense
-# least-squares oracle is refused.
-DESK_SCALE_COLS = 5000
-
-
 # (Q, R, piv) of an economic column-pivoted QR M[:, piv] = Q R
 QrFactor = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -48,8 +44,9 @@ class SpectralInfo:
     norm: float
     sigma_min: float
     cond: float
-    power_iterations: int   # 0 when the dense factorization gives the norm
-    power_converged: bool
+    # always 0: the norm comes from the dense factor; kept because
+    # bench/tracer.py reads it for matio.spectral_norms.power_iters
+    power_iterations: int = 0
 
 
 class MatrixHandle:
@@ -136,14 +133,8 @@ class MatrixHandle:
         return self.spectral().norm
 
     def condition_number(self) -> float:
-        """kappa(A); raises when it is unknown because n is too large for the
-        dense factorization (see :func:`spectral_norms`)."""
-        cond = self.spectral().cond
-        if math.isnan(cond):
-            raise ValueError(
-                f"cond(A) is unknown: n = {self.cols} exceeds {DESK_SCALE_COLS}, "
-                "the largest n with a dense factorization")
-        return cond
+        """kappa(A) = sigma_max / sigma_min, cached (see :func:`spectral_norms`)."""
+        return self.spectral().cond
 
     def qr_factor(self) -> QrFactor:
         """Read-only column-pivoted economic QR A[:, piv] = Q R, cached.
@@ -170,7 +161,7 @@ class LsOracle:
     x_ls: np.ndarray
     r_ls: np.ndarray
     r_ls_norm: float
-    normal_eq_residual: float
+    atr_ls: np.ndarray   # A^T r_ls, nearly zero
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +429,6 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     costs two triangular solves, not a factorization.  The returned residual
     satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
-    if A.cols > DESK_SCALE_COLS:
-        raise ValueError(f"oracle guard: n = {A.cols} exceeds {DESK_SCALE_COLS}")
     b = as_rhs(A, b)
     x = _qr_solve(A.dense(), A.qr_factor(), b)
     r = A.matvec(x) - b
@@ -447,70 +436,30 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
         x_ls=x,
         r_ls=r,
         r_ls_norm=float(np.linalg.norm(r)),
-        normal_eq_residual=float(np.linalg.norm(A.rmatvec(r))),
+        atr_ls=A.rmatvec(r),
     )
-
-
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 500
-
-
-def power_norm(A: MatrixHandle) -> Tuple[float, int, bool]:
-    """Spectral norm by power iteration on A^T A; never densifies A.
-
-    Starts from a deterministic vector and stops once the eigenvalue estimate
-    changes by at most ``POWER_TOL`` relative.  Returns the norm, the number
-    of iterations and whether it converged.
-    """
-    gen = stream(0, "power", A.rows, A.cols)
-    v = gen.standard_normal(A.cols)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, POWER_MAX_ITER + 1):
-        w = A.rmatvec(A.matvec(v))
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            break
-        v = w / lam
-        if abs(lam - lam_prev) <= POWER_TOL * lam:
-            converged = True
-            break
-        lam_prev = lam
-    return (math.sqrt(lam) if lam > 0 else 0.0), iterations, converged
 
 
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     """Largest/smallest singular values and condition number, cached on A.
 
-    Whenever n <= ``DESK_SCALE_COLS`` all three come from the SVD of the n-by-n
-    R of the cached pivoted QR (:meth:`MatrixHandle.qr_factor`): a column
-    permutation does not change singular values.  Above that limit A
-    is never densified: the norm is the :func:`power_norm` estimate, and
-    sigma_min and cond are NaN (unknown).
+    All three come from the SVD of the n-by-n R of the cached pivoted QR
+    (:meth:`MatrixHandle.qr_factor`): a column permutation does not change
+    singular values.
     """
     if A._spectral is not None:
         return A._spectral
 
-    iterations, converged = 0, False
-    if A.cols <= DESK_SCALE_COLS:
-        sv = scipy.linalg.svd(A.qr_factor()[1], compute_uv=False)
-        norm = float(sv[0])
-        sigma_min = float(sv[-1])
-        if sigma_min < 1e-14 * norm:
-            raise RankDeficiencyError(
-                f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
-    else:
-        norm, iterations, converged = power_norm(A)
-        sigma_min = math.nan
-
+    sv = scipy.linalg.svd(A.qr_factor()[1], compute_uv=False)
+    norm = float(sv[0])
+    sigma_min = float(sv[-1])
+    if sigma_min < 1e-14 * norm:
+        raise RankDeficiencyError(
+            f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
     info = SpectralInfo(
         norm=norm,
         sigma_min=sigma_min,
         cond=norm / sigma_min if sigma_min != 0.0 else float("inf"),
-        power_iterations=iterations,
-        power_converged=converged,
     )
     with A._lock:
         if A._spectral is None:

@@ -82,14 +82,13 @@ class MetricsObserver:
     (A, b), a fresh record costs two n-by-n triangular products instead.  A's
     cached pivoted QR A[:, piv] = Q R (:meth:`MatrixHandle.qr_factor`) gives
     ||A e|| = ||R e[piv]|| and (A^T A e)[piv] = R^T R e[piv], so with
-    e = x - x_ls and g = A^T r_ls (computed once, nearly zero), both taken in
+    e = x - x_ls and g = A^T r_ls (the oracle's ``atr_ls``), both taken in
     pivot order,
 
         ||A x - b||^2 = ||R e||^2 + 2 e^T g + ||r_ls||^2,
         ||A^T (A x - b)|| = ||R^T (R e) + g||,
 
-    both exact in exact arithmetic and free of cancellation against b.  The
-    factor needs a dense QR of A, so the fast path is desk scale only.
+    both exact in exact arithmetic and free of cancellation against b.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, stride: int = 1,
@@ -104,7 +103,7 @@ class MetricsObserver:
         if oracle is not None:
             _, self._R, self._piv = A.qr_factor()
             self._x_ls = oracle.x_ls[self._piv]
-            self._g = A.rmatvec(oracle.r_ls)[self._piv]
+            self._g = oracle.atr_ls[self._piv]
             self._rls_sq = oracle.r_ls_norm ** 2
         self._last_rnorm = math.nan
         self._last_ratio = math.nan

@@ -81,7 +81,11 @@ class TestConfigParsing:
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = 2,y\n", "d_mult must be a number"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = nan\n", "d_mult must be finite"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult = inf\n", "d_mult must be finite"),
-        ("synthetic = 50,4,3\nkind = gaussian\nskip_large = ture\n", "skip_large must be"),
+        ("synthetic = 50,4,3\nkind = gaussian\nskip_large = ture\n",
+         "unknown config key 'skip_large'"),
+        ("synthetic = 50,4,3\nkind = gaussian\nseed = 3\nsolvr = lsqr\n",
+         "unknown config key 'seed'"),
+        ("synthetic = 50,4,3\nkind = gaussian\nsolvr = lsqr\n", "unknown config key 'solvr'"),
         ("synthetic = 50,4,3\nkind = gaussian\nseeds =\n", "seeds is empty"),
         ("synthetic = 50,4,3\nkind = gaussian\nseeds = ,\n", "seeds is empty"),
         ("synthetic = 50,4,3\nkind = gaussian\nd_mult =\n", "d_mult is empty"),
@@ -387,12 +391,25 @@ class TestRunExperiment:
         assert errors == ["error: synth120x6c20_gaussian_d24_s1: draw failed"]
         assert (tmp_path / "synth120x6c20_gaussian_d24_s0_bounds.csv").is_file()
 
-    def test_skip_large(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
+    def test_gaussian_payload_guard(self, tmp_path, monkeypatch, capsys):
+        # d * m = 24 * 120 for run, 8 * 120 and 40 * 120 for sweep-d
+        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 1000)
         out = tmp_path / "r"
-        config = parse_config(BASE_CONFIG.format(out=out) + "skip_large = 1\n")
-        assert run_experiment(config) == EXIT_OK
-        assert not list(out.glob("*gaussian*trace.csv"))
+        assert run_experiment(parse_config(BASE_CONFIG.format(out=out))) == EXIT_RUN_ERROR
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: synth120x6c20_gaussian_d24_s{seed}: Gaussian sketch "
+                          "d * m = 2880 exceeds the payload guard 1000" for seed in (0, 1)]
+        assert not list(out.glob("*gaussian*"))
+
+        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path / 's'}\n")
+        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
+        assert "error: synth120x4c10_gaussian_d40: seed 0: Gaussian sketch d * m = 4800 " \
+            "exceeds the payload guard 1000" in capsys.readouterr().err
+        with open(tmp_path / "s" / "sweep_d.csv") as fh:
+            got = [(r["kind"], r["d"]) for r in csv.DictReader(fh)]
+        assert got == [("gaussian", "8"), ("sparse", "8"), ("sparse", "40")]
 
 
 class TestSweep:
@@ -464,6 +481,29 @@ class TestSweep:
         assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
+    def test_A_products_fixed_per_seed(self, tmp_path, monkeypatch):
+        # b, the oracle's residual and A^T r_ls: the observer reads the
+        # oracle and A's factor, so no iteration multiplies by A
+        products, iterations = [], []
+        real_matvec, real_rmatvec, real_lsmr = (MatrixHandle.matvec, MatrixHandle.rmatvec,
+                                                cli.lsmr)
+
+        def lsmr(*args, **kwargs):
+            result = real_lsmr(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(MatrixHandle, "matvec",
+                            lambda A, x: products.append(1) or real_matvec(A, x))
+        monkeypatch.setattr(MatrixHandle, "rmatvec",
+                            lambda A, y: products.append(1) or real_rmatvec(A, y))
+        monkeypatch.setattr(cli, "lsmr", lsmr)
+        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\n"
+                              f"seeds = 0,1,2\noutput_dir = {tmp_path}\n")
+        assert sweep_d(config, "8,40") == EXIT_OK
+        assert len(products) == 3 * 3
+        assert len(iterations) == 3 * 4 and sum(iterations) > len(products)
+
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
         real = embed.sketch_operands
 
@@ -508,7 +548,7 @@ class TestSweep:
 def write_wide_sparse(path):
     """A 5002 x 5001 CSR matrix, one column above the desk-scale limit; it
     loads without densifying."""
-    m, n = matio.DESK_SCALE_COLS + 2, matio.DESK_SCALE_COLS + 1
+    m, n = cli.DESK_SCALE_COLS + 2, cli.DESK_SCALE_COLS + 1
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate real general\n{m} {n} {n + 1}\n")
         fh.writelines(f"{j + 1} {j + 1} 1.0\n" for j in range(n))
@@ -540,6 +580,21 @@ class TestDeskScaleLimit:
                      "--d-mult", "1.0001"]) == EXIT_RUN_ERROR
         assert "error: wide: n = 5001 exceeds the desk-scale limit 5000" in \
             capsys.readouterr().err
+
+    def test_sweep_rejects_wide_source_after_load(self, tmp_path, capsys, monkeypatch,
+                                                  no_oracle):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("A factored")
+
+        monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+        wide = write_wide_sparse(tmp_path / "wide.mtx")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"matrix = {wide}\nkind = sparse\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "5001,5001"]) == \
+            EXIT_RUN_ERROR
+        assert "error: wide: n = 5001 exceeds the desk-scale limit 5000" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep_d.csv").exists()
 
 
 class TestFigures:
@@ -592,6 +647,25 @@ class TestMain:
             path.write_text(contents)
         assert main(["check", "--matrix", str(path), "--kind", "sparse"]) == EXIT_RUN_ERROR
         assert "error: m: load failed:" in capsys.readouterr().err
+
+    def test_check_cell_error(self, tmp_path, capsys):
+        # the fifth column is the sum of the first two
+        cols = np.random.default_rng(5).standard_normal((200, 4))
+        A = np.column_stack([cols, cols[:, 0] + cols[:, 1]])
+        path = tmp_path / "rd.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n200 5\n"
+                        + "".join(f"{v:.17g}\n" for v in A.flatten(order="F")))
+        assert main(["check", "--matrix", str(path), "--kind", "sparse"]) == EXIT_RUN_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: rd_sparse_d10_s0: rank deficiency")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_check_gaussian_payload_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "gaussian"]) == \
+            EXIT_RUN_ERROR
+        assert capsys.readouterr().err == ("error: synthetic_gaussian_d8_s0: Gaussian sketch "
+                                          "d * m = 1600 exceeds the payload guard 100\n")
 
     def test_sweep_main(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -9,14 +9,11 @@ import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 from sketchls import matio
-from sketchls.diagnostics import SketchedProblem, check_solution_error
-from sketchls.embed import build_sketch
-from sketchls.matio import (LsOracle, MatrixHandle, MatrixMarketError, RankDeficiencyError,
+from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, qr_ls_solve,
                             save_matrix_market, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem)
 from sketchls.rng import stream
-from sketchls.solvers import MetricsObserver
 
 from conftest import random_tall
 
@@ -291,9 +288,9 @@ class TestSynthesis:
             synthesize_problem(A, seed=1, residual_scale=0.0)
 
     def test_synthesize_matrix_condition(self):
-        A = synthesize_matrix(120, 8, 250.0, seed=4)
-        info = A.spectral()
-        assert info.cond == pytest.approx(250.0, rel=1e-10)
+        for m, n, cond, seed in [(120, 8, 250.0, 4), (200, 15, 1e4, 3)]:
+            info = synthesize_matrix(m, n, cond, seed=seed).spectral()
+            assert info.cond == pytest.approx(cond, rel=1e-10)
 
 
 class TestOracle:
@@ -317,7 +314,8 @@ class TestOracle:
         A = synthesize_matrix(150, 12, 10.0 ** (seed + 1), seed)
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
-        ratio = oracle.normal_eq_residual / (A.spectral_norm() * oracle.r_ls_norm)
+        assert same_bits(oracle.atr_ls, A.rmatvec(oracle.r_ls))
+        ratio = np.linalg.norm(oracle.atr_ls) / (A.spectral_norm() * oracle.r_ls_norm)
         assert ratio <= 1e-10
 
     @pytest.mark.parametrize("seed", range(5))
@@ -393,12 +391,6 @@ class TestOracle:
         with pytest.raises(ValueError, match="NaN or Inf"):
             solve_ls_oracle(A, b)
 
-    def test_desk_scale_guard(self, monkeypatch):
-        monkeypatch.setattr(matio, "DESK_SCALE_COLS", 4)
-        A = random_tall(30, 6, 2)
-        with pytest.raises(ValueError, match="guard"):
-            solve_ls_oracle(A, np.ones(30))
-
 
 class TestSpectral:
     def test_identity(self):
@@ -431,52 +423,6 @@ class TestSpectral:
         info = A.spectral()
         assert (info.norm, info.sigma_min) == (float(sv[0]), float(sv[-1]))
         assert info.cond == float(sv[0]) / float(sv[-1])
-
-    def test_large_sparse_norm_without_densifying(self, monkeypatch):
-        # n just above the dense cross-check limit: the norm is the power
-        # estimate, sigma_min and cond are unknown, and A is never densified
-        n = matio.DESK_SCALE_COLS + 1
-        m = n + 50
-        diag = np.linspace(1.0, 2.0, n)
-        diag[0] = 10.0
-        A = MatrixHandle(scipy.sparse.diags(diag, shape=(m, n), format="csr"))
-
-        def no_dense(self):
-            raise AssertionError("densified")
-
-        monkeypatch.setattr(MatrixHandle, "dense", no_dense)
-        info = A.spectral()
-        assert info.power_converged
-        assert info.norm == pytest.approx(10.0, rel=1e-9)
-        assert math.isnan(info.sigma_min) and math.isnan(info.cond)
-        with pytest.raises(ValueError, match="cond.*unknown"):
-            A.condition_number()
-
-        b = np.ones(m)
-        x = np.ones(n)
-        rec = MetricsObserver(A, b)(1, x, 1.0, 1.0)
-        r = A.matvec(x) - b
-        assert rec.unsketched_residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-14)
-        assert rec.unsketched_normal_ratio == pytest.approx(
-            np.linalg.norm(A.rmatvec(r)) / (info.norm * np.linalg.norm(r)), rel=1e-14)
-
-        # the bound checks need cond and say so
-        oracle = LsOracle(x_ls=x, r_ls=r, r_ls_norm=float(np.linalg.norm(r)),
-                          normal_eq_residual=0.0)
-        with pytest.raises(ValueError, match="cond.*unknown"):
-            check_solution_error(SketchedProblem(A, b, build_sketch("sparse", n, m, 0)),
-                                 oracle, 0.5)
-
-    def test_power_iteration_agrees(self):
-        # below the dense limit the norm comes from the pivoted QR's R alone;
-        # the power path, called directly, converges to the same norm
-        A = synthesize_matrix(200, 15, 1e4, 3)
-        info = A.spectral()
-        assert info.power_iterations == 0
-        assert info.cond == pytest.approx(1e4, rel=1e-2)
-        norm, iterations, converged = matio.power_norm(A)
-        assert converged and 0 < iterations < matio.POWER_MAX_ITER
-        assert norm == pytest.approx(info.norm, rel=1e-8)
 
 
 class TestHandleInvariants:

@@ -171,12 +171,15 @@ class TestObserver:
         assert len(res.trace) == res.iterations
 
     def test_zero_iterate_metrics(self):
-        A = random_tall(30, 4, 3)
+        dense = random_tall(30, 4, 3)
         b = random_rhs(30, 4)
-        obs = MetricsObserver(A, b)
-        rec = obs(1, np.zeros(4), 1.0, 1.0)
-        assert rec.unsketched_residual_norm == pytest.approx(np.linalg.norm(b))
-        assert not rec.stale
+        for A in (dense, MatrixHandle(dense.csr())):
+            rec = MetricsObserver(A, b)(1, np.zeros(4), 1.0, 1.0)
+            assert rec.unsketched_residual_norm == pytest.approx(np.linalg.norm(b))
+            assert rec.unsketched_normal_ratio == pytest.approx(
+                np.linalg.norm(A.rmatvec(b)) / (A.spectral_norm() * np.linalg.norm(b)),
+                rel=1e-14)
+            assert not rec.stale
 
     def test_oracle_iterate_is_orthogonal(self):
         A = synthesize_matrix(100, 8, 10.0, 2)
