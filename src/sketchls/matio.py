@@ -6,10 +6,15 @@ A[:, piv] = Q R, the one factorization of A, and the extreme singular values,
 read from R.  Every matrix is densely factored: the QR holds an m-by-n Q, so
 it costs as much memory as a dense A, and the largest n allowed is the
 caller's to enforce.  The factor is formed once per matrix and serves every
-right-hand side.
+right-hand side.  A loaded matrix is factored by a pivoted QR of its m rows;
+a synthesized one, built as U diag(s) V^T, gets the same factor from an
+n-by-n pivoted QR of diag(s) V^T and the product Q = U Q2 (see
+:func:`synthesize_matrix`).
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
-refinement step) supplies reference solutions for all bound checks.
+refinement step) supplies reference solutions for all bound checks.  One
+threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
+spectral data alike.
 """
 
 from __future__ import annotations
@@ -38,6 +43,16 @@ class RankDeficiencyError(ValueError):
 # (Q, R, piv) of an economic column-pivoted QR M[:, piv] = Q R
 QrFactor = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# A is numerically rank deficient when its smallest singular value
+# (spectral_norms) or its smallest R diagonal (the oracle) is below
+# RANK_TOL times the largest.  sigma_min <= min |R_ii| and |R_11| <= ||A||,
+# so every A the oracle rejects, the spectral data reject too.
+RANK_TOL = 1e-12
+
+# bytes of the row block of U Q2 formed at a time when a synthesized A's Q
+# is written into U's buffer
+_Q_BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class SpectralInfo:
@@ -59,7 +74,9 @@ class MatrixHandle:
     arrays are read-only.  The pivoted QR (:meth:`qr_factor`) is the only
     factorization of A: the spectral data and the observer's fast path read
     its R, and it keeps an m-by-n Q for the handle's lifetime, as much memory
-    as a dense A.
+    as a dense A.  A handle from :func:`synthesize_matrix` also holds its
+    synthesis SVD (U, s, V) until the first :meth:`qr_factor`, which turns
+    that U into Q; U is already m-by-n, so the handle's memory does not grow.
     """
 
     def __init__(self, data):
@@ -91,6 +108,9 @@ class MatrixHandle:
         self.cols = cols
         self._spectral: Optional[SpectralInfo] = None
         self._qr_factor: Optional[QrFactor] = None
+        # (U, s, V) with A = U diag(s) V^T, set by synthesize_matrix and
+        # consumed by qr_factor, which overwrites U
+        self._svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._lock = threading.Lock()
 
     @property
@@ -139,21 +159,48 @@ class MatrixHandle:
     def qr_factor(self) -> QrFactor:
         """Read-only column-pivoted economic QR A[:, piv] = Q R, cached.
 
-        The factorization :func:`qr_ls_solve` computes for a dense A; it never
-        raises, so a rank check is the caller's (see :func:`solve_ls_oracle`).
-        One dense m-by-n Q is kept for the handle's lifetime.  R has the
-        singular values of A, and F = R[:, argsort(piv)] has F^T F = A^T A.
+        It never raises, so a rank check is the caller's (see
+        :func:`solve_ls_oracle`).  One dense m-by-n Q is kept for the
+        handle's lifetime.  R has the singular values of A, and
+        F = R[:, argsort(piv)] has F^T F = A^T A.  The first call builds the
+        factor under the handle's lock, so it is built once however many
+        threads ask.
+
+        A loaded matrix gets the factorization :func:`qr_ls_solve` computes
+        for a dense A.  A synthesized A = U diag(s) V^T instead gets the
+        pivoted QR diag(s) V^T[:, piv] = Q2 R of an n-by-n matrix, and
+        Q = U Q2, formed a row block at a time in U's own buffer (a row of
+        U Q2 reads only that row of U).  Then A[:, piv] = Q R in exact
+        arithmetic, and piv and R are those of a pivoted QR of A, since
+        column pivoting sees only A^T A = V diag(s)^2 V^T; Q and R agree
+        with the m-row factorization to rounding.
         """
         factor = self._qr_factor
         if factor is None:
-            factor = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
-            for arr in factor:
-                arr.setflags(write=False)
             with self._lock:
                 if self._qr_factor is None:
+                    factor = self._factor()
+                    for arr in factor:
+                        arr.setflags(write=False)
                     self._qr_factor = factor
                 factor = self._qr_factor
         return factor
+
+    def _factor(self) -> QrFactor:
+        """The pivoted QR of :meth:`qr_factor`; call once, under the lock."""
+        if self._svd is None:
+            return scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+        U, s, V = self._svd
+        self._svd = None
+        Q2, R, piv = scipy.linalg.qr(s[:, None] * V.T, mode="economic", pivoting=True)
+        step = max(1, _Q_BLOCK_BYTES // U[0].nbytes)
+        block = np.empty((min(self.rows, step), self.cols))
+        for start in range(0, self.rows, step):
+            rows = U[start:start + step]
+            out = block[: rows.shape[0]]
+            np.matmul(rows, Q2, out=out)
+            rows[...] = out
+        return U, R, piv
 
 
 @dataclass
@@ -363,7 +410,13 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     """Random dense m-by-n matrix with prescribed condition number.
 
     Built as U diag(s) V^T with orthonormal factors and log-spaced singular
-    values from 1 down to 1/cond.
+    values from 1 down to 1/cond.  The handle keeps (U, s, V), so its pivoted
+    QR (:meth:`MatrixHandle.qr_factor`) costs an n-by-n QR and one pass over
+    U instead of a QR of the m rows of A.  It keeps a copy of U, taken after
+    A is built, which that QR then overwrites with Q: holding the original U
+    instead would keep the synthesis temporaries freed around it from going
+    back to the system, and the tall bench workload (16000 x 100) peaked
+    about 30 MB higher that way, with Q written in place or not.
     """
     if m < n or n < 1:
         raise ValueError("need m >= n >= 1")
@@ -373,7 +426,9 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     U = np.linalg.qr(gen.standard_normal((m, n)))[0]
     V = np.linalg.qr(gen.standard_normal((n, n)))[0]
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
-    return MatrixHandle((U * s) @ V.T)
+    A = MatrixHandle((U * s) @ V.T)
+    A._svd = (U.copy(), s, V)
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +436,12 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
 
 def _qr_solve(M: np.ndarray, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve of M x = rhs from the pivoted QR ``(Q, R, piv)``
-    of M, refined once.  Raises :class:`RankDeficiencyError` when the R
-    diagonal collapses."""
+    of M, refined once.  Raises :class:`RankDeficiencyError` when the
+    smallest R diagonal is below :data:`RANK_TOL` of the largest."""
     Q, R, piv = factor
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
-    if scale == 0.0 or diag.min() < 1e-12 * scale:
+    if scale == 0.0 or diag.min() < RANK_TOL * scale:
         raise RankDeficiencyError(
             f"rank deficiency: smallest R diagonal {diag.min():.3e} vs scale {scale:.3e}")
 
@@ -425,7 +480,8 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     """Exact least-squares reference solution at desk scale.
 
     The cached column-pivoted QR of A (:meth:`MatrixHandle.qr_factor`) with
-    one refinement step, bit for bit ``qr_ls_solve(A.dense(), b)``: each b
+    one refinement step, bit for bit ``qr_ls_solve(A.dense(), b)`` for a
+    loaded A (a synthesized A's factor agrees with it to rounding): each b
     costs two triangular solves, not a factorization.  The returned residual
     satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
@@ -445,7 +501,8 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
 
     All three come from the SVD of the n-by-n R of the cached pivoted QR
     (:meth:`MatrixHandle.qr_factor`): a column permutation does not change
-    singular values.
+    singular values.  Raises :class:`RankDeficiencyError` when sigma_min is
+    below :data:`RANK_TOL` of the norm, the oracle's threshold.
     """
     if A._spectral is not None:
         return A._spectral
@@ -453,7 +510,7 @@ def spectral_norms(A: MatrixHandle) -> SpectralInfo:
     sv = scipy.linalg.svd(A.qr_factor()[1], compute_uv=False)
     norm = float(sv[0])
     sigma_min = float(sv[-1])
-    if sigma_min < 1e-14 * norm:
+    if sigma_min < RANK_TOL * norm:
         raise RankDeficiencyError(
             f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
     info = SpectralInfo(

@@ -12,7 +12,8 @@ from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
                           EXIT_RUN_ERROR, ExperimentConfig, MatrixSource,
                           emit_figure_data, main, parse_config, plateau_value,
                           run_experiment, sweep_d)
-from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
+from sketchls.matio import (MatrixHandle, save_matrix_market, synthesize_matrix,
+                            synthesize_problem)
 from sketchls.stopping import StopMode
 
 TWO_KINDS_CONFIG = """
@@ -207,6 +208,29 @@ def count_factorizations(monkeypatch) -> Counter:
     return shapes
 
 
+def qr_counts(shapes: Counter, rows: int, cols: int) -> dict:
+    """The m-row QR counts, pivoted and not, and the n-by-n pivoted QR count
+    of an m-by-n A, from :func:`count_factorizations`."""
+    return {"pivoted": shapes["qr", True, (rows, cols)],
+            "unpivoted": shapes["qr", False, (rows, cols)],
+            "n-by-n pivoted": shapes["qr", True, (cols, cols)]}
+
+
+# A synthesized A is factored from its synthesis SVD: no QR of its m rows,
+# one pivoted QR of the n-by-n diag(s) V^T.  A loaded A gets one pivoted QR
+# of its m rows.
+SYNTHETIC_QRS = {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1}
+LOADED_QRS = {"pivoted": 1, "unpivoted": 0, "n-by-n pivoted": 0}
+
+
+def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
+    """The matrix of ``synthetic = m,n,cond`` saved in Matrix Market form, so
+    that it loads as a matrix without its synthesis SVD."""
+    path = tmp_path / f"a{m}x{n}.mtx"
+    save_matrix_market(MatrixSource("s", synthetic=(m, n, cond)).load(), path)
+    return path
+
+
 class TestRunExperiment:
     def test_artifacts_and_determinism(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -331,15 +355,25 @@ class TestRunExperiment:
         assert basis_calls == oracle_calls == [120, 120, 100, 100]
 
     def test_one_pivoted_qr_of_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
-        # 3 kinds x 2 seeds share one pivoted QR of the 120 x 6 A (every
+        # 3 kinds x 2 seeds share one factorization of the 120 x 6 A (every
         # oracle, basis, spectral datum and observer factor comes from it);
         # no SVD sees an operand with m rows
+        self.check_factorizations(tmp_path, monkeypatch, loaded=False)
+
+    def test_one_pivoted_qr_of_loaded_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
+        self.check_factorizations(tmp_path, monkeypatch, loaded=True)
+
+    @staticmethod
+    def check_factorizations(tmp_path, monkeypatch, loaded: bool):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "kind = gaussian", "kind = gaussian,srht,sparse")
+        if loaded:
+            text = text.replace("synthetic = 120,6,20",
+                                f"matrix = {save_synthetic(tmp_path, 120, 6, 20)}")
+        config = parse_config(text)
         shapes = count_factorizations(monkeypatch)
-        config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
-            "kind = gaussian", "kind = gaussian,srht,sparse"))
         assert run_experiment(config) == EXIT_OK
-        assert shapes["qr", True, (120, 6)] == 1
-        assert shapes["qr", False, (120, 6)] == 0
+        assert qr_counts(shapes, 120, 6) == (LOADED_QRS if loaded else SYNTHETIC_QRS)
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] == 120]
 
     def test_row_order_kind_d_seed(self, tmp_path):
@@ -471,13 +505,16 @@ class TestSweep:
                        for kind in ("gaussian", "sparse") for d in ("8", "40")]
 
     def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
-        shapes = count_factorizations(monkeypatch)
-        config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
+        # a synthesized and a loaded source, each factored once: the first
+        # by its n-by-n diag(s) V^T, the second by its m rows
+        config = parse_config("synthetic = 120,4,10\n"
+                              f"matrix = {save_synthetic(tmp_path, 100, 4, 10)}\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
-                              f"output_dir = {tmp_path}\n")
+                              f"output_dir = {tmp_path / 'out'}\n")
+        shapes = count_factorizations(monkeypatch)
         assert sweep_d(config, "8,40") == EXIT_OK
         assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
-            ("qr", True, (120, 4)): 1, ("qr", True, (100, 4)): 1}
+            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1}
         assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
@@ -631,8 +668,14 @@ class TestMain:
         shapes = count_factorizations(monkeypatch)
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
-        assert shapes["qr", True, (200, 4)] == 1
-        assert shapes["qr", False, (200, 4)] == 0
+        assert qr_counts(shapes, 200, 4) == SYNTHETIC_QRS
+
+    def test_check_one_pivoted_qr_of_loaded_A(self, tmp_path, monkeypatch):
+        path = save_synthetic(tmp_path, 200, 4, 10)
+        shapes = count_factorizations(monkeypatch)
+        assert main(["check", "--matrix", str(path), "--kind", "sparse",
+                     "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+        assert qr_counts(shapes, 200, 4) == LOADED_QRS
 
     @pytest.mark.parametrize("spec", ["200,10", "200,x,10"])
     def test_check_bad_synthetic_spec(self, capsys, spec):

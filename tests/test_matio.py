@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
-from sketchls import matio
+from sketchls import embed, matio
 from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, qr_ls_solve,
                             save_matrix_market, solve_ls_oracle,
@@ -361,21 +361,16 @@ class TestOracle:
 
     def test_qr_factor_shared_across_threads(self):
         # every thread that races to fill the cache gets the one stored factor
-        A = random_tall(400, 20, 4)
-        results = []
-        threads = [threading.Thread(target=lambda: results.append(A.qr_factor()))
-                   for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 8 and all(r is A.qr_factor() for r in results)
+        race_for_factor(random_tall(400, 20, 4))
+
+    def test_synthetic_qr_factor_shared_across_threads(self):
+        # Q is formed in place in U's buffer, which must happen exactly once
+        A = synthesize_matrix(400, 20, 1e3, 4)
+        Q, R, piv = race_for_factor(A)
+        assert np.linalg.norm(A.dense()[:, piv] - Q @ R) <= 1e-13 * A.spectral_norm()
+        for arr in (Q, R, piv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
     def test_rank_check_on_cached_factor(self):
         col = np.arange(1.0, 9.0)
@@ -390,6 +385,69 @@ class TestOracle:
         b[7] = np.inf
         with pytest.raises(ValueError, match="NaN or Inf"):
             solve_ls_oracle(A, b)
+
+    def test_one_rank_threshold(self):
+        # sigma_min / sigma_max = 1e-13 is below RANK_TOL: the spectral data
+        # and the oracle both call A rank deficient
+        A = synthesize_matrix(300, 10, 1e13, 1)
+        with pytest.raises(RankDeficiencyError, match="rank deficiency"):
+            A.condition_number()
+        with pytest.raises(RankDeficiencyError, match="rank deficiency"):
+            solve_ls_oracle(A, synthesize_problem(A, 1))
+
+
+def race_for_factor(A: MatrixHandle):
+    """``A.qr_factor()`` from 8 threads at once; asserts that all got the
+    one stored factor and returns it."""
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(A.qr_factor()))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is A.qr_factor() for r in results)
+    return results[0]
+
+
+class TestSyntheticFactor:
+    """A synthesized A's factor, built from its synthesis SVD, against the
+    reference: the pivoted QR of the m rows of the same A, loaded as a plain
+    array.  Both are backward stable factorizations of A, so x_ls, kappa and
+    the embedding parameter eps that they give agree to a few kappa * u
+    relative (u = 2.2e-16, the machine epsilon; the largest seen was
+    2.7 kappa * u), above a floor of 1e-12 for rounding in the bound
+    arithmetic.  The tolerance is 1e-12 + 20 kappa * u: at cond 5e11, half
+    the inverse of the rank threshold, that is 2.2e-3."""
+
+    @pytest.mark.parametrize("m, n, cond", [(50, 1, 1.0), (300, 12, 30.0),
+                                            (2000, 40, 1e4), (400, 10, 5e11)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_m_row_qr(self, m, n, cond, seed):
+        A = synthesize_matrix(m, n, cond, seed)
+        ref = MatrixHandle(A.dense().copy())
+        Q, R, piv = A.qr_factor()
+        norm = np.linalg.norm(A.dense(), 2)
+        assert np.linalg.norm(A.dense()[:, piv] - Q @ R) <= 1e-13 * norm
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-13
+        _, R_ref, _ = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+        assert same_bits(ref.qr_factor()[1], R_ref)
+
+        tol = 1e-12 + 20 * cond * np.finfo(np.float64).eps
+        b = synthesize_problem(A, seed)
+        fast, slow = solve_ls_oracle(A, b), solve_ls_oracle(ref, b)
+        assert np.linalg.norm(fast.x_ls - slow.x_ls) <= tol * np.linalg.norm(slow.x_ls)
+        assert fast.r_ls_norm == pytest.approx(slow.r_ls_norm, rel=tol)
+        assert A.condition_number() == pytest.approx(ref.condition_number(), rel=tol)
+        S = embed.build_sketch("gaussian", min(m - 1, 4 * (n + 1)), m, seed)
+        assert embed.exact_distortion(S, A, b).epsilon == pytest.approx(
+            embed.exact_distortion(S, ref, b).epsilon, rel=tol)
 
 
 class TestSpectral:
