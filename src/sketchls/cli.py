@@ -2,11 +2,22 @@
 
 Loads or synthesizes problems, builds sketches, runs LSQR/LSMR under a chosen
 stopping policy, and writes per-run trace CSVs, bound-report CSVs, and an
-aggregate summary.  Re-running the same configuration at the same BLAS thread
-count reproduces every output byte for byte; across thread counts the last
-digits can move, because a Gaussian sketch is applied in 64-row blocks whose
-products depend on it.  ``sweep-d`` also runs slower under two BLAS threads
-than under one (``OPENBLAS_NUM_THREADS=1``).
+aggregate summary.
+
+``run`` and ``sweep-d`` go seed by seed; within a seed the (kind, d) cells run
+in d -> kind order, and the outputs list the cells in kind -> d order (then
+seed, for ``run``).  Each cell makes one sketch pass over the Q of A's
+pivoted QR and b, and forms SA from it; A itself is never sketched.  At most
+two threads work: the calling thread, and a worker that draws a Gaussian
+cell's G, ahead of the cell while the cells before it run, or in the cell's
+own pass for the first one (see :func:`_run_cells`).
+
+Re-running the same configuration at the same BLAS thread count reproduces
+every output byte for byte; across thread counts the last digits can move,
+because a Gaussian sketch is applied in 64-row blocks whose products depend
+on it.  Both commands also run slower under two BLAS threads than under one
+(``OPENBLAS_NUM_THREADS=1``); on a two-core machine a desk-sized ``run``
+(2000 x 100, 24 cells) took about three times as long.
 
 Config files are flat ``key=value`` text; repeated keys accumulate into lists::
 
@@ -41,7 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -331,41 +342,50 @@ def _solvers_for(config: ExperimentConfig):
     return [(config.solver, lsqr if config.solver == "lsqr" else lsmr)]
 
 
-def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
+def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
+                 draw: Optional[embed.GaussianDraw] = None
                  ) -> Tuple[diagnostics.SketchedProblem, float]:
     """The sketched problem of one (seed, kind, d) cell and the distortion
     eps of its sketch over span([A b]).
 
-    One pass of :func:`embed.sketch_operands` sketches the basis ``(Q, q)``,
-    A and b together, so a Gaussian G is drawn while its finished row blocks
-    are applied.  A Gaussian sketch with d * m above
-    ``GAUSSIAN_PAYLOAD_GUARD`` raises before any draw.
+    One pass of :func:`embed.sketch_operands` sketches [Q, q, b], with Q the
+    untrimmed Q of A's pivoted QR A[:, piv] = Q R, and SA[:, piv] = (SQ) R,
+    so A is never sketched: SA keeps all n columns of A even where the basis
+    drops some of Q's (``problem.basis``), and eps reads the basis columns of
+    SQ.  A Gaussian G comes from ``draw`` when the cell loop drew it ahead.
+    A Gaussian sketch with d * m above ``GAUSSIAN_PAYLOAD_GUARD`` raises
+    before any draw.
     """
     A, b = problem.A, problem.b
     if kind is embed.SketchKind.GAUSSIAN and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
         raise ValueError(f"Gaussian sketch d * m = {d * A.rows} exceeds the "
                          f"payload guard {GAUSSIAN_PAYLOAD_GUARD}")
-    Q, q = problem.basis
-    S, (SQ, Sq, SA, Sb) = embed.sketch_operands(kind, d, A.rows, problem.seed,
-                                                [Q, q, A, b])
-    eps = embed.basis_distortion(SQ, Sq).epsilon
+    Q, R, piv = A.qr_factor()
+    basis, q = problem.basis
+    S, (SQ, Sq, Sb) = embed.sketch_operands(kind, d, A.rows, problem.seed, [Q, q, b],
+                                            draw=draw)
+    SA = np.empty((d, A.cols))
+    SA[:, piv] = SQ @ R
+    eps = embed.basis_distortion(SQ[:, : basis.shape[1]], Sq).epsilon
     return diagnostics.SketchedProblem(A, b, S, SA=SA, Sb=Sb), eps
 
 
-def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
+def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int,
+                 draw: Optional[embed.GaussianDraw] = None
                  ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
     """The sketched problem of one (seed, kind, d) cell, the distortion eps
     of its sketch and its bound reports."""
     oracle = problem.oracle
-    P, eps = _sketch_cell(problem, kind, d)
+    P, eps = _sketch_cell(problem, kind, d, draw)
     return P, eps, diagnostics.run_bound_suite(P, oracle, eps)
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
-               config: ExperimentConfig, out_dir: Path) -> RunOutcome:
+               config: ExperimentConfig, out_dir: Path,
+               draw: Optional[embed.GaussianDraw] = None) -> RunOutcome:
     A, seed = problem.A, problem.seed
     label = f"{name}_{kind.value}_d{d}_s{seed}"
-    P, eps, bound_reports = _bound_suite(problem, kind, d)
+    P, eps, bound_reports = _bound_suite(problem, kind, d, draw)
     b, oracle = problem.b, problem.oracle
     op = LinearOperatorView.from_matrix(P.SA)
     bounds_path = out_dir / f"{label}_bounds.csv"
@@ -394,33 +414,88 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
+def _run_cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]],
+               run_cell: Callable[[int, SeedProblem, Optional[embed.GaussianDraw]], None],
+               live: Callable[[int], bool] = lambda i: True) -> None:
+    """Call ``run_cell(i, problem, draw)`` for every seed and every cell i of
+    one matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
+    order, and i indexes them so.
+
+    The seeds go one by one, so that the cells of a seed share its
+    :class:`SeedProblem` and only one seed's problem is held at a time.
+    Within a seed the cells run in d -> kind order, which spaces out the
+    Gaussian ones.  A cell whose d is None, or for which ``live(i)`` is false
+    when its turn comes, does not run.
+
+    When a Gaussian cell returns, the G of the next Gaussian cell to run, in
+    this seed or a later one, starts drawing on a worker thread
+    (:class:`embed.GaussianDraw`) while the cells between run, and that cell
+    gets the draw; so at most one draw is in flight.  A cell over
+    ``GAUSSIAN_PAYLOAD_GUARD`` gets none and allocates no G.  A draw whose
+    cell did not use it is cancelled and joined when the cell returns, and
+    any pending draw before this returns or raises.
+    """
+    runs = [(s, seed, k * len(d_values) + j, kind, d)
+            for s, seed in enumerate(config.seeds)
+            for j, d in enumerate(d_values) if d is not None
+            for k, kind in enumerate(config.kinds)]
+
+    def draw_ahead(start: int) -> Optional[embed.GaussianDraw]:
+        for _, seed, i, kind, d in runs[start:]:
+            if kind is embed.SketchKind.GAUSSIAN and live(i):
+                if d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
+                    return None
+                return embed.GaussianDraw(d, A.rows, seed)
+        return None
+
+    pending: Optional[embed.GaussianDraw] = None
+    problem, problem_of = None, -1
+    try:
+        for p, (s, seed, i, kind, d) in enumerate(runs):
+            if s != problem_of:
+                problem, problem_of = SeedProblem(A, seed, config.rho), s
+            if not live(i):
+                continue
+            gaussian = kind is embed.SketchKind.GAUSSIAN
+            run_cell(i, problem, pending if gaussian else None)
+            if gaussian:
+                if pending is not None:
+                    pending.cancel()
+                pending = draw_ahead(p + 1)
+    finally:
+        if pending is not None:
+            pending.cancel()
+
+
 def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
                 out_dir: Path) -> List[RunOutcome]:
-    """Every (kind, d, seed) run on one matrix, in kind -> d -> seed order.
+    """Every (kind, d, seed) run on one matrix (:func:`_run_cells`), in
+    kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
+    error per kind."""
+    d_values: List[Optional[int]] = []
+    d_errors: Dict[int, str] = {}
+    for j, mult in enumerate(config.d_mults):
+        try:
+            d_values.append(_compute_d(mult, A.cols, A.rows))
+        except ConfigError as exc:
+            d_values.append(None)
+            d_errors[j] = str(exc)
+    cells = [(kind, d) for kind in config.kinds for d in d_values]
+    outcomes: List[List[RunOutcome]] = [
+        [RunOutcome(label=f"{name}_{kind.value}", error=d_errors[j])] if j in d_errors else []
+        for kind in config.kinds for j in range(len(d_values))]
 
-    The runs go seed by seed, so that the runs of one seed share its
-    :class:`SeedProblem` and only one seed's problem is held at a time.
-    """
-    cells: List[Tuple[embed.SketchKind, Optional[int], List[RunOutcome]]] = []
-    for kind in config.kinds:
-        for mult in config.d_mults:
-            try:
-                cells.append((kind, _compute_d(mult, A.cols, A.rows), []))
-            except ConfigError as exc:
-                cells.append((kind, None, [RunOutcome(label=f"{name}_{kind.value}",
-                                                      error=str(exc))]))
-    for seed in config.seeds:
-        problem = SeedProblem(A, seed, config.rho)
-        for kind, d, outcomes in cells:
-            if d is None:
-                continue
-            try:
-                outcome = run_single(name, kind, d, problem, config, out_dir)
-            except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-                outcome = RunOutcome(label=f"{name}_{kind.value}_d{d}_s{seed}",
-                                     error=str(exc))
-            outcomes.append(outcome)
-    return [outcome for _, _, outcomes in cells for outcome in outcomes]
+    def run_cell(i: int, problem: SeedProblem, draw: Optional[embed.GaussianDraw]) -> None:
+        kind, d = cells[i]
+        try:
+            outcome = run_single(name, kind, d, problem, config, out_dir, draw=draw)
+        except Exception as exc:  # noqa: BLE001 - batch harness records and continues
+            outcome = RunOutcome(label=f"{name}_{kind.value}_d{d}_s{problem.seed}",
+                                 error=str(exc))
+        outcomes[i].append(outcome)
+
+    _run_cells(A, config, d_values, run_cell)
+    return [outcome for cell in outcomes for outcome in cell]
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -461,10 +536,10 @@ def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
     return float(np.median(values))
 
 
-def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
-                stride: int) -> Tuple[float, float]:
+def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int, stride: int,
+                draw: Optional[embed.GaussianDraw] = None) -> Tuple[float, float]:
     """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
-    P, eps = _sketch_cell(problem, kind, d)
+    P, eps = _sketch_cell(problem, kind, d, draw)
     observer = MetricsObserver(problem.A, problem.b, stride=stride, oracle=problem.oracle)
     result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
     return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
@@ -475,26 +550,26 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
                   d_values: List[int]) -> Tuple[List[list], List[RunOutcome]]:
     """``sweep_d.csv`` rows and failed cells of one matrix, in kind -> d order.
 
-    Seed by seed, like :func:`_run_source`; a cell that raises skips its
+    The cells run as in :func:`_run_cells`; a cell that raises skips its
     remaining seeds.
     """
     cells = [(kind, d) for kind in config.kinds for d in d_values]
     eps_values: List[List[float]] = [[] for _ in cells]
     plateaus: List[List[float]] = [[] for _ in cells]
     failures: List[Optional[RunOutcome]] = [None] * len(cells)
-    for seed in config.seeds:
-        problem = SeedProblem(A, seed, config.rho)
-        for i, (kind, d) in enumerate(cells):
-            if failures[i] is not None:
-                continue
-            try:
-                eps, plateau = _sweep_cell(problem, kind, d, config.stride)
-            except Exception as exc:  # noqa: BLE001
-                failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
-                                         error=f"seed {seed}: {exc}")
-                continue
-            eps_values[i].append(eps)
-            plateaus[i].append(plateau)
+
+    def run_cell(i: int, problem: SeedProblem, draw: Optional[embed.GaussianDraw]) -> None:
+        kind, d = cells[i]
+        try:
+            eps, plateau = _sweep_cell(problem, kind, d, config.stride, draw)
+        except Exception as exc:  # noqa: BLE001
+            failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
+                                     error=f"seed {problem.seed}: {exc}")
+            return
+        eps_values[i].append(eps)
+        plateaus[i].append(plateau)
+
+    _run_cells(A, config, d_values, run_cell, live=lambda i: failures[i] is None)
     rows = []
     for (kind, d), cell_eps, cell_plateaus, failure in zip(cells, eps_values, plateaus,
                                                             failures):

@@ -125,8 +125,10 @@ class SketchedProblem:
     Each quantity is computed on first use and kept, so the solver set-up and
     every bound check of the pair share one SA, one Sb, one SVD of SA, one
     sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  SA
-    and Sb may be given, as :func:`sketchls.embed.sketch_operands` forms
-    them with the sketch.
+    and Sb may be given: the CLI forms Sb in its sketch pass and
+    SA = (SQ) R P^T from the sketched Q of A's pivoted QR A P = Q R, equal
+    to S A up to rounding, so that A is not sketched.  Without them SA is
+    :func:`sketchls.embed.apply` of S to A, the slow oracle of that product.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
@@ -242,14 +244,6 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
         reports.append(_report(BoundId.NORMAL_RATIO_CROSS, lhs, rhs,
                                noise_floor=NOISE_FLOOR_REL))
     return reports
-
-
-def pythagorean_gap(oracle: LsOracle, r_s: np.ndarray) -> float:
-    """| ||r_ls - r_s||^2 - (||r_s||^2 - ||r_ls||^2) | relative to ||r_ls||^2."""
-    rs_norm_sq = float(np.linalg.norm(r_s)) ** 2
-    rls_norm_sq = oracle.r_ls_norm ** 2
-    diff_sq = float(np.linalg.norm(oracle.r_ls - r_s)) ** 2
-    return abs(diff_sq - (rs_norm_sq - rls_norm_sq)) / rls_norm_sq
 
 
 def compute_eta_f(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,

@@ -5,9 +5,11 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
 * Gaussian entries are N(0, 1/d).  G is drawn ``GAUSSIAN_BLOCK_ROWS`` rows
   at a time from the one Philox stream of (seed, d, m).  ``standard_normal``
   fills a C-order array in row-major order and the scale is an elementwise
-  divide, so the blocks hold the bits of the single (d, m) draw.
-  :func:`sketch_operands` draws them on a worker thread while the calling
-  thread multiplies each finished block into every matrix operand, and
+  divide, so the blocks hold the bits of the single (d, m) draw.  A
+  :class:`GaussianDraw` draws them on a worker thread; it may be made ahead
+  of its use, so that G is drawn while the caller does other work.
+  :func:`sketch_operands` is the one pass over a sketch: it multiplies each
+  finished block into every matrix operand while later blocks are drawn, and
   :func:`apply` multiplies a matrix by the same row blocks, one GEMM each,
   so the two agree bit for bit on any BLAS.  (A block's GEMM equals the same
   rows of one whole GEMM only where the BLAS kernel does not depend on the
@@ -32,7 +34,9 @@ span([A b]) by an SVD of the sketched orthonormal basis
 bound in :mod:`sketchls.diagnostics` is checked.
 The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
 unit component of b orthogonal to it, so one factorization of A serves every
-right-hand side and sketch of that matrix.
+right-hand side and sketch of that matrix.  The CLI's pass sketches that Q,
+untrimmed, with q and b, and forms SA = (SQ) R P^T from it, so A itself is
+never sketched, nor densified for a sketch.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -161,12 +165,6 @@ def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> Ske
     return SketchOperator(kind=kind, d=d, m=m, seed=seed, payload=payload)
 
 
-def identity_sketch(m: int) -> SketchOperator:
-    """Degenerate d = m operator equal to the identity; verification double."""
-    payload = SparsePayload(rows=np.arange(m), signs=np.ones(m))
-    return SketchOperator(kind=SketchKind.SPARSE, d=m, m=m, seed=0, payload=payload)
-
-
 def fwht(v: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along axis 0.
 
@@ -240,39 +238,79 @@ def apply(S: SketchOperator, X) -> np.ndarray:
     return Y[p.indices] / np.sqrt(S.d)
 
 
+class GaussianDraw:
+    """The Gaussian G of (d, m, seed), drawn on a worker thread from the
+    moment it is made.
+
+    The worker fills G one row block at a time (:func:`_draw_gaussian`), so
+    the bits are those of :func:`build_sketch`.  A caller may make the draw
+    ahead of the cell that needs it and do other work meanwhile;
+    :func:`sketch_operands` then reads its finished blocks and ends it.
+    :meth:`cancel` stops the draw before its next block and joins the
+    worker; whoever holds a draw calls it once done with it, in every case.
+    """
+
+    def __init__(self, d: int, m: int, seed: int):
+        _check_shape(d, m)
+        self.d, self.m, self.seed = d, m, seed
+        self.G = np.empty((d, m))
+        self._gen = stream(seed, "gaussian", d, m)
+        self._drawn = [threading.Event() for _ in _row_blocks(d)]
+        self._stop = threading.Event()
+        self._failure: List[BaseException] = []
+        self._worker = threading.Thread(target=self._draw, name="gaussian-draw",
+                                        daemon=True)
+        self._worker.start()
+
+    def _draw(self) -> None:
+        try:
+            _draw_gaussian(self._gen, self.G, self._drawn, self._stop)
+            if not self._drawn[-1].is_set():
+                self._failure.append(RuntimeError("the Gaussian draw was cancelled"))
+        except BaseException as exc:  # noqa: BLE001 - raised again by blocks()
+            self._failure.append(exc)
+        finally:
+            for event in self._drawn:
+                event.set()
+
+    def blocks(self) -> Iterator[slice]:
+        """The row slice of each block of G once it is drawn; an error of the
+        draw, or a cancelled draw, is raised here."""
+        for rows, event in zip(_row_blocks(self.d), self._drawn):
+            event.wait()
+            if self._failure:
+                raise self._failure[0]
+            yield rows
+
+    def cancel(self) -> None:
+        self._stop.set()
+        self._worker.join()
+
+
 def sketch_operands(kind: Union[SketchKind, str], d: int, m: int, seed: int,
-                    operands: Sequence) -> Tuple[SketchOperator, List[Optional[np.ndarray]]]:
+                    operands: Sequence, *, draw: Optional[GaussianDraw] = None
+                    ) -> Tuple[SketchOperator, List[Optional[np.ndarray]]]:
     """``build_sketch(kind, d, m, seed)`` and its product with each operand.
 
     An operand is anything :func:`apply` takes, or None, whose product is
     None.  The products are bit for bit those of :func:`apply`.  For the
-    Gaussian kind a worker thread draws G one row block at a time while this
-    thread multiplies each finished block into every matrix operand; vectors
-    are multiplied once the draw is done.  The worker is joined before this
-    returns or raises, and an error of the draw is raised here.
+    Gaussian kind G comes from ``draw``, a :class:`GaussianDraw` of the same
+    (d, m, seed) that may have started earlier, or from a new one: this
+    thread multiplies each finished row block of G into every matrix operand
+    while later blocks are drawn, and vectors once the draw is done.  The
+    draw is cancelled and its worker joined before this returns or raises,
+    and an error of the draw is raised here.
     """
-    if SketchKind(kind) is not SketchKind.GAUSSIAN:
+    gaussian = SketchKind(kind) is SketchKind.GAUSSIAN
+    if draw is not None and (not gaussian or (draw.d, draw.m, draw.seed) != (d, m, seed)):
+        draw.cancel()
+        raise ValueError(f"a draw of (d, m, seed) = {(draw.d, draw.m, draw.seed)} cannot "
+                         f"serve a {SketchKind(kind).value} sketch of {(d, m, seed)}")
+    if not gaussian:
         S = build_sketch(kind, d, m, seed)
         return S, [None if X is None else apply(S, X) for X in operands]
-    _check_shape(d, m)
-    G = np.empty((d, m))
-    gen = stream(seed, "gaussian", d, m)
-    blocks = _row_blocks(d)
-    drawn = [threading.Event() for _ in blocks]
-    stop = threading.Event()
-    failure: List[BaseException] = []
-
-    def draw():
-        try:
-            _draw_gaussian(gen, G, drawn, stop)
-        except BaseException as exc:  # noqa: BLE001 - raised again by the caller
-            failure.append(exc)
-        finally:
-            for event in drawn:
-                event.set()
-
-    worker = threading.Thread(target=draw, name="gaussian-draw", daemon=True)
-    worker.start()
+    if draw is None:
+        draw = GaussianDraw(d, m, seed)
     try:
         arrays = [None if X is None else _operand(X) for X in operands]
         for X in arrays:
@@ -280,18 +318,13 @@ def sketch_operands(kind: Union[SketchKind, str], d: int, m: int, seed: int,
                 raise ValueError(f"operand has {X.shape[0]} rows, operator expects {m}")
         outs = [np.empty((d, X.shape[1])) if X is not None and X.ndim == 2 else None
                 for X in arrays]
-        for rows, event in zip(blocks, drawn):
-            event.wait()
-            if failure:
-                break
+        G = draw.G
+        for rows in draw.blocks():
             for X, out in zip(arrays, outs):
                 if out is not None:
                     np.matmul(G[rows], X, out=out[rows])
     finally:
-        stop.set()
-        worker.join()
-    if failure:
-        raise failure[0]
+        draw.cancel()
     S = SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=m, seed=seed,
                        payload=GaussianPayload(matrix=G))
     return S, [apply(S, X) if X is not None and out is None else out

@@ -24,7 +24,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .solvers import IterateRecord, Termination
 
@@ -156,15 +156,3 @@ class StoppingController:
             return _TERMINATION_OF[mode]
         return None
 
-
-def first_stabilization(values: List[float], window: int = 5,
-                        band: Tuple[float, float] = (0.99, 1.01)) -> Optional[int]:
-    """Offline scan: smallest index k whose window [k, k+window] is in band.
-
-    Indices refer to positions in ``values``; equals the online controller's
-    ``fired_at`` on the same series.
-    """
-    for k in range(len(values) - window):
-        if stabilization_decision(values[k:k + window + 1], band):
-            return k
-    return None

@@ -1,8 +1,12 @@
+from typing import List, Optional, Tuple
+
 import numpy as np
 import pytest
 
-from sketchls.matio import MatrixHandle
+from sketchls.embed import SketchKind, SketchOperator, SparsePayload
+from sketchls.matio import LsOracle, MatrixHandle
 from sketchls.rng import stream
+from sketchls.stopping import stabilization_decision
 
 DATA_DIR_CANDIDATES = ("data", "tests/data")
 
@@ -14,6 +18,33 @@ def random_tall(m: int, n: int, seed: int) -> MatrixHandle:
 
 def random_rhs(m: int, seed: int) -> np.ndarray:
     return stream(seed, "rhs", m).standard_normal(m)
+
+
+def identity_sketch(m: int) -> SketchOperator:
+    """Degenerate d = m operator equal to the identity; verification double."""
+    payload = SparsePayload(rows=np.arange(m), signs=np.ones(m))
+    return SketchOperator(kind=SketchKind.SPARSE, d=m, m=m, seed=0, payload=payload)
+
+
+def pythagorean_gap(oracle: LsOracle, r_s: np.ndarray) -> float:
+    """| ||r_ls - r_s||^2 - (||r_s||^2 - ||r_ls||^2) | relative to ||r_ls||^2."""
+    rs_norm_sq = float(np.linalg.norm(r_s)) ** 2
+    rls_norm_sq = oracle.r_ls_norm ** 2
+    diff_sq = float(np.linalg.norm(oracle.r_ls - r_s)) ** 2
+    return abs(diff_sq - (rs_norm_sq - rls_norm_sq)) / rls_norm_sq
+
+
+def first_stabilization(values: List[float], window: int = 5,
+                        band: Tuple[float, float] = (0.99, 1.01)) -> Optional[int]:
+    """Offline scan: smallest index k whose window [k, k+window] is in band.
+
+    Indices refer to positions in ``values``; equals the online controller's
+    ``fired_at`` on the same series.
+    """
+    for k in range(len(values) - window):
+        if stabilization_decision(values[k:k + window + 1], band):
+            return k
+    return None
 
 
 @pytest.fixture(scope="session")

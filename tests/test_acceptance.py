@@ -27,8 +27,7 @@ import pytest
 
 from sketchls import embed
 from sketchls.diagnostics import (SUITE_BOUND_IDS, SketchedProblem, compute_eta_f,
-                                  pythagorean_gap, run_bound_suite,
-                                  sandwich_multiplier, solve_sketched)
+                                  run_bound_suite, sandwich_multiplier, solve_sketched)
 from sketchls.matio import (MatrixHandle, load_matrix_market, qr_ls_solve,
                             solve_ls_oracle, synthesize_matrix,
                             synthesize_problem)
@@ -36,6 +35,8 @@ from sketchls.solvers import (LinearOperatorView, MetricsObserver, Termination,
                               lsmr, lsqr)
 from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
 from sketchls.rng import stream
+
+from conftest import pythagorean_gap
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

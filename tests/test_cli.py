@@ -14,6 +14,7 @@ from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
                           run_experiment, sweep_d)
 from sketchls.matio import (MatrixHandle, save_matrix_market, synthesize_matrix,
                             synthesize_problem)
+from sketchls.rng import stream
 from sketchls.stopping import StopMode
 
 TWO_KINDS_CONFIG = """
@@ -275,9 +276,9 @@ class TestRunExperiment:
         sketched, distortions = [], []
         real_sketch, real_distortion = embed.sketch_operands, embed.basis_distortion
 
-        def counting_sketch(*args):
+        def counting_sketch(*args, **kwargs):
             sketched.append(args)
-            return real_sketch(*args)
+            return real_sketch(*args, **kwargs)
 
         def counting_distortion(*args):
             distortions.append(args)
@@ -290,18 +291,20 @@ class TestRunExperiment:
         assert len(sketched) == len(distortions) == 2
 
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
-        # 3 kinds x 2 seeds, d = 24, n = 6: each pair sketches A once, takes
-        # one SVD of the 24 x 6 SA and solves the sketched problem once
-        applied, shapes = Counter(), Counter()
+        # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch pass,
+        # which does not sketch A (SA is (SQ) R P^T), takes one SVD of the
+        # 24 x 6 SA and solves the sketched problem once
+        passes, applied, shapes = Counter(), Counter(), Counter()
         real_sketch, real_apply, real_svd = embed.sketch_operands, embed.apply, scipy.linalg.svd
         in_pass = []
 
-        def counting_sketch(kind, d, m, seed, operands):
+        def counting_sketch(kind, d, m, seed, operands, **kwargs):
+            passes[embed.SketchKind(kind).value, seed] += 1
             applied[embed.SketchKind(kind).value, seed] += sum(
                 isinstance(X, MatrixHandle) for X in operands)
             in_pass.append(True)
             try:
-                return real_sketch(kind, d, m, seed, operands)
+                return real_sketch(kind, d, m, seed, operands, **kwargs)
             finally:
                 in_pass.pop()
 
@@ -329,8 +332,9 @@ class TestRunExperiment:
         config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
             "kind = gaussian", "kind = gaussian,srht,sparse"))
         assert run_experiment(config) == EXIT_OK
-        assert applied == {(kind, seed): 1 for kind in ("gaussian", "srht", "sparse")
-                           for seed in (0, 1)}
+        pairs = [(kind, seed) for kind in ("gaussian", "srht", "sparse") for seed in (0, 1)]
+        assert passes == dict.fromkeys(pairs, 1)
+        assert applied == dict.fromkeys(pairs, 0)
         assert shapes["svd", (24, 6)] == 6
         assert shapes["qr_ls_solve", (24, 6)] == 6
 
@@ -446,6 +450,188 @@ class TestRunExperiment:
         assert got == [("gaussian", "8"), ("sparse", "8"), ("sparse", "40")]
 
 
+def rank_trimmed_matrix() -> MatrixHandle:
+    """10000 x 3 with orthogonal columns of norms 1, 0.5 and 1.5e-12: its
+    R_nn / R_11 is above ``matio.RANK_TOL``, so the oracle takes it, but
+    below the basis floor max(m, n + 1) * u = 2.2e-12, so the basis drops
+    the third column of Q."""
+    U, _ = np.linalg.qr(stream(3, "trimmed", 10_000).standard_normal((10_000, 3)))
+    return MatrixHandle(U * np.array([1.0, 0.5, 1.5e-12]))
+
+
+class TestSketchCell:
+    """The cell's SA = (SQ) R P^T against the slow oracles: S applied to A,
+    and the explicit S times the dense A."""
+
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_SA_matches_sketch_of_A(self, kind, loaded):
+        A = MatrixSource("s", synthetic=(300, 6, 20)).load()
+        if loaded:
+            A = MatrixHandle(A.dense())
+        P, _ = cli._sketch_cell(cli.SeedProblem(A, 4, 1e-3), kind, 40)
+        assert P.SA.shape == (40, 6) and P.SA.flags.c_contiguous
+        scale = np.linalg.norm(P.SA, 2)
+        for ref in (embed.apply(P.S, A), embed.materialize(P.S) @ A.dense()):
+            assert np.max(np.abs(P.SA - ref)) <= 1e-13 * scale
+        assert np.array_equal(P.Sb, embed.apply(P.S, P.b))
+
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    def test_rank_trimmed_basis_keeps_every_column_of_SA(self, kind):
+        A = rank_trimmed_matrix()
+        problem = cli.SeedProblem(A, 0, 1e-3)
+        _, R, _ = A.qr_factor()
+        assert 1e-12 < abs(R[2, 2] / R[0, 0]) < 2.2e-12
+        assert problem.basis[0].shape[1] == 2
+        P, eps = cli._sketch_cell(problem, kind, 30)
+        assert P.SA.shape == (30, 3)
+        ref = embed.apply(P.S, A)
+        assert np.max(np.abs(P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
+        assert eps == embed.exact_distortion(P.S, A, problem.b).epsilon
+
+
+class TestCellLoop:
+    """The cell loop of ``run`` and ``sweep-d``, which draws each Gaussian G
+    ahead of its cell."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(d, seed) of every Gaussian draw made, ahead or in a pass."""
+        made = []
+        real = embed.GaussianDraw
+
+        class RecordedDraw(real):
+            def __init__(self, d, m, seed):
+                made.append((d, seed))
+                super().__init__(d, m, seed)
+
+        monkeypatch.setattr(embed, "GaussianDraw", RecordedDraw)
+        return made
+
+    def test_draw_ahead_keeps_the_bits(self, tmp_path, monkeypatch, draws):
+        # 2 seeds x 2 d: each Gaussian cell but the first gets its G drawn
+        # ahead, and its SQ, Sq and Sb are those of a pass that draws G itself
+        passes = []
+        real = embed.sketch_operands
+
+        def recording(kind, d, m, seed, operands, draw=None):
+            S, products = real(kind, d, m, seed, operands, draw=draw)
+            passes.append((embed.SketchKind(kind), d, m, seed, operands, draw, products))
+            return S, products
+
+        monkeypatch.setattr(cli.embed, "sketch_operands", recording)
+        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path}\n")
+        threads = threading.active_count()
+        assert sweep_d(config, "8,40") == EXIT_OK
+        assert threading.active_count() == threads
+        gaussian = [p for p in passes if p[0] is embed.SketchKind.GAUSSIAN]
+        assert [(seed, d, draw is not None) for _, d, _, seed, _, draw, _ in gaussian] == [
+            (0, 8, False), (0, 40, True), (1, 8, True), (1, 40, True)]
+        assert draws == [(8, 0), (40, 0), (8, 1), (40, 1)]
+        for kind, d, m, seed, operands, _, products in gaussian:
+            assert len(operands) == 3 and not any(isinstance(X, MatrixHandle)
+                                                  for X in operands)
+            for got, want in zip(products, real(kind, d, m, seed, operands)[1]):
+                assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_run_order_seed_d_kind(self, tmp_path, monkeypatch):
+        order = []
+        real = cli.run_single
+
+        def recording(name, kind, d, problem, *args, **kwargs):
+            order.append((problem.seed, d, kind.value))
+            return real(name, kind, d, problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_single", recording)
+        assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == EXIT_OK
+        assert order == [(seed, d, kind) for seed in (0, 1) for d in (24, 48)
+                         for kind in ("gaussian", "sparse")]
+
+    def test_no_draw_over_the_guard_and_no_thread_left(self, tmp_path, monkeypatch, capsys,
+                                                       draws):
+        # d * m = 24 * 120 is under the guard, 48 * 120 over it
+        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 3000)
+        threads = threading.active_count()
+        assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == \
+            EXIT_RUN_ERROR
+        assert threading.active_count() == threads
+        assert draws == [(24, 0), (24, 1)]
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: synth120x6c20_gaussian_d48_s{seed}: Gaussian sketch d * m = 5760 "
+            "exceeds the payload guard 3000" for seed in (0, 1)]
+
+        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path / 's'}\n")
+        draws.clear()
+        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
+        assert threading.active_count() == threads
+        assert draws == [(8, 0), (8, 1)]
+
+    def test_cell_that_raises_before_its_pass_leaves_no_thread(self, tmp_path, monkeypatch,
+                                                              capsys, draws):
+        # every cell of seed 1 raises before its pass, each Gaussian one
+        # with its G drawn ahead
+        real = cli.synthesize_problem
+
+        def synthesize(A, seed, rho):
+            if seed == 1:
+                raise ValueError("no problem")
+            return real(A, seed, rho)
+
+        monkeypatch.setattr(cli, "synthesize_problem", synthesize)
+        threads = threading.active_count()
+        assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == \
+            EXIT_RUN_ERROR
+        assert threading.active_count() == threads
+        assert draws == [(24, 0), (48, 0), (24, 1), (48, 1)]
+        assert len([line for line in capsys.readouterr().err.splitlines()
+                    if line.endswith("_s1: no problem")]) == 4
+
+    def test_sweep_skips_the_draw_of_a_failed_cell(self, tmp_path, monkeypatch, draws):
+        real = embed.sketch_operands
+
+        def flaky(kind, d, m, seed, operands, **kwargs):
+            if d == 8 and seed == 0:
+                raise ValueError("boom")
+            return real(kind, d, m, seed, operands, **kwargs)
+
+        monkeypatch.setattr(cli.embed, "sketch_operands", flaky)
+        config = parse_config("synthetic = 120,4,10\nkind = gaussian\nseeds = 0,1\n"
+                              f"output_dir = {tmp_path}\n")
+        threads = threading.active_count()
+        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
+        assert threading.active_count() == threads
+        assert draws == [(40, 0), (40, 1)]
+
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    def test_escaping_error_cancels_the_pending_draw(self, tmp_path, monkeypatch, draws,
+                                                     command):
+        # an error no cell catches stops the command while the next
+        # Gaussian cell's G is drawn ahead; its worker is still joined
+        class Abort(BaseException):
+            pass
+
+        real = embed.build_sketch
+
+        def aborting(kind, d, m, seed):
+            if embed.SketchKind(kind) is embed.SketchKind.SPARSE:
+                raise Abort()
+            return real(kind, d, m, seed)
+
+        monkeypatch.setattr(cli.embed, "build_sketch", aborting)
+        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
+        threads = threading.active_count()
+        with pytest.raises(Abort):
+            if command == "run":
+                run_experiment(config)
+            else:
+                sweep_d(config, "24,48")
+        assert threading.active_count() == threads
+        assert draws == [(24, 0), (48, 0)]
+
+
 class TestSweep:
     def test_requires_two_values(self, tmp_path):
         config = parse_config(f"synthetic = 120,6,20\nkind = gaussian\n"
@@ -472,9 +658,9 @@ class TestSweep:
         built = []
         real = embed.sketch_operands
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             built.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(cli.embed, "sketch_operands", counting)
         # d = 70 fits the first source but not the second (m = 60)
@@ -544,10 +730,10 @@ class TestSweep:
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
         real = embed.sketch_operands
 
-        def flaky(kind, d, m, seed, operands):
+        def flaky(kind, d, m, seed, operands, **kwargs):
             if d == 8 and seed == 1:
                 raise ValueError("boom")
-            return real(kind, d, m, seed, operands)
+            return real(kind, d, m, seed, operands, **kwargs)
 
         monkeypatch.setattr(cli.embed, "sketch_operands", flaky)
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"

@@ -12,15 +12,15 @@ from sketchls.diagnostics import (BoundId, SketchedProblem, check_acute_criterio
                                   check_pseudoinverse_perturbation,
                                   check_residual_bounds, check_solution_error,
                                   compute_eta_f, direction_bound,
-                                  e1_minimizer_gap, pythagorean_gap,
+                                  e1_minimizer_gap,
                                   run_bound_suite, sandwich_multiplier,
                                   solve_sketched, write_bound_reports)
-from sketchls.embed import build_sketch, exact_distortion, identity_sketch
+from sketchls.embed import build_sketch, exact_distortion
 from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesize_matrix, \
     synthesize_problem
 from sketchls.rng import stream
 
-from conftest import random_rhs, random_tall
+from conftest import identity_sketch, pythagorean_gap, random_rhs, random_tall
 
 
 def build_instance(m=300, n=4, cond=10.0, mseed=1, pseed=2, rho=1e-3):

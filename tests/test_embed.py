@@ -8,14 +8,14 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from sketchls import embed
-from sketchls.embed import (GAUSSIAN_BLOCK_ROWS, SketchKind, SparsePayload,
+from sketchls.embed import (GAUSSIAN_BLOCK_ROWS, GaussianDraw, SketchKind, SparsePayload,
                             SketchOperator, apply, apply_adjoint, basis_distortion,
-                            build_sketch, exact_distortion, fwht, identity_sketch,
+                            build_sketch, exact_distortion, fwht,
                             materialize, next_pow2, sketch_operands, subspace_basis)
 from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
-from conftest import random_rhs, random_tall
+from conftest import identity_sketch, random_rhs, random_tall
 
 KINDS = [SketchKind.GAUSSIAN, SketchKind.SRHT, SketchKind.SPARSE]
 
@@ -344,19 +344,23 @@ class TestSketchOperands:
         assert str(box.get("error")) == "draw failed"
         assert threading.active_count() == threads
 
-    def test_concurrent_calls_under_fast_switching(self):
-        # four callers, each with its own draw worker, on two cores: every
-        # product must still be that of build_sketch then apply
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_concurrent_calls_under_fast_switching(self, ahead):
+        # four callers, each with its own draw worker, made in the pass or
+        # ahead of it, on two cores: every product must still be that of
+        # build_sketch then apply
         operands = fused_operands()[:4]
         expect = {seed: [apply(build_sketch("gaussian", 150, 300, seed), X) for X in operands]
                   for seed in range(4)}
         same = {}
 
+        def products(seed):
+            draw = GaussianDraw(150, 300, seed) if ahead else None
+            return sketch_operands("gaussian", 150, 300, seed, operands, draw=draw)[1]
+
         def caller(seed):
-            same[seed] = all(
-                np.array_equal(SX, ref) for _ in range(5)
-                for SX, ref in zip(sketch_operands("gaussian", 150, 300, seed, operands)[1],
-                                   expect[seed]))
+            same[seed] = all(np.array_equal(SX, ref) for _ in range(5)
+                             for SX, ref in zip(products(seed), expect[seed]))
 
         threads = threading.active_count()
         interval = sys.getswitchinterval()
@@ -386,6 +390,59 @@ class TestSketchOperands:
         for d, m in ((10, 10), (0, 10)):
             with pytest.raises(ValueError):
                 sketch_operands("gaussian", d, m, 0, [])
+            with pytest.raises(ValueError):
+                GaussianDraw(d, m, 0)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [GAUSSIAN_BLOCK_ROWS // 2, 150])
+    def test_draw_made_ahead_gives_the_same_bits(self, seed, d):
+        operands = fused_operands()
+        _, fresh = sketch_operands("gaussian", d, 300, seed, operands)
+        draw = GaussianDraw(d, 300, seed)
+        run_with_deadline(lambda: list(draw.blocks()))  # G is drawn before the pass
+        S, ahead = sketch_operands("gaussian", d, 300, seed, operands, draw=draw)
+        assert S.payload.matrix is draw.G
+        assert np.array_equal(draw.G, build_sketch("gaussian", d, 300, seed).payload.matrix)
+        for got, want in zip(ahead, fresh):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, d, seed", [("gaussian", 150, 1), ("gaussian", 151, 0),
+                                               ("sparse", 150, 0)])
+    def test_mismatched_draw_raises_and_joins(self, kind, d, seed):
+        threads = threading.active_count()
+        draw = GaussianDraw(150, 300, 0)
+        with pytest.raises(ValueError, match="cannot serve"):
+            sketch_operands(kind, d, 300, seed, fused_operands(), draw=draw)
+        assert threading.active_count() == threads
+
+    def test_cancelled_draw_is_not_read(self, monkeypatch):
+        # the draw is cancelled while its first block is being drawn: the
+        # pass that is then handed it raises instead of reading its G
+        real_stream = embed.stream
+        release = threading.Event()
+
+        class HeldGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, out):
+                release.wait(60)
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(embed, "stream", lambda *tags: HeldGenerator(real_stream(*tags)))
+        threads = threading.active_count()
+        draw = GaussianDraw(150, 300, 0)
+        canceller = threading.Thread(target=draw.cancel, daemon=True)
+        canceller.start()
+        assert draw._stop.wait(60)
+        release.set()
+        canceller.join(60)
+        assert not canceller.is_alive()
+        assert threading.active_count() == threads
+        box = run_with_deadline(
+            lambda: sketch_operands("gaussian", 150, 300, 0, fused_operands(), draw=draw))
+        assert str(box.get("error")) == "the Gaussian draw was cancelled"
         assert threading.active_count() == threads
 
 

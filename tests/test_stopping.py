@@ -10,10 +10,12 @@ from sketchls.matio import qr_ls_solve, solve_ls_oracle, synthesize_matrix, \
 from sketchls.solvers import (IterateRecord, LinearOperatorView, MetricsObserver,
                               Termination, lsmr, lsqr)
 from sketchls.stopping import (StopMode, StoppingController, StoppingPolicy,
-                               epsilon_threshold_decision, first_stabilization,
+                               epsilon_threshold_decision,
                                recommend_policy, stabilization_decision,
                                traditional_decision)
 from sketchls.rng import stream
+
+from conftest import first_stabilization
 
 
 def record(k=1, srnorm=1.0, snenorm=1.0, rnorm=1.0, ratio=1.0, stale=False):
