@@ -344,11 +344,17 @@ class TestSketchOperands:
         assert str(box.get("error")) == "draw failed"
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("ahead", [False, True])
-    def test_concurrent_calls_under_fast_switching(self, ahead):
-        # four callers, each with its own draw worker, made in the pass or
-        # ahead of it, on two cores: every product must still be that of
-        # build_sketch then apply
+    def test_concurrent_calls_under_fast_switching(self):
+        # four callers, each with its own draw worker, on two cores: every
+        # product must still be that of build_sketch then apply
+        self.check_concurrent_calls(ahead=False)
+
+    def test_concurrent_calls_with_draws_made_ahead(self):
+        # as above, with each caller's draw made ahead of its pass
+        self.check_concurrent_calls(ahead=True)
+
+    @staticmethod
+    def check_concurrent_calls(ahead):
         operands = fused_operands()[:4]
         expect = {seed: [apply(build_sketch("gaussian", 150, 300, seed), X) for X in operands]
                   for seed in range(4)}
