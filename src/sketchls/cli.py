@@ -6,18 +6,20 @@ aggregate summary.
 
 ``run`` and ``sweep-d`` go seed by seed; within a seed the (kind, d) cells run
 in d -> kind order, and the outputs list the cells in kind -> d order (then
-seed, for ``run``).  Each cell makes one sketch pass over the Q of A's
-pivoted QR and b, and forms SA from it; A itself is never sketched.  At most
-two threads work: the calling thread, and a worker that draws a Gaussian
-cell's G, ahead of the cell while the cells before it run, or in the cell's
-own pass for the first one (see :func:`_run_cells`).
+seed, for ``run``).  The cells run one after another on the calling thread.
+Each cell sketches the Q of A's pivoted QR, q and b, and forms SA from them;
+A itself is never sketched.  A Gaussian cell draws its sketch on span([Q b])
+only, d (n + 1) normals rather than a d x m G (see :mod:`sketchls.embed`).
 
 Re-running the same configuration at the same BLAS thread count reproduces
-every output byte for byte; across thread counts the last digits can move,
-because a Gaussian sketch is applied in 64-row blocks whose products depend
-on it.  Both commands also run slower under two BLAS threads than under one
-(``OPENBLAS_NUM_THREADS=1``); on a two-core machine a desk-sized ``run``
-(2000 x 100, 24 cells) took about three times as long.
+every output byte for byte.  Across thread counts the last digits can move
+for every kind, because multithreaded BLAS sums products such as
+SA = (SQ) R and the solvers' in another order; over 200 unconverged
+iterations that can reach the leading digits of a trace.  Both commands
+also run slower under two BLAS threads than under one
+(``OPENBLAS_NUM_THREADS=1``): on a two-core machine a desk-sized ``run``
+(2000 x 100, 24 cells) took 3.2 times as long, a 16000 x 100 ``run`` 1.5
+times and a ``sweep-d`` of an 8000 x 200 sparse matrix 1.3 times.
 
 Config files are flat ``key=value`` text; repeated keys accumulate into lists::
 
@@ -71,9 +73,6 @@ EXIT_BOUND_FAILED = 3
 # The largest n of a source, checked by _load for every command: each
 # densely factors A, and the QR keeps an m-by-n Q
 DESK_SCALE_COLS = 5000
-
-# The largest d * m of a Gaussian sketch: its dense d-by-m G is drawn whole.
-GAUSSIAN_PAYLOAD_GUARD = 200_000_000
 
 
 class ConfigError(ValueError):
@@ -342,50 +341,49 @@ def _solvers_for(config: ExperimentConfig):
     return [(config.solver, lsqr if config.solver == "lsqr" else lsmr)]
 
 
-def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
-                 draw: Optional[embed.GaussianDraw] = None
+def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float]:
     """The sketched problem of one (seed, kind, d) cell and the distortion
     eps of its sketch over span([A b]).
 
-    One pass of :func:`embed.sketch_operands` sketches [Q, q, b], with Q the
-    untrimmed Q of A's pivoted QR A[:, piv] = Q R, and SA[:, piv] = (SQ) R,
-    so A is never sketched: SA keeps all n columns of A even where the basis
-    drops some of Q's (``problem.basis``), and eps reads the basis columns of
-    SQ.  A Gaussian G comes from ``draw`` when the cell loop drew it ahead.
-    A Gaussian sketch with d * m above ``GAUSSIAN_PAYLOAD_GUARD`` raises
-    before any draw.
+    The cell sketches Q, q and b, with Q the untrimmed Q of A's pivoted QR
+    A[:, piv] = Q R, and forms SA[:, piv] = (SQ) R, so A is never sketched:
+    SA keeps all n columns of A even where the basis drops some of Q's
+    (``problem.basis``), and eps reads the basis columns of SQ.  A Gaussian
+    sketch is drawn on W = [Q u], u the unit part of b orthogonal to Q
+    (:func:`embed.span_basis`), whose span holds Q, q and b
+    (:func:`embed.gaussian_on_span`); any other comes from
+    :func:`embed.build_sketch`.
     """
     A, b = problem.A, problem.b
-    if kind is embed.SketchKind.GAUSSIAN and d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
-        raise ValueError(f"Gaussian sketch d * m = {d * A.rows} exceeds the "
-                         f"payload guard {GAUSSIAN_PAYLOAD_GUARD}")
     Q, R, piv = A.qr_factor()
     basis, q = problem.basis
-    S, (SQ, Sq, Sb) = embed.sketch_operands(kind, d, A.rows, problem.seed, [Q, q, b],
-                                            draw=draw)
+    if kind is embed.SketchKind.GAUSSIAN:
+        S = embed.gaussian_on_span(d, embed.span_basis(Q, b), problem.seed)
+    else:
+        S = embed.build_sketch(kind, d, A.rows, problem.seed)
+    SQ, Sb = embed.apply(S, Q), embed.apply(S, b)
+    Sq = None if q is None else embed.apply(S, q)
     SA = np.empty((d, A.cols))
     SA[:, piv] = SQ @ R
     eps = embed.basis_distortion(SQ[:, : basis.shape[1]], Sq).epsilon
     return diagnostics.SketchedProblem(A, b, S, SA=SA, Sb=Sb), eps
 
 
-def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int,
-                 draw: Optional[embed.GaussianDraw] = None
+def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
     """The sketched problem of one (seed, kind, d) cell, the distortion eps
     of its sketch and its bound reports."""
     oracle = problem.oracle
-    P, eps = _sketch_cell(problem, kind, d, draw)
+    P, eps = _sketch_cell(problem, kind, d)
     return P, eps, diagnostics.run_bound_suite(P, oracle, eps)
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
-               config: ExperimentConfig, out_dir: Path,
-               draw: Optional[embed.GaussianDraw] = None) -> RunOutcome:
+               config: ExperimentConfig, out_dir: Path) -> RunOutcome:
     A, seed = problem.A, problem.seed
     label = f"{name}_{kind.value}_d{d}_s{seed}"
-    P, eps, bound_reports = _bound_suite(problem, kind, d, draw)
+    P, eps, bound_reports = _bound_suite(problem, kind, d)
     b, oracle = problem.b, problem.oracle
     op = LinearOperatorView.from_matrix(P.SA)
     bounds_path = out_dir / f"{label}_bounds.csv"
@@ -415,56 +413,24 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
 
 
 def _run_cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]],
-               run_cell: Callable[[int, SeedProblem, Optional[embed.GaussianDraw]], None],
+               run_cell: Callable[[int, SeedProblem], None],
                live: Callable[[int], bool] = lambda i: True) -> None:
-    """Call ``run_cell(i, problem, draw)`` for every seed and every cell i of
-    one matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
+    """Call ``run_cell(i, problem)`` for every seed and every cell i of one
+    matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
     order, and i indexes them so.
 
     The seeds go one by one, so that the cells of a seed share its
-    :class:`SeedProblem` and only one seed's problem is held at a time.
-    Within a seed the cells run in d -> kind order, which spaces out the
-    Gaussian ones.  A cell whose d is None, or for which ``live(i)`` is false
-    when its turn comes, does not run.
-
-    When a Gaussian cell returns, the G of the next Gaussian cell to run, in
-    this seed or a later one, starts drawing on a worker thread
-    (:class:`embed.GaussianDraw`) while the cells between run, and that cell
-    gets the draw; so at most one draw is in flight.  A cell over
-    ``GAUSSIAN_PAYLOAD_GUARD`` gets none and allocates no G.  A draw whose
-    cell did not use it is cancelled and joined when the cell returns, and
-    any pending draw before this returns or raises.
+    :class:`SeedProblem` and only one seed's problem is held at a time;
+    within a seed the cells run in d -> kind order.  A cell whose d is None,
+    or for which ``live(i)`` is false when its turn comes, does not run.
     """
-    runs = [(s, seed, k * len(d_values) + j, kind, d)
-            for s, seed in enumerate(config.seeds)
-            for j, d in enumerate(d_values) if d is not None
-            for k, kind in enumerate(config.kinds)]
-
-    def draw_ahead(start: int) -> Optional[embed.GaussianDraw]:
-        for _, seed, i, kind, d in runs[start:]:
-            if kind is embed.SketchKind.GAUSSIAN and live(i):
-                if d * A.rows > GAUSSIAN_PAYLOAD_GUARD:
-                    return None
-                return embed.GaussianDraw(d, A.rows, seed)
-        return None
-
-    pending: Optional[embed.GaussianDraw] = None
-    problem, problem_of = None, -1
-    try:
-        for p, (s, seed, i, kind, d) in enumerate(runs):
-            if s != problem_of:
-                problem, problem_of = SeedProblem(A, seed, config.rho), s
-            if not live(i):
-                continue
-            gaussian = kind is embed.SketchKind.GAUSSIAN
-            run_cell(i, problem, pending if gaussian else None)
-            if gaussian:
-                if pending is not None:
-                    pending.cancel()
-                pending = draw_ahead(p + 1)
-    finally:
-        if pending is not None:
-            pending.cancel()
+    for seed in config.seeds:
+        problem = SeedProblem(A, seed, config.rho)
+        for j, d in enumerate(d_values):
+            for k in range(len(config.kinds)):
+                i = k * len(d_values) + j
+                if d is not None and live(i):
+                    run_cell(i, problem)
 
 
 def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
@@ -485,10 +451,10 @@ def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
         [RunOutcome(label=f"{name}_{kind.value}", error=d_errors[j])] if j in d_errors else []
         for kind in config.kinds for j in range(len(d_values))]
 
-    def run_cell(i: int, problem: SeedProblem, draw: Optional[embed.GaussianDraw]) -> None:
+    def run_cell(i: int, problem: SeedProblem) -> None:
         kind, d = cells[i]
         try:
-            outcome = run_single(name, kind, d, problem, config, out_dir, draw=draw)
+            outcome = run_single(name, kind, d, problem, config, out_dir)
         except Exception as exc:  # noqa: BLE001 - batch harness records and continues
             outcome = RunOutcome(label=f"{name}_{kind.value}_d{d}_s{problem.seed}",
                                  error=str(exc))
@@ -536,10 +502,10 @@ def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
     return float(np.median(values))
 
 
-def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int, stride: int,
-                draw: Optional[embed.GaussianDraw] = None) -> Tuple[float, float]:
+def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
+                stride: int) -> Tuple[float, float]:
     """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
-    P, eps = _sketch_cell(problem, kind, d, draw)
+    P, eps = _sketch_cell(problem, kind, d)
     observer = MetricsObserver(problem.A, problem.b, stride=stride, oracle=problem.oracle)
     result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
     return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
@@ -558,10 +524,10 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     plateaus: List[List[float]] = [[] for _ in cells]
     failures: List[Optional[RunOutcome]] = [None] * len(cells)
 
-    def run_cell(i: int, problem: SeedProblem, draw: Optional[embed.GaussianDraw]) -> None:
+    def run_cell(i: int, problem: SeedProblem) -> None:
         kind, d = cells[i]
         try:
-            eps, plateau = _sweep_cell(problem, kind, d, config.stride, draw)
+            eps, plateau = _sweep_cell(problem, kind, d, config.stride)
         except Exception as exc:  # noqa: BLE001
             failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
                                      error=f"seed {problem.seed}: {exc}")

@@ -125,10 +125,14 @@ class SketchedProblem:
     Each quantity is computed on first use and kept, so the solver set-up and
     every bound check of the pair share one SA, one Sb, one SVD of SA, one
     sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  SA
-    and Sb may be given: the CLI forms Sb in its sketch pass and
-    SA = (SQ) R P^T from the sketched Q of A's pivoted QR A P = Q R, equal
-    to S A up to rounding, so that A is not sketched.  Without them SA is
-    :func:`sketchls.embed.apply` of S to A, the slow oracle of that product.
+    and Sb may be given: a CLI cell sketches b and the Q of A's pivoted QR
+    A P = Q R, and forms SA = (SQ) R P^T, equal to S A up to rounding, so
+    that A is not sketched.  Without them SA is :func:`sketchls.embed.apply`
+    of S to A, the slow oracle of that product.  S may be a Gaussian sketch
+    drawn on a span W that holds A and b (:func:`sketchls.embed.gaussian_on_span`):
+    the checks apply S only to A, b and residuals Ax - b, and read
+    A^T S^T S r only, all within span(W), so every value keeps the law of a
+    full Gaussian sketch.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,

@@ -2,21 +2,19 @@
 
 All three operators are unbiased, E||Sx||^2 = ||x||^2:
 
-* Gaussian entries are N(0, 1/d).  G is drawn ``GAUSSIAN_BLOCK_ROWS`` rows
-  at a time from the one Philox stream of (seed, d, m).  ``standard_normal``
-  fills a C-order array in row-major order and the scale is an elementwise
-  divide, so the blocks hold the bits of the single (d, m) draw.  A
-  :class:`GaussianDraw` draws them on a worker thread; it may be made ahead
-  of its use, so that G is drawn while the caller does other work.
-  :func:`sketch_operands` is the one pass over a sketch: it multiplies each
-  finished block into every matrix operand while later blocks are drawn, and
-  :func:`apply` multiplies a matrix by the same row blocks, one GEMM each,
-  so the two agree bit for bit on any BLAS.  (A block's GEMM equals the same
-  rows of one whole GEMM only where the BLAS kernel does not depend on the
-  row count, as with OpenBLAS on one thread at the bench sizes; a one-row
-  block or a small-matrix kernel breaks it.)  A vector is multiplied by the
-  whole of G once the draw is done: a row-blocked GEMV is not bit-identical
-  to the whole one, and one GEMV is cheap.
+* Gaussian entries are N(0, 1/d).  :func:`build_sketch` draws the whole
+  d x m G, the reference.  :func:`gaussian_on_span` draws only what a
+  sketch of the span of an orthonormal m x k W needs: for a Gaussian G,
+  Z = G W is itself a d x k matrix of independent N(0, 1/d) entries
+  (rotation invariance), so it draws Z and acts as Z W^T.  That operator
+  equals Z W^T + G (I - W W^T), a full Gaussian, on span(W), so every
+  quantity read only through products with vectors of span(W) has exactly
+  the full-Gaussian law.  The CLI's cells take W = [Q u], the untrimmed Q
+  of A's pivoted QR and the unit part u of b orthogonal to it
+  (:func:`span_basis`): A, b, Q, q and every residual Ax - b lie in span(W),
+  and A^T (I - W W^T) = 0, so the sketched problem, eps and every bound
+  value, A^T S^T S r included, keep the law of a full Gaussian sketch, from
+  d (n + 1) normals instead of d m.
 * SRHT composes random signs, an unnormalized Walsh-Hadamard transform on the
   zero-padded input (H^T H = m' I), uniform row sampling without replacement,
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
@@ -34,7 +32,7 @@ span([A b]) by an SVD of the sketched orthonormal basis
 bound in :mod:`sketchls.diagnostics` is checked.
 The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
 unit component of b orthogonal to it, so one factorization of A serves every
-right-hand side and sketch of that matrix.  The CLI's pass sketches that Q,
+right-hand side and sketch of that matrix.  Each CLI cell sketches that Q,
 untrimmed, with q and b, and forms SA = (SQ) R P^T from it, so A itself is
 never sketched, nor densified for a sketch.
 """
@@ -42,9 +40,8 @@ never sketched, nor densified for a sketch.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +63,12 @@ class GaussianPayload:
 
 
 @dataclass(frozen=True)
+class GaussianSpanPayload:
+    W: np.ndarray  # m x k, orthonormal columns
+    Z: np.ndarray  # d x k, entries N(0, 1/d); the operator is Z W^T
+
+
+@dataclass(frozen=True)
 class SrhtPayload:
     padded_len: int          # next power of two >= m
     signs: np.ndarray        # +-1, length padded_len
@@ -84,7 +87,7 @@ class SketchOperator:
     d: int
     m: int
     seed: int
-    payload: Union[GaussianPayload, SrhtPayload, SparsePayload]
+    payload: Union[GaussianPayload, GaussianSpanPayload, SrhtPayload, SparsePayload]
 
 
 @dataclass
@@ -103,15 +106,6 @@ def next_pow2(m: int) -> int:
     return p
 
 
-# rows of G per draw and per GEMM; any value gives the same G
-GAUSSIAN_BLOCK_ROWS = 64
-
-
-def _row_blocks(d: int) -> List[slice]:
-    return [slice(start, min(start + GAUSSIAN_BLOCK_ROWS, d))
-            for start in range(0, d, GAUSSIAN_BLOCK_ROWS)]
-
-
 def _check_shape(d: int, m: int) -> None:
     if d < 1:
         raise ValueError("d must be positive")
@@ -119,39 +113,13 @@ def _check_shape(d: int, m: int) -> None:
         raise ValueError(f"need d < m, got d={d}, m={m}")
 
 
-def _draw_gaussian(gen: np.random.Generator, G: np.ndarray,
-                   drawn: Sequence[threading.Event] = (),
-                   stop: Optional[threading.Event] = None) -> None:
-    """Fill the C-order d x m array G with N(0, 1/d) entries from ``gen``,
-    block by block, setting ``drawn[i]`` after block i.
-
-    Only the numpy fill and scale run here, so a worker thread may call it.
-    ``stop`` ends the draw before its next block.
-    """
-    scale = np.sqrt(G.shape[0])
-    for i, rows in enumerate(_row_blocks(G.shape[0])):
-        if stop is not None and stop.is_set():
-            return
-        block = G[rows]
-        gen.standard_normal(out=block)
-        block /= scale
-        if drawn:
-            drawn[i].set()
-
-
 def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> SketchOperator:
-    """Deterministically construct an embedding operator from (kind, d, m, seed).
-
-    The Gaussian G is drawn in row blocks (:func:`_draw_gaussian`), the same
-    draw as :func:`sketch_operands` makes; the blocks come from one Philox
-    stream in order, so G is bit for bit the single (d, m) draw.
-    """
+    """Deterministically construct an embedding operator from (kind, d, m, seed)."""
     kind = SketchKind(kind)
     _check_shape(d, m)
     if kind is SketchKind.GAUSSIAN:
-        mat = np.empty((d, m))
-        _draw_gaussian(stream(seed, "gaussian", d, m), mat)
-        payload = GaussianPayload(matrix=mat)
+        G = stream(seed, "gaussian", d, m).standard_normal((d, m)) / np.sqrt(d)
+        payload = GaussianPayload(matrix=G)
     elif kind is SketchKind.SRHT:
         mp = next_pow2(m)
         signs = rademacher(stream(seed, "srht", "signs", m), mp)
@@ -163,6 +131,21 @@ def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> Ske
         signs = rademacher(stream(seed, "sparse", "signs", m), m)
         payload = SparsePayload(rows=rows, signs=signs)
     return SketchOperator(kind=kind, d=d, m=m, seed=seed, payload=payload)
+
+
+def gaussian_on_span(d: int, W: np.ndarray, seed: int) -> SketchOperator:
+    """A Gaussian sketch of the span of the m x k orthonormal ``W``: the
+    operator Z W^T, with Z a d x k draw of N(0, 1/d) entries from the stream
+    of (seed, d, k).
+
+    Applied to anything in span(W) it has the law of ``build_sketch``'s d x m
+    G, since G W is such a Z; it never forms a d x m array.
+    """
+    m, k = W.shape
+    _check_shape(d, m)
+    Z = stream(seed, "gaussian-span", d, k).standard_normal((d, k)) / np.sqrt(d)
+    return SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=m, seed=seed,
+                          payload=GaussianSpanPayload(W=W, Z=Z))
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -213,9 +196,7 @@ def apply(S: SketchOperator, X) -> np.ndarray:
 
     X may be an array, a :class:`MatrixHandle` or a scipy sparse matrix.  The
     sparse kind multiplies a sparse operand without densifying it; the
-    Gaussian and SRHT kinds densify X first.  A Gaussian product with a
-    matrix is formed one row block of G at a time, as in
-    :func:`sketch_operands`.
+    Gaussian and SRHT kinds densify X first.
     """
     p = S.payload
     X = _operand(X, keep_sparse=isinstance(p, SparsePayload))
@@ -225,110 +206,14 @@ def apply(S: SketchOperator, X) -> np.ndarray:
         SX = _countsketch_matrix(S) @ X
         return SX.toarray() if scipy.sparse.issparse(SX) else SX
     if isinstance(p, GaussianPayload):
-        if X.ndim == 1:
-            return p.matrix @ X
-        out = np.empty((S.d, X.shape[1]))
-        for rows in _row_blocks(S.d):
-            np.matmul(p.matrix[rows], X, out=out[rows])
-        return out
+        return p.matrix @ X
+    if isinstance(p, GaussianSpanPayload):
+        return p.Z @ (p.W.T @ X)
     Y = np.zeros((p.padded_len,) + X.shape[1:])
     signs_in = p.signs[: S.m]
     Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
     fwht(Y)
     return Y[p.indices] / np.sqrt(S.d)
-
-
-class GaussianDraw:
-    """The Gaussian G of (d, m, seed), drawn on a worker thread from the
-    moment it is made.
-
-    The worker fills G one row block at a time (:func:`_draw_gaussian`), so
-    the bits are those of :func:`build_sketch`.  A caller may make the draw
-    ahead of the cell that needs it and do other work meanwhile;
-    :func:`sketch_operands` then reads its finished blocks and ends it.
-    :meth:`cancel` stops the draw before its next block and joins the
-    worker; whoever holds a draw calls it once done with it, in every case.
-    """
-
-    def __init__(self, d: int, m: int, seed: int):
-        _check_shape(d, m)
-        self.d, self.m, self.seed = d, m, seed
-        self.G = np.empty((d, m))
-        self._gen = stream(seed, "gaussian", d, m)
-        self._drawn = [threading.Event() for _ in _row_blocks(d)]
-        self._stop = threading.Event()
-        self._failure: List[BaseException] = []
-        self._worker = threading.Thread(target=self._draw, name="gaussian-draw",
-                                        daemon=True)
-        self._worker.start()
-
-    def _draw(self) -> None:
-        try:
-            _draw_gaussian(self._gen, self.G, self._drawn, self._stop)
-            if not self._drawn[-1].is_set():
-                self._failure.append(RuntimeError("the Gaussian draw was cancelled"))
-        except BaseException as exc:  # noqa: BLE001 - raised again by blocks()
-            self._failure.append(exc)
-        finally:
-            for event in self._drawn:
-                event.set()
-
-    def blocks(self) -> Iterator[slice]:
-        """The row slice of each block of G once it is drawn; an error of the
-        draw, or a cancelled draw, is raised here."""
-        for rows, event in zip(_row_blocks(self.d), self._drawn):
-            event.wait()
-            if self._failure:
-                raise self._failure[0]
-            yield rows
-
-    def cancel(self) -> None:
-        self._stop.set()
-        self._worker.join()
-
-
-def sketch_operands(kind: Union[SketchKind, str], d: int, m: int, seed: int,
-                    operands: Sequence, *, draw: Optional[GaussianDraw] = None
-                    ) -> Tuple[SketchOperator, List[Optional[np.ndarray]]]:
-    """``build_sketch(kind, d, m, seed)`` and its product with each operand.
-
-    An operand is anything :func:`apply` takes, or None, whose product is
-    None.  The products are bit for bit those of :func:`apply`.  For the
-    Gaussian kind G comes from ``draw``, a :class:`GaussianDraw` of the same
-    (d, m, seed) that may have started earlier, or from a new one: this
-    thread multiplies each finished row block of G into every matrix operand
-    while later blocks are drawn, and vectors once the draw is done.  The
-    draw is cancelled and its worker joined before this returns or raises,
-    and an error of the draw is raised here.
-    """
-    gaussian = SketchKind(kind) is SketchKind.GAUSSIAN
-    if draw is not None and (not gaussian or (draw.d, draw.m, draw.seed) != (d, m, seed)):
-        draw.cancel()
-        raise ValueError(f"a draw of (d, m, seed) = {(draw.d, draw.m, draw.seed)} cannot "
-                         f"serve a {SketchKind(kind).value} sketch of {(d, m, seed)}")
-    if not gaussian:
-        S = build_sketch(kind, d, m, seed)
-        return S, [None if X is None else apply(S, X) for X in operands]
-    if draw is None:
-        draw = GaussianDraw(d, m, seed)
-    try:
-        arrays = [None if X is None else _operand(X) for X in operands]
-        for X in arrays:
-            if X is not None and X.shape[0] != m:
-                raise ValueError(f"operand has {X.shape[0]} rows, operator expects {m}")
-        outs = [np.empty((d, X.shape[1])) if X is not None and X.ndim == 2 else None
-                for X in arrays]
-        G = draw.G
-        for rows in draw.blocks():
-            for X, out in zip(arrays, outs):
-                if out is not None:
-                    np.matmul(G[rows], X, out=out[rows])
-    finally:
-        draw.cancel()
-    S = SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=m, seed=seed,
-                       payload=GaussianPayload(matrix=G))
-    return S, [apply(S, X) if X is not None and out is None else out
-               for X, out in zip(arrays, outs)]
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
@@ -339,6 +224,8 @@ def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
     p = S.payload
     if isinstance(p, GaussianPayload):
         return p.matrix.T @ U
+    if isinstance(p, GaussianSpanPayload):
+        return p.W @ (p.Z.T @ U)
     if isinstance(p, SrhtPayload):
         Y = np.zeros((p.padded_len,) + U.shape[1:])
         Y[p.indices] = U
@@ -357,17 +244,24 @@ def materialize(S: SketchOperator) -> np.ndarray:
     """Explicit dense d x m matrix of the operator; oracle for :func:`apply`.
 
     Each kind is assembled from its defining formula rather than through the
-    fast application path.
+    fast application path.  The SRHT's rows are the sampled rows of the
+    Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j), built for the
+    first m columns only, so no m' x m' array is formed.
     """
     if S.d * S.m > MATERIALIZE_GUARD:
         raise ValueError(f"materialize guard: d*m = {S.d * S.m} exceeds {MATERIALIZE_GUARD}")
     p = S.payload
     if isinstance(p, GaussianPayload):
         return p.matrix.copy()
+    if isinstance(p, GaussianSpanPayload):
+        return p.Z @ p.W.T
     if isinstance(p, SrhtPayload):
-        H = scipy.linalg.hadamard(p.padded_len).astype(np.float64)
-        full = (H[p.indices] * p.signs[None, :]) / np.sqrt(S.d)
-        return full[:, : S.m]
+        bits = p.indices[:, None] & np.arange(S.m)
+        parity = np.zeros_like(bits)
+        while bits.any():
+            parity ^= bits & 1
+            bits >>= 1
+        return (1 - 2 * parity) * p.signs[: S.m] / np.sqrt(S.d)
     out = np.zeros((S.d, S.m))
     out[p.rows, np.arange(S.m)] = p.signs
     return out
@@ -395,10 +289,29 @@ def subspace_basis(A: MatrixHandle, b: np.ndarray
         raise ValueError("zero subspace")
     floor = max(A.rows, A.cols + 1) * np.finfo(np.float64).eps * scale
     Q = Q[:, : int(np.sum(np.abs(np.diag(R)) > floor))]
+    w, w_norm = _orthogonal_part(Q, b)
+    return Q, (w / w_norm if w_norm > floor else None)
+
+
+def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The component of b orthogonal to range(Q), by two projection passes,
+    and its norm."""
     w = b - Q @ (Q.T @ b)
     w -= Q @ (Q.T @ w)
-    w_norm = float(np.linalg.norm(w))
-    return Q, (w / w_norm if w_norm > floor else None)
+    return w, float(np.linalg.norm(w))
+
+
+def span_basis(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal W = [Q u] for an orthonormal Q: u is the unit component
+    of b orthogonal to range(Q), left out only when that component is zero.
+
+    span(W) holds range(Q) and b, so a sketch on it (:func:`gaussian_on_span`)
+    serves every operand built from them.  u is not trimmed at a floor: a
+    component at rounding level still gives a unit u orthogonal to Q, and W
+    stays orthonormal.
+    """
+    w, w_norm = _orthogonal_part(Q, b)
+    return np.column_stack([Q, w / w_norm]) if w_norm > 0.0 else Q
 
 
 def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionReport:

@@ -1,11 +1,12 @@
 import csv
-import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from sketchls import cli, diagnostics, embed, matio
 from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
@@ -232,6 +233,31 @@ def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
     return path
 
 
+def record_sketches(monkeypatch, fail=lambda kind, d, seed: False) -> list:
+    """(kind, d, seed) of every sketch operator made, by ``build_sketch`` or,
+    for a Gaussian cell, ``gaussian_on_span``; one for which ``fail`` holds
+    raises ``ValueError("boom")`` instead."""
+    made = []
+    real_build, real_span = embed.build_sketch, embed.gaussian_on_span
+
+    def record(kind, d, seed):
+        if fail(kind, d, seed):
+            raise ValueError("boom")
+        made.append((kind.value, d, seed))
+
+    def build(kind, d, m, seed):
+        record(embed.SketchKind(kind), d, seed)
+        return real_build(kind, d, m, seed)
+
+    def span(d, W, seed):
+        record(embed.SketchKind.GAUSSIAN, d, seed)
+        return real_span(d, W, seed)
+
+    monkeypatch.setattr(embed, "build_sketch", build)
+    monkeypatch.setattr(embed, "gaussian_on_span", span)
+    return made
+
+
 class TestRunExperiment:
     def test_artifacts_and_determinism(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -273,45 +299,28 @@ class TestRunExperiment:
         assert header == ["k", "srnorm", "snenorm", "rnorm", "ne_ratio", "stale_flag"]
 
     def test_distortion_once_per_pair(self, tmp_path, monkeypatch):
-        sketched, distortions = [], []
-        real_sketch, real_distortion = embed.sketch_operands, embed.basis_distortion
-
-        def counting_sketch(*args, **kwargs):
-            sketched.append(args)
-            return real_sketch(*args, **kwargs)
+        distortions = []
+        real_distortion = embed.basis_distortion
 
         def counting_distortion(*args):
             distortions.append(args)
             return real_distortion(*args)
 
-        monkeypatch.setattr(cli.embed, "sketch_operands", counting_sketch)
+        sketched = record_sketches(monkeypatch)
         monkeypatch.setattr(cli.embed, "basis_distortion", counting_distortion)
         assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_OK
         # one (problem, sketch) pair per seed
         assert len(sketched) == len(distortions) == 2
 
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
-        # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch pass,
-        # which does not sketch A (SA is (SQ) R P^T), takes one SVD of the
+        # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch
+        # operator, never sketches A (SA is (SQ) R P^T), takes one SVD of the
         # 24 x 6 SA and solves the sketched problem once
-        passes, applied, shapes = Counter(), Counter(), Counter()
-        real_sketch, real_apply, real_svd = embed.sketch_operands, embed.apply, scipy.linalg.svd
-        in_pass = []
-
-        def counting_sketch(kind, d, m, seed, operands, **kwargs):
-            passes[embed.SketchKind(kind).value, seed] += 1
-            applied[embed.SketchKind(kind).value, seed] += sum(
-                isinstance(X, MatrixHandle) for X in operands)
-            in_pass.append(True)
-            try:
-                return real_sketch(kind, d, m, seed, operands, **kwargs)
-            finally:
-                in_pass.pop()
+        applied, shapes = Counter(), Counter()
+        real_apply, real_svd = embed.apply, scipy.linalg.svd
 
         def counting_apply(S, X):
-            # a sketch of A outside the pass would be a second one
-            if isinstance(X, MatrixHandle) and not in_pass:
-                applied[S.kind.value, S.seed] += 1
+            applied[S.kind.value, S.seed] += isinstance(X, MatrixHandle)
             return real_apply(S, X)
 
         def counting_svd(a, *args, **kwargs):
@@ -324,7 +333,7 @@ class TestRunExperiment:
                 return real(M, rhs, *args, **kwargs)
             return solve
 
-        monkeypatch.setattr(embed, "sketch_operands", counting_sketch)
+        made = record_sketches(monkeypatch)
         monkeypatch.setattr(embed, "apply", counting_apply)
         monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
         for module in (diagnostics, matio):
@@ -333,7 +342,7 @@ class TestRunExperiment:
             "kind = gaussian", "kind = gaussian,srht,sparse"))
         assert run_experiment(config) == EXIT_OK
         pairs = [(kind, seed) for kind in ("gaussian", "srht", "sparse") for seed in (0, 1)]
-        assert passes == dict.fromkeys(pairs, 1)
+        assert Counter((kind, seed) for kind, _, seed in made) == dict.fromkeys(pairs, 1)
         assert applied == dict.fromkeys(pairs, 0)
         assert shapes["svd", (24, 6)] == 6
         assert shapes["qr_ls_solve", (24, 6)] == 6
@@ -413,41 +422,19 @@ class TestRunExperiment:
         real_stream = embed.stream
 
         class FailingGenerator:
-            def standard_normal(self, out):
+            def standard_normal(self, size):
                 raise RuntimeError("draw failed")
 
         def stream(seed, *tags):
-            return FailingGenerator() if tags[0] == "gaussian" and seed == 1 \
+            return FailingGenerator() if tags[0] == "gaussian-span" and seed == 1 \
                 else real_stream(seed, *tags)
 
         monkeypatch.setattr(embed, "stream", stream)
-        threads = threading.active_count()
         assert run_experiment(parse_config(BASE_CONFIG.format(out=tmp_path))) == EXIT_RUN_ERROR
-        assert threading.active_count() == threads
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert errors == ["error: synth120x6c20_gaussian_d24_s1: draw failed"]
         assert (tmp_path / "synth120x6c20_gaussian_d24_s0_bounds.csv").is_file()
-
-    def test_gaussian_payload_guard(self, tmp_path, monkeypatch, capsys):
-        # d * m = 24 * 120 for run, 8 * 120 and 40 * 120 for sweep-d
-        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 1000)
-        out = tmp_path / "r"
-        assert run_experiment(parse_config(BASE_CONFIG.format(out=out))) == EXIT_RUN_ERROR
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: synth120x6c20_gaussian_d24_s{seed}: Gaussian sketch "
-                          "d * m = 2880 exceeds the payload guard 1000" for seed in (0, 1)]
-        assert not list(out.glob("*gaussian*"))
-
-        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
-                              f"output_dir = {tmp_path / 's'}\n")
-        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
-        assert "error: synth120x4c10_gaussian_d40: seed 0: Gaussian sketch d * m = 4800 " \
-            "exceeds the payload guard 1000" in capsys.readouterr().err
-        with open(tmp_path / "s" / "sweep_d.csv") as fh:
-            got = [(r["kind"], r["d"]) for r in csv.DictReader(fh)]
-        assert got == [("gaussian", "8"), ("sparse", "8"), ("sparse", "40")]
 
 
 def rank_trimmed_matrix() -> MatrixHandle:
@@ -489,51 +476,73 @@ class TestSketchCell:
         assert np.max(np.abs(P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
         assert eps == embed.exact_distortion(P.S, A, problem.b).epsilon
 
+    @pytest.mark.parametrize("rho", [1e-3, 1.0])
+    def test_gaussian_cell_is_a_full_gaussian_on_the_span(self, rho):
+        # completed with any G, S~ = Z W^T + G (I - W W^T) is a full Gaussian
+        # sketch; it gives the cell's SA and Sb, and every product the bound
+        # suite takes, S r_ls and A^T S^T S r_s, to rounding
+        A = MatrixSource("s", synthetic=(300, 6, 20)).load()
+        problem = cli.SeedProblem(A, 4, rho)
+        P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
+        W, Z = P.S.payload.W, P.S.payload.Z
+        G = embed.build_sketch("gaussian", 40, 300, 4).payload.matrix
+        full = Z @ W.T + G - (G @ W) @ W.T
+        dense, r_ls, r_s = A.dense(), problem.oracle.r_ls, P.r_s
+        geometric = A.rmatvec(embed.apply_adjoint(P.S, embed.apply(P.S, r_s)))
+        norm_S = np.linalg.norm(full, 2)
+        for got, want, scale in (
+                (P.SA, full @ dense, np.linalg.norm(full @ dense, 2)),
+                (P.Sb, full @ P.b, np.linalg.norm(full @ P.b)),
+                # r_ls = A x_ls - b carries rounding of size u ||b|| off
+                # span(W), which only the full Gaussian sees
+                (embed.apply(P.S, r_ls), full @ r_ls, norm_S * np.linalg.norm(P.b)),
+                # S r_s is orthogonal to range(SA), so this product is
+                # rounding noise on the scale of ||A|| ||S||^2 ||r_s||
+                (geometric, dense.T @ (full.T @ (full @ r_s)),
+                 np.linalg.norm(dense, 2) * norm_S ** 2 * np.linalg.norm(r_s))):
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+
+    def test_gaussian_eps_has_the_full_gaussian_law(self):
+        # two-sample KS test of the cell's eps against build_sketch's full G
+        # on the same problems; seeds 0-999 and alpha = 1e-3 fixed up front
+        A = MatrixSource("s", synthetic=(300, 6, 20)).load()
+        cell, full = [], []
+        for seed in range(1000):
+            problem = cli.SeedProblem(A, seed, 1e-3)
+            cell.append(cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 24)[1])
+            S = embed.build_sketch("gaussian", 24, 300, seed)
+            full.append(embed.exact_distortion(S, A, problem.b).epsilon)
+        assert scipy.stats.ks_2samp(cell, full).pvalue > 1e-3
+
+    def test_gaussian_cell_makes_no_d_by_m_draw(self, monkeypatch):
+        A = MatrixSource("s", synthetic=(5000, 4, 20)).load()
+        problem = cli.SeedProblem(A, 0, 1e-3)
+        problem.basis  # the seed's shared work (and A's QR), done before the cell
+        sizes = []
+        real_stream = embed.stream
+
+        class Recorded:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size):
+                sizes.append(int(np.prod(size)))
+                return self.gen.standard_normal(size)
+
+        monkeypatch.setattr(embed, "stream", lambda *tags: Recorded(real_stream(*tags)))
+        tracemalloc.start()
+        try:
+            cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [40 * 5]
+        # a d x m G alone would be 1.6 MB; the cell's W = [Q u] is 0.2 MB
+        assert peak < 40 * 5000 * 8 / 2
+
 
 class TestCellLoop:
-    """The cell loop of ``run`` and ``sweep-d``, which draws each Gaussian G
-    ahead of its cell."""
-
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """(d, seed) of every Gaussian draw made, ahead or in a pass."""
-        made = []
-        real = embed.GaussianDraw
-
-        class RecordedDraw(real):
-            def __init__(self, d, m, seed):
-                made.append((d, seed))
-                super().__init__(d, m, seed)
-
-        monkeypatch.setattr(embed, "GaussianDraw", RecordedDraw)
-        return made
-
-    def test_draw_ahead_keeps_the_bits(self, tmp_path, monkeypatch, draws):
-        # 2 seeds x 2 d: each Gaussian cell but the first gets its G drawn
-        # ahead, and its SQ, Sq and Sb are those of a pass that draws G itself
-        passes = []
-        real = embed.sketch_operands
-
-        def recording(kind, d, m, seed, operands, draw=None):
-            S, products = real(kind, d, m, seed, operands, draw=draw)
-            passes.append((embed.SketchKind(kind), d, m, seed, operands, draw, products))
-            return S, products
-
-        monkeypatch.setattr(cli.embed, "sketch_operands", recording)
-        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
-                              f"output_dir = {tmp_path}\n")
-        threads = threading.active_count()
-        assert sweep_d(config, "8,40") == EXIT_OK
-        assert threading.active_count() == threads
-        gaussian = [p for p in passes if p[0] is embed.SketchKind.GAUSSIAN]
-        assert [(seed, d, draw is not None) for _, d, _, seed, _, draw, _ in gaussian] == [
-            (0, 8, False), (0, 40, True), (1, 8, True), (1, 40, True)]
-        assert draws == [(8, 0), (40, 0), (8, 1), (40, 1)]
-        for kind, d, m, seed, operands, _, products in gaussian:
-            assert len(operands) == 3 and not any(isinstance(X, MatrixHandle)
-                                                  for X in operands)
-            for got, want in zip(products, real(kind, d, m, seed, operands)[1]):
-                assert (got is None and want is None) or np.array_equal(got, want)
+    """The cell loop of ``run`` and ``sweep-d``."""
 
     def test_run_order_seed_d_kind(self, tmp_path, monkeypatch):
         order = []
@@ -548,88 +557,14 @@ class TestCellLoop:
         assert order == [(seed, d, kind) for seed in (0, 1) for d in (24, 48)
                          for kind in ("gaussian", "sparse")]
 
-    def test_no_draw_over_the_guard_and_no_thread_left(self, tmp_path, monkeypatch, capsys,
-                                                       draws):
-        # d * m = 24 * 120 is under the guard, 48 * 120 over it
-        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 3000)
-        threads = threading.active_count()
-        assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == \
-            EXIT_RUN_ERROR
-        assert threading.active_count() == threads
-        assert draws == [(24, 0), (24, 1)]
-        assert [line for line in capsys.readouterr().err.splitlines()
-                if line.startswith("error:")] == [
-            f"error: synth120x6c20_gaussian_d48_s{seed}: Gaussian sketch d * m = 5760 "
-            "exceeds the payload guard 3000" for seed in (0, 1)]
-
-        config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\nseeds = 0,1\n"
-                              f"output_dir = {tmp_path / 's'}\n")
-        draws.clear()
-        assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
-        assert threading.active_count() == threads
-        assert draws == [(8, 0), (8, 1)]
-
-    def test_cell_that_raises_before_its_pass_leaves_no_thread(self, tmp_path, monkeypatch,
-                                                              capsys, draws):
-        # every cell of seed 1 raises before its pass, each Gaussian one
-        # with its G drawn ahead
-        real = cli.synthesize_problem
-
-        def synthesize(A, seed, rho):
-            if seed == 1:
-                raise ValueError("no problem")
-            return real(A, seed, rho)
-
-        monkeypatch.setattr(cli, "synthesize_problem", synthesize)
-        threads = threading.active_count()
-        assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == \
-            EXIT_RUN_ERROR
-        assert threading.active_count() == threads
-        assert draws == [(24, 0), (48, 0), (24, 1), (48, 1)]
-        assert len([line for line in capsys.readouterr().err.splitlines()
-                    if line.endswith("_s1: no problem")]) == 4
-
-    def test_sweep_skips_the_draw_of_a_failed_cell(self, tmp_path, monkeypatch, draws):
-        real = embed.sketch_operands
-
-        def flaky(kind, d, m, seed, operands, **kwargs):
-            if d == 8 and seed == 0:
-                raise ValueError("boom")
-            return real(kind, d, m, seed, operands, **kwargs)
-
-        monkeypatch.setattr(cli.embed, "sketch_operands", flaky)
+    def test_sweep_skips_the_draw_of_a_failed_cell(self, tmp_path, monkeypatch):
+        # the cell (gaussian, d = 8) fails at seed 0, so it draws no sketch
+        # at seed 1
+        made = record_sketches(monkeypatch, fail=lambda kind, d, seed: d == 8 and seed == 0)
         config = parse_config("synthetic = 120,4,10\nkind = gaussian\nseeds = 0,1\n"
                               f"output_dir = {tmp_path}\n")
-        threads = threading.active_count()
         assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
-        assert threading.active_count() == threads
-        assert draws == [(40, 0), (40, 1)]
-
-    @pytest.mark.parametrize("command", ["run", "sweep-d"])
-    def test_escaping_error_cancels_the_pending_draw(self, tmp_path, monkeypatch, draws,
-                                                     command):
-        # an error no cell catches stops the command while the next
-        # Gaussian cell's G is drawn ahead; its worker is still joined
-        class Abort(BaseException):
-            pass
-
-        real = embed.build_sketch
-
-        def aborting(kind, d, m, seed):
-            if embed.SketchKind(kind) is embed.SketchKind.SPARSE:
-                raise Abort()
-            return real(kind, d, m, seed)
-
-        monkeypatch.setattr(cli.embed, "build_sketch", aborting)
-        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
-        threads = threading.active_count()
-        with pytest.raises(Abort):
-            if command == "run":
-                run_experiment(config)
-            else:
-                sweep_d(config, "24,48")
-        assert threading.active_count() == threads
-        assert draws == [(24, 0), (48, 0)]
+        assert [(d, seed) for _, d, seed in made] == [(40, 0), (40, 1)]
 
 
 class TestSweep:
@@ -655,14 +590,7 @@ class TestSweep:
 
 
     def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch):
-        built = []
-        real = embed.sketch_operands
-
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli.embed, "sketch_operands", counting)
+        built = record_sketches(monkeypatch)
         # d = 70 fits the first source but not the second (m = 60)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
                               f"kind = gaussian\noutput_dir = {tmp_path}\n")
@@ -728,14 +656,7 @@ class TestSweep:
         assert len(iterations) == 3 * 4 and sum(iterations) > len(products)
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):
-        real = embed.sketch_operands
-
-        def flaky(kind, d, m, seed, operands, **kwargs):
-            if d == 8 and seed == 1:
-                raise ValueError("boom")
-            return real(kind, d, m, seed, operands, **kwargs)
-
-        monkeypatch.setattr(cli.embed, "sketch_operands", flaky)
+        record_sketches(monkeypatch, fail=lambda kind, d, seed: d == 8 and seed == 1)
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"
                               f"seeds = 0,1\noutput_dir = {tmp_path}\n")
         assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
@@ -888,13 +809,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: rd_sparse_d10_s0: rank deficiency")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-    def test_check_gaussian_payload_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "GAUSSIAN_PAYLOAD_GUARD", 100)
-        assert main(["check", "--synthetic", "200,4,10", "--kind", "gaussian"]) == \
-            EXIT_RUN_ERROR
-        assert capsys.readouterr().err == ("error: synthetic_gaussian_d8_s0: Gaussian sketch "
-                                          "d * m = 1600 exceeds the payload guard 100\n")
 
     def test_sweep_main(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

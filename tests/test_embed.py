@@ -1,17 +1,14 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from sketchls import embed
-from sketchls.embed import (GAUSSIAN_BLOCK_ROWS, GaussianDraw, SketchKind, SparsePayload,
-                            SketchOperator, apply, apply_adjoint, basis_distortion,
-                            build_sketch, exact_distortion, fwht,
-                            materialize, next_pow2, sketch_operands, subspace_basis)
+from sketchls import cli
+from sketchls.embed import (GaussianSpanPayload, SketchKind, SparsePayload, SketchOperator,
+                            apply, apply_adjoint, basis_distortion, build_sketch,
+                            exact_distortion, fwht, gaussian_on_span, materialize,
+                            next_pow2, span_basis, subspace_basis)
 from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
@@ -259,56 +256,38 @@ def test_apply_and_adjoint_match_materialize(case):
         assert np.all(np.abs(got - expect) <= 1e-13 * (np.abs(factor) @ np.abs(operand)))
 
 
-# d below, equal to and not a multiple of the block size; 2 * 64 + 1 leaves a
-# one-row last block
-BLOCK_DS = [GAUSSIAN_BLOCK_ROWS // 2, GAUSSIAN_BLOCK_ROWS, 150, 2 * GAUSSIAN_BLOCK_ROWS + 1]
+# d values of the sketched-operand tests, from d = 32 up to 150 of m = 300
+BLOCK_DS = [32, 64, 150, 129]
 
 
-def fused_operands(m: int = 300, n: int = 7):
-    """Every operand form of one cell: a dense (F-order) handle, a CSR
-    handle, the F-order cached Q, a C-order array, vectors and None."""
+def span_operands(m: int = 300, n: int = 7):
+    """A, b, the untrimmed Q of A's pivoted QR and the span W = [Q u] of a
+    generic problem."""
     A = random_tall(m, n, 3)
     b = random_rhs(m, 3)
-    Q, q = subspace_basis(A, b)
-    csr = MatrixHandle(scipy.sparse.random(m, n, density=0.2, format="csr",
-                                           random_state=np.random.default_rng(4)))
-    C = np.ascontiguousarray(stream(5, "c-order", m).standard_normal((m, 4)))
-    return [Q, q, A, b, csr, C, None]
-
-
-def run_with_deadline(fn, seconds: float = 60.0):
-    """``fn()``'s result or exception, failing the test if it runs past the deadline."""
-    box = {}
-
-    def target():
-        try:
-            box["value"] = fn()
-        except Exception as exc:  # noqa: BLE001 - handed to the test
-            box["error"] = exc
-
-    runner = threading.Thread(target=target, daemon=True)
-    runner.start()
-    runner.join(seconds)
-    assert not runner.is_alive(), "call did not return"
-    return box
+    Q = A.qr_factor()[0]
+    return A, b, Q, span_basis(Q, b)
 
 
 class TestSketchOperands:
+    """The sketch a cell builds and its products with the cell's operands."""
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", BLOCK_DS)
     def test_bit_equal_to_build_then_apply(self, kind, d):
-        operands = fused_operands()
-        S, products = sketch_operands(kind, d, 300, 11, operands)
-        ref = build_sketch(kind, d, 300, 11)
-        assert (S.kind, S.d, S.m, S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
-        assert np.array_equal(materialize(S), materialize(ref))
-        assert len(products) == len(operands)
-        for X, SX in zip(operands, products):
-            if X is None:
-                assert SX is None
-            else:
-                assert SX.flags.c_contiguous
-                assert np.array_equal(SX, apply(ref, X))
+        # the cell's S is build_sketch's, or for the Gaussian kind the span
+        # sketch of W = [Q u]; Sb, and SQ inside SA, are apply of that S
+        A, b, _, _ = span_operands()
+        problem = cli.SeedProblem(A, 11, 1e-3)
+        P, _ = cli._sketch_cell(problem, kind, d)
+        Q, R, piv = A.qr_factor()
+        ref = (gaussian_on_span(d, span_basis(Q, problem.b), 11)
+               if kind is SketchKind.GAUSSIAN else build_sketch(kind, d, 300, 11))
+        assert (P.S.kind, P.S.d, P.S.m, P.S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
+        assert np.array_equal(materialize(P.S), materialize(ref))
+        assert np.array_equal(P.Sb, apply(ref, problem.b))
+        assert np.array_equal(P.SA[:, piv], apply(ref, Q) @ R)
+        assert P.SA.flags.c_contiguous
 
     @pytest.mark.parametrize("d", BLOCK_DS)
     def test_block_draw_is_the_single_draw(self, d):
@@ -317,139 +296,71 @@ class TestSketchOperands:
         assert np.array_equal(G, single)
 
     def test_distortion_from_products_is_exact_distortion(self):
-        Q, q, A, b = fused_operands()[:4]
-        S, (SQ, Sq) = sketch_operands("gaussian", 150, 300, 6, [Q, q])
-        assert basis_distortion(SQ, Sq) == exact_distortion(S, A, b)
-
-    @pytest.mark.parametrize("failing_block", [0, 1, 2])
-    def test_failing_draw_raises_and_joins(self, monkeypatch, failing_block):
-        real_stream = embed.stream
-
-        class FailingGenerator:
-            def __init__(self, gen):
-                self.gen, self.blocks = gen, 0
-
-            def standard_normal(self, out):
-                if self.blocks == failing_block:
-                    raise RuntimeError("draw failed")
-                self.blocks += 1
-                return self.gen.standard_normal(out=out)
-
-        monkeypatch.setattr(embed, "stream",
-                            lambda *tags: FailingGenerator(real_stream(*tags)))
-        threads = threading.active_count()
-        # 150 rows are three blocks
-        box = run_with_deadline(
-            lambda: sketch_operands("gaussian", 150, 300, 0, fused_operands()))
-        assert str(box.get("error")) == "draw failed"
-        assert threading.active_count() == threads
-
-    def test_concurrent_calls_under_fast_switching(self):
-        # four callers, each with its own draw worker, on two cores: every
-        # product must still be that of build_sketch then apply
-        self.check_concurrent_calls(ahead=False)
-
-    def test_concurrent_calls_with_draws_made_ahead(self):
-        # as above, with each caller's draw made ahead of its pass
-        self.check_concurrent_calls(ahead=True)
-
-    @staticmethod
-    def check_concurrent_calls(ahead):
-        operands = fused_operands()[:4]
-        expect = {seed: [apply(build_sketch("gaussian", 150, 300, seed), X) for X in operands]
-                  for seed in range(4)}
-        same = {}
-
-        def products(seed):
-            draw = GaussianDraw(150, 300, seed) if ahead else None
-            return sketch_operands("gaussian", 150, 300, seed, operands, draw=draw)[1]
-
-        def caller(seed):
-            same[seed] = all(np.array_equal(SX, ref) for _ in range(5)
-                             for SX, ref in zip(products(seed), expect[seed]))
-
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runners = [threading.Thread(target=caller, args=(seed,), daemon=True)
-                       for seed in expect]
-            for runner in runners:
-                runner.start()
-            for runner in runners:
-                runner.join(120)
-            assert not any(runner.is_alive() for runner in runners)
-        finally:
-            sys.setswitchinterval(interval)
-        assert same == dict.fromkeys(expect, True)
-        assert threading.active_count() == threads
-
-    def test_bad_operand_raises_and_joins(self):
-        threads = threading.active_count()
-        box = run_with_deadline(
-            lambda: sketch_operands("gaussian", 150, 300, 0, [np.ones((299, 3))]))
-        assert "operand has 299 rows" in str(box.get("error"))
-        assert threading.active_count() == threads
+        A, b, Q, W = span_operands()
+        basis, q = subspace_basis(A, b)
+        S = gaussian_on_span(150, W, 6)
+        assert basis_distortion(apply(S, basis), apply(S, q)) == exact_distortion(S, A, b)
 
     def test_guards(self):
-        threads = threading.active_count()
-        for d, m in ((10, 10), (0, 10)):
+        W = np.linalg.qr(stream(0, "W").standard_normal((10, 3)))[0]
+        for d in (10, 0):
             with pytest.raises(ValueError):
-                sketch_operands("gaussian", d, m, 0, [])
-            with pytest.raises(ValueError):
-                GaussianDraw(d, m, 0)
-        assert threading.active_count() == threads
+                gaussian_on_span(d, W, 0)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("d", [GAUSSIAN_BLOCK_ROWS // 2, 150])
-    def test_draw_made_ahead_gives_the_same_bits(self, seed, d):
-        operands = fused_operands()
-        _, fresh = sketch_operands("gaussian", d, 300, seed, operands)
-        draw = GaussianDraw(d, 300, seed)
-        run_with_deadline(lambda: list(draw.blocks()))  # G is drawn before the pass
-        S, ahead = sketch_operands("gaussian", d, 300, seed, operands, draw=draw)
-        assert S.payload.matrix is draw.G
-        assert np.array_equal(draw.G, build_sketch("gaussian", d, 300, seed).payload.matrix)
-        for got, want in zip(ahead, fresh):
-            assert (got is None and want is None) or np.array_equal(got, want)
 
-    @pytest.mark.parametrize("kind, d, seed", [("gaussian", 150, 1), ("gaussian", 151, 0),
-                                               ("sparse", 150, 0)])
-    def test_mismatched_draw_raises_and_joins(self, kind, d, seed):
-        threads = threading.active_count()
-        draw = GaussianDraw(150, 300, 0)
-        with pytest.raises(ValueError, match="cannot serve"):
-            sketch_operands(kind, d, 300, seed, fused_operands(), draw=draw)
-        assert threading.active_count() == threads
+class TestGaussianOnSpan:
+    def test_operator_is_Z_W_transpose(self):
+        _, _, _, W = span_operands()
+        S = gaussian_on_span(20, W, 4)
+        p = S.payload
+        assert isinstance(p, GaussianSpanPayload) and p.W is W
+        assert p.Z.shape == (20, 8)
+        assert np.array_equal(p.Z, stream(4, "gaussian-span", 20, 8).standard_normal((20, 8))
+                              / np.sqrt(20))
+        M = materialize(S)
+        assert np.array_equal(M, p.Z @ W.T)
+        X = stream(1, "X").standard_normal((300, 3))
+        U = stream(2, "U").standard_normal((20, 2))
+        for got, want in ((apply(S, X), M @ X), (apply(S, X[:, 0]), M @ X[:, 0]),
+                          (apply_adjoint(S, U), M.T @ U)):
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
+        with pytest.raises(ValueError, match="rows"):
+            apply(S, np.ones(299))
 
-    def test_cancelled_draw_is_not_read(self, monkeypatch):
-        # the draw is cancelled while its first block is being drawn: the
-        # pass that is then handed it raises instead of reading its G
-        real_stream = embed.stream
-        release = threading.Event()
+    def test_span_basis_is_orthonormal_and_holds_b(self):
+        A, b, Q, W = span_operands()
+        assert W.shape == (300, 8) and np.array_equal(W[:, :7], Q)
+        assert np.linalg.norm(W.T @ W - np.eye(8), 2) <= 1e-14
+        assert np.linalg.norm(b - W @ (W.T @ b)) <= 1e-14 * np.linalg.norm(b)
+        # b in range(Q) to rounding: u is a rounding-level direction, still
+        # orthogonal to Q; b = 0 gives no u
+        W = span_basis(Q, A.matvec(stream(5, "x").standard_normal(7)))
+        assert W.shape == (300, 8)
+        assert np.linalg.norm(W.T @ W - np.eye(8), 2) <= 1e-14
+        assert span_basis(Q, np.zeros(300)) is Q
 
-        class HeldGenerator:
-            def __init__(self, gen):
-                self.gen = gen
+    def test_entries_are_standard_gaussian_over_d(self):
+        Z = gaussian_on_span(50, np.eye(400)[:, :200], 1).payload.Z
+        assert abs(Z.mean()) < 3e-3
+        assert Z.var() == pytest.approx(1.0 / 50, rel=0.05)
 
-            def standard_normal(self, out):
-                release.wait(60)
-                return self.gen.standard_normal(out=out)
 
-        monkeypatch.setattr(embed, "stream", lambda *tags: HeldGenerator(real_stream(*tags)))
-        threads = threading.active_count()
-        draw = GaussianDraw(150, 300, 0)
-        canceller = threading.Thread(target=draw.cancel, daemon=True)
-        canceller.start()
-        assert draw._stop.wait(60)
-        release.set()
-        canceller.join(60)
-        assert not canceller.is_alive()
-        assert threading.active_count() == threads
-        box = run_with_deadline(
-            lambda: sketch_operands("gaussian", 150, 300, 0, fused_operands(), draw=draw))
-        assert str(box.get("error")) == "the Gaussian draw was cancelled"
-        assert threading.active_count() == threads
+class TestMaterializeSrht:
+    @pytest.mark.parametrize("d, m", [(2, 4), (5, 11), (9, 16), (20, 100)])
+    def test_rows_of_the_hadamard_matrix(self, d, m):
+        S = build_sketch("srht", d, m, seed=3)
+        p = S.payload
+        H = scipy.linalg.hadamard(p.padded_len).astype(np.float64)
+        want = (H[p.indices] * p.signs[None, :]) / np.sqrt(d)
+        assert np.array_equal(materialize(S), want[:, :m])
+
+    def test_large_padded_length(self):
+        # m' = 16384: the Hadamard matrix itself would be 2 GiB
+        S = build_sketch("srht", 30, 10_000, 0)
+        M = materialize(S)
+        assert M.shape == (30, 10_000)
+        cols = [0, 1, 4097, 9999]
+        assert np.array_equal(M[:, cols], apply(S, np.eye(10_000)[:, cols]))
 
 
 class TestUnbiasedness:
