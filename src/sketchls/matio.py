@@ -10,6 +10,15 @@ right-hand side.  A loaded matrix is factored by a pivoted QR of its m rows;
 a synthesized one, built as U diag(s) V^T, gets the same factor from an
 n-by-n pivoted QR of diag(s) V^T and the product Q = U Q2 (see
 :func:`synthesize_matrix`).
+A synthesized matrix's U and V are the orthonormal factors of Gaussian
+draws, taken by CholeskyQR2 (two passes of Cholesky of the Gram matrix and
+a triangular solve, all BLAS-3) in the draw's own buffer rather than by
+Householder QR, whose panel updates are BLAS-2 bound on a tall, thin draw.
+A draw too ill-conditioned for the plain Cholesky falls back to shifted
+CholeskyQR3.  R is taken with a positive diagonal, so U and V are Haar
+distributed.  A is then formed once, directly in the Fortran order the
+handle keeps, and U is kept without a copy: it becomes Q in place, and the
+tall bench workload (16000 x 100) peaks lowest that way.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
@@ -409,26 +418,73 @@ def synthesize_problem(A: MatrixHandle, seed: int, residual_scale: float = 1e-3)
 def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     """Random dense m-by-n matrix with prescribed condition number.
 
-    Built as U diag(s) V^T with orthonormal factors and log-spaced singular
-    values from 1 down to 1/cond.  The handle keeps (U, s, V), so its pivoted
-    QR (:meth:`MatrixHandle.qr_factor`) costs an n-by-n QR and one pass over
-    U instead of a QR of the m rows of A.  It keeps a copy of U, taken after
-    A is built, which that QR then overwrites with Q: holding the original U
-    instead would keep the synthesis temporaries freed around it from going
-    back to the system, and the tall bench workload (16000 x 100) peaked
-    about 30 MB higher that way, with Q written in place or not.
+    Built as U diag(s) V^T with log-spaced singular values from 1 down to
+    1/cond.  U and V are the orthonormal factors of m-by-n and n-by-n
+    Gaussian draws, taken by :func:`_orthonormal_factor` (CholeskyQR2, with
+    shifted CholeskyQR3 when a draw is too ill-conditioned for it) with a
+    positive R diagonal, so both are Haar distributed.  A is formed once, as
+    the transpose of the C-ordered (V diag(s)) U^T, which is already the
+    Fortran order the handle keeps: no m-by-n U diag(s) and no reordering
+    copy.  The handle keeps (U, s, V), so its pivoted QR
+    (:meth:`MatrixHandle.qr_factor`) costs an n-by-n QR and one pass over U
+    instead of a QR of the m rows of A; that pass overwrites U with Q.
+    Raises ValueError before any draw for a shape that is not tall or
+    square, or for a cond that is not finite and >= 1.
     """
     if m < n or n < 1:
         raise ValueError("need m >= n >= 1")
-    if cond < 1:
-        raise ValueError("cond must be >= 1")
+    if not (math.isfinite(cond) and cond >= 1):
+        raise ValueError("cond must be finite and >= 1")
     gen = stream(seed, "synthmat", m, n)
-    U = np.linalg.qr(gen.standard_normal((m, n)))[0]
-    V = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    U = _orthonormal_factor(gen.standard_normal((m, n)))
+    V = _orthonormal_factor(gen.standard_normal((n, n)))
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
-    A = MatrixHandle((U * s) @ V.T)
-    A._svd = (U.copy(), s, V)
+    A = MatrixHandle(((V * s) @ U.T).T)
+    A._svd = (U, s, V)
     return A
+
+
+def _orthonormal_factor(G: np.ndarray) -> np.ndarray:
+    """Q of G = Q R with a positive R diagonal, by CholeskyQR2 in G's buffer.
+
+    A pass forms C = X^T X (SYRK), its Cholesky factor C = R^T R and
+    X <- X R^-1 (TRSM): BLAS-3 work throughout, where Householder QR of a
+    tall, thin G is bound by BLAS-2 panel updates.  Two passes make Q
+    orthonormal to rounding while kappa(G) is below about 1e8 (Fukaya,
+    Nakatsukasa, Yanagisawa & Yamamoto, SISC 2020).  Above that the first
+    Cholesky fails before G is written, and shifted CholeskyQR3 runs
+    instead: a first pass on C + s I, s = 11 (mn + n(n+1)) u ||G||_F^2,
+    then the two plain passes; it holds to kappa(G) of about 1e12.  Each
+    pass's R has a positive diagonal, so the product R does too, and Q of a
+    Gaussian G is Haar distributed (Mezzadri, Notices AMS 2007).  G is
+    overwritten and returned when it is C-ordered float64, as a draw is.
+    Raises LinAlgError when G is numerically rank deficient.
+    """
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    m, n = G.shape
+    Gt = G.T  # Fortran-ordered view, so BLAS works in G's buffer
+    if _cholesky_qr_pass(Gt, 0.0):
+        shifts = (0.0,)
+    else:
+        shifts = (11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps, 0.0, 0.0)
+    for shift in shifts:
+        if not _cholesky_qr_pass(Gt, shift):
+            raise np.linalg.LinAlgError("CholeskyQR: matrix is numerically rank deficient")
+    return G
+
+
+def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> bool:
+    """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with
+    R^T R = X^T X + shift * trace(X^T X) I.  Returns False, with X
+    untouched, when the Cholesky fails.  Xt must be Fortran-ordered."""
+    C = scipy.linalg.blas.dsyrk(1.0, Xt)
+    if shift:
+        C[np.diag_indices_from(C)] += shift * np.trace(C)
+    R, info = scipy.linalg.lapack.dpotrf(C, overwrite_a=True)
+    if info != 0:
+        return False
+    scipy.linalg.blas.dtrsm(1.0, R, Xt, trans_a=True, overwrite_b=True)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,102 @@ class TestSynthesis:
             info = synthesize_matrix(m, n, cond, seed=seed).spectral()
             assert info.cond == pytest.approx(cond, rel=1e-10)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_square_reproduces_singular_values(self, seed):
+        A = synthesize_matrix(60, 60, 1e3, seed)
+        s = np.logspace(0.0, -3.0, 60)
+        sv = np.linalg.svd(A.dense(), compute_uv=False)
+        assert np.all(np.abs(sv - s) <= 1e-13 * s)
+        assert A.dense().flags.f_contiguous
+
+    def test_no_householder_qr_of_m_rows(self, monkeypatch):
+        m, n = 400, 10
+        rows = []
+
+        def recording(qr):
+            def wrapper(M, *args, **kwargs):
+                rows.append(np.shape(M)[0])
+                return qr(M, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+        monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+        A = synthesize_matrix(m, n, 100.0, 0)
+        assert rows == []
+        A.qr_factor()
+        assert rows == [n]
+
+    @pytest.mark.parametrize("cond", [math.nan, math.inf, -math.inf, 0.5])
+    def test_bad_cond_rejected_before_any_draw(self, cond, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking cond")
+
+        monkeypatch.setattr(matio, "stream", no_draw)
+        with pytest.raises(ValueError, match="cond must be finite and >= 1"):
+            synthesize_matrix(100, 5, cond, 0)
+
+
+def assert_positive_q_factor(Q, G):
+    """Q has orthonormal columns, and Q^T G is upper triangular with a
+    positive diagonal, to rounding: Q is the Q of G = Q R with R_ii > 0."""
+    n = G.shape[1]
+    assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-14
+    R = Q.T @ G
+    assert np.linalg.norm(np.tril(R, -1)) <= 1e-14 * np.linalg.norm(G)
+    assert np.all(np.diag(R) > 0)
+
+
+def conditioned(m, n, cond, seed):
+    """C-ordered m-by-n matrix with singular values log-spaced from 1 to 1/cond."""
+    gen = stream(seed, "test-conditioned", m, n)
+    U = np.linalg.qr(gen.standard_normal((m, n)))[0]
+    V = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    return np.ascontiguousarray((U * np.logspace(0.0, -math.log10(cond), n)) @ V.T)
+
+
+class TestOrthonormalFactor:
+    """matio._orthonormal_factor, the CholeskyQR2 of synthesis, against the
+    definition of the Q factor with a positive R diagonal."""
+
+    @pytest.fixture
+    def shifts(self, monkeypatch):
+        seen = []
+        plain_pass = matio._cholesky_qr_pass
+
+        def recording(Xt, shift):
+            seen.append(shift)
+            return plain_pass(Xt, shift)
+
+        monkeypatch.setattr(matio, "_cholesky_qr_pass", recording)
+        return seen
+
+    @pytest.mark.parametrize("shape", [(16000, 100), (2000, 100), (40, 40), (5, 1), (1, 1)])
+    def test_gaussian(self, shape, shifts):
+        G = stream(0, "test-cholqr", *shape).standard_normal(shape)
+        Q = matio._orthonormal_factor(G.copy())
+        assert_positive_q_factor(Q, G)
+        assert shifts == [0.0, 0.0]
+
+    def test_householder_convention_differs(self):
+        G = stream(1, "test-cholqr").standard_normal((2000, 100))
+        assert np.any(np.diag(np.linalg.qr(G)[1]) < 0)
+        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
+
+    def test_written_in_the_draws_buffer(self):
+        G = stream(2, "test-cholqr").standard_normal((300, 20))
+        assert matio._orthonormal_factor(G) is G
+
+    def test_plain_path_at_cond_1e7(self, shifts):
+        G = conditioned(2000, 100, 1e7, 0)
+        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
+        assert shifts == [0.0, 0.0]
+
+    def test_shifted_path_at_cond_1e10(self, shifts):
+        G = conditioned(2000, 100, 1e10, 0)
+        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
+        assert len(shifts) == 4 and shifts[0] == 0.0 and shifts[1] > 0.0
+        assert shifts[2:] == [0.0, 0.0]
+
 
 class TestOracle:
     def test_closed_form_two_by_one(self):
