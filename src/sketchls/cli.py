@@ -2,7 +2,9 @@
 
 Loads or synthesizes problems, builds sketches, runs LSQR/LSMR under a chosen
 stopping policy, and writes per-run trace CSVs, bound-report CSVs, and an
-aggregate summary.
+aggregate summary.  ``sweep-d`` runs LSMR only, under the same policy; its
+plateau is ||A^T r_s|| / (||A|| ||r_s||) at the sketched minimizer x_s, and
+its stop columns are LSMR's iterations and last fresh ratio over the plateau.
 
 ``run`` and ``sweep-d`` go seed by seed; within a seed the (kind, d) cells run
 in d -> kind order, and the outputs list the cells in kind -> d order (then
@@ -61,8 +63,8 @@ import numpy as np
 from . import diagnostics, embed
 from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
                     synthesize_matrix, synthesize_problem)
-from .solvers import (LinearOperatorView, MetricsObserver, Termination,
-                      lsmr, lsqr, write_trace)
+from .solvers import (LinearOperatorView, MetricsObserver, SolveResult, lsmr, lsqr,
+                      write_trace)
 from .stopping import StopMode, StoppingController, StoppingPolicy
 
 EXIT_OK = 0
@@ -335,12 +337,6 @@ SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
                    "final_ne_ratio", "r_ls_norm", "bounds_passed", "bounds_failed"]
 
 
-def _solvers_for(config: ExperimentConfig):
-    if config.solver == "both":
-        return [("lsqr", lsqr), ("lsmr", lsmr)]
-    return [(config.solver, lsqr if config.solver == "lsqr" else lsmr)]
-
-
 def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float]:
     """The sketched problem of one (seed, kind, d) cell and the distortion
@@ -370,32 +366,31 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
     return diagnostics.SketchedProblem(A, b, S, SA=SA, Sb=Sb), eps
 
 
-def _bound_suite(problem: SeedProblem, kind: embed.SketchKind, d: int
-                 ) -> Tuple[diagnostics.SketchedProblem, float, List[diagnostics.BoundReport]]:
-    """The sketched problem of one (seed, kind, d) cell, the distortion eps
-    of its sketch and its bound reports."""
-    oracle = problem.oracle
-    P, eps = _sketch_cell(problem, kind, d)
-    return P, eps, diagnostics.run_bound_suite(P, oracle, eps)
+def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, eps: float,
+                problem: SeedProblem, config: ExperimentConfig) -> SolveResult:
+    """``solver_fn`` on a cell's sketched problem under ``config.policy()``, observed
+    by the oracle path; only the traditional stop reads ||SA||, an svd of SA."""
+    op_norm = P.norm_SA if config.stop is StopMode.TRADITIONAL else math.nan
+    controller = StoppingController(config.policy(), op_norm=op_norm, epsilon=eps)
+    observer = MetricsObserver(problem.A, problem.b, stride=config.stride,
+                               oracle=problem.oracle)
+    return solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
+                     stop=controller)
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
-    A, seed = problem.A, problem.seed
+    A, seed, oracle = problem.A, problem.seed, problem.oracle
     label = f"{name}_{kind.value}_d{d}_s{seed}"
-    P, eps, bound_reports = _bound_suite(problem, kind, d)
-    b, oracle = problem.b, problem.oracle
-    op = LinearOperatorView.from_matrix(P.SA)
-    bounds_path = out_dir / f"{label}_bounds.csv"
-    diagnostics.write_bound_reports(bounds_path, bound_reports, seed=seed,
-                                    kind=kind.value, matrix=name, d=d)
+    P, eps = _sketch_cell(problem, kind, d)
+    bound_reports = diagnostics.run_bound_suite(P, oracle, eps)
+    diagnostics.write_bound_reports(out_dir / f"{label}_bounds.csv", bound_reports,
+                                    seed=seed, kind=kind.value, matrix=name, d=d)
     failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
-    for solver_name, solver_fn in _solvers_for(config):
-        controller = StoppingController(config.policy(), op_norm=P.norm_SA, epsilon=eps)
-        observer = MetricsObserver(A, b, stride=config.stride, oracle=oracle)
-        result = solver_fn(op, P.Sb, observer=observer, stop=controller)
+    for solver_name in ("lsqr", "lsmr") if config.solver == "both" else (config.solver,):
+        result = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, eps, problem, config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
         summaries.append({
@@ -413,10 +408,10 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
 
 
 def _run_cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]],
-               run_cell: Callable[[int, SeedProblem], None],
+               run_cell: Callable[[int, embed.SketchKind, int, SeedProblem], None],
                live: Callable[[int], bool] = lambda i: True) -> None:
-    """Call ``run_cell(i, problem)`` for every seed and every cell i of one
-    matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
+    """Call ``run_cell(i, kind, d, problem)`` for every seed and every cell i
+    of one matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
     order, and i indexes them so.
 
     The seeds go one by one, so that the cells of a seed share its
@@ -427,10 +422,10 @@ def _run_cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optiona
     for seed in config.seeds:
         problem = SeedProblem(A, seed, config.rho)
         for j, d in enumerate(d_values):
-            for k in range(len(config.kinds)):
+            for k, kind in enumerate(config.kinds):
                 i = k * len(d_values) + j
                 if d is not None and live(i):
-                    run_cell(i, problem)
+                    run_cell(i, kind, d, problem)
 
 
 def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
@@ -446,13 +441,11 @@ def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
         except ConfigError as exc:
             d_values.append(None)
             d_errors[j] = str(exc)
-    cells = [(kind, d) for kind in config.kinds for d in d_values]
     outcomes: List[List[RunOutcome]] = [
         [RunOutcome(label=f"{name}_{kind.value}", error=d_errors[j])] if j in d_errors else []
         for kind in config.kinds for j in range(len(d_values))]
 
-    def run_cell(i: int, problem: SeedProblem) -> None:
-        kind, d = cells[i]
+    def run_cell(i: int, kind: embed.SketchKind, d: int, problem: SeedProblem) -> None:
         try:
             outcome = run_single(name, kind, d, problem, config, out_dir)
         except Exception as exc:  # noqa: BLE001 - batch harness records and continues
@@ -496,20 +489,20 @@ def run_experiment(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def plateau_value(ne_ratios: List[float], tail: int = 5) -> float:
-    """Median of the trailing fresh normal-ratio values; the stabilized level."""
-    values = ne_ratios[-tail:] if len(ne_ratios) >= tail else ne_ratios
-    return float(np.median(values))
-
-
 def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
-                stride: int) -> Tuple[float, float]:
-    """Distortion and plateau of one (kind, d) sketch of one seed's problem."""
+                config: ExperimentConfig) -> Tuple[float, float, int, float]:
+    """eps, the plateau (the normal ratio at x_s, by the observer's oracle
+    path), LSMR's stop iteration under ``config.policy()`` and its last fresh
+    normal ratio over the plateau, for one (kind, d) sketch of one seed."""
     P, eps = _sketch_cell(problem, kind, d)
-    observer = MetricsObserver(problem.A, problem.b, stride=stride, oracle=problem.oracle)
-    result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
-    return eps, plateau_value([r.unsketched_normal_ratio for r in result.trace
-                               if not r.stale])
+    result = _solve_cell(lsmr, P, eps, problem, config)
+    _, plateau = MetricsObserver(problem.A, problem.b, oracle=problem.oracle).metrics(P.x_s)
+    ratio = result.trace[-1].unsketched_normal_ratio if result.trace else math.nan
+    return eps, plateau, result.iterations, ratio / plateau
+
+
+SWEEP_COLUMNS = ["matrix", "kind", "d"] + [f"{stat}_{q}" for stat in (
+    "eps", "plateau", "stop_iters", "stop_ratio_rel") for q in ("median", "q1", "q3")]
 
 
 def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
@@ -520,37 +513,29 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     remaining seeds.
     """
     cells = [(kind, d) for kind in config.kinds for d in d_values]
-    eps_values: List[List[float]] = [[] for _ in cells]
-    plateaus: List[List[float]] = [[] for _ in cells]
+    values: List[list] = [[] for _ in cells]
     failures: List[Optional[RunOutcome]] = [None] * len(cells)
 
-    def run_cell(i: int, problem: SeedProblem) -> None:
-        kind, d = cells[i]
+    def run_cell(i: int, kind: embed.SketchKind, d: int, problem: SeedProblem) -> None:
         try:
-            eps, plateau = _sweep_cell(problem, kind, d, config.stride)
+            values[i].append(_sweep_cell(problem, kind, d, config))
         except Exception as exc:  # noqa: BLE001
             failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
                                      error=f"seed {problem.seed}: {exc}")
-            return
-        eps_values[i].append(eps)
-        plateaus[i].append(plateau)
 
     _run_cells(A, config, d_values, run_cell, live=lambda i: failures[i] is None)
     rows = []
-    for (kind, d), cell_eps, cell_plateaus, failure in zip(cells, eps_values, plateaus,
-                                                            failures):
+    for (kind, d), cell_values, failure in zip(cells, values, failures):
         if failure is not None:
             continue
-        q1e, q2e, q3e = np.percentile(cell_eps, [25, 50, 75])
-        q1p, q2p, q3p = np.percentile(cell_plateaus, [25, 50, 75])
-        rows.append([name, kind.value, d,
-                     f"{q2e:.17g}", f"{q1e:.17g}", f"{q3e:.17g}",
-                     f"{q2p:.17g}", f"{q1p:.17g}", f"{q3p:.17g}"])
+        quartiles = np.percentile(cell_values, [50, 25, 75], axis=0).T
+        rows.append([name, kind.value, d] + [f"{q:.17g}" for q in quartiles.ravel()])
     return rows, [f for f in failures if f is not None]
 
 
 def sweep_d(config: ExperimentConfig, d_list: str) -> int:
-    """Aggregate distortion and plateau statistics across sketch sizes.
+    """Distortion, plateau and stop statistics across sketch sizes
+    (:func:`_sweep_cell`), as the ``SWEEP_COLUMNS`` of ``sweep_d.csv``.
 
     ``d_list`` is the ``--d-list`` text: comma-separated d values, where a
     suffix ``n`` multiplies the column count of the single source.  A source
@@ -582,8 +567,7 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     path = out_dir / "sweep_d.csv"
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["matrix", "kind", "d", "eps_median", "eps_q1", "eps_q3",
-                         "plateau_median", "plateau_q1", "plateau_q3"])
+        writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
     print(f"wrote {path}")
     _print_errors(errors)
@@ -648,8 +632,10 @@ def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str
         _print_errors([failure])
         return EXIT_RUN_ERROR
     d = _compute_d(d_mult, A.cols, A.rows)
+    problem = SeedProblem(A, seed, rho)
     try:
-        _, eps, reports = _bound_suite(SeedProblem(A, seed, rho), sketch_kind, d)
+        P, eps = _sketch_cell(problem, sketch_kind, d)
+        reports = diagnostics.run_bound_suite(P, problem.oracle, eps)
     except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
         _print_errors([RunOutcome(label=f"{source.name}_{sketch_kind.value}_d{d}_s{seed}",
                                   error=str(exc))])
@@ -687,7 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--band-lo", help="override stabilization band floor")
     p_run.add_argument("--band-hi", help="override stabilization band ceiling")
 
-    p_sweep = sub.add_parser("sweep-d", help="distortion/plateau statistics vs d")
+    p_sweep = sub.add_parser("sweep-d", help="eps, plateau and LSMR stop statistics vs d",
+                             description="per (kind, d), over the seeds: eps, the plateau "
+                             "(the normal ratio at the sketched minimizer x_s), LSMR's "
+                             "iterations under the config's stop and its ratio over the plateau")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--d-list", required=True,
                          help="comma-separated d values; suffix n multiplies cols, e.g. 1.2n,2.4n")

@@ -14,13 +14,15 @@ holds.  Three checks stay out of the suite and run only in the tests:
 The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
 :func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from a dense
-pivoted QR of (SA, Sb), and the embedding parameter from
-:func:`sketchls.embed.exact_distortion`.  The checks of one (problem, sketch)
-pair read one :class:`SketchedProblem`, which forms SA, Sb, the singular
-values of SA, the sketched minimizer and its residual once each.  Each check
-yields a :class:`BoundReport` with the measured left-hand side, the bound,
-and a pass/fail margin; bounds whose hypotheses are void (zero residual,
-embedding parameter >= 1) are reported as vacuous passes with a note.
+pivoted QR of (SA, Sb), and the embedding parameter eps, in the CLI, from
+:func:`sketchls.embed.basis_distortion` of the cell's sketched basis, with
+:func:`sketchls.embed.exact_distortion` its reference.  The checks of one
+(problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
+the singular values of SA, the sketched minimizer and its residual once each.
+Each check yields a :class:`BoundReport` with the measured left-hand side, the
+bound, and a pass/fail margin; bounds whose hypotheses are void (zero
+residual, embedding parameter >= 1) are reported as vacuous passes with a
+note.
 """
 
 from __future__ import annotations
@@ -427,12 +429,10 @@ SUITE_BOUND_IDS = (
 
 
 def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[BoundReport]:
-    """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair with
-    oracle quantities.
-
-    ``eps`` is the :func:`sketchls.embed.exact_distortion` parameter of S over
-    span([A b]).
-    """
+    """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair, with
+    ``eps`` the embedding parameter of S over span([A b]): the CLI's is
+    :func:`sketchls.embed.basis_distortion` of the cell's sketched basis,
+    :func:`sketchls.embed.exact_distortion` its reference."""
     reports = [check_geometric_preservation(P.A, P.b, P.S, P.x_s, eps)]
     reports.extend(check_residual_bounds(P, oracle, eps))
     reports.extend(check_explicit_perturbations(P, oracle, eps))

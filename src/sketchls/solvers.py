@@ -18,7 +18,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -108,21 +108,23 @@ class MetricsObserver:
         self._last_rnorm = math.nan
         self._last_ratio = math.nan
 
+    def metrics(self, x: np.ndarray) -> Tuple[float, float]:
+        """The fresh ``(||r||, ||A^T r|| / (||A|| ||r||))`` at any x, r = A x - b."""
+        if self._R is None:
+            r = self.A.matvec(x) - self.b
+            rnorm = float(np.linalg.norm(r))
+            ne = float(np.linalg.norm(self.A.rmatvec(r)))
+        else:
+            e = x[self._piv] - self._x_ls
+            Re = self._R @ e
+            rnorm = math.sqrt(max(float(Re @ Re + 2.0 * (e @ self._g)) + self._rls_sq, 0.0))
+            ne = float(np.linalg.norm(self._R.T @ Re + self._g))
+        return rnorm, (ne / (self.norm_A * rnorm) if rnorm > 0 else 0.0)
+
     def __call__(self, k: int, x: np.ndarray, srnorm: float, snenorm: float) -> IterateRecord:
         fresh = (k - 1) % self.stride == 0
         if fresh:
-            R = self._R
-            if R is None:
-                r = self.A.matvec(x) - self.b
-                rnorm = float(np.linalg.norm(r))
-                ne = float(np.linalg.norm(self.A.rmatvec(r)))
-            else:
-                e = x[self._piv] - self._x_ls
-                Re = R @ e
-                rnorm = math.sqrt(max(float(Re @ Re + 2.0 * (e @ self._g)) + self._rls_sq, 0.0))
-                ne = float(np.linalg.norm(R.T @ Re + self._g))
-            self._last_rnorm = rnorm
-            self._last_ratio = ne / (self.norm_A * rnorm) if rnorm > 0 else 0.0
+            self._last_rnorm, self._last_ratio = self.metrics(x)
         return IterateRecord(
             k=k,
             sketched_residual_norm=srnorm,

@@ -11,11 +11,12 @@ import scipy.stats
 from sketchls import cli, diagnostics, embed, matio
 from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
                           EXIT_RUN_ERROR, ExperimentConfig, MatrixSource,
-                          emit_figure_data, main, parse_config, plateau_value,
+                          emit_figure_data, main, parse_config,
                           run_experiment, sweep_d)
 from sketchls.matio import (MatrixHandle, save_matrix_market, synthesize_matrix,
                             synthesize_problem)
 from sketchls.rng import stream
+from sketchls.solvers import LinearOperatorView, MetricsObserver, Termination, lsmr
 from sketchls.stopping import StopMode
 
 TWO_KINDS_CONFIG = """
@@ -567,7 +568,113 @@ class TestCellLoop:
         assert [(d, seed) for _, d, seed in made] == [(40, 0), (40, 1)]
 
 
+# n = 20 and kappa = 10: an unstopped LSMR converges well before its default
+# max_iter 2n, so even at stride 3 its last 5 fresh records are at x_s
+SWEEP_CONFIG = """
+synthetic = 300,20,10
+kind = gaussian,sparse
+seeds = 0,1
+output_dir = {out}
+"""
+SWEEP_DS = "40,80"
+
+OLD_SWEEP_COLUMNS = ["matrix", "kind", "d", "eps_median", "eps_q1", "eps_q3",
+                     "plateau_median", "plateau_q1", "plateau_q3"]
+
+
+def run_sweep(out: Path, extra: str = ""):
+    """The config of ``SWEEP_CONFIG`` plus ``extra`` and the rows of its
+    ``sweep_d.csv`` over ``SWEEP_DS``."""
+    config = parse_config(SWEEP_CONFIG.format(out=out) + extra)
+    assert sweep_d(config, SWEEP_DS) == EXIT_OK
+    with open(out / "sweep_d.csv") as fh:
+        return config, list(csv.DictReader(fh))
+
+
+def unstopped_solves(config) -> dict:
+    """``{(kind, d): [one result per seed]}`` of LSMR with no stop, run to
+    its default max_iter on each sweep cell and observed as ``sweep-d``
+    observes it: the solve ``sweep-d`` ran before it took a stop."""
+    A = config.sources[0].load()
+    solves = {}
+    for seed in config.seeds:
+        problem = cli.SeedProblem(A, seed, config.rho)
+        for kind in config.kinds:
+            for d in map(int, SWEEP_DS.split(",")):
+                P, _ = cli._sketch_cell(problem, kind, d)
+                observer = MetricsObserver(A, problem.b, stride=config.stride,
+                                           oracle=problem.oracle)
+                result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
+                assert result.termination is Termination.MAX_ITERATIONS
+                assert result.iterations == min(2 * A.cols, d)
+                solves.setdefault((kind.value, str(d)), []).append(result)
+    return solves
+
+
+def quartile_columns(row: dict, stat: str) -> list:
+    return [float(row[f"{stat}_{q}"]) for q in ("median", "q1", "q3")]
+
+
 class TestSweep:
+    def test_columns(self, tmp_path):
+        # the first nine are read by name elsewhere, so they keep their order
+        _, rows = run_sweep(tmp_path)
+        assert list(rows[0]) == OLD_SWEEP_COLUMNS + [
+            "stop_iters_median", "stop_iters_q1", "stop_iters_q3",
+            "stop_ratio_rel_median", "stop_ratio_rel_q1", "stop_ratio_rel_q3"]
+        assert all(np.isfinite(float(v)) for row in rows for v in list(row.values())[3:])
+
+    def test_deterministic(self, tmp_path):
+        run_sweep(tmp_path / "a")
+        run_sweep(tmp_path / "b")
+        assert (tmp_path / "a" / "sweep_d.csv").read_bytes() == \
+            (tmp_path / "b" / "sweep_d.csv").read_bytes()
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_plateau_matches_unstopped_lsmr(self, tmp_path, stride):
+        # the slow oracle: the plateau sweep-d took before, the median of the
+        # last 5 fresh normal ratios of an unstopped LSMR
+        config, rows = run_sweep(tmp_path, f"stride = {stride}\n")
+        solves = unstopped_solves(config)
+        for row in rows:
+            plateaus = [np.median([r.unsketched_normal_ratio for r in result.trace
+                                   if not r.stale][-5:])
+                        for result in solves[row["kind"], row["d"]]]
+            assert quartile_columns(row, "plateau") == pytest.approx(
+                np.percentile(plateaus, [50, 25, 75]), rel=1e-9)
+
+    def test_traditional_tol_0_runs_as_unstopped(self, tmp_path):
+        config, rows = run_sweep(tmp_path, "stop = traditional\ntol = 0\n")
+        solves = unstopped_solves(config)
+        for row in rows:
+            iterations = [result.iterations for result in solves[row["kind"], row["d"]]]
+            assert quartile_columns(row, "stop_iters") == list(
+                np.percentile(iterations, [50, 25, 75]))
+
+    def test_stab_ne_stops_sooner(self, tmp_path):
+        config, rows = run_sweep(tmp_path)
+        assert config.stop is StopMode.STABILIZE_NORMAL_RATIO
+        solves = unstopped_solves(config)
+        for row in rows:
+            unstopped = min(result.iterations for result in solves[row["kind"], row["d"]])
+            assert max(quartile_columns(row, "stop_iters")) < unstopped
+
+    def test_eps_stop_gets_the_cells_eps(self, tmp_path, monkeypatch):
+        epsilons = []
+        real = cli.StoppingController
+
+        def recording(policy, op_norm, epsilon):
+            epsilons.append(epsilon)
+            return real(policy, op_norm=op_norm, epsilon=epsilon)
+
+        monkeypatch.setattr(cli, "StoppingController", recording)
+        config = parse_config(SWEEP_CONFIG.format(out=tmp_path).replace("seeds = 0,1", "seeds = 0")
+                              + "stop = eps\n")
+        assert sweep_d(config, SWEEP_DS) == EXIT_OK
+        with open(tmp_path / "sweep_d.csv") as fh:
+            cell_eps = [float(row["eps_median"]) for row in csv.DictReader(fh)]
+        assert sorted(epsilons) == sorted(cell_eps) and len(epsilons) == 4
+
     def test_requires_two_values(self, tmp_path):
         config = parse_config(f"synthetic = 120,6,20\nkind = gaussian\n"
                               f"output_dir = {tmp_path}\n")
@@ -620,7 +727,8 @@ class TestSweep:
 
     def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
         # a synthesized and a loaded source, each factored once: the first
-        # by its n-by-n diag(s) V^T, the second by its m rows
+        # by its n-by-n diag(s) V^T, the second by its m rows; and each
+        # cell's d-by-n SA once, for its x_s (2 sources x 2 kinds x 2 seeds)
         config = parse_config("synthetic = 120,4,10\n"
                               f"matrix = {save_synthetic(tmp_path, 100, 4, 10)}\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
@@ -628,7 +736,8 @@ class TestSweep:
         shapes = count_factorizations(monkeypatch)
         assert sweep_d(config, "8,40") == EXIT_OK
         assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
-            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1}
+            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1,
+            ("qr", True, (8, 4)): 8, ("qr", True, (40, 4)): 8}
         assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
@@ -846,6 +955,3 @@ class TestExitCodeMapping:
         config = parse_config(BASE_CONFIG.format(out=out))
         assert run_experiment(config) == EXIT_BOUND_FAILED
 
-
-def test_plateau_value():
-    assert plateau_value([9.0, 5.0, 1.0, 1.1, 0.9, 1.0, 1.05]) == 1.0

@@ -250,16 +250,21 @@ class TestOracleObserver:
             A, b, stride=stride, oracle=oracle)).trace
         assert len(fast) == len(ref) == 40
         assert [r.stale for r in fast] == [r.stale for r in ref]
+        points = [((e.unsketched_residual_norm, e.unsketched_normal_ratio),
+                   (f.unsketched_residual_norm, f.unsketched_normal_ratio), x)
+                  for e, f, x in zip(ref, fast, explicit.xs)]
+        # one more point: the sketched minimizer, where sweep-d reads its plateau
+        x_s = qr_ls_solve(SA, Sb)
+        points.append((MetricsObserver(A, b).metrics(x_s),
+                       MetricsObserver(A, b, oracle=oracle).metrics(x_s), x_s))
         norm_A = A.spectral_norm()
-        for e, f, x in zip(ref, fast, explicit.xs):
-            rnorm = e.unsketched_residual_norm
-            assert f.unsketched_residual_norm == pytest.approx(rnorm, rel=1e-11)
+        for (rnorm, ratio), (fast_rnorm, fast_ratio), x in points:
+            assert fast_rnorm == pytest.approx(rnorm, rel=1e-11)
             # skip once the explicit evaluation is itself rounding noise
-            ne = e.unsketched_normal_ratio * norm_A * rnorm
+            ne = ratio * norm_A * rnorm
             floor = 1e3 * np.finfo(float).eps * norm_A * (norm_A * np.linalg.norm(x) + rnorm)
             if ne > floor:
-                assert f.unsketched_normal_ratio == pytest.approx(
-                    e.unsketched_normal_ratio, rel=1e-11)
+                assert fast_ratio == pytest.approx(ratio, rel=1e-11)
 
     @pytest.mark.parametrize("mode", [StopMode.STABILIZE_NORMAL_RATIO,
                                       StopMode.STABILIZE_RESIDUAL,
