@@ -9,14 +9,17 @@ its stop columns are LSMR's iterations and last fresh ratio over the plateau.
 ``run`` and ``sweep-d`` go seed by seed; within a seed the (kind, d) cells run
 in d -> kind order, and the outputs list the cells in kind -> d order (then
 seed, for ``run``).  The cells run one after another on the calling thread.
-Each cell sketches the Q of A's pivoted QR, q and b, and forms SA from them;
-A itself is never sketched.  A Gaussian cell draws its sketch on span([Q b])
-only, d (n + 1) normals rather than a d x m G (see :mod:`sketchls.embed`).
+Each cell sketches only W = [Q u], Q the Q of A's pivoted QR and u the unit
+part of b orthogonal to it, takes one R-only QR SW = Q_s T, and reads eps,
+x_s, the bounds and both solves from the (n + 1) x n pair (M, T W^T b) with
+SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`).  A Gaussian
+cell's SW is a d x (n + 1) draw with the law of G W for a full Gaussian G,
+so it keeps the full-Gaussian law with no m-row work (:mod:`sketchls.embed`).
 
 Re-running the same configuration at the same BLAS thread count reproduces
 every output byte for byte.  Across thread counts the last digits can move
 for every kind, because multithreaded BLAS sums products such as
-SA = (SQ) R and the solvers' in another order; over 200 unconverged
+M = T R and the solvers' in another order; over 200 unconverged
 iterations that can reach the leading digits of a trace.  Both commands
 also run slower under two BLAS threads than under one
 (``OPENBLAS_NUM_THREADS=1``): on a two-core machine a desk-sized ``run``
@@ -296,13 +299,9 @@ class SeedProblem:
         return solve_ls_oracle(self.A, self.b)
 
     @cached_property
-    def basis(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Orthonormal basis ``(Q, q)`` of span([A b]) for the distortion of
-        each cell's sketch (:func:`_sketch_cell`): the Q of A's cached
-        pivoted QR, which every seed of the matrix shares, and the unit
-        component of b orthogonal to it (see :func:`embed.subspace_basis`).
-        Only q, one m-vector, belongs to the seed."""
-        return embed.subspace_basis(self.A, self.b)
+    def span(self) -> embed.SpanCoordinates:
+        """W = [Q u] of span([A b]) and b's coordinates in it, for every cell."""
+        return embed.span_coordinates(self.A, self.b)
 
 
 @dataclass
@@ -339,43 +338,41 @@ SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
 
 def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> Tuple[diagnostics.SketchedProblem, float]:
-    """The sketched problem of one (seed, kind, d) cell and the distortion
-    eps of its sketch over span([A b]).
+    """The sketched problem of one (seed, kind, d) cell in the coordinates of
+    W = [Q u] (``problem.span``), and the distortion eps of its sketch.
 
-    The cell sketches Q, q and b, with Q the untrimmed Q of A's pivoted QR
-    A[:, piv] = Q R, and forms SA[:, piv] = (SQ) R, so A is never sketched:
-    SA keeps all n columns of A even where the basis drops some of Q's
-    (``problem.basis``), and eps reads the basis columns of SQ.  A Gaussian
-    sketch is drawn on W = [Q u], u the unit part of b orthogonal to Q
-    (:func:`embed.span_basis`), whose span holds Q, q and b
-    (:func:`embed.gaussian_on_span`); any other comes from
-    :func:`embed.build_sketch`.
+    SW = S W is :func:`embed.gaussian_span_sketch`'s draw, or S Q and S u
+    for S from :func:`embed.build_sketch`.  Q is untrimmed, so SA keeps all
+    n columns of A, and eps reads the basis columns of T, the R of SW.
     """
-    A, b = problem.A, problem.b
-    Q, R, piv = A.qr_factor()
-    basis, q = problem.basis
+    A, span = problem.A, problem.span
+    k = span.c_b.size
     if kind is embed.SketchKind.GAUSSIAN:
-        S = embed.gaussian_on_span(d, embed.span_basis(Q, b), problem.seed)
+        S, SW = None, embed.gaussian_span_sketch(d, A.rows, k, problem.seed)
     else:
         S = embed.build_sketch(kind, d, A.rows, problem.seed)
-    SQ, Sb = embed.apply(S, Q), embed.apply(S, b)
-    Sq = None if q is None else embed.apply(S, q)
-    SA = np.empty((d, A.cols))
-    SA[:, piv] = SQ @ R
-    eps = embed.basis_distortion(SQ[:, : basis.shape[1]], Sq).epsilon
-    return diagnostics.SketchedProblem(A, b, S, SA=SA, Sb=Sb), eps
+        SW = np.empty((d, k), order="F")
+        SW[:, : A.cols] = embed.apply(S, A.qr_factor()[0])
+        if span.u is not None:
+            SW[:, A.cols] = embed.apply(S, span.u)
+    P = diagnostics.SketchedProblem(A, problem.b, S, SW=SW, c_b=span.c_b)
+    Sq = None if span.c_q is None else P.T @ span.c_q
+    return P, embed.basis_distortion(P.T[:, : span.rank], Sq).epsilon
 
 
 def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, eps: float,
-                problem: SeedProblem, config: ExperimentConfig) -> SolveResult:
-    """``solver_fn`` on a cell's sketched problem under ``config.policy()``, observed
-    by the oracle path; only the traditional stop reads ||SA||, an svd of SA."""
+                problem: SeedProblem, config: ExperimentConfig
+                ) -> Tuple[SolveResult, MetricsObserver]:
+    """``solver_fn`` on a cell's sketched problem under ``config.policy()``, and
+    the oracle-path observer that watched it; only the traditional stop reads
+    ||SA||.  max_iter is the d-row default min(2n, d), not the pair's."""
     op_norm = P.norm_SA if config.stop is StopMode.TRADITIONAL else math.nan
     controller = StoppingController(config.policy(), op_norm=op_norm, epsilon=eps)
     observer = MetricsObserver(problem.A, problem.b, stride=config.stride,
                                oracle=problem.oracle)
-    return solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
-                     stop=controller)
+    result = solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
+                       stop=controller, max_iter=min(2 * problem.A.cols, P.d))
+    return result, observer
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
@@ -390,7 +387,8 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
 
     summaries = []
     for solver_name in ("lsqr", "lsmr") if config.solver == "both" else (config.solver,):
-        result = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, eps, problem, config)
+        result, _ = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, eps, problem,
+                                config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
         summaries.append({
@@ -495,8 +493,8 @@ def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
     path), LSMR's stop iteration under ``config.policy()`` and its last fresh
     normal ratio over the plateau, for one (kind, d) sketch of one seed."""
     P, eps = _sketch_cell(problem, kind, d)
-    result = _solve_cell(lsmr, P, eps, problem, config)
-    _, plateau = MetricsObserver(problem.A, problem.b, oracle=problem.oracle).metrics(P.x_s)
+    result, observer = _solve_cell(lsmr, P, eps, problem, config)
+    _, plateau = observer.metrics(P.x_s)
     ratio = result.trace[-1].unsketched_normal_ratio if result.trace else math.nan
     return eps, plateau, result.iterations, ratio / plateau
 

@@ -2,27 +2,23 @@
 
 :func:`run_bound_suite` evaluates the bounds of ``SUITE_BOUND_IDS`` that
 relate the original and sketched problems; these are the bounds a bound CSV
-holds.  Three checks stay out of the suite and run only in the tests:
+holds.  Two checks stay out of the suite and run only in the tests:
 
 - :func:`check_eta_f_upper` (EtaFUpper) needs an m-by-m symmetric
   eigensolve and refuses m above ``ETA_F_ROWS_GUARD``;
-- :func:`check_pseudoinverse_perturbation` (PinvPerturb, PinvNonAcute) takes
-  dense pseudoinverses and refuses m*n above ``PINV_SIZE_GUARD``;
 - :func:`e1_minimizer_gap` is a measured gap, not a bound, and costs a fresh
   QR of an m-by-n matrix per sketch.
 
 The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
 :func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from a dense
-pivoted QR of (SA, Sb), and the embedding parameter eps, in the CLI, from
-:func:`sketchls.embed.basis_distortion` of the cell's sketched basis, with
-:func:`sketchls.embed.exact_distortion` its reference.  The checks of one
+pivoted QR of (SA, Sb), and eps, in the CLI, from the cell's sketched basis
+(:func:`sketchls.embed.exact_distortion` its reference).  The checks of one
 (problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
 the singular values of SA, the sketched minimizer and its residual once each.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
-bound, and a pass/fail margin; bounds whose hypotheses are void (zero
-residual, embedding parameter >= 1) are reported as vacuous passes with a
-note.
+bound, and a pass/fail margin; bounds whose hypotheses are void (zero residual,
+embedding parameter >= 1) are reported as vacuous passes with a note.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ CONSISTENT_THRESHOLD = 1e-12
 # noise; the inequality holds to working precision (identity-double cases)
 NOISE_FLOOR_REL = 1e-12
 ETA_F_ROWS_GUARD = 2000
-PINV_SIZE_GUARD = 10_000
 
 
 class BoundId(str, enum.Enum):
@@ -126,26 +121,36 @@ class SketchedProblem:
 
     Each quantity is computed on first use and kept, so the solver set-up and
     every bound check of the pair share one SA, one Sb, one SVD of SA, one
-    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  SA
-    and Sb may be given: a CLI cell sketches b and the Q of A's pivoted QR
-    A P = Q R, and forms SA = (SQ) R P^T, equal to S A up to rounding, so
-    that A is not sketched.  Without them SA is :func:`sketchls.embed.apply`
-    of S to A, the slow oracle of that product.  S may be a Gaussian sketch
-    drawn on a span W that holds A and b (:func:`sketchls.embed.gaussian_on_span`):
-    the checks apply S only to A, b and residuals Ax - b, and read
-    A^T S^T S r only, all within span(W), so every value keeps the law of a
-    full Gaussian sketch.
+    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  The
+    checks read S only by :meth:`sketch_residual` and :meth:`geometric_defect`.
+
+    ``SketchedProblem(A, b, S)`` applies S (:func:`sketchls.embed.apply`):
+    the d-row reference.  A CLI cell gives SW = S W and c_b = W^T b instead,
+    for W = [Q u] of :func:`sketchls.embed.span_coordinates`, whose span
+    holds A, b and every residual.  With the R-only QR SW = Q_s T, SA = Q_s M
+    for M[:, piv] = T[:, :n] R and S b = Q_s T c_b, so ``SA`` and ``Sb`` hold
+    the (n + 1) x n pair (M, T c_b), with SA's singular values, x_s and Krylov
+    steps, and S products are taken in Q_s coordinates.  ``d`` is S's row
+    count; ``S`` is None for a Gaussian cell.
     """
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
-                 SA: Optional[np.ndarray] = None, Sb: Optional[np.ndarray] = None):
+    def __init__(self, A: MatrixHandle, b: np.ndarray,
+                 S: Optional[embed.SketchOperator] = None, SW: Optional[np.ndarray] = None,
+                 c_b: Optional[np.ndarray] = None):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
         self.S = S
-        if SA is not None:
-            self.SA = SA
-        if Sb is not None:
-            self.Sb = Sb
+        self.T: Optional[np.ndarray] = None
+        if SW is None:
+            self.d = S.d
+            return
+        self.d, k = SW.shape  # SW is overwritten
+        self.T = scipy.linalg.qr(SW, mode="r", overwrite_a=True, check_finite=False)[0][:k]
+        self.c_b = c_b
+        _, R, piv = A.qr_factor()
+        self.SA = np.empty((self.T.shape[0], A.cols))
+        self.SA[:, piv] = self.T[:, : A.cols] @ R
+        self.Sb = self.T @ c_b
 
     @cached_property
     def SA(self) -> np.ndarray:
@@ -179,22 +184,46 @@ class SketchedProblem:
         """||A^T r_s||."""
         return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
 
+    def _residual_coordinates(self, x: np.ndarray) -> np.ndarray:
+        """c = W^T (A x - b) = [R x[piv]; 0] - c_b."""
+        _, R, piv = self.A.qr_factor()
+        c = -self.c_b
+        c[: self.A.cols] += R @ x[piv]
+        return c
+
+    def sketch_residual(self, x: np.ndarray) -> np.ndarray:
+        """S (A x - b); T c in a cell's coordinates."""
+        if self.T is None:
+            return embed.apply(self.S, self.A.matvec(x) - self.b)
+        return self.T @ self._residual_coordinates(x)
+
+    def geometric_defect(self, x: np.ndarray) -> np.ndarray:
+        """A^T (S^T S - I) r for r = A x - b; P R^T (T[:, :n]^T T c - c[:n])
+        in a cell's coordinates, with A = Q R P^T."""
+        if self.T is None:
+            r = self.A.matvec(x) - self.b
+            return self.A.rmatvec(embed.apply_adjoint(self.S, embed.apply(self.S, r)) - r)
+        n = self.A.cols
+        _, R, piv = self.A.qr_factor()
+        c = self._residual_coordinates(x)
+        out = np.empty(n)
+        out[piv] = R.T @ (self.T[:, :n].T @ (self.T @ c) - c[:n])
+        return out
+
 
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
     """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of the sketched pair."""
     return SketchedProblem(A, b, S).x_s
 
 
-def check_geometric_preservation(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator,
-                                 y: np.ndarray, eps: float) -> BoundReport:
+def check_geometric_preservation(P: SketchedProblem, y: np.ndarray,
+                                 eps: float) -> BoundReport:
     """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y."""
-    r = A.matvec(y) - b
-    rnorm = float(np.linalg.norm(r))
+    rnorm = float(np.linalg.norm(P.A.matvec(y) - P.b))
     if rnorm == 0.0:
         return _vacuous(BoundId.GEOM_PRESERVE, "zero residual at y")
-    w = embed.apply_adjoint(S, embed.apply(S, r)) - r
-    lhs = float(np.linalg.norm(A.rmatvec(w)))
-    norm_A = A.spectral_norm()
+    lhs = float(np.linalg.norm(P.geometric_defect(y)))
+    norm_A = P.A.spectral_norm()
     return _report(BoundId.GEOM_PRESERVE, lhs, eps * norm_A * rnorm,
                    noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
 
@@ -206,7 +235,7 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
     The checks use the exact sketched minimizer ``P.x_s`` (not an iterate) so
     they probe the analysis rather than solver error.
     """
-    A, b, S = P.A, P.b, P.S
+    A, b = P.A, P.b
     r_ls = oracle.r_ls
     r_s = P.r_s
     rs_norm = float(np.linalg.norm(r_s))
@@ -240,7 +269,7 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
         reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
                                noise_floor=NOISE_FLOOR_REL))
 
-    Srls = embed.apply(S, r_ls)
+    Srls = P.sketch_residual(oracle.x_ls)
     srls_norm = float(np.linalg.norm(Srls))
     if srls_norm == 0.0:
         reports.append(_vacuous(BoundId.NORMAL_RATIO_CROSS, "zero sketched residual"))
@@ -375,7 +404,7 @@ def check_acute_criterion(P: SketchedProblem, eps: float) -> BoundReport:
     kappa = P.A.condition_number()
     lhs = kappa * eps
     sv = P.sv
-    full_rank = bool(sv[-1] > max(P.SA.shape) * np.finfo(np.float64).eps * sv[0])
+    full_rank = bool(sv[-1] > max(P.d, P.A.cols) * np.finfo(np.float64).eps * sv[0])
     report = _report(BoundId.ACUTE_CRITERION, lhs, 1.0)
     if report.passed and not full_rank:
         return BoundReport(BoundId.ACUTE_CRITERION, lhs, 1.0, passed=False,
@@ -387,30 +416,6 @@ def check_acute_criterion(P: SketchedProblem, eps: float) -> BoundReport:
     if not full_rank:
         report.note = "rank(SA) deficient"
     return report
-
-
-def check_pseudoinverse_perturbation(A: np.ndarray, A_tilde: np.ndarray) -> BoundReport:
-    """Pseudoinverse perturbation bound for equal-rank (acute) pairs,
-    ||A~+ - A+|| <= sqrt(2) ||A~+|| ||A+|| ||E||; on rank mismatch the
-    non-acute lower bound ||A~+ - A+|| >= 1/||E|| is checked instead."""
-    A = np.asarray(A, dtype=np.float64)
-    A_tilde = np.asarray(A_tilde, dtype=np.float64)
-    if A.size > PINV_SIZE_GUARD:
-        raise ValueError(f"pinv guard: m*n = {A.size} exceeds {PINV_SIZE_GUARD}")
-    E = A_tilde - A
-    enorm = float(np.linalg.norm(E, 2))
-    pinv_a = np.linalg.pinv(A)
-    pinv_t = np.linalg.pinv(A_tilde)
-    diff = float(np.linalg.norm(pinv_t - pinv_a, 2))
-    rank_a = np.linalg.matrix_rank(A)
-    rank_t = np.linalg.matrix_rank(A_tilde)
-    if enorm == 0.0:
-        return _report(BoundId.PINV_PERTURB, diff, 0.0, note="zero perturbation")
-    if rank_a == rank_t == A.shape[1]:
-        rhs = math.sqrt(2.0) * float(np.linalg.norm(pinv_t, 2)) * float(np.linalg.norm(pinv_a, 2)) * enorm
-        return _report(BoundId.PINV_PERTURB, diff, rhs)
-    return _report(BoundId.PINV_NON_ACUTE, 1.0 / enorm, diff,
-                   note="rank mismatch: non-acute lower bound")
 
 
 SUITE_BOUND_IDS = (
@@ -433,7 +438,7 @@ def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[Bo
     ``eps`` the embedding parameter of S over span([A b]): the CLI's is
     :func:`sketchls.embed.basis_distortion` of the cell's sketched basis,
     :func:`sketchls.embed.exact_distortion` its reference."""
-    reports = [check_geometric_preservation(P.A, P.b, P.S, P.x_s, eps)]
+    reports = [check_geometric_preservation(P, P.x_s, eps)]
     reports.extend(check_residual_bounds(P, oracle, eps))
     reports.extend(check_explicit_perturbations(P, oracle, eps))
     reports.extend(check_solution_error(P, oracle, eps))

@@ -3,18 +3,13 @@
 All three operators are unbiased, E||Sx||^2 = ||x||^2:
 
 * Gaussian entries are N(0, 1/d).  :func:`build_sketch` draws the whole
-  d x m G, the reference.  :func:`gaussian_on_span` draws only what a
-  sketch of the span of an orthonormal m x k W needs: for a Gaussian G,
-  Z = G W is itself a d x k matrix of independent N(0, 1/d) entries
-  (rotation invariance), so it draws Z and acts as Z W^T.  That operator
-  equals Z W^T + G (I - W W^T), a full Gaussian, on span(W), so every
-  quantity read only through products with vectors of span(W) has exactly
-  the full-Gaussian law.  The CLI's cells take W = [Q u], the untrimmed Q
-  of A's pivoted QR and the unit part u of b orthogonal to it
-  (:func:`span_basis`): A, b, Q, q and every residual Ax - b lie in span(W),
-  and A^T (I - W W^T) = 0, so the sketched problem, eps and every bound
-  value, A^T S^T S r included, keep the law of a full Gaussian sketch, from
-  d (n + 1) normals instead of d m.
+  d x m G, the reference.  For an orthonormal m x k W, G W is itself a d x k
+  matrix of N(0, 1/d) entries (rotation invariance), and it is exactly S~ W
+  for the full Gaussian S~ = Z W^T + G (I - W W^T) when Z = G W, so
+  :func:`gaussian_span_sketch` draws that Z alone.  A CLI cell reads S only
+  through S W for W = [Q u] (:func:`span_coordinates`), whose span holds A,
+  b and every residual, so its sketched problem, eps and every bound value
+  keep the full-Gaussian law, from d (n + 1) normals instead of d m.
 * SRHT composes random signs, an unnormalized Walsh-Hadamard transform on the
   zero-padded input (H^T H = m' I), uniform row sampling without replacement,
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
@@ -32,9 +27,8 @@ span([A b]) by an SVD of the sketched orthonormal basis
 bound in :mod:`sketchls.diagnostics` is checked.
 The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
 unit component of b orthogonal to it, so one factorization of A serves every
-right-hand side and sketch of that matrix.  Each CLI cell sketches that Q,
-untrimmed, with q and b, and forms SA = (SQ) R P^T from it, so A itself is
-never sketched, nor densified for a sketch.
+right-hand side and sketch of that matrix.  A CLI cell sketches only
+W = [Q u] (:func:`span_coordinates`), never A, nor densifies A for a sketch.
 """
 
 from __future__ import annotations
@@ -63,12 +57,6 @@ class GaussianPayload:
 
 
 @dataclass(frozen=True)
-class GaussianSpanPayload:
-    W: np.ndarray  # m x k, orthonormal columns
-    Z: np.ndarray  # d x k, entries N(0, 1/d); the operator is Z W^T
-
-
-@dataclass(frozen=True)
 class SrhtPayload:
     padded_len: int          # next power of two >= m
     signs: np.ndarray        # +-1, length padded_len
@@ -87,7 +75,7 @@ class SketchOperator:
     d: int
     m: int
     seed: int
-    payload: Union[GaussianPayload, GaussianSpanPayload, SrhtPayload, SparsePayload]
+    payload: Union[GaussianPayload, SrhtPayload, SparsePayload]
 
 
 @dataclass
@@ -133,19 +121,11 @@ def build_sketch(kind: Union[SketchKind, str], d: int, m: int, seed: int) -> Ske
     return SketchOperator(kind=kind, d=d, m=m, seed=seed, payload=payload)
 
 
-def gaussian_on_span(d: int, W: np.ndarray, seed: int) -> SketchOperator:
-    """A Gaussian sketch of the span of the m x k orthonormal ``W``: the
-    operator Z W^T, with Z a d x k draw of N(0, 1/d) entries from the stream
-    of (seed, d, k).
-
-    Applied to anything in span(W) it has the law of ``build_sketch``'s d x m
-    G, since G W is such a Z; it never forms a d x m array.
-    """
-    m, k = W.shape
+def gaussian_span_sketch(d: int, m: int, k: int, seed: int) -> np.ndarray:
+    """S W for a d x m Gaussian S and an orthonormal m x k W, which it does
+    not read: a d x k draw of N(0, 1/d) entries from the (seed, d, k) stream."""
     _check_shape(d, m)
-    Z = stream(seed, "gaussian-span", d, k).standard_normal((d, k)) / np.sqrt(d)
-    return SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=m, seed=seed,
-                          payload=GaussianSpanPayload(W=W, Z=Z))
+    return stream(seed, "gaussian-span", d, k).standard_normal((d, k)) / np.sqrt(d)
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -207,8 +187,6 @@ def apply(S: SketchOperator, X) -> np.ndarray:
         return SX.toarray() if scipy.sparse.issparse(SX) else SX
     if isinstance(p, GaussianPayload):
         return p.matrix @ X
-    if isinstance(p, GaussianSpanPayload):
-        return p.Z @ (p.W.T @ X)
     Y = np.zeros((p.padded_len,) + X.shape[1:])
     signs_in = p.signs[: S.m]
     Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
@@ -224,8 +202,6 @@ def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
     p = S.payload
     if isinstance(p, GaussianPayload):
         return p.matrix.T @ U
-    if isinstance(p, GaussianSpanPayload):
-        return p.W @ (p.Z.T @ U)
     if isinstance(p, SrhtPayload):
         Y = np.zeros((p.padded_len,) + U.shape[1:])
         Y[p.indices] = U
@@ -253,8 +229,6 @@ def materialize(S: SketchOperator) -> np.ndarray:
     p = S.payload
     if isinstance(p, GaussianPayload):
         return p.matrix.copy()
-    if isinstance(p, GaussianSpanPayload):
-        return p.Z @ p.W.T
     if isinstance(p, SrhtPayload):
         bits = p.indices[:, None] & np.arange(S.m)
         parity = np.zeros_like(bits)
@@ -274,23 +248,28 @@ def subspace_basis(A: MatrixHandle, b: np.ndarray
     ``Q`` is the Q of A's cached pivoted QR (:meth:`MatrixHandle.qr_factor`),
     so every b of one matrix shares it; ``q`` is the unit component of b
     orthogonal to range(Q), or None when b lies in it.  The floor of both
-    trims is the SVD rank floor max(m, n + 1) * u * scale, with
-    scale = max(|R_11|, ||b||) standing in for ||[A b]||: a column of Q goes
-    when its R diagonal entry is below it, and q when the norm of b's
-    orthogonal component is.  That component comes from two projection
-    passes, so ``[Q q]`` is orthonormal to working precision (twice is
-    enough); on an ill-conditioned span([A b]) it is no less accurate than an
-    SVD of [A b], and no m-by-(n + 1) array is formed.
+    trims is the SVD rank floor max(m, n + 1) * u * max(|R_11|, ||b||): a
+    column of Q goes when its R diagonal entry is below it, and q when the
+    norm of b's orthogonal component is.  That component comes from two
+    projection passes, so ``[Q q]`` is orthonormal to working precision; on
+    an ill-conditioned span([A b]) it is no less accurate than an SVD of
+    [A b], and no m-by-(n + 1) array is formed.
     """
-    Q, R, _ = A.qr_factor()
     b = np.asarray(b, dtype=np.float64)
+    Q, rank, floor = _trim(A, b)
+    Q = Q[:, :rank]
+    w, w_norm = _orthogonal_part(Q, b)
+    return Q, (w / w_norm if w_norm > floor else None)
+
+
+def _trim(A: MatrixHandle, b: np.ndarray) -> Tuple[np.ndarray, int, float]:
+    """A's untrimmed Q, how many of its columns the basis keeps, the floor."""
+    Q, R, _ = A.qr_factor()
     scale = max(float(abs(R[0, 0])), float(np.linalg.norm(b)))
     if scale == 0.0:
         raise ValueError("zero subspace")
     floor = max(A.rows, A.cols + 1) * np.finfo(np.float64).eps * scale
-    Q = Q[:, : int(np.sum(np.abs(np.diag(R)) > floor))]
-    w, w_norm = _orthogonal_part(Q, b)
-    return Q, (w / w_norm if w_norm > floor else None)
+    return Q, int(np.sum(np.abs(np.diag(R)) > floor)), floor
 
 
 def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -301,28 +280,45 @@ def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
     return w, float(np.linalg.norm(w))
 
 
-def span_basis(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal W = [Q u] for an orthonormal Q: u is the unit component
-    of b orthogonal to range(Q), left out only when that component is zero.
+@dataclass(frozen=True)
+class SpanCoordinates:
+    u: Optional[np.ndarray]    # unit part of b orthogonal to range(Q); None when it is 0
+    c_b: np.ndarray            # W^T b
+    rank: int                  # leading columns of Q in subspace_basis(A, b)
+    c_q: Optional[np.ndarray]  # W^T q for subspace_basis's q; None when q is
 
-    span(W) holds range(Q) and b, so a sketch on it (:func:`gaussian_on_span`)
-    serves every operand built from them.  u is not trimmed at a floor: a
-    component at rounding level still gives a unit u orthogonal to Q, and W
-    stays orthonormal.
+
+def span_coordinates(A: MatrixHandle, b: np.ndarray) -> SpanCoordinates:
+    """W = [Q u], Q the untrimmed Q of A's pivoted QR, with the coordinates
+    in it of b and of :func:`subspace_basis`'s ``(Q[:, :rank], q)``, so that
+    S W alone gives S b = S W c_b and the basis [S W[:, :rank], S W c_q].
+
+    u is not trimmed: a part of b at rounding level still gives a unit u
+    orthogonal to Q.  q is b's part orthogonal to the kept columns, so c_q
+    is c_b with its first ``rank`` entries zeroed, normalized; with no column
+    trimmed that is the last unit vector exactly.
     """
+    b = np.asarray(b, dtype=np.float64)
+    Q, rank, floor = _trim(A, b)
     w, w_norm = _orthogonal_part(Q, b)
-    return np.column_stack([Q, w / w_norm]) if w_norm > 0.0 else Q
+    u = w / w_norm if w_norm > 0.0 else None
+    c_b = Q.T @ b if u is None else np.append(Q.T @ b, u @ b)
+    tail = np.concatenate([np.zeros(rank), c_b[rank:]])
+    tail_norm = float(np.linalg.norm(tail))
+    return SpanCoordinates(u=u, c_b=c_b, rank=rank,
+                           c_q=tail / tail_norm if tail_norm > floor else None)
 
 
 def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionReport:
     """Tight embedding parameter of a sketch S over span([A b]), from the
     sketched basis: ``SQ`` and ``Sq`` are S applied to the two parts of
-    ``subspace_basis(A, b)`` (``Sq`` None when q is).
+    ``subspace_basis(A, b)`` (``Sq`` None when q is), or their coordinates
+    in any orthonormal basis, as a CLI cell's T gives them.
 
     Returns eps = max(sigma_max^2 - 1, 1 - sigma_min^2) over the singular
     values of [SQ Sq]; this is the smallest value for which the two-sided
     embedding inequality holds there.  A rank_loss flag marks sketches that
-    annihilate part of the subspace.  The SVD is of a d-by-dim matrix only.
+    annihilate part of the subspace.  The SVD is of a rows-by-dim matrix only.
     """
     if Sq is not None:
         SQ = np.column_stack([SQ, Sq])
@@ -344,15 +340,13 @@ def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionRepo
 
 
 def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> DistortionReport:
-    """Tight embedding parameter of S over span([A b]) (:func:`basis_distortion`).
+    """Tight embedding parameter of S over span([A b]) (:func:`basis_distortion`)
+    of the sketched ``subspace_basis(A, b)``, the reference of a CLI cell's.
 
-    The two parts of ``subspace_basis(A, b)`` are sketched one by one; many
-    sketches of one problem share the basis through :func:`basis_distortion`
-    instead.  The basis is orthonormal to working precision,
-    so eps is good to about 1e-13 relative on a well-conditioned span([A b]);
-    when b is nearly in range(A) the subspace itself is ill conditioned, and
-    any double-precision basis, so eps, is good to about u * cond([A b]) at
-    worst.
+    The basis is orthonormal to working precision, so eps is good to about
+    1e-13 relative on a well-conditioned span([A b]); when b is nearly in
+    range(A), any double-precision basis, so eps, is good to about
+    u * cond([A b]) at worst.
     """
     Q, q = subspace_basis(A, b)
     return basis_distortion(apply(S, Q), None if q is None else apply(S, q))

@@ -490,10 +490,10 @@ def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> bool:
 # ---------------------------------------------------------------------------
 # Exact oracle and spectral data
 
-def _qr_solve(M: np.ndarray, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
+def _qr_solve(matvec, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve of M x = rhs from the pivoted QR ``(Q, R, piv)``
-    of M, refined once.  Raises :class:`RankDeficiencyError` when the
-    smallest R diagonal is below :data:`RANK_TOL` of the largest."""
+    of M, refined once by ``matvec(x) = M @ x``.  Raises :class:`RankDeficiencyError`
+    when the smallest R diagonal is below :data:`RANK_TOL` of the largest."""
     Q, R, piv = factor
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
@@ -508,7 +508,7 @@ def _qr_solve(M: np.ndarray, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
         return x
 
     x = solve_once(rhs)
-    return x + solve_once(rhs - M @ x)
+    return x + solve_once(rhs - matvec(x))
 
 
 def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -519,7 +519,7 @@ def qr_ls_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     :class:`RankDeficiencyError` when the R diagonal collapses.
     """
     M = np.asarray(M, dtype=np.float64)
-    return _qr_solve(M, scipy.linalg.qr(M, mode="economic", pivoting=True), rhs)
+    return _qr_solve(lambda x: M @ x, scipy.linalg.qr(M, mode="economic", pivoting=True), rhs)
 
 
 def as_rhs(A: MatrixHandle, b) -> np.ndarray:
@@ -535,14 +535,15 @@ def as_rhs(A: MatrixHandle, b) -> np.ndarray:
 def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     """Exact least-squares reference solution at desk scale.
 
-    The cached column-pivoted QR of A (:meth:`MatrixHandle.qr_factor`) with
-    one refinement step, bit for bit ``qr_ls_solve(A.dense(), b)`` for a
-    loaded A (a synthesized A's factor agrees with it to rounding): each b
-    costs two triangular solves, not a factorization.  The returned residual
-    satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
+    The cached column-pivoted QR of A (:meth:`MatrixHandle.qr_factor`), refined
+    once by :meth:`MatrixHandle.matvec`: each b costs two triangular solves,
+    not a factorization, and a CSR A is not densified.  For a loaded dense A
+    it is bit for bit ``qr_ls_solve(A.dense(), b)``; a synthesized A's factor
+    and a CSR A's sparse product agree with that to rounding.  The returned
+    residual satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
     b = as_rhs(A, b)
-    x = _qr_solve(A.dense(), A.qr_factor(), b)
+    x = _qr_solve(A.matvec, A.qr_factor(), b)
     r = A.matvec(x) - b
     return LsOracle(
         x_ls=x,

@@ -3,7 +3,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
-from sketchls.embed import SketchKind, SketchOperator, SparsePayload
+from sketchls import embed
+from sketchls.embed import GaussianPayload, SketchKind, SketchOperator, SparsePayload
 from sketchls.matio import LsOracle, MatrixHandle
 from sketchls.rng import stream
 from sketchls.stopping import stabilization_decision
@@ -18,6 +19,29 @@ def random_tall(m: int, n: int, seed: int) -> MatrixHandle:
 
 def random_rhs(m: int, seed: int) -> np.ndarray:
     return stream(seed, "rhs", m).standard_normal(m)
+
+
+def span_matrix(problem) -> np.ndarray:
+    """W = [Q u] of a CLI seed problem (``cli.SeedProblem``) as an m-row
+    array, which the cell itself never forms."""
+    Q, u = problem.A.qr_factor()[0], problem.span.u
+    return Q if u is None else np.column_stack([Q, u])
+
+
+def d_row_sketch(problem, kind: SketchKind, d: int) -> SketchOperator:
+    """The d x m operator S of the CLI cell ``(problem, kind, d)``, the slow
+    reference of the cell's coordinates: ``build_sketch``'s for SRHT and
+    sparse.  For a Gaussian cell it is S~ = Z W^T + G (I - W W^T), with Z the
+    cell's draw and G ``build_sketch``'s, independent of it: a full Gaussian
+    with S~ W = Z."""
+    A = problem.A
+    if kind is not SketchKind.GAUSSIAN:
+        return embed.build_sketch(kind, d, A.rows, problem.seed)
+    W = span_matrix(problem)
+    Z = embed.gaussian_span_sketch(d, A.rows, W.shape[1], problem.seed)
+    G = embed.build_sketch("gaussian", d, A.rows, problem.seed).payload.matrix
+    return SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=A.rows, seed=problem.seed,
+                          payload=GaussianPayload(Z @ W.T + G - (G @ W) @ W.T))
 
 
 def identity_sketch(m: int) -> SketchOperator:

@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -18,6 +19,8 @@ from sketchls.matio import (MatrixHandle, save_matrix_market, synthesize_matrix,
 from sketchls.rng import stream
 from sketchls.solvers import LinearOperatorView, MetricsObserver, Termination, lsmr
 from sketchls.stopping import StopMode
+
+from conftest import d_row_sketch, span_matrix
 
 TWO_KINDS_CONFIG = """
 synthetic = 120,6,20
@@ -235,11 +238,11 @@ def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
 
 
 def record_sketches(monkeypatch, fail=lambda kind, d, seed: False) -> list:
-    """(kind, d, seed) of every sketch operator made, by ``build_sketch`` or,
-    for a Gaussian cell, ``gaussian_on_span``; one for which ``fail`` holds
+    """(kind, d, seed) of every sketch made, by ``build_sketch`` or, for a
+    Gaussian cell, ``gaussian_span_sketch``; one for which ``fail`` holds
     raises ``ValueError("boom")`` instead."""
     made = []
-    real_build, real_span = embed.build_sketch, embed.gaussian_on_span
+    real_build, real_span = embed.build_sketch, embed.gaussian_span_sketch
 
     def record(kind, d, seed):
         if fail(kind, d, seed):
@@ -250,12 +253,12 @@ def record_sketches(monkeypatch, fail=lambda kind, d, seed: False) -> list:
         record(embed.SketchKind(kind), d, seed)
         return real_build(kind, d, m, seed)
 
-    def span(d, W, seed):
+    def span(d, m, k, seed):
         record(embed.SketchKind.GAUSSIAN, d, seed)
-        return real_span(d, W, seed)
+        return real_span(d, m, k, seed)
 
     monkeypatch.setattr(embed, "build_sketch", build)
-    monkeypatch.setattr(embed, "gaussian_on_span", span)
+    monkeypatch.setattr(embed, "gaussian_span_sketch", span)
     return made
 
 
@@ -314,14 +317,14 @@ class TestRunExperiment:
         assert len(sketched) == len(distortions) == 2
 
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
-        # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch
-        # operator, never sketches A (SA is (SQ) R P^T), takes one SVD of the
-        # 24 x 6 SA and solves the sketched problem once
+        # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch, never
+        # sketches A, and takes one SVD and one solve of the 7 x 6 M that
+        # stands for SA (SA = Q_s M); no SVD or solve sees 24 rows
         applied, shapes = Counter(), Counter()
         real_apply, real_svd = embed.apply, scipy.linalg.svd
 
         def counting_apply(S, X):
-            applied[S.kind.value, S.seed] += isinstance(X, MatrixHandle)
+            applied[S.kind.value, S.seed, isinstance(X, MatrixHandle)] += 1
             return real_apply(S, X)
 
         def counting_svd(a, *args, **kwargs):
@@ -344,13 +347,15 @@ class TestRunExperiment:
         assert run_experiment(config) == EXIT_OK
         pairs = [(kind, seed) for kind in ("gaussian", "srht", "sparse") for seed in (0, 1)]
         assert Counter((kind, seed) for kind, _, seed in made) == dict.fromkeys(pairs, 1)
-        assert applied == dict.fromkeys(pairs, 0)
-        assert shapes["svd", (24, 6)] == 6
-        assert shapes["qr_ls_solve", (24, 6)] == 6
+        # S Q and S u for SRHT and sparse; a Gaussian cell applies nothing
+        assert applied == {(kind, seed, False): 2 for kind, seed in pairs if kind != "gaussian"}
+        assert shapes["svd", (7, 6)] == 6
+        assert shapes["qr_ls_solve", (7, 6)] == 6
+        assert not [shape for key, shape in shapes if shape[0] == 24]
 
     def test_basis_and_oracle_once_per_seed(self, tmp_path, monkeypatch):
         basis_calls, oracle_calls = [], []
-        real_basis, real_oracle = embed.subspace_basis, cli.solve_ls_oracle
+        real_basis, real_oracle = embed.span_coordinates, cli.solve_ls_oracle
 
         def counting_basis(A, b):
             basis_calls.append(A.rows)
@@ -360,7 +365,7 @@ class TestRunExperiment:
             oracle_calls.append(A.rows)
             return real_oracle(A, b)
 
-        monkeypatch.setattr(cli.embed, "subspace_basis", counting_basis)
+        monkeypatch.setattr(cli.embed, "span_coordinates", counting_basis)
         monkeypatch.setattr(cli, "solve_ls_oracle", counting_oracle)
         config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path)
                               + "synthetic = 100,6,20\n")
@@ -447,9 +452,35 @@ def rank_trimmed_matrix() -> MatrixHandle:
     return MatrixHandle(U * np.array([1.0, 0.5, 1.5e-12]))
 
 
+def sketch_basis(P: diagnostics.SketchedProblem, SW: np.ndarray) -> np.ndarray:
+    """Q_s = SW T^-1, the orthonormal factor of a cell's SW = Q_s T, from the
+    reference SW = S W: the cell's SA stands for Q_s SA and its S r for
+    Q_s P.sketch(r)."""
+    return scipy.linalg.solve_triangular(P.T, SW.T, trans="T").T
+
+
+SLOW_ORACLE_SOURCES = ["synthetic", "loaded", "rank-trimmed"]
+
+
+def slow_oracle_cell(source: str, kind: embed.SketchKind):
+    """(problem, the coordinate cell P and its eps, the d-row reference R of
+    the same operator) on one of ``SLOW_ORACLE_SOURCES``."""
+    if source == "rank-trimmed":
+        A, d = rank_trimmed_matrix(), 30
+    else:
+        A, d = MatrixSource("s", synthetic=(300, 6, 20)).load(), 40
+        if source == "loaded":
+            A = MatrixHandle(A.dense())
+    problem = cli.SeedProblem(A, 4, 1e-3)
+    P, eps = cli._sketch_cell(problem, kind, d)
+    R = diagnostics.SketchedProblem(A, problem.b, d_row_sketch(problem, kind, d))
+    return problem, P, eps, R
+
+
 class TestSketchCell:
-    """The cell's SA = (SQ) R P^T against the slow oracles: S applied to A,
-    and the explicit S times the dense A."""
+    """The cell in the coordinates of W = [Q u] against the slow oracles: the
+    d-row ``SketchedProblem(A, b, S)`` of the cell's operator S
+    (``d_row_sketch``), S applied to A, and the explicit S times the dense A."""
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     @pytest.mark.parametrize("loaded", [False, True])
@@ -457,12 +488,17 @@ class TestSketchCell:
         A = MatrixSource("s", synthetic=(300, 6, 20)).load()
         if loaded:
             A = MatrixHandle(A.dense())
-        P, _ = cli._sketch_cell(cli.SeedProblem(A, 4, 1e-3), kind, 40)
-        assert P.SA.shape == (40, 6) and P.SA.flags.c_contiguous
+        problem = cli.SeedProblem(A, 4, 1e-3)
+        P, _ = cli._sketch_cell(problem, kind, 40)
+        assert P.SA.shape == (7, 6) and P.SA.flags.c_contiguous and P.d == 40
+        S = d_row_sketch(problem, kind, 40)
+        Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         scale = np.linalg.norm(P.SA, 2)
-        for ref in (embed.apply(P.S, A), embed.materialize(P.S) @ A.dense()):
-            assert np.max(np.abs(P.SA - ref)) <= 1e-13 * scale
-        assert np.array_equal(P.Sb, embed.apply(P.S, P.b))
+        for ref in (embed.apply(S, A), embed.materialize(S) @ A.dense()):
+            assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * scale
+        assert np.array_equal(P.Sb, P.T @ problem.span.c_b)
+        Sb = embed.apply(S, P.b)
+        assert np.max(np.abs(Q_s @ P.Sb - Sb)) <= 1e-13 * np.linalg.norm(Sb)
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     def test_rank_trimmed_basis_keeps_every_column_of_SA(self, kind):
@@ -470,36 +506,72 @@ class TestSketchCell:
         problem = cli.SeedProblem(A, 0, 1e-3)
         _, R, _ = A.qr_factor()
         assert 1e-12 < abs(R[2, 2] / R[0, 0]) < 2.2e-12
-        assert problem.basis[0].shape[1] == 2
+        # the basis keeps 2 of Q's 3 columns; W keeps all 3, and u
+        assert problem.span.rank == 2 and problem.span.c_b.shape == (4,)
         P, eps = cli._sketch_cell(problem, kind, 30)
-        assert P.SA.shape == (30, 3)
-        ref = embed.apply(P.S, A)
-        assert np.max(np.abs(P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
-        assert eps == embed.exact_distortion(P.S, A, problem.b).epsilon
+        assert P.SA.shape == (4, 3)
+        S = d_row_sketch(problem, kind, 30)
+        ref = embed.apply(S, A)
+        Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
+        assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
+        # q keeps b's part along the dropped column, as subspace_basis's does
+        assert eps == pytest.approx(embed.exact_distortion(S, A, problem.b).epsilon, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
+    def test_cell_matches_the_d_row_problem(self, source, kind):
+        # every quantity the cell reads from its coordinates against the
+        # d-row problem of the same S.  Tolerances, relative: singular
+        # values 1e-14 of sigma_1 and ||Sb|| 1e-14 (rounding of a k x k
+        # product); eps 1e-13, the accuracy of exact_distortion's basis;
+        # x_s 1e-13 on the full-rank sources (kappa(SA) about 20) and 1e-10
+        # on the rank-trimmed one (kappa(SA) about 1e12, where b's part in
+        # the weak direction is itself 1e-12); the NormalRatioCross and
+        # GeomPreserve lhs 1e-10, differences of O(1) terms that cancel to
+        # about eps of them.
+        problem, P, eps, R = slow_oracle_cell(source, kind)
+        assert P.d == R.d
+        assert np.max(np.abs(P.sv - R.sv)) <= 1e-14 * R.sv[0]
+        assert np.linalg.norm(P.Sb) == pytest.approx(np.linalg.norm(R.Sb), rel=1e-14)
+        assert eps == pytest.approx(
+            embed.exact_distortion(R.S, problem.A, problem.b).epsilon, rel=1e-13)
+        x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
+        assert np.linalg.norm(P.x_s - R.x_s) <= x_tol * np.linalg.norm(R.x_s)
+        got, want = (diagnostics.run_bound_suite(X, problem.oracle, eps) for X in (P, R))
+        for mine, ref in zip(got, want):
+            assert mine.bound_id is ref.bound_id
+            if mine.bound_id in (diagnostics.BoundId.NORMAL_RATIO_CROSS,
+                                 diagnostics.BoundId.GEOM_PRESERVE):
+                assert mine.lhs == pytest.approx(ref.lhs, rel=1e-10)
+            if mine.bound_id is diagnostics.BoundId.ACUTE_CRITERION:
+                # SA's rank floor is max(d, n) on both, not the k rows of M
+                assert (mine.passed, mine.note) == (ref.passed, ref.note)
 
     @pytest.mark.parametrize("rho", [1e-3, 1.0])
     def test_gaussian_cell_is_a_full_gaussian_on_the_span(self, rho):
-        # completed with any G, S~ = Z W^T + G (I - W W^T) is a full Gaussian
-        # sketch; it gives the cell's SA and Sb, and every product the bound
-        # suite takes, S r_ls and A^T S^T S r_s, to rounding
+        # SW is the draw Z, and the full Gaussian S~ = Z W^T + G (I - W W^T)
+        # (any G) has S~ W = Z: it gives the cell's SA and Sb, and every
+        # product the bound suite takes, S r_ls and A^T (S^T S - I) r_s, to
+        # rounding
         A = MatrixSource("s", synthetic=(300, 6, 20)).load()
         problem = cli.SeedProblem(A, 4, rho)
         P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
-        W, Z = P.S.payload.W, P.S.payload.Z
-        G = embed.build_sketch("gaussian", 40, 300, 4).payload.matrix
-        full = Z @ W.T + G - (G @ W) @ W.T
+        Z = embed.gaussian_span_sketch(40, 300, 7, 4)
+        assert np.array_equal(P.T, scipy.linalg.qr(Z, mode="r")[0][:7])
+        full = d_row_sketch(problem, embed.SketchKind.GAUSSIAN, 40).payload.matrix
+        Q_s = sketch_basis(P, full @ span_matrix(problem))
         dense, r_ls, r_s = A.dense(), problem.oracle.r_ls, P.r_s
-        geometric = A.rmatvec(embed.apply_adjoint(P.S, embed.apply(P.S, r_s)))
         norm_S = np.linalg.norm(full, 2)
         for got, want, scale in (
-                (P.SA, full @ dense, np.linalg.norm(full @ dense, 2)),
-                (P.Sb, full @ P.b, np.linalg.norm(full @ P.b)),
+                (Q_s @ P.SA, full @ dense, np.linalg.norm(full @ dense, 2)),
+                (Q_s @ P.Sb, full @ P.b, np.linalg.norm(full @ P.b)),
                 # r_ls = A x_ls - b carries rounding of size u ||b|| off
                 # span(W), which only the full Gaussian sees
-                (embed.apply(P.S, r_ls), full @ r_ls, norm_S * np.linalg.norm(P.b)),
-                # S r_s is orthogonal to range(SA), so this product is
+                (Q_s @ P.sketch_residual(problem.oracle.x_ls), full @ r_ls,
+                 norm_S * np.linalg.norm(P.b)),
+                # S r_s is orthogonal to range(SA), so A^T S^T S r_s is
                 # rounding noise on the scale of ||A|| ||S||^2 ||r_s||
-                (geometric, dense.T @ (full.T @ (full @ r_s)),
+                (P.geometric_defect(P.x_s), dense.T @ (full.T @ (full @ r_s) - r_s),
                  np.linalg.norm(dense, 2) * norm_S ** 2 * np.linalg.norm(r_s))):
             assert np.linalg.norm(got - want) <= 1e-13 * scale
 
@@ -518,7 +590,7 @@ class TestSketchCell:
     def test_gaussian_cell_makes_no_d_by_m_draw(self, monkeypatch):
         A = MatrixSource("s", synthetic=(5000, 4, 20)).load()
         problem = cli.SeedProblem(A, 0, 1e-3)
-        problem.basis  # the seed's shared work (and A's QR), done before the cell
+        problem.span  # the seed's shared work (and A's QR), done before the cell
         sizes = []
         real_stream = embed.stream
 
@@ -538,8 +610,53 @@ class TestSketchCell:
         finally:
             tracemalloc.stop()
         assert sizes == [40 * 5]
-        # a d x m G alone would be 1.6 MB; the cell's W = [Q u] is 0.2 MB
-        assert peak < 40 * 5000 * 8 / 2
+        # a d x m G alone would be 1.6 MB, and W = [Q u] 0.2 MB; the cell
+        # forms no array of m rows, not even one m-vector (40 KB)
+        assert peak < 5000 * 8
+
+
+class TestReducedSolves:
+    """LSQR and LSMR on a cell's (n + 1) x n pair (M, T W^T b) against the
+    same solve on the d-row (SA, Sb) of the cell's operator, on the desk
+    workload's problem (2000 x 100, kappa 100, d = 2n, rho = 1e-3, seed 0).
+
+    The two take the same Krylov steps in exact arithmetic.  In floating
+    point their unsketched residuals agree to 1e-8 relative through about
+    iteration 18, and then rounding is amplified about tenfold per
+    iteration, as it is between two d-row formations of one SA.  stab-ne
+    stops at 10-22 iterations, before that, so its stop is the d-row stop.
+    stab-res stops at 50-190, where the stop iteration is decided by
+    rounding, so only the shared first 15 steps are compared for it.
+    """
+
+    @pytest.mark.parametrize("stop", ["stab-ne", "stab-res"])
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    def test_same_krylov_steps_and_stab_ne_stop(self, kind, stop):
+        config = parse_config(f"synthetic = 2000,100,100\nkind = {kind.value}\nstop = {stop}\n")
+        A = config.sources[0].load()
+        problem = cli.SeedProblem(A, 0, config.rho)
+        P, eps = cli._sketch_cell(problem, kind, 200)
+        R = diagnostics.SketchedProblem(A, problem.b, d_row_sketch(problem, kind, 200))
+        for solver in (cli.lsqr, cli.lsmr):
+            max_iters = []
+
+            def recording(*args, max_iter=None, **kwargs):
+                max_iters.append(max_iter)
+                return solver(*args, max_iter=max_iter, **kwargs)
+
+            reduced, _ = cli._solve_cell(recording, P, eps, problem, config)
+            d_row = solver(LinearOperatorView.from_matrix(R.SA), R.Sb,
+                           observer=MetricsObserver(A, problem.b, oracle=problem.oracle),
+                           stop=cli.StoppingController(config.policy(), op_norm=math.nan,
+                                                       epsilon=eps))
+            # min(2n, d), the d-row default, not min(2n, n + 1)
+            assert max_iters == [200]
+            for mine, ref in zip(reduced.trace[:15], d_row.trace[:15]):
+                assert mine.unsketched_residual_norm == pytest.approx(
+                    ref.unsketched_residual_norm, rel=1e-8)
+            if stop == "stab-ne":
+                assert (reduced.iterations, reduced.termination) == \
+                    (d_row.iterations, d_row.termination)
 
 
 class TestCellLoop:
@@ -593,8 +710,8 @@ def run_sweep(out: Path, extra: str = ""):
 
 def unstopped_solves(config) -> dict:
     """``{(kind, d): [one result per seed]}`` of LSMR with no stop, run to
-    its default max_iter on each sweep cell and observed as ``sweep-d``
-    observes it: the solve ``sweep-d`` ran before it took a stop."""
+    the d-row default max_iter min(2n, d) on each sweep cell and observed as
+    ``sweep-d`` observes it: the solve ``sweep-d`` ran before it took a stop."""
     A = config.sources[0].load()
     solves = {}
     for seed in config.seeds:
@@ -604,7 +721,9 @@ def unstopped_solves(config) -> dict:
                 P, _ = cli._sketch_cell(problem, kind, d)
                 observer = MetricsObserver(A, problem.b, stride=config.stride,
                                            oracle=problem.oracle)
-                result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer)
+                # the cell's pair has n + 1 rows: max_iter is the d-row default
+                result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
+                              max_iter=min(2 * A.cols, d))
                 assert result.termination is Termination.MAX_ITERATIONS
                 assert result.iterations == min(2 * A.cols, d)
                 solves.setdefault((kind.value, str(d)), []).append(result)
@@ -708,13 +827,13 @@ class TestSweep:
 
     def test_basis_once_per_source_and_seed(self, tmp_path, monkeypatch):
         calls = []
-        real = embed.subspace_basis
+        real = embed.span_coordinates
 
         def counting(A, b):
             calls.append(A.rows)
             return real(A, b)
 
-        monkeypatch.setattr(cli.embed, "subspace_basis", counting)
+        monkeypatch.setattr(cli.embed, "span_coordinates", counting)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
                               f"output_dir = {tmp_path}\n")
@@ -727,8 +846,9 @@ class TestSweep:
 
     def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
         # a synthesized and a loaded source, each factored once: the first
-        # by its n-by-n diag(s) V^T, the second by its m rows; and each
-        # cell's d-by-n SA once, for its x_s (2 sources x 2 kinds x 2 seeds)
+        # by its n-by-n diag(s) V^T, the second by its m rows; and each cell
+        # (2 sources x 2 kinds x 2 seeds) takes one R-only QR of its d-by-k
+        # SW and one pivoted QR of its k-by-n M, for its x_s
         config = parse_config("synthetic = 120,4,10\n"
                               f"matrix = {save_synthetic(tmp_path, 100, 4, 10)}\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
@@ -736,14 +856,15 @@ class TestSweep:
         shapes = count_factorizations(monkeypatch)
         assert sweep_d(config, "8,40") == EXIT_OK
         assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
-            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1,
-            ("qr", True, (8, 4)): 8, ("qr", True, (40, 4)): 8}
+            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1, ("qr", True, (5, 4)): 16}
+        assert shapes["qr", False, (8, 5)] == shapes["qr", False, (40, 5)] == 8
         assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
     def test_A_products_fixed_per_seed(self, tmp_path, monkeypatch):
-        # b, the oracle's residual and A^T r_ls: the observer reads the
-        # oracle and A's factor, so no iteration multiplies by A
+        # b, the oracle's refinement and residual, and A^T r_ls: the
+        # observer reads the oracle and A's factor, so no iteration
+        # multiplies by A
         products, iterations = [], []
         real_matvec, real_rmatvec, real_lsmr = (MatrixHandle.matvec, MatrixHandle.rmatvec,
                                                 cli.lsmr)
@@ -761,7 +882,7 @@ class TestSweep:
         config = parse_config("synthetic = 120,4,10\nkind = gaussian,sparse\n"
                               f"seeds = 0,1,2\noutput_dir = {tmp_path}\n")
         assert sweep_d(config, "8,40") == EXIT_OK
-        assert len(products) == 3 * 3
+        assert len(products) == 3 * 4
         assert len(iterations) == 3 * 4 and sum(iterations) > len(products)
 
     def test_bad_cell_isolated(self, tmp_path, monkeypatch, capsys):

@@ -6,10 +6,9 @@ import pytest
 import scipy.linalg
 
 from sketchls import embed
-from sketchls.diagnostics import (BoundId, SketchedProblem, check_acute_criterion,
-                                  check_explicit_perturbations,
+from sketchls.diagnostics import (BoundId, BoundReport, SketchedProblem, _report,
+                                  check_acute_criterion, check_explicit_perturbations,
                                   check_eta_f_upper, check_geometric_preservation,
-                                  check_pseudoinverse_perturbation,
                                   check_residual_bounds, check_solution_error,
                                   compute_eta_f, direction_bound,
                                   e1_minimizer_gap,
@@ -39,13 +38,22 @@ class TestSketchedProblem:
         assert np.array_equal(solve_sketched(A, b, S), expect)
 
     def test_given_products_are_used(self, monkeypatch):
-        A, b, _ = build_instance()
+        # given SW = S [Q u], the problem is the (n + 1) x n pair of its R
+        # and S is never applied again, not even for S r or A^T S^T S r
+        A, b, oracle = build_instance()
+        span = embed.span_coordinates(A, b)
+        Q, R, piv = A.qr_factor()
         S = build_sketch("gaussian", 64, 300, 7)
-        SA, Sb = embed.apply(S, A), embed.apply(S, b)
+        SW = np.column_stack([embed.apply(S, Q), embed.apply(S, span.u)])
+        T = scipy.linalg.qr(SW, mode="r")[0][:5]
         monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
-        P = SketchedProblem(A, b, S, SA=SA, Sb=Sb)
-        assert P.SA is SA and P.Sb is Sb
-        assert np.array_equal(P.x_s, qr_ls_solve(SA, Sb))
+        monkeypatch.setattr(embed, "apply_adjoint", None)
+        P = SketchedProblem(A, b, SW=SW.copy(), c_b=span.c_b)
+        assert np.array_equal(P.T, T) and P.d == 64
+        assert np.array_equal(P.SA[:, piv], T[:, :4] @ R)
+        assert np.array_equal(P.Sb, T @ span.c_b)
+        assert np.array_equal(P.x_s, qr_ls_solve(P.SA, P.Sb))
+        run_bound_suite(P, oracle, 0.5)
 
     def test_acute_reads_cached_singular_values(self, monkeypatch):
         A, b, _ = build_instance()
@@ -70,7 +78,7 @@ class TestGeometricPreservation:
     def test_identity_double_is_exact(self):
         A, b, _ = build_instance()
         S = identity_sketch(300)
-        rep = check_geometric_preservation(A, b, S, np.ones(4), eps=0.0)
+        rep = check_geometric_preservation(SketchedProblem(A, b, S), np.ones(4), eps=0.0)
         assert rep.passed
         assert rep.lhs <= 1e-12
 
@@ -81,8 +89,9 @@ class TestGeometricPreservation:
         S = build_sketch("gaussian", 12, 40, seed)
         eps = exact_distortion(S, A, b).epsilon
         gen = stream(seed, "y")
+        P = SketchedProblem(A, b, S)
         for _ in range(100):
-            rep = check_geometric_preservation(A, b, S, gen.standard_normal(4), eps)
+            rep = check_geometric_preservation(P, gen.standard_normal(4), eps)
             assert rep.passed
 
     def test_at_reference_solution_matches_cross_term(self):
@@ -90,7 +99,7 @@ class TestGeometricPreservation:
         A, b, oracle = build_instance()
         S = build_sketch("srht", 64, 300, 5)
         eps = exact_distortion(S, A, b).epsilon
-        rep = check_geometric_preservation(A, b, S, oracle.x_ls, eps)
+        rep = check_geometric_preservation(SketchedProblem(A, b, S), oracle.x_ls, eps)
         SA = embed.apply(S, A.dense())
         cross = np.linalg.norm(SA.T @ embed.apply(S, oracle.r_ls))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
@@ -101,7 +110,7 @@ class TestGeometricPreservation:
         x = np.array([1.0, 2.0])
         b = A.matvec(x)
         S = build_sketch("gaussian", 8, 20, 1)
-        rep = check_geometric_preservation(A, b, S, x, eps=0.5)
+        rep = check_geometric_preservation(SketchedProblem(A, b, S), x, eps=0.5)
         assert rep.passed and "zero residual" in rep.note
 
 
@@ -327,6 +336,36 @@ class TestAcute:
         assert "sufficient-not-necessary" in rep.note
 
 
+# a general lemma on dense pseudoinverses, not a property of a sketch, so
+# its check lives with its tests; dense pinv is refused above this m*n
+PINV_SIZE_GUARD = 10_000
+
+
+def check_pseudoinverse_perturbation(A: np.ndarray, A_tilde: np.ndarray) -> BoundReport:
+    """Pseudoinverse perturbation bound for equal-rank (acute) pairs,
+    ||A~+ - A+|| <= sqrt(2) ||A~+|| ||A+|| ||E||; on rank mismatch the
+    non-acute lower bound ||A~+ - A+|| >= 1/||E|| is checked instead."""
+    A = np.asarray(A, dtype=np.float64)
+    A_tilde = np.asarray(A_tilde, dtype=np.float64)
+    if A.size > PINV_SIZE_GUARD:
+        raise ValueError(f"pinv guard: m*n = {A.size} exceeds {PINV_SIZE_GUARD}")
+    E = A_tilde - A
+    enorm = float(np.linalg.norm(E, 2))
+    pinv_a = np.linalg.pinv(A)
+    pinv_t = np.linalg.pinv(A_tilde)
+    diff = float(np.linalg.norm(pinv_t - pinv_a, 2))
+    rank_a = np.linalg.matrix_rank(A)
+    rank_t = np.linalg.matrix_rank(A_tilde)
+    if enorm == 0.0:
+        return _report(BoundId.PINV_PERTURB, diff, 0.0, note="zero perturbation")
+    if rank_a == rank_t == A.shape[1]:
+        rhs = (math.sqrt(2.0) * float(np.linalg.norm(pinv_t, 2))
+               * float(np.linalg.norm(pinv_a, 2)) * enorm)
+        return _report(BoundId.PINV_PERTURB, diff, rhs)
+    return _report(BoundId.PINV_NON_ACUTE, 1.0 / enorm, diff,
+                   note="rank mismatch: non-acute lower bound")
+
+
 class TestPinvPerturbation:
     def test_zero_perturbation(self):
         A = random_tall(8, 3, 2).dense()
@@ -355,10 +394,14 @@ class TestPinvPerturbation:
 class TestSuite:
     def test_residual_formed_once(self, monkeypatch):
         # every check of the pair shares r_s = A x_s - b and ||A^T r_s||; the
-        # geometric check forms its own residual and A^T w at its y
+        # geometric check forms its own residual at its y.  The d-row
+        # reference forms A y - b again to sketch it, A^T w, and S r_ls from
+        # A x_ls - b; a cell's coordinates take no product with A for these
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
         eps = exact_distortion(S, A, b).epsilon
+        span = embed.span_coordinates(A, b)
+        SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
         calls = Counter()
         for name in ("matvec", "rmatvec"):
             def counting(self, v, real=getattr(MatrixHandle, name), name=name):
@@ -366,7 +409,10 @@ class TestSuite:
                 return real(self, v)
             monkeypatch.setattr(MatrixHandle, name, counting)
         run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
-        assert calls == {"matvec": 2, "rmatvec": 2}
+        assert calls == {"matvec": 4, "rmatvec": 2}
+        calls.clear()
+        run_bound_suite(SketchedProblem(A, b, SW=SW, c_b=span.c_b), oracle, eps)
+        assert calls == {"matvec": 2, "rmatvec": 1}
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()

@@ -5,10 +5,10 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from sketchls import cli
-from sketchls.embed import (GaussianSpanPayload, SketchKind, SparsePayload, SketchOperator,
+from sketchls.embed import (GaussianPayload, SketchKind, SparsePayload, SketchOperator,
                             apply, apply_adjoint, basis_distortion, build_sketch,
-                            exact_distortion, fwht, gaussian_on_span, materialize,
-                            next_pow2, span_basis, subspace_basis)
+                            exact_distortion, fwht, gaussian_span_sketch, materialize,
+                            next_pow2, span_coordinates, subspace_basis)
 from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
@@ -262,11 +262,19 @@ BLOCK_DS = [32, 64, 150, 129]
 
 def span_operands(m: int = 300, n: int = 7):
     """A, b, the untrimmed Q of A's pivoted QR and the span W = [Q u] of a
-    generic problem."""
+    generic problem (:func:`span_coordinates`)."""
     A = random_tall(m, n, 3)
     b = random_rhs(m, 3)
     Q = A.qr_factor()[0]
-    return A, b, Q, span_basis(Q, b)
+    return A, b, Q, np.column_stack([Q, span_coordinates(A, b).u])
+
+
+def span_operator(d: int, W: np.ndarray, seed: int) -> SketchOperator:
+    """Z W^T as a d x m operator, Z the span draw: the sketch a Gaussian
+    cell stands for on span(W), formed here only as a reference."""
+    Z = gaussian_span_sketch(d, W.shape[0], W.shape[1], seed)
+    return SketchOperator(kind=SketchKind.GAUSSIAN, d=d, m=W.shape[0], seed=seed,
+                          payload=GaussianPayload(Z @ W.T))
 
 
 class TestSketchOperands:
@@ -275,18 +283,25 @@ class TestSketchOperands:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", BLOCK_DS)
     def test_bit_equal_to_build_then_apply(self, kind, d):
-        # the cell's S is build_sketch's, or for the Gaussian kind the span
-        # sketch of W = [Q u]; Sb, and SQ inside SA, are apply of that S
-        A, b, _, _ = span_operands()
+        # the cell's SW is [S Q, S u] for build_sketch's S, or for the
+        # Gaussian kind the span draw Z; T is the R of that SW, and Sb and
+        # SA are T c_b and T[:, :n] R P^T
+        A = random_tall(300, 7, 3)
         problem = cli.SeedProblem(A, 11, 1e-3)
         P, _ = cli._sketch_cell(problem, kind, d)
         Q, R, piv = A.qr_factor()
-        ref = (gaussian_on_span(d, span_basis(Q, problem.b), 11)
-               if kind is SketchKind.GAUSSIAN else build_sketch(kind, d, 300, 11))
-        assert (P.S.kind, P.S.d, P.S.m, P.S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
-        assert np.array_equal(materialize(P.S), materialize(ref))
-        assert np.array_equal(P.Sb, apply(ref, problem.b))
-        assert np.array_equal(P.SA[:, piv], apply(ref, Q) @ R)
+        if kind is SketchKind.GAUSSIAN:
+            assert P.S is None
+            SW = gaussian_span_sketch(d, 300, 8, 11)
+        else:
+            ref = build_sketch(kind, d, 300, 11)
+            assert (P.S.kind, P.S.d, P.S.m, P.S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
+            assert np.array_equal(materialize(P.S), materialize(ref))
+            SW = np.column_stack([apply(ref, Q), apply(ref, problem.span.u)])
+        T = scipy.linalg.qr(SW, mode="r")[0][:8]
+        assert np.array_equal(P.T, T)
+        assert np.array_equal(P.Sb, T @ problem.span.c_b)
+        assert np.array_equal(P.SA[:, piv], T[:, :7] @ R)
         assert P.SA.flags.c_contiguous
 
     @pytest.mark.parametrize("d", BLOCK_DS)
@@ -298,49 +313,47 @@ class TestSketchOperands:
     def test_distortion_from_products_is_exact_distortion(self):
         A, b, Q, W = span_operands()
         basis, q = subspace_basis(A, b)
-        S = gaussian_on_span(150, W, 6)
+        S = span_operator(150, W, 6)
         assert basis_distortion(apply(S, basis), apply(S, q)) == exact_distortion(S, A, b)
 
     def test_guards(self):
-        W = np.linalg.qr(stream(0, "W").standard_normal((10, 3)))[0]
         for d in (10, 0):
             with pytest.raises(ValueError):
-                gaussian_on_span(d, W, 0)
+                gaussian_span_sketch(d, 10, 3, 0)
 
 
 class TestGaussianOnSpan:
     def test_operator_is_Z_W_transpose(self):
+        # the draw is Z, from the (seed, d, k) stream, and the full Gaussian
+        # S~ = Z W^T + G (I - W W^T), for any G, sketches W to Z: a
+        # Gaussian cell is S~ on span(W)
         _, _, _, W = span_operands()
-        S = gaussian_on_span(20, W, 4)
-        p = S.payload
-        assert isinstance(p, GaussianSpanPayload) and p.W is W
-        assert p.Z.shape == (20, 8)
-        assert np.array_equal(p.Z, stream(4, "gaussian-span", 20, 8).standard_normal((20, 8))
+        Z = gaussian_span_sketch(20, 300, 8, 4)
+        assert np.array_equal(Z, stream(4, "gaussian-span", 20, 8).standard_normal((20, 8))
                               / np.sqrt(20))
-        M = materialize(S)
-        assert np.array_equal(M, p.Z @ W.T)
-        X = stream(1, "X").standard_normal((300, 3))
-        U = stream(2, "U").standard_normal((20, 2))
-        for got, want in ((apply(S, X), M @ X), (apply(S, X[:, 0]), M @ X[:, 0]),
-                          (apply_adjoint(S, U), M.T @ U)):
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-14)
-        with pytest.raises(ValueError, match="rows"):
-            apply(S, np.ones(299))
+        G = build_sketch("gaussian", 20, 300, 4).payload.matrix
+        full = Z @ W.T + G - (G @ W) @ W.T
+        assert np.allclose(full @ W, Z, rtol=1e-13, atol=1e-14)
+        X = stream(1, "X").standard_normal((8, 3))
+        assert np.allclose(full @ (W @ X), Z @ X, rtol=1e-13, atol=1e-14)
 
     def test_span_basis_is_orthonormal_and_holds_b(self):
         A, b, Q, W = span_operands()
+        span = span_coordinates(A, b)
         assert W.shape == (300, 8) and np.array_equal(W[:, :7], Q)
         assert np.linalg.norm(W.T @ W - np.eye(8), 2) <= 1e-14
-        assert np.linalg.norm(b - W @ (W.T @ b)) <= 1e-14 * np.linalg.norm(b)
+        assert np.linalg.norm(b - W @ span.c_b) <= 1e-14 * np.linalg.norm(b)
         # b in range(Q) to rounding: u is a rounding-level direction, still
-        # orthogonal to Q; b = 0 gives no u
-        W = span_basis(Q, A.matvec(stream(5, "x").standard_normal(7)))
-        assert W.shape == (300, 8)
+        # orthogonal to Q, and q is dropped; b = 0 gives no u
+        span = span_coordinates(A, A.matvec(stream(5, "x").standard_normal(7)))
+        W = np.column_stack([Q, span.u])
         assert np.linalg.norm(W.T @ W - np.eye(8), 2) <= 1e-14
-        assert span_basis(Q, np.zeros(300)) is Q
+        assert span.c_q is None and span.rank == 7
+        span = span_coordinates(A, np.zeros(300))
+        assert span.u is None and span.c_b.shape == (7,) and span.c_q is None
 
     def test_entries_are_standard_gaussian_over_d(self):
-        Z = gaussian_on_span(50, np.eye(400)[:, :200], 1).payload.Z
+        Z = gaussian_span_sketch(50, 400, 200, 1)
         assert abs(Z.mean()) < 3e-3
         assert Z.var() == pytest.approx(1.0 / 50, rel=0.05)
 

@@ -431,7 +431,9 @@ class TestOracle:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_cached_factor_matches_fresh_solve(self, sparse):
         # one factorization of A serves every b, bit for bit the solve that
-        # factors A afresh for each one
+        # factors A afresh for each one and refines through the same product
+        # with A: qr_ls_solve's dense A @ x is A.matvec for a dense A, while a
+        # CSR A refines through its sparse product
         dense = random_tall(80, 7, 3).dense()
         if sparse:
             dense = dense * (np.abs(dense) > 0.5)
@@ -439,11 +441,27 @@ class TestOracle:
         for seed in range(4):
             b = synthesize_problem(A, seed, 10.0 ** -seed)
             oracle = solve_ls_oracle(A, b)
-            x = qr_ls_solve(A.dense(), b)
+            if sparse:
+                fresh = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+                x = matio._qr_solve(A.matvec, fresh, b)
+            else:
+                x = qr_ls_solve(A.dense(), b)
             r = A.matvec(x) - b
             assert same_bits(oracle.x_ls, x)
             assert same_bits(oracle.r_ls, r)
             assert oracle.r_ls_norm == float(np.linalg.norm(r))
+
+    def test_csr_oracle_does_not_densify_once_factored(self, monkeypatch):
+        dense = random_tall(80, 7, 3).dense()
+        A = MatrixHandle(scipy.sparse.csr_matrix(dense * (np.abs(dense) > 0.5)))
+        A.qr_factor()
+
+        def refuse(self):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(MatrixHandle, "dense", refuse)
+        oracle = solve_ls_oracle(A, synthesize_problem(A, 0))
+        assert oracle.r_ls_norm > 0.0
 
     def test_qr_factor_cached_and_read_only(self):
         A = random_tall(40, 5, 3)
