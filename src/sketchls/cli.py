@@ -10,7 +10,8 @@ its stop columns are LSMR's iterations and last fresh ratio over the plateau.
 in d -> kind order, and the outputs list the cells in kind -> d order (then
 seed, for ``run``).  The cells run one after another on the calling thread.
 Each cell sketches only W = [Q u], Q the Q of A's pivoted QR and u the unit
-part of b orthogonal to it, takes one R-only QR SW = Q_s T, and reads eps,
+part of b orthogonal to it, factors SW = Q_s T with T the Cholesky factor
+of SW^T SW (a Householder R when SW is ill-conditioned), and reads eps,
 x_s, the bounds and both solves from the (n + 1) x n pair (M, T W^T b) with
 SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`).  A Gaussian
 cell's SW is a d x (n + 1) draw with the law of G W for a full Gaussian G,
@@ -342,8 +343,10 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
     W = [Q u] (``problem.span``), and the distortion eps of its sketch.
 
     SW = S W is :func:`embed.gaussian_span_sketch`'s draw, or S Q and S u
-    for S from :func:`embed.build_sketch`.  Q is untrimmed, so SA keeps all
-    n columns of A, and eps reads the basis columns of T, the R of SW.
+    for S from :func:`embed.build_sketch`, in a C-ordered SW whose Gram
+    BLAS reads in place.  Q is untrimmed, so SA keeps all n columns of A,
+    and eps reads the basis columns of T, the triangular factor of
+    SW = Q_s T (:func:`diagnostics.sketch_factor`).
     """
     A, span = problem.A, problem.span
     k = span.c_b.size
@@ -351,7 +354,7 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
         S, SW = None, embed.gaussian_span_sketch(d, A.rows, k, problem.seed)
     else:
         S = embed.build_sketch(kind, d, A.rows, problem.seed)
-        SW = np.empty((d, k), order="F")
+        SW = np.empty((d, k))
         SW[:, : A.cols] = embed.apply(S, A.qr_factor()[0])
         if span.u is not None:
             SW[:, A.cols] = embed.apply(S, span.u)

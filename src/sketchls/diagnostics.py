@@ -11,8 +11,9 @@ holds.  Two checks stay out of the suite and run only in the tests:
 
 The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
-:func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from a dense
-pivoted QR of (SA, Sb), and eps, in the CLI, from the cell's sketched basis
+:func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from
+triangular solves with a cell's factors (a dense pivoted QR of (SA, Sb) on
+the d-row reference), and eps, in the CLI, from the cell's sketched basis
 (:func:`sketchls.embed.exact_distortion` its reference).  The checks of one
 (problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
 the singular values of SA, the sketched minimizer and its residual once each.
@@ -34,7 +35,8 @@ import numpy as np
 import scipy.linalg
 
 from . import embed
-from .matio import LsOracle, MatrixHandle, qr_ls_solve
+from .matio import (LsOracle, MatrixHandle, _qr_solve, cond_estimate, gram_cholesky,
+                    qr_ls_solve)
 
 PASS_SLACK = 1e-10
 CONSISTENT_THRESHOLD = 1e-12
@@ -42,6 +44,10 @@ CONSISTENT_THRESHOLD = 1e-12
 # noise; the inequality holds to working precision (identity-double cases)
 NOISE_FLOOR_REL = 1e-12
 ETA_F_ROWS_GUARD = 2000
+# the largest condition estimate of a cell's T from the Gram of SW that is
+# used.  On 201-column sketches it reads 20-50 kappa_2(SW): 105-151 at
+# d = 2n, 755-860 at d = 1.2n (kappa_2 about 20), so u kappa_2^2 < 1e-12
+GRAM_COND_LIMIT = 1e3
 
 
 class BoundId(str, enum.Enum):
@@ -127,11 +133,12 @@ class SketchedProblem:
     ``SketchedProblem(A, b, S)`` applies S (:func:`sketchls.embed.apply`):
     the d-row reference.  A CLI cell gives SW = S W and c_b = W^T b instead,
     for W = [Q u] of :func:`sketchls.embed.span_coordinates`, whose span
-    holds A, b and every residual.  With the R-only QR SW = Q_s T, SA = Q_s M
-    for M[:, piv] = T[:, :n] R and S b = Q_s T c_b, so ``SA`` and ``Sb`` hold
-    the (n + 1) x n pair (M, T c_b), with SA's singular values, x_s and Krylov
-    steps, and S products are taken in Q_s coordinates.  ``d`` is S's row
-    count; ``S`` is None for a Gaussian cell.
+    holds A, b and every residual.  With SW = Q_s T, T the triangular factor
+    of :func:`sketch_factor`, SA = Q_s M for M[:, piv] = T[:, :n] R and
+    S b = Q_s T c_b, so ``SA`` and ``Sb`` hold the (n + 1) x n pair
+    (M, T c_b), with SA's singular values, x_s and Krylov steps, and S
+    products are taken in Q_s coordinates.  ``d`` is S's row count; ``S`` is
+    None for a Gaussian cell.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray,
@@ -144,8 +151,8 @@ class SketchedProblem:
         if SW is None:
             self.d = S.d
             return
-        self.d, k = SW.shape  # SW is overwritten
-        self.T = scipy.linalg.qr(SW, mode="r", overwrite_a=True, check_finite=False)[0][:k]
+        self.d = SW.shape[0]
+        self.T = sketch_factor(SW)
         self.c_b = c_b
         _, R, piv = A.qr_factor()
         self.SA = np.empty((self.T.shape[0], A.cols))
@@ -171,8 +178,16 @@ class SketchedProblem:
 
     @cached_property
     def x_s(self) -> np.ndarray:
-        """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of (SA, Sb)."""
-        return qr_ls_solve(self.SA, self.Sb)
+        """Exact minimizer of ||S(Ax - b)||, by dense pivoted QR of (SA, Sb)
+        on the d-row path.  A cell's M[:, piv] = [T11 R; 0] is triangular,
+        so x[piv] solves T11 R x[piv] = (T c_b)[:n], refined once against
+        M.  The rank check reads T_ii R_ii: its smallest over its largest is
+        at least 1 / kappa(M), so a raise means kappa(M) > 1 / RANK_TOL."""
+        if self.T is None:
+            return qr_ls_solve(self.SA, self.Sb)
+        n = self.A.cols
+        piv = self.A.qr_factor()[2]
+        return _qr_solve(lambda x: self.SA @ x, (None, self.SA[:n, piv], piv), self.Sb)
 
     @cached_property
     def r_s(self) -> np.ndarray:
@@ -211,6 +226,20 @@ class SketchedProblem:
         return out
 
 
+def sketch_factor(SW: np.ndarray) -> np.ndarray:
+    """Upper triangular T with SW = Q_s T, Q_s orthonormal: the Cholesky
+    factor of SW^T SW (BLAS-3), whose rounding is u kappa(SW)^2 against
+    Householder's u kappa(SW).  A cell's SW sketches an orthonormal W, so
+    kappa(SW)^2 = (1 + eps) / (1 - eps), 2-6 on every bench shape.  When the
+    Cholesky fails, or T's condition estimate is above
+    :data:`GRAM_COND_LIMIT`, T is the R of SW's Householder QR, which may
+    overwrite SW.  A C-ordered SW is read without a copy."""
+    T = gram_cholesky(SW.T)
+    if T is None or cond_estimate(T) > GRAM_COND_LIMIT:
+        T = scipy.linalg.qr(SW, mode="r", overwrite_a=True, check_finite=False)[0][: SW.shape[1]]
+    return T
+
+
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
     """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of the sketched pair."""
     return SketchedProblem(A, b, S).x_s
@@ -218,8 +247,10 @@ def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> n
 
 def check_geometric_preservation(P: SketchedProblem, y: np.ndarray,
                                  eps: float) -> BoundReport:
-    """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y."""
-    rnorm = float(np.linalg.norm(P.A.matvec(y) - P.b))
+    """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y; at
+    y = x_s, as the suite checks it, Ay - b is the residual ``P.r_s``."""
+    r = P.r_s if y is P.x_s else P.A.matvec(y) - P.b
+    rnorm = float(np.linalg.norm(r))
     if rnorm == 0.0:
         return _vacuous(BoundId.GEOM_PRESERVE, "zero residual at y")
     lhs = float(np.linalg.norm(P.geometric_defect(y)))

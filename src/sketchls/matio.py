@@ -6,17 +6,18 @@ A[:, piv] = Q R, the one factorization of A, and the extreme singular values,
 read from R.  Every matrix is densely factored: the QR holds an m-by-n Q, so
 it costs as much memory as a dense A, and the largest n allowed is the
 caller's to enforce.  The factor is formed once per matrix and serves every
-right-hand side.  A loaded matrix is factored by a pivoted QR of its m rows;
-a synthesized one, built as U diag(s) V^T, gets the same factor from an
-n-by-n pivoted QR of diag(s) V^T and the product Q = U Q2 (see
-:func:`synthesize_matrix`).
-A synthesized matrix's U and V are the orthonormal factors of Gaussian
-draws, taken by CholeskyQR2 (two passes of Cholesky of the Gram matrix and
-a triangular solve, all BLAS-3) in the draw's own buffer rather than by
-Householder QR, whose panel updates are BLAS-2 bound on a tall, thin draw.
-A draw too ill-conditioned for the plain Cholesky falls back to shifted
-CholeskyQR3.  R is taken with a positive diagonal, so U and V are Haar
-distributed.  A is then formed once, directly in the Fortran order the
+right-hand side.  It is built from A = Q1 R1, Q1 orthonormal, by an n-by-n
+pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2: a synthesized matrix, built as
+U diag(s) V^T, has Q1 = U (see :func:`synthesize_matrix`), and a loaded
+one gets Q1 and R1 from CholeskyQR2 (two passes of Cholesky of the Gram
+matrix and a triangular solve, all BLAS-3) of its densified copy, where
+Householder QR's panel updates are BLAS-2 bound on a tall, thin matrix.
+Only a loaded matrix that CholeskyQR2 rejects (rank deficient, or past
+:data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m rows.
+A synthesized matrix's U and V are the CholeskyQR2 factors of Gaussian
+draws, in the draw's own buffer.  A matrix too ill-conditioned for the
+plain Cholesky falls back to shifted CholeskyQR3.  R is taken with a
+positive diagonal, so U and V are Haar distributed.  A is then formed once, directly in the Fortran order the
 handle keeps, and U is kept without a copy: it becomes Q in place, and the
 tall bench workload (16000 x 100) peaks lowest that way.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
@@ -58,8 +59,13 @@ QrFactor = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # so every A the oracle rejects, the spectral data reject too.
 RANK_TOL = 1e-12
 
-# bytes of the row block of U Q2 formed at a time when a synthesized A's Q
-# is written into U's buffer
+# the largest condition estimate (cond_estimate) of a loaded A's CholeskyQR2
+# R1 that is used, about u^-1/2, plain CholeskyQR2's range; the m-row
+# Householder QR decides near the rank thresholds, as it always did
+CHOLQR_COND_LIMIT = 1e8
+
+# bytes of the row block of Q1 Q2 formed at a time when A's Q is written
+# into Q1's buffer
 _Q_BLOCK_BYTES = 1 << 20
 
 
@@ -175,14 +181,15 @@ class MatrixHandle:
         factor under the handle's lock, so it is built once however many
         threads ask.
 
-        A loaded matrix gets the factorization :func:`qr_ls_solve` computes
-        for a dense A.  A synthesized A = U diag(s) V^T instead gets the
-        pivoted QR diag(s) V^T[:, piv] = Q2 R of an n-by-n matrix, and
-        Q = U Q2, formed a row block at a time in U's own buffer (a row of
-        U Q2 reads only that row of U).  Then A[:, piv] = Q R in exact
-        arithmetic, and piv and R are those of a pivoted QR of A, since
-        column pivoting sees only A^T A = V diag(s)^2 V^T; Q and R agree
-        with the m-row factorization to rounding.
+        A = Q1 R1 with Q1 orthonormal is Q1 = U, R1 = diag(s) V^T for a
+        synthesized A = U diag(s) V^T, and :func:`_orthonormal_factor` of a
+        loaded A's densified copy, in that copy's buffer.  Then the n-by-n
+        pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, formed a row block at a
+        time in Q1's buffer (a row of Q1 Q2 reads only that row of Q1).
+        A[:, piv] = Q R in exact arithmetic, and piv and R are those of a
+        pivoted QR of A, since column pivoting sees only A^T A = R1^T R1; Q
+        and R agree with the m-row factorization to rounding.  A loaded A
+        that CholeskyQR2 rejects gets :func:`qr_ls_solve`'s m-row QR.
         """
         factor = self._qr_factor
         if factor is None:
@@ -197,19 +204,28 @@ class MatrixHandle:
 
     def _factor(self) -> QrFactor:
         """The pivoted QR of :meth:`qr_factor`; call once, under the lock."""
-        if self._svd is None:
-            return scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
-        U, s, V = self._svd
-        self._svd = None
-        Q2, R, piv = scipy.linalg.qr(s[:, None] * V.T, mode="economic", pivoting=True)
-        step = max(1, _Q_BLOCK_BYTES // U[0].nbytes)
+        if self._svd is not None:
+            Q, s, V = self._svd
+            self._svd = None
+            R1 = s[:, None] * V.T
+        else:
+            try:
+                Q, R1 = _orthonormal_factor(
+                    self.dense() if self.is_sparse else np.array(self._dense, order="C"),
+                    max_cond=CHOLQR_COND_LIMIT)
+            except np.linalg.LinAlgError:
+                Q = None
+            if Q is None:  # outside the handler, so the rejected buffer is freed
+                return scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+        Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
+        step = max(1, _Q_BLOCK_BYTES // Q[0].nbytes)
         block = np.empty((min(self.rows, step), self.cols))
         for start in range(0, self.rows, step):
-            rows = U[start:start + step]
+            rows = Q[start:start + step]
             out = block[: rows.shape[0]]
             np.matmul(rows, Q2, out=out)
             rows[...] = out
-        return U, R, piv
+        return Q, R, piv
 
 
 @dataclass
@@ -436,16 +452,17 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     if not (math.isfinite(cond) and cond >= 1):
         raise ValueError("cond must be finite and >= 1")
     gen = stream(seed, "synthmat", m, n)
-    U = _orthonormal_factor(gen.standard_normal((m, n)))
-    V = _orthonormal_factor(gen.standard_normal((n, n)))
+    U = _orthonormal_factor(gen.standard_normal((m, n)))[0]
+    V = _orthonormal_factor(gen.standard_normal((n, n)))[0]
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
     A = MatrixHandle(((V * s) @ U.T).T)
     A._svd = (U, s, V)
     return A
 
 
-def _orthonormal_factor(G: np.ndarray) -> np.ndarray:
-    """Q of G = Q R with a positive R diagonal, by CholeskyQR2 in G's buffer.
+def _orthonormal_factor(G: np.ndarray, max_cond: float = math.inf
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of G = Q R with a positive R diagonal, by CholeskyQR2 in G's buffer.
 
     A pass forms C = X^T X (SYRK), its Cholesky factor C = R^T R and
     X <- X R^-1 (TRSM): BLAS-3 work throughout, where Householder QR of a
@@ -454,37 +471,58 @@ def _orthonormal_factor(G: np.ndarray) -> np.ndarray:
     Nakatsukasa, Yanagisawa & Yamamoto, SISC 2020).  Above that the first
     Cholesky fails before G is written, and shifted CholeskyQR3 runs
     instead: a first pass on C + s I, s = 11 (mn + n(n+1)) u ||G||_F^2,
-    then the two plain passes; it holds to kappa(G) of about 1e12.  Each
-    pass's R has a positive diagonal, so the product R does too, and Q of a
-    Gaussian G is Haar distributed (Mezzadri, Notices AMS 2007).  G is
-    overwritten and returned when it is C-ordered float64, as a draw is.
-    Raises LinAlgError when G is numerically rank deficient.
+    then the two plain passes; it holds to kappa(G) of about 1e12.  R is
+    the product of the passes' factors, each with a positive diagonal, so R
+    has one too, and Q of a Gaussian G is Haar distributed (Mezzadri,
+    Notices AMS 2007).  G is overwritten and returned as Q when it is
+    C-ordered float64, as a draw is.  Raises LinAlgError when G is
+    numerically rank deficient, or when R's :func:`cond_estimate` is above
+    ``max_cond``.
     """
     G = np.ascontiguousarray(G, dtype=np.float64)
     m, n = G.shape
     Gt = G.T  # Fortran-ordered view, so BLAS works in G's buffer
-    if _cholesky_qr_pass(Gt, 0.0):
+    R = _cholesky_qr_pass(Gt, 0.0)
+    if R is not None:
         shifts = (0.0,)
     else:
         shifts = (11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps, 0.0, 0.0)
     for shift in shifts:
-        if not _cholesky_qr_pass(Gt, shift):
+        R_pass = _cholesky_qr_pass(Gt, shift)
+        if R_pass is None:
             raise np.linalg.LinAlgError("CholeskyQR: matrix is numerically rank deficient")
-    return G
+        R = R_pass if R is None else R_pass @ R
+    if max_cond < math.inf and cond_estimate(R) > max_cond:
+        raise np.linalg.LinAlgError("CholeskyQR: condition estimate above the limit")
+    return G, R
 
 
-def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> bool:
-    """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with
-    R^T R = X^T X + shift * trace(X^T X) I.  Returns False, with X
-    untouched, when the Cholesky fails.  Xt must be Fortran-ordered."""
+def gram_cholesky(Xt: np.ndarray, shift: float = 0.0) -> Optional[np.ndarray]:
+    """Upper triangular R, R_ii > 0, with R^T R = X^T X + shift *
+    trace(X^T X) I for X = Xt^T, by SYRK and POTRF, or None when the
+    Cholesky fails.  A Fortran-ordered Xt is read without a copy."""
     C = scipy.linalg.blas.dsyrk(1.0, Xt)
     if shift:
         C[np.diag_indices_from(C)] += shift * np.trace(C)
     R, info = scipy.linalg.lapack.dpotrf(C, overwrite_a=True)
-    if info != 0:
-        return False
-    scipy.linalg.blas.dtrsm(1.0, R, Xt, trans_a=True, overwrite_b=True)
-    return True
+    return R if info == 0 else None
+
+
+def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> Optional[np.ndarray]:
+    """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with R from
+    :func:`gram_cholesky`, returned.  Returns None, with X untouched, when
+    the Cholesky fails.  Xt must be Fortran-ordered."""
+    R = gram_cholesky(Xt, shift)
+    if R is not None:
+        scipy.linalg.blas.dtrsm(1.0, R, Xt, trans_a=True, overwrite_b=True)
+    return R
+
+
+def cond_estimate(R: np.ndarray) -> float:
+    """LAPACK's estimate (dtrcon) of the 1-norm condition number of an upper
+    triangular R, in O(n^2); inf when R is singular."""
+    rcond, _ = scipy.linalg.lapack.dtrcon(R, norm="1", uplo="U", diag="N")
+    return 1.0 / rcond if rcond > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +530,10 @@ def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> bool:
 
 def _qr_solve(matvec, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
     """Least-squares solve of M x = rhs from the pivoted QR ``(Q, R, piv)``
-    of M, refined once by ``matvec(x) = M @ x``.  Raises :class:`RankDeficiencyError`
-    when the smallest R diagonal is below :data:`RANK_TOL` of the largest."""
+    of M, refined once by ``matvec(x) = M @ x``; Q None stands for the
+    first n columns of the identity, for M[:, piv] = [R; 0].  Raises
+    :class:`RankDeficiencyError` when the smallest R diagonal is below
+    :data:`RANK_TOL` of the largest."""
     Q, R, piv = factor
     diag = np.abs(np.diag(R))
     scale = diag.max() if diag.size else 0.0
@@ -502,7 +542,8 @@ def _qr_solve(matvec, factor: QrFactor, rhs: np.ndarray) -> np.ndarray:
             f"rank deficiency: smallest R diagonal {diag.min():.3e} vs scale {scale:.3e}")
 
     def solve_once(v):
-        y = scipy.linalg.solve_triangular(R, Q.T @ v, lower=False)
+        y = scipy.linalg.solve_triangular(R, v[: R.shape[0]] if Q is None else Q.T @ v,
+                                          lower=False)
         x = np.empty_like(y)
         x[piv] = y
         return x
@@ -537,10 +578,12 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
 
     The cached column-pivoted QR of A (:meth:`MatrixHandle.qr_factor`), refined
     once by :meth:`MatrixHandle.matvec`: each b costs two triangular solves,
-    not a factorization, and a CSR A is not densified.  For a loaded dense A
-    it is bit for bit ``qr_ls_solve(A.dense(), b)``; a synthesized A's factor
-    and a CSR A's sparse product agree with that to rounding.  The returned
-    residual satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
+    not a factorization, and a CSR A is not densified.  It is bit for bit
+    ``_qr_solve(A.matvec, F, b)`` for F a fresh factor of the same A, and
+    agrees with ``qr_ls_solve(A.dense(), b)``, the Householder QR of A's m
+    rows, to rounding; for a loaded dense A that CholeskyQR rejects it is
+    bit for bit that.  The returned residual satisfies
+    ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
     b = as_rhs(A, b)
     x = _qr_solve(A.matvec, A.qr_factor(), b)

@@ -2,6 +2,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchls import embed
 from sketchls.embed import GaussianPayload, SketchKind, SketchOperator, SparsePayload
@@ -15,6 +16,17 @@ DATA_DIR_CANDIDATES = ("data", "tests/data")
 def random_tall(m: int, n: int, seed: int) -> MatrixHandle:
     """Unstructured dense tall matrix; condition number stays modest."""
     return MatrixHandle(stream(seed, "tall", m, n).standard_normal((m, n)))
+
+
+def householder_handle(data) -> MatrixHandle:
+    """A handle of ``data`` whose cached factor is the Householder pivoted
+    QR of its m rows, the slow oracle of ``MatrixHandle.qr_factor``."""
+    A = MatrixHandle(data)
+    factor = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+    for arr in factor:
+        arr.setflags(write=False)
+    A._qr_factor = factor
+    return A
 
 
 def random_rhs(m: int, seed: int) -> np.ndarray:

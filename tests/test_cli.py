@@ -195,11 +195,14 @@ class TestConfigParsing:
 
 
 def count_factorizations(monkeypatch) -> Counter:
-    """Count ``scipy.linalg.qr`` calls by (pivoting, operand shape) and
-    ``scipy.linalg.svd`` calls by operand shape, under keys ``("qr",
-    pivoting, shape)`` and ``("svd", None, shape)``."""
+    """Count ``scipy.linalg.qr`` calls by (pivoting, operand shape),
+    ``scipy.linalg.svd`` calls by operand shape, and the Gram and Cholesky
+    kernels by the shape of X in C = X^T X and of C, under keys ``("qr",
+    pivoting, shape)``, ``("svd", None, shape)``, ``("syrk", None, shape)``
+    and ``("potrf", None, shape)``."""
     shapes = Counter()
     real_qr, real_svd = scipy.linalg.qr, scipy.linalg.svd
+    real_syrk, real_potrf = scipy.linalg.blas.dsyrk, scipy.linalg.lapack.dpotrf
 
     def counting_qr(a, *args, pivoting=False, **kwargs):
         shapes["qr", pivoting, a.shape] += 1
@@ -209,24 +212,36 @@ def count_factorizations(monkeypatch) -> Counter:
         shapes["svd", None, a.shape] += 1
         return real_svd(a, *args, **kwargs)
 
+    def counting_syrk(alpha, a, *args, trans=0, **kwargs):
+        shapes["syrk", None, a.shape if trans else a.shape[::-1]] += 1
+        return real_syrk(alpha, a, *args, trans=trans, **kwargs)
+
+    def counting_potrf(c, *args, **kwargs):
+        shapes["potrf", None, c.shape] += 1
+        return real_potrf(c, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
     monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    monkeypatch.setattr(scipy.linalg.blas, "dsyrk", counting_syrk)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counting_potrf)
     return shapes
 
 
 def qr_counts(shapes: Counter, rows: int, cols: int) -> dict:
-    """The m-row QR counts, pivoted and not, and the n-by-n pivoted QR count
-    of an m-by-n A, from :func:`count_factorizations`."""
+    """The m-row QR counts, pivoted and not, the n-by-n pivoted QR count and
+    the m-row Gram count of an m-by-n A, from :func:`count_factorizations`."""
     return {"pivoted": shapes["qr", True, (rows, cols)],
             "unpivoted": shapes["qr", False, (rows, cols)],
-            "n-by-n pivoted": shapes["qr", True, (cols, cols)]}
+            "n-by-n pivoted": shapes["qr", True, (cols, cols)],
+            "m-row syrk": shapes["syrk", None, (rows, cols)]}
 
 
-# A synthesized A is factored from its synthesis SVD: no QR of its m rows,
-# one pivoted QR of the n-by-n diag(s) V^T.  A loaded A gets one pivoted QR
-# of its m rows.
-SYNTHETIC_QRS = {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1}
-LOADED_QRS = {"pivoted": 1, "unpivoted": 0, "n-by-n pivoted": 0}
+# A synthesized A is factored from its synthesis SVD, a loaded one from the
+# CholeskyQR2 of its m rows: no QR of its m rows, and one pivoted QR of an
+# n-by-n matrix.  The two m-row Grams are the CholeskyQR2 passes, of the
+# draw that becomes U for a synthesized A and of A's densified copy for a
+# loaded one.
+A_FACTOR_COUNTS = {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1, "m-row syrk": 2}
 
 
 def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
@@ -318,30 +333,30 @@ class TestRunExperiment:
 
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
         # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch, never
-        # sketches A, and takes one SVD and one solve of the 7 x 6 M that
-        # stands for SA (SA = Q_s M); no SVD or solve sees 24 rows
-        applied, shapes = Counter(), Counter()
-        real_apply, real_svd = embed.apply, scipy.linalg.svd
+        # sketches A, takes one Gram of its 24 x 7 SW (one T), and one SVD
+        # and one triangular solve of the 7 x 6 M that stands for SA
+        # (SA = Q_s M); no SVD, QR or solve sees 24 rows
+        applied = Counter()
+        real_apply = embed.apply
 
         def counting_apply(S, X):
             applied[S.kind.value, S.seed, isinstance(X, MatrixHandle)] += 1
             return real_apply(S, X)
 
-        def counting_svd(a, *args, **kwargs):
-            shapes["svd", a.shape] += 1
-            return real_svd(a, *args, **kwargs)
-
-        def counting_solve(real):
-            def solve(M, rhs, *args, **kwargs):
-                shapes["qr_ls_solve", M.shape] += 1
-                return real(M, rhs, *args, **kwargs)
+        def counting_solve(name, real):
+            def solve(*args):
+                shapes[name, args[-1].shape] += 1
+                return real(*args)
             return solve
 
         made = record_sketches(monkeypatch)
+        shapes = count_factorizations(monkeypatch)
         monkeypatch.setattr(embed, "apply", counting_apply)
-        monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
         for module in (diagnostics, matio):
-            monkeypatch.setattr(module, "qr_ls_solve", counting_solve(module.qr_ls_solve))
+            monkeypatch.setattr(module, "qr_ls_solve",
+                                counting_solve("qr_ls_solve", module.qr_ls_solve))
+        monkeypatch.setattr(diagnostics, "_qr_solve",
+                            counting_solve("_qr_solve", diagnostics._qr_solve))
         config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
             "kind = gaussian", "kind = gaussian,srht,sparse"))
         assert run_experiment(config) == EXIT_OK
@@ -349,9 +364,12 @@ class TestRunExperiment:
         assert Counter((kind, seed) for kind, _, seed in made) == dict.fromkeys(pairs, 1)
         # S Q and S u for SRHT and sparse; a Gaussian cell applies nothing
         assert applied == {(kind, seed, False): 2 for kind, seed in pairs if kind != "gaussian"}
-        assert shapes["svd", (7, 6)] == 6
-        assert shapes["qr_ls_solve", (7, 6)] == 6
-        assert not [shape for key, shape in shapes if shape[0] == 24]
+        assert shapes["syrk", None, (24, 7)] == 6
+        assert shapes["svd", None, (7, 6)] == 6
+        # x_s's solve, by the 7-entry T c_b
+        assert shapes["_qr_solve", (7,)] == 6
+        assert not [key for key in shapes if key[0] == "qr_ls_solve"]
+        assert not [key for key in shapes if key[0] != "syrk" and key[-1][0] == 24]
 
     def test_basis_and_oracle_once_per_seed(self, tmp_path, monkeypatch):
         basis_calls, oracle_calls = [], []
@@ -376,7 +394,7 @@ class TestRunExperiment:
     def test_one_pivoted_qr_of_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
         # 3 kinds x 2 seeds share one factorization of the 120 x 6 A (every
         # oracle, basis, spectral datum and observer factor comes from it);
-        # no SVD sees an operand with m rows
+        # no SVD sees an operand with m rows, and no QR a cell's operands
         self.check_factorizations(tmp_path, monkeypatch, loaded=False)
 
     def test_one_pivoted_qr_of_loaded_A_and_no_m_row_svd(self, tmp_path, monkeypatch):
@@ -392,8 +410,12 @@ class TestRunExperiment:
         config = parse_config(text)
         shapes = count_factorizations(monkeypatch)
         assert run_experiment(config) == EXIT_OK
-        assert qr_counts(shapes, 120, 6) == (LOADED_QRS if loaded else SYNTHETIC_QRS)
+        assert qr_counts(shapes, 120, 6) == A_FACTOR_COUNTS
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] == 120]
+        # each of the 6 cells takes one Gram of its 24 x 7 SW, and no QR of
+        # SW or of its 7 x 6 M
+        assert shapes["syrk", None, (24, 7)] == 6
+        assert not [key for key in shapes if key[0] == "qr" and key[2] in ((24, 7), (7, 6))]
 
     def test_row_order_kind_d_seed(self, tmp_path):
         config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
@@ -457,6 +479,15 @@ def sketch_basis(P: diagnostics.SketchedProblem, SW: np.ndarray) -> np.ndarray:
     reference SW = S W: the cell's SA stands for Q_s SA and its S r for
     Q_s P.sketch(r)."""
     return scipy.linalg.solve_triangular(P.T, SW.T, trans="T").T
+
+
+def cell_sketch(problem, kind: embed.SketchKind, P: diagnostics.SketchedProblem) -> np.ndarray:
+    """The SW = S W of the cell ``P``, as the cell forms it: the Gaussian
+    draw Z, or [S Q, S u] for the cell's own S."""
+    A, k = problem.A, problem.span.c_b.size
+    if kind is embed.SketchKind.GAUSSIAN:
+        return embed.gaussian_span_sketch(P.d, A.rows, k, problem.seed)
+    return np.column_stack([embed.apply(P.S, A.qr_factor()[0]), embed.apply(P.S, problem.span.u)])
 
 
 SLOW_ORACLE_SOURCES = ["synthetic", "loaded", "rank-trimmed"]
@@ -547,17 +578,83 @@ class TestSketchCell:
                 # SA's rank floor is max(d, n) on both, not the k rows of M
                 assert (mine.passed, mine.note) == (ref.passed, ref.note)
 
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
+    def test_T_from_the_gram_is_the_householder_R(self, source, kind, monkeypatch):
+        # T, the Cholesky factor of SW^T SW, against the R of SW's
+        # Householder QR, the slow oracle: equal up to row signs, and so
+        # are their singular values, to 10 u relative.  No cell here is
+        # ill-conditioned enough for the fallback
+        shapes = count_factorizations(monkeypatch)
+        problem, P, _, _ = slow_oracle_cell(source, kind)
+        assert not [key for key in shapes if key[0] == "qr" and key[2][0] == P.d]
+        assert shapes["syrk", None, (P.d, P.T.shape[1])] == 1
+        SW = cell_sketch(problem, kind, P)
+        assert np.array_equal(diagnostics.sketch_factor(SW.copy()), P.T)
+        R = scipy.linalg.qr(SW, mode="r")[0][: SW.shape[1]]
+        assert np.all(np.diag(P.T) > 0)
+        tol = 10 * np.finfo(np.float64).eps
+        signs = np.sign(np.diag(R))
+        assert np.linalg.norm(signs[:, None] * R - P.T) <= tol * np.linalg.norm(R)
+        sv, sv_ref = (scipy.linalg.svd(X, compute_uv=False) for X in (P.T, R))
+        assert np.max(np.abs(sv - sv_ref)) <= tol * sv_ref[0]
+
+    @pytest.mark.parametrize("case", ["repeated column", "fewer rows than columns",
+                                      "kappa about 1e5"])
+    def test_ill_conditioned_sketch_takes_the_householder_R(self, case):
+        # the first two fail the Cholesky; the third passes it, and its
+        # condition estimate is above GRAM_COND_LIMIT
+        SW = stream(0, "rank-losing", 40, 7).standard_normal((40, 7))
+        if case == "repeated column":
+            SW[:, 5] = SW[:, 2]
+        elif case == "fewer rows than columns":
+            SW = SW[:6]
+        else:
+            SW[:, 5] = SW[:, 2] + 1e-5 * SW[:, 5]
+            assert matio.gram_cholesky(SW.T.copy()) is not None
+        T = diagnostics.sketch_factor(SW.copy())
+        assert np.array_equal(T, scipy.linalg.qr(SW, mode="r")[0][:7])
+
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
+    def test_triangular_x_s_is_the_qr_solve_of_the_pair(self, source, kind):
+        # x_s from T11 R, the triangular top of M, against the slow oracle
+        # qr_ls_solve(M, T c_b); tolerances as in
+        # test_cell_matches_the_d_row_problem
+        _, P, _, _ = slow_oracle_cell(source, kind)
+        ref = matio.qr_ls_solve(P.SA, P.Sb)
+        x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
+        assert np.linalg.norm(P.x_s - ref) <= x_tol * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["weak column of A", "near-repeated column of SW"])
+    def test_near_singular_pair_raises(self, case):
+        # M = [T11 R; 0] is near singular through R (A's columns have norms
+        # 1 and 1e-13, below RANK_TOL) or through T (two columns of SW agree
+        # to 1e-14, so T comes from the Householder fallback); the slow
+        # oracle raises too
+        U, _ = np.linalg.qr(stream(5, "near-singular", 200).standard_normal((200, 2)))
+        A = MatrixHandle(U * np.array([1.0, 1e-13 if case == "weak column of A" else 0.5]))
+        b = stream(5, "near-singular-b", 200).standard_normal(200)
+        span = embed.span_coordinates(A, b)
+        SW = stream(5, "near-singular-SW", 20, 3).standard_normal((20, 3))
+        if case == "near-repeated column of SW":
+            SW[:, 1] = SW[:, 0] + 1e-14 * SW[:, 2]
+        P = diagnostics.SketchedProblem(A, b, SW=SW, c_b=span.c_b)
+        for solve in (lambda: P.x_s, lambda: matio.qr_ls_solve(P.SA, P.Sb)):
+            with pytest.raises(matio.RankDeficiencyError, match="rank deficiency"):
+                solve()
+
     @pytest.mark.parametrize("rho", [1e-3, 1.0])
     def test_gaussian_cell_is_a_full_gaussian_on_the_span(self, rho):
-        # SW is the draw Z, and the full Gaussian S~ = Z W^T + G (I - W W^T)
-        # (any G) has S~ W = Z: it gives the cell's SA and Sb, and every
-        # product the bound suite takes, S r_ls and A^T (S^T S - I) r_s, to
-        # rounding
+        # SW is the draw Z (T is Z's triangular factor), and the full
+        # Gaussian S~ = Z W^T + G (I - W W^T) (any G) has S~ W = Z: it
+        # gives the cell's SA and Sb, and every product the bound suite
+        # takes, S r_ls and A^T (S^T S - I) r_s, to rounding
         A = MatrixSource("s", synthetic=(300, 6, 20)).load()
         problem = cli.SeedProblem(A, 4, rho)
         P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
         Z = embed.gaussian_span_sketch(40, 300, 7, 4)
-        assert np.array_equal(P.T, scipy.linalg.qr(Z, mode="r")[0][:7])
+        assert np.array_equal(P.T, diagnostics.sketch_factor(Z))
         full = d_row_sketch(problem, embed.SketchKind.GAUSSIAN, 40).payload.matrix
         Q_s = sketch_basis(P, full @ span_matrix(problem))
         dense, r_ls, r_s = A.dense(), problem.oracle.r_ls, P.r_s
@@ -845,20 +942,22 @@ class TestSweep:
                        for kind in ("gaussian", "sparse") for d in ("8", "40")]
 
     def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
-        # a synthesized and a loaded source, each factored once: the first
-        # by its n-by-n diag(s) V^T, the second by its m rows; and each cell
-        # (2 sources x 2 kinds x 2 seeds) takes one R-only QR of its d-by-k
-        # SW and one pivoted QR of its k-by-n M, for its x_s
+        # a synthesized and a loaded source, each factored once, by one
+        # pivoted QR of an n-by-n matrix: diag(s) V^T, or the R of the
+        # loaded A's CholeskyQR2 (two Grams of its m rows); and each cell
+        # (2 sources x 2 kinds x 2 seeds) takes one Gram of its d-by-k SW
+        # and its Cholesky, and no QR of SW or of its k-by-n M
         config = parse_config("synthetic = 120,4,10\n"
                               f"matrix = {save_synthetic(tmp_path, 100, 4, 10)}\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
                               f"output_dir = {tmp_path / 'out'}\n")
         shapes = count_factorizations(monkeypatch)
         assert sweep_d(config, "8,40") == EXIT_OK
-        assert {key: n for key, n in shapes.items() if key[:2] == ("qr", True)} == {
-            ("qr", True, (4, 4)): 1, ("qr", True, (100, 4)): 1, ("qr", True, (5, 4)): 16}
-        assert shapes["qr", False, (8, 5)] == shapes["qr", False, (40, 5)] == 8
-        assert shapes["qr", False, (120, 4)] == shapes["qr", False, (100, 4)] == 0
+        assert {key: n for key, n in shapes.items() if key[0] == "qr"} == {
+            ("qr", True, (4, 4)): 2}
+        assert shapes["syrk", None, (8, 5)] == shapes["syrk", None, (40, 5)] == 8
+        assert shapes["potrf", None, (5, 5)] == 16
+        assert shapes["syrk", None, (100, 4)] == 2
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
 
     def test_A_products_fixed_per_seed(self, tmp_path, monkeypatch):
@@ -1002,17 +1101,21 @@ class TestMain:
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
 
     def test_check_one_pivoted_qr_of_A(self, monkeypatch):
-        shapes = count_factorizations(monkeypatch)
-        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
-                     "--seed", "1", "--d-mult", "16"]) == EXIT_OK
-        assert qr_counts(shapes, 200, 4) == SYNTHETIC_QRS
+        self.check_factorizations(monkeypatch, ["--synthetic", "200,4,10"])
 
     def test_check_one_pivoted_qr_of_loaded_A(self, tmp_path, monkeypatch):
-        path = save_synthetic(tmp_path, 200, 4, 10)
+        self.check_factorizations(monkeypatch,
+                                  ["--matrix", str(save_synthetic(tmp_path, 200, 4, 10))])
+
+    @staticmethod
+    def check_factorizations(monkeypatch, source: list):
         shapes = count_factorizations(monkeypatch)
-        assert main(["check", "--matrix", str(path), "--kind", "sparse",
-                     "--seed", "1", "--d-mult", "16"]) == EXIT_OK
-        assert qr_counts(shapes, 200, 4) == LOADED_QRS
+        assert main(["check", *source, "--kind", "sparse", "--seed", "1",
+                     "--d-mult", "16"]) == EXIT_OK
+        assert qr_counts(shapes, 200, 4) == A_FACTOR_COUNTS
+        # the cell: one Gram of its 64 x 5 SW, and no QR of SW or of M
+        assert shapes["syrk", None, (64, 5)] == 1
+        assert not [key for key in shapes if key[0] == "qr" and key[2] in ((64, 5), (5, 4))]
 
     @pytest.mark.parametrize("spec", ["200,10", "200,x,10"])
     def test_check_bad_synthetic_spec(self, capsys, spec):

@@ -12,7 +12,7 @@ from sketchls.diagnostics import (BoundId, BoundReport, SketchedProblem, _report
                                   check_residual_bounds, check_solution_error,
                                   compute_eta_f, direction_bound,
                                   e1_minimizer_gap,
-                                  run_bound_suite, sandwich_multiplier,
+                                  run_bound_suite, sandwich_multiplier, sketch_factor,
                                   solve_sketched, write_bound_reports)
 from sketchls.embed import build_sketch, exact_distortion
 from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesize_matrix, \
@@ -38,21 +38,23 @@ class TestSketchedProblem:
         assert np.array_equal(solve_sketched(A, b, S), expect)
 
     def test_given_products_are_used(self, monkeypatch):
-        # given SW = S [Q u], the problem is the (n + 1) x n pair of its R
-        # and S is never applied again, not even for S r or A^T S^T S r
+        # given SW = S [Q u], the problem is the (n + 1) x n pair of its
+        # triangular factor T and S is never applied again, not even for
+        # S r or A^T S^T S r
         A, b, oracle = build_instance()
         span = embed.span_coordinates(A, b)
         Q, R, piv = A.qr_factor()
         S = build_sketch("gaussian", 64, 300, 7)
         SW = np.column_stack([embed.apply(S, Q), embed.apply(S, span.u)])
-        T = scipy.linalg.qr(SW, mode="r")[0][:5]
+        T = sketch_factor(SW.copy())
         monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
         monkeypatch.setattr(embed, "apply_adjoint", None)
         P = SketchedProblem(A, b, SW=SW.copy(), c_b=span.c_b)
         assert np.array_equal(P.T, T) and P.d == 64
         assert np.array_equal(P.SA[:, piv], T[:, :4] @ R)
         assert np.array_equal(P.Sb, T @ span.c_b)
-        assert np.array_equal(P.x_s, qr_ls_solve(P.SA, P.Sb))
+        x_ref = qr_ls_solve(P.SA, P.Sb)
+        assert np.linalg.norm(P.x_s - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
         run_bound_suite(P, oracle, 0.5)
 
     def test_acute_reads_cached_singular_values(self, monkeypatch):
@@ -104,6 +106,21 @@ class TestGeometricPreservation:
         cross = np.linalg.norm(SA.T @ embed.apply(S, oracle.r_ls))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
         assert rep.passed
+
+    def test_reads_r_s_at_x_s(self, monkeypatch):
+        # at y = x_s the residual is P.r_s, formed once; any other y, here
+        # a copy of x_s, forms A y - b itself, to the same bits.  A cell's
+        # coordinates take no other product with A
+        A, b, _ = build_instance()
+        S = build_sketch("sparse", 64, 300, 5)
+        eps = exact_distortion(S, A, b).epsilon
+        span = embed.span_coordinates(A, b)
+        SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
+        P = SketchedProblem(A, b, SW=SW, c_b=span.c_b)
+        P.r_s
+        at_copy = check_geometric_preservation(P, P.x_s.copy(), eps)
+        monkeypatch.setattr(MatrixHandle, "matvec", None)
+        assert check_geometric_preservation(P, P.x_s, eps) == at_copy
 
     def test_zero_residual_vacuous(self):
         A = random_tall(20, 2, 1)
@@ -393,10 +410,10 @@ class TestPinvPerturbation:
 
 class TestSuite:
     def test_residual_formed_once(self, monkeypatch):
-        # every check of the pair shares r_s = A x_s - b and ||A^T r_s||; the
-        # geometric check forms its own residual at its y.  The d-row
-        # reference forms A y - b again to sketch it, A^T w, and S r_ls from
-        # A x_ls - b; a cell's coordinates take no product with A for these
+        # every check of the pair shares r_s = A x_s - b and ||A^T r_s||,
+        # the geometric check too, at y = x_s.  The d-row reference forms
+        # A x_s - b again to sketch it, A^T w, and S r_ls from A x_ls - b; a
+        # cell's coordinates take no product with A for these
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
         eps = exact_distortion(S, A, b).epsilon
@@ -409,10 +426,10 @@ class TestSuite:
                 return real(self, v)
             monkeypatch.setattr(MatrixHandle, name, counting)
         run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
-        assert calls == {"matvec": 4, "rmatvec": 2}
+        assert calls == {"matvec": 3, "rmatvec": 2}
         calls.clear()
         run_bound_suite(SketchedProblem(A, b, SW=SW, c_b=span.c_b), oracle, eps)
-        assert calls == {"matvec": 2, "rmatvec": 1}
+        assert calls == {"matvec": 1, "rmatvec": 1}
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from sketchls import cli
+from sketchls import cli, diagnostics
 from sketchls.embed import (GaussianPayload, SketchKind, SparsePayload, SketchOperator,
                             apply, apply_adjoint, basis_distortion, build_sketch,
                             exact_distortion, fwht, gaussian_span_sketch, materialize,
@@ -284,8 +284,8 @@ class TestSketchOperands:
     @pytest.mark.parametrize("d", BLOCK_DS)
     def test_bit_equal_to_build_then_apply(self, kind, d):
         # the cell's SW is [S Q, S u] for build_sketch's S, or for the
-        # Gaussian kind the span draw Z; T is the R of that SW, and Sb and
-        # SA are T c_b and T[:, :n] R P^T
+        # Gaussian kind the span draw Z; T is the triangular factor of that
+        # SW, and Sb and SA are T c_b and T[:, :n] R P^T
         A = random_tall(300, 7, 3)
         problem = cli.SeedProblem(A, 11, 1e-3)
         P, _ = cli._sketch_cell(problem, kind, d)
@@ -298,7 +298,7 @@ class TestSketchOperands:
             assert (P.S.kind, P.S.d, P.S.m, P.S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
             assert np.array_equal(materialize(P.S), materialize(ref))
             SW = np.column_stack([apply(ref, Q), apply(ref, problem.span.u)])
-        T = scipy.linalg.qr(SW, mode="r")[0][:8]
+        T = diagnostics.sketch_factor(SW)
         assert np.array_equal(P.T, T)
         assert np.array_equal(P.Sb, T @ problem.span.c_b)
         assert np.array_equal(P.SA[:, piv], T[:, :7] @ R)

@@ -15,7 +15,7 @@ from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError
                             spectral_norms, synthesize_matrix, synthesize_problem)
 from sketchls.rng import stream
 
-from conftest import random_tall
+from conftest import householder_handle, random_tall
 
 
 def write(tmp_path, name, text):
@@ -327,14 +327,19 @@ class TestSynthesis:
             synthesize_matrix(100, 5, cond, 0)
 
 
-def assert_positive_q_factor(Q, G):
-    """Q has orthonormal columns, and Q^T G is upper triangular with a
-    positive diagonal, to rounding: Q is the Q of G = Q R with R_ii > 0."""
+def assert_positive_q_factor(factor, G):
+    """``factor`` is (Q, R) of G = Q R with R_ii > 0, to rounding: Q has
+    orthonormal columns, Q^T G is upper triangular with a positive
+    diagonal, and R is upper triangular with a positive diagonal and
+    reproduces G."""
+    Q, R = factor
     n = G.shape[1]
     assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-14
-    R = Q.T @ G
-    assert np.linalg.norm(np.tril(R, -1)) <= 1e-14 * np.linalg.norm(G)
-    assert np.all(np.diag(R) > 0)
+    QtG = Q.T @ G
+    assert np.linalg.norm(np.tril(QtG, -1)) <= 1e-14 * np.linalg.norm(G)
+    assert np.all(np.diag(QtG) > 0)
+    assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0)
+    assert np.linalg.norm(G - Q @ R) <= 1e-14 * np.linalg.norm(G)
 
 
 def conditioned(m, n, cond, seed):
@@ -364,8 +369,7 @@ class TestOrthonormalFactor:
     @pytest.mark.parametrize("shape", [(16000, 100), (2000, 100), (40, 40), (5, 1), (1, 1)])
     def test_gaussian(self, shape, shifts):
         G = stream(0, "test-cholqr", *shape).standard_normal(shape)
-        Q = matio._orthonormal_factor(G.copy())
-        assert_positive_q_factor(Q, G)
+        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
         assert shifts == [0.0, 0.0]
 
     def test_householder_convention_differs(self):
@@ -375,7 +379,7 @@ class TestOrthonormalFactor:
 
     def test_written_in_the_draws_buffer(self):
         G = stream(2, "test-cholqr").standard_normal((300, 20))
-        assert matio._orthonormal_factor(G) is G
+        assert matio._orthonormal_factor(G)[0] is G
 
     def test_plain_path_at_cond_1e7(self, shifts):
         G = conditioned(2000, 100, 1e7, 0)
@@ -431,21 +435,17 @@ class TestOracle:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_cached_factor_matches_fresh_solve(self, sparse):
         # one factorization of A serves every b, bit for bit the solve that
-        # factors A afresh for each one and refines through the same product
-        # with A: qr_ls_solve's dense A @ x is A.matvec for a dense A, while a
-        # CSR A refines through its sparse product
+        # factors A afresh for each one, in a new handle of the same data,
+        # and refines through the same product with A
         dense = random_tall(80, 7, 3).dense()
         if sparse:
             dense = dense * (np.abs(dense) > 0.5)
-        A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
+        data = scipy.sparse.csr_matrix(dense) if sparse else dense
+        A = MatrixHandle(data)
         for seed in range(4):
             b = synthesize_problem(A, seed, 10.0 ** -seed)
             oracle = solve_ls_oracle(A, b)
-            if sparse:
-                fresh = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
-                x = matio._qr_solve(A.matvec, fresh, b)
-            else:
-                x = qr_ls_solve(A.dense(), b)
+            x = matio._qr_solve(A.matvec, MatrixHandle(data).qr_factor(), b)
             r = A.matvec(x) - b
             assert same_bits(oracle.x_ls, x)
             assert same_bits(oracle.r_ls, r)
@@ -530,10 +530,70 @@ def race_for_factor(A: MatrixHandle):
     return results[0]
 
 
+class TestLoadedFactor:
+    """A loaded A's factor, from CholeskyQR2 of its densified copy and an
+    n-by-n pivoted QR, against the slow oracle: the Householder pivoted QR
+    of its m rows.  Column pivoting sees only A^T A, so piv is the same; R
+    is equal up to row signs to 1e-14 relative (R is well determined in
+    norm); Q and x_ls agree to the 1e-12 + 20 kappa * u of
+    :class:`TestSyntheticFactor`."""
+
+    @pytest.fixture
+    def m_row_qrs(self, monkeypatch):
+        shapes = []
+        real_qr = scipy.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting)
+        return shapes
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("m, n, cond, seed", [(300, 12, 30.0, 0), (2000, 40, 1e4, 1),
+                                                  (500, 20, 1e7, 2)])
+    def test_matches_m_row_householder_qr(self, m, n, cond, seed, sparse, m_row_qrs):
+        dense = conditioned(m, n, cond, seed)
+        if sparse:
+            dense = dense * (np.abs(dense) > 0.5 * np.abs(dense).mean())
+        A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
+        Q, R, piv = A.qr_factor()
+        assert m_row_qrs == [(n, n)]  # the ladder took it: no m-row QR
+        Q_ref, R_ref, piv_ref = scipy.linalg.qr(dense, mode="economic", pivoting=True)
+        assert np.array_equal(piv, piv_ref)
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(R_ref))
+        assert np.linalg.norm(signs[:, None] * R - R_ref) <= 1e-14 * np.linalg.norm(R_ref)
+        assert np.linalg.norm(dense[:, piv] - Q @ R) <= 1e-13 * np.linalg.norm(R_ref)
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-13
+        tol = 1e-12 + 20 * A.condition_number() * np.finfo(np.float64).eps
+        assert np.linalg.norm(Q * signs - Q_ref) <= tol
+        b = synthesize_problem(A, seed)
+        x_ref = qr_ls_solve(dense, b)
+        assert np.linalg.norm(solve_ls_oracle(A, b).x_ls - x_ref) <= tol * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("case", ["cond 1e10", "rank deficient"])
+    def test_householder_fallback(self, case, sparse):
+        # CholeskyQR3 would take kappa = 1e10, but its condition estimate
+        # is above CHOLQR_COND_LIMIT; an exactly rank-deficient A fails
+        # the plain Cholesky or the estimate.  Both get the m-row QR
+        if case == "cond 1e10":
+            dense = conditioned(400, 10, 1e10, 0)
+        else:
+            dense = random_tall(400, 10, 0).dense()
+            dense[:, 3] = dense[:, 1] - 2.0 * dense[:, 7]
+        A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
+        with pytest.raises(np.linalg.LinAlgError):
+            matio._orthonormal_factor(dense.copy(), max_cond=matio.CHOLQR_COND_LIMIT)
+        fresh = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+        assert all(same_bits(got, want) for got, want in zip(A.qr_factor(), fresh))
+
+
 class TestSyntheticFactor:
     """A synthesized A's factor, built from its synthesis SVD, against the
-    reference: the pivoted QR of the m rows of the same A, loaded as a plain
-    array.  Both are backward stable factorizations of A, so x_ls, kappa and
+    reference: the Householder pivoted QR of the m rows of the same A
+    (``householder_handle``).  Both are backward stable factorizations of A, so x_ls, kappa and
     the embedding parameter eps that they give agree to a few kappa * u
     relative (u = 2.2e-16, the machine epsilon; the largest seen was
     2.7 kappa * u), above a floor of 1e-12 for rounding in the bound
@@ -545,13 +605,11 @@ class TestSyntheticFactor:
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_m_row_qr(self, m, n, cond, seed):
         A = synthesize_matrix(m, n, cond, seed)
-        ref = MatrixHandle(A.dense().copy())
+        ref = householder_handle(A.dense().copy())
         Q, R, piv = A.qr_factor()
         norm = np.linalg.norm(A.dense(), 2)
         assert np.linalg.norm(A.dense()[:, piv] - Q @ R) <= 1e-13 * norm
         assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-13
-        _, R_ref, _ = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
-        assert same_bits(ref.qr_factor()[1], R_ref)
 
         tol = 1e-12 + 20 * cond * np.finfo(np.float64).eps
         b = synthesize_problem(A, seed)
