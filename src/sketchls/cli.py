@@ -100,18 +100,17 @@ class MatrixSource:
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config (:func:`parse_config`); ``policy`` is the one
+    stopping policy of every solve."""
     sources: List[MatrixSource]
     kinds: List[embed.SketchKind]
-    d_mults: List[float] = field(default_factory=lambda: [2.0])
-    solver: str = "lsmr"
-    stop: StopMode = StopMode.STABILIZE_NORMAL_RATIO
-    tol: float = 0.0
-    window: int = 5
-    band: Tuple[float, float] = (0.99, 1.01)
-    seeds: List[int] = field(default_factory=lambda: [0])
-    rho: float = 1e-3
-    output_dir: str = "out"
-    stride: int = 1
+    d_mults: List[float]
+    solver: str
+    policy: StoppingPolicy
+    seeds: List[int]
+    rho: float
+    output_dir: str
+    stride: int
 
     def validate(self):
         if not self.sources:
@@ -126,14 +125,6 @@ class ExperimentConfig:
             raise ConfigError("stride must be >= 1")
         if any(mult <= 0 for mult in self.d_mults):
             raise ConfigError("d multipliers must be positive")
-        try:
-            self.policy()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def policy(self) -> StoppingPolicy:
-        return StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
-                              band=self.band)
 
 
 def _number(text: str, kind: type, what: str):
@@ -245,16 +236,19 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
     output_dir = single("output_dir", "out")
     if not output_dir:
         raise ConfigError("output_dir is empty")
+    tol, window = number("tol", float, "0"), number("window", int, "5")
+    band = (number("band_lo", float, "0.99"), number("band_hi", float, "1.01"))
+    try:
+        policy = StoppingPolicy(mode=stop, tol=tol, window=window, band=band)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     config = ExperimentConfig(
         sources=sources,
         kinds=kinds,
         d_mults=d_mults,
         solver=single("solver", "lsmr"),
-        stop=stop,
-        tol=number("tol", float, "0"),
-        window=number("window", int, "5"),
-        band=(number("band_lo", float, "0.99"), number("band_hi", float, "1.01")),
+        policy=policy,
         seeds=seeds,
         rho=number("rho", float, "1e-3"),
         output_dir=output_dir,
@@ -366,11 +360,11 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
 def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, eps: float,
                 problem: SeedProblem, config: ExperimentConfig
                 ) -> Tuple[SolveResult, MetricsObserver]:
-    """``solver_fn`` on a cell's sketched problem under ``config.policy()``, and
+    """``solver_fn`` on a cell's sketched problem under ``config.policy``, and
     the oracle-path observer that watched it; only the traditional stop reads
-    ||SA||.  max_iter is the d-row default min(2n, d), not the pair's."""
-    op_norm = P.norm_SA if config.stop is StopMode.TRADITIONAL else math.nan
-    controller = StoppingController(config.policy(), op_norm=op_norm, epsilon=eps)
+    ||SA||.  max_iter is min(2n, d), set by the d-row problem, not the pair."""
+    op_norm = P.norm_SA if config.policy.mode is StopMode.TRADITIONAL else math.nan
+    controller = StoppingController(config.policy, op_norm=op_norm, epsilon=eps)
     observer = MetricsObserver(problem.A, problem.b, stride=config.stride,
                                oracle=problem.oracle)
     result = solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
@@ -493,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
                 config: ExperimentConfig) -> Tuple[float, float, int, float]:
     """eps, the plateau (the normal ratio at x_s, by the observer's oracle
-    path), LSMR's stop iteration under ``config.policy()`` and its last fresh
+    path), LSMR's stop iteration under ``config.policy`` and its last fresh
     normal ratio over the plateau, for one (kind, d) sketch of one seed."""
     P, eps = _sketch_cell(problem, kind, d)
     result, observer = _solve_cell(lsmr, P, eps, problem, config)

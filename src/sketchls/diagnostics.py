@@ -161,7 +161,7 @@ class SketchedProblem:
 
     @cached_property
     def SA(self) -> np.ndarray:
-        return embed.apply(self.S, self.A)
+        return embed.apply(self.S, self.A.dense())
 
     @cached_property
     def Sb(self) -> np.ndarray:

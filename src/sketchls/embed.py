@@ -18,8 +18,11 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
 * The sparse operator is a CountSketch (Clarkson & Woodruff 2013): each
   coordinate goes to one uniformly chosen row with a random sign, and no
   scaling is needed.  It is applied as a d x m CSR matrix with one entry per
-  column, so a CSR operand is sketched sparse times sparse and only the
-  d-row result is dense.
+  column.
+
+:func:`apply` and :func:`apply_adjoint` take a float64 vector or matrix,
+as every caller holds one; a :class:`~sketchls.matio.MatrixHandle` is
+passed as its ``dense()``.
 
 :func:`exact_distortion` measures the tight embedding parameter over
 span([A b]) by an SVD of the sketched orthonormal basis
@@ -150,15 +153,6 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _operand(X, keep_sparse: bool = False):
-    """X as a float64 array, or as a sparse matrix if X is sparse and keep_sparse."""
-    if isinstance(X, MatrixHandle):
-        return X.csr() if keep_sparse and X.is_sparse else X.dense()
-    if scipy.sparse.issparse(X):
-        return X if keep_sparse else X.toarray()
-    return np.asarray(X, dtype=np.float64)
-
-
 def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
     """The sparse kind as a d x m CSR matrix: entry signs[j] at (rows[j], j).
 
@@ -172,19 +166,14 @@ def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
 
 
 def apply(S: SketchOperator, X) -> np.ndarray:
-    """Compute S @ X for a vector or matrix X with S.m rows.
-
-    X may be an array, a :class:`MatrixHandle` or a scipy sparse matrix.  The
-    sparse kind multiplies a sparse operand without densifying it; the
-    Gaussian and SRHT kinds densify X first.
-    """
-    p = S.payload
-    X = _operand(X, keep_sparse=isinstance(p, SparsePayload))
+    """Compute S @ X for a vector or matrix X with S.m rows, taken as a
+    float64 array (``np.asarray``)."""
+    X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != S.m:
         raise ValueError(f"operand has {X.shape[0]} rows, operator expects {S.m}")
+    p = S.payload
     if isinstance(p, SparsePayload):
-        SX = _countsketch_matrix(S) @ X
-        return SX.toarray() if scipy.sparse.issparse(SX) else SX
+        return _countsketch_matrix(S) @ X
     if isinstance(p, GaussianPayload):
         return p.matrix @ X
     Y = np.zeros((p.padded_len,) + X.shape[1:])
@@ -195,8 +184,9 @@ def apply(S: SketchOperator, X) -> np.ndarray:
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
-    """Compute S^T @ U for a vector or matrix U with S.d rows."""
-    U = _operand(U)
+    """Compute S^T @ U for a vector or matrix U with S.d rows, taken as a
+    float64 array."""
+    U = np.asarray(U, dtype=np.float64)
     if U.shape[0] != S.d:
         raise ValueError(f"operand has {U.shape[0]} rows, operator expects {S.d}")
     p = S.payload

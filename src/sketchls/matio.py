@@ -132,12 +132,6 @@ class MatrixHandle:
     def is_sparse(self) -> bool:
         return self._sparse is not None
 
-    @property
-    def nnz(self) -> int:
-        if self._sparse is not None:
-            return int(self._sparse.nnz)
-        return int(np.count_nonzero(self._dense))
-
     def dense(self) -> np.ndarray:
         """Dense view of the matrix (materialized on demand for CSR storage)."""
         if self._dense is None:
@@ -177,9 +171,12 @@ class MatrixHandle:
         It never raises, so a rank check is the caller's (see
         :func:`solve_ls_oracle`).  One dense m-by-n Q is kept for the
         handle's lifetime.  R has the singular values of A, and
-        F = R[:, argsort(piv)] has F^T F = A^T A.  The first call builds the
-        factor under the handle's lock, so it is built once however many
-        threads ask.
+        F = R[:, argsort(piv)] has F^T F = A^T A.  R has a positive
+        diagonal on every path below, so for a full-rank A, Q is fixed by A
+        and piv, whichever factorization ran: a Gaussian cell, whose draw
+        acts on W = [Q u] (:mod:`sketchls.embed`), gets one S from any of
+        them, to rounding.  The first call builds the factor under the
+        handle's lock, so it is built once however many threads ask.
 
         A = Q1 R1 with Q1 orthonormal is Q1 = U, R1 = diag(s) V^T for a
         synthesized A = U diag(s) V^T, and :func:`_orthonormal_factor` of a
@@ -189,7 +186,9 @@ class MatrixHandle:
         A[:, piv] = Q R in exact arithmetic, and piv and R are those of a
         pivoted QR of A, since column pivoting sees only A^T A = R1^T R1; Q
         and R agree with the m-row factorization to rounding.  A loaded A
-        that CholeskyQR2 rejects gets :func:`qr_ls_solve`'s m-row QR.
+        that CholeskyQR2 rejects gets :func:`qr_ls_solve`'s m-row QR.  Each
+        path flips the signs of Q2 (or Q) and R together where R's diagonal
+        is negative.
         """
         factor = self._qr_factor
         if factor is None:
@@ -216,8 +215,11 @@ class MatrixHandle:
             except np.linalg.LinAlgError:
                 Q = None
             if Q is None:  # outside the handler, so the rejected buffer is freed
-                return scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+                Q, R, piv = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+                _positive_diagonal(Q, R)
+                return Q, R, piv
         Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
+        _positive_diagonal(Q2, R)
         step = max(1, _Q_BLOCK_BYTES // Q[0].nbytes)
         block = np.empty((min(self.rows, step), self.cols))
         for start in range(0, self.rows, step):
@@ -226,6 +228,14 @@ class MatrixHandle:
             np.matmul(rows, Q2, out=out)
             rows[...] = out
         return Q, R, piv
+
+
+def _positive_diagonal(Q: np.ndarray, R: np.ndarray) -> None:
+    """Flip, in place, the columns of Q and the rows of R where R's diagonal
+    is negative, so that it is nonnegative and Q R is unchanged."""
+    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    Q *= signs
+    R *= signs[:, None]
 
 
 @dataclass

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse
 
 from .matio import LsOracle, MatrixHandle, as_rhs
 
@@ -35,12 +34,9 @@ class LinearOperatorView:
 
     @classmethod
     def from_matrix(cls, M) -> "LinearOperatorView":
-        if isinstance(M, MatrixHandle):
-            return cls(M.rows, M.cols, M.matvec, M.rmatvec)
-        rows, cols = M.shape
-        if scipy.sparse.issparse(M):
-            return cls(rows, cols, lambda v: M @ v, lambda u: M.T @ u)
+        """The operator of a matrix M, taken as a float64 array."""
         M = np.asarray(M, dtype=np.float64)
+        rows, cols = M.shape
         return cls(rows, cols, lambda v: M @ v, lambda u: M.T @ u)
 
 
@@ -162,7 +158,7 @@ BREAKDOWN_RTOL = 1e-12
 
 
 def _solve(op: LinearOperatorView, rhs: np.ndarray, observer, stop,
-           max_iter: Optional[int], updates) -> SolveResult:
+           max_iter: int, updates) -> SolveResult:
     """Golub-Kahan bidiagonalization of ``op`` started from ``rhs``, driving
     the iterate update of one solver.
 
@@ -172,8 +168,6 @@ def _solve(op: LinearOperatorView, rhs: np.ndarray, observer, stop,
     estimates ``(||op x - rhs||, ||op^T (op x - rhs)||)``.
     """
     observer = observer or _default_observer
-    if max_iter is None:
-        max_iter = min(2 * op.cols, op.rows)
 
     x = np.zeros(op.cols)
     u = np.asarray(rhs, dtype=np.float64).copy()
@@ -290,8 +284,8 @@ def _lsmr_updates(x: np.ndarray, alpha: float, beta: float, v: np.ndarray):
         alpha, beta, v = yield srnorm, abs(zetabar)
 
 
-def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
-         max_iter: Optional[int] = None) -> SolveResult:
+def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None, *,
+         max_iter: int) -> SolveResult:
     """LSQR on min ||op x - rhs||; the k-th iterate minimizes the residual
     over the k-th Krylov subspace of (op^T op, op^T rhs).
 
@@ -299,19 +293,21 @@ def lsqr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
     nonincreasing by construction; ``phibar * alpha * |c|`` estimates
     ||op^T (op x_k - rhs)||.  ``stop`` is fed one record per iteration and may
     end the run; breakdown of the bidiagonalization (alpha or beta reaching
-    zero) returns the last iterate.
+    zero) returns the last iterate.  ``max_iter`` has no default: a fixed
+    rule in op's shape would give n + 1 on a CLI cell's (n + 1) x n pair.
     """
     return _solve(op, rhs, observer, stop, max_iter, _lsqr_updates)
 
 
-def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None,
-         max_iter: Optional[int] = None) -> SolveResult:
+def lsmr(op: LinearOperatorView, rhs: np.ndarray, observer=None, stop=None, *,
+         max_iter: int) -> SolveResult:
     """LSMR on min ||op x - rhs||; the k-th iterate minimizes the
     normal-equation residual ||op^T (op x - rhs)|| over the same Krylov
     subspace as LSQR, so that estimate (``|zetabar|``) is nonincreasing.
 
     The operator-space residual norm is tracked by the Fong-Saunders
-    recurrence.  Contracts (observer, stop, breakdown) match :func:`lsqr`.
+    recurrence.  Contracts (observer, stop, max_iter, breakdown) match
+    :func:`lsqr`.
     """
     return _solve(op, rhs, observer, stop, max_iter, _lsmr_updates)
 

@@ -8,10 +8,8 @@ Four modes are provided:
   ||A^T r_k|| / (||A|| ||r_k||) falls below a known embedding parameter
   (oracle runs only; the parameter is not available in production).
 * ``STABILIZE_NORMAL_RATIO`` -- fire when the windowed endpoint geometric mean
-  of the unsketched normal-equation ratio enters a band around one
-  (recommended for LSMR).
-* ``STABILIZE_RESIDUAL`` -- the same rule on the unsketched residual norm
-  (recommended for LSQR).
+  of the unsketched normal-equation ratio enters a band around one.
+* ``STABILIZE_RESIDUAL`` -- the same rule on the unsketched residual norm.
 
 The stabilization rules detect the plateau where further iterations on the
 sketched problem stop improving the original problem, without needing any
@@ -23,7 +21,10 @@ backward error (``sweep-d``'s ``stop_ratio_rel`` is the ratio at the stop over
 its value at x_s).  stab-res targets the residual.  At the CLI's default
 residual scale rho = 1e-3 both stop short of ||A x_s - b||: on 2000 x 100
 problems (kappa = 100, d = 2n) LSMR's stab-ne stops left ||r_k|| 150-460 times
-it, and stab-res stops 2-75 times.
+it, and stab-res stops 2-75 times.  No mode is tied to a solver: a CLI config
+holds one policy for every solve.  On those problems stab-res's stop is
+decided by rounding: two formations of one SA stop up to about 100
+iterations apart.
 """
 
 from __future__ import annotations
@@ -103,17 +104,6 @@ def stabilization_decision(history: Iterable[float], band: Tuple[float, float]) 
     g = (values[-1] / values[0]) ** (1.0 / ell)
     lo, hi = band
     return lo <= g <= hi
-
-
-def recommend_policy(solver: str) -> StopMode:
-    """Preferred stabilization metric per solver: LSMR watches the
-    normal-equation ratio, LSQR the residual norm."""
-    name = solver.lower()
-    if name == "lsmr":
-        return StopMode.STABILIZE_NORMAL_RATIO
-    if name == "lsqr":
-        return StopMode.STABILIZE_RESIDUAL
-    raise ValueError(f"unknown solver '{solver}'")
 
 
 class StoppingController:

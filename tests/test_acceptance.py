@@ -72,8 +72,9 @@ def suite_runs():
                 SA = embed.apply(S, A.dense())
                 Sb = embed.apply(S, b)
                 op = LinearOperatorView.from_matrix(SA)
-                res_q = lsqr(op, Sb)
-                res_m = lsmr(op, Sb)
+                # min(2n, d), the cap a CLI cell uses
+                res_q = lsqr(op, Sb, max_iter=min(2 * n, SUITE_D))
+                res_m = lsmr(op, Sb, max_iter=min(2 * n, SUITE_D))
                 sr = [r.sketched_residual_norm for r in res_q.trace]
                 sn = [r.sketched_normal_residual_norm for r in res_m.trace]
                 runs.append({
@@ -274,7 +275,7 @@ def test_criterion_7_figure_level_reproduction(suitesparse_dir):
         pytest.skip("illc1033.mtx not present (no network fetching; drop the "
                     "SuiteSparse file into data/ to enable)")
     A = load_matrix_market(illc)
-    assert (A.rows, A.cols, A.nnz) == (1033, 320, 4719)
+    assert (A.rows, A.cols, A.csr().nnz) == (1033, 320, 4719)
     assert A.spectral().cond == pytest.approx(1.8888e4, rel=1e-2)
     b = synthesize_problem(A, 1)
     S = embed.build_sketch("gaussian", 640, 1033, 1)

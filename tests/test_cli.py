@@ -58,9 +58,9 @@ class TestConfigParsing:
         assert [s.name for s in config.sources] == ["a", "synth400x40c50"]
         assert config.kinds == [embed.SketchKind.GAUSSIAN, embed.SketchKind.SRHT]
         assert config.d_mults == [1.2, 2.4]
-        assert config.stop is StopMode.STABILIZE_RESIDUAL
+        assert config.policy.mode is StopMode.STABILIZE_RESIDUAL
         assert config.seeds == [0, 1, 2]
-        assert config.band == (0.98, 1.02)
+        assert config.policy.band == (0.98, 1.02)
         assert config.stride == 2
 
     def test_comments_and_blanks(self):
@@ -525,11 +525,30 @@ class TestSketchCell:
         S = d_row_sketch(problem, kind, 40)
         Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         scale = np.linalg.norm(P.SA, 2)
-        for ref in (embed.apply(S, A), embed.materialize(S) @ A.dense()):
+        for ref in (embed.apply(S, A.dense()), embed.materialize(S) @ A.dense()):
             assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * scale
         assert np.array_equal(P.Sb, P.T @ problem.span.c_b)
         Sb = embed.apply(S, P.b)
         assert np.max(np.abs(Q_s @ P.Sb - Sb)) <= 1e-13 * np.linalg.norm(Sb)
+
+    def test_gaussian_cell_does_not_depend_on_how_A_was_factored(self, monkeypatch):
+        # a Gaussian cell's draw acts on W = [Q u], and Q is fixed by A and
+        # piv once R's diagonal is positive; so CholeskyQR2 and the forced
+        # m-row Householder fallback give one x_s and one plateau, to the
+        # rounding of the two factors (seen: 1e-15 and 8e-13 relative;
+        # with R's diagonal signs left as LAPACK gives them, 2e-3 and 8e-4)
+        dense = MatrixSource("s", synthetic=(300, 6, 20)).load().dense()
+        cells = []
+        for limit in (matio.CHOLQR_COND_LIMIT, 0.0):
+            monkeypatch.setattr(matio, "CHOLQR_COND_LIMIT", limit)
+            problem = cli.SeedProblem(MatrixHandle(dense.copy()), 4, 1e-3)
+            P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
+            observer = MetricsObserver(problem.A, problem.b, oracle=problem.oracle)
+            cells.append((problem.A.qr_factor()[0], P.x_s, observer.metrics(P.x_s)[1]))
+        (Q_chol, x_chol, plateau_chol), (Q_hh, x_hh, plateau_hh) = cells
+        assert not np.array_equal(Q_chol, Q_hh)  # two factorizations ran
+        assert np.linalg.norm(x_chol - x_hh) <= 1e-12 * np.linalg.norm(x_hh)
+        assert plateau_chol == pytest.approx(plateau_hh, rel=1e-10)
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     def test_rank_trimmed_basis_keeps_every_column_of_SA(self, kind):
@@ -542,7 +561,7 @@ class TestSketchCell:
         P, eps = cli._sketch_cell(problem, kind, 30)
         assert P.SA.shape == (4, 3)
         S = d_row_sketch(problem, kind, 30)
-        ref = embed.apply(S, A)
+        ref = embed.apply(S, A.dense())
         Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
         # q keeps b's part along the dropped column, as subspace_basis's does
@@ -744,9 +763,10 @@ class TestReducedSolves:
             reduced, _ = cli._solve_cell(recording, P, eps, problem, config)
             d_row = solver(LinearOperatorView.from_matrix(R.SA), R.Sb,
                            observer=MetricsObserver(A, problem.b, oracle=problem.oracle),
-                           stop=cli.StoppingController(config.policy(), op_norm=math.nan,
-                                                       epsilon=eps))
-            # min(2n, d), the d-row default, not min(2n, n + 1)
+                           stop=cli.StoppingController(config.policy, op_norm=math.nan,
+                                                       epsilon=eps),
+                           max_iter=200)
+            # min(2n, d), set by the d-row problem, not min(2n, n + 1)
             assert max_iters == [200]
             for mine, ref in zip(reduced.trace[:15], d_row.trace[:15]):
                 assert mine.unsketched_residual_norm == pytest.approx(
@@ -807,7 +827,7 @@ def run_sweep(out: Path, extra: str = ""):
 
 def unstopped_solves(config) -> dict:
     """``{(kind, d): [one result per seed]}`` of LSMR with no stop, run to
-    the d-row default max_iter min(2n, d) on each sweep cell and observed as
+    the cell's max_iter min(2n, d) on each sweep cell and observed as
     ``sweep-d`` observes it: the solve ``sweep-d`` ran before it took a stop."""
     A = config.sources[0].load()
     solves = {}
@@ -818,7 +838,7 @@ def unstopped_solves(config) -> dict:
                 P, _ = cli._sketch_cell(problem, kind, d)
                 observer = MetricsObserver(A, problem.b, stride=config.stride,
                                            oracle=problem.oracle)
-                # the cell's pair has n + 1 rows: max_iter is the d-row default
+                # the cell's pair has n + 1 rows: max_iter is set by the d-row problem
                 result = lsmr(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
                               max_iter=min(2 * A.cols, d))
                 assert result.termination is Termination.MAX_ITERATIONS
@@ -869,7 +889,7 @@ class TestSweep:
 
     def test_stab_ne_stops_sooner(self, tmp_path):
         config, rows = run_sweep(tmp_path)
-        assert config.stop is StopMode.STABILIZE_NORMAL_RATIO
+        assert config.policy.mode is StopMode.STABILIZE_NORMAL_RATIO
         solves = unstopped_solves(config)
         for row in rows:
             unstopped = min(result.iterations for result in solves[row["kind"], row["d"]])

@@ -34,7 +34,7 @@ class TestSketchedProblem:
     def test_solve_sketched_is_qr_of_sketched_pair(self, kind):
         A, b, _ = build_instance()
         S = build_sketch(kind, 64, 300, 7)
-        expect = qr_ls_solve(embed.apply(S, A), embed.apply(S, b))
+        expect = qr_ls_solve(embed.apply(S, A.dense()), embed.apply(S, b))
         assert np.array_equal(solve_sketched(A, b, S), expect)
 
     def test_given_products_are_used(self, monkeypatch):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from sketchls import cli, diagnostics
@@ -166,26 +165,6 @@ class TestApply:
         with pytest.raises(ValueError, match="guard"):
             materialize(S)
 
-    def test_sparse_input_accepted(self):
-        S = build_sketch("sparse", 4, 10, seed=2)
-        X = scipy.sparse.random(10, 2, density=0.5, random_state=1, format="csr")
-        assert np.allclose(apply(S, X), materialize(S) @ X.toarray())
-
-    def test_sparse_kind_never_densifies_csr(self, monkeypatch):
-        csr = scipy.sparse.random(50, 4, density=0.2, random_state=3, format="csr")
-        A = MatrixHandle(csr)
-        S = build_sketch("sparse", 12, 50, seed=1)
-
-        def no_dense(self):
-            raise AssertionError("densified")
-
-        monkeypatch.setattr(MatrixHandle, "dense", no_dense)
-        out = apply(S, A)
-        assert isinstance(out, np.ndarray) and out.shape == (12, 4)
-        assert np.allclose(out, materialize(S) @ csr.toarray(), rtol=1e-14, atol=0)
-        with pytest.raises(ValueError, match="rows"):
-            apply(build_sketch("sparse", 12, 51, seed=1), A)
-
 
 def scatter_reference(S: SketchOperator, X: np.ndarray) -> np.ndarray:
     """The sparse kind as the scatter out[rows[j]] += signs[j] * X[j]."""
@@ -195,28 +174,20 @@ def scatter_reference(S: SketchOperator, X: np.ndarray) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("form", ["vector", "c_matrix", "f_matrix", "csr",
-                                  "sparse_handle", "dense_handle"])
+@pytest.mark.parametrize("form", ["vector", "c_matrix", "f_matrix"])
 def test_countsketch_bit_equal_to_scatter(form):
     m, n = 500, 7
     S = build_sketch("sparse", 40, m, seed=3)
-    csr = scipy.sparse.random(m, n, density=0.3, random_state=4, format="csr")
     gen = stream(9, "countsketch", m)
-    dense = {"vector": gen.standard_normal(m), "c_matrix": gen.standard_normal((m, n)),
-             "f_matrix": np.asfortranarray(gen.standard_normal((m, n)))}
-    operand = {**dense, "csr": csr, "sparse_handle": MatrixHandle(csr),
-               "dense_handle": MatrixHandle(csr.toarray())}[form]
-    reference = scatter_reference(S, dense.get(form, csr.toarray()))
-    assert np.array_equal(apply(S, operand), reference)
+    operand = {"vector": gen.standard_normal(m), "c_matrix": gen.standard_normal((m, n)),
+               "f_matrix": np.asfortranarray(gen.standard_normal((m, n)))}[form]
+    assert np.array_equal(apply(S, operand), scatter_reference(S, operand))
 
 
 @st.composite
 def sketch_and_operands(draw):
-    """A random (kind, d, m) sketch, an operand with m rows and one with d rows.
-
-    Operands are dense vectors or matrices, scipy CSR matrices or, for
-    S @ X, CSR-backed MatrixHandles.
-    """
+    """A random (kind, d, m) sketch, an operand with m rows and one with d
+    rows: dense vectors, or dense matrices of 1-3 columns."""
     kind = draw(st.sampled_from(KINDS))
     m = draw(st.integers(2, 40))
     d = draw(st.integers(1, m - 1))
@@ -224,23 +195,12 @@ def sketch_and_operands(draw):
     seed = draw(st.integers(0, 2 ** 16))
     cols = draw(st.integers(0, 3))
 
-    def operand(rows, tag, forms):
+    def operand(rows, tag):
         if cols == 0:
             return stream(seed, tag, rows).standard_normal(rows)
-        form = draw(st.sampled_from(forms))
-        if form == "dense":
-            return stream(seed, tag, rows, cols).standard_normal((rows, cols))
-        csr = scipy.sparse.random(rows, cols, density=0.4, random_state=seed, format="csr")
-        return MatrixHandle(csr) if form == "handle" else csr
+        return stream(seed, tag, rows, cols).standard_normal((rows, cols))
 
-    forms = ["dense", "csr"] + (["handle"] if cols <= m else [])
-    return S, operand(m, "X", forms), operand(d, "U", ["dense", "csr"])
-
-
-def _as_array(X) -> np.ndarray:
-    if isinstance(X, MatrixHandle):
-        return X.dense()
-    return X.toarray() if scipy.sparse.issparse(X) else X
+    return S, operand(m, "X"), operand(d, "U")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -248,8 +208,7 @@ def _as_array(X) -> np.ndarray:
 def test_apply_and_adjoint_match_materialize(case):
     S, X, U = case
     M = materialize(S)
-    for got, factor, operand in ((apply(S, X), M, _as_array(X)),
-                                 (apply_adjoint(S, U), M.T, _as_array(U))):
+    for got, factor, operand in ((apply(S, X), M, X), (apply_adjoint(S, U), M.T, U)):
         expect = factor @ operand
         assert got.shape == expect.shape
         # rounding of a length-m' sum, relative to the sum of magnitudes

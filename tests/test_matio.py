@@ -34,7 +34,7 @@ COORD_IDENTITY = """%%MatrixMarket matrix coordinate real general
 class TestMatrixMarket:
     def test_coordinate_identity(self, tmp_path):
         A = load_matrix_market(write(tmp_path, "id.mtx", COORD_IDENTITY))
-        assert (A.rows, A.cols, A.nnz) == (2, 2, 2)
+        assert (A.rows, A.cols, A.csr().nnz) == (2, 2, 2)
         assert np.array_equal(A.dense(), np.eye(2))
 
     def test_coordinate_general(self, tmp_path):
@@ -222,7 +222,7 @@ def small_matrices(draw):
 @given(dense=small_matrices(), sparse=st.booleans())
 def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, dense, sparse):
     A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
-    assume(not sparse or A.nnz > 0)  # a coordinate file needs an entry
+    assume(not sparse or A.csr().nnz > 0)  # a coordinate file needs an entry
     path = tmp_path_factory.getbasetemp() / "roundtrip.mtx"
     save_matrix_market(A, path)
     B = load_matrix_market(path)
@@ -577,7 +577,8 @@ class TestLoadedFactor:
     def test_householder_fallback(self, case, sparse):
         # CholeskyQR3 would take kappa = 1e10, but its condition estimate
         # is above CHOLQR_COND_LIMIT; an exactly rank-deficient A fails
-        # the plain Cholesky or the estimate.  Both get the m-row QR
+        # the plain Cholesky or the estimate.  Both get the m-row QR, its
+        # signs flipped to a positive R diagonal
         if case == "cond 1e10":
             dense = conditioned(400, 10, 1e10, 0)
         else:
@@ -586,8 +587,22 @@ class TestLoadedFactor:
         A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
         with pytest.raises(np.linalg.LinAlgError):
             matio._orthonormal_factor(dense.copy(), max_cond=matio.CHOLQR_COND_LIMIT)
-        fresh = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+        Q, R, piv = scipy.linalg.qr(A.dense(), mode="economic", pivoting=True)
+        signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+        fresh = (Q * signs, signs[:, None] * R, piv)
         assert all(same_bits(got, want) for got, want in zip(A.qr_factor(), fresh))
+
+    @pytest.mark.parametrize("path", ["synthesis SVD", "CholeskyQR2", "Householder"])
+    @pytest.mark.parametrize("cond", [1.0, 30.0, 1e7])
+    def test_positive_r_diagonal_on_every_path(self, path, cond, monkeypatch, m_row_qrs):
+        A = synthesize_matrix(300, 12, cond, 5)
+        if path != "synthesis SVD":
+            A = MatrixHandle(A.dense())
+        if path == "Householder":
+            monkeypatch.setattr(matio, "CHOLQR_COND_LIMIT", 0.0)
+        R = A.qr_factor()[1]
+        assert m_row_qrs == ([(300, 12)] if path == "Householder" else [(12, 12)])
+        assert np.all(np.diag(R) > 0)
 
 
 class TestSyntheticFactor:

@@ -44,7 +44,7 @@ class TestBasics:
         op = LinearOperatorView.from_matrix(np.eye(n))
         e1 = np.zeros(n)
         e1[0] = 1.0
-        result = solver(op, e1)
+        result = solver(op, e1, max_iter=n)
         assert result.iterations == 1
         assert np.allclose(result.x, e1, atol=1e-15)
         assert result.termination is Termination.BREAKDOWN  # exact convergence
@@ -52,7 +52,7 @@ class TestBasics:
     @pytest.mark.parametrize("name,solver", SOLVERS)
     def test_zero_rhs(self, name, solver):
         op = LinearOperatorView.from_matrix(np.eye(4))
-        result = solver(op, np.zeros(4))
+        result = solver(op, np.zeros(4), max_iter=4)
         assert result.iterations == 0
         assert np.array_equal(result.x, np.zeros(4))
 
@@ -321,12 +321,6 @@ class TestOperator:
             v = gen.standard_normal(op.cols)
             gap = abs(u @ op.forward(v) - op.adjoint(u) @ v)
             assert gap <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v) * op_norm
-
-    def test_from_matrix_handle(self):
-        A = random_tall(20, 3, 1)
-        op = LinearOperatorView.from_matrix(A)
-        x = np.ones(3)
-        assert np.array_equal(op.forward(x), A.dense() @ x)
 
 
 def test_trace_roundtrip(tmp_path):

@@ -11,7 +11,7 @@ from sketchls.solvers import (IterateRecord, LinearOperatorView, MetricsObserver
                               Termination, lsmr, lsqr)
 from sketchls.stopping import (StopMode, StoppingController, StoppingPolicy,
                                epsilon_threshold_decision,
-                               recommend_policy, stabilization_decision,
+                               stabilization_decision,
                                traditional_decision)
 from sketchls.rng import stream
 
@@ -76,12 +76,6 @@ class TestDecisions:
     def test_stabilization_nonpositive(self):
         with pytest.raises(ValueError):
             stabilization_decision([1.0, -1.0, 1.0], (0.99, 1.01))
-
-    def test_recommendation(self):
-        assert recommend_policy("lsmr") is StopMode.STABILIZE_NORMAL_RATIO
-        assert recommend_policy("LSQR") is StopMode.STABILIZE_RESIDUAL
-        with pytest.raises(ValueError):
-            recommend_policy("gmres")
 
 
 class TestBandDegeneracy:
