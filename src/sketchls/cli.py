@@ -40,11 +40,13 @@ Config files are flat ``key=value`` text; repeated keys accumulate into lists::
     rho = 1e-3
     output_dir = out
 
-An unknown key is a config error.  Each ``run`` override (``--seeds`` ...
-``--band-hi``) is the config key of its name (``seeds`` ... ``band_hi``): it
-replaces the file's value before any parse, under the same rules.  ``check``
-and ``sweep-d`` values are parsed by the same code, so a malformed value from
-a file or a flag is a config error.
+An unknown key is a config error.  A ``run`` or ``check`` flag is the config
+key of its name (``--band-hi`` is ``band_hi``, ``--seed`` is ``seeds``): it
+replaces the file's values before any parse, under the same rules, so a
+malformed value from a file or a flag is a config error.  ``check`` runs one
+cell of a config with no file, so more than one source, kind, seed or d
+multiplier is a config error.  A source has one name in every command: its
+file's stem, or ``synth<m>x<n>c<cond>``.
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
@@ -57,10 +59,10 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,36 +100,7 @@ class MatrixSource:
         return synthesize_matrix(m, n, cond, seed=0xC0FFEE)
 
 
-@dataclass
-class ExperimentConfig:
-    """A parsed config (:func:`parse_config`); ``policy`` is the one
-    stopping policy of every solve."""
-    sources: List[MatrixSource]
-    kinds: List[embed.SketchKind]
-    d_mults: List[float]
-    solver: str
-    policy: StoppingPolicy
-    seeds: List[int]
-    rho: float
-    output_dir: str
-    stride: int
-
-    def validate(self):
-        if not self.sources:
-            raise ConfigError("no matrix sources configured")
-        if not self.kinds:
-            raise ConfigError("no embedding kinds configured")
-        if self.solver not in ("lsqr", "lsmr", "both"):
-            raise ConfigError(f"unknown solver '{self.solver}'")
-        if self.rho <= 0:
-            raise ConfigError("rho must be positive")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if any(mult <= 0 for mult in self.d_mults):
-            raise ConfigError("d multipliers must be positive")
-
-
-def _number(text: str, kind: type, what: str):
+def _number(what: str, text: str, kind: type = float):
     """``text`` as a finite ``kind`` (``int`` or ``float``); :class:`ConfigError`
     when it does not parse or is not finite."""
     try:
@@ -145,27 +118,85 @@ def _words(items: List[str]) -> List[str]:
     return [word.strip() for item in items for word in item.split(",") if word.strip()]
 
 
-def _kind(word: str) -> embed.SketchKind:
-    try:
-        return embed.SketchKind(word)
-    except ValueError:
-        raise ConfigError(f"unknown embedding kind '{word}'") from None
+def _positive(key: str, text: str, kind: type = float):
+    value = _number(key, text, kind)
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    return value
 
 
-def _parse_synthetic(spec: str) -> Tuple[int, int, float]:
-    """``(m, n, cond)`` from a synthetic source spec ``m,n,cond``, checked
-    here so that a bad spec is a config error, not a failed load or run."""
+def _member(choices, what: str, key: str, text: str):
+    """The one of ``choices``, the members of an enum or plain strings, whose
+    value is ``text``."""
+    for choice in choices:
+        if text == getattr(choice, "value", choice):
+            return choice
+    raise ConfigError(f"unknown {what} '{text}'")
+
+
+def _synthetic(key: str, spec: str) -> MatrixSource:
+    """The source of a synthetic spec ``m,n,cond``, checked here so that a
+    bad spec is a config error, not a failed load or run."""
     what = f"synthetic spec '{spec}' must be m,n,cond"
-    fields = spec.split(",")
-    if len(fields) != 3:
+    parts = spec.split(",")
+    if len(parts) != 3:
         raise ConfigError(what)
-    m, n = (_number(text, int, f"{what}: {name}") for text, name in zip(fields, "mn"))
-    cond = _number(fields[2], float, f"{what}: cond")
+    m, n = (_number(f"{what}: {name}", text, int) for text, name in zip(parts, "mn"))
+    cond = _number(f"{what}: cond", parts[2])
     if n < 1 or m < n:
         raise ConfigError(f"{what} with m >= n >= 1")
     if cond < 1:
         raise ConfigError(f"{what} with cond >= 1")
-    return m, n, cond
+    return MatrixSource(name=f"synth{m}x{n}c{cond:g}", synthetic=(m, n, cond))
+
+
+def _key(how: str, parse: Callable, default: Optional[str] = None):
+    """The field of a config key: how the key is given ("one" value, or a
+    list of "lines", each one value, or of comma-separated "words"), the
+    parser of one value, ``parse(key, text)``, and the text of its default,
+    parsed like a user's.  A list key without a default is empty when absent."""
+    return field(metadata={"config": (how, parse, default)})
+
+
+@dataclass
+class ExperimentConfig:
+    """A parsed config (:func:`parse_config`): one field per config key, the
+    ``sources`` of its two source keys, and ``policy``, the one stopping
+    policy of every solve."""
+    matrix: List[MatrixSource] = _key("lines", lambda key, path: MatrixSource(
+        name=Path(path).stem, path=path))
+    synthetic: List[MatrixSource] = _key("lines", _synthetic)
+    kind: List[embed.SketchKind] = _key("words", partial(_member, embed.SketchKind,
+                                                         "embedding kind"))
+    d_mult: List[float] = _key("words", _positive, "2.0")
+    solver: str = _key("one", partial(_member, ("lsqr", "lsmr", "both"), "solver"), "lsmr")
+    stop: StopMode = _key("one", partial(_member, StopMode, "stop mode"), "stab-ne")
+    tol: float = _key("one", _number, "0")
+    window: int = _key("one", partial(_number, kind=int), "5")
+    band_lo: float = _key("one", _number, "0.99")
+    band_hi: float = _key("one", _number, "1.01")
+    seeds: List[int] = _key("words", partial(_number, kind=int), "0")
+    rho: float = _key("one", _positive, "1e-3")
+    output_dir: str = _key("one", lambda key, text: text, "out")
+    stride: int = _key("one", partial(_positive, kind=int), "1")
+
+    def __post_init__(self):
+        if not self.sources:
+            raise ConfigError("no matrix sources configured")
+        if not self.kind:
+            raise ConfigError("no embedding kinds configured")
+        try:
+            self.policy = StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
+                                         band=(self.band_lo, self.band_hi))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+    @property
+    def sources(self) -> List[MatrixSource]:
+        return self.matrix + self.synthetic
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_kv(text: str) -> Dict[str, List[str]]:
@@ -185,77 +216,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return _config_from_kv(_parse_kv(text))
 
 
-CONFIG_KEYS = ("matrix", "synthetic", "kind", "d_mult", "solver", "stop", "tol", "window",
-               "band_lo", "band_hi", "seeds", "rho", "output_dir", "stride")
-
-
 def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
     """The validated config of a key -> values map; every value a user gives,
-    from a config file or a ``run`` override, is parsed and checked here."""
+    from a config file or a flag, is parsed and checked here."""
     for key in kv:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-
-    def single(key: str, default=None) -> Optional[str]:
-        values = kv.get(key)
-        if not values:
-            return default
-        if len(values) > 1:
+    value = {}
+    for key_field in fields(ExperimentConfig):
+        key, (how, parse, default) = key_field.name, key_field.metadata["config"]
+        texts = kv.get(key, [] if default is None else [default])
+        if how == "words":
+            texts = _words(texts)
+        elif how == "one" and len(texts) > 1:
             raise ConfigError(f"config key '{key}' given more than once")
-        return values[0]
-
-    sources: List[MatrixSource] = []
-    for path in kv.get("matrix", []):
-        sources.append(MatrixSource(name=Path(path).stem, path=path))
-    for spec in kv.get("synthetic", []):
-        m, n, cond = _parse_synthetic(spec)
-        sources.append(MatrixSource(name=f"synth{m}x{n}c{cond:g}",
-                                    synthetic=(m, n, cond)))
-
-    def numbers(key: str, kind: type, default: list) -> list:
-        """The list value of ``key``; ``default`` only when the key is absent."""
-        if key not in kv:
-            return default
-        words = _words(kv[key])
-        if not words:
+        if key in kv and not (texts and all(texts)):
             raise ConfigError(f"{key} is empty")
-        return [_number(word, kind, key) for word in words]
-
-    kinds = [_kind(word) for word in _words(kv.get("kind", []))]
-    d_mults = numbers("d_mult", float, [2.0])
-    seeds = numbers("seeds", int, [0])
-
-    def number(key: str, kind: type, default: str):
-        return _number(single(key, default), kind, key)
-
-    try:
-        stop = StopMode(single("stop", "stab-ne"))
-    except ValueError:
-        raise ConfigError(f"unknown stop mode '{single('stop')}'") from None
-
-    output_dir = single("output_dir", "out")
-    if not output_dir:
-        raise ConfigError("output_dir is empty")
-    tol, window = number("tol", float, "0"), number("window", int, "5")
-    band = (number("band_lo", float, "0.99"), number("band_hi", float, "1.01"))
-    try:
-        policy = StoppingPolicy(mode=stop, tol=tol, window=window, band=band)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    config = ExperimentConfig(
-        sources=sources,
-        kinds=kinds,
-        d_mults=d_mults,
-        solver=single("solver", "lsmr"),
-        policy=policy,
-        seeds=seeds,
-        rho=number("rho", float, "1e-3"),
-        output_dir=output_dir,
-        stride=number("stride", int, "1"),
-    )
-    config.validate()
-    return config
+        parsed = [parse(key, text) for text in texts]
+        value[key] = parsed[0] if how == "one" else parsed
+    return ExperimentConfig(**value)
 
 
 def _scaled_d(mult: float, n: int) -> int:
@@ -372,14 +351,59 @@ def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, eps: float,
     return result, observer
 
 
+def _label(name: str, kind: embed.SketchKind, d: int, seed: int) -> str:
+    return f"{name}_{kind.value}_d{d}_s{seed}"
+
+
+def _output_dir(config: ExperimentConfig) -> Path:
+    """``config.output_dir``, made when missing; a config error when it
+    cannot be, so that no source loads for outputs that cannot be written."""
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output_dir: {exc}") from None
+    return out_dir
+
+
+def _cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]]
+           ) -> Iterator[Tuple[int, embed.SketchKind, int, SeedProblem]]:
+    """``(i, kind, d, problem)`` for every seed and every cell i of one
+    matrix; the cells are ``config.kind`` x ``d_values`` in kind -> d
+    order, and i indexes them so.
+
+    The seeds go one by one, so that the cells of a seed share its
+    :class:`SeedProblem` and only one seed's problem is held at a time;
+    within a seed the cells come in d -> kind order.  A cell whose d is
+    None is skipped.
+    """
+    for seed in config.seeds:
+        problem = SeedProblem(A, seed, config.rho)
+        for j, d in enumerate(d_values):
+            if d is None:
+                continue
+            for k, kind in enumerate(config.kind):
+                yield k * len(d_values) + j, kind, d, problem
+
+
+def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
+                 path: Optional[Path]) -> Tuple[diagnostics.SketchedProblem, float, list]:
+    """The bound step of ``run`` and ``check``: one cell sketched, its eps
+    and its bound suite, whose reports go to the bound file ``path`` when
+    there is one."""
+    P, eps = _sketch_cell(problem, kind, d)
+    reports = diagnostics.run_bound_suite(P, problem.oracle, eps)
+    if path is not None:
+        diagnostics.write_bound_reports(path, reports, seed=problem.seed, kind=kind.value,
+                                        matrix=name, d=d)
+    return P, eps, reports
+
+
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
     A, seed, oracle = problem.A, problem.seed, problem.oracle
-    label = f"{name}_{kind.value}_d{d}_s{seed}"
-    P, eps = _sketch_cell(problem, kind, d)
-    bound_reports = diagnostics.run_bound_suite(P, oracle, eps)
-    diagnostics.write_bound_reports(out_dir / f"{label}_bounds.csv", bound_reports,
-                                    seed=seed, kind=kind.value, matrix=name, d=d)
+    label = _label(name, kind, d, seed)
+    P, eps, bound_reports = _cell_bounds(name, kind, d, problem, out_dir / f"{label}_bounds.csv")
     failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
@@ -402,35 +426,14 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
-def _run_cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]],
-               run_cell: Callable[[int, embed.SketchKind, int, SeedProblem], None],
-               live: Callable[[int], bool] = lambda i: True) -> None:
-    """Call ``run_cell(i, kind, d, problem)`` for every seed and every cell i
-    of one matrix; the cells are ``config.kinds`` x ``d_values`` in kind -> d
-    order, and i indexes them so.
-
-    The seeds go one by one, so that the cells of a seed share its
-    :class:`SeedProblem` and only one seed's problem is held at a time;
-    within a seed the cells run in d -> kind order.  A cell whose d is None,
-    or for which ``live(i)`` is false when its turn comes, does not run.
-    """
-    for seed in config.seeds:
-        problem = SeedProblem(A, seed, config.rho)
-        for j, d in enumerate(d_values):
-            for k, kind in enumerate(config.kinds):
-                i = k * len(d_values) + j
-                if d is not None and live(i):
-                    run_cell(i, kind, d, problem)
-
-
 def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
                 out_dir: Path) -> List[RunOutcome]:
-    """Every (kind, d, seed) run on one matrix (:func:`_run_cells`), in
+    """Every (kind, d, seed) run on one matrix (:func:`_cells`), in
     kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
     error per kind."""
     d_values: List[Optional[int]] = []
     d_errors: Dict[int, str] = {}
-    for j, mult in enumerate(config.d_mults):
+    for j, mult in enumerate(config.d_mult):
         try:
             d_values.append(_compute_d(mult, A.cols, A.rows))
         except ConfigError as exc:
@@ -438,23 +441,19 @@ def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
             d_errors[j] = str(exc)
     outcomes: List[List[RunOutcome]] = [
         [RunOutcome(label=f"{name}_{kind.value}", error=d_errors[j])] if j in d_errors else []
-        for kind in config.kinds for j in range(len(d_values))]
+        for kind in config.kind for j in range(len(d_values))]
 
-    def run_cell(i: int, kind: embed.SketchKind, d: int, problem: SeedProblem) -> None:
+    for i, kind, d, problem in _cells(A, config, d_values):
         try:
             outcome = run_single(name, kind, d, problem, config, out_dir)
         except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-            outcome = RunOutcome(label=f"{name}_{kind.value}_d{d}_s{problem.seed}",
-                                 error=str(exc))
+            outcome = RunOutcome(label=_label(name, kind, d, problem.seed), error=str(exc))
         outcomes[i].append(outcome)
-
-    _run_cells(A, config, d_values, run_cell)
     return [outcome for cell in outcomes for outcome in cell]
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     outcomes: List[RunOutcome] = []
     for source in config.sources:
         A, failed = _load(source)
@@ -504,21 +503,20 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
                   d_values: List[int]) -> Tuple[List[list], List[RunOutcome]]:
     """``sweep_d.csv`` rows and failed cells of one matrix, in kind -> d order.
 
-    The cells run as in :func:`_run_cells`; a cell that raises skips its
-    remaining seeds.
+    The cells run as :func:`_cells` yields them; a cell that raises skips
+    its remaining seeds.
     """
-    cells = [(kind, d) for kind in config.kinds for d in d_values]
+    cells = [(kind, d) for kind in config.kind for d in d_values]
     values: List[list] = [[] for _ in cells]
     failures: List[Optional[RunOutcome]] = [None] * len(cells)
-
-    def run_cell(i: int, kind: embed.SketchKind, d: int, problem: SeedProblem) -> None:
+    for i, kind, d, problem in _cells(A, config, d_values):
+        if failures[i] is not None:
+            continue
         try:
             values[i].append(_sweep_cell(problem, kind, d, config))
         except Exception as exc:  # noqa: BLE001
             failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
                                      error=f"seed {problem.seed}: {exc}")
-
-    _run_cells(A, config, d_values, run_cell, live=lambda i: failures[i] is None)
     rows = []
     for (kind, d), cell_values, failure in zip(cells, values, failures):
         if failure is not None:
@@ -528,32 +526,43 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     return rows, [f for f in failures if f is not None]
 
 
+def _parse_d_list(spec: str) -> List[Tuple[float, bool]]:
+    """``(value, per column)`` of each ``--d-list`` word: a word with the
+    suffix n is a multiplier of the column count, any other a d."""
+    return [(_number("--d-list multiplier", w[:-1]), True) if w.endswith("n")
+            else (_number("--d-list", w, int), False) for w in _words([spec])]
+
+
 def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     """Distortion, plateau and stop statistics across sketch sizes
     (:func:`_sweep_cell`), as the ``SWEEP_COLUMNS`` of ``sweep_d.csv``.
 
     ``d_list`` is the ``--d-list`` text: comma-separated d values, where a
-    suffix ``n`` multiplies the column count of the single source.  A source
-    that fails to load is reported and the sweep goes on with the others.
-    Every d is checked against every loaded source before any work starts.
-    A (kind, d) cell that raises is recorded and reported as an ``error:``
-    line, like a run of :func:`run_experiment`, and the sweep goes on.
+    suffix ``n`` multiplies the column count of the single source.  It is
+    parsed and counted before any source loads.  A source that fails to
+    load is reported and the sweep goes on with the others.  Every d is
+    checked against every loaded source before any work starts.  A (kind,
+    d) cell that raises is recorded and reported as an ``error:`` line,
+    like a run of :func:`run_experiment`, and the sweep goes on.
     """
+    d_words = _parse_d_list(d_list)
+    if len(d_words) < 2:
+        raise ConfigError("sweep-d needs at least two d values")
+    out_dir = _output_dir(config)
     loaded = [(source.name, *_load(source)) for source in config.sources]
     matrices = [(name, A) for name, A, _ in loaded if A is not None]
     errors = [failure for _, _, failure in loaded if failure is not None]
     if not matrices:
         _print_errors(errors)
         return EXIT_RUN_ERROR
-    d_values = _parse_d_list(d_list, [A.cols for _, A in matrices])
-    if len(d_values) < 2:
-        raise ConfigError("sweep-d needs at least two d values")
+    if len(matrices) != 1 and any(per_col for _, per_col in d_words):
+        raise ConfigError("multiplier d values need a single matrix source")
+    d_values = [_scaled_d(value, matrices[0][1].cols) if per_col else value
+                for value, per_col in d_words]
     for name, A in matrices:
         for d in d_values:
             if not (A.cols <= d < A.rows):
                 raise ConfigError(f"d={d} violates n <= d < m for {name}")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, A in matrices:
         source_rows, source_errors = _sweep_source(A, name, config, d_values)
@@ -607,48 +616,38 @@ def emit_figure_data(output_dir) -> List[Path]:
     return written
 
 
-def check_single(matrix_path: Optional[str], synthetic: Optional[str], kind: str,
-                 seed: str, d_mult: str, rho: str, output: Optional[str]) -> int:
-    """One bound-report batch, printed and optionally written to CSV."""
-    sketch_kind = _kind(kind)
-    seed = _number(seed, int, "--seed")
-    d_mult = _number(d_mult, float, "--d-mult")
-    rho = _number(rho, float, "--rho")
-    if rho <= 0:
-        raise ConfigError("--rho must be positive")
-    if matrix_path:
-        source = MatrixSource(name=Path(matrix_path).stem, path=matrix_path)
-    elif synthetic:
-        source = MatrixSource(name="synthetic", synthetic=_parse_synthetic(synthetic))
-    else:
-        raise ConfigError("check needs --matrix or --synthetic")
+def check_single(config: ExperimentConfig, output: Optional[str]) -> int:
+    """The bound suite of the one cell of ``config``, printed and, with
+    ``output``, written as the bound file ``run`` writes for that cell."""
+    for what, values in (("source", config.sources), ("kind", config.kind),
+                         ("seed", config.seeds), ("d multiplier", config.d_mult)):
+        if len(values) > 1:
+            raise ConfigError(f"check runs one cell, so one {what}; got {len(values)}")
+    path = None if output is None else Path(output)
+    if path is not None and not path.parent.is_dir():
+        raise ConfigError(f"--output {output}: its directory does not exist")
+    source = config.sources[0]
     A, failure = _load(source)
     if failure is not None:
         _print_errors([failure])
         return EXIT_RUN_ERROR
-    d = _compute_d(d_mult, A.cols, A.rows)
-    problem = SeedProblem(A, seed, rho)
-    try:
-        P, eps = _sketch_cell(problem, sketch_kind, d)
-        reports = diagnostics.run_bound_suite(P, problem.oracle, eps)
-    except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
-        _print_errors([RunOutcome(label=f"{source.name}_{sketch_kind.value}_d{d}_s{seed}",
-                                  error=str(exc))])
-        return EXIT_RUN_ERROR
-    print(f"matrix={source.name} kind={kind} d={d} seed={seed} eps={eps:.6g} "
-          f"kappa={A.condition_number():.6g}")
-    for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        note = f"  [{rep.note}]" if rep.note else ""
-        print(f"  {rep.bound_id.value:22s} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} {status}{note}")
-    failed = sum(1 for rep in reports if not rep.passed)
-    if output:
-        diagnostics.write_bound_reports(output, reports, seed=seed, kind=kind,
-                                        matrix=source.name, d=d)
+    failed = 0
+    for _, kind, d, problem in _cells(A, config, [_compute_d(config.d_mult[0], A.cols, A.rows)]):
+        try:
+            _, eps, reports = _cell_bounds(source.name, kind, d, problem, path)
+        except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
+            _print_errors([RunOutcome(label=_label(source.name, kind, d, problem.seed),
+                                      error=str(exc))])
+            return EXIT_RUN_ERROR
+        print(f"matrix={source.name} kind={kind.value} d={d} seed={problem.seed} "
+              f"eps={eps:.6g} kappa={A.condition_number():.6g}")
+        for rep in reports:
+            status = "pass" if rep.passed else "FAIL"
+            note = f"  [{rep.note}]" if rep.note else ""
+            print(f"  {rep.bound_id.value:22s} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
+                  f"{status}{note}")
+        failed += sum(1 for rep in reports if not rep.passed)
     return EXIT_BOUND_FAILED if failed else EXIT_OK
-
-
-RUN_OVERRIDES = ("seeds", "stride", "stop", "tol", "window", "band_lo", "band_hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,6 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     stop_modes = ", ".join(m.value for m in StopMode)
     kinds = ", ".join(k.value for k in embed.SketchKind)
 
+    # A flag whose dest is a config key sets that key (_load_config)
     p_run = sub.add_parser("run", help="run the configured experiment batch")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seeds", help="override: comma-separated seed list")
@@ -676,14 +676,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d-list", required=True,
                          help="comma-separated d values; suffix n multiplies cols, e.g. 1.2n,2.4n")
 
-    p_check = sub.add_parser("check", help="single bound-report batch")
-    p_check.add_argument("--matrix")
-    p_check.add_argument("--synthetic", help="m,n,cond")
+    p_check = sub.add_parser("check", help="the bound suite of one cell of a config",
+                             description="the bound suite of one cell of a config whose keys "
+                             "are the flags (--seed is seeds); a source has the name it has "
+                             "in run and sweep-d, so --output is run's bound file of the cell")
+    p_check.add_argument("--matrix", help="Matrix Market file, named by its stem")
+    p_check.add_argument("--synthetic", help="m,n,cond, named synth<m>x<n>c<cond>")
     p_check.add_argument("--kind", required=True, help=f"embedding kind: {kinds}")
-    p_check.add_argument("--seed", default="0")
-    p_check.add_argument("--d-mult", default="2.0")
-    p_check.add_argument("--rho", default="1e-3")
-    p_check.add_argument("--output")
+    p_check.add_argument("--seed", dest="seeds", metavar="SEED")
+    p_check.add_argument("--d-mult")
+    p_check.add_argument("--rho")
+    p_check.add_argument("--output", help="bound CSV to write")
 
     p_fig = sub.add_parser("figures", help="bundle trace CSVs into figure data")
     p_fig.add_argument("--output-dir", required=True)
@@ -691,25 +694,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file ``args.config`` with the ``run`` overrides in ``args``."""
+    """The config of a command: its ``--config`` file, if it takes one, with
+    the value of each flag whose dest is a config key in place of the file's
+    values of that key."""
     try:
-        text = Path(args.config).read_text(encoding="ascii")
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="ascii") if "config" in args else ""
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     kv = _parse_kv(text)
-    for key in RUN_OVERRIDES:
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             kv[key] = [value]
     return _config_from_kv(kv)
-
-
-def _parse_d_list(spec: str, cols_by_source: List[int]) -> List[int]:
-    words = _words([spec])
-    if len(cols_by_source) != 1 and any(w.endswith("n") for w in words):
-        raise ConfigError("multiplier d values need a single matrix source")
-    return [_scaled_d(_number(w[:-1], float, "--d-list multiplier"), cols_by_source[0])
-            if w.endswith("n") else _number(w, int, "--d-list") for w in words]
 
 
 def main(argv=None) -> int:
@@ -721,8 +718,7 @@ def main(argv=None) -> int:
         if args.command == "sweep-d":
             return sweep_d(_load_config(args), args.d_list)
         if args.command == "check":
-            return check_single(args.matrix, args.synthetic, args.kind, args.seed,
-                                args.d_mult, args.rho, args.output)
+            return check_single(_load_config(args), args.output)
         if args.command == "figures":
             emit_figure_data(args.output_dir)
             return EXIT_OK

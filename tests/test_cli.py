@@ -56,8 +56,8 @@ class TestConfigParsing:
                 "stride = 2\n")
         config = parse_config(text)
         assert [s.name for s in config.sources] == ["a", "synth400x40c50"]
-        assert config.kinds == [embed.SketchKind.GAUSSIAN, embed.SketchKind.SRHT]
-        assert config.d_mults == [1.2, 2.4]
+        assert config.kind == [embed.SketchKind.GAUSSIAN, embed.SketchKind.SRHT]
+        assert config.d_mult == [1.2, 2.4]
         assert config.policy.mode is StopMode.STABILIZE_RESIDUAL
         assert config.seeds == [0, 1, 2]
         assert config.policy.band == (0.98, 1.02)
@@ -187,6 +187,64 @@ class TestConfigParsing:
             == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,what", [
+        (["--kind", "sparse,gaussian"], "kind"), (["--seed", "0,1"], "seed"),
+        (["--d-mult", "2,4"], "d multiplier"), (["--matrix", "a.mtx"], "source"),
+    ])
+    def test_check_takes_one_cell(self, capsys, monkeypatch, extra, what):
+        loads = record_loads(monkeypatch)
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse"] + extra) \
+            == EXIT_CONFIG
+        assert f"config error: check runs one cell, so one {what}; got 2" in \
+            capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    def test_non_ascii_config_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# \u03ba\n" + BASE_CONFIG.format(out=tmp_path / "out"), encoding="utf-8")
+        argv = [command, "--config", str(cfg)] + (
+            ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    def test_output_dir_naming_a_file_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        loads = record_loads(monkeypatch)
+        (tmp_path / "out").write_text("")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        argv = [command, "--config", str(cfg)] + (
+            ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot make output_dir:")
+        assert len(err.splitlines()) == 1
+        assert loads == []
+
+    def test_check_output_into_missing_directory_is_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        loads = record_loads(monkeypatch)
+        output = tmp_path / "absent" / "x.csv"
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
+                     "--output", str(output)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --output {output}: its directory does not exist\n"
+        assert captured.out == ""
+        assert loads == []
+
+    def test_sweep_counts_d_values_before_any_load(self, tmp_path, capsys, monkeypatch):
+        loads = record_loads(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "8"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: sweep-d needs at least two d values\n"
+        assert loads == []
+
     def test_d_rule_violation_is_run_error(self, tmp_path):
         # d = ceil(30 * 6) = 180 >= m = 120
         config = parse_config("synthetic = 120,6,20\nkind = gaussian\n"
@@ -250,6 +308,19 @@ def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
     path = tmp_path / f"a{m}x{n}.mtx"
     save_matrix_market(MatrixSource("s", synthetic=(m, n, cond)).load(), path)
     return path
+
+
+def record_loads(monkeypatch) -> list:
+    """The name of every source that ``MatrixSource.load`` is asked for;
+    each load fails."""
+    loads = []
+
+    def load(source):
+        loads.append(source.name)
+        raise OSError("no load expected")
+
+    monkeypatch.setattr(MatrixSource, "load", load)
+    return loads
 
 
 def record_sketches(monkeypatch, fail=lambda kind, d, seed: False) -> list:
@@ -833,7 +904,7 @@ def unstopped_solves(config) -> dict:
     solves = {}
     for seed in config.seeds:
         problem = cli.SeedProblem(A, seed, config.rho)
-        for kind in config.kinds:
+        for kind in config.kind:
             for d in map(int, SWEEP_DS.split(",")):
                 P, _ = cli._sketch_cell(problem, kind, d)
                 observer = MetricsObserver(A, problem.b, stride=config.stride,
@@ -1119,6 +1190,18 @@ class TestMain:
         assert (tmp_path / "out" / "synth120x6c20_gaussian_d24_s3_bounds.csv").exists()
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+
+    def test_check_writes_the_bound_file_of_run(self, tmp_path, capsys):
+        # one name per source: check's bound file of a cell is run's
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("synthetic = 200,4,10\nkind = sparse\nseeds = 1\nd_mult = 16\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse", "--seed", "1",
+                     "--d-mult", "16", "--output", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert "matrix=synth200x4c10 kind=sparse d=64 seed=1 " in capsys.readouterr().out
+        assert (tmp_path / "x.csv").read_bytes() == \
+            (tmp_path / "out" / "synth200x4c10_sparse_d64_s1_bounds.csv").read_bytes()
 
     def test_check_one_pivoted_qr_of_A(self, monkeypatch):
         self.check_factorizations(monkeypatch, ["--synthetic", "200,4,10"])

@@ -2,6 +2,7 @@
 definitions of ``src/sketchls`` the commands reach."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -119,3 +120,19 @@ def test_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(SRC.parent)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_tracer_installs_and_uninstalls():
+    # bench/tracer.py patches names of src/sketchls where their callers look
+    # them up; a name that moves or is renamed breaks its install here
+    path = SRC.parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = tracer.patched
+    finally:
+        tracer.uninstall()
+    assert patched and all(owner.__dict__[attr] is raw for owner, attr, raw in patched)
