@@ -13,9 +13,10 @@ Each cell sketches only W = [Q u], Q the Q of A's pivoted QR and u the unit
 part of b orthogonal to it, factors SW = Q_s T with T the Cholesky factor
 of SW^T SW (a Householder R when SW is ill-conditioned), and reads eps,
 x_s, the bounds and both solves from the (n + 1) x n pair (M, T W^T b) with
-SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`).  A Gaussian
-cell's SW is a d x (n + 1) draw with the law of G W for a full Gaussian G,
-so it keeps the full-Gaussian law with no m-row work (:mod:`sketchls.embed`).
+SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`, the cell; no
+command forms the d-row SA).  A Gaussian cell's SW is a d x (n + 1) draw
+with the law of G W for a full Gaussian G, so it keeps the full-Gaussian
+law with no m-row work (:mod:`sketchls.embed`).
 
 Re-running the same configuration at the same BLAS thread count reproduces
 every output byte for byte.  Across thread counts the last digits can move
@@ -50,7 +51,9 @@ file's stem, or ``synth<m>x<n>c<cond>``.
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
-flag, a missing ``--config``) also exits 2, before any run starts.
+flag, a missing ``--config``) also exits 2, before any run starts.  A
+source that fails to load, or that a d does not fit (n <= d < m), is a run
+error of that source in every command; the other sources still run.
 """
 
 from __future__ import annotations
@@ -237,17 +240,20 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
     return ExperimentConfig(**value)
 
 
-def _scaled_d(mult: float, n: int) -> int:
-    """ceil(mult * n); infinite when the product overflows."""
-    product = mult * n
-    return math.ceil(product) if math.isfinite(product) else math.inf
-
-
-def _compute_d(mult: float, n: int, m: int) -> int:
-    d = _scaled_d(mult, n)
-    if not (n <= d < m):
-        raise ConfigError(f"d = ceil({mult} * {n}) = {d} violates n <= d < m = {m}")
-    return d
+def _fit_d(value: float, per_col: bool, A: MatrixHandle) -> Tuple[Optional[int], str]:
+    """``(d, "")`` for d = ceil(value * n) (``per_col``) or d = value on A,
+    or ``(None, the error)`` when d breaks n <= d < m: a run error of the
+    source in every command, since it depends on the loaded shape."""
+    n, m = A.cols, A.rows
+    if per_col:
+        product = value * n
+        d = math.ceil(product) if math.isfinite(product) else math.inf
+        how = f"ceil({value} * {n}) = "
+    else:
+        d, how = value, ""
+    if n <= d < m:
+        return d, ""
+    return None, f"d = {how}{d} violates n <= d < m = {m}"
 
 
 class SeedProblem:
@@ -311,39 +317,34 @@ SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
 
 
 def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
-                 ) -> Tuple[diagnostics.SketchedProblem, float]:
+                 ) -> diagnostics.SketchedProblem:
     """The sketched problem of one (seed, kind, d) cell in the coordinates of
-    W = [Q u] (``problem.span``), and the distortion eps of its sketch.
+    W = [Q u] (``problem.span``), with the distortion ``eps`` of its sketch.
 
     SW = S W is :func:`embed.gaussian_span_sketch`'s draw, or S Q and S u
     for S from :func:`embed.build_sketch`, in a C-ordered SW whose Gram
-    BLAS reads in place.  Q is untrimmed, so SA keeps all n columns of A,
-    and eps reads the basis columns of T, the triangular factor of
-    SW = Q_s T (:func:`diagnostics.sketch_factor`).
+    BLAS reads in place.  Q is untrimmed, so SA keeps all n columns of A.
     """
     A, span = problem.A, problem.span
     k = span.c_b.size
     if kind is embed.SketchKind.GAUSSIAN:
-        S, SW = None, embed.gaussian_span_sketch(d, A.rows, k, problem.seed)
+        SW = embed.gaussian_span_sketch(d, A.rows, k, problem.seed)
     else:
         S = embed.build_sketch(kind, d, A.rows, problem.seed)
         SW = np.empty((d, k))
         SW[:, : A.cols] = embed.apply(S, A.qr_factor()[0])
         if span.u is not None:
             SW[:, A.cols] = embed.apply(S, span.u)
-    P = diagnostics.SketchedProblem(A, problem.b, S, SW=SW, c_b=span.c_b)
-    Sq = None if span.c_q is None else P.T @ span.c_q
-    return P, embed.basis_distortion(P.T[:, : span.rank], Sq).epsilon
+    return diagnostics.SketchedProblem(A, problem.b, span, SW)
 
 
-def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, eps: float,
-                problem: SeedProblem, config: ExperimentConfig
-                ) -> Tuple[SolveResult, MetricsObserver]:
+def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, problem: SeedProblem,
+                config: ExperimentConfig) -> Tuple[SolveResult, MetricsObserver]:
     """``solver_fn`` on a cell's sketched problem under ``config.policy``, and
     the oracle-path observer that watched it; only the traditional stop reads
     ||SA||.  max_iter is min(2n, d), set by the d-row problem, not the pair."""
     op_norm = P.norm_SA if config.policy.mode is StopMode.TRADITIONAL else math.nan
-    controller = StoppingController(config.policy, op_norm=op_norm, epsilon=eps)
+    controller = StoppingController(config.policy, op_norm=op_norm, epsilon=P.eps)
     observer = MetricsObserver(problem.A, problem.b, stride=config.stride,
                                oracle=problem.oracle)
     result = solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
@@ -387,36 +388,35 @@ def _cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[in
 
 
 def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
-                 path: Optional[Path]) -> Tuple[diagnostics.SketchedProblem, float, list]:
-    """The bound step of ``run`` and ``check``: one cell sketched, its eps
-    and its bound suite, whose reports go to the bound file ``path`` when
-    there is one."""
-    P, eps = _sketch_cell(problem, kind, d)
-    reports = diagnostics.run_bound_suite(P, problem.oracle, eps)
+                 path: Optional[Path]) -> Tuple[diagnostics.SketchedProblem, list]:
+    """The bound step of ``run`` and ``check``: one cell sketched and its
+    bound suite, whose reports go to the bound file ``path`` when there is
+    one."""
+    P = _sketch_cell(problem, kind, d)
+    reports = diagnostics.run_bound_suite(P, problem.oracle, P.eps)
     if path is not None:
         diagnostics.write_bound_reports(path, reports, seed=problem.seed, kind=kind.value,
                                         matrix=name, d=d)
-    return P, eps, reports
+    return P, reports
 
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
     A, seed, oracle = problem.A, problem.seed, problem.oracle
     label = _label(name, kind, d, seed)
-    P, eps, bound_reports = _cell_bounds(name, kind, d, problem, out_dir / f"{label}_bounds.csv")
+    P, bound_reports = _cell_bounds(name, kind, d, problem, out_dir / f"{label}_bounds.csv")
     failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
     for solver_name in ("lsqr", "lsmr") if config.solver == "both" else (config.solver,):
-        result, _ = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, eps, problem,
-                                config)
+        result, _ = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem, config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
         summaries.append({
             "matrix": name, "kind": kind.value, "d": d, "seed": seed,
             "solver": solver_name, "iterations": result.iterations,
             "termination": result.termination.value,
-            "epsilon": eps, "kappa": A.condition_number(),
+            "epsilon": P.eps, "kappa": A.condition_number(),
             "final_rnorm": last.unsketched_residual_norm if last else math.nan,
             "final_ne_ratio": last.unsketched_normal_ratio if last else math.nan,
             "r_ls_norm": oracle.r_ls_norm,
@@ -431,17 +431,11 @@ def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
     """Every (kind, d, seed) run on one matrix (:func:`_cells`), in
     kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
     error per kind."""
-    d_values: List[Optional[int]] = []
-    d_errors: Dict[int, str] = {}
-    for j, mult in enumerate(config.d_mult):
-        try:
-            d_values.append(_compute_d(mult, A.cols, A.rows))
-        except ConfigError as exc:
-            d_values.append(None)
-            d_errors[j] = str(exc)
+    fits = [_fit_d(mult, True, A) for mult in config.d_mult]
+    d_values = [d for d, _ in fits]
     outcomes: List[List[RunOutcome]] = [
-        [RunOutcome(label=f"{name}_{kind.value}", error=d_errors[j])] if j in d_errors else []
-        for kind in config.kind for j in range(len(d_values))]
+        [RunOutcome(label=f"{name}_{kind.value}", error=error)] if error else []
+        for kind in config.kind for _, error in fits]
 
     for i, kind, d, problem in _cells(A, config, d_values):
         try:
@@ -488,11 +482,11 @@ def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
     """eps, the plateau (the normal ratio at x_s, by the observer's oracle
     path), LSMR's stop iteration under ``config.policy`` and its last fresh
     normal ratio over the plateau, for one (kind, d) sketch of one seed."""
-    P, eps = _sketch_cell(problem, kind, d)
-    result, observer = _solve_cell(lsmr, P, eps, problem, config)
+    P = _sketch_cell(problem, kind, d)
+    result, observer = _solve_cell(lsmr, P, problem, config)
     _, plateau = observer.metrics(P.x_s)
     ratio = result.trace[-1].unsketched_normal_ratio if result.trace else math.nan
-    return eps, plateau, result.iterations, ratio / plateau
+    return P.eps, plateau, result.iterations, ratio / plateau
 
 
 SWEEP_COLUMNS = ["matrix", "kind", "d"] + [f"{stat}_{q}" for stat in (
@@ -540,10 +534,11 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     ``d_list`` is the ``--d-list`` text: comma-separated d values, where a
     suffix ``n`` multiplies the column count of the single source.  It is
     parsed and counted before any source loads.  A source that fails to
-    load is reported and the sweep goes on with the others.  Every d is
-    checked against every loaded source before any work starts.  A (kind,
-    d) cell that raises is recorded and reported as an ``error:`` line,
-    like a run of :func:`run_experiment`, and the sweep goes on.
+    load, or that a d does not fit (n <= d < m), is reported and the sweep
+    goes on with the others; every d is checked against every loaded
+    source before any cell runs.  A (kind, d) cell that raises is recorded
+    and reported as an ``error:`` line, like a run of
+    :func:`run_experiment`, and the sweep goes on.
     """
     d_words = _parse_d_list(d_list)
     if len(d_words) < 2:
@@ -552,19 +547,20 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     loaded = [(source.name, *_load(source)) for source in config.sources]
     matrices = [(name, A) for name, A, _ in loaded if A is not None]
     errors = [failure for _, _, failure in loaded if failure is not None]
-    if not matrices:
+    if len(matrices) > 1 and any(per_col for _, per_col in d_words):
+        raise ConfigError("multiplier d values need a single matrix source")
+    fitted = []
+    for name, A in matrices:
+        fits = [_fit_d(value, per_col, A) for value, per_col in d_words]
+        misfits = [RunOutcome(label=name, error=error) for _, error in fits if error]
+        errors.extend(misfits)
+        if not misfits:
+            fitted.append((name, A, [d for d, _ in fits]))
+    if not fitted:
         _print_errors(errors)
         return EXIT_RUN_ERROR
-    if len(matrices) != 1 and any(per_col for _, per_col in d_words):
-        raise ConfigError("multiplier d values need a single matrix source")
-    d_values = [_scaled_d(value, matrices[0][1].cols) if per_col else value
-                for value, per_col in d_words]
-    for name, A in matrices:
-        for d in d_values:
-            if not (A.cols <= d < A.rows):
-                raise ConfigError(f"d={d} violates n <= d < m for {name}")
     rows = []
-    for name, A in matrices:
+    for name, A, d_values in fitted:
         source_rows, source_errors = _sweep_source(A, name, config, d_values)
         rows.extend(source_rows)
         errors.extend(source_errors)
@@ -631,16 +627,20 @@ def check_single(config: ExperimentConfig, output: Optional[str]) -> int:
     if failure is not None:
         _print_errors([failure])
         return EXIT_RUN_ERROR
+    d, error = _fit_d(config.d_mult[0], True, A)
+    if error:
+        _print_errors([RunOutcome(label=f"{source.name}_{config.kind[0].value}", error=error)])
+        return EXIT_RUN_ERROR
     failed = 0
-    for _, kind, d, problem in _cells(A, config, [_compute_d(config.d_mult[0], A.cols, A.rows)]):
+    for _, kind, d, problem in _cells(A, config, [d]):
         try:
-            _, eps, reports = _cell_bounds(source.name, kind, d, problem, path)
+            P, reports = _cell_bounds(source.name, kind, d, problem, path)
         except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
             _print_errors([RunOutcome(label=_label(source.name, kind, d, problem.seed),
                                       error=str(exc))])
             return EXIT_RUN_ERROR
         print(f"matrix={source.name} kind={kind.value} d={d} seed={problem.seed} "
-              f"eps={eps:.6g} kappa={A.condition_number():.6g}")
+              f"eps={P.eps:.6g} kappa={A.condition_number():.6g}")
         for rep in reports:
             status = "pass" if rep.passed else "FAIL"
             note = f"  [{rep.note}]" if rep.note else ""

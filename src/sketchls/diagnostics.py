@@ -12,11 +12,13 @@ holds.  Two checks stay out of the suite and run only in the tests:
 The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
 :func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from
-triangular solves with a cell's factors (a dense pivoted QR of (SA, Sb) on
-the d-row reference), and eps, in the CLI, from the cell's sketched basis
-(:func:`sketchls.embed.exact_distortion` its reference).  The checks of one
-(problem, sketch) pair read one :class:`SketchedProblem`, which forms SA, Sb,
-the singular values of SA, the sketched minimizer and its residual once each.
+triangular solves with a cell's factors, and eps from the cell's sketched
+basis.  The checks of one (problem, sketch) pair read one
+:class:`SketchedProblem`, the CLI's cell, which forms SA, Sb, eps, the
+singular values of SA, the sketched minimizer and its residual once each.
+The checks read only that interface, so the tests run them on the d-row
+problem of an explicit S too (``DRowProblem`` of ``tests/reference.py``),
+the slow reference of the cell; :func:`solve_sketched` is its minimizer.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
 bound, and a pass/fail margin; bounds whose hypotheses are void (zero residual,
 embedding parameter >= 1) are reported as vacuous passes with a note.
@@ -29,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.linalg
@@ -63,8 +65,6 @@ class BoundId(str, enum.Enum):
     COMBINED_RESIDUAL = "CombinedResidual"
     ACUTE_CRITERION = "AcuteCriterion"
     ETA_F_UPPER = "EtaFUpper"
-    PINV_PERTURB = "PinvPerturb"
-    PINV_NON_ACUTE = "PinvNonAcute"
 
 
 @dataclass
@@ -123,49 +123,41 @@ def combined_direction_bound(eps: float, kappa: float) -> float:
 
 
 class SketchedProblem:
-    """The sketched problem min ||S(Ax - b)|| of one (problem, sketch) pair.
+    """The sketched problem min ||S(Ax - b)|| of one CLI cell, in the
+    coordinates of W = [Q u] (:func:`sketchls.embed.span_coordinates`),
+    whose span holds A, b and every residual.
 
-    Each quantity is computed on first use and kept, so the solver set-up and
-    every bound check of the pair share one SA, one Sb, one SVD of SA, one
-    sketched minimizer x_s and one residual r_s with its ||A^T r_s||.  The
-    checks read S only by :meth:`sketch_residual` and :meth:`geometric_defect`.
-
-    ``SketchedProblem(A, b, S)`` applies S (:func:`sketchls.embed.apply`):
-    the d-row reference.  A CLI cell gives SW = S W and c_b = W^T b instead,
-    for W = [Q u] of :func:`sketchls.embed.span_coordinates`, whose span
-    holds A, b and every residual.  With SW = Q_s T, T the triangular factor
-    of :func:`sketch_factor`, SA = Q_s M for M[:, piv] = T[:, :n] R and
-    S b = Q_s T c_b, so ``SA`` and ``Sb`` hold the (n + 1) x n pair
-    (M, T c_b), with SA's singular values, x_s and Krylov steps, and S
-    products are taken in Q_s coordinates.  ``d`` is S's row count; ``S`` is
-    None for a Gaussian cell.
+    ``SW`` is the d x (n + 1) S W and ``span`` holds c_b = W^T b.  With
+    SW = Q_s T, T the triangular factor of :func:`sketch_factor`,
+    SA = Q_s M for M[:, piv] = T[:, :n] R and S b = Q_s T c_b, so ``SA`` and
+    ``Sb`` hold the (n + 1) x n pair (M, T c_b): SA's singular values, x_s,
+    eps and the solvers' Krylov steps read it, and S products are taken in
+    Q_s coordinates.  ``d`` is S's row count.  Each quantity is computed on
+    first use and kept, so the solves and every bound check of the cell
+    share one SVD, one x_s and one residual r_s with its ||A^T r_s||.  The
+    d-row problem of an explicit S, the slow reference of each quantity,
+    is ``DRowProblem`` of the tests.
     """
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray,
-                 S: Optional[embed.SketchOperator] = None, SW: Optional[np.ndarray] = None,
-                 c_b: Optional[np.ndarray] = None):
+    def __init__(self, A: MatrixHandle, b: np.ndarray, span: embed.SpanCoordinates,
+                 SW: np.ndarray):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
-        self.S = S
-        self.T: Optional[np.ndarray] = None
-        if SW is None:
-            self.d = S.d
-            return
+        self.span = span
         self.d = SW.shape[0]
         self.T = sketch_factor(SW)
-        self.c_b = c_b
         _, R, piv = A.qr_factor()
         self.SA = np.empty((self.T.shape[0], A.cols))
         self.SA[:, piv] = self.T[:, : A.cols] @ R
-        self.Sb = self.T @ c_b
+        self.Sb = self.T @ span.c_b
 
     @cached_property
-    def SA(self) -> np.ndarray:
-        return embed.apply(self.S, self.A.dense())
-
-    @cached_property
-    def Sb(self) -> np.ndarray:
-        return embed.apply(self.S, self.b)
+    def eps(self) -> float:
+        """The distortion of S over span([A b]) (:func:`sketchls.embed.basis_distortion`),
+        from the basis columns of T and T c_q, the coordinates in Q_s of the
+        sketched ``subspace_basis(A, b)``."""
+        Sq = None if self.span.c_q is None else self.T @ self.span.c_q
+        return embed.basis_distortion(self.T[:, : self.span.rank], Sq).epsilon
 
     @cached_property
     def sv(self) -> np.ndarray:
@@ -178,13 +170,11 @@ class SketchedProblem:
 
     @cached_property
     def x_s(self) -> np.ndarray:
-        """Exact minimizer of ||S(Ax - b)||, by dense pivoted QR of (SA, Sb)
-        on the d-row path.  A cell's M[:, piv] = [T11 R; 0] is triangular,
-        so x[piv] solves T11 R x[piv] = (T c_b)[:n], refined once against
-        M.  The rank check reads T_ii R_ii: its smallest over its largest is
-        at least 1 / kappa(M), so a raise means kappa(M) > 1 / RANK_TOL."""
-        if self.T is None:
-            return qr_ls_solve(self.SA, self.Sb)
+        """Exact minimizer of ||S(Ax - b)||.  M[:, piv] = [T11 R; 0] is
+        triangular, so x[piv] solves T11 R x[piv] = (T c_b)[:n], refined
+        once against M.  The rank check reads T_ii R_ii: its smallest over
+        its largest is at least 1 / kappa(M), so a raise means
+        kappa(M) > 1 / RANK_TOL."""
         n = self.A.cols
         piv = self.A.qr_factor()[2]
         return _qr_solve(lambda x: self.SA @ x, (None, self.SA[:n, piv], piv), self.Sb)
@@ -202,22 +192,17 @@ class SketchedProblem:
     def _residual_coordinates(self, x: np.ndarray) -> np.ndarray:
         """c = W^T (A x - b) = [R x[piv]; 0] - c_b."""
         _, R, piv = self.A.qr_factor()
-        c = -self.c_b
+        c = -self.span.c_b
         c[: self.A.cols] += R @ x[piv]
         return c
 
     def sketch_residual(self, x: np.ndarray) -> np.ndarray:
-        """S (A x - b); T c in a cell's coordinates."""
-        if self.T is None:
-            return embed.apply(self.S, self.A.matvec(x) - self.b)
+        """S (A x - b) in Q_s coordinates: T c."""
         return self.T @ self._residual_coordinates(x)
 
     def geometric_defect(self, x: np.ndarray) -> np.ndarray:
-        """A^T (S^T S - I) r for r = A x - b; P R^T (T[:, :n]^T T c - c[:n])
-        in a cell's coordinates, with A = Q R P^T."""
-        if self.T is None:
-            r = self.A.matvec(x) - self.b
-            return self.A.rmatvec(embed.apply_adjoint(self.S, embed.apply(self.S, r)) - r)
+        """A^T (S^T S - I) r for r = A x - b: P R^T (T[:, :n]^T T c - c[:n]),
+        with A = Q R P^T."""
         n = self.A.cols
         _, R, piv = self.A.qr_factor()
         c = self._residual_coordinates(x)
@@ -235,14 +220,14 @@ def sketch_factor(SW: np.ndarray) -> np.ndarray:
     :data:`GRAM_COND_LIMIT`, T is the R of SW's Householder QR, which may
     overwrite SW.  A C-ordered SW is read without a copy."""
     T = gram_cholesky(SW.T)
-    if T is None or cond_estimate(T) > GRAM_COND_LIMIT:
-        T = scipy.linalg.qr(SW, mode="r", overwrite_a=True, check_finite=False)[0][: SW.shape[1]]
-    return T
+    if T is not None and cond_estimate(T) <= GRAM_COND_LIMIT:
+        return T
+    return scipy.linalg.qr(SW, mode="r", overwrite_a=True, check_finite=False)[0][: SW.shape[1]]
 
 
 def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> np.ndarray:
     """Exact minimizer of ||S(Ax - b)|| by dense pivoted QR of the sketched pair."""
-    return SketchedProblem(A, b, S).x_s
+    return qr_ls_solve(embed.apply(S, A.dense()), embed.apply(S, b))
 
 
 def check_geometric_preservation(P: SketchedProblem, y: np.ndarray,
@@ -466,9 +451,8 @@ SUITE_BOUND_IDS = (
 
 def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[BoundReport]:
     """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair, with
-    ``eps`` the embedding parameter of S over span([A b]): the CLI's is
-    :func:`sketchls.embed.basis_distortion` of the cell's sketched basis,
-    :func:`sketchls.embed.exact_distortion` its reference."""
+    ``eps`` the embedding parameter of S over span([A b]): the CLI's is the
+    cell's ``P.eps``, :func:`sketchls.embed.exact_distortion` its reference."""
     reports = [check_geometric_preservation(P, P.x_s, eps)]
     reports.extend(check_residual_bounds(P, oracle, eps))
     reports.extend(check_explicit_perturbations(P, oracle, eps))

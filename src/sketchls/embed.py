@@ -203,34 +203,6 @@ def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
     return out * (p.signs[:, None] if U.ndim == 2 else p.signs)
 
 
-MATERIALIZE_GUARD = 10_000_000
-
-
-def materialize(S: SketchOperator) -> np.ndarray:
-    """Explicit dense d x m matrix of the operator; oracle for :func:`apply`.
-
-    Each kind is assembled from its defining formula rather than through the
-    fast application path.  The SRHT's rows are the sampled rows of the
-    Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j), built for the
-    first m columns only, so no m' x m' array is formed.
-    """
-    if S.d * S.m > MATERIALIZE_GUARD:
-        raise ValueError(f"materialize guard: d*m = {S.d * S.m} exceeds {MATERIALIZE_GUARD}")
-    p = S.payload
-    if isinstance(p, GaussianPayload):
-        return p.matrix.copy()
-    if isinstance(p, SrhtPayload):
-        bits = p.indices[:, None] & np.arange(S.m)
-        parity = np.zeros_like(bits)
-        while bits.any():
-            parity ^= bits & 1
-            bits >>= 1
-        return (1 - 2 * parity) * p.signs[: S.m] / np.sqrt(S.d)
-    out = np.zeros((S.d, S.m))
-    out[p.rows, np.arange(S.m)] = p.signs
-    return out
-
-
 def subspace_basis(A: MatrixHandle, b: np.ndarray
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Orthonormal basis of span([A b]) as a pair ``(Q, q)``, rank trimmed.

@@ -12,14 +12,14 @@ U diag(s) V^T, has Q1 = U (see :func:`synthesize_matrix`), and a loaded
 one gets Q1 and R1 from CholeskyQR2 (two passes of Cholesky of the Gram
 matrix and a triangular solve, all BLAS-3) of its densified copy, where
 Householder QR's panel updates are BLAS-2 bound on a tall, thin matrix.
-Only a loaded matrix that CholeskyQR2 rejects (rank deficient, or past
-:data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m rows.
-A synthesized matrix's U and V are the CholeskyQR2 factors of Gaussian
-draws, in the draw's own buffer.  A matrix too ill-conditioned for the
-plain Cholesky falls back to shifted CholeskyQR3.  R is taken with a
-positive diagonal, so U and V are Haar distributed.  A is then formed once, directly in the Fortran order the
-handle keeps, and U is kept without a copy: it becomes Q in place, and the
-tall bench workload (16000 x 100) peaks lowest that way.
+Only a loaded matrix that CholeskyQR2 rejects (a Cholesky fails, or R is
+past :data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m
+rows.  A synthesized matrix's U and V are the CholeskyQR2 factors of
+Gaussian draws, in the draw's own buffer; a draw that CholeskyQR2 rejects
+gets Householder QR.  R is taken with a positive diagonal on both paths,
+so U and V are Haar distributed.  A is then formed once, directly in the
+Fortran order the handle keeps, and U is kept without a copy: it becomes Q
+in place, and the tall bench workload (16000 x 100) peaks lowest that way.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
@@ -137,11 +137,6 @@ class MatrixHandle:
         if self._dense is None:
             return self._sparse.toarray()
         return self._dense
-
-    def csr(self) -> scipy.sparse.csr_matrix:
-        if self._sparse is None:
-            return scipy.sparse.csr_matrix(self._dense)
-        return self._sparse
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         mat = self._sparse if self._sparse is not None else self._dense
@@ -403,22 +398,6 @@ def _check_finite_values(vals: np.ndarray, entries) -> None:
         raise MatrixMarketError(f"line {ln}: non-finite value")
 
 
-def save_matrix_market(handle: MatrixHandle, path) -> None:
-    """Write the handle in general Matrix Market form, round-trip exact."""
-    with open(path, "w", encoding="ascii") as fh:
-        if handle.is_sparse:
-            mat = handle.csr().tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{handle.rows} {handle.cols} {mat.nnz}\n")
-            for i, j, v in zip(mat.row, mat.col, mat.data):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{handle.rows} {handle.cols}\n")
-            for v in handle.dense().flatten(order="F"):
-                fh.write(f"{v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # Problem synthesis
 
@@ -446,14 +425,13 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
 
     Built as U diag(s) V^T with log-spaced singular values from 1 down to
     1/cond.  U and V are the orthonormal factors of m-by-n and n-by-n
-    Gaussian draws, taken by :func:`_orthonormal_factor` (CholeskyQR2, with
-    shifted CholeskyQR3 when a draw is too ill-conditioned for it) with a
-    positive R diagonal, so both are Haar distributed.  A is formed once, as
-    the transpose of the C-ordered (V diag(s)) U^T, which is already the
-    Fortran order the handle keeps: no m-by-n U diag(s) and no reordering
-    copy.  The handle keeps (U, s, V), so its pivoted QR
-    (:meth:`MatrixHandle.qr_factor`) costs an n-by-n QR and one pass over U
-    instead of a QR of the m rows of A; that pass overwrites U with Q.
+    Gaussian draws with a positive R diagonal (:func:`_haar_q`), so both
+    are Haar distributed.  A is formed once, as the transpose of the
+    C-ordered (V diag(s)) U^T, which is already the Fortran order the
+    handle keeps: no m-by-n U diag(s) and no reordering copy.  The handle
+    keeps (U, s, V), so its pivoted QR (:meth:`MatrixHandle.qr_factor`)
+    costs an n-by-n QR and one pass over U instead of a QR of the m rows of
+    A; that pass overwrites U with Q.
     Raises ValueError before any draw for a shape that is not tall or
     square, or for a cond that is not finite and >= 1.
     """
@@ -462,12 +440,26 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     if not (math.isfinite(cond) and cond >= 1):
         raise ValueError("cond must be finite and >= 1")
     gen = stream(seed, "synthmat", m, n)
-    U = _orthonormal_factor(gen.standard_normal((m, n)))[0]
-    V = _orthonormal_factor(gen.standard_normal((n, n)))[0]
+    U = _haar_q(gen.standard_normal((m, n)))
+    V = _haar_q(gen.standard_normal((n, n)))
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
     A = MatrixHandle(((V * s) @ U.T).T)
     A._svd = (U, s, V)
     return A
+
+
+def _haar_q(G: np.ndarray) -> np.ndarray:
+    """Q of G = Q R with a positive R diagonal, Haar distributed for a
+    Gaussian G (Mezzadri, Notices AMS 2007): :func:`_orthonormal_factor`'s,
+    in G's buffer, or Householder QR's for a G that it rejects (no
+    synthesis draw has been seen to).  A second-pass rejection leaves
+    G R0^-1 in G, R0 triangular with a positive diagonal: the same Q."""
+    try:
+        return _orthonormal_factor(G)[0]
+    except np.linalg.LinAlgError:
+        Q, R = scipy.linalg.qr(G, mode="economic")
+        _positive_diagonal(Q, R)
+        return Q
 
 
 def _orthonormal_factor(G: np.ndarray, max_cond: float = math.inf
@@ -478,27 +470,18 @@ def _orthonormal_factor(G: np.ndarray, max_cond: float = math.inf
     X <- X R^-1 (TRSM): BLAS-3 work throughout, where Householder QR of a
     tall, thin G is bound by BLAS-2 panel updates.  Two passes make Q
     orthonormal to rounding while kappa(G) is below about 1e8 (Fukaya,
-    Nakatsukasa, Yanagisawa & Yamamoto, SISC 2020).  Above that the first
-    Cholesky fails before G is written, and shifted CholeskyQR3 runs
-    instead: a first pass on C + s I, s = 11 (mn + n(n+1)) u ||G||_F^2,
-    then the two plain passes; it holds to kappa(G) of about 1e12.  R is
-    the product of the passes' factors, each with a positive diagonal, so R
-    has one too, and Q of a Gaussian G is Haar distributed (Mezzadri,
-    Notices AMS 2007).  G is overwritten and returned as Q when it is
-    C-ordered float64, as a draw is.  Raises LinAlgError when G is
-    numerically rank deficient, or when R's :func:`cond_estimate` is above
-    ``max_cond``.
+    Nakatsukasa, Yanagisawa & Yamamoto, SISC 2020).  R is the product of
+    the passes' factors, each with a positive diagonal, so R has one too.
+    G is overwritten and returned as Q when it is C-ordered float64, as a
+    draw is.  Raises LinAlgError when a Cholesky fails (G numerically rank
+    deficient, or kappa(G) above about 1e8; the first pass fails before G
+    is written), or when R's :func:`cond_estimate` is above ``max_cond``.
     """
     G = np.ascontiguousarray(G, dtype=np.float64)
-    m, n = G.shape
     Gt = G.T  # Fortran-ordered view, so BLAS works in G's buffer
-    R = _cholesky_qr_pass(Gt, 0.0)
-    if R is not None:
-        shifts = (0.0,)
-    else:
-        shifts = (11 * (m * n + n * (n + 1)) * np.finfo(np.float64).eps, 0.0, 0.0)
-    for shift in shifts:
-        R_pass = _cholesky_qr_pass(Gt, shift)
+    R = None
+    for _ in range(2):
+        R_pass = _cholesky_qr_pass(Gt)
         if R_pass is None:
             raise np.linalg.LinAlgError("CholeskyQR: matrix is numerically rank deficient")
         R = R_pass if R is None else R_pass @ R
@@ -507,22 +490,20 @@ def _orthonormal_factor(G: np.ndarray, max_cond: float = math.inf
     return G, R
 
 
-def gram_cholesky(Xt: np.ndarray, shift: float = 0.0) -> Optional[np.ndarray]:
-    """Upper triangular R, R_ii > 0, with R^T R = X^T X + shift *
-    trace(X^T X) I for X = Xt^T, by SYRK and POTRF, or None when the
-    Cholesky fails.  A Fortran-ordered Xt is read without a copy."""
+def gram_cholesky(Xt: np.ndarray) -> Optional[np.ndarray]:
+    """Upper triangular R, R_ii > 0, with R^T R = X^T X for X = Xt^T, by
+    SYRK and POTRF, or None when the Cholesky fails.  A Fortran-ordered Xt
+    is read without a copy."""
     C = scipy.linalg.blas.dsyrk(1.0, Xt)
-    if shift:
-        C[np.diag_indices_from(C)] += shift * np.trace(C)
     R, info = scipy.linalg.lapack.dpotrf(C, overwrite_a=True)
     return R if info == 0 else None
 
 
-def _cholesky_qr_pass(Xt: np.ndarray, shift: float) -> Optional[np.ndarray]:
+def _cholesky_qr_pass(Xt: np.ndarray) -> Optional[np.ndarray]:
     """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with R from
     :func:`gram_cholesky`, returned.  Returns None, with X untouched, when
     the Cholesky fails.  Xt must be Fortran-ordered."""
-    R = gram_cholesky(Xt, shift)
+    R = gram_cholesky(Xt)
     if R is not None:
         scipy.linalg.blas.dtrsm(1.0, R, Xt, trans_a=True, overwrite_b=True)
     return R

@@ -1,0 +1,132 @@
+"""Slow references that only the tests use.
+
+Each is the definition of something the package computes a faster way, and
+a test compares the two: the d-row sketched problem of an explicit S
+against a CLI cell (``sketchls.diagnostics.SketchedProblem``), the explicit
+matrix of a sketch against ``sketchls.embed.apply``, and the Matrix Market
+writer and a handle's CSR arrays against the loader.
+"""
+
+from __future__ import annotations
+
+import enum
+from functools import cached_property
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+
+from sketchls import embed
+from sketchls.embed import GaussianPayload, SketchOperator, SrhtPayload
+from sketchls.matio import MatrixHandle, qr_ls_solve
+
+
+class DRowProblem:
+    """The sketched problem min ||S(Ax - b)|| of an explicit operator S, in
+    its d rows: SA and Sb are S applied to the dense A and to b, and every
+    S product applies S again.  It has the interface of the cell that the
+    bound checks read, so ``run_bound_suite`` runs on either; its eps is
+    the caller's, such as ``embed.exact_distortion(S, A, b)``."""
+
+    def __init__(self, A: MatrixHandle, b: np.ndarray, S: SketchOperator):
+        self.A = A
+        self.b = np.asarray(b, dtype=np.float64)
+        self.S = S
+        self.d = S.d
+
+    @cached_property
+    def SA(self) -> np.ndarray:
+        return embed.apply(self.S, self.A.dense())
+
+    @cached_property
+    def Sb(self) -> np.ndarray:
+        return embed.apply(self.S, self.b)
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of SA, largest first."""
+        return scipy.linalg.svd(self.SA, compute_uv=False)
+
+    @property
+    def norm_SA(self) -> float:
+        return float(self.sv[0])
+
+    @cached_property
+    def x_s(self) -> np.ndarray:
+        """Exact minimizer of ||S(Ax - b)||, by dense pivoted QR of (SA, Sb)."""
+        return qr_ls_solve(self.SA, self.Sb)
+
+    @cached_property
+    def r_s(self) -> np.ndarray:
+        """Unsketched residual A x_s - b of the sketched minimizer."""
+        return self.A.matvec(self.x_s) - self.b
+
+    @cached_property
+    def atr_s_norm(self) -> float:
+        """||A^T r_s||."""
+        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
+
+    def sketch_residual(self, x: np.ndarray) -> np.ndarray:
+        """S (A x - b)."""
+        return embed.apply(self.S, self.A.matvec(x) - self.b)
+
+    def geometric_defect(self, x: np.ndarray) -> np.ndarray:
+        """A^T (S^T S - I) r for r = A x - b."""
+        r = self.A.matvec(x) - self.b
+        return self.A.rmatvec(embed.apply_adjoint(self.S, embed.apply(self.S, r)) - r)
+
+
+MATERIALIZE_GUARD = 10_000_000
+
+
+def materialize(S: SketchOperator) -> np.ndarray:
+    """Explicit dense d x m matrix of the operator; oracle for ``embed.apply``.
+
+    Each kind is assembled from its defining formula rather than through the
+    fast application path.  The SRHT's rows are the sampled rows of the
+    Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j), built for the
+    first m columns only, so no m' x m' array is formed.
+    """
+    if S.d * S.m > MATERIALIZE_GUARD:
+        raise ValueError(f"materialize guard: d*m = {S.d * S.m} exceeds {MATERIALIZE_GUARD}")
+    p = S.payload
+    if isinstance(p, GaussianPayload):
+        return p.matrix.copy()
+    if isinstance(p, SrhtPayload):
+        bits = p.indices[:, None] & np.arange(S.m)
+        parity = np.zeros_like(bits)
+        while bits.any():
+            parity ^= bits & 1
+            bits >>= 1
+        return (1 - 2 * parity) * p.signs[: S.m] / np.sqrt(S.d)
+    out = np.zeros((S.d, S.m))
+    out[p.rows, np.arange(S.m)] = p.signs
+    return out
+
+
+def csr(A: MatrixHandle) -> scipy.sparse.csr_matrix:
+    """A's CSR storage as the handle keeps it, or the CSR of a dense A."""
+    return A._sparse if A.is_sparse else scipy.sparse.csr_matrix(A.dense())
+
+
+def save_matrix_market(handle: MatrixHandle, path) -> None:
+    """Write the handle in general Matrix Market form, round-trip exact."""
+    with open(path, "w", encoding="ascii") as fh:
+        if handle.is_sparse:
+            mat = csr(handle).tocoo()
+            fh.write("%%MatrixMarket matrix coordinate real general\n")
+            fh.write(f"{handle.rows} {handle.cols} {mat.nnz}\n")
+            for i, j, v in zip(mat.row, mat.col, mat.data):
+                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        else:
+            fh.write("%%MatrixMarket matrix array real general\n")
+            fh.write(f"{handle.rows} {handle.cols}\n")
+            for v in handle.dense().flatten(order="F"):
+                fh.write(f"{v:.17g}\n")
+
+
+class PinvBoundId(str, enum.Enum):
+    """The bounds of the test-local pseudoinverse check, which is a lemma on
+    dense matrices and not a bound of the suite."""
+    PINV_PERTURB = "PinvPerturb"
+    PINV_NON_ACUTE = "PinvNonAcute"

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from sketchls import embed
-from sketchls.diagnostics import (SUITE_BOUND_IDS, SketchedProblem, compute_eta_f,
+from sketchls.diagnostics import (SUITE_BOUND_IDS, compute_eta_f,
                                   run_bound_suite, sandwich_multiplier, solve_sketched)
 from sketchls.matio import (MatrixHandle, load_matrix_market, qr_ls_solve,
                             solve_ls_oracle, synthesize_matrix,
@@ -37,6 +37,7 @@ from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
 from sketchls.rng import stream
 
 from conftest import pythagorean_gap
+from reference import DRowProblem, csr
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -68,7 +69,7 @@ def suite_runs():
                 oracle = solve_ls_oracle(A, b)
                 S = embed.build_sketch(kind, SUITE_D, m, seed)
                 eps = embed.exact_distortion(S, A, b).epsilon
-                reports = run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
+                reports = run_bound_suite(DRowProblem(A, b, S), oracle, eps)
                 SA = embed.apply(S, A.dense())
                 Sb = embed.apply(S, b)
                 op = LinearOperatorView.from_matrix(SA)
@@ -275,7 +276,7 @@ def test_criterion_7_figure_level_reproduction(suitesparse_dir):
         pytest.skip("illc1033.mtx not present (no network fetching; drop the "
                     "SuiteSparse file into data/ to enable)")
     A = load_matrix_market(illc)
-    assert (A.rows, A.cols, A.csr().nnz) == (1033, 320, 4719)
+    assert (A.rows, A.cols, csr(A).nnz) == (1033, 320, 4719)
     assert A.spectral().cond == pytest.approx(1.8888e4, rel=1e-2)
     b = synthesize_problem(A, 1)
     S = embed.build_sketch("gaussian", 640, 1033, 1)

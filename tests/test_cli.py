@@ -14,13 +14,13 @@ from sketchls.cli import (ConfigError, EXIT_BOUND_FAILED, EXIT_CONFIG, EXIT_OK,
                           EXIT_RUN_ERROR, ExperimentConfig, MatrixSource,
                           emit_figure_data, main, parse_config,
                           run_experiment, sweep_d)
-from sketchls.matio import (MatrixHandle, save_matrix_market, synthesize_matrix,
-                            synthesize_problem)
+from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 from sketchls.solvers import LinearOperatorView, MetricsObserver, Termination, lsmr
 from sketchls.stopping import StopMode
 
 from conftest import d_row_sketch, span_matrix
+from reference import DRowProblem, materialize, save_matrix_market
 
 TWO_KINDS_CONFIG = """
 synthetic = 120,6,20
@@ -250,6 +250,24 @@ class TestConfigParsing:
         config = parse_config("synthetic = 120,6,20\nkind = gaussian\n"
                               f"d_mult = 30\noutput_dir = {tmp_path}\n")
         assert run_experiment(config) == EXIT_RUN_ERROR
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-d"])
+    def test_d_that_does_not_fit_is_a_run_error(self, tmp_path, capsys, command):
+        # whether a d fits depends on the loaded shape, so a misfit is a
+        # run error of the source in every command, with one message
+        error = "synth120x6c20: d = 200" if command == "sweep-d" else \
+            "synth120x6c20_sparse: d = ceil(30.0 * 6) = 180"
+        if command == "check":
+            argv = ["check", "--synthetic", "120,6,20", "--kind", "sparse", "--d-mult", "30"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"synthetic = 120,6,20\nkind = sparse\nd_mult = 30\n"
+                           f"output_dir = {tmp_path / 'out'}\n")
+            argv = [command, "--config", str(cfg)] + (
+                ["--d-list", "8,200"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == f"error: {error} violates n <= d < m = 120\n"
+        assert not list(tmp_path.glob("out/*_bounds.csv")) + list(tmp_path.glob("out/sweep*"))
 
 
 def count_factorizations(monkeypatch) -> Counter:
@@ -554,19 +572,31 @@ def sketch_basis(P: diagnostics.SketchedProblem, SW: np.ndarray) -> np.ndarray:
 
 def cell_sketch(problem, kind: embed.SketchKind, P: diagnostics.SketchedProblem) -> np.ndarray:
     """The SW = S W of the cell ``P``, as the cell forms it: the Gaussian
-    draw Z, or [S Q, S u] for the cell's own S."""
+    draw Z, or [S Q, S u] for the cell's S from ``build_sketch``."""
     A, k = problem.A, problem.span.c_b.size
     if kind is embed.SketchKind.GAUSSIAN:
         return embed.gaussian_span_sketch(P.d, A.rows, k, problem.seed)
-    return np.column_stack([embed.apply(P.S, A.qr_factor()[0]), embed.apply(P.S, problem.span.u)])
+    S = embed.build_sketch(kind, P.d, A.rows, problem.seed)
+    return np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, problem.span.u)])
+
+
+def suite_noise_floor(bound_id, P, oracle) -> float:
+    """The noise floor that ``diagnostics`` gives a row of the bound suite
+    of ``P``: the lhs below which the row passes as rounding noise."""
+    BoundId, norm_A = diagnostics.BoundId, P.A.spectral_norm()
+    scale = {BoundId.GEOM_PRESERVE: norm_A * np.linalg.norm(P.r_s),
+             BoundId.RESIDUAL_SANDWICH: 0.0, BoundId.ACUTE_CRITERION: 0.0,
+             BoundId.BACKWARD_E1: norm_A,
+             BoundId.BACKWARD_E2: oracle.r_ls_norm / np.linalg.norm(P.x_s)}
+    return diagnostics.NOISE_FLOOR_REL * scale.get(bound_id, 1.0)
 
 
 SLOW_ORACLE_SOURCES = ["synthetic", "loaded", "rank-trimmed"]
 
 
 def slow_oracle_cell(source: str, kind: embed.SketchKind):
-    """(problem, the coordinate cell P and its eps, the d-row reference R of
-    the same operator) on one of ``SLOW_ORACLE_SOURCES``."""
+    """(problem, the coordinate cell P, the d-row reference R of the same
+    operator) on one of ``SLOW_ORACLE_SOURCES``."""
     if source == "rank-trimmed":
         A, d = rank_trimmed_matrix(), 30
     else:
@@ -574,14 +604,14 @@ def slow_oracle_cell(source: str, kind: embed.SketchKind):
         if source == "loaded":
             A = MatrixHandle(A.dense())
     problem = cli.SeedProblem(A, 4, 1e-3)
-    P, eps = cli._sketch_cell(problem, kind, d)
-    R = diagnostics.SketchedProblem(A, problem.b, d_row_sketch(problem, kind, d))
-    return problem, P, eps, R
+    P = cli._sketch_cell(problem, kind, d)
+    R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, d))
+    return problem, P, R
 
 
 class TestSketchCell:
     """The cell in the coordinates of W = [Q u] against the slow oracles: the
-    d-row ``SketchedProblem(A, b, S)`` of the cell's operator S
+    d-row ``DRowProblem(A, b, S)`` of the cell's operator S
     (``d_row_sketch``), S applied to A, and the explicit S times the dense A."""
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
@@ -591,12 +621,12 @@ class TestSketchCell:
         if loaded:
             A = MatrixHandle(A.dense())
         problem = cli.SeedProblem(A, 4, 1e-3)
-        P, _ = cli._sketch_cell(problem, kind, 40)
+        P = cli._sketch_cell(problem, kind, 40)
         assert P.SA.shape == (7, 6) and P.SA.flags.c_contiguous and P.d == 40
         S = d_row_sketch(problem, kind, 40)
         Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         scale = np.linalg.norm(P.SA, 2)
-        for ref in (embed.apply(S, A.dense()), embed.materialize(S) @ A.dense()):
+        for ref in (embed.apply(S, A.dense()), materialize(S) @ A.dense()):
             assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * scale
         assert np.array_equal(P.Sb, P.T @ problem.span.c_b)
         Sb = embed.apply(S, P.b)
@@ -613,7 +643,7 @@ class TestSketchCell:
         for limit in (matio.CHOLQR_COND_LIMIT, 0.0):
             monkeypatch.setattr(matio, "CHOLQR_COND_LIMIT", limit)
             problem = cli.SeedProblem(MatrixHandle(dense.copy()), 4, 1e-3)
-            P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
+            P = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
             observer = MetricsObserver(problem.A, problem.b, oracle=problem.oracle)
             cells.append((problem.A.qr_factor()[0], P.x_s, observer.metrics(P.x_s)[1]))
         (Q_chol, x_chol, plateau_chol), (Q_hh, x_hh, plateau_hh) = cells
@@ -629,44 +659,47 @@ class TestSketchCell:
         assert 1e-12 < abs(R[2, 2] / R[0, 0]) < 2.2e-12
         # the basis keeps 2 of Q's 3 columns; W keeps all 3, and u
         assert problem.span.rank == 2 and problem.span.c_b.shape == (4,)
-        P, eps = cli._sketch_cell(problem, kind, 30)
+        P = cli._sketch_cell(problem, kind, 30)
         assert P.SA.shape == (4, 3)
         S = d_row_sketch(problem, kind, 30)
         ref = embed.apply(S, A.dense())
         Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
         # q keeps b's part along the dropped column, as subspace_basis's does
-        assert eps == pytest.approx(embed.exact_distortion(S, A, problem.b).epsilon, rel=1e-13)
+        assert P.eps == pytest.approx(embed.exact_distortion(S, A, problem.b).epsilon, rel=1e-13)
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
     def test_cell_matches_the_d_row_problem(self, source, kind):
-        # every quantity the cell reads from its coordinates against the
-        # d-row problem of the same S.  Tolerances, relative: singular
-        # values 1e-14 of sigma_1 and ||Sb|| 1e-14 (rounding of a k x k
-        # product); eps 1e-13, the accuracy of exact_distortion's basis;
-        # x_s 1e-13 on the full-rank sources (kappa(SA) about 20) and 1e-10
-        # on the rank-trimmed one (kappa(SA) about 1e12, where b's part in
-        # the weak direction is itself 1e-12); the NormalRatioCross and
-        # GeomPreserve lhs 1e-10, differences of O(1) terms that cancel to
-        # about eps of them.
-        problem, P, eps, R = slow_oracle_cell(source, kind)
+        # every quantity the cell reads from its coordinates, and every row
+        # of its bound suite, against the d-row problem of the same S.
+        # Tolerances, relative: singular values 1e-14 of sigma_1 and ||Sb||
+        # 1e-14 (rounding of a k x k product); eps 1e-13, the accuracy of
+        # exact_distortion's basis; x_s 1e-13 on the full-rank sources
+        # (kappa(SA) about 20) and 1e-10 on the rank-trimmed one (kappa(SA)
+        # about 1e12, where b's part in the weak direction is itself 1e-12).
+        # A row's lhs and rhs 1e-10, or the row's noise floor when that is
+        # larger: the lhs of GeomPreserve, NormalRatioCross and the rows
+        # that read ||A^T r_s|| are differences of O(1) terms that cancel
+        # to about eps of them (seen: at most 7e-12, and 2e-12 for an rhs)
+        problem, P, R = slow_oracle_cell(source, kind)
         assert P.d == R.d
         assert np.max(np.abs(P.sv - R.sv)) <= 1e-14 * R.sv[0]
         assert np.linalg.norm(P.Sb) == pytest.approx(np.linalg.norm(R.Sb), rel=1e-14)
-        assert eps == pytest.approx(
+        assert P.eps == pytest.approx(
             embed.exact_distortion(R.S, problem.A, problem.b).epsilon, rel=1e-13)
         x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
         assert np.linalg.norm(P.x_s - R.x_s) <= x_tol * np.linalg.norm(R.x_s)
-        got, want = (diagnostics.run_bound_suite(X, problem.oracle, eps) for X in (P, R))
+        got, want = (diagnostics.run_bound_suite(X, problem.oracle, P.eps) for X in (P, R))
+        assert len(got) == len(want) == len(diagnostics.SUITE_BOUND_IDS)
         for mine, ref in zip(got, want):
-            assert mine.bound_id is ref.bound_id
-            if mine.bound_id in (diagnostics.BoundId.NORMAL_RATIO_CROSS,
-                                 diagnostics.BoundId.GEOM_PRESERVE):
-                assert mine.lhs == pytest.approx(ref.lhs, rel=1e-10)
-            if mine.bound_id is diagnostics.BoundId.ACUTE_CRITERION:
-                # SA's rank floor is max(d, n) on both, not the k rows of M
-                assert (mine.passed, mine.note) == (ref.passed, ref.note)
+            # SA's rank floor in the acute row is max(d, n) on both, not
+            # the k rows of M
+            assert (mine.bound_id, mine.passed, mine.note) == (ref.bound_id, ref.passed, ref.note)
+            floor = suite_noise_floor(mine.bound_id, R, problem.oracle)
+            for side in ("lhs", "rhs"):
+                assert getattr(mine, side) == pytest.approx(getattr(ref, side), rel=1e-10,
+                                                            abs=floor), (mine, ref)
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
@@ -676,7 +709,7 @@ class TestSketchCell:
         # are their singular values, to 10 u relative.  No cell here is
         # ill-conditioned enough for the fallback
         shapes = count_factorizations(monkeypatch)
-        problem, P, _, _ = slow_oracle_cell(source, kind)
+        problem, P, _ = slow_oracle_cell(source, kind)
         assert not [key for key in shapes if key[0] == "qr" and key[2][0] == P.d]
         assert shapes["syrk", None, (P.d, P.T.shape[1])] == 1
         SW = cell_sketch(problem, kind, P)
@@ -711,7 +744,7 @@ class TestSketchCell:
         # x_s from T11 R, the triangular top of M, against the slow oracle
         # qr_ls_solve(M, T c_b); tolerances as in
         # test_cell_matches_the_d_row_problem
-        _, P, _, _ = slow_oracle_cell(source, kind)
+        _, P, _ = slow_oracle_cell(source, kind)
         ref = matio.qr_ls_solve(P.SA, P.Sb)
         x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
         assert np.linalg.norm(P.x_s - ref) <= x_tol * np.linalg.norm(ref)
@@ -729,7 +762,7 @@ class TestSketchCell:
         SW = stream(5, "near-singular-SW", 20, 3).standard_normal((20, 3))
         if case == "near-repeated column of SW":
             SW[:, 1] = SW[:, 0] + 1e-14 * SW[:, 2]
-        P = diagnostics.SketchedProblem(A, b, SW=SW, c_b=span.c_b)
+        P = diagnostics.SketchedProblem(A, b, span, SW)
         for solve in (lambda: P.x_s, lambda: matio.qr_ls_solve(P.SA, P.Sb)):
             with pytest.raises(matio.RankDeficiencyError, match="rank deficiency"):
                 solve()
@@ -742,7 +775,7 @@ class TestSketchCell:
         # takes, S r_ls and A^T (S^T S - I) r_s, to rounding
         A = MatrixSource("s", synthetic=(300, 6, 20)).load()
         problem = cli.SeedProblem(A, 4, rho)
-        P, _ = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
+        P = cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 40)
         Z = embed.gaussian_span_sketch(40, 300, 7, 4)
         assert np.array_equal(P.T, diagnostics.sketch_factor(Z))
         full = d_row_sketch(problem, embed.SketchKind.GAUSSIAN, 40).payload.matrix
@@ -769,7 +802,7 @@ class TestSketchCell:
         cell, full = [], []
         for seed in range(1000):
             problem = cli.SeedProblem(A, seed, 1e-3)
-            cell.append(cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 24)[1])
+            cell.append(cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 24).eps)
             S = embed.build_sketch("gaussian", 24, 300, seed)
             full.append(embed.exact_distortion(S, A, problem.b).epsilon)
         assert scipy.stats.ks_2samp(cell, full).pvalue > 1e-3
@@ -822,8 +855,8 @@ class TestReducedSolves:
         config = parse_config(f"synthetic = 2000,100,100\nkind = {kind.value}\nstop = {stop}\n")
         A = config.sources[0].load()
         problem = cli.SeedProblem(A, 0, config.rho)
-        P, eps = cli._sketch_cell(problem, kind, 200)
-        R = diagnostics.SketchedProblem(A, problem.b, d_row_sketch(problem, kind, 200))
+        P = cli._sketch_cell(problem, kind, 200)
+        R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, 200))
         for solver in (cli.lsqr, cli.lsmr):
             max_iters = []
 
@@ -831,11 +864,11 @@ class TestReducedSolves:
                 max_iters.append(max_iter)
                 return solver(*args, max_iter=max_iter, **kwargs)
 
-            reduced, _ = cli._solve_cell(recording, P, eps, problem, config)
+            reduced, _ = cli._solve_cell(recording, P, problem, config)
             d_row = solver(LinearOperatorView.from_matrix(R.SA), R.Sb,
                            observer=MetricsObserver(A, problem.b, oracle=problem.oracle),
                            stop=cli.StoppingController(config.policy, op_norm=math.nan,
-                                                       epsilon=eps),
+                                                       epsilon=P.eps),
                            max_iter=200)
             # min(2n, d), set by the d-row problem, not min(2n, n + 1)
             assert max_iters == [200]
@@ -906,7 +939,7 @@ def unstopped_solves(config) -> dict:
         problem = cli.SeedProblem(A, seed, config.rho)
         for kind in config.kind:
             for d in map(int, SWEEP_DS.split(",")):
-                P, _ = cli._sketch_cell(problem, kind, d)
+                P = cli._sketch_cell(problem, kind, d)
                 observer = MetricsObserver(A, problem.b, stride=config.stride,
                                            oracle=problem.oracle)
                 # the cell's pair has n + 1 rows: max_iter is set by the d-row problem
@@ -1003,15 +1036,19 @@ class TestSweep:
         assert by_kind["srht"][2] < 0.5 * by_kind["srht"][1]
 
 
-    def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch):
+    def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # d = 70 fits the first source but not the second (m = 60): the
+        # second is a run error, found before any cell, and is not swept
         built = record_sketches(monkeypatch)
-        # d = 70 fits the first source but not the second (m = 60)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
                               f"kind = gaussian\noutput_dir = {tmp_path}\n")
-        with pytest.raises(ConfigError, match="d=70 violates n <= d < m for synth60x4c10"):
-            sweep_d(config, "8,40,70")
-        assert built == []
-        assert not (tmp_path / "sweep_d.csv").exists()
+        assert sweep_d(config, "8,40,70") == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == \
+            "error: synth60x4c10: d = 70 violates n <= d < m = 60\n"
+        assert [d for _, d, _ in built] == [8, 40, 70]
+        with open(tmp_path / "sweep_d.csv") as fh:
+            assert [(r["matrix"], r["d"]) for r in csv.DictReader(fh)] == \
+                [("synth120x4c10", d) for d in ("8", "40", "70")]
 
     def test_basis_once_per_source_and_seed(self, tmp_path, monkeypatch):
         calls = []

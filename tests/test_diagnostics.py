@@ -20,6 +20,7 @@ from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesiz
 from sketchls.rng import stream
 
 from conftest import identity_sketch, pythagorean_gap, random_rhs, random_tall
+from reference import DRowProblem, PinvBoundId
 
 
 def build_instance(m=300, n=4, cond=10.0, mseed=1, pseed=2, rho=1e-3):
@@ -49,7 +50,7 @@ class TestSketchedProblem:
         T = sketch_factor(SW.copy())
         monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
         monkeypatch.setattr(embed, "apply_adjoint", None)
-        P = SketchedProblem(A, b, SW=SW.copy(), c_b=span.c_b)
+        P = SketchedProblem(A, b, span, SW.copy())
         assert np.array_equal(P.T, T) and P.d == 64
         assert np.array_equal(P.SA[:, piv], T[:, :4] @ R)
         assert np.array_equal(P.Sb, T @ span.c_b)
@@ -60,7 +61,7 @@ class TestSketchedProblem:
     def test_acute_reads_cached_singular_values(self, monkeypatch):
         A, b, _ = build_instance()
         S = build_sketch("gaussian", 64, 300, 7)
-        P = SketchedProblem(A, b, S)
+        P = DRowProblem(A, b, S)
         eps = exact_distortion(S, A, b).epsilon
         A.spectral()
         P.sv
@@ -80,7 +81,7 @@ class TestGeometricPreservation:
     def test_identity_double_is_exact(self):
         A, b, _ = build_instance()
         S = identity_sketch(300)
-        rep = check_geometric_preservation(SketchedProblem(A, b, S), np.ones(4), eps=0.0)
+        rep = check_geometric_preservation(DRowProblem(A, b, S), np.ones(4), eps=0.0)
         assert rep.passed
         assert rep.lhs <= 1e-12
 
@@ -91,7 +92,7 @@ class TestGeometricPreservation:
         S = build_sketch("gaussian", 12, 40, seed)
         eps = exact_distortion(S, A, b).epsilon
         gen = stream(seed, "y")
-        P = SketchedProblem(A, b, S)
+        P = DRowProblem(A, b, S)
         for _ in range(100):
             rep = check_geometric_preservation(P, gen.standard_normal(4), eps)
             assert rep.passed
@@ -101,7 +102,7 @@ class TestGeometricPreservation:
         A, b, oracle = build_instance()
         S = build_sketch("srht", 64, 300, 5)
         eps = exact_distortion(S, A, b).epsilon
-        rep = check_geometric_preservation(SketchedProblem(A, b, S), oracle.x_ls, eps)
+        rep = check_geometric_preservation(DRowProblem(A, b, S), oracle.x_ls, eps)
         SA = embed.apply(S, A.dense())
         cross = np.linalg.norm(SA.T @ embed.apply(S, oracle.r_ls))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
@@ -116,7 +117,7 @@ class TestGeometricPreservation:
         eps = exact_distortion(S, A, b).epsilon
         span = embed.span_coordinates(A, b)
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
-        P = SketchedProblem(A, b, SW=SW, c_b=span.c_b)
+        P = SketchedProblem(A, b, span, SW)
         P.r_s
         at_copy = check_geometric_preservation(P, P.x_s.copy(), eps)
         monkeypatch.setattr(MatrixHandle, "matvec", None)
@@ -127,7 +128,7 @@ class TestGeometricPreservation:
         x = np.array([1.0, 2.0])
         b = A.matvec(x)
         S = build_sketch("gaussian", 8, 20, 1)
-        rep = check_geometric_preservation(SketchedProblem(A, b, S), x, eps=0.5)
+        rep = check_geometric_preservation(DRowProblem(A, b, S), x, eps=0.5)
         assert rep.passed and "zero residual" in rep.note
 
 
@@ -139,7 +140,7 @@ class TestResidualBounds:
         S = build_sketch(kind, 128, 300, seed)
         eps = exact_distortion(S, A, b).epsilon
         assert eps < 1
-        for rep in check_residual_bounds(SketchedProblem(A, b, S), oracle, eps):
+        for rep in check_residual_bounds(DRowProblem(A, b, S), oracle, eps):
             assert rep.passed, rep
 
     def test_lower_sandwich_side(self):
@@ -161,7 +162,7 @@ class TestResidualBounds:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        P = SketchedProblem(A, b, S)
+        P = DRowProblem(A, b, S)
         x_s = P.x_s
         assert np.linalg.norm(x_s - oracle.x_ls) <= 1e-10 * np.linalg.norm(x)
         reports = check_residual_bounds(P, oracle, exact_distortion(S, A, b).epsilon)
@@ -172,7 +173,7 @@ class TestResidualBounds:
     def test_identity_double_all_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        reports = check_residual_bounds(SketchedProblem(A, b, S), oracle, eps=0.0)
+        reports = check_residual_bounds(DRowProblem(A, b, S), oracle, eps=0.0)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.RESIDUAL_DIRECTION].lhs <= 1e-6
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
@@ -265,7 +266,7 @@ class TestExplicitPerturbations:
     def test_identity_double_e1_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        reports = check_explicit_perturbations(SketchedProblem(A, b, S), oracle, eps=0.0)
+        reports = check_explicit_perturbations(DRowProblem(A, b, S), oracle, eps=0.0)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].lhs <= 1e-10
         assert all(r.passed for r in reports)
@@ -276,7 +277,7 @@ class TestExplicitPerturbations:
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("sparse", 12, 30, 9)
         eps = exact_distortion(S, A, b).epsilon
-        P = SketchedProblem(A, b, S)
+        P = DRowProblem(A, b, S)
         reports = check_explicit_perturbations(P, oracle, eps)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].passed
@@ -289,7 +290,7 @@ class TestExplicitPerturbations:
         S = build_sketch("gaussian", 128, 300, seed)
         eps = exact_distortion(S, A, b).epsilon
         assert eps < 1
-        reports = check_explicit_perturbations(SketchedProblem(A, b, S), oracle, eps)
+        reports = check_explicit_perturbations(DRowProblem(A, b, S), oracle, eps)
         assert all(r.passed for r in reports)
 
 
@@ -300,7 +301,7 @@ class TestSolutionError:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        reports = check_solution_error(SketchedProblem(A, b, S), oracle,
+        reports = check_solution_error(DRowProblem(A, b, S), oracle,
                                        exact_distortion(S, A, b).epsilon)
         assert all(r.passed for r in reports)
         assert reports[0].lhs <= 1e-10
@@ -309,7 +310,7 @@ class TestSolutionError:
         A, b, oracle = build_instance(cond=3.0)
         S = build_sketch("gaussian", 128, 300, 2)
         eps = exact_distortion(S, A, b).epsilon
-        for rep in check_solution_error(SketchedProblem(A, b, S), oracle, eps):
+        for rep in check_solution_error(DRowProblem(A, b, S), oracle, eps):
             assert rep.passed
             assert rep.margin > 0
 
@@ -318,7 +319,7 @@ class TestSolutionError:
         A, b, oracle = build_instance(m=300, n=6, cond=1e6, mseed=13, pseed=13)
         S = build_sketch("gaussian", 128, 300, 13)
         eps = exact_distortion(S, A, b).epsilon
-        reports = check_solution_error(SketchedProblem(A, b, S), oracle, eps)
+        reports = check_solution_error(DRowProblem(A, b, S), oracle, eps)
         assert all(r.passed for r in reports)
         assert reports[0].rhs > 1  # vacuously wide in the ill-conditioned regime
 
@@ -326,7 +327,7 @@ class TestSolutionError:
 class TestAcute:
     def test_identity_double(self):
         A, b, _ = build_instance()
-        rep = check_acute_criterion(SketchedProblem(A, b, identity_sketch(300)), eps=0.0)
+        rep = check_acute_criterion(DRowProblem(A, b, identity_sketch(300)), eps=0.0)
         assert rep.passed and rep.lhs == 0.0
 
     def test_small_instance_with_small_epsilon(self):
@@ -340,7 +341,7 @@ class TestAcute:
                 break
         else:
             pytest.fail("no seed with eps < 0.5")
-        rep = check_acute_criterion(SketchedProblem(A, b, S), eps)
+        rep = check_acute_criterion(DRowProblem(A, b, S), eps)
         assert rep.passed and "rank" not in rep.note
 
     def test_sufficient_not_necessary(self):
@@ -348,7 +349,7 @@ class TestAcute:
         S = build_sketch("gaussian", 128, 300, 2)
         eps = exact_distortion(S, A, b).epsilon
         assert A.spectral().cond * eps >= 1
-        rep = check_acute_criterion(SketchedProblem(A, b, S), eps)
+        rep = check_acute_criterion(DRowProblem(A, b, S), eps)
         assert rep.passed
         assert "sufficient-not-necessary" in rep.note
 
@@ -374,12 +375,12 @@ def check_pseudoinverse_perturbation(A: np.ndarray, A_tilde: np.ndarray) -> Boun
     rank_a = np.linalg.matrix_rank(A)
     rank_t = np.linalg.matrix_rank(A_tilde)
     if enorm == 0.0:
-        return _report(BoundId.PINV_PERTURB, diff, 0.0, note="zero perturbation")
+        return _report(PinvBoundId.PINV_PERTURB, diff, 0.0, note="zero perturbation")
     if rank_a == rank_t == A.shape[1]:
         rhs = (math.sqrt(2.0) * float(np.linalg.norm(pinv_t, 2))
                * float(np.linalg.norm(pinv_a, 2)) * enorm)
-        return _report(BoundId.PINV_PERTURB, diff, rhs)
-    return _report(BoundId.PINV_NON_ACUTE, 1.0 / enorm, diff,
+        return _report(PinvBoundId.PINV_PERTURB, diff, rhs)
+    return _report(PinvBoundId.PINV_NON_ACUTE, 1.0 / enorm, diff,
                    note="rank mismatch: non-acute lower bound")
 
 
@@ -395,7 +396,7 @@ class TestPinvPerturbation:
         E = stream(3, "E").standard_normal((8, 3))
         E *= 0.01 * smin / np.linalg.norm(E, 2)
         rep = check_pseudoinverse_perturbation(A, A + E)
-        assert rep.bound_id is BoundId.PINV_PERTURB
+        assert rep.bound_id is PinvBoundId.PINV_PERTURB
         assert rep.passed
 
     def test_rank_drop_lower_bound(self):
@@ -404,7 +405,7 @@ class TestPinvPerturbation:
         s[-1] = 0.0
         A_tilde = (U * s) @ Vt
         rep = check_pseudoinverse_perturbation(A, A_tilde)
-        assert rep.bound_id is BoundId.PINV_NON_ACUTE
+        assert rep.bound_id is PinvBoundId.PINV_NON_ACUTE
         assert rep.passed
 
 
@@ -425,23 +426,23 @@ class TestSuite:
                 calls[name] += 1
                 return real(self, v)
             monkeypatch.setattr(MatrixHandle, name, counting)
-        run_bound_suite(SketchedProblem(A, b, S), oracle, eps)
+        run_bound_suite(DRowProblem(A, b, S), oracle, eps)
         assert calls == {"matvec": 3, "rmatvec": 2}
         calls.clear()
-        run_bound_suite(SketchedProblem(A, b, SW=SW, c_b=span.c_b), oracle, eps)
+        run_bound_suite(SketchedProblem(A, b, span, SW), oracle, eps)
         assert calls == {"matvec": 1, "rmatvec": 1}
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        reports = run_bound_suite(SketchedProblem(A, b, S), oracle,
+        reports = run_bound_suite(DRowProblem(A, b, S), oracle,
                                   exact_distortion(S, A, b).epsilon)
         assert all(r.passed for r in reports)
 
     def test_csv_export(self, tmp_path):
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
-        reports = run_bound_suite(SketchedProblem(A, b, S), oracle,
+        reports = run_bound_suite(DRowProblem(A, b, S), oracle,
                                   exact_distortion(S, A, b).epsilon)
         path = tmp_path / "bounds.csv"
         write_bound_reports(path, reports, seed=1, kind="gaussian", matrix="t", d=128)

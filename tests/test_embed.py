@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from sketchls import cli, diagnostics
 from sketchls.embed import (GaussianPayload, SketchKind, SparsePayload, SketchOperator,
                             apply, apply_adjoint, basis_distortion, build_sketch,
-                            exact_distortion, fwht, gaussian_span_sketch, materialize,
-                            next_pow2, span_coordinates, subspace_basis)
+                            exact_distortion, fwht, gaussian_span_sketch, next_pow2,
+                            span_coordinates, subspace_basis)
 from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
 from conftest import identity_sketch, random_rhs, random_tall
+from reference import materialize
 
 KINDS = [SketchKind.GAUSSIAN, SketchKind.SRHT, SketchKind.SPARSE]
 
@@ -241,21 +242,29 @@ class TestSketchOperands:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d", BLOCK_DS)
-    def test_bit_equal_to_build_then_apply(self, kind, d):
+    def test_bit_equal_to_build_then_apply(self, kind, d, monkeypatch):
         # the cell's SW is [S Q, S u] for build_sketch's S, or for the
         # Gaussian kind the span draw Z; T is the triangular factor of that
         # SW, and Sb and SA are T c_b and T[:, :n] R P^T
         A = random_tall(300, 7, 3)
         problem = cli.SeedProblem(A, 11, 1e-3)
-        P, _ = cli._sketch_cell(problem, kind, d)
+        built = []
+
+        def recording(*args):
+            built.append(build_sketch(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli.embed, "build_sketch", recording)
+        P = cli._sketch_cell(problem, kind, d)
         Q, R, piv = A.qr_factor()
         if kind is SketchKind.GAUSSIAN:
-            assert P.S is None
+            assert built == []
             SW = gaussian_span_sketch(d, 300, 8, 11)
         else:
             ref = build_sketch(kind, d, 300, 11)
-            assert (P.S.kind, P.S.d, P.S.m, P.S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
-            assert np.array_equal(materialize(P.S), materialize(ref))
+            (S,) = built
+            assert (S.kind, S.d, S.m, S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
+            assert np.array_equal(materialize(S), materialize(ref))
             SW = np.column_stack([apply(ref, Q), apply(ref, problem.span.u)])
         T = diagnostics.sketch_factor(SW)
         assert np.array_equal(P.T, T)

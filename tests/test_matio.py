@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sketchls import embed, matio
 from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
-                            load_matrix_market, qr_ls_solve,
-                            save_matrix_market, solve_ls_oracle,
+                            load_matrix_market, qr_ls_solve, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem)
 from sketchls.rng import stream
 
 from conftest import householder_handle, random_tall
+from reference import csr, save_matrix_market
 
 
 def write(tmp_path, name, text):
@@ -34,7 +34,7 @@ COORD_IDENTITY = """%%MatrixMarket matrix coordinate real general
 class TestMatrixMarket:
     def test_coordinate_identity(self, tmp_path):
         A = load_matrix_market(write(tmp_path, "id.mtx", COORD_IDENTITY))
-        assert (A.rows, A.cols, A.csr().nnz) == (2, 2, 2)
+        assert (A.rows, A.cols, csr(A).nnz) == (2, 2, 2)
         assert np.array_equal(A.dense(), np.eye(2))
 
     def test_coordinate_general(self, tmp_path):
@@ -163,10 +163,10 @@ class TestMatrixMarket:
         text = (f"%%MatrixMarket matrix coordinate real {symmetry}\n% note\n"
                 f"{n} {n} {len(lines)}\n" + "\n".join(lines) + "\n")
         path = write(tmp_path, "v.mtx", text)
-        fast = load_matrix_market(path).csr()
+        fast = csr(load_matrix_market(path))
         assert loop_calls == []
         monkeypatch.setattr(matio, "_coordinate_entries", matio._coordinate_entries_loop)
-        slow = load_matrix_market(path).csr()
+        slow = csr(load_matrix_market(path))
         assert loop_calls == [300]
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(fast, attr), getattr(slow, attr))
@@ -188,7 +188,7 @@ class TestMatrixMarket:
         path = tmp_path / "rt.mtx"
         save_matrix_market(A, path)
         B = load_matrix_market(path)
-        a, b = A.csr(), B.csr()
+        a, b = csr(A), csr(B)
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
@@ -222,13 +222,13 @@ def small_matrices(draw):
 @given(dense=small_matrices(), sparse=st.booleans())
 def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, dense, sparse):
     A = MatrixHandle(scipy.sparse.csr_matrix(dense) if sparse else dense)
-    assume(not sparse or A.csr().nnz > 0)  # a coordinate file needs an entry
+    assume(not sparse or csr(A).nnz > 0)  # a coordinate file needs an entry
     path = tmp_path_factory.getbasetemp() / "roundtrip.mtx"
     save_matrix_market(A, path)
     B = load_matrix_market(path)
     assert B.is_sparse == sparse
     if sparse:
-        a, b = A.csr(), B.csr()
+        a, b = csr(A), csr(B)
         assert all(same_bits(getattr(a, attr), getattr(b, attr))
                    for attr in ("indptr", "indices", "data"))
     else:
@@ -355,22 +355,24 @@ class TestOrthonormalFactor:
     definition of the Q factor with a positive R diagonal."""
 
     @pytest.fixture
-    def shifts(self, monkeypatch):
+    def passes(self, monkeypatch):
+        """Whether each CholeskyQR pass took its Cholesky, in order."""
         seen = []
         plain_pass = matio._cholesky_qr_pass
 
-        def recording(Xt, shift):
-            seen.append(shift)
-            return plain_pass(Xt, shift)
+        def recording(Xt):
+            R = plain_pass(Xt)
+            seen.append(R is not None)
+            return R
 
         monkeypatch.setattr(matio, "_cholesky_qr_pass", recording)
         return seen
 
     @pytest.mark.parametrize("shape", [(16000, 100), (2000, 100), (40, 40), (5, 1), (1, 1)])
-    def test_gaussian(self, shape, shifts):
+    def test_gaussian(self, shape, passes):
         G = stream(0, "test-cholqr", *shape).standard_normal(shape)
         assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
-        assert shifts == [0.0, 0.0]
+        assert passes == [True, True]
 
     def test_householder_convention_differs(self):
         G = stream(1, "test-cholqr").standard_normal((2000, 100))
@@ -381,16 +383,25 @@ class TestOrthonormalFactor:
         G = stream(2, "test-cholqr").standard_normal((300, 20))
         assert matio._orthonormal_factor(G)[0] is G
 
-    def test_plain_path_at_cond_1e7(self, shifts):
+    def test_plain_path_at_cond_1e7(self, passes):
         G = conditioned(2000, 100, 1e7, 0)
         assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
-        assert shifts == [0.0, 0.0]
+        assert passes == [True, True]
 
-    def test_shifted_path_at_cond_1e10(self, shifts):
+    def test_cond_1e10_raises_and_synthesis_takes_householder(self, passes):
+        # the first Cholesky fails and raises at once, with G untouched;
+        # synthesis then takes the Householder Q with R's diagonal made
+        # positive, which is the positive Q factor of G too
         G = conditioned(2000, 100, 1e10, 0)
-        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
-        assert len(shifts) == 4 and shifts[0] == 0.0 and shifts[1] > 0.0
-        assert shifts[2:] == [0.0, 0.0]
+        X = G.copy()
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            matio._orthonormal_factor(X)
+        assert passes == [False] and np.array_equal(X, G)
+        Q, R = scipy.linalg.qr(G, mode="economic")
+        signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+        Q_haar = matio._haar_q(G.copy())
+        assert np.array_equal(Q_haar, Q * signs)
+        assert_positive_q_factor((Q_haar, signs[:, None] * R), G)
 
 
 class TestOracle:
@@ -575,10 +586,9 @@ class TestLoadedFactor:
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("case", ["cond 1e10", "rank deficient"])
     def test_householder_fallback(self, case, sparse):
-        # CholeskyQR3 would take kappa = 1e10, but its condition estimate
-        # is above CHOLQR_COND_LIMIT; an exactly rank-deficient A fails
-        # the plain Cholesky or the estimate.  Both get the m-row QR, its
-        # signs flipped to a positive R diagonal
+        # kappa = 1e10 fails the first Cholesky; an exactly rank-deficient
+        # A fails a Cholesky or the condition estimate.  Both get the m-row
+        # QR, its signs flipped to a positive R diagonal
         if case == "cond 1e10":
             dense = conditioned(400, 10, 1e10, 0)
         else:
@@ -694,6 +704,6 @@ class TestHandleInvariants:
             (np.array([1.0, 0.0, 2.0]),
              (np.array([0, 1, 2]), np.array([0, 0, 1]))), shape=(3, 2))
         A = MatrixHandle(mat)
-        csr = A.csr()
-        assert csr.nnz == 2  # explicit zero dropped
-        assert np.all(np.diff(csr.indptr) >= 0)
+        stored = csr(A)
+        assert stored.nnz == 2  # explicit zero dropped
+        assert np.all(np.diff(stored.indptr) >= 0)

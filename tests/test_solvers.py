@@ -13,6 +13,7 @@ from sketchls.rng import stream
 from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
 
 from conftest import random_rhs, random_tall
+from reference import csr
 
 SOLVERS = [("lsqr", lsqr), ("lsmr", lsmr)]
 
@@ -173,7 +174,7 @@ class TestObserver:
     def test_zero_iterate_metrics(self):
         dense = random_tall(30, 4, 3)
         b = random_rhs(30, 4)
-        for A in (dense, MatrixHandle(dense.csr())):
+        for A in (dense, MatrixHandle(csr(dense))):
             rec = MetricsObserver(A, b)(1, np.zeros(4), 1.0, 1.0)
             assert rec.unsketched_residual_norm == pytest.approx(np.linalg.norm(b))
             assert rec.unsketched_normal_ratio == pytest.approx(
