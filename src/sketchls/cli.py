@@ -533,7 +533,9 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
 
     ``d_list`` is the ``--d-list`` text: comma-separated d values, where a
     suffix ``n`` multiplies the column count of the single source.  It is
-    parsed and counted before any source loads.  A source that fails to
+    parsed and counted, and a multiplier with two or more configured
+    sources is a config error, before any source loads, so the error holds
+    even when all but one of them would fail to load.  A source that fails to
     load, or that a d does not fit (n <= d < m), is reported and the sweep
     goes on with the others; every d is checked against every loaded
     source before any cell runs.  A (kind, d) cell that raises is recorded
@@ -543,12 +545,12 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     d_words = _parse_d_list(d_list)
     if len(d_words) < 2:
         raise ConfigError("sweep-d needs at least two d values")
+    if len(config.sources) > 1 and any(per_col for _, per_col in d_words):
+        raise ConfigError("multiplier d values need a single matrix source")
     out_dir = _output_dir(config)
     loaded = [(source.name, *_load(source)) for source in config.sources]
     matrices = [(name, A) for name, A, _ in loaded if A is not None]
     errors = [failure for _, _, failure in loaded if failure is not None]
-    if len(matrices) > 1 and any(per_col for _, per_col in d_words):
-        raise ConfigError("multiplier d values need a single matrix source")
     fitted = []
     for name, A in matrices:
         fits = [_fit_d(value, per_col, A) for value, per_col in d_words]

@@ -14,7 +14,9 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
   zero-padded input (H^T H = m' I), uniform row sampling without replacement,
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
   fall faster than 1/sqrt(d) once d/m' is not small, by the factor
-  sqrt(1 - d/m'); d = m' gives an exact isometry.
+  sqrt(1 - d/m'); d = m' gives an exact isometry.  :func:`apply` runs it
+  on a column block of X at a time, in one reusable m' x w buffer of about
+  :data:`~sketchls.matio.BLOCK_BYTES`, never an m' x k copy of all of X.
 * The sparse operator is a CountSketch (Clarkson & Woodruff 2013): each
   coordinate goes to one uniformly chosen row with a random sign, and no
   scaling is needed.  It is applied as a d x m CSR matrix with one entry per
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .matio import MatrixHandle
+from .matio import BLOCK_BYTES, MatrixHandle
 from .rng import rademacher, stream
 
 
@@ -135,18 +137,22 @@ def fwht(v: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along axis 0.
 
     Uses the Sylvester ordering; applying twice multiplies by the length.
-    The length must be a power of two and the array C-contiguous.
+    The length must be a power of two and the array C-contiguous.  One
+    scratch of half of v is allocated per call and holds the low halves at
+    every stage, so the call holds v plus half of it at most.
     """
     n = v.shape[0]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
     if not v.flags.c_contiguous:
         raise ValueError("fwht operates in place and needs a C-contiguous array")
+    scratch = np.empty((n // 2,) + v.shape[1:])
     h = 1
     while h < n:
         blocks = v.reshape((n // (2 * h), 2, h) + v.shape[1:])
         lo, hi = blocks[:, 0], blocks[:, 1]
-        a = lo.copy()
+        a = scratch.reshape(lo.shape)
+        np.copyto(a, lo)
         np.add(a, hi, out=lo)
         np.subtract(a, hi, out=hi)
         h *= 2
@@ -167,7 +173,16 @@ def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
 
 def apply(S: SketchOperator, X) -> np.ndarray:
     """Compute S @ X for a vector or matrix X with S.m rows, taken as a
-    float64 array (``np.asarray``)."""
+    float64 array (``np.asarray``).
+
+    An SRHT transforms X a column block at a time through one reusable
+    m' x w buffer, w = max(1, BLOCK_BYTES // (8 m')) columns, and writes
+    each block's sampled rows into the d x k result; a vector is one block
+    of one column.  Each column goes through the same sign flip,
+    butterflies and scaling whatever its block, so the result is bit for
+    bit that of one m' x k transform, and the call holds about one block
+    and :func:`fwht`'s scratch of half of it besides X and the result.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != S.m:
         raise ValueError(f"operand has {X.shape[0]} rows, operator expects {S.m}")
@@ -176,11 +191,22 @@ def apply(S: SketchOperator, X) -> np.ndarray:
         return _countsketch_matrix(S) @ X
     if isinstance(p, GaussianPayload):
         return p.matrix @ X
-    Y = np.zeros((p.padded_len,) + X.shape[1:])
-    signs_in = p.signs[: S.m]
-    Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
-    fwht(Y)
-    return Y[p.indices] / np.sqrt(S.d)
+    cols = X if X.ndim == 2 else X[:, None]
+    k = cols.shape[1]
+    mp = p.padded_len
+    w = max(1, min(k, BLOCK_BYTES // (8 * mp)))
+    buf = np.empty(mp * w)
+    signs_in = p.signs[: S.m, None]
+    scale = np.sqrt(S.d)
+    out = np.empty((S.d, k))
+    for j in range(0, k, w):
+        width = min(w, k - j)
+        Y = buf[: mp * width].reshape(mp, width)
+        np.multiply(cols[:, j:j + width], signs_in, out=Y[: S.m])
+        Y[S.m:] = 0.0
+        fwht(Y)
+        np.divide(Y[p.indices], scale, out=out[:, j:j + width])
+    return out if X.ndim == 2 else out[:, 0]
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:

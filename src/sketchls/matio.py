@@ -25,6 +25,9 @@ direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
 threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
 spectral data alike.
+A Matrix Market coordinate file is parsed by one ``np.loadtxt`` straight
+from the open file, after its header and size lines; a file that parse does
+not take whole is read again line by line, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -64,9 +67,10 @@ RANK_TOL = 1e-12
 # Householder QR decides near the rank thresholds, as it always did
 CHOLQR_COND_LIMIT = 1e8
 
-# bytes of the row block of Q1 Q2 formed at a time when A's Q is written
-# into Q1's buffer
-_Q_BLOCK_BYTES = 1 << 20
+# bytes of a working block: the row block of Q1 Q2 formed at a time when
+# A's Q is written into Q1's buffer, and the column block of an SRHT apply
+# (sketchls.embed); smaller blocks make numpy's inner loops too short
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -215,7 +219,7 @@ class MatrixHandle:
                 return Q, R, piv
         Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
         _positive_diagonal(Q2, R)
-        step = max(1, _Q_BLOCK_BYTES // Q[0].nbytes)
+        step = max(1, BLOCK_BYTES // Q[0].nbytes)
         block = np.empty((min(self.rows, step), self.cols))
         for start in range(0, self.rows, step):
             rows = Q[start:start + step]
@@ -253,12 +257,56 @@ def load_matrix_market(path) -> MatrixHandle:
     Indices are 1-based on disk and 0-based in memory; symmetric storage is
     expanded to full.  Raises :class:`MatrixMarketError` with the line number
     on any malformed content; complex and pattern fields are rejected.
+
+    A well-formed coordinate file is parsed straight from the open file
+    (:func:`_coordinate_file_entries`), with no Python string per entry.
+    Any file that path does not take, malformed or not, is read again from
+    the start by the line-by-line path (:func:`_load_lines`), which takes
+    the array format and names the first bad line; both give the same CSR.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
-    header = lines[0].split()
+        try:
+            parsed = _coordinate_file_entries(fh)
+        except Exception:  # noqa: BLE001 - the line path reports what this one cannot take
+            parsed = None
+        if parsed is None:
+            fh.seek(0)
+            return _load_lines(fh.readlines())
+    return _coordinate_handle(*parsed)
+
+
+def _coordinate_file_entries(fh):
+    """``(m, n, symmetric, rows, cols, vals)`` of a coordinate file, 0-based,
+    parsed from ``fh`` after its header and size lines are read line by
+    line; None, or an exception, for a file that is not a well-formed
+    coordinate file with entry lines alone after its size line.  The caller
+    reads any such file again by the line path, which reports it."""
+    fmt, symmetry = _header(fh.readline())
+    if fmt != "coordinate":
+        return None
+    text = fh.readline()
+    while text and (not text.strip() or text.strip().startswith("%")):
+        text = fh.readline()
+    parts = text.split()
+    if len(parts) != 3:
+        return None
+    m, n, nnz = (int(p) for p in parts)
+    if min(m, n, nnz) < 1 or (symmetry == "symmetric" and m != n):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = np.loadtxt(fh, dtype=_MM_ENTRY_DTYPE, comments=None, ndmin=1)
+    i, j, v = parsed["i"], parsed["j"], parsed["v"]
+    if (len(parsed) != nnz or ((i < 1) | (i > m) | (j < 1) | (j > n)).any()
+            or not np.isfinite(v).all()):
+        return None
+    return m, n, symmetry == "symmetric", i - 1, j - 1, np.ascontiguousarray(v)
+
+
+def _header(line: str) -> Tuple[str, str]:
+    """(format, symmetry) of the header line, lower case; raises
+    :class:`MatrixMarketError` for a header this loader does not take."""
+    header = line.split()
     if len(header) != 5 or header[0] != _MM_HEADER or header[1].lower() != "matrix":
         raise MatrixMarketError("line 1: expected '%%MatrixMarket matrix <format> <field> <symmetry>'")
     fmt, fieldkind, symmetry = (w.lower() for w in header[2:5])
@@ -268,6 +316,27 @@ def load_matrix_market(path) -> MatrixHandle:
         raise MatrixMarketError(f"line 1: unsupported field '{fieldkind}' (only real-valued matrices)")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"line 1: unsupported symmetry '{symmetry}'")
+    return fmt, symmetry
+
+
+def _coordinate_handle(m: int, n: int, symmetric: bool, rows: np.ndarray,
+                       cols: np.ndarray, vals: np.ndarray) -> MatrixHandle:
+    """The CSR handle of checked 0-based coordinate entries; a symmetric
+    matrix's stored triangle is mirrored."""
+    if symmetric:
+        off = rows != cols
+        rows, cols = (np.concatenate([rows, cols[off]]),
+                      np.concatenate([cols, rows[off]]))
+        vals = np.concatenate([vals, vals[off]])
+    return MatrixHandle(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr())
+
+
+def _load_lines(lines) -> MatrixHandle:
+    """:func:`load_matrix_market` of the file's lines, one at a time; raises
+    :class:`MatrixMarketError` naming the first bad line."""
+    if not lines:
+        raise MatrixMarketError("line 1: empty file")
+    fmt, symmetry = _header(lines[0])
 
     lineno = 1
     body = []
@@ -298,15 +367,9 @@ def load_matrix_market(path) -> MatrixHandle:
                 f"line {size_lineno}: declared {nnz} entries, found {len(entries)}")
         rows, cols, vals = _coordinate_entries(entries, m, n)
         _check_finite_values(vals, entries)
-        if symmetry == "symmetric":
-            if m != n:
-                raise MatrixMarketError(f"line {size_lineno}: symmetric matrix must be square")
-            off = rows != cols
-            rows, cols = (np.concatenate([rows, cols[off]]),
-                          np.concatenate([cols, rows[off]]))
-            vals = np.concatenate([vals, vals[off]])
-        mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
-        return MatrixHandle(mat)
+        if symmetry == "symmetric" and m != n:
+            raise MatrixMarketError(f"line {size_lineno}: symmetric matrix must be square")
+        return _coordinate_handle(m, n, symmetry == "symmetric", rows, cols, vals)
 
     # array format: dense column-major values
     if len(parts) != 2:

@@ -3,8 +3,8 @@
 Each is the definition of something the package computes a faster way, and
 a test compares the two: the d-row sketched problem of an explicit S
 against a CLI cell (``sketchls.diagnostics.SketchedProblem``), the explicit
-matrix of a sketch against ``sketchls.embed.apply``, and the Matrix Market
-writer and a handle's CSR arrays against the loader.
+matrix of a sketch and the one-shot SRHT against ``sketchls.embed.apply``,
+and the Matrix Market writer and a handle's CSR arrays against the loader.
 """
 
 from __future__ import annotations
@@ -102,6 +102,19 @@ def materialize(S: SketchOperator) -> np.ndarray:
     out = np.zeros((S.d, S.m))
     out[p.rows, np.arange(S.m)] = p.signs
     return out
+
+
+def srht_one_shot(S: SketchOperator, X: np.ndarray) -> np.ndarray:
+    """S @ X for an SRHT S by one transform of all of X: the signed X in
+    the first m rows of an m' x k zero array, the Walsh-Hadamard transform,
+    and the sampled rows over sqrt(d); ``embed.apply`` streams it a column
+    block at a time."""
+    p = S.payload
+    Y = np.zeros((p.padded_len,) + X.shape[1:])
+    signs_in = p.signs[: S.m]
+    Y[: S.m] = X * (signs_in[:, None] if X.ndim == 2 else signs_in)
+    embed.fwht(Y)
+    return Y[p.indices] / np.sqrt(S.d)
 
 
 def csr(A: MatrixHandle) -> scipy.sparse.csr_matrix:

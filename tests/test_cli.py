@@ -245,6 +245,18 @@ class TestConfigParsing:
             "config error: sweep-d needs at least two d values\n"
         assert loads == []
 
+    def test_sweep_multiplier_with_two_sources_before_any_load(self, tmp_path, capsys,
+                                                              monkeypatch):
+        loads = record_loads(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("synthetic = 120,4,10\nsynthetic = 3000,4,10\nkind = gaussian\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "2n,4n"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: multiplier d values need a single matrix source\n"
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
     def test_d_rule_violation_is_run_error(self, tmp_path):
         # d = ceil(30 * 6) = 180 >= m = 120
         config = parse_config("synthetic = 120,6,20\nkind = gaussian\n"

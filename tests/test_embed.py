@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,11 +10,11 @@ from sketchls.embed import (GaussianPayload, SketchKind, SparsePayload, SketchOp
                             apply, apply_adjoint, basis_distortion, build_sketch,
                             exact_distortion, fwht, gaussian_span_sketch, next_pow2,
                             span_coordinates, subspace_basis)
-from sketchls.matio import MatrixHandle, synthesize_matrix, synthesize_problem
+from sketchls.matio import BLOCK_BYTES, MatrixHandle, synthesize_matrix, synthesize_problem
 from sketchls.rng import stream
 
 from conftest import identity_sketch, random_rhs, random_tall
-from reference import materialize
+from reference import materialize, srht_one_shot
 
 KINDS = [SketchKind.GAUSSIAN, SketchKind.SRHT, SketchKind.SPARSE]
 
@@ -165,6 +167,55 @@ class TestApply:
         S = build_sketch("sparse", 4000, 10_000, seed=0)
         with pytest.raises(ValueError, match="guard"):
             materialize(S)
+
+
+def block_width(padded_len: int) -> int:
+    """Columns of an SRHT apply's block."""
+    return max(1, BLOCK_BYTES // (8 * padded_len))
+
+
+class TestSrhtBlocks:
+    """The SRHT apply, a column block at a time, against one transform of
+    all of X (``reference.srht_one_shot``)."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m,shape", [
+        (3000, ()),         # a vector
+        (3000, (1,)),
+        (3000, (5,)),       # fewer columns than one block
+        (3000, (64,)),      # two whole blocks
+        (3000, (70,)),      # two blocks and a part
+        (4096, (70,)),      # m = m', no padding
+        (140000, (3,)),     # a column larger than the block: w = 1
+    ])
+    def test_bit_equal_to_one_shot(self, m, shape, order):
+        S = build_sketch("srht", 40, m, seed=4)
+        mp = S.payload.padded_len
+        w = block_width(mp)
+        k = shape[0] if shape else 1
+        assert w == {4096: 32, 262144: 1}[mp]
+        X = np.asarray(stream(4, "srht-blocks", m, k).standard_normal((m,) + shape),
+                       order=order)
+        got = apply(S, X)
+        assert got.shape == (40,) + shape and got.flags.c_contiguous
+        assert np.array_equal(got, srht_one_shot(S, X))
+
+    def test_memory_bounded_by_the_block(self):
+        m, k, d = 20000, 64, 200
+        S = build_sketch("srht", d, m, seed=3)
+        mp = S.payload.padded_len
+        assert mp == 32768 and block_width(mp) == 4
+        X = stream(3, "srht-peak").standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            apply(S, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block, fwht's scratch of half of it, the result and the
+        # sampled rows of a block, and one m'-vector to spare; an m' x k
+        # buffer alone would be 16.8 MB
+        assert peak < BLOCK_BYTES * 3 // 2 + 2 * d * k * 8 + 8 * mp
 
 
 def scatter_reference(S: SketchOperator, X: np.ndarray) -> np.ndarray:

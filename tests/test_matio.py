@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,11 +166,36 @@ class TestMatrixMarket:
         path = write(tmp_path, "v.mtx", text)
         fast = csr(load_matrix_market(path))
         assert loop_calls == []
+        # the line path's vectorized parse, then its loop
+        monkeypatch.setattr(matio, "_coordinate_file_entries", lambda fh: None)
+        lines = csr(load_matrix_market(path))
+        assert loop_calls == []
         monkeypatch.setattr(matio, "_coordinate_entries", matio._coordinate_entries_loop)
         slow = csr(load_matrix_market(path))
         assert loop_calls == [300]
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(fast, attr), getattr(slow, attr))
+        for other in (lines, slow):
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(fast, attr), getattr(other, attr))
+
+    @pytest.mark.parametrize("body,file_path", [
+        ("1 1 1.0\n\n  \n2 2 -3e-1\n", True),   # blank lines
+        ("1 1 1.0\n% note\n2 2 -3e-1\n", False),  # a comment among the entries
+        ("1 1 1.0\n2 2 -3e-1\n", True),
+    ], ids=["blank-lines", "body-comment", "plain"])
+    def test_file_path_or_line_path(self, tmp_path, monkeypatch, body, file_path):
+        calls = []
+        real = matio._load_lines
+
+        def counting(lines):
+            calls.append(len(lines))
+            return real(lines)
+
+        monkeypatch.setattr(matio, "_load_lines", counting)
+        A = load_matrix_market(write(
+            tmp_path, "b.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                               "% head\n\n2 2 2\n" + body))
+        assert np.array_equal(A.dense(), np.array([[1.0, 0.0], [0.0, -0.3]]))
+        assert (calls == []) == file_path
 
     def test_entry_only_python_parses_loads(self, tmp_path, loop_calls):
         text = ("%%MatrixMarket matrix coordinate real general\n"
@@ -177,6 +203,24 @@ class TestMatrixMarket:
         A = load_matrix_market(write(tmp_path, "u.mtx", text))
         assert loop_calls == [2]
         assert np.array_equal(A.dense(), np.array([[10.5, 0.0], [0.0, 1.0]]))
+
+    def test_load_memory_bounded_by_the_csr(self, tmp_path):
+        m, n, nnz = 4000, 50, 20000
+        gen = stream(3, "mtx-peak")
+        i, j = gen.integers(1, m + 1, size=nnz), gen.integers(1, n + 1, size=nnz)
+        v = gen.standard_normal(nnz)
+        path = write(tmp_path, "peak.mtx", f"%%MatrixMarket matrix coordinate real general\n"
+                     f"{m} {n} {nnz}\n" + "".join(
+                         f"{a} {b} {x:.17g}\n" for a, b, x in zip(i, j, v.tolist())))
+        tracemalloc.start()
+        try:
+            mat = csr(load_matrix_market(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 4 times the CSR on the file path; a Python string and tuple
+        # per entry line took 25 times
+        assert peak < 8 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
 
     def test_roundtrip_sparse(self, tmp_path):
         gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
