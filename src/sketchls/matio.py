@@ -25,9 +25,10 @@ direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
 threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
 spectral data alike.
-A Matrix Market coordinate file is parsed by one ``np.loadtxt`` straight
-from the open file, after its header and size lines; a file that parse does
-not take whole is read again line by line, which names the first bad line.
+A Matrix Market file's header and size line are read once; the body of
+either format, coordinate or array, is then parsed by one numpy ``loadtxt``
+straight from the open file, and a body that parse does not take whole is
+read again line by line, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -248,7 +249,18 @@ class LsOracle:
 # ---------------------------------------------------------------------------
 # Matrix Market I/O
 
-_MM_HEADER = "%%MatrixMarket"
+# one coordinate entry line as the file parse reads it
+_MM_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+class _MmSize(NamedTuple):
+    """What a Matrix Market file's header and size line declare."""
+    coordinate: bool
+    symmetric: bool
+    m: int
+    n: int
+    count: int   # entry lines (coordinate) or values (array) in the body
+    lineno: int  # the size line's number
 
 
 def load_matrix_market(path) -> MatrixHandle:
@@ -256,185 +268,137 @@ def load_matrix_market(path) -> MatrixHandle:
 
     Indices are 1-based on disk and 0-based in memory; symmetric storage is
     expanded to full.  Raises :class:`MatrixMarketError` with the line number
-    on any malformed content; complex and pattern fields are rejected.
+    on any malformed content, a byte that is not ASCII included; complex and
+    pattern fields are rejected.
 
-    A well-formed coordinate file is parsed straight from the open file
-    (:func:`_coordinate_file_entries`), with no Python string per entry.
-    Any file that path does not take, malformed or not, is read again from
-    the start by the line-by-line path (:func:`_load_lines`), which takes
-    the array format and names the first bad line; both give the same CSR.
+    The header and size line are read once (:func:`_preamble`).  The body
+    of either format is then parsed by one numpy ``loadtxt`` straight from
+    the open file (:func:`_file_body`), with no Python string per entry.
+    A body that parse does not take whole, malformed or not, is read again
+    from its first line by :func:`_line_body`, which names the first bad
+    line; both give the same bits.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        size = _preamble(fh)
+        body = fh.tell()
         try:
-            parsed = _coordinate_file_entries(fh)
-        except Exception:  # noqa: BLE001 - the line path reports what this one cannot take
-            parsed = None
-        if parsed is None:
-            fh.seek(0)
-            return _load_lines(fh.readlines())
-    return _coordinate_handle(*parsed)
+            fields = _file_body(fh, size)
+        except Exception:  # noqa: BLE001 - the line loop reports what this parse cannot take
+            fields = None
+        if fields is None:
+            fh.seek(body)
+            fields = _line_body(fh, size)
+    if size.coordinate:
+        return _coordinate_handle(size, *fields)
+    return _array_handle(size, *fields)
 
 
-def _coordinate_file_entries(fh):
-    """``(m, n, symmetric, rows, cols, vals)`` of a coordinate file, 0-based,
-    parsed from ``fh`` after its header and size lines are read line by
-    line; None, or an exception, for a file that is not a well-formed
-    coordinate file with entry lines alone after its size line.  The caller
-    reads any such file again by the line path, which reports it."""
-    fmt, symmetry = _header(fh.readline())
-    if fmt != "coordinate":
-        return None
-    text = fh.readline()
-    while text and (not text.strip() or text.strip().startswith("%")):
-        text = fh.readline()
-    parts = text.split()
-    if len(parts) != 3:
-        return None
-    m, n, nnz = (int(p) for p in parts)
-    if min(m, n, nnz) < 1 or (symmetry == "symmetric" and m != n):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        parsed = np.loadtxt(fh, dtype=_MM_ENTRY_DTYPE, comments=None, ndmin=1)
-    i, j, v = parsed["i"], parsed["j"], parsed["v"]
-    if (len(parsed) != nnz or ((i < 1) | (i > m) | (j < 1) | (j > n)).any()
-            or not np.isfinite(v).all()):
-        return None
-    return m, n, symmetry == "symmetric", i - 1, j - 1, np.ascontiguousarray(v)
+def _lines(fh, lineno: int):
+    """``(number, stripped text)`` of each line ``fh.readline`` gives, numbered
+    on from ``lineno``; raises :class:`MatrixMarketError` at a line with a
+    byte that is not ASCII (the file is decoded with ``surrogateescape``)."""
+    for line in iter(fh.readline, ""):
+        lineno += 1
+        if not line.isascii():
+            raise MatrixMarketError(f"line {lineno}: byte that is not ASCII")
+        yield lineno, line.strip()
 
 
-def _header(line: str) -> Tuple[str, str]:
-    """(format, symmetry) of the header line, lower case; raises
-    :class:`MatrixMarketError` for a header this loader does not take."""
-    header = line.split()
-    if len(header) != 5 or header[0] != _MM_HEADER or header[1].lower() != "matrix":
+def _preamble(fh) -> _MmSize:
+    """Read the header, comment and size lines of ``fh``, leaving it at the
+    body; raises :class:`MatrixMarketError` naming the line for a header this
+    loader does not take, a missing or malformed size line, or a symmetric
+    matrix that is not square."""
+    lines = _lines(fh, 0)
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise MatrixMarketError("line 1: empty file")
+    words = header.split()
+    if len(words) != 5 or words[0] != "%%MatrixMarket" or words[1].lower() != "matrix":
         raise MatrixMarketError("line 1: expected '%%MatrixMarket matrix <format> <field> <symmetry>'")
-    fmt, fieldkind, symmetry = (w.lower() for w in header[2:5])
+    fmt, fieldkind, symmetry = (w.lower() for w in words[2:5])
     if fmt not in ("coordinate", "array"):
         raise MatrixMarketError(f"line 1: unsupported format '{fmt}'")
     if fieldkind not in ("real", "integer"):
         raise MatrixMarketError(f"line 1: unsupported field '{fieldkind}' (only real-valued matrices)")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"line 1: unsupported symmetry '{symmetry}'")
-    return fmt, symmetry
-
-
-def _coordinate_handle(m: int, n: int, symmetric: bool, rows: np.ndarray,
-                       cols: np.ndarray, vals: np.ndarray) -> MatrixHandle:
-    """The CSR handle of checked 0-based coordinate entries; a symmetric
-    matrix's stored triangle is mirrored."""
-    if symmetric:
-        off = rows != cols
-        rows, cols = (np.concatenate([rows, cols[off]]),
-                      np.concatenate([cols, rows[off]]))
-        vals = np.concatenate([vals, vals[off]])
-    return MatrixHandle(scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr())
-
-
-def _load_lines(lines) -> MatrixHandle:
-    """:func:`load_matrix_market` of the file's lines, one at a time; raises
-    :class:`MatrixMarketError` naming the first bad line."""
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
-    fmt, symmetry = _header(lines[0])
-
-    lineno = 1
-    body = []
-    for raw in lines[1:]:
-        lineno += 1
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        body.append((lineno, text))
-    if not body:
+    for lineno, text in lines:
+        if text and not text.startswith("%"):
+            break
+    else:
         raise MatrixMarketError(f"line {lineno}: missing size line")
-
-    size_lineno, size_line = body[0]
-    entries = body[1:]
-    parts = size_line.split()
-
-    if fmt == "coordinate":
-        if len(parts) != 3:
-            raise MatrixMarketError(f"line {size_lineno}: coordinate size line needs 'rows cols nnz'")
-        try:
-            m, n, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise MatrixMarketError(f"line {size_lineno}: non-integer size entry") from None
-        if m < 1 or n < 1 or nnz < 1:
-            raise MatrixMarketError(f"line {size_lineno}: empty matrix rejected")
-        if len(entries) != nnz:
-            raise MatrixMarketError(
-                f"line {size_lineno}: declared {nnz} entries, found {len(entries)}")
-        rows, cols, vals = _coordinate_entries(entries, m, n)
-        _check_finite_values(vals, entries)
-        if symmetry == "symmetric" and m != n:
-            raise MatrixMarketError(f"line {size_lineno}: symmetric matrix must be square")
-        return _coordinate_handle(m, n, symmetry == "symmetric", rows, cols, vals)
-
-    # array format: dense column-major values
-    if len(parts) != 2:
-        raise MatrixMarketError(f"line {size_lineno}: array size line needs 'rows cols'")
+    parts = text.split()
+    coordinate = fmt == "coordinate"
+    if coordinate and len(parts) != 3:
+        raise MatrixMarketError(f"line {lineno}: coordinate size line needs 'rows cols nnz'")
+    if not coordinate and len(parts) != 2:
+        raise MatrixMarketError(f"line {lineno}: array size line needs 'rows cols'")
     try:
-        m, n = int(parts[0]), int(parts[1])
+        dims = [int(p) for p in parts]
     except ValueError:
-        raise MatrixMarketError(f"line {size_lineno}: non-integer size entry") from None
-    if m < 1 or n < 1:
-        raise MatrixMarketError(f"line {size_lineno}: empty matrix rejected")
-    if symmetry == "symmetric" and m != n:
-        raise MatrixMarketError(f"line {size_lineno}: symmetric matrix must be square")
-    expected = m * n if symmetry == "general" else m * (m + 1) // 2
-    if len(entries) != expected:
-        raise MatrixMarketError(
-            f"line {size_lineno}: declared {expected} values, found {len(entries)}")
-    vals = np.empty(expected)
-    for k, (ln, text) in enumerate(entries):
-        toks = text.split()
-        if len(toks) != 1:
-            raise MatrixMarketError(f"line {ln}: expected a single value")
-        try:
-            vals[k] = float(toks[0])
-        except ValueError:
-            raise MatrixMarketError(f"line {ln}: malformed value") from None
-    _check_finite_values(vals, entries)
-    if symmetry == "general":
-        return MatrixHandle(vals.reshape((m, n), order="F"))
-    # the lower triangle column by column: (j, i) for i >= j in row-major order
-    j, i = np.triu_indices(n)
-    dense = np.zeros((m, n))
-    dense[i, j] = vals
-    dense[j, i] = vals
-    return MatrixHandle(dense)
+        raise MatrixMarketError(f"line {lineno}: non-integer size entry") from None
+    if min(dims) < 1:
+        raise MatrixMarketError(f"line {lineno}: empty matrix rejected")
+    m, n = dims[:2]
+    symmetric = symmetry == "symmetric"
+    if symmetric and m != n:
+        raise MatrixMarketError(f"line {lineno}: symmetric matrix must be square")
+    if coordinate:
+        count = dims[2]
+    else:
+        count = m * (m + 1) // 2 if symmetric else m * n
+    return _MmSize(coordinate, symmetric, m, n, count, lineno)
 
 
-_MM_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+def _file_body(fh, size: _MmSize):
+    """The body's fields, parsed by one numpy ``loadtxt`` from ``fh``: 0-based
+    ``(rows, cols, vals)`` of a coordinate file, ``(vals,)`` of an array file.
 
-
-def _coordinate_entries(entries, m: int, n: int):
-    """0-based rows and columns and the values of coordinate entry lines.
-
-    ``entries`` are ``(line number, text)`` pairs.  One vectorized parse
-    takes the common case.  With warnings raised as errors it accepts a
-    strict subset of what ``int``/``float`` accept, so any entry it cannot
-    take sends the whole body through :func:`_coordinate_entries_loop`, the
-    reference parser, which accepts the rest or names the bad line.
+    None, or an exception, for a body that is not ``size.count`` in-bounds
+    finite entries alone on their lines; the caller reads any such body again
+    by :func:`_line_body`, which reports it.  With warnings raised as errors
+    the parse accepts a strict subset of what ``int``/``float`` accept.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            parsed = np.loadtxt([text for _, text in entries], dtype=_MM_ENTRY_DTYPE,
-                                comments=None, ndmin=1)
-    except Exception:  # noqa: BLE001 - the loop reports what the fast parse cannot take
-        return _coordinate_entries_loop(entries, m, n)
-    i, j = parsed["i"], parsed["j"]
-    bad = (i < 1) | (i > m) | (j < 1) | (j > n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # ndmin=2 keeps a line of three values one row, where ndmin=1 would
+        # read one such line of an array body as three values
+        parsed = np.loadtxt(fh, dtype=_MM_ENTRY_DTYPE if size.coordinate else np.float64,
+                            comments=None, ndmin=2)
+    if parsed.shape != (size.count, 1):
+        return None
+    parsed = parsed[:, 0]
+    if not size.coordinate:
+        return (parsed,) if np.isfinite(parsed).all() else None
+    i, j, v = parsed["i"], parsed["j"], parsed["v"]
+    if (((i < 1) | (i > size.m) | (j < 1) | (j > size.n)).any()
+            or not np.isfinite(v).all()):
+        return None
+    return i - 1, j - 1, np.ascontiguousarray(v)
+
+
+def _line_body(fh, size: _MmSize):
+    """:func:`_file_body` by a loop over the body's lines, numbered on from
+    the size line; accepts what ``int``/``float`` accept and raises
+    :class:`MatrixMarketError` naming the first bad line."""
+    entries = [(ln, text) for ln, text in _lines(fh, size.lineno)
+               if text and not text.startswith("%")]
+    if len(entries) != size.count:
+        noun = "entries" if size.coordinate else "values"
+        raise MatrixMarketError(
+            f"line {size.lineno}: declared {size.count} {noun}, found {len(entries)}")
+    fields = (_coordinate_tokens(entries, size.m, size.n) if size.coordinate
+              else (_array_tokens(entries),))
+    bad = ~np.isfinite(fields[-1])
     if bad.any():
-        k = int(np.argmax(bad))
-        raise MatrixMarketError(f"line {entries[k][0]}: index ({i[k]},{j[k]}) out of bounds")
-    return i - 1, j - 1, np.ascontiguousarray(parsed["v"])
+        raise MatrixMarketError(f"line {entries[int(np.argmax(bad))][0]}: non-finite value")
+    return fields
 
 
-def _coordinate_entries_loop(entries, m: int, n: int):
-    """Line-by-line :func:`_coordinate_entries`; raises on the first bad line."""
+def _coordinate_tokens(entries, m: int, n: int):
+    """0-based rows and columns and the values of ``(line number, text)``
+    coordinate entry lines; raises on the first bad line."""
     rows = np.empty(len(entries), dtype=np.int64)
     cols = np.empty(len(entries), dtype=np.int64)
     vals = np.empty(len(entries), dtype=np.float64)
@@ -453,12 +417,45 @@ def _coordinate_entries_loop(entries, m: int, n: int):
     return rows, cols, vals
 
 
-def _check_finite_values(vals: np.ndarray, entries) -> None:
-    """Reject NaN/Inf values, naming the line of the first one."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        ln = entries[int(np.argmax(bad))][0]
-        raise MatrixMarketError(f"line {ln}: non-finite value")
+def _array_tokens(entries) -> np.ndarray:
+    """The values of ``(line number, text)`` array value lines; raises on the
+    first bad line."""
+    vals = np.empty(len(entries))
+    for k, (ln, text) in enumerate(entries):
+        toks = text.split()
+        if len(toks) != 1:
+            raise MatrixMarketError(f"line {ln}: expected a single value")
+        try:
+            vals[k] = float(toks[0])
+        except ValueError:
+            raise MatrixMarketError(f"line {ln}: malformed value") from None
+    return vals
+
+
+def _coordinate_handle(size: _MmSize, rows: np.ndarray, cols: np.ndarray,
+                       vals: np.ndarray) -> MatrixHandle:
+    """The CSR handle of checked 0-based coordinate entries; a symmetric
+    matrix's stored triangle is mirrored."""
+    if size.symmetric:
+        off = rows != cols
+        rows, cols = (np.concatenate([rows, cols[off]]),
+                      np.concatenate([cols, rows[off]]))
+        vals = np.concatenate([vals, vals[off]])
+    return MatrixHandle(scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                                shape=(size.m, size.n)).tocsr())
+
+
+def _array_handle(size: _MmSize, vals: np.ndarray) -> MatrixHandle:
+    """The dense handle of checked column-major array values; a symmetric
+    matrix's stored lower triangle is mirrored."""
+    if not size.symmetric:
+        return MatrixHandle(vals.reshape((size.m, size.n), order="F"))
+    # the lower triangle column by column: (j, i) for i >= j in row-major order
+    j, i = np.triu_indices(size.n)
+    dense = np.zeros((size.m, size.n))
+    dense[i, j] = vals
+    dense[j, i] = vals
+    return MatrixHandle(dense)
 
 
 # ---------------------------------------------------------------------------

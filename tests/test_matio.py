@@ -32,6 +32,63 @@ COORD_IDENTITY = """%%MatrixMarket matrix coordinate real general
 """
 
 
+VALUE_FORMATS = ["{:.17g}", "{:.3e}", "{:+.6f}", "{!r}"]
+# a token the line loop names a bad line for, or that only int/float accept
+MUTANT_TOKENS = ["oops", "1.0", "1_0", "nan", "-inf", "1e999", "0", "+1", "01",
+                 "99999999999999999999"]
+
+
+def mm_corpus(gen, symmetry):
+    """Texts of a well-formed coordinate file and array file, then 30
+    copies of each with one body line changed."""
+    n = 40
+    i, j = gen.integers(1, n + 1, size=300), gen.integers(1, n + 1, size=300)
+    if symmetry == "symmetric":
+        i, j = np.maximum(i, j), np.minimum(i, j)
+    v = gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, size=300)
+    # repeated (i, j) entries are kept: both paths must sum them alike
+    coordinate = [f"{n} {n} 300"] + [f"{a} {b}\t{VALUE_FORMATS[k % 4].format(x)}"
+                                     for k, (a, b, x) in enumerate(zip(i, j, v.tolist()))]
+    m = 6 if symmetry == "symmetric" else 8
+    count = 21 if symmetry == "symmetric" else 48
+    v = gen.standard_normal(count) * 10.0 ** gen.integers(-5, 5, size=count)
+    array = [f"{m} 6"] + [VALUE_FORMATS[k % 4].format(x) for k, x in enumerate(v.tolist())]
+    files = [("coordinate", coordinate), ("array", array)]
+    for fmt, base in list(files):
+        for _ in range(30):
+            lines = list(base)
+            k = int(gen.integers(1, len(lines)))
+            op = int(gen.integers(6))
+            if op == 0:
+                toks = lines[k].split()
+                toks[int(gen.integers(len(toks)))] = str(gen.choice(MUTANT_TOKENS))
+                lines[k] = " ".join(toks)
+            elif op == 1:
+                del lines[k]
+            elif op == 2:
+                lines.insert(k, "% note")
+            elif op == 3:
+                lines.insert(k, "  ")
+            elif op == 4:
+                lines[k] += " 1"
+            else:
+                lines[k] = "1 1 1.0"
+            files.append((fmt, lines))
+    return [f"%%MatrixMarket matrix {fmt} real {symmetry}\n% note\n" + "\n".join(lines) + "\n"
+            for fmt, lines in files]
+
+
+def loaded(path):
+    """The bits of the loaded matrix, or the message it is rejected with."""
+    try:
+        A = load_matrix_market(path)
+    except MatrixMarketError as exc:
+        return str(exc)
+    if A.is_sparse:
+        return tuple(getattr(csr(A), attr).tobytes() for attr in ("data", "indices", "indptr"))
+    return A.dense().shape, A.dense().tobytes()
+
+
 class TestMatrixMarket:
     def test_coordinate_identity(self, tmp_path):
         A = load_matrix_market(write(tmp_path, "id.mtx", COORD_IDENTITY))
@@ -134,68 +191,87 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match=f"{line}: non-finite"):
             load_matrix_market(write(tmp_path, "nan.mtx", text))
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "line 1: empty file"),
+        ("%%MatrixMarket matrix array real general\n% note\n\n", "line 3: missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1\n",
+         "line 2: coordinate size line needs 'rows cols nnz'"),
+        ("%%MatrixMarket matrix array real general\n% n\n2 1 2\n1\n2\n",
+         "line 3: array size line needs 'rows cols'"),
+        ("%%MatrixMarket matrix array real general\n2 1.0\n1\n2\n",
+         "line 2: non-integer size entry"),
+        ("%%MatrixMarket matrix array real symmetric\n2 1\n1\n", "line 2: symmetric matrix must be square"),
+        # the size line is checked before the body: the missing entry is not reported
+        ("%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 1\n",
+         "line 2: symmetric matrix must be square"),
+    ], ids=["empty", "no-size", "coordinate-size", "array-size", "non-integer", "array-square",
+            "coordinate-square"])
+    def test_preamble_error_names_its_line(self, tmp_path, text, message):
+        with pytest.raises(MatrixMarketError, match=f"^{message}$"):
+            load_matrix_market(write(tmp_path, "p.mtx", text))
+
+    def test_array_line_of_three_values(self, tmp_path):
+        text = "%%MatrixMarket matrix array real symmetric\n2 2\n1 1 1.0\n"
+        with pytest.raises(MatrixMarketError, match="^line 2: declared 3 values, found 1$"):
+            load_matrix_market(write(tmp_path, "a3.mtx", text))
+
+    @pytest.mark.parametrize("lines,line", [
+        (["% author: Jos\u00e9", "2 2 1", "1 1 1.0"], 2),
+        (["2 2 2", "1 1 1.0", "% Jos\u00e9", "2 2 1.0"], 4),
+        # past the first 8 KiB the decoder reads ahead in
+        (["3000 1 3000"] + [f"{k} 1 1.0" for k in range(1, 2500)] + ["2500 1 2.0\u00e9"]
+         + [f"{k} 1 1.0" for k in range(2501, 3001)], 2502),
+    ], ids=["header-comment", "body-comment", "entry-value"])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, lines, line):
+        path = tmp_path / "u.mtx"
+        path.write_text("\n".join(["%%MatrixMarket matrix coordinate real general"] + lines) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MatrixMarketError, match=f"^line {line}: byte that is not ASCII$"):
+            load_matrix_market(path)
+
     @pytest.fixture
     def loop_calls(self, monkeypatch):
-        """Counts the entry bodies that go through the line-by-line parser."""
+        """The declared counts of the bodies that go through the line loop."""
         calls = []
-        real = matio._coordinate_entries_loop
+        real = matio._line_body
 
-        def counting(entries, m, n):
-            calls.append(len(entries))
-            return real(entries, m, n)
+        def counting(fh, size):
+            calls.append(size.count)
+            return real(fh, size)
 
-        monkeypatch.setattr(matio, "_coordinate_entries_loop", counting)
+        monkeypatch.setattr(matio, "_line_body", counting)
         return calls
 
     @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
     def test_vectorized_entries_equal_loop(self, tmp_path, monkeypatch, loop_calls,
                                            symmetry):
-        gen = stream(11, "mtx", symmetry)
-        n = 40
-        i = gen.integers(1, n + 1, size=300)
-        j = gen.integers(1, n + 1, size=300)
-        if symmetry == "symmetric":
-            i, j = np.maximum(i, j), np.minimum(i, j)
-        v = gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, size=300)
-        # repeated (i, j) entries are kept: both paths must sum them alike
-        fmts = ["{:.17g}", "{:.3e}", "{:+.6f}", "{!r}"]
-        lines = [f"{a} {b}\t{fmts[k % 4].format(x)}"
-                 for k, (a, b, x) in enumerate(zip(i, j, v.tolist()))]
-        text = (f"%%MatrixMarket matrix coordinate real {symmetry}\n% note\n"
-                f"{n} {n} {len(lines)}\n" + "\n".join(lines) + "\n")
-        path = write(tmp_path, "v.mtx", text)
-        fast = csr(load_matrix_market(path))
-        assert loop_calls == []
-        # the line path's vectorized parse, then its loop
-        monkeypatch.setattr(matio, "_coordinate_file_entries", lambda fh: None)
-        lines = csr(load_matrix_market(path))
-        assert loop_calls == []
-        monkeypatch.setattr(matio, "_coordinate_entries", matio._coordinate_entries_loop)
-        slow = csr(load_matrix_market(path))
-        assert loop_calls == [300]
-        for other in (lines, slow):
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(fast, attr), getattr(other, attr))
+        """Every file of a seeded corpus, well formed or with one body line
+        mutated, loads to the same bits or fails with the same message with
+        the file parse disabled."""
+        corpus = mm_corpus(stream(11, "mtx", symmetry), symmetry)
+        paths = [write(tmp_path, f"{k}.mtx", text) for k, text in enumerate(corpus)]
+        fast = [loaded(path) for path in paths[:2]]
+        assert loop_calls == []  # the well-formed files take the file parse
+        fast += [loaded(path) for path in paths[2:]]
+        assert 0 < len(loop_calls) < len(paths)
+        assert any(isinstance(out, str) for out in fast)
+        assert any(not isinstance(out, str) for out in fast[2:])
+        monkeypatch.setattr(matio, "_file_body", lambda fh, size: None)
+        loop_calls.clear()
+        assert [loaded(path) for path in paths] == fast
+        assert len(loop_calls) == len(paths)
 
     @pytest.mark.parametrize("body,file_path", [
         ("1 1 1.0\n\n  \n2 2 -3e-1\n", True),   # blank lines
         ("1 1 1.0\n% note\n2 2 -3e-1\n", False),  # a comment among the entries
         ("1 1 1.0\n2 2 -3e-1\n", True),
     ], ids=["blank-lines", "body-comment", "plain"])
-    def test_file_path_or_line_path(self, tmp_path, monkeypatch, body, file_path):
-        calls = []
-        real = matio._load_lines
-
-        def counting(lines):
-            calls.append(len(lines))
-            return real(lines)
-
-        monkeypatch.setattr(matio, "_load_lines", counting)
+    def test_file_path_or_line_path(self, tmp_path, loop_calls, body, file_path):
         A = load_matrix_market(write(
             tmp_path, "b.mtx", "%%MatrixMarket matrix coordinate real general\n"
                                "% head\n\n2 2 2\n" + body))
         assert np.array_equal(A.dense(), np.array([[1.0, 0.0], [0.0, -0.3]]))
-        assert (calls == []) == file_path
+        assert (loop_calls == []) == file_path
 
     def test_entry_only_python_parses_loads(self, tmp_path, loop_calls):
         text = ("%%MatrixMarket matrix coordinate real general\n"
