@@ -47,7 +47,8 @@ replaces the file's values before any parse, under the same rules, so a
 malformed value from a file or a flag is a config error.  ``check`` runs one
 cell of a config with no file, so more than one source, kind, seed or d
 multiplier is a config error.  A source has one name in every command: its
-file's stem, or ``synth<m>x<n>c<cond>``.
+file's stem, or ``synth<m>x<n>c<cond>``.  Its output files and summary rows
+carry that name, so two sources of one name are a config error.
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
@@ -64,6 +65,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -71,7 +73,7 @@ import numpy as np
 
 from . import diagnostics, embed
 from .matio import (LsOracle, MatrixHandle, load_matrix_market, solve_ls_oracle,
-                    synthesize_matrix, synthesize_problem)
+                    synthesize_matrix, synthesize_problem, write_csv)
 from .solvers import (LinearOperatorView, MetricsObserver, SolveResult, lsmr, lsqr,
                       write_trace)
 from .stopping import StopMode, StoppingController, StoppingPolicy
@@ -188,6 +190,10 @@ class ExperimentConfig:
             raise ConfigError("no matrix sources configured")
         if not self.kind:
             raise ConfigError("no embedding kinds configured")
+        names = [source.name for source in self.sources]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigError(f"two sources are named '{name}', the name of their outputs")
         try:
             self.policy = StoppingPolicy(mode=self.stop, tol=self.tol, window=self.window,
                                          band=(self.band_lo, self.band_hi))
@@ -289,7 +295,7 @@ class RunOutcome:
     label: str
     error: Optional[str] = None
     bounds_failed: int = 0
-    rows: List[dict] = field(default_factory=list)
+    rows: List[list] = field(default_factory=list)  # summary rows, SUMMARY_COLUMNS
 
 
 def _load(source: MatrixSource) -> Tuple[Optional[MatrixHandle], Optional[RunOutcome]]:
@@ -412,25 +418,24 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
         result, _ = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem, config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
         last = result.trace[-1] if result.trace else None
-        summaries.append({
-            "matrix": name, "kind": kind.value, "d": d, "seed": seed,
-            "solver": solver_name, "iterations": result.iterations,
-            "termination": result.termination.value,
-            "epsilon": P.eps, "kappa": A.condition_number(),
-            "final_rnorm": last.unsketched_residual_norm if last else math.nan,
-            "final_ne_ratio": last.unsketched_normal_ratio if last else math.nan,
-            "r_ls_norm": oracle.r_ls_norm,
-            "bounds_passed": len(bound_reports) - failed,
-            "bounds_failed": failed,
-        })
+        summaries.append([
+            name, kind.value, d, seed, solver_name, result.iterations,
+            result.termination.value, P.eps, A.condition_number(),
+            last.unsketched_residual_norm if last else math.nan,
+            last.unsketched_normal_ratio if last else math.nan,
+            oracle.r_ls_norm, len(bound_reports) - failed, failed])
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
-def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
+def _run_source(source: MatrixSource, config: ExperimentConfig,
                 out_dir: Path) -> List[RunOutcome]:
-    """Every (kind, d, seed) run on one matrix (:func:`_cells`), in
+    """Every (kind, d, seed) run on one source (:func:`_cells`), in
     kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
-    error per kind."""
+    error per kind.  The source loads here, so that one A is held at a time."""
+    A, failed = _load(source)
+    if failed is not None:
+        return [failed]
+    name = source.name
     fits = [_fit_d(mult, True, A) for mult in config.d_mult]
     d_values = [d for d, _ in fits]
     outcomes: List[List[RunOutcome]] = [
@@ -448,23 +453,8 @@ def _run_source(A: MatrixHandle, name: str, config: ExperimentConfig,
 
 def run_experiment(config: ExperimentConfig) -> int:
     out_dir = _output_dir(config)
-    outcomes: List[RunOutcome] = []
-    for source in config.sources:
-        A, failed = _load(source)
-        if failed is not None:
-            outcomes.append(failed)
-            continue
-        outcomes.extend(_run_source(A, source.name, config, out_dir))
-    summary_rows = [row for o in outcomes for row in o.rows]
-
-    with open(out_dir / "summary.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        for row in summary_rows:
-            formatted = dict(row)
-            for key in ("epsilon", "kappa", "final_rnorm", "final_ne_ratio", "r_ls_norm"):
-                formatted[key] = f"{row[key]:.17g}"
-            writer.writerow(formatted)
+    outcomes = [o for source in config.sources for o in _run_source(source, config, out_dir)]
+    write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, (row for o in outcomes for row in o.rows))
 
     errors = [o for o in outcomes if o.error]
     _print_errors(errors)
@@ -493,13 +483,25 @@ SWEEP_COLUMNS = ["matrix", "kind", "d"] + [f"{stat}_{q}" for stat in (
     "eps", "plateau", "stop_iters", "stop_ratio_rel") for q in ("median", "q1", "q3")]
 
 
-def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
-                  d_values: List[int]) -> Tuple[List[list], List[RunOutcome]]:
-    """``sweep_d.csv`` rows and failed cells of one matrix, in kind -> d order.
+def _sweep_source(source: MatrixSource, config: ExperimentConfig,
+                  d_words: List[Tuple[float, bool]]
+                  ) -> Tuple[Optional[List[list]], List[RunOutcome]]:
+    """``sweep_d.csv`` rows of one source, in kind -> d order, and its errors.
 
-    The cells run as :func:`_cells` yields them; a cell that raises skips
-    its remaining seeds.
+    The source loads here, so that one A is held at a time.  When it fails
+    to load, or a d of ``d_words`` (:func:`_parse_d_list`) does not fit it,
+    the rows are None and no cell runs.  The cells run as :func:`_cells`
+    yields them; a cell that raises skips its remaining seeds.
     """
+    A, failure = _load(source)
+    if failure is not None:
+        return None, [failure]
+    name = source.name
+    fits = [_fit_d(value, per_col, A) for value, per_col in d_words]
+    misfits = [RunOutcome(label=name, error=error) for _, error in fits if error]
+    if misfits:
+        return None, misfits
+    d_values = [d for d, _ in fits]
     cells = [(kind, d) for kind in config.kind for d in d_values]
     values: List[list] = [[] for _ in cells]
     failures: List[Optional[RunOutcome]] = [None] * len(cells)
@@ -516,7 +518,7 @@ def _sweep_source(A: MatrixHandle, name: str, config: ExperimentConfig,
         if failure is not None:
             continue
         quartiles = np.percentile(cell_values, [50, 25, 75], axis=0).T
-        rows.append([name, kind.value, d] + [f"{q:.17g}" for q in quartiles.ravel()])
+        rows.append([name, kind.value, d] + quartiles.ravel().tolist())
     return rows, [f for f in failures if f is not None]
 
 
@@ -537,10 +539,11 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     sources is a config error, before any source loads, so the error holds
     even when all but one of them would fail to load.  A source that fails to
     load, or that a d does not fit (n <= d < m), is reported and the sweep
-    goes on with the others; every d is checked against every loaded
-    source before any cell runs.  A (kind, d) cell that raises is recorded
-    and reported as an ``error:`` line, like a run of
-    :func:`run_experiment`, and the sweep goes on.
+    goes on with the others; the sources go one by one (:func:`_sweep_source`),
+    so the ``error:`` lines come in source order.  A (kind, d) cell that
+    raises is recorded and reported as an ``error:`` line, like a run of
+    :func:`run_experiment`, and the sweep goes on.  ``sweep_d.csv`` is
+    written when some source is swept.
     """
     d_words = _parse_d_list(d_list)
     if len(d_words) < 2:
@@ -548,29 +551,13 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     if len(config.sources) > 1 and any(per_col for _, per_col in d_words):
         raise ConfigError("multiplier d values need a single matrix source")
     out_dir = _output_dir(config)
-    loaded = [(source.name, *_load(source)) for source in config.sources]
-    matrices = [(name, A) for name, A, _ in loaded if A is not None]
-    errors = [failure for _, _, failure in loaded if failure is not None]
-    fitted = []
-    for name, A in matrices:
-        fits = [_fit_d(value, per_col, A) for value, per_col in d_words]
-        misfits = [RunOutcome(label=name, error=error) for _, error in fits if error]
-        errors.extend(misfits)
-        if not misfits:
-            fitted.append((name, A, [d for d, _ in fits]))
-    if not fitted:
+    swept = [_sweep_source(source, config, d_words) for source in config.sources]
+    errors = [error for _, source_errors in swept for error in source_errors]
+    if all(rows is None for rows, _ in swept):
         _print_errors(errors)
         return EXIT_RUN_ERROR
-    rows = []
-    for name, A, d_values in fitted:
-        source_rows, source_errors = _sweep_source(A, name, config, d_values)
-        rows.extend(source_rows)
-        errors.extend(source_errors)
     path = out_dir / "sweep_d.csv"
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+    write_csv(path, SWEEP_COLUMNS, (row for rows, _ in swept for row in rows or ()))
     print(f"wrote {path}")
     _print_errors(errors)
     return EXIT_RUN_ERROR if errors else EXIT_OK
@@ -580,9 +567,12 @@ def emit_figure_data(output_dir) -> List[Path]:
     """Bundle per-run traces into per-(style, kind, solver) CSVs.
 
     Styles: ``ratio`` (unsketched normal ratio vs k) and ``residual``
-    (unsketched residual norm vs k); one column per run.
+    (unsketched residual norm vs k); one column per run.  ``output_dir``
+    that is not a directory is a config error.
     """
     out_dir = Path(output_dir)
+    if not out_dir.is_dir():
+        raise ConfigError(f"--output-dir {output_dir}: no such directory")
     traces = sorted(out_dir.glob("*_trace.csv"))
     if not traces:
         print(f"warning: no trace files in {out_dir}", file=sys.stderr)
@@ -603,12 +593,8 @@ def emit_figure_data(output_dir) -> List[Path]:
     for (style, kind, solver), series in sorted(groups.items()):
         path = out_dir / f"figure_{style}_{kind}_{solver}.csv"
         names = sorted(series)
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + names)
-            for i in range(max(len(values) for values in series.values())):
-                writer.writerow([i + 1] + [series[n][i] if i < len(series[n]) else ""
-                                           for n in names])
+        rows = zip_longest(*(series[name] for name in names), fillvalue="")
+        write_csv(path, ["k"] + names, ([k, *row] for k, row in enumerate(rows, start=1)))
         written.append(path)
         print(f"wrote {path}")
     return written

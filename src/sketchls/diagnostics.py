@@ -20,13 +20,14 @@ The checks read only that interface, so the tests run them on the d-row
 problem of an explicit S too (``DRowProblem`` of ``tests/reference.py``),
 the slow reference of the cell; :func:`solve_sketched` is its minimizer.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
-bound, and a pass/fail margin; bounds whose hypotheses are void (zero residual,
-embedding parameter >= 1) are reported as vacuous passes with a note.
+bound, and a pass/fail margin.  A bound void by a zero residual or solution
+is reported as a vacuous pass (lhs = rhs = 0) with a note.  A bound whose
+multiplier needs eps < 1 gets rhs = inf once eps >= 1, and passes with an
+empty note.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ import scipy.linalg
 
 from . import embed
 from .matio import (LsOracle, MatrixHandle, _qr_solve, cond_estimate, gram_cholesky,
-                    qr_ls_solve)
+                    qr_ls_solve, write_csv)
 
 PASS_SLACK = 1e-10
 CONSISTENT_THRESHOLD = 1e-12
@@ -467,19 +468,6 @@ BOUND_CSV_COLUMNS = ["bound_id", "lhs", "rhs", "margin", "passed", "seed", "kind
 
 def write_bound_reports(path, reports: List[BoundReport], seed: int, kind: str,
                         matrix: str, d: int) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUND_CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow([
-                rep.bound_id.value,
-                f"{rep.lhs:.17g}",
-                f"{rep.rhs:.17g}",
-                f"{rep.margin:.17g}",
-                int(rep.passed),
-                seed,
-                kind,
-                matrix,
-                d,
-                rep.note,
-            ])
+    write_csv(path, BOUND_CSV_COLUMNS, (
+        [rep.bound_id.value, rep.lhs, rep.rhs, rep.margin, rep.passed, seed, kind, matrix,
+         d, rep.note] for rep in reports))

@@ -29,10 +29,14 @@ A Matrix Market file's header and size line are read once; the body of
 either format, coordinate or array, is then parsed by one numpy ``loadtxt``
 straight from the open file, and a body that parse does not take whole is
 read again line by line, which names the first bad line.
+Every CSV the CLI writes goes through :func:`write_csv`, so all of them
+share one format: ASCII, the ``csv`` module's CRLF line ends, a bool as 0
+or 1, and each float as ``.17g``, which reads back to the same double.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import threading
 import warnings
@@ -456,6 +460,28 @@ def _array_handle(size: _MmSize, vals: np.ndarray) -> MatrixHandle:
     dense[i, j] = vals
     dense[j, i] = vals
     return MatrixHandle(dense)
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+def _csv_cell(value):
+    """A bool (tested first: it is an int) as 0 or 1, a float as ``.17g``;
+    anything else as ``csv`` writes it."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return value
+
+
+def write_csv(path, columns, rows) -> None:
+    """``columns`` as the header line of the CSV file ``path``, then one line
+    per row of ``rows``, each cell as :func:`_csv_cell` gives it."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(value) for value in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------

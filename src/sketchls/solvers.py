@@ -14,7 +14,6 @@ stabilization stopping policies monitor.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .matio import LsOracle, MatrixHandle, as_rhs
+from .matio import LsOracle, MatrixHandle, as_rhs, write_csv
 
 
 @dataclass
@@ -316,17 +315,8 @@ TRACE_COLUMNS = ["k", "srnorm", "snenorm", "rnorm", "ne_ratio", "stale_flag"]
 
 
 def write_trace(path, trace: List[IterateRecord]) -> None:
-    """One CSV row per iteration with deterministic float formatting."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for rec in trace:
-            writer.writerow([
-                rec.k,
-                f"{rec.sketched_residual_norm:.17g}",
-                f"{rec.sketched_normal_residual_norm:.17g}",
-                f"{rec.unsketched_residual_norm:.17g}",
-                f"{rec.unsketched_normal_ratio:.17g}",
-                int(rec.stale),
-            ])
-
+    """One CSV row per iteration (:func:`sketchls.matio.write_csv`)."""
+    write_csv(path, TRACE_COLUMNS, (
+        [rec.k, rec.sketched_residual_norm, rec.sketched_normal_residual_norm,
+         rec.unsketched_residual_norm, rec.unsketched_normal_ratio, rec.stale]
+        for rec in trace))

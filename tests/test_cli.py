@@ -257,6 +257,26 @@ class TestConfigParsing:
         assert loads == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    @pytest.mark.parametrize("sources,name", [
+        ("matrix = a/x.mtx\nmatrix = b/x.mtx\n", "x"),
+        ("synthetic = 120,4,10\nsynthetic = 120,4,10\n", "synth120x4c10"),
+    ], ids=["two-stems", "synthetic-twice"])
+    def test_repeated_source_name_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                  command, sources, name):
+        # a source's output files and summary rows carry its name, so the
+        # second source of a name would overwrite the first's
+        loads = record_loads(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(sources + f"kind = gaussian\noutput_dir = {tmp_path / 'out'}\n")
+        argv = [command, "--config", str(cfg)] + (
+            ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: two sources are named '{name}', the name of their outputs\n"
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
     def test_d_rule_violation_is_run_error(self, tmp_path):
         # d = ceil(30 * 6) = 180 >= m = 120
         config = parse_config("synthetic = 120,6,20\nkind = gaussian\n"
@@ -1050,7 +1070,8 @@ class TestSweep:
 
     def test_bad_d_rejected_before_any_cell(self, tmp_path, monkeypatch, capsys):
         # d = 70 fits the first source but not the second (m = 60): the
-        # second is a run error, found before any cell, and is not swept
+        # second is a run error, found before any of its cells, and is not
+        # swept
         built = record_sketches(monkeypatch)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 60,4,10\n"
                               f"kind = gaussian\noutput_dir = {tmp_path}\n")
@@ -1150,6 +1171,16 @@ class TestSweep:
             got = [(r["matrix"], r["d"]) for r in csv.DictReader(fh)]
         assert got == [("synth120x4c10", "8"), ("synth120x4c10", "40")]
 
+    def test_errors_come_in_source_order(self, tmp_path, monkeypatch, capsys):
+        # each source loads, is checked and is swept before the next loads
+        record_sketches(monkeypatch, fail=lambda kind, d, seed: d == 8)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"matrix = {tmp_path / 'absent.mtx'}\nsynthetic = 120,4,10\n"
+                       f"synthetic = 60,4,10\nkind = gaussian\noutput_dir = {tmp_path}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", "8,70"]) == EXIT_RUN_ERROR
+        labels = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()]
+        assert labels == ["absent", "synth120x4c10_gaussian_d8", "synth60x4c10"]
+
     def test_only_source_fails_to_load(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"matrix = {tmp_path / 'absent.mtx'}\nkind = gaussian\n"
@@ -1226,6 +1257,14 @@ class TestFigures:
     def test_empty_dir_warns(self, tmp_path, capsys):
         assert emit_figure_data(tmp_path) == []
         assert "warning" in capsys.readouterr().err
+
+    def test_missing_dir_is_config_error(self, tmp_path, capsys):
+        absent = tmp_path / "absent"
+        assert main(["figures", "--output-dir", str(absent)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: --output-dir {absent}: no such directory\n"
+        assert main(["figures", "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == f"warning: no trace files in {tmp_path}\n"
 
 
 class TestMain:
@@ -1315,6 +1354,26 @@ class TestMain:
                        f"output_dir = {tmp_path / 'out'}\n")
         assert main(["sweep-d", "--config", str(cfg), "--d-list", "2n,4n"]) == EXIT_OK
         assert loads == ["synth120x4c10"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-d"])
+def test_one_source_held_at_a_time(tmp_path, command):
+    # each source loads, runs and is let go before the next loads, so three
+    # 4000 x 40 sources (A and its m x n Q 1.3 MB each) peak as one does
+    peaks = []
+    for count in (1, 3):
+        cfg = tmp_path / f"{count}.cfg"
+        cfg.write_text("".join(f"synthetic = 4000,40,{10 * (i + 1)}\n" for i in range(count))
+                       + f"kind = sparse\noutput_dir = {tmp_path / str(count)}\n")
+        argv = [command, "--config", str(cfg)] + (
+            ["--d-list", "80,160"] if command == "sweep-d" else [])
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestExitCodeMapping:

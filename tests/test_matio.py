@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 import threading
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from sketchls import embed, matio
 from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, qr_ls_solve, solve_ls_oracle,
-                            spectral_norms, synthesize_matrix, synthesize_problem)
+                            spectral_norms, synthesize_matrix, synthesize_problem,
+                            write_csv)
 from sketchls.rng import stream
 
 from conftest import householder_handle, random_tall
@@ -319,6 +321,35 @@ class TestMatrixMarket:
         save_matrix_market(A, path)
         B = load_matrix_market(path)
         assert np.array_equal(A.dense(), B.dense())
+
+
+# (cell, the expression each writer used for it before the one writer)
+OLD_CELLS = {
+    "0.1": (0.1, f"{0.1:.17g}"),
+    "-0.0": (-0.0, f"{-0.0:.17g}"),
+    "5e-324": (5e-324, f"{5e-324:.17g}"),
+    "1e308": (1e308, f"{1e308:.17g}"),
+    "nan": (math.nan, f"{math.nan:.17g}"),
+    "inf": (math.inf, f"{math.inf:.17g}"),
+    "-inf": (-math.inf, f"{-math.inf:.17g}"),
+    "float64": (np.float64(0.1), f"{np.float64(0.1):.17g}"),
+    "True": (True, int(True)),
+    "False": (False, int(False)),
+    "int": (7, 7),
+    "int64": (np.int64(7), np.int64(7)),
+    "comma-name": ("a,b", "a,b"),
+}
+
+
+@pytest.mark.parametrize("cell", OLD_CELLS)
+def test_write_csv_cell_is_the_old_expression(tmp_path, cell):
+    value, old = OLD_CELLS[cell]
+    write_csv(tmp_path / "new.csv", ["name", "value"], [["x", value]])
+    with open(tmp_path / "old.csv", "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "value"])
+        writer.writerow(["x", old])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -170,3 +170,35 @@ def test_bench_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert patched and all(owner.__dict__[attr] is raw for owner, attr, raw in patched)
+
+
+def _write_sites():
+    """``(module.function, what)`` for each call in ``src/sketchls`` that
+    opens a file with a write mode (``open`` or ``<path>.open``; a mode
+    that is not a literal counts as one) or makes a ``csv`` writer."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                if isinstance(func, ast.Attribute) and func.attr in ("writer", "DictWriter"):
+                    sites.append((where, f"csv.{func.attr}"))
+                is_open = isinstance(func, ast.Name) and func.id == "open"
+                if not (is_open or isinstance(func, ast.Attribute) and func.attr == "open"):
+                    continue
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                modes += node.args[1:2] if is_open else node.args[:1]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                    sites.append((where, "open"))
+    return sites
+
+
+def test_one_write_site():
+    # every file the commands write goes through matio.write_csv, so a new
+    # output cannot fork the format
+    assert sorted(_write_sites()) == [("matio.write_csv", "csv.writer"),
+                                      ("matio.write_csv", "open")]
