@@ -48,13 +48,15 @@ malformed value from a file or a flag is a config error.  ``check`` runs one
 cell of a config with no file, so more than one source, kind, seed or d
 multiplier is a config error.  A source has one name in every command: its
 file's stem, or ``synth<m>x<n>c<cond>``.  Its output files and summary rows
-carry that name, so two sources of one name are a config error.
+carry that name, so two sources of one name are a config error, and so is
+one value given twice in a list key (``kind``, ``d_mult``, ``seeds``).
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
 flag, a missing ``--config``) also exits 2, before any run starts.  A
-source that fails to load, or that a d does not fit (n <= d < m), is a run
-error of that source in every command; the other sources still run.
+source that fails to load, that a d does not fit (n <= d < m), or on which
+two d values give one d, is a run error of that source in every command;
+the other sources still run.
 """
 
 from __future__ import annotations
@@ -242,8 +244,28 @@ def _config_from_kv(kv: Dict[str, List[str]]) -> ExperimentConfig:
         if key in kv and not (texts and all(texts)):
             raise ConfigError(f"{key} is empty")
         parsed = [parse(key, text) for text in texts]
+        again = _repeat(parsed) if how == "words" else None
+        if again is not None:
+            first = texts[parsed.index(parsed[again])]
+            raise ConfigError(f"{key} gives one value twice, '{first}' and '{texts[again]}', "
+                              "so its cells would run twice")
         value[key] = parsed[0] if how == "one" else parsed
     return ExperimentConfig(**value)
+
+
+def _repeat(items: list) -> Optional[int]:
+    """The index of the first of ``items`` equal to an earlier one, or None."""
+    return next((i for i, item in enumerate(items) if item in items[:i]), None)
+
+
+def _repeated_d(fits: List[Tuple[Optional[int], str]]) -> Optional[str]:
+    """The run error of two d values that :func:`_fit_d` fits to one d on a
+    source, whose cells would run twice, or None."""
+    ds = [d for d, _ in fits if d is not None]
+    again = _repeat(ds)
+    if again is None:
+        return None
+    return f"two d values give d = {ds[again]}, so its cells would run twice"
 
 
 def _fit_d(value: float, per_col: bool, A: MatrixHandle) -> Tuple[Optional[int], str]:
@@ -328,8 +350,9 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
     W = [Q u] (``problem.span``), with the distortion ``eps`` of its sketch.
 
     SW = S W is :func:`embed.gaussian_span_sketch`'s draw, or S Q and S u
-    for S from :func:`embed.build_sketch`, in a C-ordered SW whose Gram
-    BLAS reads in place.  Q is untrimmed, so SA keeps all n columns of A.
+    for S from :func:`embed.build_sketch`, applied straight into the
+    columns of a C-ordered SW whose Gram BLAS reads in place.  Q is
+    untrimmed, so SA keeps all n columns of A.
     """
     A, span = problem.A, problem.span
     k = span.c_b.size
@@ -338,9 +361,9 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
     else:
         S = embed.build_sketch(kind, d, A.rows, problem.seed)
         SW = np.empty((d, k))
-        SW[:, : A.cols] = embed.apply(S, A.qr_factor()[0])
+        embed.apply(S, A.qr_factor()[0], out=SW[:, : A.cols])
         if span.u is not None:
-            SW[:, A.cols] = embed.apply(S, span.u)
+            embed.apply(S, span.u, out=SW[:, A.cols])
     return diagnostics.SketchedProblem(A, problem.b, span, SW)
 
 
@@ -431,12 +454,19 @@ def _run_source(source: MatrixSource, config: ExperimentConfig,
                 out_dir: Path) -> List[RunOutcome]:
     """Every (kind, d, seed) run on one source (:func:`_cells`), in
     kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
-    error per kind.  The source loads here, so that one A is held at a time."""
+    error per kind, and two that give one d are one error of the source
+    besides those, which then runs no cell.  The source loads here, so that
+    one A is held at a time."""
     A, failed = _load(source)
     if failed is not None:
         return [failed]
     name = source.name
     fits = [_fit_d(mult, True, A) for mult in config.d_mult]
+    repeated = _repeated_d(fits)
+    if repeated:
+        return [RunOutcome(label=f"{name}_{kind.value}", error=error)
+                for kind in config.kind for _, error in fits if error] + [
+                    RunOutcome(label=name, error=repeated)]
     d_values = [d for d, _ in fits]
     outcomes: List[List[RunOutcome]] = [
         [RunOutcome(label=f"{name}_{kind.value}", error=error)] if error else []
@@ -489,16 +519,18 @@ def _sweep_source(source: MatrixSource, config: ExperimentConfig,
     """``sweep_d.csv`` rows of one source, in kind -> d order, and its errors.
 
     The source loads here, so that one A is held at a time.  When it fails
-    to load, or a d of ``d_words`` (:func:`_parse_d_list`) does not fit it,
-    the rows are None and no cell runs.  The cells run as :func:`_cells`
-    yields them; a cell that raises skips its remaining seeds.
+    to load, a d of ``d_words`` (:func:`_parse_d_list`) does not fit it,
+    or two of them give one d, the rows are None and no cell runs.  The
+    cells run as :func:`_cells` yields them; a cell that raises skips its
+    remaining seeds.
     """
     A, failure = _load(source)
     if failure is not None:
         return None, [failure]
     name = source.name
     fits = [_fit_d(value, per_col, A) for value, per_col in d_words]
-    misfits = [RunOutcome(label=name, error=error) for _, error in fits if error]
+    errors = [error for _, error in fits] + [_repeated_d(fits)]
+    misfits = [RunOutcome(label=name, error=error) for error in errors if error]
     if misfits:
         return None, misfits
     d_values = [d for d, _ in fits]
@@ -538,12 +570,12 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     parsed and counted, and a multiplier with two or more configured
     sources is a config error, before any source loads, so the error holds
     even when all but one of them would fail to load.  A source that fails to
-    load, or that a d does not fit (n <= d < m), is reported and the sweep
-    goes on with the others; the sources go one by one (:func:`_sweep_source`),
-    so the ``error:`` lines come in source order.  A (kind, d) cell that
-    raises is recorded and reported as an ``error:`` line, like a run of
-    :func:`run_experiment`, and the sweep goes on.  ``sweep_d.csv`` is
-    written when some source is swept.
+    load, that a d does not fit (n <= d < m), or on which two d values give
+    one d, is reported and the sweep goes on with the others; the sources
+    go one by one (:func:`_sweep_source`), so the ``error:`` lines come in
+    source order.  A (kind, d) cell that raises is recorded and reported as
+    an ``error:`` line, like a run of :func:`run_experiment`, and the sweep
+    goes on.  ``sweep_d.csv`` is written when some source is swept.
     """
     d_words = _parse_d_list(d_list)
     if len(d_words) < 2:
@@ -610,6 +642,8 @@ def check_single(config: ExperimentConfig, output: Optional[str]) -> int:
     path = None if output is None else Path(output)
     if path is not None and not path.parent.is_dir():
         raise ConfigError(f"--output {output}: its directory does not exist")
+    if path is not None and path.is_dir():
+        raise ConfigError(f"--output {output}: is a directory, not a file")
     source = config.sources[0]
     A, failure = _load(source)
     if failure is not None:

@@ -20,11 +20,14 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
 * The sparse operator is a CountSketch (Clarkson & Woodruff 2013): each
   coordinate goes to one uniformly chosen row with a random sign, and no
   scaling is needed.  It is applied as a d x m CSR matrix with one entry per
-  column.
+  column, one block of the product of about
+  :data:`~sketchls.matio.BLOCK_BYTES` at a time.
 
 :func:`apply` and :func:`apply_adjoint` take a float64 vector or matrix,
 as every caller holds one; a :class:`~sketchls.matio.MatrixHandle` is
-passed as its ``dense()``.
+passed as its ``dense()``.  :func:`apply` writes into a caller's ``out``
+when given one, such as the columns of a CLI cell's S W, so the d x k
+product is never formed twice.
 
 :func:`exact_distortion` measures the tight embedding parameter over
 span([A b]) by an SVD of the sketched orthonormal basis
@@ -171,42 +174,60 @@ def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((p.signs[order], order, indptr), shape=(S.d, S.m))
 
 
-def apply(S: SketchOperator, X) -> np.ndarray:
+def apply(S: SketchOperator, X, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Compute S @ X for a vector or matrix X with S.m rows, taken as a
-    float64 array (``np.asarray``).
+    float64 array (``np.asarray``), into ``out`` when given (a float64
+    array of S.d rows and X's columns, a view of a larger one included),
+    which is returned; else into a new C-ordered array.
 
-    An SRHT transforms X a column block at a time through one reusable
-    m' x w buffer, w = max(1, BLOCK_BYTES // (8 m')) columns, and writes
-    each block's sampled rows into the d x k result; a vector is one block
-    of one column.  Each column goes through the same sign flip,
-    butterflies and scaling whatever its block, so the result is bit for
-    bit that of one m' x k transform, and the call holds about one block
-    and :func:`fwht`'s scratch of half of it besides X and the result.
+    An SRHT and a CountSketch each hold about one block of BLOCK_BYTES
+    besides X and ``out``, and a vector is one column.  An SRHT transforms
+    a column block of X at a time through one reusable m' x w buffer,
+    w = max(1, BLOCK_BYTES // (8 m')) columns, and writes its sampled rows
+    into ``out``; each column goes through the same sign flip, butterflies
+    and scaling whatever its block, so the result is bit for bit that of
+    one m' x k transform, and :func:`fwht`'s scratch of half a block is
+    held besides.  A CountSketch takes X in C order (a copy only when it
+    is not) and forms ``out`` one block of h = max(1, BLOCK_BYTES // (8 k))
+    rows at a time, each the product of h rows of the CSR matrix with X.
+    Each entry of ``out`` is one row of the CSR matrix times one column of
+    X, with its terms added in the order of the coordinates whatever the
+    block, so the result is bit for bit that of one product with all of X.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != S.m:
         raise ValueError(f"operand has {X.shape[0]} rows, operator expects {S.m}")
+    shape = (S.d,) + X.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out is {out.dtype} {out.shape}, the product is float64 {shape}")
     p = S.payload
-    if isinstance(p, SparsePayload):
-        return _countsketch_matrix(S) @ X
     if isinstance(p, GaussianPayload):
-        return p.matrix @ X
+        return np.matmul(p.matrix, X, out=out)
     cols = X if X.ndim == 2 else X[:, None]
+    out_cols = out if X.ndim == 2 else out[:, None]
     k = cols.shape[1]
+    if isinstance(p, SparsePayload):
+        C = _countsketch_matrix(S)
+        cols = np.ascontiguousarray(cols)
+        h = max(1, BLOCK_BYTES // (8 * max(1, k)))
+        for i in range(0, S.d, h):
+            out_cols[i:i + h] = (C[i:i + h] if h < S.d else C) @ cols
+        return out
     mp = p.padded_len
     w = max(1, min(k, BLOCK_BYTES // (8 * mp)))
     buf = np.empty(mp * w)
     signs_in = p.signs[: S.m, None]
     scale = np.sqrt(S.d)
-    out = np.empty((S.d, k))
     for j in range(0, k, w):
         width = min(w, k - j)
         Y = buf[: mp * width].reshape(mp, width)
         np.multiply(cols[:, j:j + width], signs_in, out=Y[: S.m])
         Y[S.m:] = 0.0
         fwht(Y)
-        np.divide(Y[p.indices], scale, out=out[:, j:j + width])
-    return out if X.ndim == 2 else out[:, 0]
+        np.divide(Y[p.indices], scale, out=out_cols[:, j:j + width])
+    return out
 
 
 def apply_adjoint(S: SketchOperator, U) -> np.ndarray:

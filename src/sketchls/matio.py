@@ -27,8 +27,14 @@ threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
 spectral data alike.
 A Matrix Market file's header and size line are read once; the body of
 either format, coordinate or array, is then parsed by one numpy ``loadtxt``
-straight from the open file, and a body that parse does not take whole is
-read again line by line, which names the first bad line.
+straight from the open file, or, when comment lines come among the entries,
+from its lines less those; a body that neither parse takes whole is read
+again line by line, which names the first bad line.
+The passes over the m rows of a dense matrix that would otherwise hold an
+m-row work array run on a block of about :data:`BLOCK_BYTES` at a time:
+forming Q = Q1 Q2 and each CholeskyQR triangular solve here, and the SRHT
+and CountSketch applies of :mod:`sketchls.embed`.  The Gram SYRK of a
+CholeskyQR pass is one call: blocking it saved no memory and changed bits.
 Every CSV the CLI writes goes through :func:`write_csv`, so all of them
 share one format: ASCII, the ``csv`` module's CRLF line ends, a bool as 0
 or 1, and each float as ``.17g``, which reads back to the same double.
@@ -72,9 +78,11 @@ RANK_TOL = 1e-12
 # Householder QR decides near the rank thresholds, as it always did
 CHOLQR_COND_LIMIT = 1e8
 
-# bytes of a working block: the row block of Q1 Q2 formed at a time when
-# A's Q is written into Q1's buffer, and the column block of an SRHT apply
-# (sketchls.embed); smaller blocks make numpy's inner loops too short
+# bytes of a working block, the one block size of every m-row pass that
+# runs a block at a time: the row block of Q1 Q2 formed at a time when A's
+# Q is written into Q1's buffer, the row block of a CholeskyQR triangular
+# solve, and the block of an SRHT or CountSketch apply (sketchls.embed);
+# smaller blocks make numpy's inner loops too short
 BLOCK_BYTES = 1 << 20
 
 
@@ -278,17 +286,20 @@ def load_matrix_market(path) -> MatrixHandle:
     The header and size line are read once (:func:`_preamble`).  The body
     of either format is then parsed by one numpy ``loadtxt`` straight from
     the open file (:func:`_file_body`), with no Python string per entry.
-    A body that parse does not take whole, malformed or not, is read again
-    from its first line by :func:`_line_body`, which names the first bad
-    line; both give the same bits.
+    A body that parse does not take whole is parsed again, by the same
+    ``loadtxt``, from its lines less the comment lines, one Python string
+    at a time.  A body that neither parse takes, malformed or not, is read
+    again from its first line by :func:`_line_body`, which names the first
+    bad line; all three give the same bits.
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         size = _preamble(fh)
         body = fh.tell()
-        try:
-            fields = _file_body(fh, size)
-        except Exception:  # noqa: BLE001 - the line loop reports what this parse cannot take
-            fields = None
+        fields = _file_body(fh, size)
+        if fields is None:
+            fh.seek(body)
+            fields = _file_body((text for _, text in _lines(fh, size.lineno)
+                                 if not text.startswith("%")), size)
         if fields is None:
             fh.seek(body)
             fields = _line_body(fh, size)
@@ -355,21 +366,26 @@ def _preamble(fh) -> _MmSize:
     return _MmSize(coordinate, symmetric, m, n, count, lineno)
 
 
-def _file_body(fh, size: _MmSize):
-    """The body's fields, parsed by one numpy ``loadtxt`` from ``fh``: 0-based
-    ``(rows, cols, vals)`` of a coordinate file, ``(vals,)`` of an array file.
+def _file_body(lines, size: _MmSize):
+    """The body's fields, parsed by one numpy ``loadtxt`` from ``lines``, an
+    open file or an iterable of its lines: 0-based ``(rows, cols, vals)`` of
+    a coordinate file, ``(vals,)`` of an array file.
 
-    None, or an exception, for a body that is not ``size.count`` in-bounds
-    finite entries alone on their lines; the caller reads any such body again
-    by :func:`_line_body`, which reports it.  With warnings raised as errors
-    the parse accepts a strict subset of what ``int``/``float`` accept.
+    None for a body that is not ``size.count`` in-bounds finite entries
+    alone on their lines, or that the parse cannot take; the caller reads
+    any such body again by :func:`_line_body`, which reports it.  With
+    warnings raised as errors the parse accepts a strict subset of what
+    ``int``/``float`` accept.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # ndmin=2 keeps a line of three values one row, where ndmin=1 would
-        # read one such line of an array body as three values
-        parsed = np.loadtxt(fh, dtype=_MM_ENTRY_DTYPE if size.coordinate else np.float64,
-                            comments=None, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # ndmin=2 keeps a line of three values one row, where ndmin=1
+            # would read one such line of an array body as three values
+            parsed = np.loadtxt(lines, dtype=_MM_ENTRY_DTYPE if size.coordinate else np.float64,
+                                comments=None, ndmin=2)
+    except Exception:  # noqa: BLE001 - the line loop reports what this parse cannot take
+        return None
     if parsed.shape != (size.count, 1):
         return None
     parsed = parsed[:, 0]
@@ -588,10 +604,20 @@ def gram_cholesky(Xt: np.ndarray) -> Optional[np.ndarray]:
 def _cholesky_qr_pass(Xt: np.ndarray) -> Optional[np.ndarray]:
     """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with R from
     :func:`gram_cholesky`, returned.  Returns None, with X untouched, when
-    the Cholesky fails.  Xt must be Fortran-ordered."""
+    the Cholesky fails.  Xt must be Fortran-ordered.
+
+    The triangular solve (TRSM) runs on a row block of X at a time, of
+    max(1, BLOCK_BYTES // (8 n)) rows, each an F-contiguous column block of
+    Xt that BLAS overwrites in place, so BLAS packs no more than one block.
+    A row of X R^-1 reads only that row of X, so the result is bit for bit
+    that of one solve over all m rows.
+    """
     R = gram_cholesky(Xt)
     if R is not None:
-        scipy.linalg.blas.dtrsm(1.0, R, Xt, trans_a=True, overwrite_b=True)
+        step = max(1, BLOCK_BYTES // (8 * Xt.shape[0]))
+        for start in range(0, Xt.shape[1], step):
+            scipy.linalg.blas.dtrsm(1.0, R, Xt[:, start:start + step], trans_a=True,
+                                    overwrite_b=True)
     return R
 
 

@@ -301,6 +301,76 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: {error} violates n <= d < m = 120\n"
         assert not list(tmp_path.glob("out/*_bounds.csv")) + list(tmp_path.glob("out/sweep*"))
 
+    def test_check_output_naming_a_directory_is_config_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        loads = record_loads(monkeypatch)
+        assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
+                     "--output", str(tmp_path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --output {tmp_path}: is a directory, not a file\n"
+        assert captured.out == ""
+        assert loads == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    @pytest.mark.parametrize("key,values,message", [
+        ("kind", "gaussian,sparse,gaussian", "'gaussian' and 'gaussian'"),
+        ("seeds", "0,1,0", "'0' and '0'"),
+        ("d_mult", "4,4.0", "'4' and '4.0'"),
+    ], ids=["kind", "seeds", "d_mult"])
+    def test_repeated_list_value_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                 command, key, values, message):
+        # each value of a list key is a set of cells, so a repeated one
+        # would run them twice and write their rows twice
+        loads = record_loads(monkeypatch)
+        keys = {"synthetic": "120,6,20", "kind": "gaussian",
+                "output_dir": str(tmp_path / "out"), key: values}
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        argv = [command, "--config", str(cfg)] + (
+            ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {key} gives one value twice, "
+                                           f"{message}, so its cells would run twice\n")
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_seed_flag_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        assert main(["run", "--config", str(cfg), "--seeds", "3,3"]) == EXIT_CONFIG
+        assert "seeds gives one value twice, '3' and '3'" in capsys.readouterr().err
+
+    def test_run_of_two_multipliers_of_one_d_is_a_run_error(self, tmp_path, capsys):
+        # ceil(4 * 6) = ceil(3.9 * 6) = 24 on the first source; on the
+        # second, 4 * 20 = 80 and 3.9 * 20 = 78, whose cells all run
+        config = parse_config("synthetic = 120,6,20\nsynthetic = 400,20,10\nkind = sparse\n"
+                              f"d_mult = 4,3.9\noutput_dir = {tmp_path}\n")
+        assert run_experiment(config) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == (
+            "error: synth120x6c20: two d values give d = 24, so its cells would run twice\n")
+        assert sorted(path.name for path in tmp_path.glob("*_bounds.csv")) == [
+            "synth400x20c10_sparse_d78_s0_bounds.csv", "synth400x20c10_sparse_d80_s0_bounds.csv"]
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            assert [row["d"] for row in csv.DictReader(fh)] == ["80", "78"]
+
+    def test_run_reports_a_misfit_d_besides_a_repeated_one(self, tmp_path, capsys):
+        config = parse_config("synthetic = 120,6,20\nkind = sparse\n"
+                              f"d_mult = 4,3.9,100\noutput_dir = {tmp_path}\n")
+        assert run_experiment(config) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == (
+            "error: synth120x6c20_sparse: d = ceil(100.0 * 6) = 600 violates n <= d < m = 120\n"
+            "error: synth120x6c20: two d values give d = 24, so its cells would run twice\n")
+        assert not list(tmp_path.glob("*_bounds.csv"))
+
+    @pytest.mark.parametrize("d_list", ["24,24", "4n,24"])
+    def test_sweep_of_two_d_values_of_one_d_is_a_run_error(self, tmp_path, capsys, d_list):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"synthetic = 120,6,20\nkind = sparse\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep-d", "--config", str(cfg), "--d-list", d_list]) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == (
+            "error: synth120x6c20: two d values give d = 24, so its cells would run twice\n")
+        assert not (tmp_path / "out" / "sweep_d.csv").exists()
+
 
 def count_factorizations(monkeypatch) -> Counter:
     """Count ``scipy.linalg.qr`` calls by (pivoting, operand shape),
@@ -460,9 +530,9 @@ class TestRunExperiment:
         applied = Counter()
         real_apply = embed.apply
 
-        def counting_apply(S, X):
+        def counting_apply(S, X, out=None):
             applied[S.kind.value, S.seed, isinstance(X, MatrixHandle)] += 1
-            return real_apply(S, X)
+            return real_apply(S, X, out=out)
 
         def counting_solve(name, real):
             def solve(*args):

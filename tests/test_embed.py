@@ -228,12 +228,62 @@ def scatter_reference(S: SketchOperator, X: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("form", ["vector", "c_matrix", "f_matrix"])
 def test_countsketch_bit_equal_to_scatter(form):
-    m, n = 500, 7
-    S = build_sketch("sparse", 40, m, seed=3)
+    # a matrix is taken in two blocks of rows of S, an F-ordered one after
+    # its copy to C order
+    m, n = 20000, 20
+    assert BLOCK_BYTES // (8 * n) == 6553
+    S = build_sketch("sparse", 8000, m, seed=3)
     gen = stream(9, "countsketch", m)
     operand = {"vector": gen.standard_normal(m), "c_matrix": gen.standard_normal((m, n)),
                "f_matrix": np.asfortranarray(gen.standard_normal((m, n)))}[form]
     assert np.array_equal(apply(S, operand), scatter_reference(S, operand))
+
+
+def test_countsketch_memory_bounded_by_the_block():
+    # four blocks of 2048 rows of S; one product with all of X would hold a
+    # d x k result of 4.1 MB besides out
+    m, k, d = 20000, 64, 8000
+    S = build_sketch("sparse", d, m, seed=3)
+    X = stream(3, "sparse-peak").standard_normal((m, k))
+    out = np.empty((d, k))
+    tracemalloc.start()
+    try:
+        apply(S, X, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the product of one block, and the CSR matrix, its build and a block
+    # of its rows
+    assert peak < BLOCK_BYTES + 24 * m
+
+
+class TestApplyInto:
+    """``apply(S, X, out=...)``, as a cell writes S Q and S u into the
+    columns of its SW, against the array ``apply`` returns."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_equal_to_returned(self, kind):
+        # several blocks for the SRHT (m' = 32768, w = 4) and the
+        # CountSketch (two of 6553 rows of S); the Gaussian kind draws a
+        # d x m G
+        m, d = (2000, 200) if kind is SketchKind.GAUSSIAN else (20000, 8000)
+        n = 20
+        S = build_sketch(kind, d, m, seed=6)
+        gen = stream(6, "apply-out", m)
+        Q, u = gen.standard_normal((m, n)), gen.standard_normal(m)
+        SW = np.full((d, n + 1), np.nan)
+        assert np.shares_memory(apply(S, Q, out=SW[:, :n]), SW)
+        assert np.shares_memory(apply(S, u, out=SW[:, n]), SW)
+        assert np.array_equal(SW[:, :n], apply(S, Q))
+        assert np.array_equal(SW[:, n], apply(S, u))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_out_of_another_shape_rejected(self, kind):
+        S = build_sketch(kind, 4, 10, seed=0)
+        with pytest.raises(ValueError, match=r"out is float64 \(4, 3\)"):
+            apply(S, np.ones((10, 2)), out=np.empty((4, 3)))
+        with pytest.raises(ValueError, match="out is float32"):
+            apply(S, np.ones(10), out=np.empty(4, dtype=np.float32))
 
 
 @st.composite

@@ -11,7 +11,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 from sketchls import embed, matio
-from sketchls.matio import (MatrixHandle, MatrixMarketError, RankDeficiencyError,
+from sketchls.matio import (BLOCK_BYTES, MatrixHandle, MatrixMarketError, RankDeficiencyError,
                             load_matrix_market, qr_ls_solve, solve_ls_oracle,
                             spectral_norms, synthesize_matrix, synthesize_problem,
                             write_csv)
@@ -178,6 +178,7 @@ class TestMatrixMarket:
         ("2 3 1.0", r"line 4: index \(2,3\) out of bounds"),
         ("0 1 1.0", r"line 4: index \(0,1\) out of bounds"),
         ("2 2 1.0 # note", "line 4: expected 'row col value'"),
+        ("2 2 1.0 % note", "line 4: expected 'row col value'"),
         ("2 2.0 1.0", "line 4: malformed entry"),
     ])
     def test_bad_entry_message(self, tmp_path, entry, message):
@@ -265,7 +266,7 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("body,file_path", [
         ("1 1 1.0\n\n  \n2 2 -3e-1\n", True),   # blank lines
-        ("1 1 1.0\n% note\n2 2 -3e-1\n", False),  # a comment among the entries
+        ("1 1 1.0\n% note\n2 2 -3e-1\n", True),  # a comment among the entries
         ("1 1 1.0\n2 2 -3e-1\n", True),
     ], ids=["blank-lines", "body-comment", "plain"])
     def test_file_path_or_line_path(self, tmp_path, loop_calls, body, file_path):
@@ -299,6 +300,28 @@ class TestMatrixMarket:
         # about 4 times the CSR on the file path; a Python string and tuple
         # per entry line took 25 times
         assert peak < 8 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+
+    def test_body_comments_load_bounded_by_the_csr(self, tmp_path, loop_calls):
+        m, n, nnz = 4000, 50, 20000
+        gen = stream(3, "mtx-peak")
+        i, j = gen.integers(1, m + 1, size=nnz), gen.integers(1, n + 1, size=nnz)
+        v = gen.standard_normal(nnz)
+        lines = [f"{a} {b} {x:.17g}\n" for a, b, x in zip(i, j, v.tolist())]
+        lines[nnz // 2:nnz // 2] = ["% mid\n", "   % indented\n"]
+        path = write(tmp_path, "mid.mtx", f"%%MatrixMarket matrix coordinate real general\n"
+                     f"{m} {n} {nnz}\n" + "".join(lines))
+        tracemalloc.start()
+        try:
+            mat = csr(load_matrix_market(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loadtxt of the lines less the comments, about 4 times the CSR
+        # as from the file; the line loop took 16 times
+        assert loop_calls == []
+        assert peak < 5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+        full = scipy.sparse.coo_matrix((v, (i - 1, j - 1)), shape=(m, n)).tocsr()
+        assert np.array_equal(mat.toarray(), full.toarray())
 
     def test_roundtrip_sparse(self, tmp_path):
         gen = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
@@ -553,6 +576,32 @@ class TestOrthonormalFactor:
         Q_haar = matio._haar_q(G.copy())
         assert np.array_equal(Q_haar, Q * signs)
         assert_positive_q_factor((Q_haar, signs[:, None] * R), G)
+
+
+class TestCholeskyQrPass:
+    """matio._cholesky_qr_pass solves X R^-1 a row block of X at a time."""
+
+    @pytest.mark.parametrize("shape", [(16000, 100), (8000, 200), (1311, 100), (5, 1)])
+    def test_blocked_solve_bit_equal_to_one_solve(self, shape, monkeypatch):
+        m, n = shape
+        G = stream(5, "test-trsm", m, n).standard_normal(shape)
+        R = matio.gram_cholesky(G.T)
+        one_solve = scipy.linalg.blas.dtrsm(1.0, R, G.T, trans_a=True).T
+        operands = []
+        real_dtrsm = scipy.linalg.blas.dtrsm
+
+        def recording(alpha, a, b, **kwargs):
+            assert b.flags.f_contiguous  # solved in X's own buffer
+            operands.append(b.nbytes)
+            return real_dtrsm(alpha, a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.blas, "dtrsm", recording)
+        X = G.copy()
+        assert np.array_equal(matio._cholesky_qr_pass(X.T), R)
+        assert np.array_equal(X, one_solve)
+        step = max(1, BLOCK_BYTES // (8 * n))
+        assert len(operands) == math.ceil(m / step)
+        assert sum(operands) == G.nbytes and max(operands) <= BLOCK_BYTES
 
 
 class TestOracle:
