@@ -6,14 +6,16 @@ aggregate summary.  ``sweep-d`` runs LSMR only, under the same policy; its
 plateau is ||A^T r_s|| / (||A|| ||r_s||) at the sketched minimizer x_s, and
 its stop columns are LSMR's iterations and last fresh ratio over the plateau.
 
-``run`` and ``sweep-d`` go seed by seed; within a seed the (kind, d) cells run
-in d -> kind order, and the outputs list the cells in kind -> d order (then
-seed, for ``run``).  The cells run one after another on the calling thread.
-Each cell sketches only W = [Q u], Q the Q of A's pivoted QR and u the unit
-part of b orthogonal to it, factors SW = Q_s T with T the Cholesky factor
-of SW^T SW (a Householder R when SW is ill-conditioned), and reads eps,
-x_s, the bounds and both solves from the (n + 1) x n pair (M, T W^T b) with
-SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`, the cell; no
+``run``, ``sweep-d`` and ``check`` drive their cells alike
+(:func:`_source_runs`): the sources go one by one, each loaded and its d
+values fitted before its cells run; its seeds go one by one, and within a
+seed the (kind, d) cells run in d -> kind order.  The outputs and the
+``error:`` lines list the cells in kind -> d order, then seed.  The cells
+run one after another on the calling thread.  Each cell sketches only
+W = [Q u], Q the Q of A's pivoted QR and u the unit part of b orthogonal
+to it, factors SW = Q_s T with T the Cholesky factor of SW^T SW (a
+Householder R when SW is ill-conditioned), and reads eps, x_s, the bounds
+and both solves from the (n + 1) x n pair (M, T W^T b) with SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`, the cell; no
 command forms the d-row SA).  A Gaussian cell's SW is a d x (n + 1) draw
 with the law of G W for a full Gaussian G, so it keeps the full-Gaussian
 law with no m-row work (:mod:`sketchls.embed`).
@@ -53,10 +55,15 @@ one value given twice in a list key (``kind``, ``d_mult``, ``seeds``).
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
-flag, a missing ``--config``) also exits 2, before any run starts.  A
-source that fails to load, that a d does not fit (n <= d < m), or on which
-two d values give one d, is a run error of that source in every command;
-the other sources still run.
+flag, a missing ``--config``) also exits 2, before any run starts.
+
+Run errors are the same in every command.  A source that fails to load,
+that a d does not fit (n <= d < m), or on which two d values give one d,
+runs no cell; each such error is one ``error: <source>: <message>`` line,
+and the other sources still run.  A cell that raises at a seed is one
+``error: <source>_<kind>_d<d>_s<seed>: <message>`` line; its other seeds
+and the other cells still run, and in ``sweep-d`` a cell with a failed
+seed has no row.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -317,26 +324,68 @@ class RunOutcome:
     label: str
     error: Optional[str] = None
     bounds_failed: int = 0
-    rows: List[list] = field(default_factory=list)  # summary rows, SUMMARY_COLUMNS
+    rows: List[list] = field(default_factory=list)  # summary rows, or a sweep seed's row
 
 
-def _load(source: MatrixSource) -> Tuple[Optional[MatrixHandle], Optional[RunOutcome]]:
+def _load(source: MatrixSource) -> Tuple[Optional[MatrixHandle], Optional[str]]:
     """``(A, None)`` for a usable source, ``(None, its error)`` otherwise; n
     above ``DESK_SCALE_COLS`` is an error too."""
     try:
         A = source.load()
     except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-        return None, RunOutcome(label=source.name, error=f"load failed: {exc}")
+        return None, f"load failed: {exc}"
     if A.cols > DESK_SCALE_COLS:
-        return None, RunOutcome(label=source.name, error=(
-            f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}, "
-            "the largest n with a dense factorization"))
+        return None, (f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}, "
+                      "the largest n with a dense factorization")
     return A, None
 
 
-def _print_errors(outcomes: List[RunOutcome]) -> None:
-    for o in outcomes:
+def _source_runs(source: MatrixSource, config: ExperimentConfig,
+                 d_words: List[Tuple[float, bool]],
+                 cell: Callable[..., RunOutcome]) -> List[List[RunOutcome]]:
+    """The outcomes of every (kind, d) cell of one source, each a list of
+    one per seed, in kind -> d order; ``cell(name, kind, d, problem)`` runs
+    one cell at one seed.
+
+    The source loads here, so that one A is held at a time, and each
+    ``(value, per column)`` of ``d_words`` is fitted to it (:func:`_fit_d`).
+    A failed load, a d that does not fit, or two d values that give one d
+    are errors of the source, labelled with its name: it runs no cell and
+    gives one list, of those errors.  The seeds go one by one, so that the
+    cells of a seed share its :class:`SeedProblem` and only one seed's
+    problem is held at a time; within a seed the cells run in d -> kind
+    order.  A cell that raises is the error of that cell at that seed.
+    """
+    A, error = _load(source)
+    fits = [] if A is None else [_fit_d(value, per_col, A) for value, per_col in d_words]
+    errors = [e for e in [error, *(e for _, e in fits), _repeated_d(fits)] if e]
+    if errors:
+        return [[RunOutcome(label=source.name, error=e) for e in errors]]
+    d_values = [d for d, _ in fits]
+    cells: Dict[Tuple[embed.SketchKind, int], List[RunOutcome]] = {
+        (kind, d): [] for kind in config.kind for d in d_values}
+    for seed in config.seeds:
+        problem = SeedProblem(A, seed, config.rho)
+        for d in d_values:
+            for kind in config.kind:
+                try:
+                    outcome = cell(source.name, kind, d, problem)
+                except Exception as exc:  # noqa: BLE001 - batch harness records and continues
+                    outcome = RunOutcome(label=_label(source.name, kind, d, seed),
+                                         error=str(exc))
+                cells[kind, d].append(outcome)
+    return list(cells.values())
+
+
+def _exit_code(outcomes: List[RunOutcome]) -> int:
+    """Print the ``error:`` line of each failed outcome and return the exit
+    code of them all: a run error before a failed bound."""
+    errors = [o for o in outcomes if o.error]
+    for o in errors:
         print(f"error: {o.label}: {o.error}", file=sys.stderr)
+    if errors:
+        return EXIT_RUN_ERROR
+    return EXIT_BOUND_FAILED if any(o.bounds_failed for o in outcomes) else EXIT_OK
 
 
 SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
@@ -396,26 +445,6 @@ def _output_dir(config: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _cells(A: MatrixHandle, config: ExperimentConfig, d_values: List[Optional[int]]
-           ) -> Iterator[Tuple[int, embed.SketchKind, int, SeedProblem]]:
-    """``(i, kind, d, problem)`` for every seed and every cell i of one
-    matrix; the cells are ``config.kind`` x ``d_values`` in kind -> d
-    order, and i indexes them so.
-
-    The seeds go one by one, so that the cells of a seed share its
-    :class:`SeedProblem` and only one seed's problem is held at a time;
-    within a seed the cells come in d -> kind order.  A cell whose d is
-    None is skipped.
-    """
-    for seed in config.seeds:
-        problem = SeedProblem(A, seed, config.rho)
-        for j, d in enumerate(d_values):
-            if d is None:
-                continue
-            for k, kind in enumerate(config.kind):
-                yield k * len(d_values) + j, kind, d, problem
-
-
 def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                  path: Optional[Path]) -> Tuple[diagnostics.SketchedProblem, list]:
     """The bound step of ``run`` and ``check``: one cell sketched and its
@@ -450,108 +479,43 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
-def _run_source(source: MatrixSource, config: ExperimentConfig,
-                out_dir: Path) -> List[RunOutcome]:
-    """Every (kind, d, seed) run on one source (:func:`_cells`), in
-    kind -> d -> seed order; a d multiplier that breaks n <= d < m is one
-    error per kind, and two that give one d are one error of the source
-    besides those, which then runs no cell.  The source loads here, so that
-    one A is held at a time."""
-    A, failed = _load(source)
-    if failed is not None:
-        return [failed]
-    name = source.name
-    fits = [_fit_d(mult, True, A) for mult in config.d_mult]
-    repeated = _repeated_d(fits)
-    if repeated:
-        return [RunOutcome(label=f"{name}_{kind.value}", error=error)
-                for kind in config.kind for _, error in fits if error] + [
-                    RunOutcome(label=name, error=repeated)]
-    d_values = [d for d, _ in fits]
-    outcomes: List[List[RunOutcome]] = [
-        [RunOutcome(label=f"{name}_{kind.value}", error=error)] if error else []
-        for kind in config.kind for _, error in fits]
-
-    for i, kind, d, problem in _cells(A, config, d_values):
-        try:
-            outcome = run_single(name, kind, d, problem, config, out_dir)
-        except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-            outcome = RunOutcome(label=_label(name, kind, d, problem.seed), error=str(exc))
-        outcomes[i].append(outcome)
-    return [outcome for cell in outcomes for outcome in cell]
-
-
 def run_experiment(config: ExperimentConfig) -> int:
     out_dir = _output_dir(config)
-    outcomes = [o for source in config.sources for o in _run_source(source, config, out_dir)]
+    d_words = [(mult, True) for mult in config.d_mult]
+    cell = partial(run_single, config=config, out_dir=out_dir)
+    outcomes = [o for source in config.sources
+                for runs in _source_runs(source, config, d_words, cell) for o in runs]
     write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, (row for o in outcomes for row in o.rows))
-
-    errors = [o for o in outcomes if o.error]
-    _print_errors(errors)
-    failed_bounds = sum(o.bounds_failed for o in outcomes)
-    print(f"runs: {len(outcomes)}  errors: {len(errors)}  bound failures: {failed_bounds}")
-    if errors:
-        return EXIT_RUN_ERROR
-    if failed_bounds:
-        return EXIT_BOUND_FAILED
-    return EXIT_OK
+    code = _exit_code(outcomes)
+    print(f"runs: {len(outcomes)}  errors: {sum(1 for o in outcomes if o.error)}  "
+          f"bound failures: {sum(o.bounds_failed for o in outcomes)}")
+    return code
 
 
-def _sweep_cell(problem: SeedProblem, kind: embed.SketchKind, d: int,
-                config: ExperimentConfig) -> Tuple[float, float, int, float]:
-    """eps, the plateau (the normal ratio at x_s, by the observer's oracle
-    path), LSMR's stop iteration under ``config.policy`` and its last fresh
-    normal ratio over the plateau, for one (kind, d) sketch of one seed."""
+def _sweep_cell(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
+                config: ExperimentConfig) -> RunOutcome:
+    """One seed of a sweep cell, as its one row: the cell's matrix, kind
+    and d, then eps, the plateau (the normal ratio at x_s, by the observer's
+    oracle path), LSMR's stop iteration under ``config.policy`` and its last
+    fresh normal ratio over the plateau."""
     P = _sketch_cell(problem, kind, d)
     result, observer = _solve_cell(lsmr, P, problem, config)
     _, plateau = observer.metrics(P.x_s)
     ratio = result.trace[-1].unsketched_normal_ratio if result.trace else math.nan
-    return P.eps, plateau, result.iterations, ratio / plateau
+    return RunOutcome(label=_label(name, kind, d, problem.seed), rows=[
+        [name, kind.value, d, P.eps, plateau, result.iterations, ratio / plateau]])
 
 
 SWEEP_COLUMNS = ["matrix", "kind", "d"] + [f"{stat}_{q}" for stat in (
     "eps", "plateau", "stop_iters", "stop_ratio_rel") for q in ("median", "q1", "q3")]
 
 
-def _sweep_source(source: MatrixSource, config: ExperimentConfig,
-                  d_words: List[Tuple[float, bool]]
-                  ) -> Tuple[Optional[List[list]], List[RunOutcome]]:
-    """``sweep_d.csv`` rows of one source, in kind -> d order, and its errors.
-
-    The source loads here, so that one A is held at a time.  When it fails
-    to load, a d of ``d_words`` (:func:`_parse_d_list`) does not fit it,
-    or two of them give one d, the rows are None and no cell runs.  The
-    cells run as :func:`_cells` yields them; a cell that raises skips its
-    remaining seeds.
-    """
-    A, failure = _load(source)
-    if failure is not None:
-        return None, [failure]
-    name = source.name
-    fits = [_fit_d(value, per_col, A) for value, per_col in d_words]
-    errors = [error for _, error in fits] + [_repeated_d(fits)]
-    misfits = [RunOutcome(label=name, error=error) for error in errors if error]
-    if misfits:
-        return None, misfits
-    d_values = [d for d, _ in fits]
-    cells = [(kind, d) for kind in config.kind for d in d_values]
-    values: List[list] = [[] for _ in cells]
-    failures: List[Optional[RunOutcome]] = [None] * len(cells)
-    for i, kind, d, problem in _cells(A, config, d_values):
-        if failures[i] is not None:
-            continue
-        try:
-            values[i].append(_sweep_cell(problem, kind, d, config))
-        except Exception as exc:  # noqa: BLE001
-            failures[i] = RunOutcome(label=f"{name}_{kind.value}_d{d}",
-                                     error=f"seed {problem.seed}: {exc}")
-    rows = []
-    for (kind, d), cell_values, failure in zip(cells, values, failures):
-        if failure is not None:
-            continue
-        quartiles = np.percentile(cell_values, [50, 25, 75], axis=0).T
-        rows.append([name, kind.value, d] + quartiles.ravel().tolist())
-    return rows, [f for f in failures if f is not None]
+def _sweep_row(runs: List[RunOutcome]) -> list:
+    """The ``sweep_d.csv`` row of a cell whose every seed ran: its matrix,
+    kind and d, then the median and quartiles of each value over the seeds."""
+    values = [run.rows[0] for run in runs]
+    quartiles = np.percentile([v[3:] for v in values], [50, 25, 75], axis=0).T
+    return values[0][:3] + quartiles.ravel().tolist()
 
 
 def _parse_d_list(spec: str) -> List[Tuple[float, bool]]:
@@ -569,13 +533,9 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     suffix ``n`` multiplies the column count of the single source.  It is
     parsed and counted, and a multiplier with two or more configured
     sources is a config error, before any source loads, so the error holds
-    even when all but one of them would fail to load.  A source that fails to
-    load, that a d does not fit (n <= d < m), or on which two d values give
-    one d, is reported and the sweep goes on with the others; the sources
-    go one by one (:func:`_sweep_source`), so the ``error:`` lines come in
-    source order.  A (kind, d) cell that raises is recorded and reported as
-    an ``error:`` line, like a run of :func:`run_experiment`, and the sweep
-    goes on.  ``sweep_d.csv`` is written when some source is swept.
+    even when all but one of them would fail to load.  The cells run as
+    :func:`_source_runs` runs them, so a cell with a failed seed has no row,
+    and ``sweep_d.csv`` is written when some source runs its cells.
     """
     d_words = _parse_d_list(d_list)
     if len(d_words) < 2:
@@ -583,16 +543,17 @@ def sweep_d(config: ExperimentConfig, d_list: str) -> int:
     if len(config.sources) > 1 and any(per_col for _, per_col in d_words):
         raise ConfigError("multiplier d values need a single matrix source")
     out_dir = _output_dir(config)
-    swept = [_sweep_source(source, config, d_words) for source in config.sources]
-    errors = [error for _, source_errors in swept for error in source_errors]
-    if all(rows is None for rows, _ in swept):
-        _print_errors(errors)
-        return EXIT_RUN_ERROR
-    path = out_dir / "sweep_d.csv"
-    write_csv(path, SWEEP_COLUMNS, (row for rows, _ in swept for row in rows or ()))
-    print(f"wrote {path}")
-    _print_errors(errors)
-    return EXIT_RUN_ERROR if errors else EXIT_OK
+    cell = partial(_sweep_cell, config=config)
+    runs = {source.name: _source_runs(source, config, d_words, cell)
+            for source in config.sources}
+    # a source that runs no cell gives one list, of its errors under its name
+    swept = [cells for name, cells in runs.items() if cells[0][0].label != name]
+    if swept:
+        path = out_dir / "sweep_d.csv"
+        write_csv(path, SWEEP_COLUMNS, (_sweep_row(seeds) for cells in swept for seeds in cells
+                                        if not any(o.error for o in seeds)))
+        print(f"wrote {path}")
+    return _exit_code([o for cells in runs.values() for seeds in cells for o in seeds])
 
 
 def emit_figure_data(output_dir) -> List[Path]:
@@ -644,32 +605,21 @@ def check_single(config: ExperimentConfig, output: Optional[str]) -> int:
         raise ConfigError(f"--output {output}: its directory does not exist")
     if path is not None and path.is_dir():
         raise ConfigError(f"--output {output}: is a directory, not a file")
-    source = config.sources[0]
-    A, failure = _load(source)
-    if failure is not None:
-        _print_errors([failure])
-        return EXIT_RUN_ERROR
-    d, error = _fit_d(config.d_mult[0], True, A)
-    if error:
-        _print_errors([RunOutcome(label=f"{source.name}_{config.kind[0].value}", error=error)])
-        return EXIT_RUN_ERROR
-    failed = 0
-    for _, kind, d, problem in _cells(A, config, [d]):
-        try:
-            P, reports = _cell_bounds(source.name, kind, d, problem, path)
-        except Exception as exc:  # noqa: BLE001 - reported like a run of run_experiment
-            _print_errors([RunOutcome(label=_label(source.name, kind, d, problem.seed),
-                                      error=str(exc))])
-            return EXIT_RUN_ERROR
-        print(f"matrix={source.name} kind={kind.value} d={d} seed={problem.seed} "
-              f"eps={P.eps:.6g} kappa={A.condition_number():.6g}")
+
+    def cell(name, kind, d, problem) -> RunOutcome:
+        P, reports = _cell_bounds(name, kind, d, problem, path)
+        print(f"matrix={name} kind={kind.value} d={d} seed={problem.seed} "
+              f"eps={P.eps:.6g} kappa={problem.A.condition_number():.6g}")
         for rep in reports:
             status = "pass" if rep.passed else "FAIL"
             note = f"  [{rep.note}]" if rep.note else ""
             print(f"  {rep.bound_id.value:22s} lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} "
                   f"{status}{note}")
-        failed += sum(1 for rep in reports if not rep.passed)
-    return EXIT_BOUND_FAILED if failed else EXIT_OK
+        return RunOutcome(label=_label(name, kind, d, problem.seed),
+                          bounds_failed=sum(1 for rep in reports if not rep.passed))
+
+    cells = _source_runs(config.sources[0], config, [(config.d_mult[0], True)], cell)
+    return _exit_code([o for seeds in cells for o in seeds])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -84,6 +85,12 @@ class SketchOperator:
     m: int
     seed: int
     payload: Union[GaussianPayload, SrhtPayload, SparsePayload]
+
+    @cached_property
+    def countsketch(self) -> scipy.sparse.csr_matrix:
+        """The sparse kind as its d x m CSR matrix (:func:`_countsketch_matrix`),
+        built on first use and kept, so every product with S shares it."""
+        return _countsketch_matrix(self)
 
 
 @dataclass
@@ -209,7 +216,7 @@ def apply(S: SketchOperator, X, out: Optional[np.ndarray] = None) -> np.ndarray:
     out_cols = out if X.ndim == 2 else out[:, None]
     k = cols.shape[1]
     if isinstance(p, SparsePayload):
-        C = _countsketch_matrix(S)
+        C = S.countsketch
         cols = np.ascontiguousarray(cols)
         h = max(1, BLOCK_BYTES // (8 * max(1, k)))
         for i in range(0, S.d, h):

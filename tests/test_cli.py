@@ -287,8 +287,6 @@ class TestConfigParsing:
     def test_d_that_does_not_fit_is_a_run_error(self, tmp_path, capsys, command):
         # whether a d fits depends on the loaded shape, so a misfit is a
         # run error of the source in every command, with one message
-        error = "synth120x6c20: d = 200" if command == "sweep-d" else \
-            "synth120x6c20_sparse: d = ceil(30.0 * 6) = 180"
         if command == "check":
             argv = ["check", "--synthetic", "120,6,20", "--kind", "sparse", "--d-mult", "30"]
         else:
@@ -296,9 +294,10 @@ class TestConfigParsing:
             cfg.write_text(f"synthetic = 120,6,20\nkind = sparse\nd_mult = 30\n"
                            f"output_dir = {tmp_path / 'out'}\n")
             argv = [command, "--config", str(cfg)] + (
-                ["--d-list", "8,200"] if command == "sweep-d" else [])
+                ["--d-list", "8,30n"] if command == "sweep-d" else [])
         assert main(argv) == EXIT_RUN_ERROR
-        assert capsys.readouterr().err == f"error: {error} violates n <= d < m = 120\n"
+        assert capsys.readouterr().err == \
+            "error: synth120x6c20: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120\n"
         assert not list(tmp_path.glob("out/*_bounds.csv")) + list(tmp_path.glob("out/sweep*"))
 
     def test_check_output_naming_a_directory_is_config_error(self, tmp_path, capsys,
@@ -358,7 +357,7 @@ class TestConfigParsing:
                               f"d_mult = 4,3.9,100\noutput_dir = {tmp_path}\n")
         assert run_experiment(config) == EXIT_RUN_ERROR
         assert capsys.readouterr().err == (
-            "error: synth120x6c20_sparse: d = ceil(100.0 * 6) = 600 violates n <= d < m = 120\n"
+            "error: synth120x6c20: d = ceil(100.0 * 6) = 600 violates n <= d < m = 120\n"
             "error: synth120x6c20: two d values give d = 24, so its cells would run twice\n")
         assert not list(tmp_path.glob("*_bounds.csv"))
 
@@ -522,6 +521,17 @@ class TestRunExperiment:
         # one (problem, sketch) pair per seed
         assert len(sketched) == len(distortions) == 2
 
+    def test_countsketch_matrix_built_once_per_cell(self, tmp_path, monkeypatch):
+        # S Q and S u of a sparse cell take one CSR matrix of S, kept by S
+        built = []
+        real = embed._countsketch_matrix
+        monkeypatch.setattr(embed, "_countsketch_matrix",
+                            lambda S: built.append(S.seed) or real(S))
+        config = parse_config(BASE_CONFIG.format(out=tmp_path).replace(
+            "kind = gaussian", "kind = sparse"))
+        assert run_experiment(config) == EXIT_OK
+        assert built == [0, 1]
+
     def test_sketched_problem_formed_once_per_pair(self, tmp_path, monkeypatch):
         # 3 kinds x 2 seeds, d = 24, n = 6: each pair makes one sketch, never
         # sketches A, takes one Gram of its 24 x 7 SW (one T), and one SVD
@@ -618,24 +628,40 @@ class TestRunExperiment:
                        for solver in ("lsqr", "lsmr")]
 
     def test_error_order_kind_d_seed(self, tmp_path, monkeypatch, capsys):
-        real = embed.build_sketch
-
-        def flaky(kind, d, m, seed):
-            if embed.SketchKind(kind) is embed.SketchKind.SPARSE and seed == 0:
-                raise ValueError("boom")
-            return real(kind, d, m, seed)
-
-        monkeypatch.setattr(cli.embed, "build_sketch", flaky)
-        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path).replace(
-            "d_mult = 4,8", "d_mult = 4,30"))
+        # two failing cells, (gaussian, 48) at seed 1 and (sparse, 24) at
+        # both seeds: they fail in seed -> d -> kind order, and are
+        # reported in kind -> d -> seed order
+        failing = {("gaussian", 48, 1), ("sparse", 24, 0), ("sparse", 24, 1)}
+        record_sketches(monkeypatch, fail=lambda kind, d, seed: (kind.value, d, seed) in failing)
+        config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))
         assert run_experiment(config) == EXIT_RUN_ERROR
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert errors == [
-            "error: synth120x6c20_gaussian: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120",
+            "error: synth120x6c20_gaussian_d48_s1: boom",
             "error: synth120x6c20_sparse_d24_s0: boom",
-            "error: synth120x6c20_sparse: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120",
+            "error: synth120x6c20_sparse_d24_s1: boom",
         ]
+
+    def test_misfit_d_blocks_only_its_own_source(self, tmp_path, monkeypatch, capsys):
+        # d = ceil(12 * 20) = 240 does not fit the second source (m = 200):
+        # it is a run error of that source, found before any of its cells,
+        # and every cell of the first source runs
+        built = record_sketches(monkeypatch)
+        config = parse_config("synthetic = 120,6,20\nsynthetic = 200,20,10\nkind = sparse\n"
+                              f"d_mult = 4,12\nsolver = lsmr\noutput_dir = {tmp_path}\n")
+        assert run_experiment(config) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == \
+            "error: synth200x20c10: d = ceil(12.0 * 20) = 240 violates n <= d < m = 200\n"
+        assert [d for _, d, _ in built] == [24, 72]
+        assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
+            "summary.csv", "synth120x6c20_sparse_d24_s0_bounds.csv",
+            "synth120x6c20_sparse_d24_s0_lsmr_trace.csv",
+            "synth120x6c20_sparse_d72_s0_bounds.csv",
+            "synth120x6c20_sparse_d72_s0_lsmr_trace.csv"]
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            assert [(row["matrix"], row["d"]) for row in csv.DictReader(fh)] == \
+                [("synth120x6c20", "24"), ("synth120x6c20", "72")]
 
     def test_failing_gaussian_draw_is_the_cells_error(self, tmp_path, monkeypatch, capsys):
         real_stream = embed.stream
@@ -998,14 +1024,16 @@ class TestCellLoop:
         assert order == [(seed, d, kind) for seed in (0, 1) for d in (24, 48)
                          for kind in ("gaussian", "sparse")]
 
-    def test_sweep_skips_the_draw_of_a_failed_cell(self, tmp_path, monkeypatch):
-        # the cell (gaussian, d = 8) fails at seed 0, so it draws no sketch
-        # at seed 1
+    def test_sweep_runs_the_other_seeds_of_a_failed_cell(self, tmp_path, monkeypatch):
+        # the cell (gaussian, d = 8) fails at seed 0: it still runs at
+        # seed 1, as in run, and has no row
         made = record_sketches(monkeypatch, fail=lambda kind, d, seed: d == 8 and seed == 0)
         config = parse_config("synthetic = 120,4,10\nkind = gaussian\nseeds = 0,1\n"
                               f"output_dir = {tmp_path}\n")
         assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
-        assert [(d, seed) for _, d, seed in made] == [(40, 0), (40, 1)]
+        assert [(d, seed) for _, d, seed in made] == [(40, 0), (8, 1), (40, 1)]
+        with open(tmp_path / "sweep_d.csv") as fh:
+            assert [row["d"] for row in csv.DictReader(fh)] == ["40"]
 
 
 # n = 20 and kappa = 10: an unstopped LSMR converges well before its default
@@ -1220,7 +1248,7 @@ class TestSweep:
         config = parse_config(f"synthetic = 120,4,10\nkind = gaussian\n"
                               f"seeds = 0,1\noutput_dir = {tmp_path}\n")
         assert sweep_d(config, "8,40") == EXIT_RUN_ERROR
-        assert "error: synth120x4c10_gaussian_d8: seed 1: boom" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: synth120x4c10_gaussian_d8_s1: boom\n"
         with open(Path(tmp_path) / "sweep_d.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["d"] for row in rows] == ["40"]
@@ -1249,7 +1277,7 @@ class TestSweep:
                        f"synthetic = 60,4,10\nkind = gaussian\noutput_dir = {tmp_path}\n")
         assert main(["sweep-d", "--config", str(cfg), "--d-list", "8,70"]) == EXIT_RUN_ERROR
         labels = [line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()]
-        assert labels == ["absent", "synth120x4c10_gaussian_d8", "synth60x4c10"]
+        assert labels == ["absent", "synth120x4c10_gaussian_d8_s0", "synth60x4c10"]
 
     def test_only_source_fails_to_load(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -202,3 +202,20 @@ def test_one_write_site():
     # output cannot fork the format
     assert sorted(_write_sites()) == [("matio.write_csv", "csv.writer"),
                                       ("matio.write_csv", "open")]
+
+
+def test_one_source_driver():
+    # run, sweep-d and check load a source, fit its d values and catch a
+    # cell's exception in one function, so their run errors cannot drift
+    # apart; _load's own handler is the source's load failure
+    callers, catchers = {}, []
+    for top in ast.parse((SRC / "cli.py").read_text(encoding="utf-8")).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, set()).add(where)
+            if isinstance(node, ast.ExceptHandler) and \
+                    isinstance(node.type, ast.Name) and node.type.id == "Exception":
+                catchers.append(where)
+    assert callers["_load"] == callers["_fit_d"] == {"_source_runs"}
+    assert sorted(catchers) == ["_load", "_source_runs"]
