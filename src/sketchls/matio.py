@@ -1,25 +1,27 @@
 """Matrix storage, Matrix Market I/O, and synthesis of least-squares test problems.
 
-A :class:`MatrixHandle` wraps either a dense array or a CSR sparse matrix and
-lazily caches two things: its column-pivoted economic QR factorization
-A[:, piv] = Q R, the one factorization of A, and the extreme singular values,
-read from R.  Every matrix is densely factored: the QR holds an m-by-n Q, so
-it costs as much memory as a dense A, and the largest n allowed is the
-caller's to enforce.  The factor is formed once per matrix and serves every
-right-hand side.  It is built from A = Q1 R1, Q1 orthonormal, by an n-by-n
-pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2: a synthesized matrix, built as
-U diag(s) V^T, has Q1 = U (see :func:`synthesize_matrix`), and a loaded
-one gets Q1 and R1 from CholeskyQR2 (two passes of Cholesky of the Gram
-matrix and a triangular solve, all BLAS-3) of its densified copy, where
-Householder QR's panel updates are BLAS-2 bound on a tall, thin matrix.
-Only a loaded matrix that CholeskyQR2 rejects (a Cholesky fails, or R is
-past :data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m
-rows.  A synthesized matrix's U and V are the CholeskyQR2 factors of
+A :class:`MatrixHandle` stores a dense array, a CSR sparse matrix, or the
+column-pivoted economic QR factorization A[:, piv] = Q R of the matrix, and
+caches two things: that factorization, the one factorization of A, and the
+extreme singular values, read from R.  Every matrix is densely factored: the
+QR holds an m-by-n Q, so it costs as much memory as a dense A, and the
+largest n allowed is the caller's to enforce.  The factor is formed once per
+matrix and serves every right-hand side.  It is built from A = Q1 R1, Q1
+orthonormal, by an n-by-n pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2: a
+synthesized matrix, U diag(s) V^T, has Q1 = U (see :func:`synthesize_matrix`),
+and a loaded one gets Q1 and R1 from CholeskyQR2 (two passes of Cholesky of
+the Gram matrix and a triangular solve, all BLAS-3) of its densified copy,
+where Householder QR's panel updates are BLAS-2 bound on a tall, thin
+matrix.  Only a loaded matrix that CholeskyQR2 rejects (a Cholesky fails,
+or R is past :data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of
+its m rows.  A synthesized matrix's U and V are the CholeskyQR2 factors of
 Gaussian draws, in the draw's own buffer; a draw that CholeskyQR2 rejects
 gets Householder QR.  R is taken with a positive diagonal on both paths,
-so U and V are Haar distributed.  A is then formed once, directly in the
-Fortran order the handle keeps, and U is kept without a copy: it becomes Q
-in place, and the tall bench workload (16000 x 100) peaks lowest that way.
+so U and V are Haar distributed.  A synthesized matrix is factored at once,
+U becoming Q in place, and its handle stores only that factor: A x is
+Q (R x[piv]), at the cost of one product with a dense A, and the m-by-n A
+itself is formed only when :meth:`MatrixHandle.dense` is asked for it, so
+the tall bench workload (16000 x 100) holds one m-by-n array, not two.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
@@ -97,7 +99,8 @@ class SpectralInfo:
 
 
 class MatrixHandle:
-    """Immutable dense or CSR matrix with cached spectral data and factors.
+    """Immutable matrix with cached spectral data and factors, stored as a
+    dense array, a CSR matrix or its pivoted QR.
 
     NaN and Inf entries are rejected at construction.  The handle is safe to
     share across threads: the payload is never mutated after construction, and
@@ -106,21 +109,40 @@ class MatrixHandle:
     arrays are read-only.  The pivoted QR (:meth:`qr_factor`) is the only
     factorization of A: the spectral data and the observer's fast path read
     its R, and it keeps an m-by-n Q for the handle's lifetime, as much memory
-    as a dense A.  A handle from :func:`synthesize_matrix` also holds its
-    synthesis SVD (U, s, V) until the first :meth:`qr_factor`, which turns
-    that U into Q; U is already m-by-n, so the handle's memory does not grow.
+    as a dense A.  A handle built from that factor (``factor=``, as
+    :func:`synthesize_matrix` builds one) holds it as its only storage: its
+    products with A go through Q and R, and :meth:`dense` forms A on demand.
     """
 
-    def __init__(self, data):
-        if scipy.sparse.issparse(data):
+    def __init__(self, data=None, *, factor: Optional[QrFactor] = None):
+        """From ``data``, a dense array or a SciPy sparse matrix, or from
+        ``factor``, ndarrays ``(Q, R, piv)`` with A[:, piv] = Q R, Q m-by-n
+        orthonormal and R n-by-n upper triangular, kept without a copy and
+        made read-only; the shapes and piv are the caller's to get right."""
+        self._sparse: Optional[scipy.sparse.csr_matrix] = None
+        self._dense: Optional[np.ndarray] = None
+        self._qr_factor: Optional[QrFactor] = None
+        if (data is None) == (factor is None):
+            raise ValueError("give the matrix data or its factor, not both or neither")
+        if factor is not None:
+            Q, R, piv = factor
+            rows, cols = Q.shape
+            # max and min propagate a NaN, and an Inf is one of them: no
+            # m-by-n temporary
+            if Q.size and not (math.isfinite(Q.max()) and math.isfinite(Q.min())
+                               and np.isfinite(R).all()):
+                raise ValueError("matrix factor has NaN or Inf entries")
+            for arr in factor:
+                arr.setflags(write=False)
+            self._qr_factor = (Q, R, piv)
+        elif scipy.sparse.issparse(data):
             mat = data.tocsr().astype(np.float64)
             if not np.isfinite(mat.data).all():
                 raise ValueError("matrix has NaN or Inf entries")
             mat.sum_duplicates()
             mat.eliminate_zeros()
             mat.sort_indices()
-            self._sparse: Optional[scipy.sparse.csr_matrix] = mat
-            self._dense: Optional[np.ndarray] = None
+            self._sparse = mat
             rows, cols = mat.shape
         else:
             arr = np.asarray(data, dtype=np.float64)
@@ -129,7 +151,6 @@ class MatrixHandle:
             if not np.isfinite(arr).all():
                 i, j = np.argwhere(~np.isfinite(arr))[0]
                 raise ValueError(f"matrix has NaN or Inf entries, first at ({i}, {j})")
-            self._sparse = None
             self._dense = np.asfortranarray(arr)
             rows, cols = arr.shape
         if rows < 1 or cols < 1:
@@ -139,10 +160,6 @@ class MatrixHandle:
         self.rows = rows
         self.cols = cols
         self._spectral: Optional[SpectralInfo] = None
-        self._qr_factor: Optional[QrFactor] = None
-        # (U, s, V) with A = U diag(s) V^T, set by synthesize_matrix and
-        # consumed by qr_factor, which overwrites U
-        self._svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._lock = threading.Lock()
 
     @property
@@ -150,18 +167,32 @@ class MatrixHandle:
         return self._sparse is not None
 
     def dense(self) -> np.ndarray:
-        """Dense view of the matrix (materialized on demand for CSR storage)."""
-        if self._dense is None:
+        """Dense view of the matrix, formed on demand for CSR storage and,
+        in Fortran order as (F^T Q^T)^T with F = R[:, argsort(piv)], for a factor."""
+        if self._sparse is not None:
             return self._sparse.toarray()
-        return self._dense
+        if self._dense is not None:
+            return self._dense
+        Q, R, piv = self._qr_factor
+        return (R[:, np.argsort(piv)].T @ Q.T).T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, or Q (R x[piv]) for a factor."""
         mat = self._sparse if self._sparse is not None else self._dense
-        return mat @ x
+        if mat is not None:
+            return mat @ x
+        Q, R, piv = self._qr_factor
+        return Q @ (R @ x[piv])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y, or P R^T (Q^T y) for a factor."""
         mat = self._sparse if self._sparse is not None else self._dense
-        return mat.T @ y
+        if mat is not None:
+            return mat.T @ y
+        Q, R, piv = self._qr_factor
+        out = np.empty((self.cols,) + np.shape(y)[1:])
+        out[piv] = R.T @ (Q.T @ y)
+        return out
 
     def spectral(self) -> SpectralInfo:
         """Cached (norm, sigma_min, cond); computed on first access."""
@@ -187,20 +218,11 @@ class MatrixHandle:
         diagonal on every path below, so for a full-rank A, Q is fixed by A
         and piv, whichever factorization ran: a Gaussian cell, whose draw
         acts on W = [Q u] (:mod:`sketchls.embed`), gets one S from any of
-        them, to rounding.  The first call builds the factor under the
-        handle's lock, so it is built once however many threads ask.
+        them, to rounding.
 
-        A = Q1 R1 with Q1 orthonormal is Q1 = U, R1 = diag(s) V^T for a
-        synthesized A = U diag(s) V^T, and :func:`_orthonormal_factor` of a
-        loaded A's densified copy, in that copy's buffer.  Then the n-by-n
-        pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, formed a row block at a
-        time in Q1's buffer (a row of Q1 Q2 reads only that row of Q1).
-        A[:, piv] = Q R in exact arithmetic, and piv and R are those of a
-        pivoted QR of A, since column pivoting sees only A^T A = R1^T R1; Q
-        and R agree with the m-row factorization to rounding.  A loaded A
-        that CholeskyQR2 rejects gets :func:`qr_ls_solve`'s m-row QR.  Each
-        path flips the signs of Q2 (or Q) and R together where R's diagonal
-        is negative.
+        A handle built from its factor returns that factor.  A dense or CSR
+        handle builds it on the first call, under the handle's lock, so it
+        is built once however many threads ask (:meth:`_factor`).
         """
         factor = self._qr_factor
         if factor is None:
@@ -214,32 +236,42 @@ class MatrixHandle:
         return factor
 
     def _factor(self) -> QrFactor:
-        """The pivoted QR of :meth:`qr_factor`; call once, under the lock."""
-        if self._svd is not None:
-            Q, s, V = self._svd
-            self._svd = None
-            R1 = s[:, None] * V.T
-        else:
-            try:
-                Q, R1 = _orthonormal_factor(
-                    self.dense() if self.is_sparse else np.array(self._dense, order="C"),
-                    max_cond=CHOLQR_COND_LIMIT)
-            except np.linalg.LinAlgError:
-                Q = None
-            if Q is None:  # outside the handler, so the rejected buffer is freed
-                Q, R, piv = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
-                _positive_diagonal(Q, R)
-                return Q, R, piv
-        Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
-        _positive_diagonal(Q2, R)
-        step = max(1, BLOCK_BYTES // Q[0].nbytes)
-        block = np.empty((min(self.rows, step), self.cols))
-        for start in range(0, self.rows, step):
-            rows = Q[start:start + step]
-            out = block[: rows.shape[0]]
-            np.matmul(rows, Q2, out=out)
-            rows[...] = out
-        return Q, R, piv
+        """The pivoted QR of a dense or CSR A; call once, under the lock:
+        :func:`_pivoted_factor` of the CholeskyQR2 factors of A's densified
+        copy, in its buffer, or, where CholeskyQR2 rejects A, the m-row QR
+        of :func:`qr_ls_solve` with R's diagonal made positive."""
+        try:
+            Q1, R1 = _orthonormal_factor(
+                self.dense() if self.is_sparse else np.array(self._dense, order="C"),
+                max_cond=CHOLQR_COND_LIMIT)
+        except np.linalg.LinAlgError:
+            Q1 = None
+        if Q1 is None:  # outside the handler, so the rejected buffer is freed
+            Q, R, piv = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+            _positive_diagonal(Q, R)
+            return Q, R, piv
+        return _pivoted_factor(Q1, R1)
+
+
+def _pivoted_factor(Q1: np.ndarray, R1: np.ndarray) -> QrFactor:
+    """The pivoted QR of A = Q1 R1, Q1 m-by-n orthonormal: the n-by-n
+    pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, formed a row block at a
+    time in Q1's buffer (a row of Q1 Q2 reads only that row of Q1).
+    A[:, piv] = Q R in exact arithmetic, and piv and R are those of a
+    pivoted QR of A, since column pivoting sees only A^T A = R1^T R1; Q and
+    R agree with the m-row factorization to rounding.  The signs of Q2 and
+    R are flipped where R's diagonal is negative."""
+    Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
+    _positive_diagonal(Q2, R)
+    m, n = Q1.shape
+    step = max(1, BLOCK_BYTES // Q1[0].nbytes)
+    block = np.empty((min(m, step), n))
+    for start in range(0, m, step):
+        rows = Q1[start:start + step]
+        out = block[: rows.shape[0]]
+        np.matmul(rows, Q2, out=out)
+        rows[...] = out
+    return Q1, R, piv
 
 
 def _positive_diagonal(Q: np.ndarray, R: np.ndarray) -> None:
@@ -523,17 +555,16 @@ def synthesize_problem(A: MatrixHandle, seed: int, residual_scale: float = 1e-3)
 
 
 def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
-    """Random dense m-by-n matrix with prescribed condition number.
+    """Random dense m-by-n matrix with prescribed condition number, held as
+    its pivoted QR.
 
-    Built as U diag(s) V^T with log-spaced singular values from 1 down to
+    A = U diag(s) V^T with log-spaced singular values s from 1 down to
     1/cond.  U and V are the orthonormal factors of m-by-n and n-by-n
     Gaussian draws with a positive R diagonal (:func:`_haar_q`), so both
-    are Haar distributed.  A is formed once, as the transpose of the
-    C-ordered (V diag(s)) U^T, which is already the Fortran order the
-    handle keeps: no m-by-n U diag(s) and no reordering copy.  The handle
-    keeps (U, s, V), so its pivoted QR (:meth:`MatrixHandle.qr_factor`)
-    costs an n-by-n QR and one pass over U instead of a QR of the m rows of
-    A; that pass overwrites U with Q.
+    are Haar distributed.  A is never formed: A = U R1 with R1 = diag(s) V^T,
+    so :func:`_pivoted_factor` of (U, R1), an n-by-n pivoted QR and one pass
+    over U that overwrites it with Q, gives A's pivoted QR, and the handle
+    holds only that factor (``MatrixHandle(factor=...)``).
     Raises ValueError before any draw for a shape that is not tall or
     square, or for a cond that is not finite and >= 1.
     """
@@ -545,9 +576,7 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     U = _haar_q(gen.standard_normal((m, n)))
     V = _haar_q(gen.standard_normal((n, n)))
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
-    A = MatrixHandle(((V * s) @ U.T).T)
-    A._svd = (U, s, V)
-    return A
+    return MatrixHandle(factor=_pivoted_factor(U, s[:, None] * V.T))
 
 
 def _haar_q(G: np.ndarray) -> np.ndarray:

@@ -413,17 +413,17 @@ def qr_counts(shapes: Counter, rows: int, cols: int) -> dict:
             "m-row syrk": shapes["syrk", None, (rows, cols)]}
 
 
-# A synthesized A is factored from its synthesis SVD, a loaded one from the
-# CholeskyQR2 of its m rows: no QR of its m rows, and one pivoted QR of an
-# n-by-n matrix.  The two m-row Grams are the CholeskyQR2 passes, of the
-# draw that becomes U for a synthesized A and of A's densified copy for a
-# loaded one.
+# A synthesized A is factored at synthesis, from its synthesis SVD, a
+# loaded one from the CholeskyQR2 of its m rows: no QR of its m rows, and
+# one pivoted QR of an n-by-n matrix.  The two m-row Grams are the
+# CholeskyQR2 passes, of the draw that becomes U for a synthesized A and of
+# A's densified copy for a loaded one.
 A_FACTOR_COUNTS = {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1, "m-row syrk": 2}
 
 
 def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
     """The matrix of ``synthetic = m,n,cond`` saved in Matrix Market form, so
-    that it loads as a matrix without its synthesis SVD."""
+    that it loads as a dense matrix, not as its factor."""
     path = tmp_path / f"a{m}x{n}.mtx"
     save_matrix_market(MatrixSource("s", synthetic=(m, n, cond)).load(), path)
     return path
@@ -1457,7 +1457,8 @@ class TestMain:
 @pytest.mark.parametrize("command", ["run", "sweep-d"])
 def test_one_source_held_at_a_time(tmp_path, command):
     # each source loads, runs and is let go before the next loads, so three
-    # 4000 x 40 sources (A and its m x n Q 1.3 MB each) peak as one does
+    # 4000 x 40 sources (each held as its factor, an m x n Q of 1.3 MB)
+    # peak as one does
     peaks = []
     for count in (1, 3):
         cfg = tmp_path / f"{count}.cfg"
@@ -1472,6 +1473,29 @@ def test_one_source_held_at_a_time(tmp_path, command):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-d", "check"])
+def test_no_command_forms_a_synthesized_A(tmp_path, monkeypatch, command):
+    # a synthesized source is held as its factor and read through it: no
+    # command asks for dense(), which would form its m x n A
+    calls = []
+    real_dense = MatrixHandle.dense
+
+    def recording(self):
+        calls.append((self.rows, self.cols))
+        return real_dense(self)
+
+    monkeypatch.setattr(MatrixHandle, "dense", recording)
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out").replace(
+        "kind = gaussian", "kind = gaussian,srht,sparse"))
+    argv = {"run": ["run", "--config", str(cfg)],
+            "sweep-d": ["sweep-d", "--config", str(cfg), "--d-list", "24,48"],
+            "check": ["check", "--synthetic", "120,6,20", "--kind", "srht",
+                      "--d-mult", "4"]}[command]
+    assert main(argv) == EXIT_OK
+    assert calls == []
 
 
 class TestExitCodeMapping:

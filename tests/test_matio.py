@@ -486,8 +486,10 @@ class TestSynthesis:
 
         monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
         monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+        # the one n-by-n pivoted QR of R1 = diag(s) V^T runs at synthesis,
+        # and none after it
         A = synthesize_matrix(m, n, 100.0, 0)
-        assert rows == []
+        assert rows == [n]
         A.qr_factor()
         assert rows == [n]
 
@@ -689,7 +691,7 @@ class TestOracle:
         race_for_factor(random_tall(400, 20, 4))
 
     def test_synthetic_qr_factor_shared_across_threads(self):
-        # Q is formed in place in U's buffer, which must happen exactly once
+        # the factor is the handle's storage: every thread gets that one
         A = synthesize_matrix(400, 20, 1e3, 4)
         Q, R, piv = race_for_factor(A)
         assert np.linalg.norm(A.dense()[:, piv] - Q @ R) <= 1e-13 * A.spectral_norm()
@@ -805,14 +807,118 @@ class TestLoadedFactor:
     @pytest.mark.parametrize("path", ["synthesis SVD", "CholeskyQR2", "Householder"])
     @pytest.mark.parametrize("cond", [1.0, 30.0, 1e7])
     def test_positive_r_diagonal_on_every_path(self, path, cond, monkeypatch, m_row_qrs):
+        # synthesis takes its n-by-n pivoted QR at once; a loaded copy of
+        # the matrix takes its own, or the m-row QR, at its first qr_factor
         A = synthesize_matrix(300, 12, cond, 5)
+        assert m_row_qrs == [(12, 12)]
         if path != "synthesis SVD":
             A = MatrixHandle(A.dense())
+            m_row_qrs.clear()
         if path == "Householder":
             monkeypatch.setattr(matio, "CHOLQR_COND_LIMIT", 0.0)
         R = A.qr_factor()[1]
         assert m_row_qrs == ([(300, 12)] if path == "Householder" else [(12, 12)])
         assert np.all(np.diag(R) > 0)
+
+
+def synthesis_draws(m, n, cond, seed):
+    """(U, s, V) of ``synthesize_matrix(m, n, cond, seed)``, redrawn from
+    its stream: A = U diag(s) V^T."""
+    gen = stream(seed, "synthmat", m, n)
+    U = matio._haar_q(gen.standard_normal((m, n)))
+    V = matio._haar_q(gen.standard_normal((n, n)))
+    return U, np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0]), V
+
+
+class TestFactorStorage:
+    """A synthesized handle stores only its pivoted QR.  Its products with A
+    and its dense A are checked against the slow oracle U diag(s) V^T,
+    formed here from the same draws, and its factor against the recipe
+    that built it from the synthesis SVD."""
+
+    @pytest.mark.parametrize("m, n, cond, seed", [(3000, 40, 1e4, 0), (60, 60, 1e3, 1),
+                                                  (50, 1, 1.0, 2)])
+    def test_products_and_dense_match_the_svd(self, m, n, cond, seed):
+        U, s, V = synthesis_draws(m, n, cond, seed)
+        slow = (U * s) @ V.T
+        A = synthesize_matrix(m, n, cond, seed)
+        assert A._dense is None and A._sparse is None
+        norm = np.linalg.norm(slow, 2)
+        gen = stream(seed, "test-products", m, n)
+        for _ in range(3):
+            x, y = gen.standard_normal(n), gen.standard_normal(m)
+            assert np.linalg.norm(A.matvec(x) - slow @ x) <= 1e-14 * norm * np.linalg.norm(x)
+            assert np.linalg.norm(A.rmatvec(y) - slow.T @ y) <= 1e-14 * norm * np.linalg.norm(y)
+        X = gen.standard_normal((n, 3))
+        assert np.linalg.norm(A.matvec(X) - slow @ X, 2) <= 1e-14 * norm * np.linalg.norm(X, 2)
+        dense = A.dense()
+        assert dense.flags.f_contiguous and dense.shape == (m, n)
+        assert np.linalg.norm(dense - slow, 2) <= 1e-14 * norm
+
+    @pytest.mark.parametrize("m, n, cond, seed", [(3000, 40, 1e4, 0), (60, 60, 1e3, 1)])
+    def test_factor_and_spectral_data_are_the_recipes(self, m, n, cond, seed):
+        # R1 = diag(s) V^T, its pivoted QR R1[:, piv] = Q2 R with a positive
+        # diagonal, and Q = U Q2: R, piv and the spectral data bit for bit
+        U, s, V = synthesis_draws(m, n, cond, seed)
+        Q2, R, piv = scipy.linalg.qr(s[:, None] * V.T, mode="economic", pivoting=True)
+        matio._positive_diagonal(Q2, R)
+        A = synthesize_matrix(m, n, cond, seed)
+        got_Q, got_R, got_piv = A.qr_factor()
+        assert np.array_equal(got_R, R) and np.array_equal(got_piv, piv)
+        assert np.linalg.norm(got_Q - U @ Q2) <= 1e-14
+        sv = scipy.linalg.svd(R, compute_uv=False)
+        info = A.spectral()
+        assert (info.norm, info.sigma_min) == (float(sv[0]), float(sv[-1]))
+        assert A.condition_number() == float(sv[0]) / float(sv[-1])
+
+    def test_synthesis_and_its_factor_peak_at_one_m_by_n_array(self):
+        # 8 m n = 6.4 MB: the draw that becomes Q, one BLOCK_BYTES block of
+        # Q1 Q2, and the m-vectors of b, the oracle and the span; a dense A
+        # beside Q peaked at two m-by-n arrays
+        m, n = 20000, 40
+        tracemalloc.start()
+        try:
+            A = synthesize_matrix(m, n, 1e3, 0)
+            A.qr_factor()
+            b = synthesize_problem(A, 0)
+            solve_ls_oracle(A, b)
+            embed.span_coordinates(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * n + BLOCK_BYTES + 4 * 8 * m
+
+    def test_built_from_a_factor(self):
+        Q, R, piv = random_tall(30, 4, 6).qr_factor()
+        A = MatrixHandle(factor=(Q.copy(), R.copy(), piv.copy()))
+        assert (A.rows, A.cols, A.is_sparse) == (30, 4, False)
+        for arr in A.qr_factor():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert np.linalg.norm(A.dense()[:, piv] - Q @ R) <= 1e-14 * np.linalg.norm(R)
+
+    @pytest.mark.parametrize("case, message", [
+        ("nan in Q", "NaN or Inf"), ("inf in R", "NaN or Inf"), ("-inf in Q", "NaN or Inf"),
+        ("wide", "tall or square"), ("data and factor", "not both"),
+        ("neither", "not both or neither")])
+    def test_bad_factor_rejected(self, case, message):
+        Q, R, piv = (arr.copy() for arr in random_tall(30, 4, 6).qr_factor())
+        data = None
+        if case == "nan in Q":
+            Q[17, 2] = np.nan
+        elif case == "-inf in Q":
+            Q[3, 0] = -np.inf
+        elif case == "inf in R":
+            R[1, 3] = np.inf
+        elif case == "wide":
+            Q, R, piv = Q[:3], np.eye(4), np.arange(4)
+        elif case == "data and factor":
+            data = Q
+        with pytest.raises(ValueError, match=message):
+            if case == "neither":
+                MatrixHandle()
+            else:
+                MatrixHandle(data, factor=(Q, R, piv))
 
 
 class TestSyntheticFactor:
