@@ -43,15 +43,17 @@ Config files are flat ``key=value`` text; repeated keys accumulate into lists::
     rho = 1e-3
     output_dir = out
 
-An unknown key is a config error.  A ``run`` or ``check`` flag is the config
-key of its name (``--band-hi`` is ``band_hi``, ``--seed`` is ``seeds``): it
-replaces the file's values before any parse, under the same rules, so a
-malformed value from a file or a flag is a config error.  ``check`` runs one
-cell of a config with no file, so more than one source, kind, seed or d
-multiplier is a config error.  A source has one name in every command: its
-file's stem, or ``synth<m>x<n>c<cond>``.  Its output files and summary rows
-carry that name, so two sources of one name are a config error, and so is
-one value given twice in a list key (``kind``, ``d_mult``, ``seeds``).
+An unknown key is a config error, and so is a synthetic spec ``m,n,cond``
+without m > n >= 1 and cond >= 1: a square matrix fits no d.  A ``run`` or
+``check`` flag is the config key of its name (``--band-hi`` is ``band_hi``,
+``--seed`` is ``seeds``): it replaces the file's values before any parse,
+under the same rules, so a malformed value from a file or a flag is a config
+error.  ``check`` runs one cell of a config with no file, so more than one
+source, kind, seed or d multiplier is a config error.  A source has one name
+in every command: its file's stem, or ``synth<m>x<n>c<cond>``.  Its output
+files and summary rows carry that name, so two sources of one name are a
+config error, and so is one value given twice in a list key (``kind``,
+``d_mult``, ``seeds``).
 
 Exit codes: 0 all runs clean, 1 configuration error, 2 at least one run
 errored, 3 at least one bound failed.  An argparse usage error (an unknown
@@ -157,8 +159,8 @@ def _synthetic(key: str, spec: str) -> MatrixSource:
         raise ConfigError(what)
     m, n = (_number(f"{what}: {name}", text, int) for text, name in zip(parts, "mn"))
     cond = _number(f"{what}: cond", parts[2])
-    if n < 1 or m < n:
-        raise ConfigError(f"{what} with m >= n >= 1")
+    if n < 1 or m <= n:
+        raise ConfigError(f"{what} with m > n >= 1")
     if cond < 1:
         raise ConfigError(f"{what} with cond >= 1")
     return MatrixSource(name=f"synth{m}x{n}c{cond:g}", synthetic=(m, n, cond))
@@ -275,14 +277,26 @@ def _repeated_d(fits: List[Tuple[Optional[int], str]]) -> Optional[str]:
     return f"two d values give d = {ds[again]}, so its cells would run twice"
 
 
+def _ceil_times(value: float, n: int) -> int:
+    """ceil(value * n), exact for the shortest decimal form of ``value``, its
+    ``repr``: 55 for 1.1 * 50, where the double product 55.00000000000001
+    has ceiling 56.  Integer arithmetic, so no ``fractions``/``decimal``
+    import joins every run."""
+    digits, _, exp = repr(value).partition("e")
+    whole, _, frac = digits.partition(".")
+    scale = int(exp or 0) - len(frac)
+    num = int(whole + frac) * n
+    return num * 10 ** scale if scale >= 0 else -(-num // 10 ** -scale)
+
+
 def _fit_d(value: float, per_col: bool, A: MatrixHandle) -> Tuple[Optional[int], str]:
-    """``(d, "")`` for d = ceil(value * n) (``per_col``) or d = value on A,
-    or ``(None, the error)`` when d breaks n <= d < m: a run error of the
-    source in every command, since it depends on the loaded shape."""
+    """``(d, "")`` for d = ceil(value * n) (``per_col``, :func:`_ceil_times`;
+    inf when the double product overflows) or d = value on A, or ``(None,
+    the error)`` when d breaks n <= d < m: a run error of the source in every
+    command, since it depends on the loaded shape."""
     n, m = A.cols, A.rows
     if per_col:
-        product = value * n
-        d = math.ceil(product) if math.isfinite(product) else math.inf
+        d = _ceil_times(value, n) if math.isfinite(value * n) else math.inf
         how = f"ceil({value} * {n}) = "
     else:
         d, how = value, ""

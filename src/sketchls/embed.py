@@ -31,8 +31,10 @@ product is never formed twice.
 
 :func:`exact_distortion` measures the tight embedding parameter over
 span([A b]) by an SVD of the sketched orthonormal basis
-(:func:`basis_distortion`); it is the oracle against which every analytic
-bound in :mod:`sketchls.diagnostics` is checked.
+(:func:`basis_distortion`).  The CLI checks each bound against its cell's
+own eps (:attr:`sketchls.diagnostics.SketchedProblem.eps`, read from the
+cell's (n + 1)-column factors); :func:`exact_distortion` is the slow
+reference that the tests compare that eps with.
 The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
 unit component of b orthogonal to it, so one factorization of A serves every
 right-hand side and sketch of that matrix.  A CLI cell sketches only

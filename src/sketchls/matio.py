@@ -31,7 +31,9 @@ A Matrix Market file's header and size line are read once; the body of
 either format, coordinate or array, is then parsed by one numpy ``loadtxt``
 straight from the open file, or, when comment lines come among the entries,
 from its lines less those; a body that neither parse takes whole is read
-again line by line, which names the first bad line.
+again line by line, which names the first bad line.  The reader takes
+general storage only: Matrix Market allows symmetric storage only for a
+square matrix, and a square matrix fits no sketch size d (n <= d < m).
 The passes over the m rows of a dense matrix that would otherwise hold an
 m-row work array run on a block of about :data:`BLOCK_BYTES` at a time:
 forming Q = Q1 Q2 and each CholeskyQR triangular solve here, and the SRHT
@@ -300,7 +302,6 @@ _MM_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)]
 class _MmSize(NamedTuple):
     """What a Matrix Market file's header and size line declare."""
     coordinate: bool
-    symmetric: bool
     m: int
     n: int
     count: int   # entry lines (coordinate) or values (array) in the body
@@ -308,12 +309,12 @@ class _MmSize(NamedTuple):
 
 
 def load_matrix_market(path) -> MatrixHandle:
-    """Parse a Matrix Market file (coordinate or array, real, general/symmetric).
+    """Parse a Matrix Market file (coordinate or array, real, general).
 
-    Indices are 1-based on disk and 0-based in memory; symmetric storage is
-    expanded to full.  Raises :class:`MatrixMarketError` with the line number
-    on any malformed content, a byte that is not ASCII included; complex and
-    pattern fields are rejected.
+    Indices are 1-based on disk and 0-based in memory.  Raises
+    :class:`MatrixMarketError` with the line number on any malformed content,
+    a byte that is not ASCII included; complex and pattern fields and every
+    symmetry but general are rejected.
 
     The header and size line are read once (:func:`_preamble`).  The body
     of either format is then parsed by one numpy ``loadtxt`` straight from
@@ -336,8 +337,10 @@ def load_matrix_market(path) -> MatrixHandle:
             fh.seek(body)
             fields = _line_body(fh, size)
     if size.coordinate:
-        return _coordinate_handle(size, *fields)
-    return _array_handle(size, *fields)
+        rows, cols, vals = fields
+        return MatrixHandle(scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                                    shape=(size.m, size.n)).tocsr())
+    return MatrixHandle(fields[0].reshape((size.m, size.n), order="F"))
 
 
 def _lines(fh, lineno: int):
@@ -354,8 +357,7 @@ def _lines(fh, lineno: int):
 def _preamble(fh) -> _MmSize:
     """Read the header, comment and size lines of ``fh``, leaving it at the
     body; raises :class:`MatrixMarketError` naming the line for a header this
-    loader does not take, a missing or malformed size line, or a symmetric
-    matrix that is not square."""
+    loader does not take or a missing or malformed size line."""
     lines = _lines(fh, 0)
     lineno, header = next(lines, (1, None))
     if header is None:
@@ -368,7 +370,7 @@ def _preamble(fh) -> _MmSize:
         raise MatrixMarketError(f"line 1: unsupported format '{fmt}'")
     if fieldkind not in ("real", "integer"):
         raise MatrixMarketError(f"line 1: unsupported field '{fieldkind}' (only real-valued matrices)")
-    if symmetry not in ("general", "symmetric"):
+    if symmetry != "general":
         raise MatrixMarketError(f"line 1: unsupported symmetry '{symmetry}'")
     for lineno, text in lines:
         if text and not text.startswith("%"):
@@ -388,14 +390,7 @@ def _preamble(fh) -> _MmSize:
     if min(dims) < 1:
         raise MatrixMarketError(f"line {lineno}: empty matrix rejected")
     m, n = dims[:2]
-    symmetric = symmetry == "symmetric"
-    if symmetric and m != n:
-        raise MatrixMarketError(f"line {lineno}: symmetric matrix must be square")
-    if coordinate:
-        count = dims[2]
-    else:
-        count = m * (m + 1) // 2 if symmetric else m * n
-    return _MmSize(coordinate, symmetric, m, n, count, lineno)
+    return _MmSize(coordinate, m, n, dims[2] if coordinate else m * n, lineno)
 
 
 def _file_body(lines, size: _MmSize):
@@ -482,32 +477,6 @@ def _array_tokens(entries) -> np.ndarray:
         except ValueError:
             raise MatrixMarketError(f"line {ln}: malformed value") from None
     return vals
-
-
-def _coordinate_handle(size: _MmSize, rows: np.ndarray, cols: np.ndarray,
-                       vals: np.ndarray) -> MatrixHandle:
-    """The CSR handle of checked 0-based coordinate entries; a symmetric
-    matrix's stored triangle is mirrored."""
-    if size.symmetric:
-        off = rows != cols
-        rows, cols = (np.concatenate([rows, cols[off]]),
-                      np.concatenate([cols, rows[off]]))
-        vals = np.concatenate([vals, vals[off]])
-    return MatrixHandle(scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                                shape=(size.m, size.n)).tocsr())
-
-
-def _array_handle(size: _MmSize, vals: np.ndarray) -> MatrixHandle:
-    """The dense handle of checked column-major array values; a symmetric
-    matrix's stored lower triangle is mirrored."""
-    if not size.symmetric:
-        return MatrixHandle(vals.reshape((size.m, size.n), order="F"))
-    # the lower triangle column by column: (j, i) for i >= j in row-major order
-    j, i = np.triu_indices(size.n)
-    dense = np.zeros((size.m, size.n))
-    dense[i, j] = vals
-    dense[j, i] = vals
-    return MatrixHandle(dense)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,15 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("spec,match", [
         ("100,5,nan", "cond must be finite"), ("100,5,inf", "cond must be finite"),
-        ("100,5,0.5", "with cond >= 1"), ("5,100,10", "with m >= n >= 1"),
-        ("100,0,10", "with m >= n >= 1"),
+        ("100,5,0.5", "with cond >= 1"), ("5,100,10", "with m > n >= 1"),
+        ("100,0,10", "with m > n >= 1"),
+        # a square matrix fits no d (n <= d < m): refused before it is synthesized
+        ("100,100,10", "with m > n >= 1"),
     ])
     @pytest.mark.parametrize("command", ["run", "sweep-d", "check"])
-    def test_bad_synthetic_spec_is_config_error(self, tmp_path, capsys, command, spec, match):
+    def test_bad_synthetic_spec_is_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                                spec, match):
+        loads = record_loads(monkeypatch)
         if command == "check":
             argv = ["check", "--synthetic", spec, "--kind", "gaussian"]
         else:
@@ -149,6 +153,7 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"config error: synthetic spec '{spec}' must be m,n,cond" in err
         assert match in err
+        assert loads == []
         assert not (tmp_path / "out").exists()
 
     def test_override_replaces_file_value_before_checks(self, tmp_path):
@@ -299,6 +304,43 @@ class TestConfigParsing:
         assert capsys.readouterr().err == \
             "error: synth120x6c20: d = ceil(30.0 * 6) = 180 violates n <= d < m = 120\n"
         assert not list(tmp_path.glob("out/*_bounds.csv")) + list(tmp_path.glob("out/sweep*"))
+
+    @pytest.mark.parametrize("n,d", [(50, 55), (100, 110)])
+    @pytest.mark.parametrize("command", ["run", "sweep-d"])
+    def test_multiplier_d_is_the_exact_ceiling(self, tmp_path, capsys, monkeypatch, command,
+                                               n, d):
+        # 1.1 * n is the double just above d, whose ceiling is d + 1
+        built = record_sketches(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        for m, code in [(d + 20, EXIT_OK), (d, EXIT_RUN_ERROR)]:
+            cfg.write_text(f"synthetic = {m},{n},10\nkind = gaussian\nd_mult = 1.1\n"
+                           f"output_dir = {out}\n")
+            argv = [command, "--config", str(cfg)] + (
+                ["--d-list", f"1.1n,{n + 2}"] if command == "sweep-d" else [])
+            assert main(argv) == code
+        assert [d for _, d, _ in built] == ([d, n + 2] if command == "sweep-d" else [d])
+        if command == "run":
+            assert (out / f"synth{d + 20}x{n}c10_gaussian_d{d}_s0_bounds.csv").exists()
+        assert capsys.readouterr().err == \
+            f"error: synth{d}x{n}c10: d = ceil(1.1 * {n}) = {d} violates n <= d < m = {d}\n"
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-d"])
+    def test_symmetric_source_is_a_load_failure(self, tmp_path, capsys, command):
+        # Matrix Market stores only a square matrix as symmetric, and a
+        # square matrix fits no d, so the reader takes general storage only
+        sym = tmp_path / "sym.mtx"
+        sym.write_text("%%MatrixMarket matrix coordinate real symmetric\n6 6 2\n1 1 4.0\n2 1 1.0\n")
+        if command == "check":
+            argv = ["check", "--matrix", str(sym), "--kind", "sparse"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"matrix = {sym}\nkind = sparse\noutput_dir = {tmp_path / 'out'}\n")
+            argv = [command, "--config", str(cfg)] + (
+                ["--d-list", "8,16"] if command == "sweep-d" else [])
+        assert main(argv) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == \
+            "error: sym: load failed: line 1: unsupported symmetry 'symmetric'\n"
 
     def test_check_output_naming_a_directory_is_config_error(self, tmp_path, capsys,
                                                              monkeypatch):

@@ -40,21 +40,17 @@ MUTANT_TOKENS = ["oops", "1.0", "1_0", "nan", "-inf", "1e999", "0", "+1", "01",
                  "99999999999999999999"]
 
 
-def mm_corpus(gen, symmetry):
+def mm_corpus(gen):
     """Texts of a well-formed coordinate file and array file, then 30
     copies of each with one body line changed."""
     n = 40
     i, j = gen.integers(1, n + 1, size=300), gen.integers(1, n + 1, size=300)
-    if symmetry == "symmetric":
-        i, j = np.maximum(i, j), np.minimum(i, j)
     v = gen.standard_normal(300) * 10.0 ** gen.integers(-20, 20, size=300)
     # repeated (i, j) entries are kept: both paths must sum them alike
     coordinate = [f"{n} {n} 300"] + [f"{a} {b}\t{VALUE_FORMATS[k % 4].format(x)}"
                                      for k, (a, b, x) in enumerate(zip(i, j, v.tolist()))]
-    m = 6 if symmetry == "symmetric" else 8
-    count = 21 if symmetry == "symmetric" else 48
-    v = gen.standard_normal(count) * 10.0 ** gen.integers(-5, 5, size=count)
-    array = [f"{m} 6"] + [VALUE_FORMATS[k % 4].format(x) for k, x in enumerate(v.tolist())]
+    v = gen.standard_normal(48) * 10.0 ** gen.integers(-5, 5, size=48)
+    array = ["8 6"] + [VALUE_FORMATS[k % 4].format(x) for k, x in enumerate(v.tolist())]
     files = [("coordinate", coordinate), ("array", array)]
     for fmt, base in list(files):
         for _ in range(30):
@@ -76,7 +72,7 @@ def mm_corpus(gen, symmetry):
             else:
                 lines[k] = "1 1 1.0"
             files.append((fmt, lines))
-    return [f"%%MatrixMarket matrix {fmt} real {symmetry}\n% note\n" + "\n".join(lines) + "\n"
+    return [f"%%MatrixMarket matrix {fmt} real general\n% note\n" + "\n".join(lines) + "\n"
             for fmt, lines in files]
 
 
@@ -108,15 +104,6 @@ class TestMatrixMarket:
         expect = np.array([[2.5, 0.0], [0.0, 7.0], [-0.01, 0.0]])
         assert np.array_equal(A.dense(), expect)
 
-    def test_symmetric_expansion(self, tmp_path):
-        text = ("%%MatrixMarket matrix coordinate real symmetric\n"
-                "2 2 3\n"
-                "1 1 4\n"
-                "2 1 3\n"
-                "2 2 5\n")
-        A = load_matrix_market(write(tmp_path, "s.mtx", text))
-        assert np.array_equal(A.dense(), np.array([[4.0, 3.0], [3.0, 5.0]]))
-
     def test_array_format(self, tmp_path):
         text = ("%%MatrixMarket matrix array real general\n"
                 "2 2\n1\n2\n3\n4\n")
@@ -124,30 +111,12 @@ class TestMatrixMarket:
         # column-major storage on disk
         assert np.array_equal(A.dense(), np.array([[1.0, 3.0], [2.0, 4.0]]))
 
-    def test_array_symmetric(self, tmp_path):
-        text = ("%%MatrixMarket matrix array real symmetric\n"
-                "2 2\n1\n2\n3\n")
-        A = load_matrix_market(write(tmp_path, "as.mtx", text))
-        assert np.array_equal(A.dense(), np.array([[1.0, 2.0], [2.0, 3.0]]))
-
-    def test_array_symmetric_lower_triangle_by_columns(self, tmp_path):
-        n = 4
-        vals = np.arange(1.0, n * (n + 1) // 2 + 1)
-        text = (f"%%MatrixMarket matrix array real symmetric\n{n} {n}\n"
-                + "".join(f"{v:g}\n" for v in vals))
-        expect = np.zeros((n, n))
-        k = 0
-        for j in range(n):
-            for i in range(j, n):
-                expect[i, j] = expect[j, i] = vals[k]
-                k += 1
-        A = load_matrix_market(write(tmp_path, "as4.mtx", text))
-        assert np.array_equal(A.dense(), expect)
-
     @pytest.mark.parametrize("header,expected_line", [
         ("%%MatrixMarket matrix coordinate complex general", "line 1"),
         ("%%MatrixMarket matrix coordinate pattern general", "line 1"),
         ("%%MatrixMarket matrix coordinate real skew-symmetric", "line 1"),
+        ("%%MatrixMarket matrix coordinate real symmetric",
+         "^line 1: unsupported symmetry 'symmetric'$"),
         ("%%MatrixMarket vector coordinate real general", "line 1"),
     ])
     def test_header_rejection(self, tmp_path, header, expected_line):
@@ -203,19 +172,14 @@ class TestMatrixMarket:
          "line 3: array size line needs 'rows cols'"),
         ("%%MatrixMarket matrix array real general\n2 1.0\n1\n2\n",
          "line 2: non-integer size entry"),
-        ("%%MatrixMarket matrix array real symmetric\n2 1\n1\n", "line 2: symmetric matrix must be square"),
-        # the size line is checked before the body: the missing entry is not reported
-        ("%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 1\n",
-         "line 2: symmetric matrix must be square"),
-    ], ids=["empty", "no-size", "coordinate-size", "array-size", "non-integer", "array-square",
-            "coordinate-square"])
+    ], ids=["empty", "no-size", "coordinate-size", "array-size", "non-integer"])
     def test_preamble_error_names_its_line(self, tmp_path, text, message):
         with pytest.raises(MatrixMarketError, match=f"^{message}$"):
             load_matrix_market(write(tmp_path, "p.mtx", text))
 
     def test_array_line_of_three_values(self, tmp_path):
-        text = "%%MatrixMarket matrix array real symmetric\n2 2\n1 1 1.0\n"
-        with pytest.raises(MatrixMarketError, match="^line 2: declared 3 values, found 1$"):
+        text = "%%MatrixMarket matrix array real general\n2 2\n1 1 1.0\n"
+        with pytest.raises(MatrixMarketError, match="^line 2: declared 4 values, found 1$"):
             load_matrix_market(write(tmp_path, "a3.mtx", text))
 
     @pytest.mark.parametrize("lines,line", [
@@ -245,13 +209,11 @@ class TestMatrixMarket:
         monkeypatch.setattr(matio, "_line_body", counting)
         return calls
 
-    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
-    def test_vectorized_entries_equal_loop(self, tmp_path, monkeypatch, loop_calls,
-                                           symmetry):
+    def test_vectorized_entries_equal_loop(self, tmp_path, monkeypatch, loop_calls):
         """Every file of a seeded corpus, well formed or with one body line
         mutated, loads to the same bits or fails with the same message with
         the file parse disabled."""
-        corpus = mm_corpus(stream(11, "mtx", symmetry), symmetry)
+        corpus = mm_corpus(stream(11, "mtx", "general"))
         paths = [write(tmp_path, f"{k}.mtx", text) for k, text in enumerate(corpus)]
         fast = [loaded(path) for path in paths[:2]]
         assert loop_calls == []  # the well-formed files take the file parse
@@ -407,24 +369,6 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, dense, sparse):
                    for attr in ("indptr", "indices", "data"))
     else:
         assert same_bits(A.dense(), B.dense())
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 6), data=st.data())
-def test_symmetric_coordinate_loads_full_matrix(tmp_path_factory, n, data):
-    # the lower triangle, nonzeros only, in a drawn order
-    cells = [(i, j) for i in range(n) for j in range(i + 1)]
-    chosen = data.draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
-    vals = data.draw(st.lists(FINITE.filter(bool), min_size=len(chosen),
-                              max_size=len(chosen)))
-    expect = np.zeros((n, n))
-    for (i, j), v in zip(chosen, vals):
-        expect[i, j] = expect[j, i] = v
-    path = tmp_path_factory.getbasetemp() / "symmetric.mtx"
-    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(chosen)}\n"
-                    + "".join(f"{i + 1} {j + 1} {v!r}\n" for (i, j), v in zip(chosen, vals)))
-    assert same_bits(load_matrix_market(path).dense(), expect)
-
 
 
 def redraw(A, seed, residual_scale=1e-3):
