@@ -343,13 +343,18 @@ class RunOutcome:
 
 def _load(source: MatrixSource) -> Tuple[Optional[MatrixHandle], Optional[str]]:
     """``(A, None)`` for a usable source, ``(None, its error)`` otherwise; n
-    above ``DESK_SCALE_COLS`` is an error too."""
-    try:
-        A = source.load()
-    except Exception as exc:  # noqa: BLE001 - batch harness records and continues
-        return None, f"load failed: {exc}"
-    if A.cols > DESK_SCALE_COLS:
-        return None, (f"n = {A.cols} exceeds the desk-scale limit {DESK_SCALE_COLS}, "
+    above ``DESK_SCALE_COLS`` is an error too, read from a synthetic spec
+    before anything is drawn."""
+    A = None
+    n = source.synthetic[1] if source.synthetic is not None else 0  # 0: A's, once loaded
+    if n <= DESK_SCALE_COLS:
+        try:
+            A = source.load()
+        except Exception as exc:  # noqa: BLE001 - batch harness records and continues
+            return None, f"load failed: {exc}"
+        n = A.cols
+    if n > DESK_SCALE_COLS:
+        return None, (f"n = {n} exceeds the desk-scale limit {DESK_SCALE_COLS}, "
                       "the largest n with a dense factorization")
     return A, None
 
@@ -534,9 +539,10 @@ def _sweep_row(runs: List[RunOutcome]) -> list:
 
 def _parse_d_list(spec: str) -> List[Tuple[float, bool]]:
     """``(value, per column)`` of each ``--d-list`` word: a word with the
-    suffix n is a multiplier of the column count, any other a d."""
-    return [(_number("--d-list multiplier", w[:-1]), True) if w.endswith("n")
-            else (_number("--d-list", w, int), False) for w in _words([spec])]
+    suffix n is a multiplier of the column count, any other a d; each
+    must be positive."""
+    return [(_positive("--d-list multiplier", w[:-1]), True) if w.endswith("n")
+            else (_positive("--d-list", w, int), False) for w in _words([spec])]
 
 
 def sweep_d(config: ExperimentConfig, d_list: str) -> int:

@@ -7,21 +7,20 @@ extreme singular values, read from R.  Every matrix is densely factored: the
 QR holds an m-by-n Q, so it costs as much memory as a dense A, and the
 largest n allowed is the caller's to enforce.  The factor is formed once per
 matrix and serves every right-hand side.  It is built from A = Q1 R1, Q1
-orthonormal, by an n-by-n pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2: a
-synthesized matrix, U diag(s) V^T, has Q1 = U (see :func:`synthesize_matrix`),
-and a loaded one gets Q1 and R1 from CholeskyQR2 (two passes of Cholesky of
-the Gram matrix and a triangular solve, all BLAS-3) of its densified copy,
-where Householder QR's panel updates are BLAS-2 bound on a tall, thin
-matrix.  Only a loaded matrix that CholeskyQR2 rejects (a Cholesky fails,
-or R is past :data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of
-its m rows.  A synthesized matrix's U and V are the CholeskyQR2 factors of
-Gaussian draws, in the draw's own buffer; a draw that CholeskyQR2 rejects
-gets Householder QR.  R is taken with a positive diagonal on both paths,
-so U and V are Haar distributed.  A synthesized matrix is factored at once,
-U becoming Q in place, and its handle stores only that factor: A x is
-Q (R x[piv]), at the cost of one product with a dense A, and the m-by-n A
-itself is formed only when :meth:`MatrixHandle.dense` is asked for it, so
-the tall bench workload (16000 x 100) holds one m-by-n array, not two.
+orthonormal, by an n-by-n pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, with
+Q1 = X T^-1 never formed: Q = X (T^-1 Q2) is one product over the m rows,
+for X and T from CholeskyQR (:func:`_orthonormal_factor`), where
+Householder QR's panel updates are BLAS-2 bound on a tall, thin matrix.  A
+synthesized U diag(s) V^T has Q1 = U, from a Gaussian draw, and
+R1 = diag(s) V^T (:func:`synthesize_matrix`); a loaded A factors its
+densified copy.  A well-conditioned matrix takes two passes over its m
+rows (SYRK, GEMM), an ill-conditioned one four.  Only a loaded matrix that
+CholeskyQR rejects (a Cholesky fails, or R1 is past
+:data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m rows,
+and a draw that it rejects Householder QR.  R has a positive diagonal on
+every path, so U and V are Haar distributed.  A synthesized matrix is
+factored at once, in its draw's buffer, and its handle stores only that
+factor: A x is Q (R x[piv]), and A is formed only by :meth:`MatrixHandle.dense`.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
@@ -36,7 +35,7 @@ general storage only: Matrix Market allows symmetric storage only for a
 square matrix, and a square matrix fits no sketch size d (n <= d < m).
 The passes over the m rows of a dense matrix that would otherwise hold an
 m-row work array run on a block of about :data:`BLOCK_BYTES` at a time:
-forming Q = Q1 Q2 and each CholeskyQR triangular solve here, and the SRHT
+forming Q = X (T^-1 Q2) and a CholeskyQR triangular solve here, and the SRHT
 and CountSketch applies of :mod:`sketchls.embed`.  The Gram SYRK of a
 CholeskyQR pass is one call: blocking it saved no memory and changed bits.
 Every CSV the CLI writes goes through :func:`write_csv`, so all of them
@@ -77,14 +76,14 @@ QrFactor = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # so every A the oracle rejects, the spectral data reject too.
 RANK_TOL = 1e-12
 
-# the largest condition estimate (cond_estimate) of a loaded A's CholeskyQR2
-# R1 that is used, about u^-1/2, plain CholeskyQR2's range; the m-row
+# the largest condition estimate (cond_estimate) of a loaded A's CholeskyQR
+# R1 that is used, about u^-1/2, the range of two passes; the m-row
 # Householder QR decides near the rank thresholds, as it always did
 CHOLQR_COND_LIMIT = 1e8
 
 # bytes of a working block, the one block size of every m-row pass that
-# runs a block at a time: the row block of Q1 Q2 formed at a time when A's
-# Q is written into Q1's buffer, the row block of a CholeskyQR triangular
+# runs a block at a time: the row block of X (T^-1 Q2) formed at a time when
+# A's Q is written into X's buffer, the row block of a CholeskyQR triangular
 # solve, and the block of an SRHT or CountSketch apply (sketchls.embed);
 # smaller blocks make numpy's inner loops too short
 BLOCK_BYTES = 1 << 20
@@ -239,41 +238,42 @@ class MatrixHandle:
 
     def _factor(self) -> QrFactor:
         """The pivoted QR of a dense or CSR A; call once, under the lock:
-        :func:`_pivoted_factor` of the CholeskyQR2 factors of A's densified
-        copy, in its buffer, or, where CholeskyQR2 rejects A, the m-row QR
-        of :func:`qr_ls_solve` with R's diagonal made positive."""
+        :func:`_pivoted_factor` of :func:`_orthonormal_factor` of A's
+        densified copy, in its buffer, or, where that rejects A, the m-row
+        QR of :func:`qr_ls_solve` with R's diagonal made positive."""
         try:
-            Q1, R1 = _orthonormal_factor(
+            X, T, R1 = _orthonormal_factor(
                 self.dense() if self.is_sparse else np.array(self._dense, order="C"),
                 max_cond=CHOLQR_COND_LIMIT)
         except np.linalg.LinAlgError:
-            Q1 = None
-        if Q1 is None:  # outside the handler, so the rejected buffer is freed
+            X = None
+        if X is None:  # outside the handler, so the rejected buffer is freed
             Q, R, piv = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
             _positive_diagonal(Q, R)
             return Q, R, piv
-        return _pivoted_factor(Q1, R1)
+        return _pivoted_factor(X, T, R1)
 
 
-def _pivoted_factor(Q1: np.ndarray, R1: np.ndarray) -> QrFactor:
-    """The pivoted QR of A = Q1 R1, Q1 m-by-n orthonormal: the n-by-n
-    pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, formed a row block at a
-    time in Q1's buffer (a row of Q1 Q2 reads only that row of Q1).
+def _pivoted_factor(X: np.ndarray, T: np.ndarray, R1: np.ndarray) -> QrFactor:
+    """The pivoted QR of A = Q1 R1, Q1 = X T^-1 m-by-n orthonormal: the
+    n-by-n pivoted QR R1[:, piv] = Q2 R and Q = X (T^-1 Q2), formed a row
+    block at a time in X's buffer (a row of it reads only that row of X).
     A[:, piv] = Q R in exact arithmetic, and piv and R are those of a
     pivoted QR of A, since column pivoting sees only A^T A = R1^T R1; Q and
     R agree with the m-row factorization to rounding.  The signs of Q2 and
     R are flipped where R's diagonal is negative."""
     Q2, R, piv = scipy.linalg.qr(R1, mode="economic", pivoting=True)
     _positive_diagonal(Q2, R)
-    m, n = Q1.shape
-    step = max(1, BLOCK_BYTES // Q1[0].nbytes)
+    Q2 = scipy.linalg.solve_triangular(T, Q2)
+    m, n = X.shape
+    step = max(1, BLOCK_BYTES // X[0].nbytes)
     block = np.empty((min(m, step), n))
     for start in range(0, m, step):
-        rows = Q1[start:start + step]
+        rows = X[start:start + step]
         out = block[: rows.shape[0]]
         np.matmul(rows, Q2, out=out)
         rows[...] = out
-    return Q1, R, piv
+    return X, R, piv
 
 
 def _positive_diagonal(Q: np.ndarray, R: np.ndarray) -> None:
@@ -529,11 +529,10 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
 
     A = U diag(s) V^T with log-spaced singular values s from 1 down to
     1/cond.  U and V are the orthonormal factors of m-by-n and n-by-n
-    Gaussian draws with a positive R diagonal (:func:`_haar_q`), so both
-    are Haar distributed.  A is never formed: A = U R1 with R1 = diag(s) V^T,
-    so :func:`_pivoted_factor` of (U, R1), an n-by-n pivoted QR and one pass
-    over U that overwrites it with Q, gives A's pivoted QR, and the handle
-    holds only that factor (``MatrixHandle(factor=...)``).
+    Gaussian draws with a positive R diagonal, so both are Haar
+    distributed.  V is formed (:func:`_haar_q`), but not A or U = X T^-1,
+    (X, T) of :func:`_haar_factor` in the draw's buffer: the handle holds
+    only A's pivoted QR, :func:`_pivoted_factor` of (X, T, diag(s) V^T).
     Raises ValueError before any draw for a shape that is not tall or
     square, or for a cond that is not finite and >= 1.
     """
@@ -542,52 +541,62 @@ def synthesize_matrix(m: int, n: int, cond: float, seed: int) -> MatrixHandle:
     if not (math.isfinite(cond) and cond >= 1):
         raise ValueError("cond must be finite and >= 1")
     gen = stream(seed, "synthmat", m, n)
-    U = _haar_q(gen.standard_normal((m, n)))
+    G = gen.standard_normal((m, n))
     V = _haar_q(gen.standard_normal((n, n)))
     s = np.logspace(0.0, -math.log10(cond), n) if n > 1 else np.array([1.0])
-    return MatrixHandle(factor=_pivoted_factor(U, s[:, None] * V.T))
+    return MatrixHandle(factor=_pivoted_factor(*_haar_factor(G), s[:, None] * V.T))
 
 
 def _haar_q(G: np.ndarray) -> np.ndarray:
     """Q of G = Q R with a positive R diagonal, Haar distributed for a
-    Gaussian G (Mezzadri, Notices AMS 2007): :func:`_orthonormal_factor`'s,
-    in G's buffer, or Householder QR's for a G that it rejects (no
-    synthesis draw has been seen to).  A second-pass rejection leaves
-    G R0^-1 in G, R0 triangular with a positive diagonal: the same Q."""
+    Gaussian G (Mezzadri, Notices AMS 2007): X T^-1 of :func:`_haar_factor`."""
+    X, T = _haar_factor(G)
+    _solve_rows(X.T, T)
+    return X
+
+
+def _haar_factor(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(X, T) of :func:`_orthonormal_factor`, or, for a G it rejects (no draw
+    has been seen to), T = I and the Q of G's Householder QR made R_ii > 0;
+    a second-pass rejection leaves G R0^-1 in G, R0_ii > 0: the same Q."""
     try:
-        return _orthonormal_factor(G)[0]
+        return _orthonormal_factor(G)[:2]
     except np.linalg.LinAlgError:
         Q, R = scipy.linalg.qr(G, mode="economic")
         _positive_diagonal(Q, R)
-        return Q
+        return np.ascontiguousarray(Q), np.eye(G.shape[1])
 
 
 def _orthonormal_factor(G: np.ndarray, max_cond: float = math.inf
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """(Q, R) of G = Q R with a positive R diagonal, by CholeskyQR2 in G's buffer.
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, T, R) with G = Q R, R_ii > 0 and Q = X T^-1 orthonormal, by
+    CholeskyQR in G's buffer, less the last pass's solve: the caller's.
 
-    A pass forms C = X^T X (SYRK), its Cholesky factor C = R^T R and
-    X <- X R^-1 (TRSM): BLAS-3 work throughout, where Householder QR of a
-    tall, thin G is bound by BLAS-2 panel updates.  Two passes make Q
-    orthonormal to rounding while kappa(G) is below about 1e8 (Fukaya,
-    Nakatsukasa, Yanagisawa & Yamamoto, SISC 2020).  R is the product of
-    the passes' factors, each with a positive diagonal, so R has one too.
-    G is overwritten and returned as Q when it is C-ordered float64, as a
-    draw is.  Raises LinAlgError when a Cholesky fails (G numerically rank
-    deficient, or kappa(G) above about 1e8; the first pass fails before G
-    is written), or when R's :func:`cond_estimate` is above ``max_cond``.
+    A pass forms C = X^T X (SYRK) and its Cholesky factor C = T^T T.  One
+    whose kappa_2(T), read from T's singular values, is at most 2 is the
+    last: a pass loses orthogonality as u kappa_2(X)^2 (Yamamoto et al.,
+    ETNA 2015).  Otherwise X <- X T^-1 (:func:`_solve_rows`) and a second
+    pass, the last, make Q orthonormal to rounding while kappa(G) is below
+    about 1e8 (Fukaya et al., SISC 2020), and R is the product of the two
+    T.  G is overwritten and returned as X when it is C-ordered float64, as
+    a draw is.  Raises LinAlgError when a Cholesky fails (kappa(G) above
+    about 1e8; the first pass fails before G is written), or R's
+    :func:`cond_estimate` is above ``max_cond``.
     """
-    G = np.ascontiguousarray(G, dtype=np.float64)
-    Gt = G.T  # Fortran-ordered view, so BLAS works in G's buffer
-    R = None
-    for _ in range(2):
-        R_pass = _cholesky_qr_pass(Gt)
-        if R_pass is None:
-            raise np.linalg.LinAlgError("CholeskyQR: matrix is numerically rank deficient")
-        R = R_pass if R is None else R_pass @ R
+    X = np.ascontiguousarray(G, dtype=np.float64)
+    Xt = X.T  # Fortran-ordered view, so BLAS works in X's buffer
+    R = T = gram_cholesky(Xt)
+    if T is not None:
+        sv = scipy.linalg.svd(T, compute_uv=False)
+        if sv[0] > 2.0 * sv[-1]:
+            _solve_rows(Xt, T)
+            T = gram_cholesky(Xt)
+            R = None if T is None else T @ R
+    if T is None:
+        raise np.linalg.LinAlgError("CholeskyQR: matrix is numerically rank deficient")
     if max_cond < math.inf and cond_estimate(R) > max_cond:
         raise np.linalg.LinAlgError("CholeskyQR: condition estimate above the limit")
-    return G, R
+    return X, T, R
 
 
 def gram_cholesky(Xt: np.ndarray) -> Optional[np.ndarray]:
@@ -599,24 +608,15 @@ def gram_cholesky(Xt: np.ndarray) -> Optional[np.ndarray]:
     return R if info == 0 else None
 
 
-def _cholesky_qr_pass(Xt: np.ndarray) -> Optional[np.ndarray]:
-    """One CholeskyQR pass on X = Xt^T, in place: X <- X R^-1 with R from
-    :func:`gram_cholesky`, returned.  Returns None, with X untouched, when
-    the Cholesky fails.  Xt must be Fortran-ordered.
-
-    The triangular solve (TRSM) runs on a row block of X at a time, of
-    max(1, BLOCK_BYTES // (8 n)) rows, each an F-contiguous column block of
-    Xt that BLAS overwrites in place, so BLAS packs no more than one block.
-    A row of X R^-1 reads only that row of X, so the result is bit for bit
-    that of one solve over all m rows.
-    """
-    R = gram_cholesky(Xt)
-    if R is not None:
-        step = max(1, BLOCK_BYTES // (8 * Xt.shape[0]))
-        for start in range(0, Xt.shape[1], step):
-            scipy.linalg.blas.dtrsm(1.0, R, Xt[:, start:start + step], trans_a=True,
-                                    overwrite_b=True)
-    return R
+def _solve_rows(Xt: np.ndarray, T: np.ndarray) -> None:
+    """X <- X T^-1 for X = Xt^T, Xt Fortran-ordered, by TRSM in place on
+    max(1, BLOCK_BYTES // (8 n)) rows of X at a time, so BLAS packs one
+    block at most.  A row of X T^-1 reads only that row of X, so the result
+    is bit for bit that of one solve over all m rows."""
+    step = max(1, BLOCK_BYTES // (8 * Xt.shape[0]))
+    for start in range(0, Xt.shape[1], step):
+        scipy.linalg.blas.dtrsm(1.0, T, Xt[:, start:start + step], trans_a=True,
+                                overwrite_b=True)
 
 
 def cond_estimate(R: np.ndarray) -> float:

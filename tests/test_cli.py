@@ -176,13 +176,16 @@ class TestConfigParsing:
         ("2n,3x", "--d-list must be an integer, got '3x'"),
         ("2.5,40", "--d-list must be an integer, got '2.5'"),
         ("2n,nann", "--d-list multiplier must be finite"),
+        ("2n,-3n", "--d-list multiplier must be positive"),
+        ("0,8", "--d-list must be positive"),
     ])
-    def test_bad_d_list_rejected(self, tmp_path, capsys, d_list, match):
+    def test_bad_d_list_rejected(self, tmp_path, capsys, monkeypatch, d_list, match):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(BASE_CONFIG.format(out=tmp_path / "out"))
+        loads = record_loads(monkeypatch)
         assert main(["sweep-d", "--config", str(cfg), "--d-list", d_list]) == EXIT_CONFIG
         assert f"config error: {match}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert loads == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [["--rho", "nan"], ["--rho", "-1"], ["--d-mult", "nan"],
                                        ["--seed", "x"], ["--d-mult", "y"], ["--rho", "z"],
@@ -455,12 +458,14 @@ def qr_counts(shapes: Counter, rows: int, cols: int) -> dict:
             "m-row syrk": shapes["syrk", None, (rows, cols)]}
 
 
-# A synthesized A is factored at synthesis, from its synthesis SVD, a
-# loaded one from the CholeskyQR2 of its m rows: no QR of its m rows, and
-# one pivoted QR of an n-by-n matrix.  The two m-row Grams are the
-# CholeskyQR2 passes, of the draw that becomes U for a synthesized A and of
-# A's densified copy for a loaded one.
-A_FACTOR_COUNTS = {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1, "m-row syrk": 2}
+# A is factored once, by one pivoted QR of an n-by-n matrix and no QR of
+# its m rows, from the CholeskyQR of an m-row matrix: at synthesis, of the
+# draw that becomes U, whose kappa is below 2, so one pass and one m-row
+# Gram; at the first use of a loaded A, of its densified copy, whose kappa
+# of 10 or 20 is above 2, so two passes and two m-row Grams.
+A_FACTOR_COUNTS = {
+    loaded: {"pivoted": 0, "unpivoted": 0, "n-by-n pivoted": 1, "m-row syrk": 1 + loaded}
+    for loaded in (False, True)}
 
 
 def save_synthetic(tmp_path, m: int, n: int, cond: float) -> Path:
@@ -653,7 +658,7 @@ class TestRunExperiment:
         config = parse_config(text)
         shapes = count_factorizations(monkeypatch)
         assert run_experiment(config) == EXIT_OK
-        assert qr_counts(shapes, 120, 6) == A_FACTOR_COUNTS
+        assert qr_counts(shapes, 120, 6) == A_FACTOR_COUNTS[loaded]
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] == 120]
         # each of the 6 cells takes one Gram of its 24 x 7 SW, and no QR of
         # SW or of its 7 x 6 M
@@ -1245,7 +1250,7 @@ class TestSweep:
     def test_one_pivoted_qr_per_source(self, tmp_path, monkeypatch):
         # a synthesized and a loaded source, each factored once, by one
         # pivoted QR of an n-by-n matrix: diag(s) V^T, or the R of the
-        # loaded A's CholeskyQR2 (two Grams of its m rows); and each cell
+        # loaded A's CholeskyQR (kappa 10: two Grams of its m rows); and each cell
         # (2 sources x 2 kinds x 2 seeds) takes one Gram of its d-by-k SW
         # and its Cholesky, and no QR of SW or of its k-by-n M
         config = parse_config("synthetic = 120,4,10\n"
@@ -1380,6 +1385,25 @@ class TestDeskScaleLimit:
             capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep_d.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-d"])
+    def test_wide_synthetic_spec_rejected_before_synthesis(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("A synthesized")
+
+        monkeypatch.setattr(cli, "synthesize_matrix", no_synthesis)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("synthetic = 6000,5001,10\nkind = sparse\nd_mult = 1.0001\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        argv = {"run": ["run", "--config", str(cfg)],
+                "check": ["check", "--synthetic", "6000,5001,10", "--kind", "sparse",
+                          "--d-mult", "1.0001"],
+                "sweep-d": ["sweep-d", "--config", str(cfg), "--d-list", "5001,5002"]}
+        assert main(argv[command]) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == (
+            "error: synth6000x5001c10: n = 5001 exceeds the desk-scale limit 5000, "
+            "the largest n with a dense factorization\n")
+
 
 class TestFigures:
     def test_bundles(self, tmp_path):
@@ -1432,18 +1456,19 @@ class TestMain:
             (tmp_path / "out" / "synth200x4c10_sparse_d64_s1_bounds.csv").read_bytes()
 
     def test_check_one_pivoted_qr_of_A(self, monkeypatch):
-        self.check_factorizations(monkeypatch, ["--synthetic", "200,4,10"])
+        self.check_factorizations(monkeypatch, ["--synthetic", "200,4,10"], loaded=False)
 
     def test_check_one_pivoted_qr_of_loaded_A(self, tmp_path, monkeypatch):
         self.check_factorizations(monkeypatch,
-                                  ["--matrix", str(save_synthetic(tmp_path, 200, 4, 10))])
+                                  ["--matrix", str(save_synthetic(tmp_path, 200, 4, 10))],
+                                  loaded=True)
 
     @staticmethod
-    def check_factorizations(monkeypatch, source: list):
+    def check_factorizations(monkeypatch, source: list, loaded: bool):
         shapes = count_factorizations(monkeypatch)
         assert main(["check", *source, "--kind", "sparse", "--seed", "1",
                      "--d-mult", "16"]) == EXIT_OK
-        assert qr_counts(shapes, 200, 4) == A_FACTOR_COUNTS
+        assert qr_counts(shapes, 200, 4) == A_FACTOR_COUNTS[loaded]
         # the cell: one Gram of its 64 x 5 SW, and no QR of SW or of M
         assert shapes["syrk", None, (64, 5)] == 1
         assert not [key for key in shapes if key[0] == "qr" and key[2] in ((64, 5), (5, 4))]

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -470,34 +471,44 @@ def conditioned(m, n, cond, seed):
     return np.ascontiguousarray((U * np.logspace(0.0, -math.log10(cond), n)) @ V.T)
 
 
+def orthonormal_factor(G):
+    """(Q, R) of matio._orthonormal_factor's (X, T, R), Q = X T^-1 solved
+    in X's buffer by the blocked solve the factor leaves to its caller."""
+    X, T, R = matio._orthonormal_factor(G)
+    matio._solve_rows(X.T, T)
+    return X, R
+
+
 class TestOrthonormalFactor:
-    """matio._orthonormal_factor, the CholeskyQR2 of synthesis, against the
+    """matio._orthonormal_factor, the CholeskyQR of every factor, against the
     definition of the Q factor with a positive R diagonal."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
         """Whether each CholeskyQR pass took its Cholesky, in order."""
         seen = []
-        plain_pass = matio._cholesky_qr_pass
+        plain_gram_cholesky = matio.gram_cholesky
 
         def recording(Xt):
-            R = plain_pass(Xt)
+            R = plain_gram_cholesky(Xt)
             seen.append(R is not None)
             return R
 
-        monkeypatch.setattr(matio, "_cholesky_qr_pass", recording)
+        monkeypatch.setattr(matio, "gram_cholesky", recording)
         return seen
 
     @pytest.mark.parametrize("shape", [(16000, 100), (2000, 100), (40, 40), (5, 1), (1, 1)])
     def test_gaussian(self, shape, passes):
+        # a tall draw has kappa below 2 (1.17 and 1.55 here), and one column
+        # has kappa 1: one pass; a square draw has kappa about n: two
         G = stream(0, "test-cholqr", *shape).standard_normal(shape)
-        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
-        assert passes == [True, True]
+        assert_positive_q_factor(orthonormal_factor(G.copy()), G)
+        assert passes == ([True, True] if shape == (40, 40) else [True])
 
     def test_householder_convention_differs(self):
         G = stream(1, "test-cholqr").standard_normal((2000, 100))
         assert np.any(np.diag(np.linalg.qr(G)[1]) < 0)
-        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
+        assert_positive_q_factor(orthonormal_factor(G.copy()), G)
 
     def test_written_in_the_draws_buffer(self):
         G = stream(2, "test-cholqr").standard_normal((300, 20))
@@ -505,7 +516,7 @@ class TestOrthonormalFactor:
 
     def test_plain_path_at_cond_1e7(self, passes):
         G = conditioned(2000, 100, 1e7, 0)
-        assert_positive_q_factor(matio._orthonormal_factor(G.copy()), G)
+        assert_positive_q_factor(orthonormal_factor(G.copy()), G)
         assert passes == [True, True]
 
     def test_cond_1e10_raises_and_synthesis_takes_householder(self, passes):
@@ -524,8 +535,68 @@ class TestOrthonormalFactor:
         assert_positive_q_factor((Q_haar, signs[:, None] * R), G)
 
 
+class TestPassRule:
+    """A CholeskyQR pass whose factor has kappa_2 <= 2 is the last, and the
+    last pass's solve is folded into the n-by-n product Q = X (T^-1 Q2):
+    the m-row passes that A's factor takes, and the orthogonality of Q."""
+
+    @pytest.fixture
+    def m_row_passes(self, monkeypatch):
+        """``count(m)``: the Grams (SYRK) and triangular solves (TRSM) of an
+        m-row operand that the CholeskyQR kernels ran."""
+        seen = Counter()
+        real_gram, real_solve = matio.gram_cholesky, matio._solve_rows
+
+        def gram(Xt):
+            seen["syrk", Xt.shape[1]] += 1
+            return real_gram(Xt)
+
+        def solve(Xt, T):
+            seen["trsm", Xt.shape[1]] += 1
+            return real_solve(Xt, T)
+
+        monkeypatch.setattr(matio, "gram_cholesky", gram)
+        monkeypatch.setattr(matio, "_solve_rows", solve)
+        return lambda m: {"syrk": seen["syrk", m], "trsm": seen["trsm", m]}
+
+    @staticmethod
+    def assert_orthonormal(A):
+        Q = A.qr_factor()[0]
+        assert np.linalg.norm(Q.T @ Q - np.eye(A.cols), 2) <= 1e-14
+
+    @pytest.mark.parametrize("cond, passes", [(1.9, 1), (2.1, 2)])
+    def test_threshold_kappa_2(self, cond, passes, m_row_passes):
+        A = MatrixHandle(conditioned(4000, 50, cond, 0))
+        self.assert_orthonormal(A)
+        assert m_row_passes(4000) == {"syrk": passes, "trsm": passes - 1}
+
+    @pytest.mark.parametrize("workload", ["tall", "desk", "sweep-sparse"])
+    def test_bench_shapes_take_one_pass(self, workload, m_row_passes):
+        # the bench matrices: synthesized 16000 x 100 and 2000 x 100, whose
+        # draws have kappa 1.17 and 1.55, and a loaded 8000 x 200 CSR with 8
+        # entries a row, kappa about 1.45
+        if workload == "sweep-sparse":
+            m, n, per_row = 8000, 200, 8
+            gen = stream(0, "test-pass-rule", m, n)
+            cols = np.sort(gen.random((m, n)).argsort(axis=1)[:, :per_row], axis=1)
+            A = MatrixHandle(scipy.sparse.csr_matrix(
+                (gen.standard_normal(m * per_row), cols.ravel(),
+                 np.arange(0, m * per_row + 1, per_row)), shape=(m, n)))
+        else:
+            m, n, cond = (16000, 100, 1e4) if workload == "tall" else (2000, 100, 100.0)
+            A = synthesize_matrix(m, n, cond, 0xC0FFEE)
+        self.assert_orthonormal(A)
+        assert m_row_passes(m) == {"syrk": 1, "trsm": 0}
+
+    def test_ill_conditioned_loaded_A_takes_two_passes(self, m_row_passes):
+        A = MatrixHandle(conditioned(4000, 50, 1e7, 1))
+        self.assert_orthonormal(A)
+        assert m_row_passes(4000) == {"syrk": 2, "trsm": 1}
+
+
 class TestCholeskyQrPass:
-    """matio._cholesky_qr_pass solves X R^-1 a row block of X at a time."""
+    """matio._solve_rows, a CholeskyQR pass's solve X T^-1, runs a row block
+    of X at a time."""
 
     @pytest.mark.parametrize("shape", [(16000, 100), (8000, 200), (1311, 100), (5, 1)])
     def test_blocked_solve_bit_equal_to_one_solve(self, shape, monkeypatch):
@@ -543,7 +614,7 @@ class TestCholeskyQrPass:
 
         monkeypatch.setattr(scipy.linalg.blas, "dtrsm", recording)
         X = G.copy()
-        assert np.array_equal(matio._cholesky_qr_pass(X.T), R)
+        matio._solve_rows(X.T, R)
         assert np.array_equal(X, one_solve)
         step = max(1, BLOCK_BYTES // (8 * n))
         assert len(operands) == math.ceil(m / step)
@@ -688,7 +759,7 @@ def race_for_factor(A: MatrixHandle):
 
 
 class TestLoadedFactor:
-    """A loaded A's factor, from CholeskyQR2 of its densified copy and an
+    """A loaded A's factor, from CholeskyQR of its densified copy and an
     n-by-n pivoted QR, against the slow oracle: the Householder pivoted QR
     of its m rows.  Column pivoting sees only A^T A, so piv is the same; R
     is equal up to row signs to 1e-14 relative (R is well determined in
