@@ -24,11 +24,10 @@ Re-running the same configuration at the same BLAS thread count reproduces
 every output byte for byte.  Across thread counts the last digits can move
 for every kind, because multithreaded BLAS sums products such as
 M = T R and the solvers' in another order; over 200 unconverged
-iterations that can reach the leading digits of a trace.  Both commands
-also run slower under two BLAS threads than under one
-(``OPENBLAS_NUM_THREADS=1``): on a two-core machine a desk-sized ``run``
-(2000 x 100, 24 cells) took 3.2 times as long, a 16000 x 100 ``run`` 1.5
-times and a ``sweep-d`` of an 8000 x 200 sparse matrix 1.3 times.
+iterations that can reach the leading digits of a trace.  The commands
+also run slower at the default BLAS thread count than under one
+(``OPENBLAS_NUM_THREADS=1``): on a two-core Xeon a 16000 x 100 ``run``
+took 2.0 to 3.3 times as long, pair by pair over three alternating pairs.
 
 Config files are flat ``key=value`` text; repeated keys accumulate into lists::
 
@@ -486,14 +485,18 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
 
     summaries = []
     for solver_name in ("lsqr", "lsmr") if config.solver == "both" else (config.solver,):
-        result, _ = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem, config)
+        result, observer = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem,
+                                       config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
+        # a stale last record holds an earlier iterate's values; the final
+        # ones are those of the iterate the solve returns
         last = result.trace[-1] if result.trace else None
+        final = ((math.nan, math.nan) if last is None
+                 else observer.metrics(result.x) if last.stale
+                 else (last.unsketched_residual_norm, last.unsketched_normal_ratio))
         summaries.append([
             name, kind.value, d, seed, solver_name, result.iterations,
-            result.termination.value, P.eps, A.condition_number(),
-            last.unsketched_residual_norm if last else math.nan,
-            last.unsketched_normal_ratio if last else math.nan,
+            result.termination.value, P.eps, A.condition_number(), *final,
             oracle.r_ls_norm, len(bound_reports) - failed, failed])
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 

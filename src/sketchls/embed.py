@@ -98,8 +98,6 @@ class SketchOperator:
 @dataclass
 class DistortionReport:
     epsilon: float
-    sigma_max_sq: float
-    sigma_min_sq: float
     subspace_dim: int
     rank_loss: bool
 
@@ -344,17 +342,9 @@ def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionRepo
     if dim > d:
         raise ValueError(f"subspace dimension {dim} exceeds sketch rows {d}")
     sv = scipy.linalg.svd(SQ, compute_uv=False)
-    smax_sq = float(sv[0] ** 2)
-    smin_sq = float(sv[-1] ** 2)
-    eps = max(smax_sq - 1.0, 1.0 - smin_sq)
+    eps = max(float(sv[0] ** 2) - 1.0, 1.0 - float(sv[-1] ** 2))
     rank_loss = sv[-1] <= np.finfo(np.float64).eps * max(d, dim) * sv[0]
-    return DistortionReport(
-        epsilon=eps,
-        sigma_max_sq=smax_sq,
-        sigma_min_sq=smin_sq,
-        subspace_dim=dim,
-        rank_loss=rank_loss,
-    )
+    return DistortionReport(epsilon=eps, subspace_dim=dim, rank_loss=rank_loss)
 
 
 def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> DistortionReport:

@@ -27,10 +27,11 @@ refinement step) supplies reference solutions for all bound checks.  One
 threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
 spectral data alike.
 A Matrix Market file's header and size line are read once; the body of
-either format, coordinate or array, is then parsed by one numpy ``loadtxt``
-straight from the open file, or, when comment lines come among the entries,
-from its lines less those; a body that neither parse takes whole is read
-again line by line, which names the first bad line.  The reader takes
+either format, coordinate or array, then takes at most two parses: one numpy
+``loadtxt`` straight from the open file, and, for a body that it does not
+take whole, a loop over the lines, which names the first bad line.  The
+format puts comments before the size line, so a body with comment lines
+among its entries is taken, but only by the line loop.  The reader takes
 general storage only: Matrix Market allows symmetric storage only for a
 square matrix, and a square matrix fits no sketch size d (n <= d < m).
 The passes over the m rows of a dense matrix that would otherwise hold an
@@ -317,22 +318,19 @@ def load_matrix_market(path) -> MatrixHandle:
     symmetry but general are rejected.
 
     The header and size line are read once (:func:`_preamble`).  The body
-    of either format is then parsed by one numpy ``loadtxt`` straight from
-    the open file (:func:`_file_body`), with no Python string per entry.
-    A body that parse does not take whole is parsed again, by the same
-    ``loadtxt``, from its lines less the comment lines, one Python string
-    at a time.  A body that neither parse takes, malformed or not, is read
-    again from its first line by :func:`_line_body`, which names the first
-    bad line; all three give the same bits.
+    of either format then takes at most two parses.  One numpy ``loadtxt``
+    straight from the open file (:func:`_file_body`), with no Python string
+    per entry, takes every well-formed body without comment lines among its
+    entries.  Any other body is read again from its first line by
+    :func:`_line_body`, which names the first bad line.  A comment among
+    the entries is one: Matrix Market puts comments before the size line,
+    so a commented body is taken, but by the slower line loop.  Both parses
+    give the same bits.
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         size = _preamble(fh)
         body = fh.tell()
         fields = _file_body(fh, size)
-        if fields is None:
-            fh.seek(body)
-            fields = _file_body((text for _, text in _lines(fh, size.lineno)
-                                 if not text.startswith("%")), size)
         if fields is None:
             fh.seek(body)
             fields = _line_body(fh, size)
@@ -393,10 +391,10 @@ def _preamble(fh) -> _MmSize:
     return _MmSize(coordinate, m, n, dims[2] if coordinate else m * n, lineno)
 
 
-def _file_body(lines, size: _MmSize):
-    """The body's fields, parsed by one numpy ``loadtxt`` from ``lines``, an
-    open file or an iterable of its lines: 0-based ``(rows, cols, vals)`` of
-    a coordinate file, ``(vals,)`` of an array file.
+def _file_body(fh, size: _MmSize):
+    """The body's fields, parsed by one numpy ``loadtxt`` from the open file
+    ``fh``: 0-based ``(rows, cols, vals)`` of a coordinate file, ``(vals,)``
+    of an array file.
 
     None for a body that is not ``size.count`` in-bounds finite entries
     alone on their lines, or that the parse cannot take; the caller reads
@@ -409,7 +407,7 @@ def _file_body(lines, size: _MmSize):
             warnings.simplefilter("error")
             # ndmin=2 keeps a line of three values one row, where ndmin=1
             # would read one such line of an array body as three values
-            parsed = np.loadtxt(lines, dtype=_MM_ENTRY_DTYPE if size.coordinate else np.float64,
+            parsed = np.loadtxt(fh, dtype=_MM_ENTRY_DTYPE if size.coordinate else np.float64,
                                 comments=None, ndmin=2)
     except Exception:  # noqa: BLE001 - the line loop reports what this parse cannot take
         return None
@@ -426,57 +424,50 @@ def _file_body(lines, size: _MmSize):
 
 
 def _line_body(fh, size: _MmSize):
-    """:func:`_file_body` by a loop over the body's lines, numbered on from
-    the size line; accepts what ``int``/``float`` accept and raises
-    :class:`MatrixMarketError` naming the first bad line."""
-    entries = [(ln, text) for ln, text in _lines(fh, size.lineno)
-               if text and not text.startswith("%")]
-    if len(entries) != size.count:
+    """:func:`_file_body` by two passes over the body's lines, numbered on
+    from the size line, with one Python string at a time; accepts what
+    ``int``/``float`` accept and raises :class:`MatrixMarketError` naming the
+    first bad line.  The first pass counts the entry lines, the second
+    parses them, so a bad count is reported before a bad token, and a bad
+    token before a non-finite value."""
+    body = fh.tell()
+    found = sum(1 for _, text in _lines(fh, size.lineno) if text and not text.startswith("%"))
+    if found != size.count:
         noun = "entries" if size.coordinate else "values"
         raise MatrixMarketError(
-            f"line {size.lineno}: declared {size.count} {noun}, found {len(entries)}")
-    fields = (_coordinate_tokens(entries, size.m, size.n) if size.coordinate
-              else (_array_tokens(entries),))
-    bad = ~np.isfinite(fields[-1])
-    if bad.any():
-        raise MatrixMarketError(f"line {entries[int(np.argmax(bad))][0]}: non-finite value")
+            f"line {size.lineno}: declared {size.count} {noun}, found {found}")
+    fh.seek(body)
+    if size.coordinate:
+        width, shape, noun = 3, "'row col value'", "entry"
+        fields = (np.empty(size.count, dtype=np.int64), np.empty(size.count, dtype=np.int64),
+                  np.empty(size.count))
+    else:
+        width, shape, noun = 1, "a single value", "value"
+        fields = (np.empty(size.count),)
+    k, non_finite = 0, None
+    for ln, text in _lines(fh, size.lineno):
+        if not text or text.startswith("%"):
+            continue
+        toks = text.split()
+        if len(toks) != width:
+            raise MatrixMarketError(f"line {ln}: expected {shape}")
+        try:
+            ij = [int(t) for t in toks[:-1]]
+            v = float(toks[-1])
+        except ValueError:
+            raise MatrixMarketError(f"line {ln}: malformed {noun}") from None
+        if ij:
+            i, j = ij
+            if not (1 <= i <= size.m and 1 <= j <= size.n):
+                raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
+            fields[0][k], fields[1][k] = i - 1, j - 1
+        fields[-1][k] = v
+        if non_finite is None and not math.isfinite(v):
+            non_finite = ln
+        k += 1
+    if non_finite is not None:
+        raise MatrixMarketError(f"line {non_finite}: non-finite value")
     return fields
-
-
-def _coordinate_tokens(entries, m: int, n: int):
-    """0-based rows and columns and the values of ``(line number, text)``
-    coordinate entry lines; raises on the first bad line."""
-    rows = np.empty(len(entries), dtype=np.int64)
-    cols = np.empty(len(entries), dtype=np.int64)
-    vals = np.empty(len(entries), dtype=np.float64)
-    for k, (ln, text) in enumerate(entries):
-        toks = text.split()
-        if len(toks) != 3:
-            raise MatrixMarketError(f"line {ln}: expected 'row col value'")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-            v = float(toks[2])
-        except ValueError:
-            raise MatrixMarketError(f"line {ln}: malformed entry") from None
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise MatrixMarketError(f"line {ln}: index ({i},{j}) out of bounds")
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-    return rows, cols, vals
-
-
-def _array_tokens(entries) -> np.ndarray:
-    """The values of ``(line number, text)`` array value lines; raises on the
-    first bad line."""
-    vals = np.empty(len(entries))
-    for k, (ln, text) in enumerate(entries):
-        toks = text.split()
-        if len(toks) != 1:
-            raise MatrixMarketError(f"line {ln}: expected a single value")
-        try:
-            vals[k] = float(toks[0])
-        except ValueError:
-            raise MatrixMarketError(f"line {ln}: malformed value") from None
-    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,29 @@ class TestRunExperiment:
                          if b["passed"] == "1" or "sufficient-not-necessary" in b["note"])
             assert int(row["bounds_passed"]) == passed
 
+    def test_summary_final_values_of_a_stale_last_record(self, tmp_path):
+        # LSQR runs to max_iter = 200, which is off the stride-7 grid
+        # (fresh at k = 1, 8, ..., 197): the summary holds the metrics of
+        # the returned iterate, as the stride-1 run's fresh last record does
+        rows = {}
+        for stride in (7, 1):
+            out = tmp_path / f"s{stride}"
+            config = parse_config("synthetic = 2000,100,100\nkind = gaussian\nsolver = lsqr\n"
+                                  "stop = traditional\ntol = 1e-10\nseeds = 0\n"
+                                  f"stride = {stride}\noutput_dir = {out}\n")
+            assert run_experiment(config) == EXIT_OK
+            with open(out / "summary.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            with open(out / "synth2000x100c100_gaussian_d200_s0_lsqr_trace.csv",
+                      newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            rows[stride] = row, last
+        (stale, stale_last), (fresh, fresh_last) = rows[7], rows[1]
+        assert stale["iterations"] == stale_last["k"] == fresh_last["k"] == "200"
+        assert (stale_last["stale_flag"], fresh_last["stale_flag"]) == ("1", "0")
+        for key, column in (("final_rnorm", "rnorm"), ("final_ne_ratio", "ne_ratio")):
+            assert stale[key] == fresh[key] == fresh_last[column] != stale_last[column]
+
     def test_missing_matrix_is_run_error(self, tmp_path):
         config = parse_config(f"matrix = {tmp_path}/nope.mtx\nkind = gaussian\n"
                               f"output_dir = {tmp_path}/out\n")

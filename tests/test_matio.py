@@ -229,7 +229,7 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("body,file_path", [
         ("1 1 1.0\n\n  \n2 2 -3e-1\n", True),   # blank lines
-        ("1 1 1.0\n% note\n2 2 -3e-1\n", True),  # a comment among the entries
+        ("1 1 1.0\n% note\n2 2 -3e-1\n", False),  # a comment among the entries
         ("1 1 1.0\n2 2 -3e-1\n", True),
     ], ids=["blank-lines", "body-comment", "plain"])
     def test_file_path_or_line_path(self, tmp_path, loop_calls, body, file_path):
@@ -264,6 +264,27 @@ class TestMatrixMarket:
         # per entry line took 25 times
         assert peak < 8 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
 
+    def test_malformed_last_entry_named_within_the_csr(self, tmp_path, loop_calls):
+        m, n, nnz = 4000, 50, 20000
+        gen = stream(3, "mtx-peak")
+        i, j = gen.integers(1, m + 1, size=nnz), gen.integers(1, n + 1, size=nnz)
+        v = gen.standard_normal(nnz)
+        mat = scipy.sparse.coo_matrix((v, (i - 1, j - 1)), shape=(m, n)).tocsr()
+        lines = [f"{a} {b} {x:.17g}\n" for a, b, x in zip(i, j, v.tolist())]
+        lines[-1] = "1 1 1.0x\n"
+        path = write(tmp_path, "last.mtx", f"%%MatrixMarket matrix coordinate real general\n"
+                     f"{m} {n} {nnz}\n" + "".join(lines))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError, match="^line 20002: malformed entry$"):
+                load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the line loop holds one line at a time, not a list of the body's
+        assert loop_calls == [nnz]
+        assert peak < 5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+
     def test_body_comments_load_bounded_by_the_csr(self, tmp_path, loop_calls):
         m, n, nnz = 4000, 50, 20000
         gen = stream(3, "mtx-peak")
@@ -279,9 +300,9 @@ class TestMatrixMarket:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the loadtxt of the lines less the comments, about 4 times the CSR
-        # as from the file; the line loop took 16 times
-        assert loop_calls == []
+        # the file parse fails at the comment, at about 4 times the CSR; the
+        # line loop holds one line at a time
+        assert loop_calls == [nnz]
         assert peak < 5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
         full = scipy.sparse.coo_matrix((v, (i - 1, j - 1)), shape=(m, n)).tocsr()
         assert np.array_equal(mat.toarray(), full.toarray())

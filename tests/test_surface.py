@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import sketchls
@@ -202,6 +203,25 @@ def test_one_write_site():
     # output cannot fork the format
     assert sorted(_write_sites()) == [("matio.write_csv", "csv.writer"),
                                       ("matio.write_csv", "open")]
+
+
+def test_two_body_parses():
+    # a Matrix Market body is parsed by one loadtxt, straight from the file,
+    # and by one line loop, so a third parse of it cannot come back
+    loadtxt, reader_calls = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "loadtxt":
+                    loadtxt.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                if getattr(top, "name", None) == "load_matrix_market" and \
+                        isinstance(func, ast.Name):
+                    reader_calls[func.id] += 1
+    assert loadtxt == ["matio._file_body"]
+    assert (reader_calls["_file_body"], reader_calls["_line_body"]) == (1, 1)
 
 
 def test_one_source_driver():
