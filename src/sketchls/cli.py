@@ -165,6 +165,14 @@ def _synthetic(key: str, spec: str) -> MatrixSource:
     return MatrixSource(name=f"synth{m}x{n}c{cond:g}", synthetic=(m, n, cond))
 
 
+def _matrix(key: str, path: str) -> MatrixSource:
+    """The source of a Matrix Market path, named by its stem; a stem that is
+    not ASCII is a config error, since every output is ASCII and carries it."""
+    if not Path(path).stem.isascii():
+        raise ConfigError(f"matrix {path}: its name, the file's stem, is not ASCII")
+    return MatrixSource(name=Path(path).stem, path=path)
+
+
 def _key(how: str, parse: Callable, default: Optional[str] = None):
     """The field of a config key: how the key is given ("one" value, or a
     list of "lines", each one value, or of comma-separated "words"), the
@@ -178,8 +186,7 @@ class ExperimentConfig:
     """A parsed config (:func:`parse_config`): one field per config key, the
     ``sources`` of its two source keys, and ``policy``, the one stopping
     policy of every solve."""
-    matrix: List[MatrixSource] = _key("lines", lambda key, path: MatrixSource(
-        name=Path(path).stem, path=path))
+    matrix: List[MatrixSource] = _key("lines", _matrix)
     synthetic: List[MatrixSource] = _key("lines", _synthetic)
     kind: List[embed.SketchKind] = _key("words", partial(_member, embed.SketchKind,
                                                          "embedding kind"))
@@ -584,7 +591,9 @@ def emit_figure_data(output_dir) -> List[Path]:
 
     Styles: ``ratio`` (unsketched normal ratio vs k) and ``residual``
     (unsketched residual norm vs k); one column per run.  ``output_dir``
-    that is not a directory is a config error.
+    that is not a directory is a config error; a trace that cannot be read,
+    is not ASCII, lacks a column or has a name not recognized is skipped
+    with a warning.
     """
     out_dir = Path(output_dir)
     if not out_dir.is_dir():
@@ -600,8 +609,16 @@ def emit_figure_data(output_dir) -> List[Path]:
         if len(parts) < 4:
             print(f"warning: skipping unrecognized trace {path.name}", file=sys.stderr)
             continue
-        with open(path, newline="", encoding="ascii") as fh:
-            rows = list(csv.DictReader(fh))
+        try:
+            with open(path, newline="", encoding="ascii") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            missing = [c for c in ("ne_ratio", "rnorm") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"no {missing[0]} column")
+        except (OSError, ValueError, csv.Error) as exc:
+            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+            continue
         for style, column in (("ratio", "ne_ratio"), ("residual", "rnorm")):
             groups.setdefault((style, parts[-4], parts[-1]), {})[stem] = \
                 [row[column] for row in rows]

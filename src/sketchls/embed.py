@@ -274,7 +274,7 @@ def subspace_basis(A: MatrixHandle, b: np.ndarray
     b = np.asarray(b, dtype=np.float64)
     Q, rank, floor = _trim(A, b)
     Q = Q[:, :rank]
-    w, w_norm = _orthogonal_part(Q, b)
+    w, w_norm, _ = _orthogonal_part(Q, b)
     return Q, (w / w_norm if w_norm > floor else None)
 
 
@@ -288,12 +288,13 @@ def _trim(A: MatrixHandle, b: np.ndarray) -> Tuple[np.ndarray, int, float]:
     return Q, int(np.sum(np.abs(np.diag(R)) > floor)), floor
 
 
-def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
-    """The component of b orthogonal to range(Q), by two projection passes,
-    and its norm."""
-    w = b - Q @ (Q.T @ b)
+def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """The component w of b orthogonal to range(Q), by two projection
+    passes, its norm, and Q^T b, the first pass's coefficients."""
+    c = Q.T @ b
+    w = b - Q @ c
     w -= Q @ (Q.T @ w)
-    return w, float(np.linalg.norm(w))
+    return w, float(np.linalg.norm(w)), c
 
 
 @dataclass(frozen=True)
@@ -316,9 +317,9 @@ def span_coordinates(A: MatrixHandle, b: np.ndarray) -> SpanCoordinates:
     """
     b = np.asarray(b, dtype=np.float64)
     Q, rank, floor = _trim(A, b)
-    w, w_norm = _orthogonal_part(Q, b)
+    w, w_norm, c = _orthogonal_part(Q, b)
     u = w / w_norm if w_norm > 0.0 else None
-    c_b = Q.T @ b if u is None else np.append(Q.T @ b, u @ b)
+    c_b = c if u is None else np.append(c, u @ b)
     tail = np.concatenate([np.zeros(rank), c_b[rank:]])
     tail_norm = float(np.linalg.norm(tail))
     return SpanCoordinates(u=u, c_b=c_b, rank=rank,

@@ -1,26 +1,26 @@
 """Matrix storage, Matrix Market I/O, and synthesis of least-squares test problems.
 
-A :class:`MatrixHandle` stores a dense array, a CSR sparse matrix, or the
-column-pivoted economic QR factorization A[:, piv] = Q R of the matrix, and
-caches two things: that factorization, the one factorization of A, and the
-extreme singular values, read from R.  Every matrix is densely factored: the
-QR holds an m-by-n Q, so it costs as much memory as a dense A, and the
-largest n allowed is the caller's to enforce.  The factor is formed once per
-matrix and serves every right-hand side.  It is built from A = Q1 R1, Q1
-orthonormal, by an n-by-n pivoted QR R1[:, piv] = Q2 R and Q = Q1 Q2, with
-Q1 = X T^-1 never formed: Q = X (T^-1 Q2) is one product over the m rows,
-for X and T from CholeskyQR (:func:`_orthonormal_factor`), where
-Householder QR's panel updates are BLAS-2 bound on a tall, thin matrix.  A
-synthesized U diag(s) V^T has Q1 = U, from a Gaussian draw, and
-R1 = diag(s) V^T (:func:`synthesize_matrix`); a loaded A factors its
-densified copy.  A well-conditioned matrix takes two passes over its m
-rows (SYRK, GEMM), an ill-conditioned one four.  Only a loaded matrix that
-CholeskyQR rejects (a Cholesky fails, or R1 is past
-:data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m rows,
-and a draw that it rejects Householder QR.  R has a positive diagonal on
-every path, so U and V are Haar distributed.  A synthesized matrix is
-factored at once, in its draw's buffer, and its handle stores only that
-factor: A x is Q (R x[piv]), and A is formed only by :meth:`MatrixHandle.dense`.
+A :class:`MatrixHandle` holds one payload, a dense array or a CSR matrix, or
+only the column-pivoted economic QR A[:, piv] = Q R of the matrix, and fills
+its two caches itself, once each: that factorization, the one factorization
+of A, and the extreme singular values, read from R (:func:`spectral_norms`).
+Every matrix is densely factored: the QR holds an m-by-n Q, so it costs as
+much memory as a dense A, and the largest n allowed is the caller's to
+enforce.  The factor is formed once per matrix and serves every right-hand
+side.  It is built from A = Q1 R1, Q1 orthonormal, by an n-by-n pivoted QR
+R1[:, piv] = Q2 R and Q = Q1 Q2, with Q1 = X T^-1 never formed:
+Q = X (T^-1 Q2) is one product over the m rows, for X and T from CholeskyQR
+(:func:`_orthonormal_factor`), where Householder QR's panel updates are
+BLAS-2 bound on a tall, thin matrix.  A synthesized U diag(s) V^T has Q1 = U,
+from a Gaussian draw, and R1 = diag(s) V^T (:func:`synthesize_matrix`); a
+loaded A factors its densified copy.  A well-conditioned matrix takes two
+passes over its m rows (SYRK, GEMM), an ill-conditioned one four.  Only a
+loaded matrix that CholeskyQR rejects (a Cholesky fails, or R1 is past
+:data:`CHOLQR_COND_LIMIT`) gets the Householder pivoted QR of its m rows, and
+a draw that it rejects Householder QR.  R has a positive diagonal on every
+path, so U and V are Haar distributed.  A synthesized matrix is factored at
+once, in its draw's buffer, and its handle stores only that factor:
+A x is Q (R x[piv]), and A is formed only by :meth:`MatrixHandle.dense`.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies reference solutions for all bound checks.  One
@@ -101,19 +101,18 @@ class SpectralInfo:
 
 
 class MatrixHandle:
-    """Immutable matrix with cached spectral data and factors, stored as a
-    dense array, a CSR matrix or its pivoted QR.
+    """Immutable matrix, the one owner of its pivoted QR and spectral data.
 
-    NaN and Inf entries are rejected at construction.  The handle is safe to
-    share across threads: the payload is never mutated after construction, and
-    the spectral and pivoted-QR caches are each written once under a lock so
-    concurrent readers observe either no value or the final one.  The cached
-    arrays are read-only.  The pivoted QR (:meth:`qr_factor`) is the only
-    factorization of A: the spectral data and the observer's fast path read
-    its R, and it keeps an m-by-n Q for the handle's lifetime, as much memory
-    as a dense A.  A handle built from that factor (``factor=``, as
-    :func:`synthesize_matrix` builds one) holds it as its only storage: its
-    products with A go through Q and R, and :meth:`dense` forms A on demand.
+    Its one payload ``_data`` is a Fortran-ordered array or a CSR matrix, or
+    None for a handle built from its pivoted QR (``factor=``, as
+    :func:`synthesize_matrix` builds one): its products with A then go
+    through Q and R, and :meth:`dense` forms A on demand.  NaN and Inf
+    entries are rejected at construction.  The payload is never mutated, and
+    :meth:`_cached` fills each cache once under the handle's lock, so the
+    handle is safe to share across threads.  The cached arrays are read-only.
+    The pivoted QR (:meth:`qr_factor`) is the only factorization of A: the
+    spectral data and the observer's fast path read its R, and its m-by-n Q
+    is as much memory as a dense A, for the handle's lifetime.
     """
 
     def __init__(self, data=None, *, factor: Optional[QrFactor] = None):
@@ -121,14 +120,15 @@ class MatrixHandle:
         ``factor``, ndarrays ``(Q, R, piv)`` with A[:, piv] = Q R, Q m-by-n
         orthonormal and R n-by-n upper triangular, kept without a copy and
         made read-only; the shapes and piv are the caller's to get right."""
-        self._sparse: Optional[scipy.sparse.csr_matrix] = None
-        self._dense: Optional[np.ndarray] = None
+        self._data = None
         self._qr_factor: Optional[QrFactor] = None
+        self._spectral: Optional[SpectralInfo] = None
+        # reentrant: the spectral data's fill asks for the factor
+        self._lock = threading.RLock()
         if (data is None) == (factor is None):
             raise ValueError("give the matrix data or its factor, not both or neither")
         if factor is not None:
             Q, R, piv = factor
-            rows, cols = Q.shape
             # max and min propagate a NaN, and an Inf is one of them: no
             # m-by-n temporary
             if Q.size and not (math.isfinite(Q.max()) and math.isfinite(Q.min())
@@ -144,8 +144,7 @@ class MatrixHandle:
             mat.sum_duplicates()
             mat.eliminate_zeros()
             mat.sort_indices()
-            self._sparse = mat
-            rows, cols = mat.shape
+            self._data = mat
         else:
             arr = np.asarray(data, dtype=np.float64)
             if arr.ndim != 2:
@@ -153,55 +152,45 @@ class MatrixHandle:
             if not np.isfinite(arr).all():
                 i, j = np.argwhere(~np.isfinite(arr))[0]
                 raise ValueError(f"matrix has NaN or Inf entries, first at ({i}, {j})")
-            self._dense = np.asfortranarray(arr)
-            rows, cols = arr.shape
+            self._data = np.asfortranarray(arr)
+        rows, cols = Q.shape if self._data is None else self._data.shape
         if rows < 1 or cols < 1:
             raise ValueError("empty matrix")
         if rows < cols:
             raise ValueError(f"problem matrices must be tall or square, got {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self._spectral: Optional[SpectralInfo] = None
-        self._lock = threading.Lock()
+        self.rows, self.cols = rows, cols
 
     @property
     def is_sparse(self) -> bool:
-        return self._sparse is not None
+        return scipy.sparse.issparse(self._data)
 
     def dense(self) -> np.ndarray:
         """Dense view of the matrix, formed on demand for CSR storage and,
         in Fortran order as (F^T Q^T)^T with F = R[:, argsort(piv)], for a factor."""
-        if self._sparse is not None:
-            return self._sparse.toarray()
-        if self._dense is not None:
-            return self._dense
-        Q, R, piv = self._qr_factor
-        return (R[:, np.argsort(piv)].T @ Q.T).T
+        if self._data is None:
+            Q, R, piv = self._qr_factor
+            return (R[:, np.argsort(piv)].T @ Q.T).T
+        return self._data.toarray() if self.is_sparse else self._data
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x, or Q (R x[piv]) for a factor."""
-        mat = self._sparse if self._sparse is not None else self._dense
-        if mat is not None:
-            return mat @ x
-        Q, R, piv = self._qr_factor
-        return Q @ (R @ x[piv])
+        if self._data is None:
+            Q, R, piv = self._qr_factor
+            return Q @ (R @ x[piv])
+        return self._data @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y, or P R^T (Q^T y) for a factor."""
-        mat = self._sparse if self._sparse is not None else self._dense
-        if mat is not None:
-            return mat.T @ y
-        Q, R, piv = self._qr_factor
-        out = np.empty((self.cols,) + np.shape(y)[1:])
-        out[piv] = R.T @ (Q.T @ y)
-        return out
+        if self._data is None:
+            Q, R, piv = self._qr_factor
+            out = np.empty((self.cols,) + np.shape(y)[1:])
+            out[piv] = R.T @ (Q.T @ y)
+            return out
+        return self._data.T @ y
 
     def spectral(self) -> SpectralInfo:
-        """Cached (norm, sigma_min, cond); computed on first access."""
-        info = self._spectral
-        if info is None:
-            info = spectral_norms(self)
-        return info
+        """(norm, sigma_min, cond), :func:`spectral_norms` of A, cached."""
+        return self._cached("_spectral", lambda: spectral_norms(self))
 
     def spectral_norm(self) -> float:
         return self.spectral().norm
@@ -222,37 +211,38 @@ class MatrixHandle:
         acts on W = [Q u] (:mod:`sketchls.embed`), gets one S from any of
         them, to rounding.
 
-        A handle built from its factor returns that factor.  A dense or CSR
-        handle builds it on the first call, under the handle's lock, so it
-        is built once however many threads ask (:meth:`_factor`).
+        A dense or CSR handle builds it (:meth:`_factor`) on the first call.
         """
-        factor = self._qr_factor
-        if factor is None:
+        return self._cached("_qr_factor", self._factor)
+
+    def _cached(self, name: str, build):
+        """The cache attribute ``name``, filled by ``build()`` under the lock,
+        once however many threads ask; a ``build`` that raises fills nothing."""
+        if getattr(self, name) is None:
             with self._lock:
-                if self._qr_factor is None:
-                    factor = self._factor()
-                    for arr in factor:
-                        arr.setflags(write=False)
-                    self._qr_factor = factor
-                factor = self._qr_factor
-        return factor
+                if getattr(self, name) is None:
+                    setattr(self, name, build())
+        return getattr(self, name)
 
     def _factor(self) -> QrFactor:
-        """The pivoted QR of a dense or CSR A; call once, under the lock:
+        """The read-only pivoted QR of a dense or CSR A:
         :func:`_pivoted_factor` of :func:`_orthonormal_factor` of A's
         densified copy, in its buffer, or, where that rejects A, the m-row
         QR of :func:`qr_ls_solve` with R's diagonal made positive."""
         try:
             X, T, R1 = _orthonormal_factor(
-                self.dense() if self.is_sparse else np.array(self._dense, order="C"),
+                self.dense() if self.is_sparse else np.array(self._data, order="C"),
                 max_cond=CHOLQR_COND_LIMIT)
         except np.linalg.LinAlgError:
             X = None
         if X is None:  # outside the handler, so the rejected buffer is freed
-            Q, R, piv = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
-            _positive_diagonal(Q, R)
-            return Q, R, piv
-        return _pivoted_factor(X, T, R1)
+            factor = scipy.linalg.qr(self.dense(), mode="economic", pivoting=True)
+            _positive_diagonal(*factor[:2])
+        else:
+            factor = _pivoted_factor(X, T, R1)
+        for arr in factor:
+            arr.setflags(write=False)
+        return factor
 
 
 def _pivoted_factor(X: np.ndarray, T: np.ndarray, R1: np.ndarray) -> QrFactor:
@@ -689,28 +679,18 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
 
 
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:
-    """Largest/smallest singular values and condition number, cached on A.
+    """Largest/smallest singular values and condition number of A, which
+    :meth:`MatrixHandle.spectral` caches.
 
-    All three come from the SVD of the n-by-n R of the cached pivoted QR
+    All three come from the SVD of the n-by-n R of A's pivoted QR
     (:meth:`MatrixHandle.qr_factor`): a column permutation does not change
     singular values.  Raises :class:`RankDeficiencyError` when sigma_min is
     below :data:`RANK_TOL` of the norm, the oracle's threshold.
     """
-    if A._spectral is not None:
-        return A._spectral
-
     sv = scipy.linalg.svd(A.qr_factor()[1], compute_uv=False)
     norm = float(sv[0])
     sigma_min = float(sv[-1])
     if sigma_min < RANK_TOL * norm:
         raise RankDeficiencyError(
             f"numerical rank deficiency: sigma_min = {sigma_min:.3e}, norm = {norm:.3e}")
-    info = SpectralInfo(
-        norm=norm,
-        sigma_min=sigma_min,
-        cond=norm / sigma_min if sigma_min != 0.0 else float("inf"),
-    )
-    with A._lock:
-        if A._spectral is None:
-            A._spectral = info
-    return A._spectral
+    return SpectralInfo(norm, sigma_min, norm / sigma_min if sigma_min != 0.0 else math.inf)

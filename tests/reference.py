@@ -119,7 +119,7 @@ def srht_one_shot(S: SketchOperator, X: np.ndarray) -> np.ndarray:
 
 def csr(A: MatrixHandle) -> scipy.sparse.csr_matrix:
     """A's CSR storage as the handle keeps it, or the CSR of a dense A."""
-    return A._sparse if A.is_sparse else scipy.sparse.csr_matrix(A.dense())
+    return A._data if A.is_sparse else scipy.sparse.csr_matrix(A.dense())
 
 
 def save_matrix_market(handle: MatrixHandle, path) -> None:

@@ -19,7 +19,7 @@ from sketchls.rng import stream
 from sketchls.solvers import LinearOperatorView, MetricsObserver, Termination, lsmr
 from sketchls.stopping import StopMode
 
-from conftest import d_row_sketch, span_matrix
+from conftest import d_row_sketch, random_tall, span_matrix
 from reference import DRowProblem, materialize, save_matrix_market
 
 TWO_KINDS_CONFIG = """
@@ -217,6 +217,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read config:")
         assert len(err.splitlines()) == 1
+
+    def test_non_ascii_matrix_name_is_config_error(self, tmp_path, capsys):
+        # the stem names every output, and every output is ASCII: the
+        # name is refused before the load, and no output is written
+        path = tmp_path / "m\u00e9.mtx"
+        save_matrix_market(random_tall(40, 3, 0), path)
+        out = tmp_path / "b.csv"
+        assert main(["check", "--matrix", str(path), "--kind", "sparse",
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: matrix {path}: its name, the file's stem, is not ASCII\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep-d"])
     def test_output_dir_naming_a_file_is_config_error(self, tmp_path, capsys, monkeypatch,
@@ -1444,6 +1456,27 @@ class TestFigures:
     def test_empty_dir_warns(self, tmp_path, capsys):
         assert emit_figure_data(tmp_path) == []
         assert "warning" in capsys.readouterr().err
+
+    def test_unreadable_trace_skipped(self, tmp_path, capsys):
+        # a trace without the figure columns, with a byte that is not ASCII
+        # or that is not a file is skipped like an unrecognized name; the
+        # others are bundled
+        (tmp_path / "x_gaussian_d8_s0_lsmr_trace.csv").write_text(
+            "k,rnorm,ne_ratio\n1,0.5,0.25\n")
+        (tmp_path / "x_gaussian_d8_s1_lsmr_trace.csv").write_text("k,srnorm\n1,0.5\n")
+        (tmp_path / "x_gaussian_d8_s2_lsmr_trace.csv").write_bytes(
+            b"k,rnorm,ne_ratio\n1,0.5,\xe9\n")
+        (tmp_path / "x_gaussian_d8_s3_lsmr_trace.csv").mkdir()
+        assert main(["figures", "--output-dir", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "warning: skipping x_gaussian_d8_s1_lsmr_trace.csv: no ne_ratio column"
+        assert err[1].startswith("warning: skipping x_gaussian_d8_s2_lsmr_trace.csv: "
+                                 "'ascii' codec can't decode byte 0xe9")
+        assert err[2].startswith("warning: skipping x_gaussian_d8_s3_lsmr_trace.csv: ")
+        assert len(err) == 3
+        for style, value in (("ratio", "0.25"), ("residual", "0.5")):
+            with open(tmp_path / f"figure_{style}_gaussian_lsmr.csv", newline="") as fh:
+                assert list(csv.reader(fh)) == [["k", "x_gaussian_d8_s0_lsmr"], ["1", value]]
 
     def test_missing_dir_is_config_error(self, tmp_path, capsys):
         absent = tmp_path / "absent"

@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -855,6 +856,7 @@ class TestLoadedFactor:
         R = A.qr_factor()[1]
         assert m_row_qrs == ([(300, 12)] if path == "Householder" else [(12, 12)])
         assert np.all(np.diag(R) > 0)
+        assert not any(arr.flags.writeable for arr in A.qr_factor())
 
 
 def synthesis_draws(m, n, cond, seed):
@@ -878,7 +880,7 @@ class TestFactorStorage:
         U, s, V = synthesis_draws(m, n, cond, seed)
         slow = (U * s) @ V.T
         A = synthesize_matrix(m, n, cond, seed)
-        assert A._dense is None and A._sparse is None
+        assert A._data is None
         norm = np.linalg.norm(slow, 2)
         gen = stream(seed, "test-products", m, n)
         for _ in range(3):
@@ -1007,6 +1009,49 @@ class TestSpectral:
         assert A.spectral() is first
         B = MatrixHandle(A.dense().copy())
         assert spectral_norms(B).norm == first.norm
+
+    def test_each_cache_filled_once_under_a_race(self, monkeypatch):
+        # eight threads ask one fresh handle for both caches at once, half
+        # of them spectral data first; a slow spectral_norms holds the race
+        # open, and each fill runs once
+        calls = Counter()
+        norms, factor = matio.spectral_norms, MatrixHandle._factor
+
+        def slow_norms(A):
+            calls["spectral_norms"] += 1
+            time.sleep(0.02)
+            return norms(A)
+
+        def counted_factor(self):
+            calls["_factor"] += 1
+            return factor(self)
+
+        monkeypatch.setattr(matio, "spectral_norms", slow_norms)
+        monkeypatch.setattr(MatrixHandle, "_factor", counted_factor)
+        A = random_tall(200, 10, 5)
+        start, results = threading.Barrier(8), []
+
+        def ask(first, second):
+            start.wait(timeout=30)
+            results.append((first(), second()))
+
+        threads = [threading.Thread(target=ask, daemon=True, args=(
+            (A.spectral, A.qr_factor) if k % 2 else (A.qr_factor, A.spectral)))
+            for k in range(8)]
+        interval, deadline = sys.getswitchinterval(), time.monotonic() + 30
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:  # one deadline for all: a deadlock hangs them all
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == {"spectral_norms": 1, "_factor": 1}
+        assert len(results) == 8
+        assert all({id(r) for r in pair} == {id(A.spectral()), id(A.qr_factor())}
+                   for pair in results)
 
     def test_read_from_pivoted_qr(self, monkeypatch):
         A = random_tall(70, 10, 11)

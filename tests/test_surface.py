@@ -224,6 +224,28 @@ def test_two_body_parses():
     assert (reader_calls["_file_body"], reader_calls["_line_body"]) == (1, 1)
 
 
+# MatrixHandle's payload and caches, which only its own methods touch
+HANDLE_PRIVATE = {"_data", "_qr_factor", "_spectral", "_lock"}
+
+
+def test_handle_caches_have_one_owner():
+    # the handle fills its factor and spectral caches itself, so no code
+    # outside its methods reads or writes them, by attribute or by a string
+    # (getattr); spectral_norms only computes what the handle caches
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = path.stem == "matio" and getattr(top, "name", None) == "MatrixHandle"
+            for item in top.body if own else [top]:
+                if own and isinstance(item, ast.FunctionDef):
+                    continue
+                for node in ast.walk(item):
+                    name = getattr(node, "attr", getattr(node, "value", None))
+                    if isinstance(name, str) and name in HANDLE_PRIVATE:
+                        uses.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert uses == []
+
+
 def test_one_source_driver():
     # run, sweep-d and check load a source, fit its d values and catch a
     # cell's exception in one function, so their run errors cannot drift
