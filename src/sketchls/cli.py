@@ -96,6 +96,7 @@ EXIT_BOUND_FAILED = 3
 # The largest n of a source, checked by _load for every command: each
 # densely factors A, and the QR keeps an m-by-n Q
 DESK_SCALE_COLS = 5000
+SOLVERS = ("lsqr", "lsmr")  # in run order; a trace's name ends in its solver
 
 
 class ConfigError(ValueError):
@@ -191,7 +192,7 @@ class ExperimentConfig:
     kind: List[embed.SketchKind] = _key("words", partial(_member, embed.SketchKind,
                                                          "embedding kind"))
     d_mult: List[float] = _key("words", _positive, "2.0")
-    solver: str = _key("one", partial(_member, ("lsqr", "lsmr", "both"), "solver"), "lsmr")
+    solver: str = _key("one", partial(_member, (*SOLVERS, "both"), "solver"), "lsmr")
     stop: StopMode = _key("one", partial(_member, StopMode, "stop mode"), "stab-ne")
     tol: float = _key("one", _number, "0")
     window: int = _key("one", partial(_number, kind=int), "5")
@@ -476,7 +477,7 @@ def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem
     bound suite, whose reports go to the bound file ``path`` when there is
     one."""
     P = _sketch_cell(problem, kind, d)
-    reports = diagnostics.run_bound_suite(P, problem.oracle, P.eps)
+    reports = diagnostics.run_bound_suite(P, problem.oracle)
     if path is not None:
         diagnostics.write_bound_reports(path, reports, seed=problem.seed, kind=kind.value,
                                         matrix=name, d=d)
@@ -491,7 +492,7 @@ def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
     failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
-    for solver_name in ("lsqr", "lsmr") if config.solver == "both" else (config.solver,):
+    for solver_name in SOLVERS if config.solver == "both" else (config.solver,):
         result, observer = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem,
                                        config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
@@ -592,8 +593,8 @@ def emit_figure_data(output_dir) -> List[Path]:
     Styles: ``ratio`` (unsketched normal ratio vs k) and ``residual``
     (unsketched residual norm vs k); one column per run.  ``output_dir``
     that is not a directory is a config error; a trace that cannot be read,
-    is not ASCII, lacks a column or has a name not recognized is skipped
-    with a warning.
+    is not ASCII, lacks a column, or has no sketch kind and solver where
+    ``run`` names them (``<kind>_d<d>_s<seed>_<solver>``) is skipped with a warning.
     """
     out_dir = Path(output_dir)
     if not out_dir.is_dir():
@@ -606,7 +607,8 @@ def emit_figure_data(output_dir) -> List[Path]:
     for path in traces:
         stem = path.name[: -len("_trace.csv")]
         parts = stem.split("_")
-        if len(parts) < 4:
+        if len(parts) < 4 or parts[-4] not in {k.value for k in embed.SketchKind} \
+                or parts[-1] not in SOLVERS:
             print(f"warning: skipping unrecognized trace {path.name}", file=sys.stderr)
             continue
         try:

@@ -13,12 +13,12 @@ The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
 :func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from
 triangular solves with a cell's factors, and eps from the cell's sketched
-basis.  The checks of one (problem, sketch) pair read one
-:class:`SketchedProblem`, the CLI's cell, which forms SA, Sb, eps, the
-singular values of SA, the sketched minimizer and its residual once each.
-The checks read only that interface, so the tests run them on the d-row
-problem of an explicit S too (``DRowProblem`` of ``tests/reference.py``),
-the slow reference of the cell; :func:`solve_sketched` is its minimizer.
+basis.  A check reads everything, eps too, from one (problem, sketch) pair,
+a :class:`SketchedPair`, which forms the quantities the checks share once
+each.  :class:`SketchedProblem`, the CLI's cell, forms the rest from its
+coordinates; the tests run the checks on the d-row problem of an explicit S
+too (``DRowProblem`` of ``tests/reference.py``), the slow reference of the
+cell, whose minimizer is :func:`solve_sketched`.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
 bound, and a pass/fail margin.  A bound void by a zero residual or solution
 is reported as a vacuous pass (lhs = rhs = 0) with a note.  A bound whose
@@ -123,29 +123,62 @@ def combined_direction_bound(eps: float, kappa: float) -> float:
     return min(direction_bound(eps), kappa ** 2 * eps * sandwich_multiplier(eps))
 
 
-class SketchedProblem:
-    """The sketched problem min ||S(Ax - b)|| of one CLI cell, in the
-    coordinates of W = [Q u] (:func:`sketchls.embed.span_coordinates`),
-    whose span holds A, b and every residual.
+class SketchedPair:
+    """The (problem, sketch) pair min ||S(Ax - b)|| that the bound checks read:
+    A, b, S's row count ``d`` and the quantities the checks share, each formed
+    on first use and kept.  A subclass defines ``SA``, ``Sb``, ``x_s``, the
+    eps of S over span([A b]), ``sketch_residual`` and ``geometric_defect``."""
+
+    def __init__(self, A: MatrixHandle, b: np.ndarray, d: int):
+        self.A = A
+        self.b = np.asarray(b, dtype=np.float64)
+        self.d = d
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of SA, largest first."""
+        return scipy.linalg.svd(self.SA, compute_uv=False)
+
+    @property
+    def norm_SA(self) -> float:
+        return float(self.sv[0])
+
+    @cached_property
+    def r_s(self) -> np.ndarray:
+        """Unsketched residual A x_s - b of the sketched minimizer."""
+        return self.A.matvec(self.x_s) - self.b
+
+    @cached_property
+    def rs_norm(self) -> float:
+        """||r_s||."""
+        return float(np.linalg.norm(self.r_s))
+
+    @cached_property
+    def atr_s_norm(self) -> float:
+        """||A^T r_s||."""
+        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
+
+
+class SketchedProblem(SketchedPair):
+    """The sketched problem of one CLI cell, in the coordinates of
+    W = [Q u] (:func:`sketchls.embed.span_coordinates`), whose span holds A,
+    b and every residual.
 
     ``SW`` is the d x (n + 1) S W and ``span`` holds c_b = W^T b.  With
     SW = Q_s T, T the triangular factor of :func:`sketch_factor`,
     SA = Q_s M for M[:, piv] = T[:, :n] R and S b = Q_s T c_b, so ``SA`` and
     ``Sb`` hold the (n + 1) x n pair (M, T c_b): SA's singular values, x_s,
     eps and the solvers' Krylov steps read it, and S products are taken in
-    Q_s coordinates.  ``d`` is S's row count.  Each quantity is computed on
-    first use and kept, so the solves and every bound check of the cell
-    share one SVD, one x_s and one residual r_s with its ||A^T r_s||.  The
-    d-row problem of an explicit S, the slow reference of each quantity,
-    is ``DRowProblem`` of the tests.
+    Q_s coordinates.  So the solves and every bound check of the cell share
+    one SVD, one x_s and one residual r_s with its norms
+    (:class:`SketchedPair`).  The d-row problem of an explicit S, the slow
+    reference of each quantity, is ``DRowProblem`` of the tests.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, span: embed.SpanCoordinates,
                  SW: np.ndarray):
-        self.A = A
-        self.b = np.asarray(b, dtype=np.float64)
+        super().__init__(A, b, SW.shape[0])
         self.span = span
-        self.d = SW.shape[0]
         self.T = sketch_factor(SW)
         _, R, piv = A.qr_factor()
         self.SA = np.empty((self.T.shape[0], A.cols))
@@ -161,15 +194,6 @@ class SketchedProblem:
         return embed.basis_distortion(self.T[:, : self.span.rank], Sq).epsilon
 
     @cached_property
-    def sv(self) -> np.ndarray:
-        """Singular values of SA, largest first."""
-        return scipy.linalg.svd(self.SA, compute_uv=False)
-
-    @property
-    def norm_SA(self) -> float:
-        return float(self.sv[0])
-
-    @cached_property
     def x_s(self) -> np.ndarray:
         """Exact minimizer of ||S(Ax - b)||.  M[:, piv] = [T11 R; 0] is
         triangular, so x[piv] solves T11 R x[piv] = (T c_b)[:n], refined
@@ -179,16 +203,6 @@ class SketchedProblem:
         n = self.A.cols
         piv = self.A.qr_factor()[2]
         return _qr_solve(lambda x: self.SA @ x, (None, self.SA[:n, piv], piv), self.Sb)
-
-    @cached_property
-    def r_s(self) -> np.ndarray:
-        """Unsketched residual A x_s - b of the sketched minimizer."""
-        return self.A.matvec(self.x_s) - self.b
-
-    @cached_property
-    def atr_s_norm(self) -> float:
-        """||A^T r_s||."""
-        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
 
     def _residual_coordinates(self, x: np.ndarray) -> np.ndarray:
         """c = W^T (A x - b) = [R x[piv]; 0] - c_b."""
@@ -231,37 +245,31 @@ def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> n
     return qr_ls_solve(embed.apply(S, A.dense()), embed.apply(S, b))
 
 
-def check_geometric_preservation(P: SketchedProblem, y: np.ndarray,
-                                 eps: float) -> BoundReport:
+def check_geometric_preservation(P: SketchedPair, y: np.ndarray) -> BoundReport:
     """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y; at
-    y = x_s, as the suite checks it, Ay - b is the residual ``P.r_s``."""
-    r = P.r_s if y is P.x_s else P.A.matvec(y) - P.b
-    rnorm = float(np.linalg.norm(r))
+    y = x_s, as the suite checks it, ||Ay - b|| is ``P.rs_norm``."""
+    rnorm = P.rs_norm if y is P.x_s else float(np.linalg.norm(P.A.matvec(y) - P.b))
     if rnorm == 0.0:
         return _vacuous(BoundId.GEOM_PRESERVE, "zero residual at y")
     lhs = float(np.linalg.norm(P.geometric_defect(y)))
     norm_A = P.A.spectral_norm()
-    return _report(BoundId.GEOM_PRESERVE, lhs, eps * norm_A * rnorm,
+    return _report(BoundId.GEOM_PRESERVE, lhs, P.eps * norm_A * rnorm,
                    noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
 
 
-def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
-                          eps: float) -> List[BoundReport]:
+def check_residual_bounds(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
     """Residual-size, residual-direction, and normal-equation ratio bounds.
 
     The checks use the exact sketched minimizer ``P.x_s`` (not an iterate) so
     they probe the analysis rather than solver error.
     """
-    A, b = P.A, P.b
-    r_ls = oracle.r_ls
-    r_s = P.r_s
-    rs_norm = float(np.linalg.norm(r_s))
-    rls_norm = oracle.r_ls_norm
+    A, eps, rs_norm = P.A, P.eps, P.rs_norm
+    r_ls, rls_norm = oracle.r_ls, oracle.r_ls_norm
     norm_A = A.spectral_norm()
     kappa = A.condition_number()
     reports: List[BoundReport] = []
 
-    consistent = rls_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(b))
+    consistent = rls_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(P.b))
     if consistent:
         # both residuals are rounding noise; every ratio is 0/0
         for bound_id in (BoundId.RESIDUAL_SANDWICH, BoundId.RESIDUAL_DIRECTION,
@@ -272,7 +280,7 @@ def check_residual_bounds(P: SketchedProblem, oracle: LsOracle,
 
     reports.append(_report(BoundId.RESIDUAL_SANDWICH, rs_norm,
                            sandwich_multiplier(eps) * rls_norm))
-    direction = float(np.linalg.norm(r_ls - r_s)) / rls_norm
+    direction = float(np.linalg.norm(r_ls - P.r_s)) / rls_norm
     reports.append(_report(BoundId.RESIDUAL_DIRECTION, direction, direction_bound(eps),
                            noise_floor=NOISE_FLOOR_REL))
     reports.append(_report(BoundId.COMBINED_RESIDUAL, direction,
@@ -343,15 +351,13 @@ def check_eta_f_upper(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
     return _report(BoundId.ETA_F_UPPER, result.eta_f, result.upper_bound)
 
 
-def check_explicit_perturbations(P: SketchedProblem, oracle: LsOracle,
-                                 eps: float) -> List[BoundReport]:
+def check_explicit_perturbations(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
     """Norm bounds on the two explicit backward perturbations carrying x_s.
 
     ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity) and
     ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)).
     """
-    A, b, x_s, r_s = P.A, P.b, P.x_s, P.r_s
-    rs_norm = float(np.linalg.norm(r_s))
+    A, b, x_s, r_s, rs_norm, eps = P.A, P.b, P.x_s, P.r_s, P.rs_norm, P.eps
     xs_norm = float(np.linalg.norm(x_s))
     norm_A = A.spectral_norm()
     reports: List[BoundReport] = []
@@ -385,10 +391,9 @@ def e1_minimizer_gap(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray) -> float:
     return float(np.linalg.norm(x_check - x_s) / np.linalg.norm(x_s))
 
 
-def check_solution_error(P: SketchedProblem, oracle: LsOracle,
-                         eps: float) -> List[BoundReport]:
+def check_solution_error(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
     """Relative solution-error bounds in terms of eps, kappa(A), and residual size."""
-    A = P.A
+    A, eps = P.A, P.eps
     kappa = A.condition_number()
     norm_A = A.spectral_norm()
     x_s = P.x_s
@@ -399,7 +404,7 @@ def check_solution_error(P: SketchedProblem, oracle: LsOracle,
     if xs_norm == 0.0:
         reports.append(_vacuous(BoundId.SOLUTION_ERR_REL, "zero sketched solution"))
     else:
-        rhs = kappa ** 2 * eps * float(np.linalg.norm(P.r_s)) / (norm_A * xs_norm)
+        rhs = kappa ** 2 * eps * P.rs_norm / (norm_A * xs_norm)
         reports.append(_report(BoundId.SOLUTION_ERR_REL, err / xs_norm, rhs,
                                noise_floor=NOISE_FLOOR_REL))
     if xls_norm == 0.0:
@@ -411,28 +416,25 @@ def check_solution_error(P: SketchedProblem, oracle: LsOracle,
     return reports
 
 
-def check_acute_criterion(P: SketchedProblem, eps: float) -> BoundReport:
+# the acute row's note, by (kappa(A) eps <= 1, SA of full column rank)
+_ACUTE_NOTES = {(True, True): "", (True, False): "criterion met but SA rank deficient",
+                (False, True): "sufficient-not-necessary: rank(SA) full despite kappa*eps >= 1",
+                (False, False): "rank(SA) deficient"}
+
+
+def check_acute_criterion(P: SketchedPair) -> BoundReport:
     """kappa(A) * eps < 1 guarantees an acute (rank-preserving) embedding.
 
-    The criterion is sufficient, not necessary: when it fails but SA still has
-    full column rank (verified by the singular values ``P.sv``), the report
-    carries a note instead of counting as a bound violation.
+    The criterion is sufficient, not necessary: the row passes exactly when SA
+    has full column rank (by the singular values ``P.sv``), and its note
+    tells whether the criterion agrees.
     """
-    kappa = P.A.condition_number()
-    lhs = kappa * eps
+    lhs = P.A.condition_number() * P.eps
     sv = P.sv
     full_rank = bool(sv[-1] > max(P.d, P.A.cols) * np.finfo(np.float64).eps * sv[0])
-    report = _report(BoundId.ACUTE_CRITERION, lhs, 1.0)
-    if report.passed and not full_rank:
-        return BoundReport(BoundId.ACUTE_CRITERION, lhs, 1.0, passed=False,
-                           margin=1.0 - lhs, note="criterion met but SA rank deficient")
-    if not report.passed and full_rank:
-        return BoundReport(BoundId.ACUTE_CRITERION, lhs, 1.0, passed=True,
-                           margin=1.0 - lhs,
-                           note="sufficient-not-necessary: rank(SA) full despite kappa*eps >= 1")
-    if not full_rank:
-        report.note = "rank(SA) deficient"
-    return report
+    note = _ACUTE_NOTES[bool(lhs <= 1.0 + PASS_SLACK), full_rank]
+    return BoundReport(BoundId.ACUTE_CRITERION, lhs, 1.0, passed=full_rank,
+                       margin=1.0 - lhs, note=note)
 
 
 SUITE_BOUND_IDS = (
@@ -450,15 +452,16 @@ SUITE_BOUND_IDS = (
 )
 
 
-def run_bound_suite(P: SketchedProblem, oracle: LsOracle, eps: float) -> List[BoundReport]:
-    """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair, with
-    ``eps`` the embedding parameter of S over span([A b]): the CLI's is the
-    cell's ``P.eps``, :func:`sketchls.embed.exact_distortion` its reference."""
-    reports = [check_geometric_preservation(P, P.x_s, eps)]
-    reports.extend(check_residual_bounds(P, oracle, eps))
-    reports.extend(check_explicit_perturbations(P, oracle, eps))
-    reports.extend(check_solution_error(P, oracle, eps))
-    reports.append(check_acute_criterion(P, eps))
+def run_bound_suite(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
+    """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair,
+    against the pair's own embedding parameter ``P.eps`` of S over
+    span([A b]): a cell's is read from its factors, and the d-row
+    reference's defaults to :func:`sketchls.embed.exact_distortion`."""
+    reports = [check_geometric_preservation(P, P.x_s)]
+    reports.extend(check_residual_bounds(P, oracle))
+    reports.extend(check_explicit_perturbations(P, oracle))
+    reports.extend(check_solution_error(P, oracle))
+    reports.append(check_acute_criterion(P))
     return reports
 
 

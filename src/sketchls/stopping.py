@@ -130,27 +130,22 @@ class StoppingController:
 
     def feed(self, record: IterateRecord) -> Optional[Termination]:
         mode = self.policy.mode
+        start = None
         if mode is StopMode.TRADITIONAL:
             if traditional_decision(record, self.policy.tol, self.op_norm):
-                self.fired_at = record.k
-                return _TERMINATION_OF[mode]
-            return None
-        if mode is StopMode.EPSILON_THRESHOLD:
+                start = record.k
+        elif mode is StopMode.EPSILON_THRESHOLD:
             if epsilon_threshold_decision(record, self.epsilon):
-                self.fired_at = record.k
-                return _TERMINATION_OF[mode]
+                start = record.k
+        elif not record.stale:
+            value = (record.unsketched_residual_norm if mode is StopMode.STABILIZE_RESIDUAL
+                     else record.unsketched_normal_ratio)
+            if not math.isnan(value):
+                self._buffer.append((record.k, value))
+                if len(self._buffer) > self.policy.window and stabilization_decision(
+                        [v for _, v in self._buffer], self.policy.band):
+                    start = self._buffer[0][0]
+        if start is None:
             return None
-        if record.stale:
-            return None
-        value = (record.unsketched_residual_norm if mode is StopMode.STABILIZE_RESIDUAL
-                 else record.unsketched_normal_ratio)
-        if math.isnan(value):
-            return None
-        self._buffer.append((record.k, value))
-        if len(self._buffer) < self.policy.window + 1:
-            return None
-        if stabilization_decision([v for _, v in self._buffer], self.policy.band):
-            self.fired_at = self._buffer[0][0]
-            return _TERMINATION_OF[mode]
-        return None
-
+        self.fired_at = start
+        return _TERMINATION_OF[mode]

@@ -2,37 +2,41 @@
 
 Each is the definition of something the package computes a faster way, and
 a test compares the two: the d-row sketched problem of an explicit S
-against a CLI cell (``sketchls.diagnostics.SketchedProblem``), the explicit
-matrix of a sketch and the one-shot SRHT against ``sketchls.embed.apply``,
-and the Matrix Market writer and a handle's CSR arrays against the loader.
+against a CLI cell (``sketchls.diagnostics.SketchedProblem``; both are a
+``SketchedPair``, which holds what the bound checks share, and each carries
+its own eps), the explicit matrix of a sketch and the one-shot SRHT against
+``sketchls.embed.apply``, and the Matrix Market writer and a handle's CSR
+arrays against the loader.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from sketchls import embed
+from sketchls.diagnostics import SketchedPair
 from sketchls.embed import GaussianPayload, SketchOperator, SrhtPayload
 from sketchls.matio import MatrixHandle, qr_ls_solve
 
 
-class DRowProblem:
+class DRowProblem(SketchedPair):
     """The sketched problem min ||S(Ax - b)|| of an explicit operator S, in
     its d rows: SA and Sb are S applied to the dense A and to b, and every
-    S product applies S again.  It has the interface of the cell that the
-    bound checks read, so ``run_bound_suite`` runs on either; its eps is
-    the caller's, such as ``embed.exact_distortion(S, A, b)``."""
+    S product applies S again.  It is a ``SketchedPair`` like the cell, so
+    ``run_bound_suite`` runs on either.  Its eps is the caller's, such as a
+    cell's ``P.eps`` or a probe's 0, and by default
+    ``embed.exact_distortion(S, A, b)``, the reference of a cell's."""
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, S: SketchOperator):
-        self.A = A
-        self.b = np.asarray(b, dtype=np.float64)
+    def __init__(self, A: MatrixHandle, b: np.ndarray, S: SketchOperator,
+                 eps: Optional[float] = None):
+        super().__init__(A, b, S.d)
         self.S = S
-        self.d = S.d
+        self.eps = embed.exact_distortion(S, A, b).epsilon if eps is None else eps
 
     @cached_property
     def SA(self) -> np.ndarray:
@@ -43,28 +47,9 @@ class DRowProblem:
         return embed.apply(self.S, self.b)
 
     @cached_property
-    def sv(self) -> np.ndarray:
-        """Singular values of SA, largest first."""
-        return scipy.linalg.svd(self.SA, compute_uv=False)
-
-    @property
-    def norm_SA(self) -> float:
-        return float(self.sv[0])
-
-    @cached_property
     def x_s(self) -> np.ndarray:
         """Exact minimizer of ||S(Ax - b)||, by dense pivoted QR of (SA, Sb)."""
         return qr_ls_solve(self.SA, self.Sb)
-
-    @cached_property
-    def r_s(self) -> np.ndarray:
-        """Unsketched residual A x_s - b of the sketched minimizer."""
-        return self.A.matvec(self.x_s) - self.b
-
-    @cached_property
-    def atr_s_norm(self) -> float:
-        """||A^T r_s||."""
-        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
 
     def sketch_residual(self, x: np.ndarray) -> np.ndarray:
         """S (A x - b)."""

@@ -28,9 +28,8 @@ import pytest
 from sketchls import embed
 from sketchls.diagnostics import (SUITE_BOUND_IDS, compute_eta_f,
                                   run_bound_suite, sandwich_multiplier, solve_sketched)
-from sketchls.matio import (MatrixHandle, load_matrix_market, qr_ls_solve,
-                            solve_ls_oracle, synthesize_matrix,
-                            synthesize_problem)
+from sketchls.matio import (MatrixHandle, load_matrix_market, solve_ls_oracle,
+                            synthesize_matrix, synthesize_problem)
 from sketchls.solvers import (LinearOperatorView, MetricsObserver, Termination,
                               lsmr, lsqr)
 from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
@@ -67,20 +66,17 @@ def suite_runs():
             for seed in SUITE_SEEDS:
                 b = synthesize_problem(A, seed)
                 oracle = solve_ls_oracle(A, b)
-                S = embed.build_sketch(kind, SUITE_D, m, seed)
-                eps = embed.exact_distortion(S, A, b).epsilon
-                reports = run_bound_suite(DRowProblem(A, b, S), oracle, eps)
-                SA = embed.apply(S, A.dense())
-                Sb = embed.apply(S, b)
-                op = LinearOperatorView.from_matrix(SA)
+                P = DRowProblem(A, b, embed.build_sketch(kind, SUITE_D, m, seed))
+                reports = run_bound_suite(P, oracle)
+                op = LinearOperatorView.from_matrix(P.SA)
                 # min(2n, d), the cap a CLI cell uses
-                res_q = lsqr(op, Sb, max_iter=min(2 * n, SUITE_D))
-                res_m = lsmr(op, Sb, max_iter=min(2 * n, SUITE_D))
+                res_q = lsqr(op, P.Sb, max_iter=min(2 * n, SUITE_D))
+                res_m = lsmr(op, P.Sb, max_iter=min(2 * n, SUITE_D))
                 sr = [r.sketched_residual_norm for r in res_q.trace]
                 sn = [r.sketched_normal_residual_norm for r in res_m.trace]
                 runs.append({
                     "label": f"{name}_{kind.value}_s{seed}",
-                    "eps": eps,
+                    "eps": P.eps,
                     "reports": reports,
                     "lsqr_monotone": all(sr[i + 1] <= sr[i] * (1 + 1e-12)
                                          for i in range(len(sr) - 1)),
@@ -179,12 +175,10 @@ def test_criterion_5_stopping_efficiency():
     for seed in range(20):
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
-        S = embed.build_sketch("gaussian", 80, 400, seed)
-        eps = embed.exact_distortion(S, A, b).epsilon
-        SA = embed.apply(S, A.dense())
-        Sb = embed.apply(S, b)
-        op = LinearOperatorView.from_matrix(SA)
-        norm_SA = float(np.linalg.norm(SA, 2))
+        P = DRowProblem(A, b, embed.build_sketch("gaussian", 80, 400, seed))
+        eps, Sb = P.eps, P.Sb
+        op = LinearOperatorView.from_matrix(P.SA)
+        norm_SA = float(np.linalg.norm(P.SA, 2))
 
         stab = StoppingController(StoppingPolicy(mode=StopMode.STABILIZE_NORMAL_RATIO))
         res_stab = lsmr(op, Sb, observer=MetricsObserver(A, b), stop=stab,
@@ -209,10 +203,8 @@ def test_criterion_5_stopping_efficiency():
         lsqr_ok.append(res_q.termination is Termination.STABILIZED_RESIDUAL
                        and final_r <= bound)
         if seed < 3:
-            x_s = solve_sketched(A, b, S)
-            rs = float(np.linalg.norm(A.matvec(x_s) - b))
             details.append(f"s{seed}: k*={res_stab.iterations} vs trad {k_trad}, "
-                           f"r_k/r_s_exact={final_r / rs:.3f}")
+                           f"r_k/r_s_exact={final_r / P.rs_norm:.3f}")
     ok = all(lsmr_ok) and all(lsqr_ok)
     assert report("criterion 5 (stopping-criterion efficiency)", ok,
                   "; ".join(details))
@@ -299,25 +291,21 @@ def test_criterion_8_oracle_equivalence():
         gen = stream(seed, "c8")
         A = MatrixHandle(gen.standard_normal((50, 6)))
         b = gen.standard_normal(50)
-        S = embed.build_sketch("gaussian", 12, 50, seed)
-        SA = embed.apply(S, A.dense())
-        Sb = embed.apply(S, b)
-        x_ref = qr_ls_solve(SA, Sb)
-        op = LinearOperatorView.from_matrix(SA)
+        P = DRowProblem(A, b, embed.build_sketch("gaussian", 12, 50, seed))
+        op = LinearOperatorView.from_matrix(P.SA)
         for solver in (lsqr, lsmr):
-            x = solver(op, Sb, max_iter=6 + 5).x
+            x = solver(op, P.Sb, max_iter=6 + 5).x
             worst_err = max(worst_err,
-                            float(np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)))
+                            float(np.linalg.norm(x - P.x_s) / np.linalg.norm(P.x_s)))
         # the exact distortion dominates every sampled Rayleigh quotient
         Q, q = embed.subspace_basis(A, b)
         Q = np.column_stack([Q, q])
-        eps = embed.exact_distortion(S, A, b).epsilon
         Z = Q @ gen.standard_normal((Q.shape[1], 1000))
         norms_sq = (Z ** 2).sum(axis=0)
-        sketched_sq = (embed.apply(S, Z) ** 2).sum(axis=0)
+        sketched_sq = (embed.apply(P.S, Z) ** 2).sum(axis=0)
         slack = 1e-12 * norms_sq
-        assert np.all(sketched_sq >= (1 - eps) * norms_sq - slack)
-        assert np.all(sketched_sq <= (1 + eps) * norms_sq + slack)
+        assert np.all(sketched_sq >= (1 - P.eps) * norms_sq - slack)
+        assert np.all(sketched_sq <= (1 + P.eps) * norms_sq + slack)
     ok = worst_err <= 1e-8
     assert report("criterion 8 (oracle equivalence)", ok,
                   f"worst solver-vs-QR error {worst_err:.3e}")

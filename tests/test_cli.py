@@ -794,7 +794,7 @@ def suite_noise_floor(bound_id, P, oracle) -> float:
     """The noise floor that ``diagnostics`` gives a row of the bound suite
     of ``P``: the lhs below which the row passes as rounding noise."""
     BoundId, norm_A = diagnostics.BoundId, P.A.spectral_norm()
-    scale = {BoundId.GEOM_PRESERVE: norm_A * np.linalg.norm(P.r_s),
+    scale = {BoundId.GEOM_PRESERVE: norm_A * P.rs_norm,
              BoundId.RESIDUAL_SANDWICH: 0.0, BoundId.ACUTE_CRITERION: 0.0,
              BoundId.BACKWARD_E1: norm_A,
              BoundId.BACKWARD_E2: oracle.r_ls_norm / np.linalg.norm(P.x_s)}
@@ -815,7 +815,7 @@ def slow_oracle_cell(source: str, kind: embed.SketchKind):
             A = MatrixHandle(A.dense())
     problem = cli.SeedProblem(A, 4, 1e-3)
     P = cli._sketch_cell(problem, kind, d)
-    R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, d))
+    R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, d), eps=P.eps)
     return problem, P, R
 
 
@@ -900,7 +900,7 @@ class TestSketchCell:
             embed.exact_distortion(R.S, problem.A, problem.b).epsilon, rel=1e-13)
         x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
         assert np.linalg.norm(P.x_s - R.x_s) <= x_tol * np.linalg.norm(R.x_s)
-        got, want = (diagnostics.run_bound_suite(X, problem.oracle, P.eps) for X in (P, R))
+        got, want = (diagnostics.run_bound_suite(X, problem.oracle) for X in (P, R))
         assert len(got) == len(want) == len(diagnostics.SUITE_BOUND_IDS)
         for mine, ref in zip(got, want):
             # SA's rank floor in the acute row is max(d, n) on both, not
@@ -1066,7 +1066,7 @@ class TestReducedSolves:
         A = config.sources[0].load()
         problem = cli.SeedProblem(A, 0, config.rho)
         P = cli._sketch_cell(problem, kind, 200)
-        R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, 200))
+        R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, 200), eps=P.eps)
         for solver in (cli.lsqr, cli.lsmr):
             max_iters = []
 
@@ -1477,6 +1477,21 @@ class TestFigures:
         for style, value in (("ratio", "0.25"), ("residual", "0.5")):
             with open(tmp_path / f"figure_{style}_gaussian_lsmr.csv", newline="") as fh:
                 assert list(csv.reader(fh)) == [["k", "x_gaussian_d8_s0_lsmr"], ["1", value]]
+
+    def test_name_without_kind_and_solver_skipped(self, tmp_path, capsys):
+        # a name is bundled only when it ends in a sketch kind, two parts
+        # and a solver, as run names a trace; other names of four or more
+        # parts are skipped like short ones, not bundled by their last part
+        trace = "k,rnorm,ne_ratio\n1,0.5,0.25\n"
+        names = ["x_gaussian_d8_s0_lsmr", "my_notes_v2_final", "x_gauss_d8_s0_lsmr",
+                 "x_sparse_d8_s0_cg", "short"]
+        for name in names:
+            (tmp_path / f"{name}_trace.csv").write_text(trace)
+        assert main(["figures", "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: skipping unrecognized trace {name}_trace.csv" for name in sorted(names[1:])]
+        assert sorted(p.name for p in tmp_path.glob("figure_*")) == [
+            "figure_ratio_gaussian_lsmr.csv", "figure_residual_gaussian_lsmr.csv"]
 
     def test_missing_dir_is_config_error(self, tmp_path, capsys):
         absent = tmp_path / "absent"

@@ -14,7 +14,7 @@ from sketchls.diagnostics import (BoundId, BoundReport, SketchedProblem, _report
                                   e1_minimizer_gap,
                                   run_bound_suite, sandwich_multiplier, sketch_factor,
                                   solve_sketched, write_bound_reports)
-from sketchls.embed import build_sketch, exact_distortion
+from sketchls.embed import SketchKind, SketchOperator, SparsePayload, build_sketch
 from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesize_matrix, \
     synthesize_problem
 from sketchls.rng import stream
@@ -56,13 +56,11 @@ class TestSketchedProblem:
         assert np.array_equal(P.Sb, T @ span.c_b)
         x_ref = qr_ls_solve(P.SA, P.Sb)
         assert np.linalg.norm(P.x_s - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
-        run_bound_suite(P, oracle, 0.5)
+        run_bound_suite(P, oracle)
 
     def test_acute_reads_cached_singular_values(self, monkeypatch):
         A, b, _ = build_instance()
-        S = build_sketch("gaussian", 64, 300, 7)
-        P = DRowProblem(A, b, S)
-        eps = exact_distortion(S, A, b).epsilon
+        P = DRowProblem(A, b, build_sketch("gaussian", 64, 300, 7))
         A.spectral()
         P.sv
         calls = []
@@ -73,7 +71,7 @@ class TestSketchedProblem:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "svd", counting)
-        assert check_acute_criterion(P, eps).passed
+        assert check_acute_criterion(P).passed
         assert calls == []
 
 
@@ -81,7 +79,7 @@ class TestGeometricPreservation:
     def test_identity_double_is_exact(self):
         A, b, _ = build_instance()
         S = identity_sketch(300)
-        rep = check_geometric_preservation(DRowProblem(A, b, S), np.ones(4), eps=0.0)
+        rep = check_geometric_preservation(DRowProblem(A, b, S, eps=0.0), np.ones(4))
         assert rep.passed
         assert rep.lhs <= 1e-12
 
@@ -89,20 +87,17 @@ class TestGeometricPreservation:
     def test_random_directions_all_pass(self, seed):
         A = random_tall(40, 4, seed)
         b = random_rhs(40, seed)
-        S = build_sketch("gaussian", 12, 40, seed)
-        eps = exact_distortion(S, A, b).epsilon
         gen = stream(seed, "y")
-        P = DRowProblem(A, b, S)
+        P = DRowProblem(A, b, build_sketch("gaussian", 12, 40, seed))
         for _ in range(100):
-            rep = check_geometric_preservation(P, gen.standard_normal(4), eps)
+            rep = check_geometric_preservation(P, gen.standard_normal(4))
             assert rep.passed
 
     def test_at_reference_solution_matches_cross_term(self):
         # A^T r_ls = 0 makes the lhs equal the cross normal-equation numerator
         A, b, oracle = build_instance()
         S = build_sketch("srht", 64, 300, 5)
-        eps = exact_distortion(S, A, b).epsilon
-        rep = check_geometric_preservation(DRowProblem(A, b, S), oracle.x_ls, eps)
+        rep = check_geometric_preservation(DRowProblem(A, b, S), oracle.x_ls)
         SA = embed.apply(S, A.dense())
         cross = np.linalg.norm(SA.T @ embed.apply(S, oracle.r_ls))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
@@ -114,21 +109,20 @@ class TestGeometricPreservation:
         # coordinates take no other product with A
         A, b, _ = build_instance()
         S = build_sketch("sparse", 64, 300, 5)
-        eps = exact_distortion(S, A, b).epsilon
         span = embed.span_coordinates(A, b)
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
         P = SketchedProblem(A, b, span, SW)
         P.r_s
-        at_copy = check_geometric_preservation(P, P.x_s.copy(), eps)
+        at_copy = check_geometric_preservation(P, P.x_s.copy())
         monkeypatch.setattr(MatrixHandle, "matvec", None)
-        assert check_geometric_preservation(P, P.x_s, eps) == at_copy
+        assert check_geometric_preservation(P, P.x_s) == at_copy
 
     def test_zero_residual_vacuous(self):
         A = random_tall(20, 2, 1)
         x = np.array([1.0, 2.0])
         b = A.matvec(x)
         S = build_sketch("gaussian", 8, 20, 1)
-        rep = check_geometric_preservation(DRowProblem(A, b, S), x, eps=0.5)
+        rep = check_geometric_preservation(DRowProblem(A, b, S, eps=0.5), x)
         assert rep.passed and "zero residual" in rep.note
 
 
@@ -137,23 +131,20 @@ class TestResidualBounds:
     @pytest.mark.parametrize("seed", range(3))
     def test_all_pass_with_oracle_epsilon(self, kind, seed):
         A, b, oracle = build_instance(pseed=seed)
-        S = build_sketch(kind, 128, 300, seed)
-        eps = exact_distortion(S, A, b).epsilon
-        assert eps < 1
-        for rep in check_residual_bounds(DRowProblem(A, b, S), oracle, eps):
+        P = DRowProblem(A, b, build_sketch(kind, 128, 300, seed))
+        assert P.eps < 1
+        for rep in check_residual_bounds(P, oracle):
             assert rep.passed, rep
 
     def test_lower_sandwich_side(self):
         A, b, oracle = build_instance()
-        S = build_sketch("gaussian", 128, 300, 3)
-        x_s = solve_sketched(A, b, S)
+        x_s = solve_sketched(A, b, build_sketch("gaussian", 128, 300, 3))
         r_s_norm = np.linalg.norm(A.matvec(x_s) - b)
         assert r_s_norm >= oracle.r_ls_norm * (1 - 1e-12)
 
     def test_pythagorean_identity(self):
         A, b, oracle = build_instance()
-        S = build_sketch("gaussian", 128, 300, 3)
-        x_s = solve_sketched(A, b, S)
+        x_s = solve_sketched(A, b, build_sketch("gaussian", 128, 300, 3))
         assert pythagorean_gap(oracle, A.matvec(x_s) - b) <= 1e-8
 
     def test_consistent_case_collapses(self):
@@ -161,19 +152,17 @@ class TestResidualBounds:
         x = stream(4, "x").standard_normal(5)
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
-        S = build_sketch("gaussian", 20, 60, 4)
-        P = DRowProblem(A, b, S)
+        P = DRowProblem(A, b, build_sketch("gaussian", 20, 60, 4))
         x_s = P.x_s
         assert np.linalg.norm(x_s - oracle.x_ls) <= 1e-10 * np.linalg.norm(x)
-        reports = check_residual_bounds(P, oracle, exact_distortion(S, A, b).epsilon)
+        reports = check_residual_bounds(P, oracle)
         by_id = {r.bound_id: r for r in reports}
         assert "consistent" in by_id[BoundId.RESIDUAL_SANDWICH].note
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
 
     def test_identity_double_all_zero(self):
         A, b, oracle = build_instance()
-        S = identity_sketch(300)
-        reports = check_residual_bounds(DRowProblem(A, b, S), oracle, eps=0.0)
+        reports = check_residual_bounds(DRowProblem(A, b, identity_sketch(300), eps=0.0), oracle)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.RESIDUAL_DIRECTION].lhs <= 1e-6
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
@@ -266,7 +255,7 @@ class TestExplicitPerturbations:
     def test_identity_double_e1_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        reports = check_explicit_perturbations(DRowProblem(A, b, S), oracle, eps=0.0)
+        reports = check_explicit_perturbations(DRowProblem(A, b, S, eps=0.0), oracle)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].lhs <= 1e-10
         assert all(r.passed for r in reports)
@@ -275,10 +264,8 @@ class TestExplicitPerturbations:
         A = random_tall(30, 3, 9)
         b = synthesize_problem(A, 9)
         oracle = solve_ls_oracle(A, b)
-        S = build_sketch("sparse", 12, 30, 9)
-        eps = exact_distortion(S, A, b).epsilon
-        P = DRowProblem(A, b, S)
-        reports = check_explicit_perturbations(P, oracle, eps)
+        P = DRowProblem(A, b, build_sketch("sparse", 12, 30, 9))
+        reports = check_explicit_perturbations(P, oracle)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].passed
         # x_s exactly minimizes the E1-perturbed problem
@@ -287,10 +274,9 @@ class TestExplicitPerturbations:
     @pytest.mark.parametrize("seed", range(5))
     def test_e2_bound_with_informative_epsilon(self, seed):
         A, b, oracle = build_instance(pseed=seed)
-        S = build_sketch("gaussian", 128, 300, seed)
-        eps = exact_distortion(S, A, b).epsilon
-        assert eps < 1
-        reports = check_explicit_perturbations(DRowProblem(A, b, S), oracle, eps)
+        P = DRowProblem(A, b, build_sketch("gaussian", 128, 300, seed))
+        assert P.eps < 1
+        reports = check_explicit_perturbations(P, oracle)
         assert all(r.passed for r in reports)
 
 
@@ -301,16 +287,14 @@ class TestSolutionError:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        reports = check_solution_error(DRowProblem(A, b, S), oracle,
-                                       exact_distortion(S, A, b).epsilon)
+        reports = check_solution_error(DRowProblem(A, b, S), oracle)
         assert all(r.passed for r in reports)
         assert reports[0].lhs <= 1e-10
 
     def test_well_conditioned_large_margin(self):
         A, b, oracle = build_instance(cond=3.0)
         S = build_sketch("gaussian", 128, 300, 2)
-        eps = exact_distortion(S, A, b).epsilon
-        for rep in check_solution_error(DRowProblem(A, b, S), oracle, eps):
+        for rep in check_solution_error(DRowProblem(A, b, S), oracle):
             assert rep.passed
             assert rep.margin > 0
 
@@ -318,8 +302,7 @@ class TestSolutionError:
         # bounds still hold but the guarantee degrades with conditioning
         A, b, oracle = build_instance(m=300, n=6, cond=1e6, mseed=13, pseed=13)
         S = build_sketch("gaussian", 128, 300, 13)
-        eps = exact_distortion(S, A, b).epsilon
-        reports = check_solution_error(DRowProblem(A, b, S), oracle, eps)
+        reports = check_solution_error(DRowProblem(A, b, S), oracle)
         assert all(r.passed for r in reports)
         assert reports[0].rhs > 1  # vacuously wide in the ill-conditioned regime
 
@@ -327,7 +310,7 @@ class TestSolutionError:
 class TestAcute:
     def test_identity_double(self):
         A, b, _ = build_instance()
-        rep = check_acute_criterion(DRowProblem(A, b, identity_sketch(300)), eps=0.0)
+        rep = check_acute_criterion(DRowProblem(A, b, identity_sketch(300), eps=0.0))
         assert rep.passed and rep.lhs == 0.0
 
     def test_small_instance_with_small_epsilon(self):
@@ -335,23 +318,41 @@ class TestAcute:
         A = synthesize_matrix(10, 2, 2.0, 1)
         b = random_rhs(10, 1)
         for seed in range(200):
-            S = build_sketch("srht", 8, 10, seed)
-            eps = exact_distortion(S, A, b).epsilon
-            if eps < 0.5:
+            P = DRowProblem(A, b, build_sketch("srht", 8, 10, seed))
+            if P.eps < 0.5:
                 break
         else:
             pytest.fail("no seed with eps < 0.5")
-        rep = check_acute_criterion(DRowProblem(A, b, S), eps)
+        rep = check_acute_criterion(P)
         assert rep.passed and "rank" not in rep.note
 
     def test_sufficient_not_necessary(self):
         A, b, _ = build_instance(cond=1000.0, mseed=31)
-        S = build_sketch("gaussian", 128, 300, 2)
-        eps = exact_distortion(S, A, b).epsilon
-        assert A.spectral().cond * eps >= 1
-        rep = check_acute_criterion(DRowProblem(A, b, S), eps)
+        P = DRowProblem(A, b, build_sketch("gaussian", 128, 300, 2))
+        assert A.spectral().cond * P.eps >= 1
+        rep = check_acute_criterion(P)
         assert rep.passed
         assert "sufficient-not-necessary" in rep.note
+
+    @pytest.mark.parametrize("rank_one, eps, passed, note", [
+        (False, 0.0, True, ""),
+        (False, 1.0, True, "sufficient-not-necessary: rank(SA) full despite kappa*eps >= 1"),
+        (True, 0.0, False, "criterion met but SA rank deficient"),
+        (True, 1.0, False, "rank(SA) deficient"),
+    ], ids=["full-rank-met", "full-rank-not-met", "rank-one-met", "rank-one-not-met"])
+    def test_four_outcomes(self, rank_one, eps, passed, note):
+        # the row passes exactly when SA has full column rank, whether
+        # kappa * eps <= 1 (eps = 0) or not (kappa = 10, eps = 1); the note
+        # names the pair
+        A, b, _ = build_instance()
+        S = build_sketch("gaussian", 64, 300, 7)
+        if rank_one:  # a CountSketch of every row to row 0: SA is one nonzero row
+            S = SketchOperator(SketchKind.SPARSE, 64, 300, 0,
+                               SparsePayload(np.zeros(300, dtype=np.int64), np.ones(300)))
+        rep = check_acute_criterion(DRowProblem(A, b, S, eps=eps))
+        lhs = A.condition_number() * eps
+        assert (rep.lhs, rep.rhs, rep.margin) == (lhs, 1.0, 1.0 - lhs)
+        assert (rep.passed, rep.note) == (passed, note)
 
 
 # a general lemma on dense pseudoinverses, not a property of a sketch, so
@@ -417,33 +418,29 @@ class TestSuite:
         # cell's coordinates take no product with A for these
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
-        eps = exact_distortion(S, A, b).epsilon
         span = embed.span_coordinates(A, b)
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
+        R, P = DRowProblem(A, b, S), SketchedProblem(A, b, span, SW)
         calls = Counter()
         for name in ("matvec", "rmatvec"):
             def counting(self, v, real=getattr(MatrixHandle, name), name=name):
                 calls[name] += 1
                 return real(self, v)
             monkeypatch.setattr(MatrixHandle, name, counting)
-        run_bound_suite(DRowProblem(A, b, S), oracle, eps)
+        run_bound_suite(R, oracle)
         assert calls == {"matvec": 3, "rmatvec": 2}
         calls.clear()
-        run_bound_suite(SketchedProblem(A, b, span, SW), oracle, eps)
+        run_bound_suite(P, oracle)
         assert calls == {"matvec": 1, "rmatvec": 1}
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()
-        S = identity_sketch(300)
-        reports = run_bound_suite(DRowProblem(A, b, S), oracle,
-                                  exact_distortion(S, A, b).epsilon)
+        reports = run_bound_suite(DRowProblem(A, b, identity_sketch(300)), oracle)
         assert all(r.passed for r in reports)
 
     def test_csv_export(self, tmp_path):
         A, b, oracle = build_instance()
-        S = build_sketch("gaussian", 128, 300, 1)
-        reports = run_bound_suite(DRowProblem(A, b, S), oracle,
-                                  exact_distortion(S, A, b).epsilon)
+        reports = run_bound_suite(DRowProblem(A, b, build_sketch("gaussian", 128, 300, 1)), oracle)
         path = tmp_path / "bounds.csv"
         write_bound_reports(path, reports, seed=1, kind="gaussian", matrix="t", d=128)
         import csv

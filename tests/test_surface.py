@@ -17,7 +17,8 @@ SRC = Path(sketchls.__file__).resolve().parent
 UNREACHED = {
     # slow references, each compared with the fast path in tier-1
     "embed.exact_distortion": "eps of the sketched d-row basis, the reference of a "
-                              "cell's eps (test_cli.py); bench/tracer.py wraps it",
+                              "cell's eps (test_cli.py) and DRowProblem's default "
+                              "eps; bench/tracer.py wraps it",
     "embed.subspace_basis": "exact_distortion's basis; bench/tracer.py wraps it",
     "embed.apply_adjoint": "bench/tracer.py wraps it; the d-row reference's "
                            "geometric defect",
@@ -261,3 +262,13 @@ def test_one_source_driver():
                 catchers.append(where)
     assert callers["_load"] == callers["_fit_d"] == {"_source_runs"}
     assert sorted(catchers) == ["_load", "_source_runs"]
+
+
+def test_bound_checks_take_eps_from_the_pair():
+    # eps is the pair's own (P.eps), so a diagnostics function that takes
+    # the pair P takes no eps beside it: a caller cannot pass another one
+    tree = ast.parse((SRC / "diagnostics.py").read_text(encoding="utf-8"))
+    both = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and [a.arg for a in node.args.args][:1] == ["P"]
+            and "eps" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert both == [], f"{both} take eps beside P, whose eps is P.eps"
