@@ -72,6 +72,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
@@ -593,8 +594,9 @@ def emit_figure_data(output_dir) -> List[Path]:
     Styles: ``ratio`` (unsketched normal ratio vs k) and ``residual``
     (unsketched residual norm vs k); one column per run.  ``output_dir``
     that is not a directory is a config error; a trace that cannot be read,
-    is not ASCII, lacks a column, or has no sketch kind and solver where
-    ``run`` names them (``<kind>_d<d>_s<seed>_<solver>``) is skipped with a warning.
+    is not ASCII, lacks a column, or whose name does not end as ``run``
+    names a trace (``<kind>_d<d>_s<seed>_<solver>``, d and seed integers) is
+    skipped with a warning.
     """
     out_dir = Path(output_dir)
     if not out_dir.is_dir():
@@ -608,7 +610,8 @@ def emit_figure_data(output_dir) -> List[Path]:
         stem = path.name[: -len("_trace.csv")]
         parts = stem.split("_")
         if len(parts) < 4 or parts[-4] not in {k.value for k in embed.SketchKind} \
-                or parts[-1] not in SOLVERS:
+                or not re.fullmatch("d[0-9]+", parts[-3]) \
+                or not re.fullmatch("s[0-9]+", parts[-2]) or parts[-1] not in SOLVERS:
             print(f"warning: skipping unrecognized trace {path.name}", file=sys.stderr)
             continue
         try:

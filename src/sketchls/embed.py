@@ -17,6 +17,13 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
   sqrt(1 - d/m'); d = m' gives an exact isometry.  :func:`apply` runs it
   on a column block of X at a time, in one reusable m' x w buffer of about
   :data:`~sketchls.matio.BLOCK_BYTES`, never an m' x k copy of all of X.
+  It forms only the d sampled rows of the transform, through the split
+  H(m') = H(A) kron H(B) of the Sylvester matrix (row i = i1 B + i2): the
+  butterflies of H(A) run on the block, and each sampled row is then the
+  product of row i2 of H(B) with the B rows of the block's part i1, one
+  GEMM per distinct i1.  B is the largest power of two <= m' with
+  d B <= BLOCK_BYTES / 8; the operator keeps its d sampled rows of H(B) as
+  int8 (:attr:`SketchOperator.srht_inner_rows`).
 * The sparse operator is a CountSketch (Clarkson & Woodruff 2013): each
   coordinate goes to one uniformly chosen row with a random sign, and no
   scaling is needed.  It is applied as a d x m CSR matrix with one entry per
@@ -94,6 +101,16 @@ class SketchOperator:
         built on first use and kept, so every product with S shares it."""
         return _countsketch_matrix(self)
 
+    @cached_property
+    def srht_inner_rows(self) -> np.ndarray:
+        """The SRHT kind's sampled rows of H(B), the inner Hadamard factor
+        of :func:`apply` (:func:`_inner_order`): row r is row
+        ``indices[r] % B`` of the B x B Sylvester matrix, as a d x B int8
+        array built on first use and kept."""
+        p = self.payload
+        B = _inner_order(self.d, p.padded_len)
+        return _hadamard_rows(p.indices % B, B)
+
 
 @dataclass
 class DistortionReport:
@@ -169,6 +186,26 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _inner_order(d: int, padded_len: int) -> int:
+    """B of the SRHT's split H(m') = H(m' / B) kron H(B): the largest power
+    of two <= m' with d B <= BLOCK_BYTES // 8, so that the d sampled rows of
+    H(B) as float64 fill one block at most; 1 when d alone exceeds that."""
+    return min(padded_len, 1 << max(0, (BLOCK_BYTES // 8 // d).bit_length() - 1))
+
+
+def _hadamard_rows(rows: np.ndarray, B: int) -> np.ndarray:
+    """Rows ``rows`` of the B x B Sylvester Hadamard matrix as int8, filled
+    in place by doubling: H[i, j + h] = (-1)^(bit h of i) H[i, j] for j < h."""
+    H = np.empty((rows.size, B), dtype=np.int8)
+    H[:, 0] = 1
+    h = 1
+    while h < B:
+        sign = np.where(rows & h, -1, 1).astype(np.int8)
+        np.multiply(H[:, :h], sign[:, None], out=H[:, h:2 * h])
+        h *= 2
+    return H
+
+
 def _countsketch_matrix(S: SketchOperator) -> scipy.sparse.csr_matrix:
     """The sparse kind as a d x m CSR matrix: entry signs[j] at (rows[j], j).
 
@@ -188,15 +225,22 @@ def apply(S: SketchOperator, X, out: Optional[np.ndarray] = None) -> np.ndarray:
     which is returned; else into a new C-ordered array.
 
     An SRHT and a CountSketch each hold about one block of BLOCK_BYTES
-    besides X and ``out``, and a vector is one column.  An SRHT transforms
-    a column block of X at a time through one reusable m' x w buffer,
-    w = max(1, BLOCK_BYTES // (8 m')) columns, and writes its sampled rows
-    into ``out``; each column goes through the same sign flip, butterflies
-    and scaling whatever its block, so the result is bit for bit that of
-    one m' x k transform, and :func:`fwht`'s scratch of half a block is
-    held besides.  A CountSketch takes X in C order (a copy only when it
-    is not) and forms ``out`` one block of h = max(1, BLOCK_BYTES // (8 k))
-    rows at a time, each the product of h rows of the CSR matrix with X.
+    besides X and ``out``, and a vector is one column.  An SRHT signs and
+    pads a column block of X at a time into one reusable m' x w buffer,
+    w = max(1, BLOCK_BYTES // (8 m')) columns.  With m' = A B
+    (:func:`_inner_order`) it runs :func:`fwht` on the block viewed as
+    A rows of B w, the A-order outer butterflies, and then each run of
+    sampled rows with one quotient i1 = i // B is one GEMM: those rows of
+    H(B) (:attr:`SketchOperator.srht_inner_rows`, made float64 one run at a
+    time) times the block's B x w part i1, over sqrt(d), into ``out``.  So
+    the result is that of one m' x k transform to rounding (log2 A stages
+    and a length-B dot product in place of log2 m' stages), and it holds the
+    block, :func:`fwht`'s scratch of half a block and the d x B int8 rows.
+    When d alone exceeds BLOCK_BYTES // 8, B = 1 and the block takes all
+    log2 m' stages, its sampled rows gathered.  A CountSketch takes X in C
+    order (a copy only when it is not) and forms ``out`` one block of
+    h = max(1, BLOCK_BYTES // (8 k)) rows at a time, each the product of h
+    rows of the CSR matrix with X.
     Each entry of ``out`` is one row of the CSR matrix times one column of
     X, with its terms added in the order of the coordinates whatever the
     block, so the result is bit for bit that of one product with all of X.
@@ -227,13 +271,24 @@ def apply(S: SketchOperator, X, out: Optional[np.ndarray] = None) -> np.ndarray:
     buf = np.empty(mp * w)
     signs_in = p.signs[: S.m, None]
     scale = np.sqrt(S.d)
+    H = S.srht_inner_rows
+    B = H.shape[1]
+    outer = p.indices // B
+    starts = np.flatnonzero(np.diff(outer, prepend=-1))
+    runs = list(zip(starts, np.append(starts[1:], S.d)))
     for j in range(0, k, w):
         width = min(w, k - j)
         Y = buf[: mp * width].reshape(mp, width)
         np.multiply(cols[:, j:j + width], signs_in, out=Y[: S.m])
         Y[S.m:] = 0.0
-        fwht(Y)
-        np.divide(Y[p.indices], scale, out=out_cols[:, j:j + width])
+        fwht(Y.reshape(mp // B, B * width))
+        if B == 1:
+            np.divide(Y[p.indices], scale, out=out_cols[:, j:j + width])
+            continue
+        parts = Y.reshape(mp // B, B, width)
+        for lo, hi in runs:
+            np.divide(H[lo:hi].astype(np.float64) @ parts[outer[lo]], scale,
+                      out=out_cols[lo:hi, j:j + width])
     return out
 
 

@@ -85,8 +85,9 @@ CHOLQR_COND_LIMIT = 1e8
 # bytes of a working block, the one block size of every m-row pass that
 # runs a block at a time: the row block of X (T^-1 Q2) formed at a time when
 # A's Q is written into X's buffer, the row block of a CholeskyQR triangular
-# solve, and the block of an SRHT or CountSketch apply (sketchls.embed);
-# smaller blocks make numpy's inner loops too short
+# solve, and the block of an SRHT or CountSketch apply (sketchls.embed),
+# which also caps an SRHT's d sampled rows of its inner Hadamard factor as
+# float64; smaller blocks make numpy's inner loops too short
 BLOCK_BYTES = 1 << 20
 
 

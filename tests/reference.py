@@ -4,9 +4,9 @@ Each is the definition of something the package computes a faster way, and
 a test compares the two: the d-row sketched problem of an explicit S
 against a CLI cell (``sketchls.diagnostics.SketchedProblem``; both are a
 ``SketchedPair``, which holds what the bound checks share, and each carries
-its own eps), the explicit matrix of a sketch and the one-shot SRHT against
-``sketchls.embed.apply``, and the Matrix Market writer and a handle's CSR
-arrays against the loader.
+its own eps), the explicit matrix of a sketch and the one-shot butterfly
+SRHT against ``sketchls.embed.apply``, and the Matrix Market writer and a
+handle's CSR arrays against the loader.
 """
 
 from __future__ import annotations
@@ -91,9 +91,12 @@ def materialize(S: SketchOperator) -> np.ndarray:
 
 def srht_one_shot(S: SketchOperator, X: np.ndarray) -> np.ndarray:
     """S @ X for an SRHT S by one transform of all of X: the signed X in
-    the first m rows of an m' x k zero array, the Walsh-Hadamard transform,
-    and the sampled rows over sqrt(d); ``embed.apply`` streams it a column
-    block at a time."""
+    the first m rows of an m' x k zero array, all log2 m' butterfly stages
+    of :func:`embed.fwht`, and the sampled rows over sqrt(d).  It is the
+    butterfly oracle of ``embed.apply``, which takes X a column block at a
+    time, runs only the outer stages of H(m') = H(A) kron H(B) and forms
+    the sampled rows of the inner factor by a GEMM, so the two agree to
+    rounding."""
     p = S.payload
     Y = np.zeros((p.padded_len,) + X.shape[1:])
     signs_in = p.signs[: S.m]

@@ -1479,12 +1479,14 @@ class TestFigures:
                 assert list(csv.reader(fh)) == [["k", "x_gaussian_d8_s0_lsmr"], ["1", value]]
 
     def test_name_without_kind_and_solver_skipped(self, tmp_path, capsys):
-        # a name is bundled only when it ends in a sketch kind, two parts
-        # and a solver, as run names a trace; other names of four or more
-        # parts are skipped like short ones, not bundled by their last part
+        # a name is bundled only when it ends in a sketch kind, d<int>,
+        # s<int> and a solver, as run names a trace; other names of four or
+        # more parts are skipped like short ones, not bundled by their kind
+        # and last part
         trace = "k,rnorm,ne_ratio\n1,0.5,0.25\n"
         names = ["x_gaussian_d8_s0_lsmr", "my_notes_v2_final", "x_gauss_d8_s0_lsmr",
-                 "x_sparse_d8_s0_cg", "short"]
+                 "x_sparse_d8_s0_cg", "short", "notes_gaussian_old_copy_lsmr",
+                 "x_gaussian_dX_sY_lsmr"]
         for name in names:
             (tmp_path / f"{name}_trace.csv").write_text(trace)
         assert main(["figures", "--output-dir", str(tmp_path)]) == EXIT_OK

@@ -174,9 +174,39 @@ def block_width(padded_len: int) -> int:
     return max(1, BLOCK_BYTES // (8 * padded_len))
 
 
+def signed_sum_bound(S: SketchOperator, X: np.ndarray, roundings: int) -> np.ndarray:
+    """gamma_n ||x||_1 / sqrt(d), n = ``roundings``, for each column x of X:
+    the forward error bound of an entry of S x, a signed sum of the entries
+    of x over sqrt(d), when each term passes through n roundings on its way
+    (gamma_n = n u / (1 - n u), u the unit roundoff)."""
+    u = np.finfo(np.float64).eps / 2
+    return roundings * u / (1 - roundings * u) * np.abs(X).sum(axis=0) / np.sqrt(S.d)
+
+
+def apply_roundings(S: SketchOperator) -> int:
+    """Roundings of a term in ``apply``'s SRHT with m' = A B: log2 A outer
+    butterfly stages, a length-B dot product with H(B)'s +-1 entries, and
+    the division by sqrt(d)."""
+    B = S.srht_inner_rows.shape[1]
+    return int(np.log2(S.payload.padded_len // B)) + B + 1
+
+
+def one_shot_roundings(S: SketchOperator) -> int:
+    """Roundings of a term in ``reference.srht_one_shot``: log2 m' butterfly
+    stages and the division by sqrt(d)."""
+    return int(np.log2(S.payload.padded_len)) + 1
+
+
+def assert_near_one_shot(S: SketchOperator, X: np.ndarray, got: np.ndarray) -> None:
+    """``got`` = S X within the sum of the error bounds of the two paths."""
+    bound = signed_sum_bound(S, X, apply_roundings(S) + one_shot_roundings(S))
+    assert np.all(np.abs(got - srht_one_shot(S, X)) <= bound)
+
+
 class TestSrhtBlocks:
-    """The SRHT apply, a column block at a time, against one transform of
-    all of X (``reference.srht_one_shot``)."""
+    """The SRHT apply, a column block at a time through the split
+    H(m') = H(A) kron H(B), against one transform of all of X by
+    :func:`fwht` (``reference.srht_one_shot``)."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("m,shape", [
@@ -189,16 +219,70 @@ class TestSrhtBlocks:
         (140000, (3,)),     # a column larger than the block: w = 1
     ])
     def test_bit_equal_to_one_shot(self, m, shape, order):
+        # within rounding of the one-shot transform: B = 2048 of m' = 4096
+        # or 262144 at d = 40, so the outer stages and the GEMM both run
         S = build_sketch("srht", 40, m, seed=4)
         mp = S.payload.padded_len
         w = block_width(mp)
         k = shape[0] if shape else 1
         assert w == {4096: 32, 262144: 1}[mp]
+        assert S.srht_inner_rows.shape == (40, 2048)
         X = np.asarray(stream(4, "srht-blocks", m, k).standard_normal((m,) + shape),
                        order=order)
         got = apply(S, X)
         assert got.shape == (40,) + shape and got.flags.c_contiguous
-        assert np.array_equal(got, srht_one_shot(S, X))
+        assert_near_one_shot(S, X, got)
+
+    @pytest.mark.parametrize("d,m,A", [
+        (1, 2, 1),          # the smallest operator: m' = B = 2
+        (7, 100, 1),
+        (40, 3000, 2),
+        (500, 3000, 16),
+        (1000, 2000, 16),
+        (300, 4096, 16),    # m = m', no padding
+    ])
+    def test_matches_materialize(self, d, m, A):
+        # the explicit d x m matrix times X is a length-m sum of terms
+        # rounded once each
+        S = build_sketch("srht", d, m, seed=8)
+        assert S.payload.padded_len == A * S.srht_inner_rows.shape[1]
+        X = stream(8, "srht-materialize", m).standard_normal((m, 3))
+        bound = signed_sum_bound(S, X, apply_roundings(S) + m + 1)
+        assert np.all(np.abs(apply(S, X) - materialize(S) @ X) <= bound)
+
+    def test_zero_columns(self):
+        S = build_sketch("srht", 30, 1000, seed=1)
+        got = apply(S, np.empty((1000, 0)))
+        assert got.shape == (30, 0)
+        out = np.empty((30, 0))
+        assert apply(S, np.empty((1000, 0)), out=out) is out
+
+    def test_inner_order_one_is_the_fwht_path(self):
+        # d B <= BLOCK_BYTES / 8 fails already at B = 1, so the block takes
+        # all log2 m' stages and its sampled rows are gathered: the one-shot
+        # transform bit for bit
+        d = BLOCK_BYTES // 8 + 1
+        S = build_sketch("srht", d, 140000, seed=6)
+        assert S.srht_inner_rows.shape == (d, 1) and np.all(S.srht_inner_rows == 1)
+        x = stream(6, "srht-fwht-path").standard_normal(140000)
+        assert np.array_equal(apply(S, x), srht_one_shot(S, x))
+
+    @pytest.mark.parametrize("d,m,B", [(7, 100, 128), (500, 3000, 256), (40, 3000, 2048)])
+    def test_inner_rows_are_hadamard_rows(self, d, m, B):
+        S = build_sketch("srht", d, m, seed=7)
+        rows = S.srht_inner_rows
+        assert rows.dtype == np.int8 and rows is S.srht_inner_rows
+        assert np.array_equal(rows, scipy.linalg.hadamard(B)[S.payload.indices % B])
+
+    def test_vector_is_the_matrix_column(self):
+        # a vector is a block of one column, a matrix's column one of 32;
+        # each is within apply's bound of S x
+        S = build_sketch("srht", 40, 3000, seed=9)
+        X = stream(9, "srht-columns").standard_normal((3000, 40))
+        SX = apply(S, X)
+        for j in (0, 31, 32, 39):
+            bound = signed_sum_bound(S, X[:, j], 2 * apply_roundings(S))
+            assert np.all(np.abs(apply(S, X[:, j]) - SX[:, j]) <= bound)
 
     def test_memory_bounded_by_the_block(self):
         m, k, d = 20000, 64, 200
