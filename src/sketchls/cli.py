@@ -440,20 +440,19 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
         embed.apply(S, A.qr_factor()[0], out=SW[:, : A.cols])
         if span.u is not None:
             embed.apply(S, span.u, out=SW[:, A.cols])
-    return diagnostics.SketchedProblem(A, problem.b, span, SW)
+    return diagnostics.SketchedProblem(problem.oracle, span, SW)
 
 
-def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem, problem: SeedProblem,
+def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem,
                 config: ExperimentConfig) -> Tuple[SolveResult, MetricsObserver]:
     """``solver_fn`` on a cell's sketched problem under ``config.policy``, and
     the oracle-path observer that watched it; only the traditional stop reads
     ||SA||.  max_iter is min(2n, d), set by the d-row problem, not the pair."""
     op_norm = P.norm_SA if config.policy.mode is StopMode.TRADITIONAL else math.nan
     controller = StoppingController(config.policy, op_norm=op_norm, epsilon=P.eps)
-    observer = MetricsObserver(problem.A, problem.b, stride=config.stride,
-                               oracle=problem.oracle)
+    observer = MetricsObserver(P.A, P.b, stride=config.stride, oracle=P.oracle)
     result = solver_fn(LinearOperatorView.from_matrix(P.SA), P.Sb, observer=observer,
-                       stop=controller, max_iter=min(2 * problem.A.cols, P.d))
+                       stop=controller, max_iter=min(2 * P.A.cols, P.d))
     return result, observer
 
 
@@ -478,7 +477,7 @@ def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem
     bound suite, whose reports go to the bound file ``path`` when there is
     one."""
     P = _sketch_cell(problem, kind, d)
-    reports = diagnostics.run_bound_suite(P, problem.oracle)
+    reports = diagnostics.run_bound_suite(P)
     if path is not None:
         diagnostics.write_bound_reports(path, reports, seed=problem.seed, kind=kind.value,
                                         matrix=name, d=d)
@@ -487,26 +486,21 @@ def _cell_bounds(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem
 
 def run_single(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                config: ExperimentConfig, out_dir: Path) -> RunOutcome:
-    A, seed, oracle = problem.A, problem.seed, problem.oracle
+    A, seed = problem.A, problem.seed
     label = _label(name, kind, d, seed)
     P, bound_reports = _cell_bounds(name, kind, d, problem, out_dir / f"{label}_bounds.csv")
     failed = sum(1 for r in bound_reports if not r.passed)
 
     summaries = []
     for solver_name in SOLVERS if config.solver == "both" else (config.solver,):
-        result, observer = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, problem,
-                                       config)
+        result, observer = _solve_cell(lsqr if solver_name == "lsqr" else lsmr, P, config)
         write_trace(out_dir / f"{label}_{solver_name}_trace.csv", result.trace)
-        # a stale last record holds an earlier iterate's values; the final
-        # ones are those of the iterate the solve returns
-        last = result.trace[-1] if result.trace else None
-        final = ((math.nan, math.nan) if last is None
-                 else observer.metrics(result.x) if last.stale
-                 else (last.unsketched_residual_norm, last.unsketched_normal_ratio))
+        # of the iterate the solve returns, which a stale last record does not hold
+        final = observer.metrics(result.x) if result.trace else (math.nan, math.nan)
         summaries.append([
             name, kind.value, d, seed, solver_name, result.iterations,
             result.termination.value, P.eps, A.condition_number(), *final,
-            oracle.r_ls_norm, len(bound_reports) - failed, failed])
+            P.oracle.r_ls_norm, len(bound_reports) - failed, failed])
     return RunOutcome(label=label, bounds_failed=failed, rows=summaries)
 
 
@@ -526,11 +520,12 @@ def run_experiment(config: ExperimentConfig) -> int:
 def _sweep_cell(name: str, kind: embed.SketchKind, d: int, problem: SeedProblem,
                 config: ExperimentConfig) -> RunOutcome:
     """One seed of a sweep cell, as its one row: the cell's matrix, kind
-    and d, then eps, the plateau (the normal ratio at x_s, by the observer's
-    oracle path), LSMR's stop iteration under ``config.policy`` and its last
-    fresh normal ratio over the plateau."""
+    and d, then eps, the plateau (the normal ratio at x_s, from the oracle's
+    evaluator, so bit for bit the cell's NormalRatioSketched lhs), LSMR's
+    stop iteration under ``config.policy`` and its last fresh normal ratio
+    over the plateau."""
     P = _sketch_cell(problem, kind, d)
-    result, observer = _solve_cell(lsmr, P, problem, config)
+    result, observer = _solve_cell(lsmr, P, config)
     _, plateau = observer.metrics(P.x_s)
     ratio = result.trace[-1].unsketched_normal_ratio if result.trace else math.nan
     return RunOutcome(label=_label(name, kind, d, problem.seed), rows=[

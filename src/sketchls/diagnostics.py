@@ -13,12 +13,14 @@ The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
 :func:`sketchls.matio.solve_ls_oracle`, the sketched minimizer from
 triangular solves with a cell's factors, and eps from the cell's sketched
-basis.  A check reads everything, eps too, from one (problem, sketch) pair,
-a :class:`SketchedPair`, which forms the quantities the checks share once
-each.  :class:`SketchedProblem`, the CLI's cell, forms the rest from its
-coordinates; the tests run the checks on the d-row problem of an explicit S
-too (``DRowProblem`` of ``tests/reference.py``), the slow reference of the
-cell, whose minimizer is :func:`solve_sketched`.
+basis.  A check reads everything, eps and the oracle too, from one
+(problem, sketch) pair, a :class:`SketchedPair`, which forms the quantities
+the checks share once each, and reads the residual norms at x_s from the
+oracle's evaluator (:meth:`sketchls.matio.LsOracle.residual_norms`), with
+no product with A.  :class:`SketchedProblem`, the CLI's cell, forms the rest
+from its coordinates; the tests run the checks on the d-row problem of an
+explicit S too (``DRowProblem`` of ``tests/reference.py``), the slow
+reference of the cell, whose minimizer is :func:`solve_sketched`.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
 bound, and a pass/fail margin.  A bound void by a zero residual or solution
 is reported as a vacuous pass (lhs = rhs = 0) with a note.  A bound whose
@@ -32,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -125,13 +127,14 @@ def combined_direction_bound(eps: float, kappa: float) -> float:
 
 class SketchedPair:
     """The (problem, sketch) pair min ||S(Ax - b)|| that the bound checks read:
-    A, b, S's row count ``d`` and the quantities the checks share, each formed
-    on first use and kept.  A subclass defines ``SA``, ``Sb``, ``x_s``, the
-    eps of S over span([A b]), ``sketch_residual`` and ``geometric_defect``."""
+    the least-squares ``oracle`` of (A, b), with A and b read from it, S's
+    row count ``d`` and the quantities the checks share, each formed on first
+    use and kept.  A subclass defines ``SA``, ``Sb``, ``x_s``, the eps of S
+    over span([A b]), ``sketch_residual`` and ``geometric_defect``."""
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, d: int):
-        self.A = A
-        self.b = np.asarray(b, dtype=np.float64)
+    def __init__(self, oracle: LsOracle, d: int):
+        self.oracle = oracle
+        self.A, self.b = oracle.A, oracle.b
         self.d = d
 
     @cached_property
@@ -144,19 +147,10 @@ class SketchedPair:
         return float(self.sv[0])
 
     @cached_property
-    def r_s(self) -> np.ndarray:
-        """Unsketched residual A x_s - b of the sketched minimizer."""
-        return self.A.matvec(self.x_s) - self.b
-
-    @cached_property
-    def rs_norm(self) -> float:
-        """||r_s||."""
-        return float(np.linalg.norm(self.r_s))
-
-    @cached_property
-    def atr_s_norm(self) -> float:
-        """||A^T r_s||."""
-        return float(np.linalg.norm(self.A.rmatvec(self.r_s)))
+    def norms_s(self) -> Tuple[float, float, float]:
+        """(||r_s||, ||A^T r_s||, ||r_s - r_ls||) for the unsketched residual
+        r_s = A x_s - b of the sketched minimizer, by the oracle's evaluator."""
+        return self.oracle.residual_norms(self.x_s)
 
 
 class SketchedProblem(SketchedPair):
@@ -170,19 +164,18 @@ class SketchedProblem(SketchedPair):
     ``Sb`` hold the (n + 1) x n pair (M, T c_b): SA's singular values, x_s,
     eps and the solvers' Krylov steps read it, and S products are taken in
     Q_s coordinates.  So the solves and every bound check of the cell share
-    one SVD, one x_s and one residual r_s with its norms
+    one SVD, one x_s and one evaluation of its residual norms
     (:class:`SketchedPair`).  The d-row problem of an explicit S, the slow
     reference of each quantity, is ``DRowProblem`` of the tests.
     """
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, span: embed.SpanCoordinates,
-                 SW: np.ndarray):
-        super().__init__(A, b, SW.shape[0])
+    def __init__(self, oracle: LsOracle, span: embed.SpanCoordinates, SW: np.ndarray):
+        super().__init__(oracle, SW.shape[0])
         self.span = span
         self.T = sketch_factor(SW)
-        _, R, piv = A.qr_factor()
-        self.SA = np.empty((self.T.shape[0], A.cols))
-        self.SA[:, piv] = self.T[:, : A.cols] @ R
+        _, R, piv = self.A.qr_factor()
+        self.SA = np.empty((self.T.shape[0], self.A.cols))
+        self.SA[:, piv] = self.T[:, : self.A.cols] @ R
         self.Sb = self.T @ span.c_b
 
     @cached_property
@@ -247,8 +240,8 @@ def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> n
 
 def check_geometric_preservation(P: SketchedPair, y: np.ndarray) -> BoundReport:
     """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y; at
-    y = x_s, as the suite checks it, ||Ay - b|| is ``P.rs_norm``."""
-    rnorm = P.rs_norm if y is P.x_s else float(np.linalg.norm(P.A.matvec(y) - P.b))
+    y = x_s, as the suite checks it, ||Ay - b|| is ``P.norms_s[0]``."""
+    rnorm = P.norms_s[0] if y is P.x_s else float(np.linalg.norm(P.A.matvec(y) - P.b))
     if rnorm == 0.0:
         return _vacuous(BoundId.GEOM_PRESERVE, "zero residual at y")
     lhs = float(np.linalg.norm(P.geometric_defect(y)))
@@ -257,19 +250,19 @@ def check_geometric_preservation(P: SketchedPair, y: np.ndarray) -> BoundReport:
                    noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
 
 
-def check_residual_bounds(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
+def check_residual_bounds(P: SketchedPair) -> List[BoundReport]:
     """Residual-size, residual-direction, and normal-equation ratio bounds.
 
     The checks use the exact sketched minimizer ``P.x_s`` (not an iterate) so
     they probe the analysis rather than solver error.
     """
-    A, eps, rs_norm = P.A, P.eps, P.rs_norm
-    r_ls, rls_norm = oracle.r_ls, oracle.r_ls_norm
+    A, eps, oracle, (rs_norm, atr_s_norm, rdiff_norm) = P.A, P.eps, P.oracle, P.norms_s
+    rls_norm = oracle.r_ls_norm
     norm_A = A.spectral_norm()
     kappa = A.condition_number()
     reports: List[BoundReport] = []
 
-    consistent = rls_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(P.b))
+    consistent = rls_norm <= CONSISTENT_THRESHOLD * oracle.b_norm
     if consistent:
         # both residuals are rounding noise; every ratio is 0/0
         for bound_id in (BoundId.RESIDUAL_SANDWICH, BoundId.RESIDUAL_DIRECTION,
@@ -280,7 +273,7 @@ def check_residual_bounds(P: SketchedPair, oracle: LsOracle) -> List[BoundReport
 
     reports.append(_report(BoundId.RESIDUAL_SANDWICH, rs_norm,
                            sandwich_multiplier(eps) * rls_norm))
-    direction = float(np.linalg.norm(r_ls - P.r_s)) / rls_norm
+    direction = rdiff_norm / rls_norm
     reports.append(_report(BoundId.RESIDUAL_DIRECTION, direction, direction_bound(eps),
                            noise_floor=NOISE_FLOOR_REL))
     reports.append(_report(BoundId.COMBINED_RESIDUAL, direction,
@@ -290,7 +283,7 @@ def check_residual_bounds(P: SketchedPair, oracle: LsOracle) -> List[BoundReport
     if rs_norm == 0.0:
         reports.append(_vacuous(BoundId.NORMAL_RATIO_SKETCHED, "zero sketched residual"))
     else:
-        lhs = P.atr_s_norm / (norm_A * rs_norm)
+        lhs = atr_s_norm / (norm_A * rs_norm)
         reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
                                noise_floor=NOISE_FLOOR_REL))
 
@@ -351,26 +344,26 @@ def check_eta_f_upper(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
     return _report(BoundId.ETA_F_UPPER, result.eta_f, result.upper_bound)
 
 
-def check_explicit_perturbations(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
+def check_explicit_perturbations(P: SketchedPair) -> List[BoundReport]:
     """Norm bounds on the two explicit backward perturbations carrying x_s.
 
     ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity) and
     ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)).
     """
-    A, b, x_s, r_s, rs_norm, eps = P.A, P.b, P.x_s, P.r_s, P.rs_norm, P.eps
-    xs_norm = float(np.linalg.norm(x_s))
+    A, eps, oracle, (rs_norm, atr_s_norm, rdiff_norm) = P.A, P.eps, P.oracle, P.norms_s
+    xs_norm = float(np.linalg.norm(P.x_s))
     norm_A = A.spectral_norm()
     reports: List[BoundReport] = []
-    if rs_norm <= CONSISTENT_THRESHOLD * float(np.linalg.norm(b)):
+    if rs_norm <= CONSISTENT_THRESHOLD * oracle.b_norm:
         reports.append(_vacuous(BoundId.BACKWARD_E1, "zero sketched residual"))
     else:
-        lhs = P.atr_s_norm / rs_norm
+        lhs = atr_s_norm / rs_norm
         reports.append(_report(BoundId.BACKWARD_E1, lhs, eps * norm_A,
                                noise_floor=NOISE_FLOOR_REL * norm_A))
     if xs_norm == 0.0:
         reports.append(_vacuous(BoundId.BACKWARD_E2, "zero sketched solution"))
     else:
-        lhs = float(np.linalg.norm(oracle.r_ls - r_s)) / xs_norm
+        lhs = rdiff_norm / xs_norm
         rhs = (oracle.r_ls_norm / xs_norm) * direction_bound(eps)
         reports.append(_report(BoundId.BACKWARD_E2, lhs, rhs,
                                noise_floor=NOISE_FLOOR_REL * oracle.r_ls_norm / xs_norm))
@@ -391,9 +384,9 @@ def e1_minimizer_gap(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray) -> float:
     return float(np.linalg.norm(x_check - x_s) / np.linalg.norm(x_s))
 
 
-def check_solution_error(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
+def check_solution_error(P: SketchedPair) -> List[BoundReport]:
     """Relative solution-error bounds in terms of eps, kappa(A), and residual size."""
-    A, eps = P.A, P.eps
+    A, eps, oracle = P.A, P.eps, P.oracle
     kappa = A.condition_number()
     norm_A = A.spectral_norm()
     x_s = P.x_s
@@ -404,7 +397,7 @@ def check_solution_error(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]
     if xs_norm == 0.0:
         reports.append(_vacuous(BoundId.SOLUTION_ERR_REL, "zero sketched solution"))
     else:
-        rhs = kappa ** 2 * eps * P.rs_norm / (norm_A * xs_norm)
+        rhs = kappa ** 2 * eps * P.norms_s[0] / (norm_A * xs_norm)
         reports.append(_report(BoundId.SOLUTION_ERR_REL, err / xs_norm, rhs,
                                noise_floor=NOISE_FLOOR_REL))
     if xls_norm == 0.0:
@@ -452,15 +445,15 @@ SUITE_BOUND_IDS = (
 )
 
 
-def run_bound_suite(P: SketchedPair, oracle: LsOracle) -> List[BoundReport]:
+def run_bound_suite(P: SketchedPair) -> List[BoundReport]:
     """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair,
-    against the pair's own embedding parameter ``P.eps`` of S over
-    span([A b]): a cell's is read from its factors, and the d-row
+    against the pair's own oracle and embedding parameter ``P.eps`` of S
+    over span([A b]): a cell's is read from its factors, and the d-row
     reference's defaults to :func:`sketchls.embed.exact_distortion`."""
     reports = [check_geometric_preservation(P, P.x_s)]
-    reports.extend(check_residual_bounds(P, oracle))
-    reports.extend(check_explicit_perturbations(P, oracle))
-    reports.extend(check_solution_error(P, oracle))
+    reports.extend(check_residual_bounds(P))
+    reports.extend(check_explicit_perturbations(P))
+    reports.extend(check_solution_error(P))
     reports.append(check_acute_criterion(P))
     return reports
 

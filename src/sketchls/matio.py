@@ -23,9 +23,10 @@ once, in its draw's buffer, and its handle stores only that factor:
 A x is Q (R x[piv]), and A is formed only by :meth:`MatrixHandle.dense`.
 Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
-refinement step) supplies reference solutions for all bound checks.  One
-threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and the
-spectral data alike.
+refinement step) supplies x_ls for all bound checks, and the one evaluator
+of ||A x - b||, ||A^T (A x - b)|| and ||A (x - x_ls)|| at any x, from R in
+O(n^2) (:meth:`LsOracle.residual_norms`).  One threshold, :data:`RANK_TOL`,
+decides numerical rank for the oracle and the spectral data alike.
 A Matrix Market file's header and size line are read once; the body of
 either format, coordinate or array, then takes at most two parses: one numpy
 ``loadtxt`` straight from the open file, and, for a body that it does not
@@ -112,7 +113,7 @@ class MatrixHandle:
     :meth:`_cached` fills each cache once under the handle's lock, so the
     handle is safe to share across threads.  The cached arrays are read-only.
     The pivoted QR (:meth:`qr_factor`) is the only factorization of A: the
-    spectral data and the observer's fast path read its R, and its m-by-n Q
+    spectral data and the oracle's evaluator read its R, and its m-by-n Q
     is as much memory as a dense A, for the handle's lifetime.
     """
 
@@ -278,10 +279,37 @@ def _positive_diagonal(Q: np.ndarray, R: np.ndarray) -> None:
 
 @dataclass
 class LsOracle:
+    """The exact least-squares solution x_ls of min ||A x - b||, from
+    :func:`solve_ls_oracle`, and the one evaluator of residual norms at any
+    x (:meth:`residual_norms`)."""
+    A: MatrixHandle
+    b: np.ndarray
     x_ls: np.ndarray
-    r_ls: np.ndarray
     r_ls_norm: float
     atr_ls: np.ndarray   # A^T r_ls, nearly zero
+    b_norm: float
+
+    def residual_norms(self, x: np.ndarray) -> Tuple[float, float, float]:
+        """``(||r||, ||A^T r||, ||r - r_ls||)`` for r = A x - b, in O(n^2)
+        and with no product with A.
+
+        A's cached pivoted QR A[:, piv] = Q R (:meth:`MatrixHandle.qr_factor`)
+        gives ||A e|| = ||R e[piv]|| and (A^T A e)[piv] = R^T R e[piv], so
+        with e = x - x_ls and g = A^T r_ls, both taken in pivot order, and
+        A x - b = A e + r_ls,
+
+            ||A x - b||^2 = ||R e||^2 + 2 e^T g + ||r_ls||^2,
+            ||A^T (A x - b)|| = ||R^T (R e) + g||,
+            ||(A x - b) - r_ls|| = ||R e||,
+
+        all exact in exact arithmetic and free of cancellation against b.
+        """
+        _, R, piv = self.A.qr_factor()
+        e, g = x[piv] - self.x_ls[piv], self.atr_ls[piv]
+        Re = R @ e
+        Re_sq = float(Re @ Re)
+        rnorm = math.sqrt(max(Re_sq + 2.0 * float(e @ g) + self.r_ls_norm ** 2, 0.0))
+        return rnorm, float(np.linalg.norm(R.T @ Re + g)), math.sqrt(Re_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +693,13 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     ``_qr_solve(A.matvec, F, b)`` for F a fresh factor of the same A, and
     agrees with ``qr_ls_solve(A.dense(), b)``, the Householder QR of A's m
     rows, to rounding; for a loaded dense A that CholeskyQR rejects it is
-    bit for bit that.  The returned residual satisfies
-    ||A^T r|| / (||A|| ||r||) <= 1e-10.
+    bit for bit that.  Its residual r = A x_ls - b, held only as ||r|| and
+    A^T r, satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
     """
     b = as_rhs(A, b)
     x = _qr_solve(A.matvec, A.qr_factor(), b)
     r = A.matvec(x) - b
-    return LsOracle(
-        x_ls=x,
-        r_ls=r,
-        r_ls_norm=float(np.linalg.norm(r)),
-        atr_ls=A.rmatvec(r),
-    )
+    return LsOracle(A, b, x, float(np.linalg.norm(r)), A.rmatvec(r), float(np.linalg.norm(b)))
 
 
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:

@@ -8,8 +8,10 @@ for LSQR, the Fong & Saunders rotations plus their residual-norm recurrence
 for LSMR.  The recurrences supply cheap estimates of the operator-space
 residual norm ||Op x - rhs|| and of the normal-equation residual norm
 ||Op^T (Op x - rhs)||; an observer callback can augment every iterate with
-explicitly computed metrics on the unsketched problem, which is what the
-stabilization stopping policies monitor.
+metrics on the unsketched problem, which is what the stabilization stopping
+policies monitor.  :class:`MetricsObserver` computes them by products with A,
+or reads them from the least-squares oracle's evaluator
+(:meth:`sketchls.matio.LsOracle.residual_norms`).
 """
 
 from __future__ import annotations
@@ -74,16 +76,9 @@ class MetricsObserver:
 
     Without ``oracle`` each fresh record pays two matrix-vector products with
     A (the explicit reference path).  With the least-squares ``oracle`` of
-    (A, b), a fresh record costs two n-by-n triangular products instead.  A's
-    cached pivoted QR A[:, piv] = Q R (:meth:`MatrixHandle.qr_factor`) gives
-    ||A e|| = ||R e[piv]|| and (A^T A e)[piv] = R^T R e[piv], so with
-    e = x - x_ls and g = A^T r_ls (the oracle's ``atr_ls``), both taken in
-    pivot order,
-
-        ||A x - b||^2 = ||R e||^2 + 2 e^T g + ||r_ls||^2,
-        ||A^T (A x - b)|| = ||R^T (R e) + g||,
-
-    both exact in exact arithmetic and free of cancellation against b.
+    (A, b), a fresh record reads the oracle's evaluator
+    (:meth:`sketchls.matio.LsOracle.residual_norms`) instead: two n-by-n
+    triangular products with A's R.
     """
 
     def __init__(self, A: MatrixHandle, b: np.ndarray, stride: int = 1,
@@ -94,26 +89,18 @@ class MetricsObserver:
         self.b = as_rhs(A, b)
         self.stride = stride
         self.norm_A = A.spectral_norm()
-        self._R = None
-        if oracle is not None:
-            _, self._R, self._piv = A.qr_factor()
-            self._x_ls = oracle.x_ls[self._piv]
-            self._g = oracle.atr_ls[self._piv]
-            self._rls_sq = oracle.r_ls_norm ** 2
+        self.oracle = oracle
         self._last_rnorm = math.nan
         self._last_ratio = math.nan
 
     def metrics(self, x: np.ndarray) -> Tuple[float, float]:
         """The fresh ``(||r||, ||A^T r|| / (||A|| ||r||))`` at any x, r = A x - b."""
-        if self._R is None:
+        if self.oracle is None:
             r = self.A.matvec(x) - self.b
             rnorm = float(np.linalg.norm(r))
             ne = float(np.linalg.norm(self.A.rmatvec(r)))
         else:
-            e = x[self._piv] - self._x_ls
-            Re = self._R @ e
-            rnorm = math.sqrt(max(float(Re @ Re + 2.0 * (e @ self._g)) + self._rls_sq, 0.0))
-            ne = float(np.linalg.norm(self._R.T @ Re + self._g))
+            rnorm, ne, _ = self.oracle.residual_norms(x)
         return rnorm, (ne / (self.norm_A * rnorm) if rnorm > 0 else 0.0)
 
     def __call__(self, k: int, x: np.ndarray, srnorm: float, snenorm: float) -> IterateRecord:

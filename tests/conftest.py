@@ -66,7 +66,8 @@ def pythagorean_gap(oracle: LsOracle, r_s: np.ndarray) -> float:
     """| ||r_ls - r_s||^2 - (||r_s||^2 - ||r_ls||^2) | relative to ||r_ls||^2."""
     rs_norm_sq = float(np.linalg.norm(r_s)) ** 2
     rls_norm_sq = oracle.r_ls_norm ** 2
-    diff_sq = float(np.linalg.norm(oracle.r_ls - r_s)) ** 2
+    r_ls = oracle.A.matvec(oracle.x_ls) - oracle.b
+    diff_sq = float(np.linalg.norm(r_ls - r_s)) ** 2
     return abs(diff_sq - (rs_norm_sq - rls_norm_sq)) / rls_norm_sq
 
 

@@ -4,9 +4,9 @@ Each is the definition of something the package computes a faster way, and
 a test compares the two: the d-row sketched problem of an explicit S
 against a CLI cell (``sketchls.diagnostics.SketchedProblem``; both are a
 ``SketchedPair``, which holds what the bound checks share, and each carries
-its own eps), the explicit matrix of a sketch and the one-shot butterfly
-SRHT against ``sketchls.embed.apply``, and the Matrix Market writer and a
-handle's CSR arrays against the loader.
+the oracle of its problem and its own eps), the explicit matrix of a sketch
+and the one-shot butterfly SRHT against ``sketchls.embed.apply``, and the
+Matrix Market writer and a handle's CSR arrays against the loader.
 """
 
 from __future__ import annotations
@@ -21,22 +21,22 @@ import scipy.sparse
 from sketchls import embed
 from sketchls.diagnostics import SketchedPair
 from sketchls.embed import GaussianPayload, SketchOperator, SrhtPayload
-from sketchls.matio import MatrixHandle, qr_ls_solve
+from sketchls.matio import LsOracle, MatrixHandle, qr_ls_solve
 
 
 class DRowProblem(SketchedPair):
     """The sketched problem min ||S(Ax - b)|| of an explicit operator S, in
-    its d rows: SA and Sb are S applied to the dense A and to b, and every
-    S product applies S again.  It is a ``SketchedPair`` like the cell, so
-    ``run_bound_suite`` runs on either.  Its eps is the caller's, such as a
-    cell's ``P.eps`` or a probe's 0, and by default
-    ``embed.exact_distortion(S, A, b)``, the reference of a cell's."""
+    its d rows, for the A and b of ``oracle``: SA and Sb are S applied to
+    the dense A and to b, and every S product applies S again.  It is a
+    ``SketchedPair`` like the cell, so ``run_bound_suite`` runs on either.
+    Its eps is the caller's, such as a cell's ``P.eps`` or a probe's 0, and
+    by default ``embed.exact_distortion(S, A, b)``, the reference of a
+    cell's."""
 
-    def __init__(self, A: MatrixHandle, b: np.ndarray, S: SketchOperator,
-                 eps: Optional[float] = None):
-        super().__init__(A, b, S.d)
+    def __init__(self, oracle: LsOracle, S: SketchOperator, eps: Optional[float] = None):
+        super().__init__(oracle, S.d)
         self.S = S
-        self.eps = embed.exact_distortion(S, A, b).epsilon if eps is None else eps
+        self.eps = embed.exact_distortion(S, self.A, self.b).epsilon if eps is None else eps
 
     @cached_property
     def SA(self) -> np.ndarray:

@@ -66,8 +66,8 @@ def suite_runs():
             for seed in SUITE_SEEDS:
                 b = synthesize_problem(A, seed)
                 oracle = solve_ls_oracle(A, b)
-                P = DRowProblem(A, b, embed.build_sketch(kind, SUITE_D, m, seed))
-                reports = run_bound_suite(P, oracle)
+                P = DRowProblem(oracle, embed.build_sketch(kind, SUITE_D, m, seed))
+                reports = run_bound_suite(P)
                 op = LinearOperatorView.from_matrix(P.SA)
                 # min(2n, d), the cap a CLI cell uses
                 res_q = lsqr(op, P.Sb, max_iter=min(2 * n, SUITE_D))
@@ -175,7 +175,7 @@ def test_criterion_5_stopping_efficiency():
     for seed in range(20):
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
-        P = DRowProblem(A, b, embed.build_sketch("gaussian", 80, 400, seed))
+        P = DRowProblem(oracle, embed.build_sketch("gaussian", 80, 400, seed))
         eps, Sb = P.eps, P.Sb
         op = LinearOperatorView.from_matrix(P.SA)
         norm_SA = float(np.linalg.norm(P.SA, 2))
@@ -204,7 +204,7 @@ def test_criterion_5_stopping_efficiency():
                        and final_r <= bound)
         if seed < 3:
             details.append(f"s{seed}: k*={res_stab.iterations} vs trad {k_trad}, "
-                           f"r_k/r_s_exact={final_r / P.rs_norm:.3f}")
+                           f"r_k/r_s_exact={final_r / P.norms_s[0]:.3f}")
     ok = all(lsmr_ok) and all(lsqr_ok)
     assert report("criterion 5 (stopping-criterion efficiency)", ok,
                   "; ".join(details))
@@ -291,7 +291,7 @@ def test_criterion_8_oracle_equivalence():
         gen = stream(seed, "c8")
         A = MatrixHandle(gen.standard_normal((50, 6)))
         b = gen.standard_normal(50)
-        P = DRowProblem(A, b, embed.build_sketch("gaussian", 12, 50, seed))
+        P = DRowProblem(solve_ls_oracle(A, b), embed.build_sketch("gaussian", 12, 50, seed))
         op = LinearOperatorView.from_matrix(P.SA)
         for solver in (lsqr, lsmr):
             x = solver(op, P.Sb, max_iter=6 + 5).x

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -790,14 +791,14 @@ def cell_sketch(problem, kind: embed.SketchKind, P: diagnostics.SketchedProblem)
     return np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, problem.span.u)])
 
 
-def suite_noise_floor(bound_id, P, oracle) -> float:
+def suite_noise_floor(bound_id, P) -> float:
     """The noise floor that ``diagnostics`` gives a row of the bound suite
     of ``P``: the lhs below which the row passes as rounding noise."""
     BoundId, norm_A = diagnostics.BoundId, P.A.spectral_norm()
-    scale = {BoundId.GEOM_PRESERVE: norm_A * P.rs_norm,
+    scale = {BoundId.GEOM_PRESERVE: norm_A * P.norms_s[0],
              BoundId.RESIDUAL_SANDWICH: 0.0, BoundId.ACUTE_CRITERION: 0.0,
              BoundId.BACKWARD_E1: norm_A,
-             BoundId.BACKWARD_E2: oracle.r_ls_norm / np.linalg.norm(P.x_s)}
+             BoundId.BACKWARD_E2: P.oracle.r_ls_norm / np.linalg.norm(P.x_s)}
     return diagnostics.NOISE_FLOOR_REL * scale.get(bound_id, 1.0)
 
 
@@ -815,13 +816,13 @@ def slow_oracle_cell(source: str, kind: embed.SketchKind):
             A = MatrixHandle(A.dense())
     problem = cli.SeedProblem(A, 4, 1e-3)
     P = cli._sketch_cell(problem, kind, d)
-    R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, d), eps=P.eps)
+    R = DRowProblem(problem.oracle, d_row_sketch(problem, kind, d), eps=P.eps)
     return problem, P, R
 
 
 class TestSketchCell:
     """The cell in the coordinates of W = [Q u] against the slow oracles: the
-    d-row ``DRowProblem(A, b, S)`` of the cell's operator S
+    d-row ``DRowProblem(oracle, S)`` of the cell's operator S
     (``d_row_sketch``), S applied to A, and the explicit S times the dense A."""
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
@@ -900,13 +901,13 @@ class TestSketchCell:
             embed.exact_distortion(R.S, problem.A, problem.b).epsilon, rel=1e-13)
         x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
         assert np.linalg.norm(P.x_s - R.x_s) <= x_tol * np.linalg.norm(R.x_s)
-        got, want = (diagnostics.run_bound_suite(X, problem.oracle) for X in (P, R))
+        got, want = (diagnostics.run_bound_suite(X) for X in (P, R))
         assert len(got) == len(want) == len(diagnostics.SUITE_BOUND_IDS)
         for mine, ref in zip(got, want):
             # SA's rank floor in the acute row is max(d, n) on both, not
             # the k rows of M
             assert (mine.bound_id, mine.passed, mine.note) == (ref.bound_id, ref.passed, ref.note)
-            floor = suite_noise_floor(mine.bound_id, R, problem.oracle)
+            floor = suite_noise_floor(mine.bound_id, R)
             for side in ("lhs", "rhs"):
                 assert getattr(mine, side) == pytest.approx(getattr(ref, side), rel=1e-10,
                                                             abs=floor), (mine, ref)
@@ -964,7 +965,8 @@ class TestSketchCell:
         # M = [T11 R; 0] is near singular through R (A's columns have norms
         # 1 and 1e-13, below RANK_TOL) or through T (two columns of SW agree
         # to 1e-14, so T comes from the Householder fallback); the slow
-        # oracle raises too
+        # oracle raises too.  x_s reads only A of the least-squares oracle,
+        # whose own solve raises on the weak column, so a stand-in holds A
         U, _ = np.linalg.qr(stream(5, "near-singular", 200).standard_normal((200, 2)))
         A = MatrixHandle(U * np.array([1.0, 1e-13 if case == "weak column of A" else 0.5]))
         b = stream(5, "near-singular-b", 200).standard_normal(200)
@@ -972,7 +974,7 @@ class TestSketchCell:
         SW = stream(5, "near-singular-SW", 20, 3).standard_normal((20, 3))
         if case == "near-repeated column of SW":
             SW[:, 1] = SW[:, 0] + 1e-14 * SW[:, 2]
-        P = diagnostics.SketchedProblem(A, b, span, SW)
+        P = diagnostics.SketchedProblem(SimpleNamespace(A=A, b=b), span, SW)
         for solve in (lambda: P.x_s, lambda: matio.qr_ls_solve(P.SA, P.Sb)):
             with pytest.raises(matio.RankDeficiencyError, match="rank deficiency"):
                 solve()
@@ -990,7 +992,8 @@ class TestSketchCell:
         assert np.array_equal(P.T, diagnostics.sketch_factor(Z))
         full = d_row_sketch(problem, embed.SketchKind.GAUSSIAN, 40).payload.matrix
         Q_s = sketch_basis(P, full @ span_matrix(problem))
-        dense, r_ls, r_s = A.dense(), problem.oracle.r_ls, P.r_s
+        dense = A.dense()
+        r_ls, r_s = (A.matvec(x) - P.b for x in (problem.oracle.x_ls, P.x_s))
         norm_S = np.linalg.norm(full, 2)
         for got, want, scale in (
                 (Q_s @ P.SA, full @ dense, np.linalg.norm(full @ dense, 2)),
@@ -1020,7 +1023,8 @@ class TestSketchCell:
     def test_gaussian_cell_makes_no_d_by_m_draw(self, monkeypatch):
         A = MatrixSource("s", synthetic=(5000, 4, 20)).load()
         problem = cli.SeedProblem(A, 0, 1e-3)
-        problem.span  # the seed's shared work (and A's QR), done before the cell
+        # the seed's shared work (and A's QR), done before the cell
+        problem.span, problem.oracle
         sizes = []
         real_stream = embed.stream
 
@@ -1066,7 +1070,7 @@ class TestReducedSolves:
         A = config.sources[0].load()
         problem = cli.SeedProblem(A, 0, config.rho)
         P = cli._sketch_cell(problem, kind, 200)
-        R = DRowProblem(A, problem.b, d_row_sketch(problem, kind, 200), eps=P.eps)
+        R = DRowProblem(problem.oracle, d_row_sketch(problem, kind, 200), eps=P.eps)
         for solver in (cli.lsqr, cli.lsmr):
             max_iters = []
 
@@ -1074,7 +1078,7 @@ class TestReducedSolves:
                 max_iters.append(max_iter)
                 return solver(*args, max_iter=max_iter, **kwargs)
 
-            reduced, _ = cli._solve_cell(recording, P, problem, config)
+            reduced, _ = cli._solve_cell(recording, P, config)
             d_row = solver(LinearOperatorView.from_matrix(R.SA), R.Sb,
                            observer=MetricsObserver(A, problem.b, oracle=problem.oracle),
                            stop=cli.StoppingController(config.policy, op_norm=math.nan,
@@ -1117,6 +1121,33 @@ class TestCellLoop:
         with open(tmp_path / "sweep_d.csv") as fh:
             assert [row["d"] for row in csv.DictReader(fh)] == ["40"]
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_no_product_with_A_after_the_sketch(self, tmp_path, monkeypatch, command):
+        # a seed's b, oracle and span multiply by A, and they are formed by
+        # the first sketch of the seed; once a cell is sketched, its bound
+        # suite, solves and summary read the oracle's evaluator and A's R
+        after_sketch, products = [], []
+        real_sketch = cli._sketch_cell
+
+        def sketch(*args):
+            after_sketch.clear()
+            P = real_sketch(*args)
+            after_sketch.append(True)
+            return P
+
+        monkeypatch.setattr(cli, "_sketch_cell", sketch)
+        for name in ("matvec", "rmatvec"):
+            def counting(A, v, real=getattr(MatrixHandle, name)):
+                products.append(bool(after_sketch))
+                return real(A, v)
+            monkeypatch.setattr(MatrixHandle, name, counting)
+        if command == "run":
+            assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == EXIT_OK
+        else:
+            config = parse_config("synthetic = 200,4,10\nkind = sparse\nseeds = 1\n"
+                                  "d_mult = 16\n")
+            assert cli.check_single(config, None) == EXIT_OK
+        assert products and not any(products)
 
 # n = 20 and kappa = 10: an unstopped LSMR converges well before its default
 # max_iter 2n, so even at stride 3 its last 5 fresh records are at x_s
@@ -1300,6 +1331,23 @@ class TestSweep:
         assert shapes["potrf", None, (5, 5)] == 16
         assert shapes["syrk", None, (100, 4)] == 2
         assert not [key for key in shapes if key[0] == "svd" and key[2][0] in (100, 120)]
+
+    @pytest.mark.parametrize("kind", list(embed.SketchKind))
+    def test_plateau_is_the_normal_ratio_sketched_lhs(self, tmp_path, kind):
+        # both read ||A^T r_s|| / (||A|| ||r_s||) from the oracle's
+        # evaluator at x_s, so one cell's sweep plateau is its check lhs
+        # bit for bit; the CSVs' .17g reads back to the same double
+        config = parse_config(f"synthetic = 300,20,10\nkind = {kind.value}\nseeds = 0\n"
+                              f"d_mult = 2\noutput_dir = {tmp_path}\n")
+        assert sweep_d(config, "2n,4n") == EXIT_OK
+        assert cli.check_single(config, str(tmp_path / "bounds.csv")) == EXIT_OK
+        with open(tmp_path / "sweep_d.csv") as fh:
+            (row,) = [row for row in csv.DictReader(fh) if row["d"] == "40"]
+        with open(tmp_path / "bounds.csv") as fh:
+            (lhs,) = [rep["lhs"] for rep in csv.DictReader(fh)
+                      if rep["bound_id"] == diagnostics.BoundId.NORMAL_RATIO_SKETCHED.value]
+        assert float(lhs) > 0.0
+        assert quartile_columns(row, "plateau") == [float(lhs)] * 3
 
     def test_A_products_fixed_per_seed(self, tmp_path, monkeypatch):
         # b, the oracle's refinement and residual, and A^T r_ls: the

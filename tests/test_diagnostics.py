@@ -50,17 +50,17 @@ class TestSketchedProblem:
         T = sketch_factor(SW.copy())
         monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
         monkeypatch.setattr(embed, "apply_adjoint", None)
-        P = SketchedProblem(A, b, span, SW.copy())
+        P = SketchedProblem(oracle, span, SW.copy())
         assert np.array_equal(P.T, T) and P.d == 64
         assert np.array_equal(P.SA[:, piv], T[:, :4] @ R)
         assert np.array_equal(P.Sb, T @ span.c_b)
         x_ref = qr_ls_solve(P.SA, P.Sb)
         assert np.linalg.norm(P.x_s - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
-        run_bound_suite(P, oracle)
+        run_bound_suite(P)
 
     def test_acute_reads_cached_singular_values(self, monkeypatch):
-        A, b, _ = build_instance()
-        P = DRowProblem(A, b, build_sketch("gaussian", 64, 300, 7))
+        A, _, oracle = build_instance()
+        P = DRowProblem(oracle, build_sketch("gaussian", 64, 300, 7))
         A.spectral()
         P.sv
         calls = []
@@ -77,9 +77,9 @@ class TestSketchedProblem:
 
 class TestGeometricPreservation:
     def test_identity_double_is_exact(self):
-        A, b, _ = build_instance()
+        _, _, oracle = build_instance()
         S = identity_sketch(300)
-        rep = check_geometric_preservation(DRowProblem(A, b, S, eps=0.0), np.ones(4))
+        rep = check_geometric_preservation(DRowProblem(oracle, S, eps=0.0), np.ones(4))
         assert rep.passed
         assert rep.lhs <= 1e-12
 
@@ -88,7 +88,7 @@ class TestGeometricPreservation:
         A = random_tall(40, 4, seed)
         b = random_rhs(40, seed)
         gen = stream(seed, "y")
-        P = DRowProblem(A, b, build_sketch("gaussian", 12, 40, seed))
+        P = DRowProblem(solve_ls_oracle(A, b), build_sketch("gaussian", 12, 40, seed))
         for _ in range(100):
             rep = check_geometric_preservation(P, gen.standard_normal(4))
             assert rep.passed
@@ -97,32 +97,36 @@ class TestGeometricPreservation:
         # A^T r_ls = 0 makes the lhs equal the cross normal-equation numerator
         A, b, oracle = build_instance()
         S = build_sketch("srht", 64, 300, 5)
-        rep = check_geometric_preservation(DRowProblem(A, b, S), oracle.x_ls)
+        rep = check_geometric_preservation(DRowProblem(oracle, S), oracle.x_ls)
         SA = embed.apply(S, A.dense())
-        cross = np.linalg.norm(SA.T @ embed.apply(S, oracle.r_ls))
+        cross = np.linalg.norm(SA.T @ embed.apply(S, A.matvec(oracle.x_ls) - b))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
         assert rep.passed
 
     def test_reads_r_s_at_x_s(self, monkeypatch):
-        # at y = x_s the residual is P.r_s, formed once; any other y, here
-        # a copy of x_s, forms A y - b itself, to the same bits.  A cell's
-        # coordinates take no other product with A
-        A, b, _ = build_instance()
+        # at y = x_s the residual norm is the oracle's, P.norms_s[0]; any other
+        # y, here a copy of x_s, forms A y - b itself, to rounding.  A
+        # cell's coordinates take no product with A
+        A, b, oracle = build_instance()
         S = build_sketch("sparse", 64, 300, 5)
         span = embed.span_coordinates(A, b)
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
-        P = SketchedProblem(A, b, span, SW)
-        P.r_s
+        P = SketchedProblem(oracle, span, SW)
         at_copy = check_geometric_preservation(P, P.x_s.copy())
         monkeypatch.setattr(MatrixHandle, "matvec", None)
-        assert check_geometric_preservation(P, P.x_s) == at_copy
+        monkeypatch.setattr(MatrixHandle, "rmatvec", None)
+        at_x_s = check_geometric_preservation(P, P.x_s)
+        assert (at_x_s.lhs, at_x_s.passed, at_x_s.note) == (at_copy.lhs, at_copy.passed,
+                                                             at_copy.note)
+        assert at_x_s.rhs == pytest.approx(at_copy.rhs, rel=1e-11)
+        assert at_x_s.rhs == P.eps * A.spectral_norm() * P.norms_s[0]
 
     def test_zero_residual_vacuous(self):
         A = random_tall(20, 2, 1)
         x = np.array([1.0, 2.0])
         b = A.matvec(x)
         S = build_sketch("gaussian", 8, 20, 1)
-        rep = check_geometric_preservation(DRowProblem(A, b, S, eps=0.5), x)
+        rep = check_geometric_preservation(DRowProblem(solve_ls_oracle(A, b), S, eps=0.5), x)
         assert rep.passed and "zero residual" in rep.note
 
 
@@ -131,9 +135,9 @@ class TestResidualBounds:
     @pytest.mark.parametrize("seed", range(3))
     def test_all_pass_with_oracle_epsilon(self, kind, seed):
         A, b, oracle = build_instance(pseed=seed)
-        P = DRowProblem(A, b, build_sketch(kind, 128, 300, seed))
+        P = DRowProblem(oracle, build_sketch(kind, 128, 300, seed))
         assert P.eps < 1
-        for rep in check_residual_bounds(P, oracle):
+        for rep in check_residual_bounds(P):
             assert rep.passed, rep
 
     def test_lower_sandwich_side(self):
@@ -152,17 +156,17 @@ class TestResidualBounds:
         x = stream(4, "x").standard_normal(5)
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
-        P = DRowProblem(A, b, build_sketch("gaussian", 20, 60, 4))
+        P = DRowProblem(oracle, build_sketch("gaussian", 20, 60, 4))
         x_s = P.x_s
         assert np.linalg.norm(x_s - oracle.x_ls) <= 1e-10 * np.linalg.norm(x)
-        reports = check_residual_bounds(P, oracle)
+        reports = check_residual_bounds(P)
         by_id = {r.bound_id: r for r in reports}
         assert "consistent" in by_id[BoundId.RESIDUAL_SANDWICH].note
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
 
     def test_identity_double_all_zero(self):
         A, b, oracle = build_instance()
-        reports = check_residual_bounds(DRowProblem(A, b, identity_sketch(300), eps=0.0), oracle)
+        reports = check_residual_bounds(DRowProblem(oracle, identity_sketch(300), eps=0.0))
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.RESIDUAL_DIRECTION].lhs <= 1e-6
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
@@ -179,7 +183,7 @@ class TestBackwardError:
         # r_ls/||r_ls|| is the minimal eigenvector; eigenvalue -mu ||r||^2/||x||^2
         A, b, oracle = build_instance(m=200, n=20, cond=30.0)
         res = compute_eta_f(A, b, oracle.x_ls)
-        expect = -np.linalg.norm(oracle.r_ls) ** 2 / np.linalg.norm(oracle.x_ls) ** 2
+        expect = -oracle.r_ls_norm ** 2 / np.linalg.norm(oracle.x_ls) ** 2
         assert res.lambda_star == pytest.approx(expect, rel=1e-8)
         assert res.lambda_star < 0
 
@@ -255,7 +259,7 @@ class TestExplicitPerturbations:
     def test_identity_double_e1_zero(self):
         A, b, oracle = build_instance()
         S = identity_sketch(300)
-        reports = check_explicit_perturbations(DRowProblem(A, b, S, eps=0.0), oracle)
+        reports = check_explicit_perturbations(DRowProblem(oracle, S, eps=0.0))
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].lhs <= 1e-10
         assert all(r.passed for r in reports)
@@ -264,8 +268,8 @@ class TestExplicitPerturbations:
         A = random_tall(30, 3, 9)
         b = synthesize_problem(A, 9)
         oracle = solve_ls_oracle(A, b)
-        P = DRowProblem(A, b, build_sketch("sparse", 12, 30, 9))
-        reports = check_explicit_perturbations(P, oracle)
+        P = DRowProblem(oracle, build_sketch("sparse", 12, 30, 9))
+        reports = check_explicit_perturbations(P)
         by_id = {r.bound_id: r for r in reports}
         assert by_id[BoundId.BACKWARD_E1].passed
         # x_s exactly minimizes the E1-perturbed problem
@@ -274,9 +278,9 @@ class TestExplicitPerturbations:
     @pytest.mark.parametrize("seed", range(5))
     def test_e2_bound_with_informative_epsilon(self, seed):
         A, b, oracle = build_instance(pseed=seed)
-        P = DRowProblem(A, b, build_sketch("gaussian", 128, 300, seed))
+        P = DRowProblem(oracle, build_sketch("gaussian", 128, 300, seed))
         assert P.eps < 1
-        reports = check_explicit_perturbations(P, oracle)
+        reports = check_explicit_perturbations(P)
         assert all(r.passed for r in reports)
 
 
@@ -287,14 +291,14 @@ class TestSolutionError:
         b = A.matvec(x)
         oracle = solve_ls_oracle(A, b)
         S = build_sketch("gaussian", 20, 60, 4)
-        reports = check_solution_error(DRowProblem(A, b, S), oracle)
+        reports = check_solution_error(DRowProblem(oracle, S))
         assert all(r.passed for r in reports)
         assert reports[0].lhs <= 1e-10
 
     def test_well_conditioned_large_margin(self):
         A, b, oracle = build_instance(cond=3.0)
         S = build_sketch("gaussian", 128, 300, 2)
-        for rep in check_solution_error(DRowProblem(A, b, S), oracle):
+        for rep in check_solution_error(DRowProblem(oracle, S)):
             assert rep.passed
             assert rep.margin > 0
 
@@ -302,23 +306,23 @@ class TestSolutionError:
         # bounds still hold but the guarantee degrades with conditioning
         A, b, oracle = build_instance(m=300, n=6, cond=1e6, mseed=13, pseed=13)
         S = build_sketch("gaussian", 128, 300, 13)
-        reports = check_solution_error(DRowProblem(A, b, S), oracle)
+        reports = check_solution_error(DRowProblem(oracle, S))
         assert all(r.passed for r in reports)
         assert reports[0].rhs > 1  # vacuously wide in the ill-conditioned regime
 
 
 class TestAcute:
     def test_identity_double(self):
-        A, b, _ = build_instance()
-        rep = check_acute_criterion(DRowProblem(A, b, identity_sketch(300), eps=0.0))
+        _, _, oracle = build_instance()
+        rep = check_acute_criterion(DRowProblem(oracle, identity_sketch(300), eps=0.0))
         assert rep.passed and rep.lhs == 0.0
 
     def test_small_instance_with_small_epsilon(self):
         # kappa = 2 and a seed that achieves eps < 0.5, so kappa*eps < 1
         A = synthesize_matrix(10, 2, 2.0, 1)
-        b = random_rhs(10, 1)
+        oracle = solve_ls_oracle(A, random_rhs(10, 1))
         for seed in range(200):
-            P = DRowProblem(A, b, build_sketch("srht", 8, 10, seed))
+            P = DRowProblem(oracle, build_sketch("srht", 8, 10, seed))
             if P.eps < 0.5:
                 break
         else:
@@ -327,8 +331,8 @@ class TestAcute:
         assert rep.passed and "rank" not in rep.note
 
     def test_sufficient_not_necessary(self):
-        A, b, _ = build_instance(cond=1000.0, mseed=31)
-        P = DRowProblem(A, b, build_sketch("gaussian", 128, 300, 2))
+        A, _, oracle = build_instance(cond=1000.0, mseed=31)
+        P = DRowProblem(oracle, build_sketch("gaussian", 128, 300, 2))
         assert A.spectral().cond * P.eps >= 1
         rep = check_acute_criterion(P)
         assert rep.passed
@@ -344,12 +348,12 @@ class TestAcute:
         # the row passes exactly when SA has full column rank, whether
         # kappa * eps <= 1 (eps = 0) or not (kappa = 10, eps = 1); the note
         # names the pair
-        A, b, _ = build_instance()
+        A, _, oracle = build_instance()
         S = build_sketch("gaussian", 64, 300, 7)
         if rank_one:  # a CountSketch of every row to row 0: SA is one nonzero row
             S = SketchOperator(SketchKind.SPARSE, 64, 300, 0,
                                SparsePayload(np.zeros(300, dtype=np.int64), np.ones(300)))
-        rep = check_acute_criterion(DRowProblem(A, b, S, eps=eps))
+        rep = check_acute_criterion(DRowProblem(oracle, S, eps=eps))
         lhs = A.condition_number() * eps
         assert (rep.lhs, rep.rhs, rep.margin) == (lhs, 1.0, 1.0 - lhs)
         assert (rep.passed, rep.note) == (passed, note)
@@ -411,36 +415,37 @@ class TestPinvPerturbation:
 
 
 class TestSuite:
-    def test_residual_formed_once(self, monkeypatch):
-        # every check of the pair shares r_s = A x_s - b and ||A^T r_s||,
-        # the geometric check too, at y = x_s.  The d-row reference forms
-        # A x_s - b again to sketch it, A^T w, and S r_ls from A x_ls - b; a
-        # cell's coordinates take no product with A for these
+    def test_no_product_with_A_on_the_cell_path(self, monkeypatch):
+        # every check of the pair reads ||r_s||, ||A^T r_s|| and
+        # ||r_s - r_ls|| from the oracle's evaluator, the geometric check
+        # too, at y = x_s.  The d-row reference forms A x_s - b to sketch
+        # it, A^T w, and S r_ls from A x_ls - b; a cell's coordinates take
+        # no product with A at all
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
         span = embed.span_coordinates(A, b)
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
-        R, P = DRowProblem(A, b, S), SketchedProblem(A, b, span, SW)
+        R, P = DRowProblem(oracle, S), SketchedProblem(oracle, span, SW)
         calls = Counter()
         for name in ("matvec", "rmatvec"):
             def counting(self, v, real=getattr(MatrixHandle, name), name=name):
                 calls[name] += 1
                 return real(self, v)
             monkeypatch.setattr(MatrixHandle, name, counting)
-        run_bound_suite(R, oracle)
-        assert calls == {"matvec": 3, "rmatvec": 2}
+        run_bound_suite(R)
+        assert calls == {"matvec": 2, "rmatvec": 1}
         calls.clear()
-        run_bound_suite(P, oracle)
-        assert calls == {"matvec": 1, "rmatvec": 1}
+        run_bound_suite(P)
+        assert calls == {}
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()
-        reports = run_bound_suite(DRowProblem(A, b, identity_sketch(300)), oracle)
+        reports = run_bound_suite(DRowProblem(oracle, identity_sketch(300)))
         assert all(r.passed for r in reports)
 
     def test_csv_export(self, tmp_path):
         A, b, oracle = build_instance()
-        reports = run_bound_suite(DRowProblem(A, b, build_sketch("gaussian", 128, 300, 1)), oracle)
+        reports = run_bound_suite(DRowProblem(oracle, build_sketch("gaussian", 128, 300, 1)))
         path = tmp_path / "bounds.csv"
         write_bound_reports(path, reports, seed=1, kind="gaussian", matrix="t", d=128)
         import csv

@@ -664,7 +664,7 @@ class TestOracle:
         A = synthesize_matrix(150, 12, 10.0 ** (seed + 1), seed)
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
-        assert same_bits(oracle.atr_ls, A.rmatvec(oracle.r_ls))
+        assert same_bits(oracle.atr_ls, A.rmatvec(A.matvec(oracle.x_ls) - b))
         ratio = np.linalg.norm(oracle.atr_ls) / (A.spectral_norm() * oracle.r_ls_norm)
         assert ratio <= 1e-10
 
@@ -698,8 +698,8 @@ class TestOracle:
             x = matio._qr_solve(A.matvec, MatrixHandle(data).qr_factor(), b)
             r = A.matvec(x) - b
             assert same_bits(oracle.x_ls, x)
-            assert same_bits(oracle.r_ls, r)
             assert oracle.r_ls_norm == float(np.linalg.norm(r))
+            assert same_bits(oracle.atr_ls, A.rmatvec(r))
 
     def test_csr_oracle_does_not_densify_once_factored(self, monkeypatch):
         dense = random_tall(80, 7, 3).dense()
@@ -712,6 +712,36 @@ class TestOracle:
         monkeypatch.setattr(MatrixHandle, "dense", refuse)
         oracle = solve_ls_oracle(A, synthesize_problem(A, 0))
         assert oracle.r_ls_norm > 0.0
+
+    @pytest.mark.parametrize("storage", ["dense", "csr", "factor"])
+    def test_residual_norms_match_the_m_row_values(self, storage):
+        # the evaluator against r = A x - b formed over the m rows, at the
+        # sketched minimizer, at x_ls and at a random x, for an
+        # inconsistent b and a consistent one, within the observer tests'
+        # tolerance: 1e-11 relative above the rounding floor of the m-row
+        # residual, 1e3 u (||A|| ||x|| + ||b||), and ||A|| times it for A^T r
+        A = synthesize_matrix(300, 12, 1e4, 4)
+        if storage != "factor":
+            A = MatrixHandle(A.dense() if storage == "dense" else scipy.sparse.csr_matrix(
+                A.dense()))
+        # the evaluator works in A's pivot order, so it must not be the identity
+        assert (A.qr_factor()[2] != np.arange(12)).any()
+        gen = stream(4, "evaluator")
+        norm_A = A.spectral_norm()
+        for b in (synthesize_problem(A, 5), A.matvec(gen.standard_normal(12))):
+            oracle = solve_ls_oracle(A, b)
+            r_ls = A.matvec(oracle.x_ls) - b
+            S = embed.build_sketch("gaussian", 36, 300, 6)
+            x_s = qr_ls_solve(embed.apply(S, A.dense()), embed.apply(S, b))
+            for x in (x_s, oracle.x_ls, gen.standard_normal(12)):
+                r = A.matvec(x) - b
+                want = (np.linalg.norm(r), np.linalg.norm(A.rmatvec(r)),
+                        np.linalg.norm(r - r_ls))
+                floor = 1e3 * np.finfo(float).eps * (norm_A * np.linalg.norm(x)
+                                                     + np.linalg.norm(b))
+                got = oracle.residual_norms(x)
+                for value, ref, scale in zip(got, want, (1.0, norm_A, 1.0)):
+                    assert value == pytest.approx(ref, rel=1e-11, abs=scale * floor)
 
     def test_qr_factor_cached_and_read_only(self):
         A = random_tall(40, 5, 3)

@@ -265,10 +265,12 @@ def test_one_source_driver():
 
 
 def test_bound_checks_take_eps_from_the_pair():
-    # eps is the pair's own (P.eps), so a diagnostics function that takes
-    # the pair P takes no eps beside it: a caller cannot pass another one
+    # eps and the least-squares oracle are the pair's own (P.eps, P.oracle),
+    # so a diagnostics function that takes the pair P takes neither beside
+    # it: a caller cannot pass another problem's
     tree = ast.parse((SRC / "diagnostics.py").read_text(encoding="utf-8"))
     both = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             and [a.arg for a in node.args.args][:1] == ["P"]
-            and "eps" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
-    assert both == [], f"{both} take eps beside P, whose eps is P.eps"
+            and {"eps", "oracle"} & {a.arg for a in ast.walk(node.args)
+                                     if isinstance(a, ast.arg)}]
+    assert both == [], f"{both} take eps or an oracle beside P, which holds its own"
