@@ -2,12 +2,8 @@
 
 :func:`run_bound_suite` evaluates the bounds of ``SUITE_BOUND_IDS`` that
 relate the original and sketched problems; these are the bounds a bound CSV
-holds.  Two checks stay out of the suite and run only in the tests:
-
-- :func:`check_eta_f_upper` (EtaFUpper) needs an m-by-m symmetric
-  eigensolve and refuses m above ``ETA_F_ROWS_GUARD``;
-- :func:`e1_minimizer_gap` is a measured gap, not a bound, and costs a fresh
-  QR of an m-by-n matrix per sketch.
+holds, the paper's backward-error result among them: the minimal backward
+error eta_F(x_s) (:func:`compute_eta_f`) is at most ||E1||.
 
 The suite's bounds are evaluated against quantities computed by independent
 dense factorizations: the reference solution comes from
@@ -48,7 +44,8 @@ CONSISTENT_THRESHOLD = 1e-12
 # a measured left-hand side this far below its natural scale is evaluation
 # noise; the inequality holds to working precision (identity-double cases)
 NOISE_FLOOR_REL = 1e-12
-ETA_F_ROWS_GUARD = 2000
+# compute_eta_f's eigenvalue error over ||A||^2 + mu gamma^2: about 450 u
+EIG_NOISE_REL = 1e-13
 # the largest condition estimate of a cell's T from the Gram of SW that is
 # used.  On 201-column sketches it reads 20-50 kappa_2(SW): 105-151 at
 # d = 2n, 755-860 at d = 1.2n (kappa_2 about 20), so u kappa_2^2 < 1e-12
@@ -87,7 +84,8 @@ class BackwardErrorResult:
     mu: float
     gamma: float
     upper_bound: float
-    negative_branch: bool = False
+    lambda_noise: float
+    negative_branch: bool
 
 
 def _report(bound_id: BoundId, lhs: float, rhs: float, note: str = "",
@@ -299,89 +297,88 @@ def check_residual_bounds(P: SketchedPair) -> List[BoundReport]:
     return reports
 
 
-def compute_eta_f(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
+def compute_eta_f(oracle: LsOracle, x_bar: np.ndarray,
                   theta: float = math.inf) -> BackwardErrorResult:
-    """Minimal normwise backward error of a candidate solution.
+    """Minimal normwise backward error eta_F of x_bar for min ||A x - b||
+    (Walden, Karlson and Sun 1995), from the LS oracle alone, with no
+    product with A.  With r = A x - b, gamma = ||r|| / ||x||,
+    mu = theta^2||x||^2/(1+theta^2||x||^2) (1 at theta = inf, which
+    perturbs A only) and lambda_star the smallest eigenvalue of the m x m
+    M = A A^T - mu r r^T / ||x||^2, eta = sqrt(gamma^2 mu + lambda_star)
+    when lambda_star < 0, else gamma sqrt(mu).  gamma and the upper bound
+    ||A^T r|| / ||r|| are :meth:`LsOracle.residual_norms`'s.
 
-    Two-branch formula: eta = gamma sqrt(mu) when lambda_star >= 0, else
-    sqrt(gamma^2 mu + lambda_star), with lambda_star the smallest eigenvalue
-    of A A^T - mu r r^T / ||x||^2 and mu = theta^2||x||^2/(1+theta^2||x||^2).
-    theta = inf perturbs A only (mu = 1).  Dense symmetric eigensolve; rows
-    are guarded at desk scale.
+    M = W K W^T in n + 1 dimensions.  With A[:, piv] = Q R, W = [Q u] for u
+    the unit part of r_ls orthogonal to range(Q), of weight
+    rho = sqrt(||r_ls||^2 - ||Q^T r_ls||^2), Q^T r_ls = R^-T (A^T r_ls)[piv],
+    r = A (x - x_ls) + r_ls = W c for c = [R (x - x_ls)[piv] + Q^T r_ls; rho]
+    and K = [R R^T 0; 0 0] - (mu / ||x||^2) c c^T.  M is zero orthogonal to
+    W, and lambda_min(K) <= -(mu / ||x||^2) rho^2 <= 0 by K's last
+    coordinate, so lambda_star = lambda_min(K) for every m > n.
+
+    The eigensolve errs by a small multiple of u ||K|| <= u (||A||^2 +
+    mu gamma^2), as ||c|| = ||r||; ``lambda_noise`` is that scale times
+    :data:`EIG_NOISE_REL`.  An eigenvalue above -lambda_noise is the
+    nonnegative branch, and where eta^2 cancels, as at x_ls, eta is noise
+    of up to sqrt(lambda_noise).
     """
-    if A.rows > ETA_F_ROWS_GUARD:
-        raise ValueError(f"eta_f guard: m = {A.rows} exceeds {ETA_F_ROWS_GUARD}")
     x_bar = np.asarray(x_bar, dtype=np.float64)
     xnorm = float(np.linalg.norm(x_bar))
     if xnorm == 0.0:
         raise ValueError("x_bar must be nonzero")
     mu = 1.0 if math.isinf(theta) else theta ** 2 * xnorm ** 2 / (1.0 + theta ** 2 * xnorm ** 2)
-    r = A.matvec(x_bar) - np.asarray(b, dtype=np.float64)
-    rnorm = float(np.linalg.norm(r))
+    rnorm, atr_norm, _ = oracle.residual_norms(x_bar)
     gamma = rnorm / xnorm
-
-    Ad = A.dense()
-    M = Ad @ Ad.T - (mu / xnorm ** 2) * np.outer(r, r)
-    lam = float(scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=(0, 0))[0])
-    # an eigenvalue within solver noise of zero is the nonnegative branch
-    branch_floor = -1e-13 * (A.spectral_norm() ** 2 + mu * gamma ** 2)
-    negative = lam < branch_floor
-    if negative:
-        eta = math.sqrt(max(gamma ** 2 * mu + lam, 0.0))
-    else:
-        eta = gamma * math.sqrt(mu)
-    upper = float(np.linalg.norm(A.rmatvec(r))) / rnorm if rnorm > 0.0 else 0.0
-    return BackwardErrorResult(eta_f=eta, lambda_star=lam, mu=mu, gamma=gamma,
-                               upper_bound=upper, negative_branch=negative)
-
-
-def check_eta_f_upper(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
-                      theta: float = math.inf) -> BoundReport:
-    """eta_F(x_bar) <= ||A^T r|| / ||r||, sharp in the inconsistent case."""
-    result = compute_eta_f(A, b, x_bar, theta)
-    if not result.negative_branch:
-        return _vacuous(BoundId.ETA_F_UPPER, "lambda_star >= 0 (consistent branch)")
-    return _report(BoundId.ETA_F_UPPER, result.eta_f, result.upper_bound)
+    _, R, piv = oracle.A.qr_factor()
+    qtr_ls = scipy.linalg.solve_triangular(R, oracle.atr_ls[piv], trans="T")
+    c = np.append(R @ (x_bar[piv] - oracle.x_ls[piv]) + qtr_ls,
+                  math.sqrt(max(oracle.r_ls_norm ** 2 - float(qtr_ls @ qtr_ls), 0.0)))
+    K = -(mu / xnorm ** 2) * np.outer(c, c)
+    K[:-1, :-1] += R @ R.T
+    lam = float(scipy.linalg.eigh(K, eigvals_only=True, subset_by_index=(0, 0))[0])
+    noise = EIG_NOISE_REL * (oracle.A.spectral_norm() ** 2 + mu * gamma ** 2)
+    negative = lam < -noise
+    eta = math.sqrt(max(gamma ** 2 * mu + lam, 0.0)) if negative else gamma * math.sqrt(mu)
+    upper = atr_norm / rnorm if rnorm > 0.0 else 0.0
+    return BackwardErrorResult(eta, lam, mu, gamma, upper, noise, negative)
 
 
 def check_explicit_perturbations(P: SketchedPair) -> List[BoundReport]:
-    """Norm bounds on the two explicit backward perturbations carrying x_s.
+    """Norm bounds on E1 and E2, the two explicit backward perturbations
+    carrying x_s, and on the least one, eta_F(x_s) (:func:`compute_eta_f`):
 
-    ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity) and
-    ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)).
+    ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity),
+    ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)),
+    eta_F(x_s) <= ||E1|| at theta = inf, as x_s solves min ||(A + E1) x - b||.
+    E1 is vacuous at a zero r_s, E2 at a zero x_s or on a consistent system
+    (its lhs noise, its rhs a multiple of ||r_ls||), eta_F where either is.
+    eta_F's noise floor is sqrt(lambda_noise), its noise at x_s = x_ls.
     """
     A, eps, oracle, (rs_norm, atr_s_norm, rdiff_norm) = P.A, P.eps, P.oracle, P.norms_s
     xs_norm = float(np.linalg.norm(P.x_s))
     norm_A = A.spectral_norm()
+    e1_void = "zero sketched residual" if rs_norm <= CONSISTENT_THRESHOLD * oracle.b_norm else ""
+    e2_void = ("zero sketched solution" if xs_norm == 0.0 else "consistent system"
+               if oracle.r_ls_norm <= CONSISTENT_THRESHOLD * oracle.b_norm else "")
     reports: List[BoundReport] = []
-    if rs_norm <= CONSISTENT_THRESHOLD * oracle.b_norm:
-        reports.append(_vacuous(BoundId.BACKWARD_E1, "zero sketched residual"))
+    if e1_void:
+        reports.append(_vacuous(BoundId.BACKWARD_E1, e1_void))
     else:
-        lhs = atr_s_norm / rs_norm
-        reports.append(_report(BoundId.BACKWARD_E1, lhs, eps * norm_A,
+        reports.append(_report(BoundId.BACKWARD_E1, atr_s_norm / rs_norm, eps * norm_A,
                                noise_floor=NOISE_FLOOR_REL * norm_A))
-    if xs_norm == 0.0:
-        reports.append(_vacuous(BoundId.BACKWARD_E2, "zero sketched solution"))
+    if e2_void:
+        reports.append(_vacuous(BoundId.BACKWARD_E2, e2_void))
     else:
-        lhs = rdiff_norm / xs_norm
         rhs = (oracle.r_ls_norm / xs_norm) * direction_bound(eps)
-        reports.append(_report(BoundId.BACKWARD_E2, lhs, rhs,
+        reports.append(_report(BoundId.BACKWARD_E2, rdiff_norm / xs_norm, rhs,
                                noise_floor=NOISE_FLOOR_REL * oracle.r_ls_norm / xs_norm))
+    if e1_void or e2_void:
+        reports.append(_vacuous(BoundId.ETA_F_UPPER, e1_void or e2_void))
+    else:
+        res = compute_eta_f(oracle, P.x_s)
+        reports.append(_report(BoundId.ETA_F_UPPER, res.eta_f, res.upper_bound,
+                               noise_floor=math.sqrt(res.lambda_noise)))
     return reports
-
-
-def e1_minimizer_gap(A: MatrixHandle, b: np.ndarray, x_s: np.ndarray) -> float:
-    """Relative distance between x_s and the exact minimizer of the
-    E1-perturbed problem; small values confirm x_s solves (A+E1, b)."""
-    b = np.asarray(b, dtype=np.float64)
-    r_s = A.matvec(x_s) - b
-    rs_norm_sq = float(r_s @ r_s)
-    if rs_norm_sq == 0.0:
-        return 0.0
-    Ad = A.dense()
-    E1 = -np.outer(r_s, r_s @ Ad) / rs_norm_sq
-    x_check = qr_ls_solve(Ad + E1, b)
-    return float(np.linalg.norm(x_check - x_s) / np.linalg.norm(x_s))
 
 
 def check_solution_error(P: SketchedPair) -> List[BoundReport]:
@@ -438,6 +435,7 @@ SUITE_BOUND_IDS = (
     BoundId.NORMAL_RATIO_CROSS,
     BoundId.BACKWARD_E1,
     BoundId.BACKWARD_E2,
+    BoundId.ETA_F_UPPER,
     BoundId.SOLUTION_ERR_REL,
     BoundId.SOLUTION_ERR_LS,
     BoundId.COMBINED_RESIDUAL,

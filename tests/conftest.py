@@ -1,3 +1,4 @@
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 import scipy.linalg
 
 from sketchls import embed
+from sketchls.diagnostics import compute_eta_f
 from sketchls.embed import GaussianPayload, SketchKind, SketchOperator, SparsePayload
 from sketchls.matio import LsOracle, MatrixHandle
 from sketchls.rng import stream
 from sketchls.stopping import stabilization_decision
+
+from reference import eta_f_dense
 
 DATA_DIR_CANDIDATES = ("data", "tests/data")
 
@@ -69,6 +73,26 @@ def pythagorean_gap(oracle: LsOracle, r_s: np.ndarray) -> float:
     r_ls = oracle.A.matvec(oracle.x_ls) - oracle.b
     diff_sq = float(np.linalg.norm(r_ls - r_s)) ** 2
     return abs(diff_sq - (rs_norm_sq - rls_norm_sq)) / rls_norm_sq
+
+
+def eta_f_checked(A, b, oracle, x_bar, theta=math.inf):
+    """``compute_eta_f(oracle, x_bar, theta)``, checked against the m x m
+    reference ``eta_f_dense`` (A of at most a few hundred rows).  Both
+    solve for lambda_star to an absolute error below ``lambda_noise``, and
+    eta^2 = gamma^2 mu + lambda_star is linear in it: so the two take the
+    same branch, their lambda_star agree within lambda_noise and their
+    eta^2 within 2 lambda_noise, which is eta within lambda_noise / eta
+    once eta is well above sqrt(lambda_noise).  Seen: 1.3e-13 absolute
+    where eta >= 4.8e-4, and noise of at most 1e-8 at x_ls."""
+    res = compute_eta_f(oracle, x_bar, theta)
+    ref = eta_f_dense(A, b, x_bar, theta)
+    assert res.negative_branch == ref.negative_branch
+    assert res.mu == pytest.approx(ref.mu, rel=1e-15)
+    assert res.gamma == pytest.approx(ref.gamma, rel=1e-9)
+    assert res.lambda_noise == pytest.approx(ref.lambda_noise, rel=1e-9)
+    assert abs(res.lambda_star - ref.lambda_star) <= res.lambda_noise
+    assert abs(res.eta_f ** 2 - ref.eta_f ** 2) <= 2.0 * res.lambda_noise
+    return res
 
 
 def first_stabilization(values: List[float], window: int = 5,

@@ -5,21 +5,26 @@ a test compares the two: the d-row sketched problem of an explicit S
 against a CLI cell (``sketchls.diagnostics.SketchedProblem``; both are a
 ``SketchedPair``, which holds what the bound checks share, and each carries
 the oracle of its problem and its own eps), the explicit matrix of a sketch
-and the one-shot butterfly SRHT against ``sketchls.embed.apply``, and the
-Matrix Market writer and a handle's CSR arrays against the loader.
+and the one-shot butterfly SRHT against ``sketchls.embed.apply``, the m x m
+eigensolve of the backward error against ``sketchls.diagnostics.compute_eta_f``,
+and the Matrix Market writer and a handle's CSR arrays against the loader.
+The E1 minimizer gap, a dense lemma that holds at every x, lives here too,
+beside the ids of the pseudoinverse lemma.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from sketchls import embed
-from sketchls.diagnostics import SketchedPair
+from sketchls.diagnostics import EIG_NOISE_REL, BackwardErrorResult, SketchedPair
 from sketchls.embed import GaussianPayload, SketchOperator, SrhtPayload
 from sketchls.matio import LsOracle, MatrixHandle, qr_ls_solve
 
@@ -131,3 +136,42 @@ class PinvBoundId(str, enum.Enum):
     dense matrices and not a bound of the suite."""
     PINV_PERTURB = "PinvPerturb"
     PINV_NON_ACUTE = "PinvNonAcute"
+
+
+def eta_f_dense(A: MatrixHandle, b: np.ndarray, x_bar: np.ndarray,
+                theta: float = math.inf) -> BackwardErrorResult:
+    """eta_F of x_bar by its definition's m x m eigenproblem, the slow
+    reference of ``compute_eta_f``: lambda_star, the smallest eigenvalue of
+    M = A A^T - mu r r^T / ||x||^2 with r = A x - b formed and A dense, and
+    the same branch rule and ``lambda_noise``."""
+    x_bar = np.asarray(x_bar, dtype=np.float64)
+    xnorm = float(np.linalg.norm(x_bar))
+    mu = 1.0 if math.isinf(theta) else theta ** 2 * xnorm ** 2 / (1.0 + theta ** 2 * xnorm ** 2)
+    r = A.matvec(x_bar) - b
+    rnorm = float(np.linalg.norm(r))
+    gamma = rnorm / xnorm
+    Ad = A.dense()
+    M = Ad @ Ad.T - (mu / xnorm ** 2) * np.outer(r, r)
+    lam = float(scipy.linalg.eigh(M, eigvals_only=True, subset_by_index=(0, 0))[0])
+    noise = EIG_NOISE_REL * (A.spectral_norm() ** 2 + mu * gamma ** 2)
+    negative = lam < -noise
+    eta = math.sqrt(max(gamma ** 2 * mu + lam, 0.0)) if negative else gamma * math.sqrt(mu)
+    upper = float(np.linalg.norm(A.rmatvec(r))) / rnorm if rnorm > 0.0 else 0.0
+    return BackwardErrorResult(eta_f=eta, lambda_star=lam, mu=mu, gamma=gamma,
+                               upper_bound=upper, lambda_noise=noise,
+                               negative_branch=negative)
+
+
+def e1_minimizer_gap(A: MatrixHandle, b: np.ndarray, x: np.ndarray) -> float:
+    """Relative distance between x and the minimizer of the E1-perturbed
+    problem min ||(A + E1) y - b||, E1 = -r r^T A / ||r||^2 for r = A x - b,
+    by a fresh Householder QR of A + E1.  A + E1 = (I - r r^T / ||r||^2) A,
+    so (A + E1)^T ((A + E1) x - b) = 0 and the gap is rounding at every x,
+    not only at x_s: a lemma, not a bound of the suite."""
+    r = A.matvec(x) - b
+    rnorm_sq = float(r @ r)
+    if rnorm_sq == 0.0:
+        return 0.0
+    Ad = A.dense()
+    y = qr_ls_solve(Ad - np.outer(r, r @ Ad) / rnorm_sq, b)
+    return float(np.linalg.norm(y - x) / np.linalg.norm(x))

@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from sketchls import embed
-from sketchls.diagnostics import (SUITE_BOUND_IDS, compute_eta_f,
-                                  run_bound_suite, sandwich_multiplier, solve_sketched)
+from sketchls.diagnostics import (SUITE_BOUND_IDS, run_bound_suite, sandwich_multiplier,
+                                  solve_sketched)
 from sketchls.matio import (MatrixHandle, load_matrix_market, solve_ls_oracle,
                             synthesize_matrix, synthesize_problem)
 from sketchls.solvers import (LinearOperatorView, MetricsObserver, Termination,
@@ -35,7 +35,7 @@ from sketchls.solvers import (LinearOperatorView, MetricsObserver, Termination,
 from sketchls.stopping import StopMode, StoppingController, StoppingPolicy
 from sketchls.rng import stream
 
-from conftest import pythagorean_gap
+from conftest import eta_f_checked, pythagorean_gap
 from reference import DRowProblem, csr
 
 
@@ -126,7 +126,7 @@ def test_criterion_3_backward_error_branches():
     A = synthesize_matrix(200, 20, 30.0, 42)
     b = synthesize_problem(A, 11)
     oracle = solve_ls_oracle(A, b)
-    res = compute_eta_f(A, b, oracle.x_ls + 1e-3)
+    res = eta_f_checked(A, b, oracle, oracle.x_ls + 1e-3)
     inconsistent_ok = res.negative_branch and res.lambda_star < 0 \
         and res.eta_f <= res.upper_bound * (1 + 1e-8)
 
@@ -138,7 +138,7 @@ def test_criterion_3_backward_error_branches():
     delta /= np.linalg.norm(delta)
     ratios = []
     for t in (4e-2, 2e-2, 1e-2, 5e-3):
-        r = compute_eta_f(A2, b2, oracle2.x_ls + t * delta)
+        r = eta_f_checked(A2, b2, oracle2, oracle2.x_ls + t * delta)
         ratios.append(r.upper_bound / r.eta_f)
     sharp_ok = all(r >= 1 - 1e-10 for r in ratios) \
         and all(ratios[i + 1] <= ratios[i] * 1.05 for i in range(3)) \
@@ -149,7 +149,7 @@ def test_criterion_3_backward_error_branches():
     b_cons = A2.matvec(x_true)
     x_bar = 0.01 * stream(6, "cx").standard_normal(20)
     assert np.linalg.norm(x_bar) ** 2 < 0.5 * np.linalg.norm(x_true - x_bar) ** 2
-    counter = compute_eta_f(A2, b_cons, x_bar)
+    counter = eta_f_checked(A2, b_cons, solve_ls_oracle(A2, b_cons), x_bar)
     counter_ok = counter.lambda_star < 0
 
     ok = inconsistent_ok and sharp_ok and counter_ok

@@ -795,6 +795,8 @@ def suite_noise_floor(bound_id, P) -> float:
     """The noise floor that ``diagnostics`` gives a row of the bound suite
     of ``P``: the lhs below which the row passes as rounding noise."""
     BoundId, norm_A = diagnostics.BoundId, P.A.spectral_norm()
+    if bound_id is BoundId.ETA_F_UPPER:
+        return math.sqrt(diagnostics.compute_eta_f(P.oracle, P.x_s).lambda_noise)
     scale = {BoundId.GEOM_PRESERVE: norm_A * P.norms_s[0],
              BoundId.RESIDUAL_SANDWICH: 0.0, BoundId.ACUTE_CRITERION: 0.0,
              BoundId.BACKWARD_E1: norm_A,
@@ -892,7 +894,9 @@ class TestSketchCell:
         # A row's lhs and rhs 1e-10, or the row's noise floor when that is
         # larger: the lhs of GeomPreserve, NormalRatioCross and the rows
         # that read ||A^T r_s|| are differences of O(1) terms that cancel
-        # to about eps of them (seen: at most 7e-12, and 2e-12 for an rhs)
+        # to about eps of them (seen: at most 7e-12, and 2e-12 for an rhs).
+        # EtaFUpper's floor is sqrt(lambda_noise) of compute_eta_f; its
+        # lhs agreed to 5e-12 and its rhs to 1.3e-11 on every kind and source
         problem, P, R = slow_oracle_cell(source, kind)
         assert P.d == R.d
         assert np.max(np.abs(P.sv - R.sv)) <= 1e-14 * R.sv[0]
@@ -1125,7 +1129,8 @@ class TestCellLoop:
     def test_no_product_with_A_after_the_sketch(self, tmp_path, monkeypatch, command):
         # a seed's b, oracle and span multiply by A, and they are formed by
         # the first sketch of the seed; once a cell is sketched, its bound
-        # suite, solves and summary read the oracle's evaluator and A's R
+        # suite, solves and summary read the oracle's evaluator and A's R,
+        # and none of them forms the dense A, eta_F's included
         after_sketch, products = [], []
         real_sketch = cli._sketch_cell
 
@@ -1136,10 +1141,10 @@ class TestCellLoop:
             return P
 
         monkeypatch.setattr(cli, "_sketch_cell", sketch)
-        for name in ("matvec", "rmatvec"):
-            def counting(A, v, real=getattr(MatrixHandle, name)):
+        for name in ("matvec", "rmatvec", "dense"):
+            def counting(A, *v, real=getattr(MatrixHandle, name)):
                 products.append(bool(after_sketch))
-                return real(A, v)
+                return real(A, *v)
             monkeypatch.setattr(MatrixHandle, name, counting)
         if command == "run":
             assert run_experiment(parse_config(TWO_KINDS_CONFIG.format(out=tmp_path))) == EXIT_OK
@@ -1563,6 +1568,15 @@ class TestMain:
         assert (tmp_path / "out" / "synth120x6c20_gaussian_d24_s3_bounds.csv").exists()
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
+
+    @pytest.mark.parametrize("kind, seed", [("sparse", "2"), ("gaussian", "0")])
+    def test_check_passes_on_a_consistent_system(self, capsys, kind, seed):
+        # rho = 1e-20: x_s = x_ls to rounding, and BackwardE2's lhs is noise
+        # against an rhs of ||r_ls||; the sparse cell once failed it
+        assert main(["check", "--synthetic", "300,6,20", "--kind", kind, "--seed", seed,
+                     "--d-mult", "2", "--rho", "1e-20"]) == EXIT_OK
+        assert "BackwardE2             lhs=0 rhs=0 pass  [consistent system]" in \
+            capsys.readouterr().out
 
     def test_check_writes_the_bound_file_of_run(self, tmp_path, capsys):
         # one name per source: check's bound file of a cell is run's

@@ -8,10 +8,8 @@ import scipy.linalg
 from sketchls import embed
 from sketchls.diagnostics import (BoundId, BoundReport, SketchedProblem, _report,
                                   check_acute_criterion, check_explicit_perturbations,
-                                  check_eta_f_upper, check_geometric_preservation,
-                                  check_residual_bounds, check_solution_error,
-                                  compute_eta_f, direction_bound,
-                                  e1_minimizer_gap,
+                                  check_geometric_preservation, check_residual_bounds,
+                                  check_solution_error, compute_eta_f, direction_bound,
                                   run_bound_suite, sandwich_multiplier, sketch_factor,
                                   solve_sketched, write_bound_reports)
 from sketchls.embed import SketchKind, SketchOperator, SparsePayload, build_sketch
@@ -19,8 +17,9 @@ from sketchls.matio import MatrixHandle, qr_ls_solve, solve_ls_oracle, synthesiz
     synthesize_problem
 from sketchls.rng import stream
 
-from conftest import identity_sketch, pythagorean_gap, random_rhs, random_tall
-from reference import DRowProblem, PinvBoundId
+from conftest import (eta_f_checked, identity_sketch, pythagorean_gap, random_rhs,
+                      random_tall)
+from reference import DRowProblem, PinvBoundId, e1_minimizer_gap
 
 
 def build_instance(m=300, n=4, cond=10.0, mseed=1, pseed=2, rho=1e-3):
@@ -179,10 +178,13 @@ class TestResidualBounds:
 
 
 class TestBackwardError:
+    """``compute_eta_f`` on the oracle, each instance against the m x m
+    reference (``eta_f_checked``)."""
+
     def test_reference_solution_eigenpair(self):
         # r_ls/||r_ls|| is the minimal eigenvector; eigenvalue -mu ||r||^2/||x||^2
         A, b, oracle = build_instance(m=200, n=20, cond=30.0)
-        res = compute_eta_f(A, b, oracle.x_ls)
+        res = eta_f_checked(A, b, oracle, oracle.x_ls)
         expect = -oracle.r_ls_norm ** 2 / np.linalg.norm(oracle.x_ls) ** 2
         assert res.lambda_star == pytest.approx(expect, rel=1e-8)
         assert res.lambda_star < 0
@@ -192,7 +194,7 @@ class TestBackwardError:
         gen = stream(7, "xbar")
         for _ in range(5):
             x_bar = oracle.x_ls + 1e-2 * gen.standard_normal(20)
-            res = compute_eta_f(A, b, x_bar)
+            res = eta_f_checked(A, b, oracle, x_bar)
             assert res.lambda_star < 0
             assert res.eta_f <= res.upper_bound * (1 + 1e-8)
 
@@ -201,7 +203,7 @@ class TestBackwardError:
         x = stream(6, "x").standard_normal(10)
         b = A.matvec(x)
         delta = stream(6, "d").standard_normal(10)
-        res = compute_eta_f(A, b, x + 1e-6 * delta / np.linalg.norm(delta))
+        res = eta_f_checked(A, b, solve_ls_oracle(A, b), x + 1e-6 * delta / np.linalg.norm(delta))
         assert res.lambda_star >= -1e-10
         assert res.eta_f == pytest.approx(res.gamma * math.sqrt(res.mu), rel=1e-12)
 
@@ -213,7 +215,7 @@ class TestBackwardError:
         x_bar = 0.01 * stream(6, "cx").standard_normal(10)
         mu = 1.0
         assert np.linalg.norm(x_bar) ** 2 < mu / (1 + mu) * np.linalg.norm(x - x_bar) ** 2
-        res = compute_eta_f(A, b, x_bar)
+        res = eta_f_checked(A, b, solve_ls_oracle(A, b), x_bar)
         assert res.lambda_star < 0
 
     def test_sharpness_ratio_decreases(self):
@@ -224,7 +226,7 @@ class TestBackwardError:
         delta /= np.linalg.norm(delta)
         ratios = []
         for t in (4e-2, 2e-2, 1e-2, 5e-3):
-            res = compute_eta_f(A, b, oracle.x_ls + t * delta)
+            res = eta_f_checked(A, b, oracle, oracle.x_ls + t * delta)
             ratios.append(res.upper_bound / res.eta_f)
         assert all(r >= 1 - 1e-10 for r in ratios)
         assert all(ratios[i + 1] <= ratios[i] * 1.05 for i in range(3))
@@ -232,27 +234,29 @@ class TestBackwardError:
 
     def test_theta_scales_mu(self):
         A, b, oracle = build_instance(m=100, n=8)
-        res = compute_eta_f(A, b, oracle.x_ls, theta=1.0)
+        res = eta_f_checked(A, b, oracle, oracle.x_ls, theta=1.0)
         xn = np.linalg.norm(oracle.x_ls)
         assert res.mu == pytest.approx(xn ** 2 / (1 + xn ** 2), rel=1e-12)
 
+    @pytest.mark.parametrize("at", ["x_ls", "perturbed"])
+    def test_one_more_row_than_columns(self, at):
+        # m = n + 1: W = [Q u] is square and M = W K W^T has no null part
+        A, b, oracle = build_instance(m=21, n=20, cond=30.0, mseed=3, pseed=3)
+        eta_f_checked(A, b, oracle, oracle.x_ls + (0.0 if at == "x_ls" else 1e-2))
+
     def test_eta_upper_report(self):
+        # the EtaFUpper row of a pair whose x_s is set: it reads only x_s
         A, b, oracle = build_instance(m=200, n=20)
-        rep = check_eta_f_upper(A, b, oracle.x_ls + 1e-3)
+        P = DRowProblem(oracle, identity_sketch(200), eps=0.0)
+        P.x_s = oracle.x_ls + 1e-3
+        rep = check_explicit_perturbations(P)[2]
         assert rep.bound_id is BoundId.ETA_F_UPPER
         assert rep.passed
 
-    def test_row_guard(self, monkeypatch):
-        import sketchls.diagnostics as diag
-        monkeypatch.setattr(diag, "ETA_F_ROWS_GUARD", 50)
-        A, b, oracle = build_instance(m=100, n=8)
-        with pytest.raises(ValueError, match="guard"):
-            compute_eta_f(A, b, oracle.x_ls)
-
     def test_zero_x_rejected(self):
-        A, b, _ = build_instance(m=100, n=8)
+        _, _, oracle = build_instance(m=100, n=8)
         with pytest.raises(ValueError):
-            compute_eta_f(A, b, np.zeros(8))
+            compute_eta_f(oracle, np.zeros(8))
 
 
 class TestExplicitPerturbations:
@@ -264,6 +268,17 @@ class TestExplicitPerturbations:
         assert by_id[BoundId.BACKWARD_E1].lhs <= 1e-10
         assert all(r.passed for r in reports)
 
+    def test_eta_f_noise_at_x_ls_passes(self):
+        # at x_s = x_ls, eta_F^2 = gamma^2 + lambda_star cancels to eigensolve
+        # noise: here eta_F reads 5.6e-9 against an rhs of rounding, 4e-14,
+        # and the row passes by its noise floor sqrt(lambda_noise)
+        _, _, oracle = build_instance()
+        P = DRowProblem(oracle, identity_sketch(300), eps=0.0)
+        P.x_s = oracle.x_ls
+        rep = check_explicit_perturbations(P)[2]
+        assert rep.passed
+        assert rep.lhs <= math.sqrt(compute_eta_f(oracle, oracle.x_ls).lambda_noise)
+
     def test_small_sparse_instance(self):
         A = random_tall(30, 3, 9)
         b = synthesize_problem(A, 9)
@@ -274,6 +289,14 @@ class TestExplicitPerturbations:
         assert by_id[BoundId.BACKWARD_E1].passed
         # x_s exactly minimizes the E1-perturbed problem
         assert e1_minimizer_gap(A, b, P.x_s) <= 1e-8
+
+    def test_e1_gap_vanishes_far_from_x_s(self):
+        # A + E1 = (I - r r^T / ||r||^2) A makes any x the minimizer of its
+        # E1-perturbed problem, so the gap is rounding 100 away from x_ls
+        # too: a lemma, with no suite row
+        A, b, oracle = build_instance()
+        x = oracle.x_ls + 100.0 * stream(5, "far").standard_normal(4)
+        assert e1_minimizer_gap(A, b, x) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_e2_bound_with_informative_epsilon(self, seed):

@@ -28,11 +28,6 @@ UNREACHED = {
     # held by the benchmark
     "diagnostics.solve_sketched": "bench/tracer.py wraps it; the d-row x_s of the tests",
     "cli.parse_config": "bench/child.py calls it",
-    # the backward-error checks that are to join the bound suite
-    "diagnostics.BackwardErrorResult": "compute_eta_f's result",
-    "diagnostics.compute_eta_f": "eta_F of the backward-error check, tier-1 only so far",
-    "diagnostics.check_eta_f_upper": "EtaFUpper, tier-1 only so far",
-    "diagnostics.e1_minimizer_gap": "the E1 minimality check, tier-1 only so far",
 }
 
 
@@ -135,9 +130,9 @@ def test_every_definition_is_reached_or_kept_for_a_reason():
 
 def test_every_unreached_entry_has_a_reader():
     # an UNREACHED entry is held by a test or bench file that reads it, or
-    # by the body of another held entry (compute_eta_f's result); once its
-    # last reader is gone it fails here and is deleted.  bench/tracer.py
-    # patches names given as strings, so a string is an attribute read
+    # by the body of another held entry; once its last reader is gone it
+    # fails here and is deleted.  bench/tracer.py patches names given as
+    # strings, so a string is an attribute read
     defs, _ = _definitions()
     root = SRC.parents[1]
     readers = [path for path in sorted(root.glob("tests/*.py"))
