@@ -18,10 +18,14 @@ from its coordinates; the tests run the checks on the d-row problem of an
 explicit S too (``DRowProblem`` of ``tests/reference.py``), the slow
 reference of the cell, whose minimizer is :func:`solve_sketched`.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
-bound, and a pass/fail margin.  A bound void by a zero residual or solution
-is reported as a vacuous pass (lhs = rhs = 0) with a note.  A bound whose
-multiplier needs eps < 1 gets rhs = inf once eps >= 1, and passes with an
-empty note.
+bound, and a pass/fail margin.  A row that proves nothing passes, by one of
+three rules.  On a consistent pair (:attr:`SketchedPair.consistent`), r_ls
+and r_s are rounding noise, so :func:`run_bound_suite` reports every row
+but the acute criterion as a vacuous pass (lhs = rhs = 0) with the note
+``consistent system``.  A row num / den <= rhs is a vacuous pass with a
+note that names den when den is zero (:func:`_ratio`).  A multiplier that
+divides by 1 - eps gets rhs = inf once eps >= 1 (:func:`_over_lower_bound`),
+and its row passes with an empty note.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -105,18 +109,31 @@ def _vacuous(bound_id: BoundId, note: str) -> BoundReport:
                        margin=0.0, note=note)
 
 
+def _ratio(bound_id: BoundId, num: float, den: float, zero_note: str,
+           rhs: Callable[[], float],
+           noise_floor: Callable[[], float] = lambda: NOISE_FLOOR_REL) -> BoundReport:
+    """The row num / den <= ``rhs()``; at a zero den, where the ratio and
+    any rhs divided by den are undefined, a vacuous pass with ``zero_note``,
+    which names den."""
+    if den == 0.0:
+        return _vacuous(bound_id, zero_note)
+    return _report(bound_id, num / den, rhs(), noise_floor=noise_floor())
+
+
+def _over_lower_bound(num: float, eps: float) -> float:
+    """num / (1 - eps), 1 - eps the lower embedding bound; inf once eps >= 1
+    voids that bound."""
+    return math.inf if eps >= 1.0 else num / (1.0 - eps)
+
+
 def sandwich_multiplier(eps: float) -> float:
-    """sqrt((1+eps)/(1-eps)); infinite once the lower embedding bound is void."""
-    if eps >= 1.0:
-        return math.inf
-    return math.sqrt((1.0 + eps) / (1.0 - eps))
+    """sqrt((1+eps)/(1-eps))."""
+    return math.sqrt(_over_lower_bound(1.0 + eps, eps))
 
 
 def direction_bound(eps: float) -> float:
-    """sqrt(2 eps / (1-eps)); infinite once the lower embedding bound is void."""
-    if eps >= 1.0:
-        return math.inf
-    return math.sqrt(2.0 * eps / (1.0 - eps))
+    """sqrt(2 eps / (1-eps))."""
+    return math.sqrt(_over_lower_bound(2.0 * eps, eps))
 
 
 def combined_direction_bound(eps: float, kappa: float) -> float:
@@ -143,6 +160,11 @@ class SketchedPair:
     @property
     def norm_SA(self) -> float:
         return float(self.sv[0])
+
+    @cached_property
+    def consistent(self) -> bool:
+        """Whether b is in range(A) to rounding, ||r_ls|| <= CONSISTENT_THRESHOLD ||b||."""
+        return self.oracle.r_ls_norm <= CONSISTENT_THRESHOLD * self.oracle.b_norm
 
     @cached_property
     def norms_s(self) -> Tuple[float, float, float]:
@@ -182,7 +204,7 @@ class SketchedProblem(SketchedPair):
         from the basis columns of T and T c_q, the coordinates in Q_s of the
         sketched ``subspace_basis(A, b)``."""
         Sq = None if self.span.c_q is None else self.T @ self.span.c_q
-        return embed.basis_distortion(self.T[:, : self.span.rank], Sq).epsilon
+        return embed.basis_distortion(self.T[:, : self.span.rank], Sq)
 
     @cached_property
     def x_s(self) -> np.ndarray:
@@ -236,13 +258,11 @@ def solve_sketched(A: MatrixHandle, b: np.ndarray, S: embed.SketchOperator) -> n
     return qr_ls_solve(embed.apply(S, A.dense()), embed.apply(S, b))
 
 
-def check_geometric_preservation(P: SketchedPair, y: np.ndarray) -> BoundReport:
-    """||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| for any y; at
-    y = x_s, as the suite checks it, ||Ay - b|| is ``P.norms_s[0]``."""
-    rnorm = P.norms_s[0] if y is P.x_s else float(np.linalg.norm(P.A.matvec(y) - P.b))
-    if rnorm == 0.0:
-        return _vacuous(BoundId.GEOM_PRESERVE, "zero residual at y")
-    lhs = float(np.linalg.norm(P.geometric_defect(y)))
+def check_geometric_preservation(P: SketchedPair) -> BoundReport:
+    """||A^T (S^T S - I) r_s|| <= eps ||A|| ||r_s|| for r_s = A x_s - b, whose
+    norm is ``P.norms_s[0]``; the lemma holds for any y in place of x_s."""
+    rnorm = P.norms_s[0]
+    lhs = float(np.linalg.norm(P.geometric_defect(P.x_s)))
     norm_A = P.A.spectral_norm()
     return _report(BoundId.GEOM_PRESERVE, lhs, P.eps * norm_A * rnorm,
                    noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
@@ -258,43 +278,19 @@ def check_residual_bounds(P: SketchedPair) -> List[BoundReport]:
     rls_norm = oracle.r_ls_norm
     norm_A = A.spectral_norm()
     kappa = A.condition_number()
-    reports: List[BoundReport] = []
-
-    consistent = rls_norm <= CONSISTENT_THRESHOLD * oracle.b_norm
-    if consistent:
-        # both residuals are rounding noise; every ratio is 0/0
-        for bound_id in (BoundId.RESIDUAL_SANDWICH, BoundId.RESIDUAL_DIRECTION,
-                         BoundId.COMBINED_RESIDUAL, BoundId.NORMAL_RATIO_SKETCHED,
-                         BoundId.NORMAL_RATIO_CROSS):
-            reports.append(_vacuous(bound_id, "consistent system"))
-        return reports
-
-    reports.append(_report(BoundId.RESIDUAL_SANDWICH, rs_norm,
-                           sandwich_multiplier(eps) * rls_norm))
-    direction = rdiff_norm / rls_norm
-    reports.append(_report(BoundId.RESIDUAL_DIRECTION, direction, direction_bound(eps),
-                           noise_floor=NOISE_FLOOR_REL))
-    reports.append(_report(BoundId.COMBINED_RESIDUAL, direction,
-                           combined_direction_bound(eps, kappa),
-                           noise_floor=NOISE_FLOOR_REL))
-
-    if rs_norm == 0.0:
-        reports.append(_vacuous(BoundId.NORMAL_RATIO_SKETCHED, "zero sketched residual"))
-    else:
-        lhs = atr_s_norm / (norm_A * rs_norm)
-        reports.append(_report(BoundId.NORMAL_RATIO_SKETCHED, lhs, eps,
-                               noise_floor=NOISE_FLOOR_REL))
-
     Srls = P.sketch_residual(oracle.x_ls)
-    srls_norm = float(np.linalg.norm(Srls))
-    if srls_norm == 0.0:
-        reports.append(_vacuous(BoundId.NORMAL_RATIO_CROSS, "zero sketched residual"))
-    else:
-        lhs = float(np.linalg.norm(P.SA.T @ Srls)) / (P.norm_SA * srls_norm)
-        rhs = eps / (1.0 - eps) if eps < 1.0 else math.inf
-        reports.append(_report(BoundId.NORMAL_RATIO_CROSS, lhs, rhs,
-                               noise_floor=NOISE_FLOOR_REL))
-    return reports
+    return [
+        _report(BoundId.RESIDUAL_SANDWICH, rs_norm, sandwich_multiplier(eps) * rls_norm),
+        _ratio(BoundId.RESIDUAL_DIRECTION, rdiff_norm, rls_norm, "zero LS residual",
+               lambda: direction_bound(eps)),
+        _ratio(BoundId.COMBINED_RESIDUAL, rdiff_norm, rls_norm, "zero LS residual",
+               lambda: combined_direction_bound(eps, kappa)),
+        _ratio(BoundId.NORMAL_RATIO_SKETCHED, atr_s_norm, norm_A * rs_norm,
+               "zero sketched residual", lambda: eps),
+        _ratio(BoundId.NORMAL_RATIO_CROSS, float(np.linalg.norm(P.SA.T @ Srls)),
+               P.norm_SA * float(np.linalg.norm(Srls)), "zero sketched LS residual",
+               lambda: _over_lower_bound(eps, eps)),
+    ]
 
 
 def compute_eta_f(oracle: LsOracle, x_bar: np.ndarray,
@@ -350,35 +346,22 @@ def check_explicit_perturbations(P: SketchedPair) -> List[BoundReport]:
     ||E1|| = ||A^T r_s|| / ||r_s|| <= eps ||A|| (rank-one norm identity),
     ||E2|| = ||r_ls - r_s|| / ||x_s|| <= (||r_ls|| / ||x_s||) sqrt(2eps/(1-eps)),
     eta_F(x_s) <= ||E1|| at theta = inf, as x_s solves min ||(A + E1) x - b||.
-    E1 is vacuous at a zero r_s, E2 at a zero x_s or on a consistent system
-    (its lhs noise, its rhs a multiple of ||r_ls||), eta_F where either is.
-    eta_F's noise floor is sqrt(lambda_noise), its noise at x_s = x_ls.
+    eta_F is vacuous where E1 or E2 is; its noise floor is sqrt(lambda_noise),
+    its noise at x_s = x_ls.
     """
     A, eps, oracle, (rs_norm, atr_s_norm, rdiff_norm) = P.A, P.eps, P.oracle, P.norms_s
     xs_norm = float(np.linalg.norm(P.x_s))
     norm_A = A.spectral_norm()
-    e1_void = "zero sketched residual" if rs_norm <= CONSISTENT_THRESHOLD * oracle.b_norm else ""
-    e2_void = ("zero sketched solution" if xs_norm == 0.0 else "consistent system"
-               if oracle.r_ls_norm <= CONSISTENT_THRESHOLD * oracle.b_norm else "")
-    reports: List[BoundReport] = []
-    if e1_void:
-        reports.append(_vacuous(BoundId.BACKWARD_E1, e1_void))
-    else:
-        reports.append(_report(BoundId.BACKWARD_E1, atr_s_norm / rs_norm, eps * norm_A,
-                               noise_floor=NOISE_FLOOR_REL * norm_A))
-    if e2_void:
-        reports.append(_vacuous(BoundId.BACKWARD_E2, e2_void))
-    else:
-        rhs = (oracle.r_ls_norm / xs_norm) * direction_bound(eps)
-        reports.append(_report(BoundId.BACKWARD_E2, rdiff_norm / xs_norm, rhs,
-                               noise_floor=NOISE_FLOOR_REL * oracle.r_ls_norm / xs_norm))
-    if e1_void or e2_void:
-        reports.append(_vacuous(BoundId.ETA_F_UPPER, e1_void or e2_void))
-    else:
-        res = compute_eta_f(oracle, P.x_s)
-        reports.append(_report(BoundId.ETA_F_UPPER, res.eta_f, res.upper_bound,
-                               noise_floor=math.sqrt(res.lambda_noise)))
-    return reports
+    e1 = _ratio(BoundId.BACKWARD_E1, atr_s_norm, rs_norm, "zero sketched residual",
+                lambda: eps * norm_A, lambda: NOISE_FLOOR_REL * norm_A)
+    e2 = _ratio(BoundId.BACKWARD_E2, rdiff_norm, xs_norm, "zero sketched solution",
+                lambda: (oracle.r_ls_norm / xs_norm) * direction_bound(eps),
+                lambda: NOISE_FLOOR_REL * oracle.r_ls_norm / xs_norm)
+    if rs_norm == 0.0 or xs_norm == 0.0:
+        return [e1, e2, _vacuous(BoundId.ETA_F_UPPER, (e1 if rs_norm == 0.0 else e2).note)]
+    res = compute_eta_f(oracle, P.x_s)
+    return [e1, e2, _report(BoundId.ETA_F_UPPER, res.eta_f, res.upper_bound,
+                            noise_floor=math.sqrt(res.lambda_noise))]
 
 
 def check_solution_error(P: SketchedPair) -> List[BoundReport]:
@@ -386,24 +369,16 @@ def check_solution_error(P: SketchedPair) -> List[BoundReport]:
     A, eps, oracle = P.A, P.eps, P.oracle
     kappa = A.condition_number()
     norm_A = A.spectral_norm()
-    x_s = P.x_s
-    err = float(np.linalg.norm(oracle.x_ls - x_s))
-    xs_norm = float(np.linalg.norm(x_s))
+    err = float(np.linalg.norm(oracle.x_ls - P.x_s))
+    xs_norm = float(np.linalg.norm(P.x_s))
     xls_norm = float(np.linalg.norm(oracle.x_ls))
-    reports: List[BoundReport] = []
-    if xs_norm == 0.0:
-        reports.append(_vacuous(BoundId.SOLUTION_ERR_REL, "zero sketched solution"))
-    else:
-        rhs = kappa ** 2 * eps * P.norms_s[0] / (norm_A * xs_norm)
-        reports.append(_report(BoundId.SOLUTION_ERR_REL, err / xs_norm, rhs,
-                               noise_floor=NOISE_FLOOR_REL))
-    if xls_norm == 0.0:
-        reports.append(_vacuous(BoundId.SOLUTION_ERR_LS, "zero reference solution"))
-    else:
-        rhs = kappa ** 2 * eps * sandwich_multiplier(eps) * oracle.r_ls_norm / (norm_A * xls_norm)
-        reports.append(_report(BoundId.SOLUTION_ERR_LS, err / xls_norm, rhs,
-                               noise_floor=NOISE_FLOOR_REL))
-    return reports
+    return [
+        _ratio(BoundId.SOLUTION_ERR_REL, err, xs_norm, "zero sketched solution",
+               lambda: kappa ** 2 * eps * P.norms_s[0] / (norm_A * xs_norm)),
+        _ratio(BoundId.SOLUTION_ERR_LS, err, xls_norm, "zero reference solution",
+               lambda: kappa ** 2 * eps * sandwich_multiplier(eps) * oracle.r_ls_norm
+               / (norm_A * xls_norm)),
+    ]
 
 
 # the acute row's note, by (kappa(A) eps <= 1, SA of full column rank)
@@ -427,10 +402,12 @@ def check_acute_criterion(P: SketchedPair) -> BoundReport:
                        margin=1.0 - lhs, note=note)
 
 
+# in the order a bound CSV writes them
 SUITE_BOUND_IDS = (
     BoundId.GEOM_PRESERVE,
     BoundId.RESIDUAL_SANDWICH,
     BoundId.RESIDUAL_DIRECTION,
+    BoundId.COMBINED_RESIDUAL,
     BoundId.NORMAL_RATIO_SKETCHED,
     BoundId.NORMAL_RATIO_CROSS,
     BoundId.BACKWARD_E1,
@@ -438,7 +415,6 @@ SUITE_BOUND_IDS = (
     BoundId.ETA_F_UPPER,
     BoundId.SOLUTION_ERR_REL,
     BoundId.SOLUTION_ERR_LS,
-    BoundId.COMBINED_RESIDUAL,
     BoundId.ACUTE_CRITERION,
 )
 
@@ -447,13 +423,15 @@ def run_bound_suite(P: SketchedPair) -> List[BoundReport]:
     """The bounds of ``SUITE_BOUND_IDS`` for one (problem, sketch) pair,
     against the pair's own oracle and embedding parameter ``P.eps`` of S
     over span([A b]): a cell's is read from its factors, and the d-row
-    reference's defaults to :func:`sketchls.embed.exact_distortion`."""
-    reports = [check_geometric_preservation(P, P.x_s)]
-    reports.extend(check_residual_bounds(P))
-    reports.extend(check_explicit_perturbations(P))
-    reports.extend(check_solution_error(P))
-    reports.append(check_acute_criterion(P))
-    return reports
+    reference's defaults to :func:`sketchls.embed.exact_distortion`.  On a
+    consistent pair every row but the acute criterion is vacuous."""
+    if P.consistent:
+        reports = [_vacuous(bound_id, "consistent system") for bound_id in SUITE_BOUND_IDS
+                   if bound_id is not BoundId.ACUTE_CRITERION]
+    else:
+        reports = [check_geometric_preservation(P), *check_residual_bounds(P),
+                   *check_explicit_perturbations(P), *check_solution_error(P)]
+    return reports + [check_acute_criterion(P)]
 
 
 BOUND_CSV_COLUMNS = ["bound_id", "lhs", "rhs", "margin", "passed", "seed", "kind",

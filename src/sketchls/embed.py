@@ -112,13 +112,6 @@ class SketchOperator:
         return _hadamard_rows(p.indices % B, B)
 
 
-@dataclass
-class DistortionReport:
-    epsilon: float
-    subspace_dim: int
-    rank_loss: bool
-
-
 def next_pow2(m: int) -> int:
     p = 1
     while p < m:
@@ -381,7 +374,7 @@ def span_coordinates(A: MatrixHandle, b: np.ndarray) -> SpanCoordinates:
                            c_q=tail / tail_norm if tail_norm > floor else None)
 
 
-def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionReport:
+def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> float:
     """Tight embedding parameter of a sketch S over span([A b]), from the
     sketched basis: ``SQ`` and ``Sq`` are S applied to the two parts of
     ``subspace_basis(A, b)`` (``Sq`` None when q is), or their coordinates
@@ -389,8 +382,8 @@ def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionRepo
 
     Returns eps = max(sigma_max^2 - 1, 1 - sigma_min^2) over the singular
     values of [SQ Sq]; this is the smallest value for which the two-sided
-    embedding inequality holds there.  A rank_loss flag marks sketches that
-    annihilate part of the subspace.  The SVD is of a rows-by-dim matrix only.
+    embedding inequality holds there, and eps >= 1 when S annihilates part
+    of the subspace.  The SVD is of a rows-by-dim matrix only.
     """
     if Sq is not None:
         SQ = np.column_stack([SQ, Sq])
@@ -398,12 +391,10 @@ def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> DistortionRepo
     if dim > d:
         raise ValueError(f"subspace dimension {dim} exceeds sketch rows {d}")
     sv = scipy.linalg.svd(SQ, compute_uv=False)
-    eps = max(float(sv[0] ** 2) - 1.0, 1.0 - float(sv[-1] ** 2))
-    rank_loss = sv[-1] <= np.finfo(np.float64).eps * max(d, dim) * sv[0]
-    return DistortionReport(epsilon=eps, subspace_dim=dim, rank_loss=rank_loss)
+    return max(float(sv[0] ** 2) - 1.0, 1.0 - float(sv[-1] ** 2))
 
 
-def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> DistortionReport:
+def exact_distortion(S: SketchOperator, A: MatrixHandle, b: np.ndarray) -> float:
     """Tight embedding parameter of S over span([A b]) (:func:`basis_distortion`)
     of the sketched ``subspace_basis(A, b)``, the reference of a CLI cell's.
 

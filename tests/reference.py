@@ -41,7 +41,7 @@ class DRowProblem(SketchedPair):
     def __init__(self, oracle: LsOracle, S: SketchOperator, eps: Optional[float] = None):
         super().__init__(oracle, S.d)
         self.S = S
-        self.eps = embed.exact_distortion(S, self.A, self.b).epsilon if eps is None else eps
+        self.eps = embed.exact_distortion(S, self.A, self.b) if eps is None else eps
 
     @cached_property
     def SA(self) -> np.ndarray:

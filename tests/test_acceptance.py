@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from sketchls import embed
-from sketchls.diagnostics import (SUITE_BOUND_IDS, run_bound_suite, sandwich_multiplier,
-                                  solve_sketched)
+from sketchls.diagnostics import (SUITE_BOUND_IDS, BoundId, run_bound_suite,
+                                  sandwich_multiplier, solve_sketched)
 from sketchls.matio import (MatrixHandle, load_matrix_market, solve_ls_oracle,
                             synthesize_matrix, synthesize_problem)
 from sketchls.solvers import (LinearOperatorView, MetricsObserver, Termination,
@@ -78,6 +78,8 @@ def suite_runs():
                     "label": f"{name}_{kind.value}_s{seed}",
                     "eps": P.eps,
                     "reports": reports,
+                    "norm_A": A.spectral_norm(),
+                    "r_ls_over_x_s": oracle.r_ls_norm / np.linalg.norm(P.x_s),
                     "lsqr_monotone": all(sr[i + 1] <= sr[i] * (1 + 1e-12)
                                          for i in range(len(sr) - 1)),
                     "lsmr_monotone": all(sn[i + 1] <= sn[i] * (1 + 1e-12)
@@ -119,6 +121,21 @@ def test_criterion_2_theorem_bound_suite(suite_runs):
     assert report("criterion 2 (theorem-bound suite)", ok,
                   f"{len(suite_runs)} runs x {len(SUITE_BOUND_IDS)} bounds, "
                   f"{len(failures)} failures")
+
+
+def test_criterion_2_row_identities(suite_runs):
+    # ||E1|| = ||A^T r_s|| / ||r_s|| is NormalRatioSketched times ||A||, and
+    # ||E2|| = ||r_s - r_ls|| / ||x_s|| is ResidualDirection times
+    # ||r_ls|| / ||x_s||, in lhs and in rhs alike
+    for run in suite_runs:
+        by_id = {r.bound_id: r for r in run["reports"]}
+        for row, twin, scale in ((BoundId.BACKWARD_E1, BoundId.NORMAL_RATIO_SKETCHED,
+                                  run["norm_A"]),
+                                 (BoundId.BACKWARD_E2, BoundId.RESIDUAL_DIRECTION,
+                                  run["r_ls_over_x_s"])):
+            for side in ("lhs", "rhs"):
+                assert getattr(by_id[row], side) == pytest.approx(
+                    getattr(by_id[twin], side) * scale, rel=1e-12), (run["label"], row, side)
 
 
 def test_criterion_3_backward_error_branches():
@@ -238,8 +255,8 @@ def test_criterion_6_sqrt2_law(kind, gated):
              for seed in range(50)]
 
     def median_ratio(sketch_pairs) -> float:
-        return float(np.median([embed.exact_distortion(S2, A, b).epsilon
-                                / embed.exact_distortion(S1, A, b).epsilon
+        return float(np.median([embed.exact_distortion(S2, A, b)
+                                / embed.exact_distortion(S1, A, b)
                                 for S1, S2 in sketch_pairs]))
 
     median = median_ratio(pairs)

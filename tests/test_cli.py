@@ -879,7 +879,7 @@ class TestSketchCell:
         Q_s = sketch_basis(P, embed.apply(S, span_matrix(problem)))
         assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
         # q keeps b's part along the dropped column, as subspace_basis's does
-        assert P.eps == pytest.approx(embed.exact_distortion(S, A, problem.b).epsilon, rel=1e-13)
+        assert P.eps == pytest.approx(embed.exact_distortion(S, A, problem.b), rel=1e-13)
 
     @pytest.mark.parametrize("kind", list(embed.SketchKind))
     @pytest.mark.parametrize("source", SLOW_ORACLE_SOURCES)
@@ -902,7 +902,7 @@ class TestSketchCell:
         assert np.max(np.abs(P.sv - R.sv)) <= 1e-14 * R.sv[0]
         assert np.linalg.norm(P.Sb) == pytest.approx(np.linalg.norm(R.Sb), rel=1e-14)
         assert P.eps == pytest.approx(
-            embed.exact_distortion(R.S, problem.A, problem.b).epsilon, rel=1e-13)
+            embed.exact_distortion(R.S, problem.A, problem.b), rel=1e-13)
         x_tol = 1e-10 if source == "rank-trimmed" else 1e-13
         assert np.linalg.norm(P.x_s - R.x_s) <= x_tol * np.linalg.norm(R.x_s)
         got, want = (diagnostics.run_bound_suite(X) for X in (P, R))
@@ -1021,7 +1021,7 @@ class TestSketchCell:
             problem = cli.SeedProblem(A, seed, 1e-3)
             cell.append(cli._sketch_cell(problem, embed.SketchKind.GAUSSIAN, 24).eps)
             S = embed.build_sketch("gaussian", 24, 300, seed)
-            full.append(embed.exact_distortion(S, A, problem.b).epsilon)
+            full.append(embed.exact_distortion(S, A, problem.b))
         assert scipy.stats.ks_2samp(cell, full).pvalue > 1e-3
 
     def test_gaussian_cell_makes_no_d_by_m_draw(self, monkeypatch):
@@ -1569,14 +1569,19 @@ class TestMain:
         assert main(["check", "--synthetic", "200,4,10", "--kind", "sparse",
                      "--seed", "1", "--d-mult", "16"]) == EXIT_OK
 
-    @pytest.mark.parametrize("kind, seed", [("sparse", "2"), ("gaussian", "0")])
-    def test_check_passes_on_a_consistent_system(self, capsys, kind, seed):
-        # rho = 1e-20: x_s = x_ls to rounding, and BackwardE2's lhs is noise
-        # against an rhs of ||r_ls||; the sparse cell once failed it
+    @pytest.mark.parametrize("kind, seed, d_mult", [
+        pytest.param("sparse", "2", "2", id="sparse-2"),
+        pytest.param("gaussian", "0", "2", id="gaussian-0"),
+        ("srht", "3", "4"), ("srht", "4", "4")])
+    def test_check_passes_on_a_consistent_system(self, capsys, kind, seed, d_mult):
+        # rho = 1e-20: x_s = x_ls to rounding, and every residual-scaled row
+        # compares noise with noise; the sparse cell once failed BackwardE2
+        # and the srht cells GeomPreserve
         assert main(["check", "--synthetic", "300,6,20", "--kind", kind, "--seed", seed,
-                     "--d-mult", "2", "--rho", "1e-20"]) == EXIT_OK
-        assert "BackwardE2             lhs=0 rhs=0 pass  [consistent system]" in \
-            capsys.readouterr().out
+                     "--d-mult", d_mult, "--rho", "1e-20"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "BackwardE2             lhs=0 rhs=0 pass  [consistent system]" in out
+        assert "GeomPreserve           lhs=0 rhs=0 pass  [consistent system]" in out
 
     def test_check_writes_the_bound_file_of_run(self, tmp_path, capsys):
         # one name per source: check's bound file of a cell is run's

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from sketchls import embed
-from sketchls.diagnostics import (BoundId, BoundReport, SketchedProblem, _report,
-                                  check_acute_criterion, check_explicit_perturbations,
-                                  check_geometric_preservation, check_residual_bounds,
+from sketchls.diagnostics import (NOISE_FLOOR_REL, SUITE_BOUND_IDS, BoundId, BoundReport,
+                                  SketchedProblem, _report, check_acute_criterion,
+                                  check_explicit_perturbations, check_residual_bounds,
                                   check_solution_error, compute_eta_f, direction_bound,
                                   run_bound_suite, sandwich_multiplier, sketch_factor,
                                   solve_sketched, write_bound_reports)
@@ -74,11 +74,21 @@ class TestSketchedProblem:
         assert calls == []
 
 
+def geometric_report(P: DRowProblem, y: np.ndarray) -> BoundReport:
+    """The lemma ||A^T (S^T S - I)(Ay - b)|| <= eps ||A|| ||Ay - b|| at any y,
+    from the d-row reference's defect, to the suite's slack and noise floor;
+    the suite checks it at x_s only."""
+    rnorm = float(np.linalg.norm(P.A.matvec(y) - P.b))
+    norm_A = P.A.spectral_norm()
+    return _report(BoundId.GEOM_PRESERVE, float(np.linalg.norm(P.geometric_defect(y))),
+                   P.eps * norm_A * rnorm, noise_floor=NOISE_FLOOR_REL * norm_A * rnorm)
+
+
 class TestGeometricPreservation:
     def test_identity_double_is_exact(self):
         _, _, oracle = build_instance()
         S = identity_sketch(300)
-        rep = check_geometric_preservation(DRowProblem(oracle, S, eps=0.0), np.ones(4))
+        rep = geometric_report(DRowProblem(oracle, S, eps=0.0), np.ones(4))
         assert rep.passed
         assert rep.lhs <= 1e-12
 
@@ -89,44 +99,27 @@ class TestGeometricPreservation:
         gen = stream(seed, "y")
         P = DRowProblem(solve_ls_oracle(A, b), build_sketch("gaussian", 12, 40, seed))
         for _ in range(100):
-            rep = check_geometric_preservation(P, gen.standard_normal(4))
+            rep = geometric_report(P, gen.standard_normal(4))
             assert rep.passed
 
     def test_at_reference_solution_matches_cross_term(self):
         # A^T r_ls = 0 makes the lhs equal the cross normal-equation numerator
         A, b, oracle = build_instance()
         S = build_sketch("srht", 64, 300, 5)
-        rep = check_geometric_preservation(DRowProblem(oracle, S), oracle.x_ls)
+        rep = geometric_report(DRowProblem(oracle, S), oracle.x_ls)
         SA = embed.apply(S, A.dense())
         cross = np.linalg.norm(SA.T @ embed.apply(S, A.matvec(oracle.x_ls) - b))
         assert rep.lhs == pytest.approx(cross, rel=1e-8, abs=1e-14)
         assert rep.passed
 
-    def test_reads_r_s_at_x_s(self, monkeypatch):
-        # at y = x_s the residual norm is the oracle's, P.norms_s[0]; any other
-        # y, here a copy of x_s, forms A y - b itself, to rounding.  A
-        # cell's coordinates take no product with A
-        A, b, oracle = build_instance()
-        S = build_sketch("sparse", 64, 300, 5)
-        span = embed.span_coordinates(A, b)
-        SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
-        P = SketchedProblem(oracle, span, SW)
-        at_copy = check_geometric_preservation(P, P.x_s.copy())
-        monkeypatch.setattr(MatrixHandle, "matvec", None)
-        monkeypatch.setattr(MatrixHandle, "rmatvec", None)
-        at_x_s = check_geometric_preservation(P, P.x_s)
-        assert (at_x_s.lhs, at_x_s.passed, at_x_s.note) == (at_copy.lhs, at_copy.passed,
-                                                             at_copy.note)
-        assert at_x_s.rhs == pytest.approx(at_copy.rhs, rel=1e-11)
-        assert at_x_s.rhs == P.eps * A.spectral_norm() * P.norms_s[0]
-
     def test_zero_residual_vacuous(self):
+        # b = A x: the suite reports the row of a consistent pair as vacuous
         A = random_tall(20, 2, 1)
-        x = np.array([1.0, 2.0])
-        b = A.matvec(x)
+        b = A.matvec(np.array([1.0, 2.0]))
         S = build_sketch("gaussian", 8, 20, 1)
-        rep = check_geometric_preservation(DRowProblem(solve_ls_oracle(A, b), S, eps=0.5), x)
-        assert rep.passed and "zero residual" in rep.note
+        rep = run_bound_suite(DRowProblem(solve_ls_oracle(A, b), S, eps=0.5))[0]
+        assert rep.bound_id is BoundId.GEOM_PRESERVE
+        assert (rep.lhs, rep.rhs, rep.passed, rep.note) == (0.0, 0.0, True, "consistent system")
 
 
 class TestResidualBounds:
@@ -158,10 +151,11 @@ class TestResidualBounds:
         P = DRowProblem(oracle, build_sketch("gaussian", 20, 60, 4))
         x_s = P.x_s
         assert np.linalg.norm(x_s - oracle.x_ls) <= 1e-10 * np.linalg.norm(x)
-        reports = check_residual_bounds(P)
-        by_id = {r.bound_id: r for r in reports}
+        by_id = {r.bound_id: r for r in run_bound_suite(P)}
         assert "consistent" in by_id[BoundId.RESIDUAL_SANDWICH].note
         assert by_id[BoundId.NORMAL_RATIO_SKETCHED].lhs <= 1e-10
+        assert all(r.note == "consistent system" for i, r in by_id.items()
+                   if i is not BoundId.ACUTE_CRITERION)
 
     def test_identity_double_all_zero(self):
         A, b, oracle = build_instance()
@@ -175,6 +169,13 @@ class TestResidualBounds:
         assert math.isinf(sandwich_multiplier(1.0))
         assert math.isinf(direction_bound(1.5))
         assert sandwich_multiplier(0.0) == 1.0
+        # every residual row but NormalRatioSketched divides by 1 - eps
+        _, _, oracle = build_instance()
+        reports = check_residual_bounds(DRowProblem(oracle, identity_sketch(300), eps=1.0))
+        assert [r.bound_id for r in reports if math.isinf(r.rhs)] == [
+            BoundId.RESIDUAL_SANDWICH, BoundId.RESIDUAL_DIRECTION, BoundId.COMBINED_RESIDUAL,
+            BoundId.NORMAL_RATIO_CROSS]
+        assert all(r.passed for r in reports)
 
 
 class TestBackwardError:
@@ -441,7 +442,7 @@ class TestSuite:
     def test_no_product_with_A_on_the_cell_path(self, monkeypatch):
         # every check of the pair reads ||r_s||, ||A^T r_s|| and
         # ||r_s - r_ls|| from the oracle's evaluator, the geometric check
-        # too, at y = x_s.  The d-row reference forms A x_s - b to sketch
+        # too.  The d-row reference forms A x_s - b to sketch
         # it, A^T w, and S r_ls from A x_ls - b; a cell's coordinates take
         # no product with A at all
         A, b, oracle = build_instance()
@@ -460,6 +461,23 @@ class TestSuite:
         calls.clear()
         run_bound_suite(P)
         assert calls == {}
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-20], ids=["inconsistent", "consistent"])
+    def test_rows_in_suite_order(self, rho):
+        # the suite writes its rows in SUITE_BOUND_IDS order on either branch
+        _, _, oracle = build_instance(rho=rho)
+        P = DRowProblem(oracle, build_sketch("gaussian", 64, 300, 1))
+        assert P.consistent is (rho == 1e-20)
+        assert [r.bound_id for r in run_bound_suite(P)] == list(SUITE_BOUND_IDS)
+
+    def test_zero_denominator_rows_are_vacuous(self):
+        # at x_s = 0 each row divided by ||x_s|| is vacuous, and eta_F with it
+        _, _, oracle = build_instance()
+        P = DRowProblem(oracle, identity_sketch(300), eps=0.0)
+        P.x_s = np.zeros(4)
+        void = {r.bound_id: r.note for r in run_bound_suite(P) if r.note.startswith("zero")}
+        assert void == dict.fromkeys([BoundId.BACKWARD_E2, BoundId.ETA_F_UPPER,
+                                      BoundId.SOLUTION_ERR_REL], "zero sketched solution")
 
     def test_identity_double_suite(self):
         A, b, oracle = build_instance()

@@ -194,7 +194,7 @@ class TestObserver:
         A = synthesize_matrix(300, 5, 10.0, 2)
         b = synthesize_problem(A, 3)
         S, SA, Sb = sketched_pair(A, b, d=100, seed=4)
-        eps = embed.exact_distortion(S, A, b).epsilon
+        eps = embed.exact_distortion(S, A, b)
         assert eps < 1
         x_s = qr_ls_solve(SA, Sb)
         rec = MetricsObserver(A, b)(1, x_s, 1.0, 1.0)
@@ -227,7 +227,7 @@ def acceptance_instances():
         b = synthesize_problem(A, seed)
         S, SA, Sb = sketched_pair(A, b, d=80, seed=seed)
         out.append((A, b, solve_ls_oracle(A, b), LinearOperatorView.from_matrix(SA),
-                    Sb, embed.exact_distortion(S, A, b).epsilon))
+                    Sb, embed.exact_distortion(S, A, b)))
     return out
 
 
@@ -301,7 +301,7 @@ class TestSandwich:
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
         S, SA, Sb = sketched_pair(A, b, d=128, seed=seed)
-        eps = embed.exact_distortion(S, A, b).epsilon
+        eps = embed.exact_distortion(S, A, b)
         assert eps < 1
         obs = MetricsObserver(A, b)
         res = lsmr(LinearOperatorView.from_matrix(SA), Sb, observer=obs, max_iter=60)

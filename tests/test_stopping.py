@@ -139,7 +139,7 @@ class TestController:
         b = synthesize_problem(A, seed)
         oracle = solve_ls_oracle(A, b)
         S = embed.build_sketch("gaussian", 128, 400, seed)
-        eps = embed.exact_distortion(S, A, b).epsilon
+        eps = embed.exact_distortion(S, A, b)
         assert eps < 1
         SA = embed.apply(S, A.dense())
         Sb = embed.apply(S, b)
@@ -168,7 +168,7 @@ class TestController:
         A = synthesize_matrix(300, 5, 10.0, 2)
         b = synthesize_problem(A, 3)
         S = embed.build_sketch("gaussian", 100, 300, 4)
-        eps = embed.exact_distortion(S, A, b).epsilon
+        eps = embed.exact_distortion(S, A, b)
         SA = embed.apply(S, A.dense())
         Sb = embed.apply(S, b)
         controller = StoppingController(
