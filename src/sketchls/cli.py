@@ -11,11 +11,13 @@ its stop columns are LSMR's iterations and last fresh ratio over the plateau.
 values fitted before its cells run; its seeds go one by one, and within a
 seed the (kind, d) cells run in d -> kind order.  The outputs and the
 ``error:`` lines list the cells in kind -> d order, then seed.  The cells
-run one after another on the calling thread.  Each cell sketches only
-W = [Q u], Q the Q of A's pivoted QR and u the unit part of b orthogonal
-to it, factors SW = Q_s T with T the Cholesky factor of SW^T SW (a
-Householder R when SW is ill-conditioned), and reads eps, x_s, the bounds
-and both solves from the (n + 1) x n pair (M, T W^T b) with SA = Q_s M (:class:`sketchls.diagnostics.SketchedProblem`, the cell; no
+run one after another on the calling thread.  A seed's shared work is b
+and its LS oracle, which holds W = [Q u], Q the Q of A's pivoted QR and u
+the unit part of b orthogonal to it.  Each cell sketches only W, factors
+SW = Q_s T with T the Cholesky factor of SW^T SW (a Householder R when SW
+is ill-conditioned), and reads eps, x_s, the bounds and both solves from
+the (n + 1) x n pair (M, T W^T b) with SA = Q_s M
+(:class:`sketchls.diagnostics.SketchedProblem`, the cell; no
 command forms the d-row SA).  A Gaussian cell's SW is a d x (n + 1) draw
 with the law of G W for a full Gaussian G, so it keeps the full-Gaussian
 law with no m-row work (:mod:`sketchls.embed`).
@@ -315,7 +317,7 @@ def _fit_d(value: float, per_col: bool, A: MatrixHandle) -> Tuple[Optional[int],
 
 class SeedProblem:
     """Problem-level quantities of one (matrix, seed), shared by every
-    (kind, d) cell of that seed.
+    (kind, d) cell of that seed: b and its LS oracle, with span([A b]).
 
     Each is computed on first use, so a cell that does not need one does not
     pay for it.  One that raises is not stored: every cell that needs it
@@ -334,11 +336,6 @@ class SeedProblem:
     @cached_property
     def oracle(self) -> LsOracle:
         return solve_ls_oracle(self.A, self.b)
-
-    @cached_property
-    def span(self) -> embed.SpanCoordinates:
-        """W = [Q u] of span([A b]) and b's coordinates in it, for every cell."""
-        return embed.span_coordinates(self.A, self.b)
 
 
 @dataclass
@@ -423,14 +420,14 @@ SUMMARY_COLUMNS = ["matrix", "kind", "d", "seed", "solver", "iterations",
 def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
                  ) -> diagnostics.SketchedProblem:
     """The sketched problem of one (seed, kind, d) cell in the coordinates of
-    W = [Q u] (``problem.span``), with the distortion ``eps`` of its sketch.
+    W = [Q u] (``problem.oracle.span``), with the distortion ``eps`` of its sketch.
 
     SW = S W is :func:`embed.gaussian_span_sketch`'s draw, or S Q and S u
     for S from :func:`embed.build_sketch`, applied straight into the
     columns of a C-ordered SW whose Gram BLAS reads in place.  Q is
     untrimmed, so SA keeps all n columns of A.
     """
-    A, span = problem.A, problem.span
+    A, span = problem.A, problem.oracle.span
     k = span.c_b.size
     if kind is embed.SketchKind.GAUSSIAN:
         SW = embed.gaussian_span_sketch(d, A.rows, k, problem.seed)
@@ -440,7 +437,7 @@ def _sketch_cell(problem: SeedProblem, kind: embed.SketchKind, d: int
         embed.apply(S, A.qr_factor()[0], out=SW[:, : A.cols])
         if span.u is not None:
             embed.apply(S, span.u, out=SW[:, A.cols])
-    return diagnostics.SketchedProblem(problem.oracle, span, SW)
+    return diagnostics.SketchedProblem(problem.oracle, SW)
 
 
 def _solve_cell(solver_fn: Callable, P: diagnostics.SketchedProblem,

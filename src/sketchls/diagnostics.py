@@ -13,10 +13,12 @@ basis.  A check reads everything, eps and the oracle too, from one
 (problem, sketch) pair, a :class:`SketchedPair`, which forms the quantities
 the checks share once each, and reads the residual norms at x_s from the
 oracle's evaluator (:meth:`sketchls.matio.LsOracle.residual_norms`), with
-no product with A.  :class:`SketchedProblem`, the CLI's cell, forms the rest
-from its coordinates; the tests run the checks on the d-row problem of an
-explicit S too (``DRowProblem`` of ``tests/reference.py``), the slow
-reference of the cell, whose minimizer is :func:`solve_sketched`.
+no product with A.  ``SketchedProblem(oracle, SW)``, the CLI's cell, forms
+the rest from S W and the oracle's coordinates in W = [Q u]
+(:attr:`sketchls.matio.LsOracle.span`), as :func:`compute_eta_f` does; the
+tests run the checks on the d-row problem of an explicit S too
+(``DRowProblem`` of ``tests/reference.py``), the slow reference of the
+cell, whose minimizer is :func:`solve_sketched`.
 Each check yields a :class:`BoundReport` with the measured left-hand side, the
 bound, and a pass/fail margin.  A row that proves nothing passes, by one of
 three rules.  On a consistent pair (:attr:`SketchedPair.consistent`), r_ls
@@ -174,11 +176,11 @@ class SketchedPair:
 
 
 class SketchedProblem(SketchedPair):
-    """The sketched problem of one CLI cell, in the coordinates of
-    W = [Q u] (:func:`sketchls.embed.span_coordinates`), whose span holds A,
-    b and every residual.
+    """The sketched problem of one CLI cell, in the coordinates of the
+    oracle's W = [Q u] (:attr:`sketchls.matio.LsOracle.span`), whose span
+    holds A, b and every residual.
 
-    ``SW`` is the d x (n + 1) S W and ``span`` holds c_b = W^T b.  With
+    ``SW`` is the d x (n + 1) S W, and the oracle holds c_b = W^T b.  With
     SW = Q_s T, T the triangular factor of :func:`sketch_factor`,
     SA = Q_s M for M[:, piv] = T[:, :n] R and S b = Q_s T c_b, so ``SA`` and
     ``Sb`` hold the (n + 1) x n pair (M, T c_b): SA's singular values, x_s,
@@ -189,22 +191,22 @@ class SketchedProblem(SketchedPair):
     reference of each quantity, is ``DRowProblem`` of the tests.
     """
 
-    def __init__(self, oracle: LsOracle, span: embed.SpanCoordinates, SW: np.ndarray):
+    def __init__(self, oracle: LsOracle, SW: np.ndarray):
         super().__init__(oracle, SW.shape[0])
-        self.span = span
         self.T = sketch_factor(SW)
         _, R, piv = self.A.qr_factor()
         self.SA = np.empty((self.T.shape[0], self.A.cols))
         self.SA[:, piv] = self.T[:, : self.A.cols] @ R
-        self.Sb = self.T @ span.c_b
+        self.Sb = self.T @ oracle.span.c_b
 
     @cached_property
     def eps(self) -> float:
         """The distortion of S over span([A b]) (:func:`sketchls.embed.basis_distortion`),
         from the basis columns of T and T c_q, the coordinates in Q_s of the
         sketched ``subspace_basis(A, b)``."""
-        Sq = None if self.span.c_q is None else self.T @ self.span.c_q
-        return embed.basis_distortion(self.T[:, : self.span.rank], Sq)
+        span = self.oracle.span
+        Sq = None if span.c_q is None else self.T @ span.c_q
+        return embed.basis_distortion(self.T[:, : span.rank], Sq)
 
     @cached_property
     def x_s(self) -> np.ndarray:
@@ -217,23 +219,16 @@ class SketchedProblem(SketchedPair):
         piv = self.A.qr_factor()[2]
         return _qr_solve(lambda x: self.SA @ x, (None, self.SA[:n, piv], piv), self.Sb)
 
-    def _residual_coordinates(self, x: np.ndarray) -> np.ndarray:
-        """c = W^T (A x - b) = [R x[piv]; 0] - c_b."""
-        _, R, piv = self.A.qr_factor()
-        c = -self.span.c_b
-        c[: self.A.cols] += R @ x[piv]
-        return c
-
     def sketch_residual(self, x: np.ndarray) -> np.ndarray:
-        """S (A x - b) in Q_s coordinates: T c."""
-        return self.T @ self._residual_coordinates(x)
+        """S (A x - b) in Q_s coordinates: T c for the oracle's c = W^T (A x - b)."""
+        return self.T @ self.oracle.residual_coordinates(x)
 
     def geometric_defect(self, x: np.ndarray) -> np.ndarray:
         """A^T (S^T S - I) r for r = A x - b: P R^T (T[:, :n]^T T c - c[:n]),
         with A = Q R P^T."""
         n = self.A.cols
         _, R, piv = self.A.qr_factor()
-        c = self._residual_coordinates(x)
+        c = self.oracle.residual_coordinates(x)
         out = np.empty(n)
         out[piv] = R.T @ (self.T[:, :n].T @ (self.T @ c) - c[:n])
         return out
@@ -304,13 +299,13 @@ def compute_eta_f(oracle: LsOracle, x_bar: np.ndarray,
     when lambda_star < 0, else gamma sqrt(mu).  gamma and the upper bound
     ||A^T r|| / ||r|| are :meth:`LsOracle.residual_norms`'s.
 
-    M = W K W^T in n + 1 dimensions.  With A[:, piv] = Q R, W = [Q u] for u
-    the unit part of r_ls orthogonal to range(Q), of weight
-    rho = sqrt(||r_ls||^2 - ||Q^T r_ls||^2), Q^T r_ls = R^-T (A^T r_ls)[piv],
-    r = A (x - x_ls) + r_ls = W c for c = [R (x - x_ls)[piv] + Q^T r_ls; rho]
-    and K = [R R^T 0; 0 0] - (mu / ||x||^2) c c^T.  M is zero orthogonal to
-    W, and lambda_min(K) <= -(mu / ||x||^2) rho^2 <= 0 by K's last
-    coordinate, so lambda_star = lambda_min(K) for every m > n.
+    M = W K W^T in n + 1 dimensions.  With A[:, piv] = Q R and the oracle's
+    W = [Q u], u the unit part of b orthogonal to range(Q), r = A x - b = W c
+    for c = W^T r (:meth:`LsOracle.residual_coordinates`) and
+    K = [R R^T 0; 0 0] - (mu / ||x||^2) c c^T; with no u, c and K get a zero
+    last coordinate.  M is zero orthogonal to W, and
+    lambda_min(K) <= -(mu / ||x||^2) c_(n+1)^2 <= 0 by K's last coordinate,
+    so lambda_star = lambda_min(K) for every m > n.
 
     The eigensolve errs by a small multiple of u ||K|| <= u (||A||^2 +
     mu gamma^2), as ||c|| = ||r||; ``lambda_noise`` is that scale times
@@ -325,12 +320,11 @@ def compute_eta_f(oracle: LsOracle, x_bar: np.ndarray,
     mu = 1.0 if math.isinf(theta) else theta ** 2 * xnorm ** 2 / (1.0 + theta ** 2 * xnorm ** 2)
     rnorm, atr_norm, _ = oracle.residual_norms(x_bar)
     gamma = rnorm / xnorm
-    _, R, piv = oracle.A.qr_factor()
-    qtr_ls = scipy.linalg.solve_triangular(R, oracle.atr_ls[piv], trans="T")
-    c = np.append(R @ (x_bar[piv] - oracle.x_ls[piv]) + qtr_ls,
-                  math.sqrt(max(oracle.r_ls_norm ** 2 - float(qtr_ls @ qtr_ls), 0.0)))
+    R, n = oracle.A.qr_factor()[1], oracle.A.cols
+    c = oracle.residual_coordinates(x_bar)
+    c = np.append(c, np.zeros(n + 1 - c.size))  # a zero last coordinate for no u
     K = -(mu / xnorm ** 2) * np.outer(c, c)
-    K[:-1, :-1] += R @ R.T
+    K[:n, :n] += R @ R.T
     lam = float(scipy.linalg.eigh(K, eigvals_only=True, subset_by_index=(0, 0))[0])
     noise = EIG_NOISE_REL * (oracle.A.spectral_norm() ** 2 + mu * gamma ** 2)
     negative = lam < -noise

@@ -7,9 +7,9 @@ All three operators are unbiased, E||Sx||^2 = ||x||^2:
   matrix of N(0, 1/d) entries (rotation invariance), and it is exactly S~ W
   for the full Gaussian S~ = Z W^T + G (I - W W^T) when Z = G W, so
   :func:`gaussian_span_sketch` draws that Z alone.  A CLI cell reads S only
-  through S W for W = [Q u] (:func:`span_coordinates`), whose span holds A,
-  b and every residual, so its sketched problem, eps and every bound value
-  keep the full-Gaussian law, from d (n + 1) normals instead of d m.
+  through S W for the oracle's W = [Q u], whose span holds A, b and every
+  residual, so its sketched problem, eps and every bound value keep the
+  full-Gaussian law, from d (n + 1) normals instead of d m.
 * SRHT composes random signs, an unnormalized Walsh-Hadamard transform on the
   zero-padded input (H^T H = m' I), uniform row sampling without replacement,
   and a 1/sqrt(d) scale.  Sampling without replacement makes the distortion
@@ -42,10 +42,10 @@ span([A b]) by an SVD of the sketched orthonormal basis
 own eps (:attr:`sketchls.diagnostics.SketchedProblem.eps`, read from the
 cell's (n + 1)-column factors); :func:`exact_distortion` is the slow
 reference that the tests compare that eps with.
-The basis (:func:`subspace_basis`) is the Q of A's cached pivoted QR plus the
-unit component of b orthogonal to it, so one factorization of A serves every
-right-hand side and sketch of that matrix.  A CLI cell sketches only
-W = [Q u] (:func:`span_coordinates`), never A, nor densifies A for a sketch.
+The basis (:func:`subspace_basis`) is read from W = [Q u], Q of A's cached
+pivoted QR and u the unit part of b orthogonal to it, and the coordinates in
+W that :func:`sketchls.matio.span_coordinates` gives the LS oracle.  A CLI
+cell sketches only W, never A, nor densifies A for a sketch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .matio import BLOCK_BYTES, MatrixHandle
+from .matio import BLOCK_BYTES, MatrixHandle, span_coordinates
 from .rng import rademacher, stream
 
 
@@ -307,71 +307,20 @@ def apply_adjoint(S: SketchOperator, U) -> np.ndarray:
 
 def subspace_basis(A: MatrixHandle, b: np.ndarray
                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Orthonormal basis of span([A b]) as a pair ``(Q, q)``, rank trimmed.
-
-    ``Q`` is the Q of A's cached pivoted QR (:meth:`MatrixHandle.qr_factor`),
-    so every b of one matrix shares it; ``q`` is the unit component of b
-    orthogonal to range(Q), or None when b lies in it.  The floor of both
-    trims is the SVD rank floor max(m, n + 1) * u * max(|R_11|, ||b||): a
-    column of Q goes when its R diagonal entry is below it, and q when the
-    norm of b's orthogonal component is.  That component comes from two
-    projection passes, so ``[Q q]`` is orthonormal to working precision; on
-    an ill-conditioned span([A b]) it is no less accurate than an SVD of
+    """Orthonormal basis of span([A b]) as a pair ``(Q, q)``, rank trimmed:
+    ``Q`` the first ``rank`` columns of A's cached Q and ``q`` = W c_q, or
+    None when c_q is (:func:`sketchls.matio.span_coordinates`).  On an
+    ill-conditioned span([A b]) it is no less accurate than an SVD of
     [A b], and no m-by-(n + 1) array is formed.
     """
-    b = np.asarray(b, dtype=np.float64)
-    Q, rank, floor = _trim(A, b)
-    Q = Q[:, :rank]
-    w, w_norm, _ = _orthogonal_part(Q, b)
-    return Q, (w / w_norm if w_norm > floor else None)
-
-
-def _trim(A: MatrixHandle, b: np.ndarray) -> Tuple[np.ndarray, int, float]:
-    """A's untrimmed Q, how many of its columns the basis keeps, the floor."""
-    Q, R, _ = A.qr_factor()
-    scale = max(float(abs(R[0, 0])), float(np.linalg.norm(b)))
-    if scale == 0.0:
-        raise ValueError("zero subspace")
-    floor = max(A.rows, A.cols + 1) * np.finfo(np.float64).eps * scale
-    return Q, int(np.sum(np.abs(np.diag(R)) > floor)), floor
-
-
-def _orthogonal_part(Q: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
-    """The component w of b orthogonal to range(Q), by two projection
-    passes, its norm, and Q^T b, the first pass's coefficients."""
-    c = Q.T @ b
-    w = b - Q @ c
-    w -= Q @ (Q.T @ w)
-    return w, float(np.linalg.norm(w)), c
-
-
-@dataclass(frozen=True)
-class SpanCoordinates:
-    u: Optional[np.ndarray]    # unit part of b orthogonal to range(Q); None when it is 0
-    c_b: np.ndarray            # W^T b
-    rank: int                  # leading columns of Q in subspace_basis(A, b)
-    c_q: Optional[np.ndarray]  # W^T q for subspace_basis's q; None when q is
-
-
-def span_coordinates(A: MatrixHandle, b: np.ndarray) -> SpanCoordinates:
-    """W = [Q u], Q the untrimmed Q of A's pivoted QR, with the coordinates
-    in it of b and of :func:`subspace_basis`'s ``(Q[:, :rank], q)``, so that
-    S W alone gives S b = S W c_b and the basis [S W[:, :rank], S W c_q].
-
-    u is not trimmed: a part of b at rounding level still gives a unit u
-    orthogonal to Q.  q is b's part orthogonal to the kept columns, so c_q
-    is c_b with its first ``rank`` entries zeroed, normalized; with no column
-    trimmed that is the last unit vector exactly.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    Q, rank, floor = _trim(A, b)
-    w, w_norm, c = _orthogonal_part(Q, b)
-    u = w / w_norm if w_norm > 0.0 else None
-    c_b = c if u is None else np.append(c, u @ b)
-    tail = np.concatenate([np.zeros(rank), c_b[rank:]])
-    tail_norm = float(np.linalg.norm(tail))
-    return SpanCoordinates(u=u, c_b=c_b, rank=rank,
-                           c_q=tail / tail_norm if tail_norm > floor else None)
+    span = span_coordinates(A, b)
+    Q, n, rank = A.qr_factor()[0], A.cols, span.rank
+    if span.c_q is None:
+        return Q[:, :rank], None
+    q = Q[:, rank:] @ span.c_q[rank:n]
+    if span.u is not None:
+        q += span.c_q[n] * span.u
+    return Q[:, :rank], q
 
 
 def basis_distortion(SQ: np.ndarray, Sq: Optional[np.ndarray]) -> float:

@@ -25,8 +25,11 @@ Problems are synthesized by the recipe b = A*x - r with r a scaled random
 direction, and an exact least-squares oracle (the cached pivoted QR plus one
 refinement step) supplies x_ls for all bound checks, and the one evaluator
 of ||A x - b||, ||A^T (A x - b)|| and ||A (x - x_ls)|| at any x, from R in
-O(n^2) (:meth:`LsOracle.residual_norms`).  One threshold, :data:`RANK_TOL`,
-decides numerical rank for the oracle and the spectral data alike.
+O(n^2) (:meth:`LsOracle.residual_norms`).  It holds span([A b]), W = [Q u]
+with u the unit part of b orthogonal to Q (:func:`span_coordinates`), and the
+one rule of a residual's coordinates in W (:meth:`LsOracle.residual_coordinates`).
+One threshold, :data:`RANK_TOL`, decides numerical rank for the oracle and
+the spectral data alike.
 A Matrix Market file's header and size line are read once; the body of
 either format, coordinate or array, then takes at most two parses: one numpy
 ``loadtxt`` straight from the open file, and, for a body that it does not
@@ -277,17 +280,27 @@ def _positive_diagonal(Q: np.ndarray, R: np.ndarray) -> None:
     R *= signs[:, None]
 
 
+@dataclass(frozen=True)
+class SpanCoordinates:
+    u: Optional[np.ndarray]    # unit part of b orthogonal to range(Q); None when it is 0
+    c_b: np.ndarray            # W^T b
+    rank: int                  # leading columns of Q in subspace_basis(A, b)
+    c_q: Optional[np.ndarray]  # W^T q for subspace_basis's q; None when q is
+
+
 @dataclass
 class LsOracle:
     """The exact least-squares solution x_ls of min ||A x - b||, from
-    :func:`solve_ls_oracle`, and the one evaluator of residual norms at any
-    x (:meth:`residual_norms`)."""
+    :func:`solve_ls_oracle`, the one evaluator of residual norms at any x
+    (:meth:`residual_norms`), and span([A b]) with a residual's coordinates
+    in it (:meth:`residual_coordinates`)."""
     A: MatrixHandle
     b: np.ndarray
     x_ls: np.ndarray
     r_ls_norm: float
     atr_ls: np.ndarray   # A^T r_ls, nearly zero
     b_norm: float
+    span: SpanCoordinates
 
     def residual_norms(self, x: np.ndarray) -> Tuple[float, float, float]:
         """``(||r||, ||A^T r||, ||r - r_ls||)`` for r = A x - b, in O(n^2)
@@ -310,6 +323,13 @@ class LsOracle:
         Re_sq = float(Re @ Re)
         rnorm = math.sqrt(max(Re_sq + 2.0 * float(e @ g) + self.r_ls_norm ** 2, 0.0))
         return rnorm, float(np.linalg.norm(R.T @ Re + g)), math.sqrt(Re_sq)
+
+    def residual_coordinates(self, x: np.ndarray) -> np.ndarray:
+        """c = W^T (A x - b) = [R x[piv]; 0] - c_b, so that A x - b = W c."""
+        _, R, piv = self.A.qr_factor()
+        c = -self.span.c_b
+        c[: self.A.cols] += R @ x[piv]
+        return c
 
 
 # ---------------------------------------------------------------------------
@@ -694,12 +714,51 @@ def solve_ls_oracle(A: MatrixHandle, b: np.ndarray) -> LsOracle:
     agrees with ``qr_ls_solve(A.dense(), b)``, the Householder QR of A's m
     rows, to rounding; for a loaded dense A that CholeskyQR rejects it is
     bit for bit that.  Its residual r = A x_ls - b, held only as ||r|| and
-    A^T r, satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.
+    A^T r, satisfies ||A^T r|| / (||A|| ||r||) <= 1e-10.  Then it takes
+    span([A b]) (:func:`span_coordinates`), whose rank floor an infinite
+    ||b|| would make inf: a b whose squared norm overflows raises first.
     """
     b = as_rhs(A, b)
+    with np.errstate(over="ignore"):
+        b_sq = float(b @ b)
+    if not math.isfinite(b_sq):
+        raise ValueError("right-hand side is too large: its squared norm overflows")
     x = _qr_solve(A.matvec, A.qr_factor(), b)
     r = A.matvec(x) - b
-    return LsOracle(A, b, x, float(np.linalg.norm(r)), A.rmatvec(r), float(np.linalg.norm(b)))
+    return LsOracle(A, b, x, float(np.linalg.norm(r)), A.rmatvec(r), math.sqrt(b_sq),
+                    span_coordinates(A, b))
+
+
+def span_coordinates(A: MatrixHandle, b: np.ndarray) -> SpanCoordinates:
+    """W = [Q u], Q the untrimmed Q of A's pivoted QR, with the coordinates
+    in it of b and of :func:`sketchls.embed.subspace_basis`'s
+    ``(Q[:, :rank], q)``, so that S W alone gives S b = S W c_b and the
+    basis [S W[:, :rank], S W c_q].
+
+    A column of Q is kept when its R diagonal entry is above the SVD rank
+    floor max(m, n + 1) * u * max(|R_11|, ||b||).  u, from two projection
+    passes, is not trimmed: a part of b at rounding level still gives a
+    unit u orthogonal to Q.  q is b's part orthogonal to the kept columns,
+    so c_q is c_b with its first ``rank`` entries zeroed, normalized, or
+    None below the floor; with no column trimmed it is the last unit vector.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    Q, R, _ = A.qr_factor()
+    scale = max(float(abs(R[0, 0])), float(np.linalg.norm(b)))
+    if scale == 0.0:
+        raise ValueError("zero subspace")
+    floor = max(A.rows, A.cols + 1) * np.finfo(np.float64).eps * scale
+    rank = int(np.sum(np.abs(np.diag(R)) > floor))
+    c = Q.T @ b
+    w = b - Q @ c
+    w -= Q @ (Q.T @ w)
+    w_norm = float(np.linalg.norm(w))
+    u = w / w_norm if w_norm > 0.0 else None
+    c_b = c if u is None else np.append(c, u @ b)
+    tail = np.concatenate([np.zeros(rank), c_b[rank:]])
+    tail_norm = float(np.linalg.norm(tail))
+    return SpanCoordinates(u=u, c_b=c_b, rank=rank,
+                           c_q=tail / tail_norm if tail_norm > floor else None)
 
 
 def spectral_norms(A: MatrixHandle) -> SpectralInfo:

@@ -40,7 +40,7 @@ def random_rhs(m: int, seed: int) -> np.ndarray:
 def span_matrix(problem) -> np.ndarray:
     """W = [Q u] of a CLI seed problem (``cli.SeedProblem``) as an m-row
     array, which the cell itself never forms."""
-    Q, u = problem.A.qr_factor()[0], problem.span.u
+    Q, u = problem.A.qr_factor()[0], problem.oracle.span.u
     return Q if u is None else np.column_stack([Q, u])
 
 

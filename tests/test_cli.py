@@ -657,7 +657,7 @@ class TestRunExperiment:
 
     def test_basis_and_oracle_once_per_seed(self, tmp_path, monkeypatch):
         basis_calls, oracle_calls = [], []
-        real_basis, real_oracle = embed.span_coordinates, cli.solve_ls_oracle
+        real_basis, real_oracle = matio.span_coordinates, cli.solve_ls_oracle
 
         def counting_basis(A, b):
             basis_calls.append(A.rows)
@@ -667,7 +667,7 @@ class TestRunExperiment:
             oracle_calls.append(A.rows)
             return real_oracle(A, b)
 
-        monkeypatch.setattr(cli.embed, "span_coordinates", counting_basis)
+        monkeypatch.setattr(matio, "span_coordinates", counting_basis)
         monkeypatch.setattr(cli, "solve_ls_oracle", counting_oracle)
         config = parse_config(TWO_KINDS_CONFIG.format(out=tmp_path)
                               + "synthetic = 100,6,20\n")
@@ -784,11 +784,11 @@ def sketch_basis(P: diagnostics.SketchedProblem, SW: np.ndarray) -> np.ndarray:
 def cell_sketch(problem, kind: embed.SketchKind, P: diagnostics.SketchedProblem) -> np.ndarray:
     """The SW = S W of the cell ``P``, as the cell forms it: the Gaussian
     draw Z, or [S Q, S u] for the cell's S from ``build_sketch``."""
-    A, k = problem.A, problem.span.c_b.size
+    A, k = problem.A, problem.oracle.span.c_b.size
     if kind is embed.SketchKind.GAUSSIAN:
         return embed.gaussian_span_sketch(P.d, A.rows, k, problem.seed)
     S = embed.build_sketch(kind, P.d, A.rows, problem.seed)
-    return np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, problem.span.u)])
+    return np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, problem.oracle.span.u)])
 
 
 def suite_noise_floor(bound_id, P) -> float:
@@ -841,7 +841,7 @@ class TestSketchCell:
         scale = np.linalg.norm(P.SA, 2)
         for ref in (embed.apply(S, A.dense()), materialize(S) @ A.dense()):
             assert np.max(np.abs(Q_s @ P.SA - ref)) <= 1e-13 * scale
-        assert np.array_equal(P.Sb, P.T @ problem.span.c_b)
+        assert np.array_equal(P.Sb, P.T @ problem.oracle.span.c_b)
         Sb = embed.apply(S, P.b)
         assert np.max(np.abs(Q_s @ P.Sb - Sb)) <= 1e-13 * np.linalg.norm(Sb)
 
@@ -871,7 +871,8 @@ class TestSketchCell:
         _, R, _ = A.qr_factor()
         assert 1e-12 < abs(R[2, 2] / R[0, 0]) < 2.2e-12
         # the basis keeps 2 of Q's 3 columns; W keeps all 3, and u
-        assert problem.span.rank == 2 and problem.span.c_b.shape == (4,)
+        span = problem.oracle.span
+        assert span.rank == 2 and span.c_b.shape == (4,)
         P = cli._sketch_cell(problem, kind, 30)
         assert P.SA.shape == (4, 3)
         S = d_row_sketch(problem, kind, 30)
@@ -974,11 +975,11 @@ class TestSketchCell:
         U, _ = np.linalg.qr(stream(5, "near-singular", 200).standard_normal((200, 2)))
         A = MatrixHandle(U * np.array([1.0, 1e-13 if case == "weak column of A" else 0.5]))
         b = stream(5, "near-singular-b", 200).standard_normal(200)
-        span = embed.span_coordinates(A, b)
+        span = matio.span_coordinates(A, b)
         SW = stream(5, "near-singular-SW", 20, 3).standard_normal((20, 3))
         if case == "near-repeated column of SW":
             SW[:, 1] = SW[:, 0] + 1e-14 * SW[:, 2]
-        P = diagnostics.SketchedProblem(SimpleNamespace(A=A, b=b), span, SW)
+        P = diagnostics.SketchedProblem(SimpleNamespace(A=A, b=b, span=span), SW)
         for solve in (lambda: P.x_s, lambda: matio.qr_ls_solve(P.SA, P.Sb)):
             with pytest.raises(matio.RankDeficiencyError, match="rank deficiency"):
                 solve()
@@ -1028,7 +1029,7 @@ class TestSketchCell:
         A = MatrixSource("s", synthetic=(5000, 4, 20)).load()
         problem = cli.SeedProblem(A, 0, 1e-3)
         # the seed's shared work (and A's QR), done before the cell
-        problem.span, problem.oracle
+        problem.oracle
         sizes = []
         real_stream = embed.stream
 
@@ -1301,13 +1302,13 @@ class TestSweep:
 
     def test_basis_once_per_source_and_seed(self, tmp_path, monkeypatch):
         calls = []
-        real = embed.span_coordinates
+        real = matio.span_coordinates
 
         def counting(A, b):
             calls.append(A.rows)
             return real(A, b)
 
-        monkeypatch.setattr(cli.embed, "span_coordinates", counting)
+        monkeypatch.setattr(matio, "span_coordinates", counting)
         config = parse_config("synthetic = 120,4,10\nsynthetic = 100,4,10\n"
                               "kind = gaussian,sparse\nseeds = 0,1\n"
                               f"output_dir = {tmp_path}\n")
@@ -1612,6 +1613,22 @@ class TestMain:
         # the cell: one Gram of its 64 x 5 SW, and no QR of SW or of M
         assert shapes["syrk", None, (64, 5)] == 1
         assert not [key for key in shapes if key[0] == "qr" and key[2] in ((64, 5), (5, 4))]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_rhs_whose_squared_norm_overflows_is_a_run_error(self, tmp_path, capsys, command):
+        # rho = 1e300 gives ||b||^2 = inf: the oracle rejects b before its
+        # span, whose rank floor would be inf, and numpy warns of nothing
+        if command == "check":
+            argv = ["check", "--synthetic", "300,6,20", "--kind", "gaussian", "--rho", "1e300"]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text("synthetic = 300,6,20\nkind = gaussian\nrho = 1e300\n"
+                           f"output_dir = {tmp_path / 'out'}\n")
+            argv = ["run", "--config", str(cfg)]
+        assert main(argv) == EXIT_RUN_ERROR
+        assert capsys.readouterr().err == ("error: synth300x6c20_gaussian_d12_s0: right-hand "
+                                           "side is too large: its squared norm overflows\n")
 
     @pytest.mark.parametrize("spec", ["200,10", "200,x,10"])
     def test_check_bad_synthetic_spec(self, capsys, spec):

@@ -42,14 +42,14 @@ class TestSketchedProblem:
         # triangular factor T and S is never applied again, not even for
         # S r or A^T S^T S r
         A, b, oracle = build_instance()
-        span = embed.span_coordinates(A, b)
+        span = oracle.span
         Q, R, piv = A.qr_factor()
         S = build_sketch("gaussian", 64, 300, 7)
         SW = np.column_stack([embed.apply(S, Q), embed.apply(S, span.u)])
         T = sketch_factor(SW.copy())
         monkeypatch.setattr(embed, "apply", None)  # any further sketching fails
         monkeypatch.setattr(embed, "apply_adjoint", None)
-        P = SketchedProblem(oracle, span, SW.copy())
+        P = SketchedProblem(oracle, SW.copy())
         assert np.array_equal(P.T, T) and P.d == 64
         assert np.array_equal(P.SA[:, piv], T[:, :4] @ R)
         assert np.array_equal(P.Sb, T @ span.c_b)
@@ -207,6 +207,18 @@ class TestBackwardError:
         res = eta_f_checked(A, b, solve_ls_oracle(A, b), x + 1e-6 * delta / np.linalg.norm(delta))
         assert res.lambda_star >= -1e-10
         assert res.eta_f == pytest.approx(res.gamma * math.sqrt(res.mu), rel=1e-12)
+
+    def test_span_without_u(self):
+        # A's columns lie on the first 4 unit vectors, so b = A x0 has no
+        # part orthogonal to range(Q): the span has no u, c has n entries,
+        # and K gets a zero last row and column, M's zero eigenvalue
+        # orthogonal to range(A)
+        A = MatrixHandle(np.eye(40, 4) * np.array([3.0, 2.0, 1.0, 0.5]))
+        b = A.matvec(stream(8, "x0").standard_normal(4))
+        oracle = solve_ls_oracle(A, b)
+        assert oracle.span.u is None and oracle.span.c_b.shape == (4,)
+        res = eta_f_checked(A, b, oracle, oracle.x_ls + 1e-2 * np.arange(1.0, 5.0))
+        assert not res.negative_branch and abs(res.lambda_star) <= res.lambda_noise
 
     def test_counterexample_negative_lambda(self):
         # small ||x_bar|| violates the closeness hypothesis on a consistent system
@@ -447,9 +459,9 @@ class TestSuite:
         # no product with A at all
         A, b, oracle = build_instance()
         S = build_sketch("gaussian", 128, 300, 1)
-        span = embed.span_coordinates(A, b)
+        span = oracle.span
         SW = np.column_stack([embed.apply(S, A.qr_factor()[0]), embed.apply(S, span.u)])
-        R, P = DRowProblem(oracle, S), SketchedProblem(oracle, span, SW)
+        R, P = DRowProblem(oracle, S), SketchedProblem(oracle, SW)
         calls = Counter()
         for name in ("matvec", "rmatvec"):
             def counting(self, v, real=getattr(MatrixHandle, name), name=name):

@@ -9,8 +9,9 @@ from sketchls import cli, diagnostics
 from sketchls.embed import (GaussianPayload, SketchKind, SparsePayload, SketchOperator,
                             apply, apply_adjoint, basis_distortion, build_sketch,
                             exact_distortion, fwht, gaussian_span_sketch, next_pow2,
-                            span_coordinates, subspace_basis)
-from sketchls.matio import BLOCK_BYTES, MatrixHandle, synthesize_matrix, synthesize_problem
+                            subspace_basis)
+from sketchls.matio import (BLOCK_BYTES, MatrixHandle, span_coordinates, synthesize_matrix,
+                            synthesize_problem)
 from sketchls.rng import stream
 
 from conftest import identity_sketch, random_rhs, random_tall
@@ -450,10 +451,10 @@ class TestSketchOperands:
             (S,) = built
             assert (S.kind, S.d, S.m, S.seed) == (ref.kind, ref.d, ref.m, ref.seed)
             assert np.array_equal(materialize(S), materialize(ref))
-            SW = np.column_stack([apply(ref, Q), apply(ref, problem.span.u)])
+            SW = np.column_stack([apply(ref, Q), apply(ref, problem.oracle.span.u)])
         T = diagnostics.sketch_factor(SW)
         assert np.array_equal(P.T, T)
-        assert np.array_equal(P.Sb, T @ problem.span.c_b)
+        assert np.array_equal(P.Sb, T @ problem.oracle.span.c_b)
         assert np.array_equal(P.SA[:, piv], T[:, :7] @ R)
         assert P.SA.flags.c_contiguous
 

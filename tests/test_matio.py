@@ -950,7 +950,7 @@ class TestFactorStorage:
             A.qr_factor()
             b = synthesize_problem(A, 0)
             solve_ls_oracle(A, b)
-            embed.span_coordinates(A, b)
+            matio.span_coordinates(A, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

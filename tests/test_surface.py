@@ -259,6 +259,20 @@ def test_one_source_driver():
     assert sorted(catchers) == ["_load", "_source_runs"]
 
 
+def test_one_owner_of_the_span():
+    # span([A b]) and b's coordinates in it are formed by the LS oracle's
+    # solve, which keeps them, and by the reference basis alone, so no
+    # reader holds a second copy beside the oracle's
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "span_coordinates" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"matio.solve_ls_oracle", "embed.subspace_basis"}
+
+
 def test_bound_checks_take_eps_from_the_pair():
     # eps and the least-squares oracle are the pair's own (P.eps, P.oracle),
     # so a diagnostics function that takes the pair P takes neither beside
